@@ -6,8 +6,8 @@ Four tools, one diagnostic vocabulary (:class:`Diagnostic`):
   consistency and schedule liveness of ``build_halos`` exchange plans;
 * :mod:`~repro.analysis.tracecheck` — vector-clock happens-before
   analysis over an opt-in SimMPI event trace: deadlocks, tag mismatches,
-  divergent collectives, and shared-buffer races, explained immediately
-  instead of hanging out the receive timeout;
+  divergent collectives, and shared-buffer races, explained in full
+  where the runtime's ``DeadlockError`` names only the stuck rank;
 * :mod:`~repro.analysis.ghostcheck` — AST dataflow analysis of the
   overlapped-exchange window: proves kernels never touch protected
   ghost rows between ``start_copy`` and ``finish`` and that every

@@ -1,11 +1,11 @@
 """Trace-based deadlock, mismatch, and race detection for SimMPI runs.
 
-Run a program under ``SimMPI(nranks, trace=True)`` (ideally with a small
-``recv_timeout``) and hand the recorded event log to :func:`check_trace`.
-The analysis derives per-event vector clocks — program order within a
-rank, matched send->recv edges across ranks, and a full join at every
-collective — and uses the happens-before relation to explain failures
-that would otherwise surface as a silent 120-second hang:
+Run a program under ``SimMPI(nranks, trace=True)`` and hand the recorded
+event log to :func:`check_trace`.  The analysis derives per-event vector
+clocks — program order within a rank, matched send->recv edges across
+ranks, and a full join at every collective — and uses the happens-before
+relation to explain failures the runtime reports only as a one-line
+:class:`~repro.errors.DeadlockError` (or not at all):
 
 * **deadlock** — a posted receive that never completed, reported with
   the stuck rank, the awaited peer, and the tag;

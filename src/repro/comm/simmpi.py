@@ -2,10 +2,44 @@
 
 The paper's solvers are SPMD MPI programs.  We cannot run 2016 MPI ranks
 on real hardware here, so SimMPI provides the same programming model
-inside one Python process: :meth:`SimMPI.run` launches one thread per
-rank, each executing the user's rank function against a :class:`Comm`
-endpoint offering blocking/non-blocking point-to-point operations and the
-collectives the solvers need.
+inside one Python process: :meth:`SimMPI.run` executes the user's rank
+function once per rank against a :class:`Comm` endpoint offering
+blocking/non-blocking point-to-point operations and the collectives the
+solvers need.
+
+**Execution: one baton, cooperative hand-off.**  Each rank has its own
+thread so rank bodies stay plain blocking code, but the threads never
+run concurrently: exactly one rank holds the *baton* and executes; every
+other rank sleeps on a private gate and wants nothing from the
+interpreter.  The holder gives the baton up at the only two places a
+rank can block —
+
+* a receive (``recv`` / ``Request.wait``) whose mailbox is empty, and
+* a collective that not every rank has entered yet —
+
+by marking itself parked, opening the gate of the next *ready* rank (the
+lowest rank after it, cyclically) and sleeping on its own gate.  A
+parked rank becomes ready again when the thing it waits for happens:
+``isend`` readies the rank parked on that (source, tag), and the last
+rank to enter a collective combines the deposited values in rank order
+and readies all the others.  Rank 0 starts with the baton; a rank that
+returns passes it on the same way.  The schedule is therefore a
+deterministic function of the program — trace ``eid`` order included —
+and the real concurrency of the paper's machine is the ``process``
+backend's job (:mod:`repro.runtime.process`), not this module's.
+
+Because only the baton holder touches world state, mailboxes are plain
+deques and nothing in here takes a lock.  The flip side is the one rule
+for rank bodies: **block on nothing but** ``comm``.  A rank that waits
+on a lock, queue or event that another rank would have to release never
+yields the baton, and the world stops.
+
+Deadlock detection is exact and immediate: when the holder parks (or
+returns) and no rank is ready while some are unfinished, nothing can
+ever ready them, so every parked rank raises
+:class:`~repro.errors.DeadlockError` naming what it waited for.  When a
+rank raises, every parked rank is readied and unwinds; :meth:`SimMPI.run`
+re-raises the *first* failure as :class:`~repro.errors.RankFailure`.
 
 Two things distinguish SimMPI from a toy queue wrapper:
 
@@ -15,29 +49,31 @@ Two things distinguish SimMPI from a toy queue wrapper:
   receiver's clock by the fabric cost of the transfer (latency + size /
   bandwidth, cross-box contention, irregular-pattern penalties), taking
   the job's :class:`~repro.machine.placement.JobPlacement` into account.
-  Collectives synchronize clocks.  The ledger is what lets small SimMPI
-  runs calibrate the paper-scale performance model.
+  Collectives synchronize clocks.  A clock is a function of the stamps
+  on the messages a rank consumed and of its own charges — never of when
+  the scheduler happened to run it — so the ledger is independent of the
+  schedule, and it is what lets small SimMPI runs calibrate the
+  paper-scale performance model.
 
 * **Accounting.**  Per-rank message/byte/flop counters
   (:class:`CommStats`) expose exactly the quantities the performance
   model needs (messages per cycle, halo bytes, FLOPs).
 
-The runtime is deterministic for deterministic rank functions: reduction
-results are combined in rank order regardless of thread scheduling.
-
 An opt-in structured trace (``SimMPI(..., trace=True)``) records every
 send/recv/collective/compute as a :class:`TraceEvent`; the analyzers in
 :mod:`repro.analysis.tracecheck` run a vector-clock happens-before pass
 over it to explain deadlocks, tag mismatches, divergent collectives, and
-buffer races instead of letting a run wait out the receive timeout.
+buffer races beyond the one line a :class:`DeadlockError` carries.
 """
 
 from __future__ import annotations
 
 import pickle
-import queue
 import threading
-from dataclasses import dataclass, field
+from collections import deque
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -45,14 +81,27 @@ from ..errors import ConfigurationError, DeadlockError, RankFailure
 from ..machine.interconnect import NUMALINK4, FabricModel, message_time
 from ..machine.placement import JobPlacement
 
-_RECV_TIMEOUT = 120.0  # wall-clock seconds before declaring deadlock
-
 #: Fixed per-call software overhead charged for issuing an MPI operation
 #: (descriptor setup, matching).  Separate from fabric latency.
 MPI_CALL_OVERHEAD = 0.5e-6
 
+#: A mailbox address: (destination rank, source rank, tag).
+_MailKey = tuple[int, int, int]
 
-def _payload_bytes(obj) -> int:
+#: What a rank parked inside an incomplete collective waits on; no
+#: mailbox has this address, so no ``isend`` can ready it by accident.
+_COLLECTIVE: _MailKey = (-1, -1, -1)
+
+_READY, _RUNNING, _PARKED, _DONE = range(4)
+
+#: Appended to a :class:`DeadlockError` raised in a traced world.
+_TRACE_HINT = (
+    " (trace recorded: run repro.analysis.tracecheck.check_trace("
+    "world.trace, world.nranks) for the full explanation)"
+)
+
+
+def _payload_bytes(obj: Any) -> int:
     """Estimated wire size of a message payload.
 
     Unpicklable payloads are a caller bug (the runtime must copy them to
@@ -74,7 +123,7 @@ def _payload_bytes(obj) -> int:
         ) from exc
 
 
-def _copy_payload(obj):
+def _copy_payload(obj: Any) -> Any:
     """Messages must not alias sender memory (MPI copy semantics)."""
     if isinstance(obj, np.ndarray):
         return obj.copy()
@@ -99,13 +148,15 @@ class CommStats:
 class TraceEvent:
     """One entry in a SimMPI structured trace (``SimMPI(..., trace=True)``).
 
-    ``eid`` is a world-global id assigned in recording order; ``seq`` is
-    the per-rank program order the happens-before analysis relies on.
-    ``matched`` links a completed ``recv`` to the ``eid`` of the send it
-    consumed, giving the trace checker exact cross-rank edges.  Buffer
-    ``access`` events carry the logical buffer name, touched ``indices``,
-    and the concurrency ``phase``/``thread`` tokens used to model the
-    hybrid (fig. 7b) thread-parallel pack/copy/unpack phases.
+    ``eid`` is a world-global id assigned in recording order — which,
+    under the baton scheduler, is the same on every run of the same
+    program; ``seq`` is the per-rank program order the happens-before
+    analysis relies on.  ``matched`` links a completed ``recv`` to the
+    ``eid`` of the send it consumed, giving the trace checker exact
+    cross-rank edges.  Buffer ``access`` events carry the logical buffer
+    name, touched ``indices``, and the concurrency ``phase``/``thread``
+    tokens used to model the hybrid (fig. 7b) thread-parallel
+    pack/copy/unpack phases.
     """
 
     eid: int
@@ -136,22 +187,135 @@ class _Message:
 
 
 class Request:
-    """Handle for a non-blocking operation; ``wait()`` completes it."""
+    """Handle for a non-blocking operation; ``wait()`` completes it.
 
-    def __init__(self, complete):
+    Sends are buffered, so an ``isend`` request is born complete (no
+    ``complete`` callback).  An ``irecv`` request completes in
+    ``wait()``, the only call here that may give up the baton.
+    """
+
+    def __init__(
+        self,
+        complete: Callable[[], Any] | None = None,
+        probe: Callable[[], bool] | None = None,
+    ):
         self._complete = complete
-        self._done = False
-        self._result = None
+        self._probe = probe
+        self._done = complete is None
+        self._result: Any = None
 
-    def wait(self):
-        if not self._done:
+    def wait(self) -> Any:
+        if self._complete is not None and not self._done:
             self._result = self._complete()
             self._done = True
         return self._result
 
     def test(self) -> bool:
-        """SimMPI requests complete eagerly; test() reports completion."""
-        return self._done
+        """Would ``wait()`` return without blocking?
+
+        True for a send and for a completed receive; for a pending
+        receive, whether a matching message is queued right now.  Never
+        yields the baton, so a rank polling ``test()`` in a loop starves
+        its peers: poll, then ``wait()``.
+        """
+        return self._done or (self._probe is not None and self._probe())
+
+
+class _Abort(BaseException):
+    """Unwinds a rank that another rank's failure left with nothing to
+    wait for.  Internal: never leaves :meth:`SimMPI.run`."""
+
+
+class _Baton:
+    """The cooperative scheduler: which rank runs, who is parked on what.
+
+    Every method is called by the baton holder (the launching thread
+    counts as the holder until it opens rank 0's gate), so the state
+    needs no lock.  A gate is a lock held shut while its rank runs or
+    sleeps; sleeping is ``acquire()``, waking is another rank's
+    ``release()``, and each gate is touched by exactly those two.
+    """
+
+    def __init__(self, nranks: int, hint: str):
+        self.nranks = nranks
+        self.hint = hint
+        self.state = [_READY] * nranks
+        self.waiting: list[_MailKey | None] = [None] * nranks
+        #: first failure of the run: (rank, exception)
+        self.failure: tuple[int, BaseException] | None = None
+        self.deadlocked = False
+        self.gates = [threading.Lock() for _ in range(nranks)]
+        for gate in self.gates:
+            gate.acquire()
+
+    def take(self, rank: int) -> None:
+        """Sleep until handed the baton; raise if the world died meanwhile."""
+        self.gates[rank].acquire()
+        self.state[rank] = _RUNNING
+        key, self.waiting[rank] = self.waiting[rank], None
+        if self.deadlocked and key is not None:
+            if key == _COLLECTIVE:
+                what = "in a collective that not every rank entered"
+            else:
+                what = f"waiting for rank {key[1]} tag {key[2]}"
+            raise DeadlockError(f"rank {rank} deadlocked {what}{self.hint}")
+        if self.failure is not None:
+            raise _Abort
+
+    def park(self, rank: int, key: _MailKey) -> None:
+        """Give up the baton until :meth:`ready` is called for ``key``."""
+        if self.failure is not None:
+            raise _Abort  # whoever would have readied us may be gone
+        self.state[rank] = _PARKED
+        self.waiting[rank] = key
+        self._hand_off(rank)
+        self.take(rank)
+
+    def ready(self, rank: int) -> None:
+        """What ``rank`` is parked on has happened; it may run again."""
+        self.waiting[rank] = None
+        self.state[rank] = _READY
+
+    def fail(self, rank: int, exc: BaseException) -> None:
+        """Record a rank's exception and release every parked rank (they
+        wake into :meth:`take`, which aborts them)."""
+        if self.failure is None:
+            self.failure = (rank, exc)
+        for r in range(self.nranks):
+            if self.state[r] == _PARKED:
+                self.state[r] = _READY
+
+    def retire(self, rank: int) -> None:
+        """``rank``'s body has returned or unwound; pass the baton on."""
+        self.state[rank] = _DONE
+        self._hand_off(rank)
+
+    def _hand_off(self, rank: int) -> None:
+        """Open the gate of the next ready rank after ``rank``, cyclically.
+
+        If none is ready but some are parked, nothing can ever ready
+        them — only a running rank sends or enters a collective — so
+        that is a deadlock, exactly: wake them all, one after another,
+        to raise it.
+        """
+        nxt = self._next(rank, _READY)
+        if nxt is None:
+            nxt = self._next(rank, _PARKED)
+            if nxt is None:
+                return  # every rank is done
+            self.deadlocked = True
+            for r in range(self.nranks):
+                if self.state[r] == _PARKED:
+                    self.state[r] = _READY
+        self.gates[nxt].release()
+
+    def _next(self, rank: int, state: int) -> int | None:
+        """First rank in ``state`` after ``rank`` (itself last)."""
+        for step in range(1, self.nranks + 1):
+            r = (rank + step) % self.nranks
+            if self.state[r] == state:
+                return r
+        return None
 
 
 class _CollectiveContext:
@@ -160,19 +324,34 @@ class _CollectiveContext:
     def __init__(self, nranks: int):
         self.nranks = nranks
         self.slots: list = [None] * nranks
-        self.result = None
-        self.barrier = threading.Barrier(nranks)
+        self.arrived = 0
+        self.result: Any = None
 
-    def round(self, rank: int, value, combine):
-        """Deposit ``value``, combine once, return the shared result."""
+    def round(
+        self,
+        baton: _Baton,
+        rank: int,
+        value: Any,
+        combine: Callable[[list], Any],
+    ) -> Any:
+        """Deposit ``value``; the last rank to arrive combines the slots
+        (rank order, whatever the arrival order) and readies the rest.
+
+        One ``result`` field is enough: the next round cannot complete,
+        and overwrite it, before every rank has woken from this one,
+        read it and entered again.
+        """
         self.slots[rank] = value
-        self.barrier.wait()
-        if rank == 0:
-            self.result = combine(list(self.slots))
-        self.barrier.wait()
-        out = self.result
-        self.barrier.wait()  # nobody may re-enter until all have read
-        return out
+        self.arrived += 1
+        if self.arrived < self.nranks:
+            baton.park(rank, _COLLECTIVE)
+            return self.result
+        self.arrived = 0
+        self.result = combine(self.slots)
+        for r in range(self.nranks):
+            if r != rank:
+                baton.ready(r)
+        return self.result
 
 
 class Comm:
@@ -188,7 +367,7 @@ class Comm:
 
     # -- tracing ------------------------------------------------------------
 
-    def _record(self, op: str, **fields) -> int | None:
+    def _record(self, op: str, **fields: Any) -> int | None:
         """Append a :class:`TraceEvent` when tracing is on; returns its eid."""
         if not self._world.trace_enabled:
             return None
@@ -201,7 +380,7 @@ class Comm:
     def trace_access(
         self,
         buffer: str,
-        indices,
+        indices: Any,
         write: bool = True,
         phase: str | None = None,
         thread: int | None = None,
@@ -253,11 +432,15 @@ class Comm:
 
     # -- point to point -----------------------------------------------------
 
-    def send(self, payload, dest: int, tag: int = 0, irregular: bool = False):
+    def send(
+        self, payload: Any, dest: int, tag: int = 0, irregular: bool = False
+    ) -> None:
         """Blocking standard-mode send (buffered: never deadlocks)."""
-        self.isend(payload, dest, tag, irregular=irregular).wait()
+        self.isend(payload, dest, tag, irregular=irregular)
 
-    def isend(self, payload, dest: int, tag: int = 0, irregular: bool = False):
+    def isend(
+        self, payload: Any, dest: int, tag: int = 0, irregular: bool = False
+    ) -> Request:
         if not 0 <= dest < self.size:
             raise ConfigurationError(f"bad destination rank {dest}")
         nbytes = _payload_bytes(payload)
@@ -278,37 +461,25 @@ class Comm:
             irregular=irregular,
             trace_eid=eid,
         )
-        self._world._mailbox(dest, self.rank, tag).put(msg)
+        self._world._deliver((dest, self.rank, tag), msg)
         self.stats.messages_sent += 1
         self.stats.bytes_sent += nbytes
-        return Request(lambda: None)
+        return Request()
 
-    def recv(self, source: int, tag: int = 0):
+    def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive; returns the payload."""
         return self.irecv(source, tag).wait()
 
-    def irecv(self, source: int, tag: int = 0):
+    def irecv(self, source: int, tag: int = 0) -> Request:
         if not 0 <= source < self.size:
             raise ConfigurationError(f"bad source rank {source}")
-        box = self._world._mailbox(self.rank, source, tag)
+        world = self._world
+        key = (self.rank, source, tag)
         self._record("recv_post", peer=source, tag=tag)
 
-        def complete():
-            try:
-                msg = box.get(timeout=self._world.recv_timeout)
-            except queue.Empty:
-                hint = (
-                    " (trace recorded: run repro.analysis.tracecheck."
-                    "check_trace(world.trace, world.nranks) for the full "
-                    "explanation)"
-                    if self._world.trace_enabled
-                    else ""
-                )
-                raise DeadlockError(
-                    f"rank {self.rank} deadlocked waiting for rank {source} "
-                    f"tag {tag}{hint}"
-                ) from None
-            transit = self._world.transfer_time(
+        def complete() -> Any:
+            msg = world._collect(key)
+            transit = world.transfer_time(
                 msg.src, self.rank, msg.nbytes, irregular=msg.irregular
             )
             arrival = msg.send_clock + transit
@@ -326,22 +497,28 @@ class Comm:
             )
             return msg.payload
 
-        return Request(complete)
+        return Request(complete, lambda: bool(world._mailboxes.get(key)))
 
-    def sendrecv(self, payload, dest: int, source: int, tag: int = 0):
-        req = self.isend(payload, dest, tag)
-        out = self.recv(source, tag)
-        req.wait()
-        return out
+    def sendrecv(self, payload: Any, dest: int, source: int, tag: int = 0) -> Any:
+        self.isend(payload, dest, tag)
+        return self.recv(source, tag)
 
     # -- collectives ----------------------------------------------------------
 
-    def _collective(self, value, combine, nbytes: float, kind: str = "collective"):
+    def _collective(
+        self,
+        value: Any,
+        combine: Callable[[list], Any],
+        nbytes: float,
+        kind: str = "collective",
+    ) -> Any:
         before = self.clock
         self._record("collective", nbytes=nbytes, detail=kind)
-        ctx = self._world._collectives
-        result, sync = ctx.round(self.rank, (value, self.clock), _make_sync(combine))
-        cost = self._world.collective_time(nbytes)
+        world = self._world
+        result, sync = world._collectives.round(
+            world._baton, self.rank, (value, self.clock), _make_sync(combine)
+        )
+        cost = world.collective_time(nbytes)
         self.clock = sync + cost
         self.stats.collectives += 1
         self.stats.comm_seconds += self.clock - before
@@ -350,10 +527,10 @@ class Comm:
     def barrier(self) -> None:
         self._collective(None, lambda vals: None, nbytes=8, kind="barrier")
 
-    def allreduce(self, value, op: str = "sum"):
+    def allreduce(self, value: Any, op: str = "sum") -> Any:
         """Reduce scalars or same-shape arrays across ranks; all get it."""
 
-        def combine(vals):
+        def combine(vals: list) -> Any:
             return _reduce(vals, op)
 
         nbytes = _payload_bytes(value)
@@ -361,15 +538,16 @@ class Comm:
             self._collective(value, combine, nbytes, kind=f"allreduce:{op}")
         )
 
-    def allgather(self, value) -> list:
-        return _copy_result(
+    def allgather(self, value: Any) -> list:
+        out: list = _copy_result(
             self._collective(
                 value, lambda vals: list(vals), _payload_bytes(value),
                 kind="allgather",
             )
         )
+        return out
 
-    def bcast(self, value, root: int = 0):
+    def bcast(self, value: Any, root: int = 0) -> Any:
         result = self._collective(
             value if self.rank == root else None,
             lambda vals: vals[root],
@@ -378,19 +556,19 @@ class Comm:
         )
         return _copy_result(result)
 
-    def gather(self, value, root: int = 0):
+    def gather(self, value: Any, root: int = 0) -> list | None:
         everything = self.allgather(value)
         return everything if self.rank == root else None
 
-    def reduce(self, value, op: str = "sum", root: int = 0):
+    def reduce(self, value: Any, op: str = "sum", root: int = 0) -> Any:
         result = self.allreduce(value, op)
         return result if self.rank == root else None
 
 
-def _make_sync(combine):
+def _make_sync(combine: Callable[[list], Any]) -> Callable[[list], Any]:
     """Wrap a payload combiner so it also returns the max clock."""
 
-    def wrapped(slots):
+    def wrapped(slots: list) -> tuple[Any, float]:
         values = [v for v, _clk in slots]
         clocks = [clk for _v, clk in slots]
         return combine(values), max(clocks)
@@ -398,7 +576,7 @@ def _make_sync(combine):
     return wrapped
 
 
-def _reduce(vals, op: str):
+def _reduce(vals: list, op: str) -> Any:
     if op == "sum":
         out = vals[0]
         if isinstance(out, np.ndarray):
@@ -419,7 +597,7 @@ def _reduce(vals, op: str):
     raise ConfigurationError(f"unknown reduction op {op!r}")
 
 
-def _copy_result(value):
+def _copy_result(value: Any) -> Any:
     """Collective results are shared across ranks; hand out copies of
     arrays so one rank cannot mutate another's view."""
     if isinstance(value, np.ndarray):
@@ -447,10 +625,6 @@ class SimMPI:
         (``self.trace``) for the :mod:`repro.analysis.tracecheck`
         deadlock/race analyzers.  Off by default: tracing costs memory
         proportional to message count.
-    recv_timeout:
-        Wall-clock seconds a blocking receive waits before declaring
-        deadlock.  Tests exercising failure paths should pass a small
-        value instead of waiting out the 120 s default.
     """
 
     def __init__(
@@ -459,7 +633,6 @@ class SimMPI:
         placement: JobPlacement | None = None,
         fabric: FabricModel = NUMALINK4,
         trace: bool = False,
-        recv_timeout: float | None = None,
     ):
         if nranks < 1:
             raise ConfigurationError("nranks must be >= 1")
@@ -470,15 +643,10 @@ class SimMPI:
         self.nranks = nranks
         self.placement = placement
         self._fabric = fabric
-        self._mailboxes: dict = {}
-        self._mailbox_lock = threading.Lock()
-        self._collectives = _CollectiveContext(nranks)
         self.trace_enabled = trace
         self.trace: list[TraceEvent] = []
-        self._trace_lock = threading.Lock()
-        self.recv_timeout = (
-            _RECV_TIMEOUT if recv_timeout is None else float(recv_timeout)
-        )
+        self.comms: list[Comm] = []
+        self._reset()
         if placement is not None:
             self._box_of = placement.box_of_rank()
             self._nboxes = placement.nboxes
@@ -493,21 +661,39 @@ class SimMPI:
             self.cpu = CPU_ITANIUM2_1600
 
     # -- plumbing -------------------------------------------------------------
+    #
+    # Everything below is called by the baton holder only.
 
-    def _append_event(self, **fields) -> int:
+    def _reset(self) -> None:
+        """Fresh scheduler, mailboxes and collective state for one run."""
+        self._baton = _Baton(
+            self.nranks, _TRACE_HINT if self.trace_enabled else ""
+        )
+        self._mailboxes: dict[_MailKey, deque[_Message]] = {}
+        self._collectives = _CollectiveContext(self.nranks)
+
+    def _append_event(self, **fields: Any) -> int:
         """Record one trace event; returns its world-global eid."""
-        with self._trace_lock:
-            eid = len(self.trace)
-            self.trace.append(TraceEvent(eid=eid, **fields))
-            return eid
+        eid = len(self.trace)
+        self.trace.append(TraceEvent(eid=eid, **fields))
+        return eid
 
-    def _mailbox(self, dst: int, src: int, tag: int) -> queue.Queue:
-        key = (dst, src, tag)
-        with self._mailbox_lock:
-            box = self._mailboxes.get(key)
-            if box is None:
-                box = self._mailboxes[key] = queue.Queue()
-            return box
+    def _deliver(self, key: _MailKey, msg: _Message) -> None:
+        """Queue ``msg`` and ready the destination if it is parked on it."""
+        box = self._mailboxes.get(key)
+        if box is None:
+            box = self._mailboxes[key] = deque()
+        box.append(msg)
+        if self._baton.waiting[key[0]] == key:
+            self._baton.ready(key[0])
+
+    def _collect(self, key: _MailKey) -> _Message:
+        """Next message for ``key``, parking the caller until one exists."""
+        box = self._mailboxes.get(key)
+        if not box:
+            self._baton.park(key[0], key)
+            box = self._mailboxes[key]
+        return box.popleft()
 
     # -- cost model -----------------------------------------------------------
 
@@ -538,26 +724,33 @@ class SimMPI:
 
     # -- execution -------------------------------------------------------------
 
-    def run(self, target, *args, **kwargs) -> list:
+    def run(self, target: Callable[..., Any], *args: Any, **kwargs: Any) -> list:
         """Execute ``target(comm, *args, **kwargs)`` on every rank.
 
-        Returns the per-rank return values in rank order.  Exceptions in
-        any rank abort the run and re-raise on the caller.
+        Returns the per-rank return values in rank order.  An exception
+        in any rank unwinds the others and re-raises on the caller as
+        :class:`RankFailure` for the first rank that failed (a 1-rank
+        world runs inline, so its exception arrives unwrapped).
         """
         comms = [Comm(self, r) for r in range(self.nranks)]
         self.comms = comms
+        self._reset()
+        baton = self._baton
         if self.nranks == 1:
             return [target(comms[0], *args, **kwargs)]
 
         results: list = [None] * self.nranks
-        errors: list = []
 
-        def entry(rank: int):
+        def entry(rank: int) -> None:
             try:
+                baton.take(rank)
                 results[rank] = target(comms[rank], *args, **kwargs)
+            except _Abort:
+                pass
             except BaseException as exc:  # noqa: BLE001 - must cross threads
-                errors.append((rank, exc))
-                self._collectives.barrier.abort()
+                baton.fail(rank, exc)
+            finally:
+                baton.retire(rank)
 
         threads = [
             threading.Thread(target=entry, args=(r,), name=f"simmpi-rank-{r}")
@@ -565,10 +758,11 @@ class SimMPI:
         ]
         for t in threads:
             t.start()
+        baton.gates[0].release()
         for t in threads:
             t.join()
-        if errors:
-            rank, exc = errors[0]
+        if baton.failure is not None:
+            rank, exc = baton.failure
             raise RankFailure(rank, exc) from exc
         return results
 

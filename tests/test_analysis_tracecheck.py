@@ -1,8 +1,8 @@
 """Tests for the trace-based deadlock/race analyzer and SimMPI tracing.
 
-The failure-path tests run deliberately broken 2-rank programs with a
-sub-second ``recv_timeout`` — the point of the analyzer is that nobody
-has to wait out the 120 s default to learn which rank hung and why.
+The failure-path tests run deliberately broken 2-rank programs: the
+baton scheduler raises ``DeadlockError`` the moment no rank can run, and
+the analyzer then says which rank hung and why.
 """
 
 import copy
@@ -81,14 +81,14 @@ class TestTracing:
 
 class TestDeadlockDetection:
     def test_deadlocked_recv_names_stuck_ranks(self):
-        """recv with no matching send: the analyzer names the stuck
-        rank/peer immediately instead of the run waiting out 120 s."""
+        """recv with no matching send: the run fails at once and the
+        analyzer names the stuck rank/peer."""
 
         def body(comm):
             if comm.rank == 0:
                 comm.recv(source=1)
 
-        world = SimMPI(2, trace=True, recv_timeout=0.2)
+        world = SimMPI(2, trace=True)
         with pytest.raises(RuntimeError, match="deadlocked"):
             world.run(body)
         diags = check_world(world)
@@ -101,7 +101,7 @@ class TestDeadlockDetection:
         def body(comm):
             comm.recv(source=1 - comm.rank)
 
-        world = SimMPI(2, trace=True, recv_timeout=0.2)
+        world = SimMPI(2, trace=True)
         with pytest.raises(RuntimeError, match="deadlocked"):
             world.run(body)
         stuck = {
@@ -119,7 +119,7 @@ class TestDeadlockDetection:
             else:
                 comm.send(np.zeros(4), dest=0, tag=7)
 
-        world = SimMPI(2, trace=True, recv_timeout=0.2)
+        world = SimMPI(2, trace=True)
         with pytest.raises(RuntimeError, match="deadlocked"):
             world.run(body)
         diags = check_world(world)
@@ -130,12 +130,12 @@ class TestDeadlockDetection:
         assert "sent tag 7" in mism.message
         assert "waiting on tag 0" in mism.message
 
-    def test_timeout_error_mentions_trace(self):
+    def test_deadlock_error_mentions_trace(self):
         def body(comm):
             if comm.rank == 0:
                 comm.recv(source=1)
 
-        world = SimMPI(2, trace=True, recv_timeout=0.2)
+        world = SimMPI(2, trace=True)
         with pytest.raises(RuntimeError, match="trace recorded"):
             world.run(body)
 
@@ -159,7 +159,7 @@ class TestCollectiveDivergence:
             else:
                 comm.allreduce(1.0)
 
-        world = SimMPI(2, trace=True, recv_timeout=0.2)
+        world = SimMPI(2, trace=True)
         try:
             world.run(body)
         except RuntimeError:
@@ -263,7 +263,7 @@ class TestHybridRaces:
             hp.exchange_copy(comm, arrays)
             hp.exchange_copy(comm, arrays)  # repeat: phases must not collide
 
-        world = SimMPI(nprocs, trace=True, recv_timeout=5.0)
+        world = SimMPI(nprocs, trace=True)
         world.run(body)
         return world
 

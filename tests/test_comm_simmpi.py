@@ -1,9 +1,16 @@
 """Tests for the SimMPI in-process runtime."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm import SimMPI
+from repro.errors import DeadlockError, RankFailure
 from repro.machine import INFINIBAND, NUMALINK4, JobPlacement
 
 
@@ -76,6 +83,36 @@ class TestPointToPoint:
 
         with pytest.raises(RuntimeError, match="failed"):
             SimMPI(2).run(body)
+
+    def test_isend_request_is_born_complete(self):
+        def body(comm):
+            if comm.rank == 0:
+                req = comm.isend(np.zeros(2), dest=1)
+                return req.test(), req.wait()
+            comm.recv(source=0)
+
+        assert SimMPI(2).run(body)[0] == (True, None)
+
+    def test_irecv_test_probes_without_yielding(self):
+        """``test()`` says whether a matching message is queued; it must
+        not hand the baton over, so rank 1 has not run when rank 0
+        first asks."""
+
+        def body(comm):
+            if comm.rank == 1:
+                comm.send(np.arange(3.0), dest=0, tag=4)
+                comm.barrier()
+                return None
+            req = comm.irecv(source=1, tag=4)
+            before = req.test()  # rank 1 not scheduled yet
+            comm.barrier()  # rank 0 parks, rank 1 sends
+            queued = req.test()
+            data = req.wait()
+            return before, queued, req.test(), data
+
+        before, queued, after, data = SimMPI(2).run(body)[0]
+        assert (before, queued, after) == (False, True, True)
+        assert np.array_equal(data, np.arange(3.0))
 
 
 class TestCollectives:
@@ -252,6 +289,51 @@ class TestErrors:
         with pytest.raises(RuntimeError, match="rank 1 failed"):
             SimMPI(2).run(body)
 
+    @pytest.mark.parametrize("blocked_in", ["recv", "collective"])
+    def test_failure_unwinds_parked_peers(self, blocked_in):
+        """Rank 1 raises while the others are parked: the run reports
+        rank 1 at once (no waiting out a timeout) and no thread leaks."""
+
+        def body(comm):
+            if comm.rank == 1:
+                raise ValueError("boom")
+            if blocked_in == "recv":
+                comm.recv(source=1)
+            else:
+                comm.barrier()
+
+        threads_before = threading.active_count()
+        t0 = time.perf_counter()
+        with pytest.raises(RankFailure, match="rank 1 failed") as info:
+            SimMPI(3).run(body)
+        assert info.value.rank == 1
+        assert isinstance(info.value.__cause__, ValueError)
+        assert time.perf_counter() - t0 < 5.0
+        assert threading.active_count() == threads_before
+
+    def test_failure_inside_a_collective(self):
+        """The combine step itself raises (ragged shapes): whichever
+        rank completes the round fails, the parked ones unwind."""
+
+        def body(comm):
+            return comm.allreduce(np.zeros(2 + comm.rank))
+
+        threads_before = threading.active_count()
+        with pytest.raises(RankFailure) as info:
+            SimMPI(3).run(body)
+        assert info.value.rank == 2  # last to arrive combines
+        assert threading.active_count() == threads_before
+
+    def test_first_failing_rank_is_reported(self):
+        def body(comm):
+            comm.barrier()
+            raise ValueError(f"rank {comm.rank}")
+
+        with pytest.raises(RankFailure) as info:
+            SimMPI(4).run(body)
+        # rank 3 completes the barrier and runs on, so it fails first
+        assert info.value.rank == 3
+
     def test_placement_rank_mismatch(self):
         with pytest.raises(ValueError):
             SimMPI(8, placement=JobPlacement.pack(4))
@@ -269,3 +351,163 @@ class TestErrors:
 
         with pytest.raises(RuntimeError, match="lock"):
             SimMPI(2).run(body)
+
+
+class TestDeadlock:
+    """Deadlock is detected exactly (no rank can run, some unfinished)
+    and at once — nothing here waits on the clock."""
+
+    def test_single_rank_unmatched_recv(self):
+        # 1-rank worlds run inline: the error arrives unwrapped
+        with pytest.raises(DeadlockError, match="rank 0 .* rank 0 tag 3"):
+            SimMPI(1).run(lambda comm: comm.recv(source=0, tag=3))
+
+    def test_recv_names_rank_peer_and_tag(self):
+        def body(comm):
+            if comm.rank == 2:
+                comm.recv(source=0, tag=7)
+
+        threads_before = threading.active_count()
+        with pytest.raises(RankFailure) as info:
+            SimMPI(3).run(body)
+        assert info.value.rank == 2
+        assert isinstance(info.value.__cause__, DeadlockError)
+        assert "waiting for rank 0 tag 7" in str(info.value.__cause__)
+        assert "trace recorded" not in str(info.value.__cause__)
+        assert threading.active_count() == threads_before
+
+    def test_every_parked_rank_raises(self):
+        seen = []
+
+        def body(comm):
+            try:
+                comm.recv(source=(comm.rank + 1) % comm.size)
+            except DeadlockError as exc:
+                seen.append((comm.rank, str(exc)))
+                raise
+
+        with pytest.raises(RankFailure):
+            SimMPI(3).run(body)
+        assert sorted(rank for rank, _ in seen) == [0, 1, 2]
+        for rank, text in seen:
+            assert f"rank {rank} deadlocked" in text
+
+    def test_collective_a_rank_never_enters(self):
+        def body(comm):
+            if comm.rank != 1:
+                comm.barrier()
+
+        with pytest.raises(RankFailure, match="collective") as info:
+            SimMPI(3).run(body)
+        assert isinstance(info.value.__cause__, DeadlockError)
+
+    def test_world_is_reusable_after_a_failed_run(self):
+        world = SimMPI(2)
+        with pytest.raises(RankFailure):
+            world.run(lambda comm: comm.recv(source=1 - comm.rank))
+        assert world.run(lambda comm: comm.allreduce(1)) == [2, 2]
+
+
+class TestBatonSchedule:
+    """Exactly one rank runs at a time, in an order that is a function
+    of the program alone."""
+
+    def test_ranks_never_run_concurrently(self):
+        """Stress: more ranks than cores, a tiny switch interval, and an
+        unprotected shared counter that only mutual exclusion keeps at
+        one.  Free-running rank threads trip it within a few rounds."""
+        running = [0]
+        overlaps = []
+
+        def critical():
+            running[0] += 1
+            if running[0] != 1:
+                overlaps.append(running[0])
+            for _ in range(5000):  # ~0.1 ms of bytecodes: preemptible
+                pass
+            running[0] -= 1
+
+        def body(comm):
+            right = (comm.rank + 1) % comm.size
+            left = (comm.rank - 1) % comm.size
+            total = 0.0
+            for i in range(40):
+                critical()
+                req = comm.irecv(left, tag=i)
+                comm.isend(np.full(2, float(comm.rank)), right, tag=i)
+                critical()
+                total += req.wait()[0]
+                if i % 8 == 0:
+                    total += comm.allreduce(1.0)
+            return total
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t0 = time.perf_counter()
+            results = SimMPI(8).run(body)
+        finally:
+            sys.setswitchinterval(interval)
+        assert overlaps == []
+        assert results == [40.0 * ((r - 1) % 8) + 5 * 8.0 for r in range(8)]
+        assert time.perf_counter() - t0 < 30.0
+
+    def test_hand_off_goes_to_the_next_ready_rank_cyclically(self):
+        order = []
+
+        def body(comm):
+            order.append(("start", comm.rank))
+            comm.barrier()
+            order.append(("after", comm.rank))
+
+        SimMPI(3).run(body)
+        # rank 2 completes the barrier and keeps the baton; when it
+        # returns, the next ready rank after it, cyclically, is rank 0
+        assert order == [
+            ("start", 0), ("start", 1), ("start", 2),
+            ("after", 2), ("after", 0), ("after", 1),
+        ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_trace_is_a_function_of_the_program(self, data):
+        """Two traced runs of one drawn send/recv/allreduce script give
+        the same event sequence, eids included."""
+        nranks = data.draw(st.integers(2, 6), label="nranks")
+        rank = st.integers(0, nranks - 1)
+        script = data.draw(
+            st.lists(
+                st.one_of(
+                    st.tuples(st.just("send"), rank, rank, st.integers(0, 2)),
+                    st.just(("allreduce",)),
+                ),
+                max_size=12,
+            ),
+            label="script",
+        )
+
+        def body(comm):
+            got = []
+            for op in script:
+                if op[0] == "allreduce":
+                    got.append(comm.allreduce(comm.rank))
+                    continue
+                _, src, dst, tag = op
+                if comm.rank == src:
+                    comm.isend(np.full(1, float(src)), dst, tag)
+                if comm.rank == dst:
+                    got.append(float(comm.recv(src, tag)[0]))
+            return got
+
+        def traced():
+            world = SimMPI(nranks, trace=True)
+            results = world.run(body)
+            events = [
+                (e.eid, e.rank, e.seq, e.op, e.peer, e.tag, e.matched)
+                for e in world.trace
+            ]
+            return results, events, world.max_clock()
+
+        first, second = traced(), traced()
+        assert first == second
+        assert [e[0] for e in first[1]] == list(range(len(first[1])))

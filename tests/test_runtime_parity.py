@@ -9,6 +9,7 @@ tests, so agreement here transitively pins the distributed runtime to
 pre-refactor behavior.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -451,3 +452,101 @@ class TestProcessBackendParity:
         ) as pc:
             _, hist = pc.solve(2, cfl=CFL_CART3D, cycle="W")
         assert hist == hist_sim
+
+
+# Captured on the last commit with free-running rank threads (PR 12):
+# ``float.hex`` of the virtual makespan, the summed CommStats and the
+# 2-cycle residual history, keyed by (solver, world ranks) — 4 ranks is
+# the ``sim`` backend, 2 ranks the ``hybrid`` one.  The ledger is a
+# function of message stamps and the history of reduction order, never
+# of the schedule, so any scheduler must reproduce them bit for bit.  A
+# change that *means* to move them (kernel reassociation, a different
+# cost model) re-captures with the same recipe as the test below.
+LEDGER_PINS = {
+    ("nsu3d", 4): {
+        "max_clock": "0x1.b72e3793f8734p-9",
+        "history": ["0x1.4a740df571a0bp-4", "0x1.2f387305613c3p-5"],
+        "stats": {
+            "bytes_received": "0x1.f0c8000000000p+19",
+            "bytes_sent": "0x1.f0c8000000000p+19",
+            "collectives": "0x1.8000000000000p+5",
+            "comm_seconds": "0x1.b92dbecc8ebf7p-9",
+            "compute_seconds": "0x1.48e2c7e0d4c18p-7",
+            "flops": "0x1.324c800000000p+24",
+            "messages_received": "0x1.5600000000000p+10",
+            "messages_sent": "0x1.5600000000000p+10",
+        },
+    },
+    ("nsu3d", 2): {
+        "max_clock": "0x1.84cdff5265269p-8",
+        "history": ["0x1.4a740df571a08p-4", "0x1.2f387305613c4p-5"],
+        "stats": {
+            "bytes_received": "0x1.9478000000000p+18",
+            "bytes_sent": "0x1.9478000000000p+18",
+            "collectives": "0x1.8000000000000p+4",
+            "comm_seconds": "0x1.df59bb8c832e4p-10",
+            "compute_seconds": "0x1.48e2c7e0d4c1ap-7",
+            "flops": "0x1.324c800000000p+24",
+            "messages_received": "0x1.c800000000000p+7",
+            "messages_sent": "0x1.c800000000000p+7",
+        },
+    },
+    ("cart3d", 4): {
+        "max_clock": "0x1.edc9759de6e29p-10",
+        "history": ["0x1.8a66c2952f795p+0", "0x1.9d0b2f05a00bcp+0"],
+        "stats": {
+            "bytes_received": "0x1.6dc0000000000p+17",
+            "bytes_sent": "0x1.6dc0000000000p+17",
+            "collectives": "0x1.c800000000000p+8",
+            "comm_seconds": "0x1.1179d3f50a2eap-8",
+            "compute_seconds": "0x1.b89f4351b95c2p-9",
+            "flops": "0x1.9a5c800000000p+22",
+            "messages_received": "0x1.1000000000000p+11",
+            "messages_sent": "0x1.1000000000000p+11",
+        },
+    },
+    ("cart3d", 2): {
+        "max_clock": "0x1.4392d2f60ebd2p-9",
+        "history": ["0x1.8a66c2952f796p+0", "0x1.9d0b2f05a00c1p+0"],
+        "stats": {
+            "bytes_received": "0x1.6dc0000000000p+16",
+            "bytes_sent": "0x1.6dc0000000000p+16",
+            "collectives": "0x1.c800000000000p+7",
+            "comm_seconds": "0x1.9d0cc534c8382p-10",
+            "compute_seconds": "0x1.b89f4351b95c2p-9",
+            "flops": "0x1.9a5c800000000p+22",
+            "messages_received": "0x1.1000000000000p+9",
+            "messages_sent": "0x1.1000000000000p+9",
+        },
+    },
+}
+
+
+class TestVirtualLedgerPins:
+    """The scheduler is invisible in the numbers: virtual time, traffic
+    accounting and residual histories are bit-equal to the pre-baton
+    runtime on both in-process backends."""
+
+    @pytest.mark.parametrize("nranks", [4, 2], ids=["sim", "hybrid"])
+    @pytest.mark.parametrize("name", ["nsu3d", "cart3d"])
+    def test_ledger_and_history_bit_equal(self, request, name, nranks):
+        if name == "nsu3d":  # turbulent, blocking exchange
+            solver = request.getfixturevalue("nsu3d_turb_solver")
+            par = ParallelNSU3D.from_solver(
+                solver, 4, config=RuntimeConfig(charge_compute=True),
+            )
+            cfl = CFL_NSU3D
+        else:  # overlapped exchange
+            solver = request.getfixturevalue("cart3d_solver")
+            par = ParallelCart3D.from_solver(
+                solver, 4,
+                config=RuntimeConfig(overlap=True, charge_compute=True),
+            )
+            cfl = CFL_CART3D
+        world = SimMPI(nranks)
+        _, hist = par.run(world, 2, cfl=cfl, cycle="W")
+        pin = LEDGER_PINS[name, nranks]
+        assert float(world.max_clock()).hex() == pin["max_clock"]
+        assert [float(h).hex() for h in hist] == pin["history"]
+        stats = dataclasses.asdict(world.total_stats())
+        assert {k: float(v).hex() for k, v in stats.items()} == pin["stats"]

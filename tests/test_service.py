@@ -407,6 +407,16 @@ class TestSurrogate:
             SurrogateConfig(k=2, min_neighbors=3)
 
 
+async def yield_until(predicate):
+    """Let the loop run other tasks until ``predicate()`` holds — a
+    clock-free replacement for 'sleep a few ms and hope'."""
+    for _ in range(1000):
+        if predicate():
+            return
+        await asyncio.sleep(0)
+    raise AssertionError("condition never held")
+
+
 class TestAdmission:
     def test_fair_share_across_tenants(self):
         """A burst from one tenant must not starve another's first
@@ -436,6 +446,9 @@ class TestAdmission:
         assert order.index("b0") < order.index("a2")
 
     def test_priority_breaks_ties(self):
+        """Sequenced by loop yields, not by the clock: b0 is queued
+        before vip0 arrives, and nothing is released until both wait."""
+
         async def drive():
             admission = AdmissionController(
                 1,
@@ -443,33 +456,32 @@ class TestAdmission:
                 quotas={"vip": TenantQuota(priority=5)},
             )
             order = []
+            go = asyncio.Event()
 
             async def hold(tenant, tag):
                 await admission.acquire(tenant)
                 order.append(tag)
-                await asyncio.sleep(0.005)
+                await go.wait()
                 admission.release(tenant)
 
             first = asyncio.create_task(hold("a", "a0"))
-            await asyncio.sleep(0.002)
-            queued = [
-                asyncio.create_task(hold("b", "b0")),
-            ]
-            await asyncio.sleep(0.002)
+            await yield_until(lambda: admission.busy == 1)
+            queued = [asyncio.create_task(hold("b", "b0"))]
+            await yield_until(lambda: admission.queued == 1)
             queued.append(asyncio.create_task(hold("vip", "vip0")))
+            await yield_until(lambda: admission.queued == 2)
+            go.set()
             await asyncio.gather(first, *queued)
             return order
 
-        order = asyncio.run(drive())
-        assert order[0] == "a0"
-        assert order.index("vip0") < order.index("b0")
+        assert asyncio.run(drive()) == ["a0", "vip0", "b0"]
 
     def test_full_queue_sheds_with_typed_error(self):
         async def drive():
             admission = AdmissionController(1, max_queue=1)
             await admission.acquire("a")  # occupies the slot
             parked = asyncio.create_task(admission.acquire("b"))
-            await asyncio.sleep(0.002)  # b is queued; queue now full
+            await yield_until(lambda: admission.queued == 1)  # queue full
             with pytest.raises(ServiceOverloaded) as info:
                 await admission.acquire("c")
             assert info.value.tenant == "c"
