@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 from conftest import run_once, save_result
 
-from repro.comm import SimMPI
+from repro import api
+from repro.api import SimMPI
 from repro.core import figure_14b
 from repro.mesh.unstructured import bump_channel
 from repro.solvers.gas import NVAR_EULER
-from repro.solvers.nsu3d import NSU3DSolver, ParallelNSU3D
+from repro.solvers.nsu3d import NSU3DSolver
 from repro.solvers.nsu3d import fas_cycle as nsu3d_fas_cycle
 
 CFL = 8.0
@@ -69,7 +70,7 @@ def _turbulent_rank_sweep():
         )
     rows = {}
     for nparts in (1, 2, 4):
-        pn = ParallelNSU3D.from_solver(s, nparts)
+        pn = api.make_parallel_nsu3d(s, nparts)
         qg, hist = pn.run(SimMPI(nparts), NCYCLES, cfl=CFL, cycle="W")
         rows[nparts] = {
             "meanflow_maxdiff": float(

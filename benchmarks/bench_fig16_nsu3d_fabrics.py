@@ -12,12 +12,12 @@ configuration exists there.
 import numpy as np
 from conftest import run_once, save_result
 
-from repro.comm import SimMPI
+from repro import api
+from repro.api import RuntimeConfig, SimMPI
 from repro.core import figure_16a, figure_16b
 from repro.mesh.unstructured import bump_channel
-from repro.runtime import RuntimeConfig
 from repro.solvers.gas import NVAR_EULER
-from repro.solvers.nsu3d import NSU3DSolver, ParallelNSU3D
+from repro.solvers.nsu3d import NSU3DSolver
 from repro.solvers.nsu3d import fas_cycle as nsu3d_fas_cycle
 
 CFL = 8.0
@@ -78,11 +78,11 @@ def _turbulent_backend_sweep():
             "history": [float(h) for h in hist],
         }
 
-    pn = ParallelNSU3D.from_solver(s, 4)
+    pn = api.make_parallel_nsu3d(s, 4)
     record("sim:4ranks", *pn.run(SimMPI(4), NCYCLES, cfl=CFL, cycle="W"))
-    pn = ParallelNSU3D.from_solver(s, 4)
+    pn = api.make_parallel_nsu3d(s, 4)
     record("hybrid:4on2", *pn.run(SimMPI(2), NCYCLES, cfl=CFL, cycle="W"))
-    with ParallelNSU3D.from_solver(
+    with api.make_parallel_nsu3d(
         s, 2, config=RuntimeConfig(backend="process"),
     ) as pn:
         record("process:2workers", *pn.solve(NCYCLES, cfl=CFL, cycle="W"))

@@ -21,11 +21,12 @@ import time
 import numpy as np
 from conftest import save_result
 
-from repro.comm import SimMPI
+from repro import api
+from repro.api import RuntimeConfig, SimMPI
 from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
-from repro.solvers.cart3d import Cart3DSolver, ParallelCart3D
-from repro.solvers.nsu3d import NSU3DSolver, ParallelNSU3D
+from repro.solvers.cart3d import Cart3DSolver
+from repro.solvers.nsu3d import NSU3DSolver
 
 NCYCLES = 2
 RANKS = (1, 2, 4)
@@ -41,7 +42,9 @@ def _matrix(name, make_parallel, cfl):
                 qg = {}
                 wall = {}
                 for sanitize in (False, True):
-                    par = make_parallel(overlap, sanitize)
+                    par = make_parallel(
+                        RuntimeConfig(overlap=overlap, sanitize=sanitize)
+                    )
                     t0 = time.perf_counter()
                     qg[sanitize], hist = par.run(
                         SimMPI(nranks), NCYCLES, cfl=cfl, cycle=cycle
@@ -76,16 +79,12 @@ def test_ghost_sanitizer_chaos_matrix():
 
     rows = _matrix(
         "nsu3d",
-        lambda overlap, sanitize: ParallelNSU3D.from_solver(
-            ns, 4, overlap=overlap, sanitize=sanitize
-        ),
+        lambda config: api.make_parallel_nsu3d(ns, 4, config=config),
         cfl=8.0,
     )
     rows += _matrix(
         "cart3d",
-        lambda overlap, sanitize: ParallelCart3D.from_solver(
-            c3, 4, overlap=overlap, sanitize=sanitize
-        ),
+        lambda config: api.make_parallel_cart3d(c3, 4, config=config),
         cfl=2.0,
     )
 

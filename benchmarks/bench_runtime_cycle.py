@@ -25,13 +25,13 @@ import time
 import numpy as np
 from conftest import save_result
 
-from repro.comm import SimMPI
+from repro import api
+from repro.api import RuntimeConfig, SimMPI
 from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
-from repro.runtime import RuntimeConfig
-from repro.solvers.cart3d import Cart3DSolver, ParallelCart3D
+from repro.solvers.cart3d import Cart3DSolver
 from repro.solvers.cart3d import fas_cycle as cart3d_fas_cycle
-from repro.solvers.nsu3d import NSU3DSolver, ParallelNSU3D
+from repro.solvers.nsu3d import NSU3DSolver
 from repro.solvers.nsu3d import fas_cycle as nsu3d_fas_cycle
 
 NPARTS = 4
@@ -50,7 +50,7 @@ def _measure(name, serial_cycle, make_parallel):
     rows["serial"] = _wall(lambda: [serial_cycle() for _ in range(NCYCLES)])
 
     for label, overlap in (("parallel", False), ("overlap", True)):
-        par = make_parallel(overlap)
+        par = make_parallel(RuntimeConfig(overlap=overlap))
         world = SimMPI(NPARTS)
         rows[label] = _wall(
             lambda: par.run(world, NCYCLES, cfl=par_cfl(name))
@@ -58,8 +58,9 @@ def _measure(name, serial_cycle, make_parallel):
 
     makespans = {}
     for label, overlap in (("blocking", False), ("overlap", True)):
-        par = make_parallel(overlap)
-        par.driver.charge_compute = True
+        par = make_parallel(
+            RuntimeConfig(overlap=overlap, charge_compute=True)
+        )
         world = SimMPI(NPARTS)
         par.run(world, NCYCLES, cfl=par_cfl(name))
         makespans[label] = world.max_clock()
@@ -113,27 +114,23 @@ def test_runtime_cycle_cost():
     results = {}
     results["nsu3d"] = _measure(
         "nsu3d", nsu3d_cycle,
-        lambda overlap: ParallelNSU3D.from_solver(
-            ns, NPARTS, config=RuntimeConfig(overlap=overlap),
-        ),
+        lambda config: api.make_parallel_nsu3d(ns, NPARTS, config=config),
     )
     results["cart3d"] = _measure(
         "cart3d", cart3d_cycle,
-        lambda overlap: ParallelCart3D.from_solver(
-            c3, NPARTS, config=RuntimeConfig(overlap=overlap),
-        ),
+        lambda config: api.make_parallel_cart3d(c3, NPARTS, config=config),
     )
 
     process = {}
     process["nsu3d"] = _measure_process(
         "nsu3d",
-        lambda nw: ParallelNSU3D.from_solver(
+        lambda nw: api.make_parallel_nsu3d(
             ns, nw, config=RuntimeConfig(backend="process"),
         ),
     )
     process["cart3d"] = _measure_process(
         "cart3d",
-        lambda nw: ParallelCart3D.from_solver(
+        lambda nw: api.make_parallel_cart3d(
             c3, nw, config=RuntimeConfig(backend="process"),
         ),
     )

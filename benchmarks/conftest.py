@@ -2,12 +2,15 @@
 
 Every figure bench writes its paper-vs-measured summary to
 ``benchmarks/results/<figure>.txt`` (collected into EXPERIMENTS.md) in
-addition to asserting the qualitative claims.  :func:`save_result` now
-also emits ``<figure>.json`` — the machine-readable twin feeding the
-perf trajectory (``BENCH_*.json``) and anything that wants to consume
-measured numbers without parsing text tables; benches pass structured
-values via ``data=``.  ``run_once`` wraps pytest-benchmark so expensive
-solves execute exactly once.
+addition to asserting the qualitative claims.  :func:`save_result`
+also emits ``<figure>.json`` — the machine-readable twin for anything
+that wants to consume measured numbers without parsing text tables;
+benches pass structured values via ``data=``.  ``run_once`` wraps
+pytest-benchmark so expensive solves execute exactly once.
+
+These are the paper-figure benches.  The repo's own commit-to-commit
+perf trajectory is a separate harness: ``benchmarks/perf/`` (declared
+by the root ``BENCHMARK.json``), which shares nothing with this file.
 """
 
 import json

@@ -32,6 +32,12 @@ campaign as a Perfetto-loadable trace
 ui.perfetto.dev), and the kernel bench records the disabled-tracer
 overhead bound in `kernel_overhead.json`.
 
+The repo's *own* wall clock — seven fixed workloads, end-to-end and
+per-layer metrics, compared commit to commit — is measured separately
+by the perf harness in `benchmarks/perf/` (`python3
+benchmarks/perf/run.py`; see `benchmarks/perf/README.md` and the root
+`BENCHMARK.json`, which declares the workloads and metric bounds).
+
 Two kinds of reproduction appear here, per DESIGN.md:
 
 * **Real runs** — the actual solvers executing at laptop scale
@@ -180,13 +186,12 @@ SECTIONS = [
      "The paper's single-CPU evidence is pfmon-measured FLOP rates "
      "against the Itanium2 peak (§V); this bench replays that "
      "methodology on the reproduction's own hot path.  Both solvers "
-     "run every installed kernel engine — `numpy` (the extracted "
-     "reference), `batched` (bincount scatter, stacked edge Jacobians, "
-     "fused block-Thomas slabs: the paper's 'sets of 64 lines of "
-     "similar length, over which vectorization may then take place'), "
-     "`numba` (`@njit` twins; degrades to batched where numba is "
-     "absent) — and the calibrated counters bill identical FLOPs to "
-     "each, so a higher roofline fraction against one 1.6 GHz Itanium2 "
+     "run both kernel engines — `numpy` (the extracted reference) and "
+     "`batched` (bincount scatter, stacked edge Jacobians, fused "
+     "block-Thomas slabs: the paper's 'sets of 64 lines of similar "
+     "length, over which vectorization may then take place') — and the "
+     "calibrated counters bill identical FLOPs to each, so a higher "
+     "roofline fraction against one 1.6 GHz Itanium2 "
      "is exactly a faster wall clock.  The bench asserts the batched "
      "engine beats the reference on seconds/cycle *and* roofline "
      "fraction on both solvers, with final states inside the 1e-10 "

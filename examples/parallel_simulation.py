@@ -11,24 +11,21 @@ Run:  python examples/parallel_simulation.py
 
 import numpy as np
 
-from repro.comm import SimMPI, random_ring_slowdown
+from repro import api
+from repro.api import SimMPI
+from repro.comm import random_ring_slowdown
 from repro.machine import INFINIBAND, NUMALINK4, JobPlacement
-from repro.mesh.cartesian import Sphere
-from repro.mesh.unstructured import build_dual, bump_channel, extract_lines
-from repro.solvers.cart3d import Cart3DSolver, ParallelCart3D
-from repro.solvers.gas import freestream
-from repro.solvers.nsu3d import ParallelNSU3D, context_from_dual
 
 
 def nsu3d_parallel():
     print("=== NSU3D domain decomposition over SimMPI ===")
-    mesh = bump_channel(ni=14, nj=6, nk=10, wall_spacing=2e-3, ratio=1.4,
-                        bump_height=0.03)
-    dual = build_dual(mesh)
-    ctx = context_from_dual(dual, mu_lam=1e-5, lines=extract_lines(dual))
-    qinf = freestream(0.5, nvar=5)
+    mesh = api.bump_channel(ni=14, nj=6, nk=10, wall_spacing=2e-3,
+                            ratio=1.4, bump_height=0.03)
+    solver = api.make_nsu3d_solver(mesh, mach=0.5, mg_levels=2,
+                                   turbulence=False)
+    ctx = solver.contexts[0]
 
-    runner = ParallelNSU3D(ctx, qinf, nparts=8)
+    runner = api.make_parallel_nsu3d(solver, 8)
     split_lines = sum(
         len(np.unique(runner.part[line])) > 1 for line in ctx.lines
     )
@@ -39,7 +36,7 @@ def nsu3d_parallel():
     for fabric in (NUMALINK4, INFINIBAND):
         placement = JobPlacement.pack(8, fabric=fabric, nboxes=2)
         world = SimMPI(8, placement=placement)
-        q, history = runner.run(world, ncycles=5, cfl=8.0)
+        q, history = runner.run(world, 5, cfl=8.0)
         stats = world.total_stats()
         print(f"  {fabric.name:>10}: residual {history[0]:.2e} -> "
               f"{history[-1]:.2e}; {stats.messages_sent} msgs, "
@@ -49,15 +46,14 @@ def nsu3d_parallel():
 
 def cart3d_parallel():
     print("=== Cart3D SFC decomposition over SimMPI ===")
-    solver = Cart3DSolver(
-        Sphere(center=[0.5, 0.5, 0.5], radius=0.15),
-        dim=2, base_level=4, max_level=6, mg_levels=1, mach=0.4,
+    solver = api.make_cart3d_solver(
+        api.Sphere(center=[0.5, 0.5, 0.5], radius=0.15),
+        dim=2, base_level=4, max_level=6, mg_levels=2, mach=0.4,
     )
-    level = solver.levels[0]
-    runner = ParallelCart3D(level, solver.qinf, nparts=8)
-    print(f"  {level.nflow} flow cells over 8 contiguous SFC segments")
+    runner = api.make_parallel_cart3d(solver, 8)
+    print(f"  {solver.size} flow cells over 8 contiguous SFC segments")
     world = SimMPI(8, placement=JobPlacement.pack(8, nboxes=1))
-    q, history = runner.run(world, ncycles=5, cfl=2.0)
+    q, history = runner.run(world, 5, cfl=2.0)
     print(f"  residual {history[0]:.2e} -> {history[-1]:.2e}; "
           f"virtual makespan {world.max_clock() * 1e3:.2f} ms")
 

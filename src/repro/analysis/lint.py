@@ -82,11 +82,10 @@ These rules encode exactly those house invariants:
 * **R013 python-loop-in-fast-engine** — a per-element Python loop
   (``for i in range(len(...))`` / ``range(x.shape[0])``) inside a
   :mod:`repro.kernels` engine module.  The whole point of the batched
-  and numba engines is that element traversal happens in compiled
-  code; a Python-level point loop there silently re-introduces the
-  overhead the engine exists to remove.  The ``numpy_engine`` module is
-  exempt — it *is* the extracted reference code — and so are functions
-  compiled by a ``@njit``/``@jit`` decorator, whose loops run natively.
+  engine is that element traversal happens in compiled code; a
+  Python-level point loop there silently re-introduces the overhead
+  the engine exists to remove.  The ``numpy_engine`` module is exempt
+  — it *is* the extracted reference code.
 * **R014 hardcoded-state-width** — the literal ``5`` used as a state
   width in ``solvers``/``runtime``: comparisons of ``len(...)``/
   ``x.shape[...]``/``*nvar*`` expressions against ``5``, and ``[:5]``/
@@ -267,7 +266,7 @@ RULES = {
         description=(
             "per-element Python loop in a kernels engine module; the "
             "fast engines must traverse elements in compiled code — "
-            "vectorize, or move the loop under @njit"
+            "vectorize it"
         ),
         segments=("kernels",),
     ),
@@ -283,9 +282,6 @@ RULES = {
         segments=("solvers", "runtime"),
     ),
 }
-
-#: Decorator names R013 treats as compiling their function natively.
-R013_JIT_DECORATORS = {"njit", "jit"}
 
 #: Attribute calls R012 treats as synchronous whole-case execution.
 R012_BLOCKING_ATTRS = {"run_case", "run_tree"}
@@ -407,7 +403,6 @@ class _LintVisitor(ast.NodeVisitor):
         self.diagnostics: list[Diagnostic] = []
         self._aliases: dict = {}  # local name -> dotted module/attr path
         self._func_kinds: list = []  # "async"/"sync" nesting, innermost last
-        self._jit_depth = 0  # nesting inside @njit/@jit-compiled functions
 
     def _report(self, rule_id: str, node: ast.AST, message: str) -> None:
         self.diagnostics.append(
@@ -426,23 +421,8 @@ class _LintVisitor(ast.NodeVisitor):
         # a sync def nested inside a coroutine is its own execution
         # context: calling it later is the caller's (lintable) act
         self._func_kinds.append("sync")
-        jitted = self._is_jitted(node)
-        self._jit_depth += jitted
         self.generic_visit(node)
-        self._jit_depth -= jitted
         self._func_kinds.pop()
-
-    def _is_jitted(self, node) -> bool:
-        """Decorated by @njit/@jit (bare or parameterized)? Loops in
-        such functions run natively (R013 exemption)."""
-        for dec in node.decorator_list:
-            target = dec.func if isinstance(dec, ast.Call) else dec
-            qual = self._qualname(target)
-            if qual is not None and (
-                qual.rpartition(".")[2] in R013_JIT_DECORATORS
-            ):
-                return True
-        return False
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._func_kinds.append("async")
@@ -811,17 +791,13 @@ class _LintVisitor(ast.NodeVisitor):
                 f"Python for loop over {ast.unparse(node.iter)} in a solver "
                 "hot module iterates a mesh-sized array element by element",
             )
-        if (
-            "R013" in self.rules
-            and not self._jit_depth
-            and self._is_mesh_range(node.iter)
-        ):
+        if "R013" in self.rules and self._is_mesh_range(node.iter):
             self._report(
                 "R013",
                 node,
                 f"Python for loop over {ast.unparse(node.iter)} in a fast "
                 "kernel engine traverses elements one at a time; "
-                "vectorize it, or compile the loop with @njit",
+                "vectorize it",
             )
         self.generic_visit(node)
 

@@ -17,27 +17,33 @@ all solver construction inside :mod:`repro.database` must go — lint rule
 R005 enforces that, so submission, caching and counter wiring stay
 uniform no matter which code path builds the solver.
 
-Migration from the historical deep imports:
+Every decision has one spelling here:
 
-==============================================  ================================
-old call                                        facade call
-==============================================  ================================
-``repro.solvers.cart3d.Cart3DSolver(...)``      ``repro.api.make_cart3d_solver(...)``
-``repro.solvers.nsu3d.NSU3DSolver(...)``        ``repro.api.make_nsu3d_solver(...)``
-``solver.ncells`` / ``solver.npoints``          ``solver.size``
-``repro.solvers.nsu3d.NSU3DHistory``            ``repro.api.ConvergenceHistory``
-``repro.database.runtime.CaseExecutionError``   ``repro.api.CaseExecutionError``
-serial loop over ``study.run_case(...)``        ``repro.api.FillRuntime`` /
-                                                ``study.fill(...)``
-==============================================  ================================
+=================================  =====================================
+decision                           spelling
+=================================  =====================================
+build a serial solver              ``make_cart3d_solver(...)`` /
+                                   ``make_nsu3d_solver(...)``
+which kernel engine it runs        ``kernel_config=KernelConfig(...)``
+                                   on those factories
+decompose it                       ``make_parallel_cart3d(solver, n)`` /
+                                   ``make_parallel_nsu3d(solver, n)``
+                                   (returns the
+                                   :class:`DistributedSolveDriver`;
+                                   runs the solver's own engine)
+how the decomposed solve executes  ``config=RuntimeConfig(backend=...,
+                                   nranks=..., overlap=..., ...)``
+mesh size of a solver              ``solver.size``
+fill a database                    ``FillRuntime`` / ``study.fill(...)``
+=================================  =====================================
 
 The facade's contract is explicit: ``__api_version__`` states which
-surface you are coding against, ``__all__`` is complete (a self-test
-asserts every public module attribute is exported and vice versa), and
-the remaining blessed-path bypasses warn — constructing a
-:class:`FillRuntime` without a :class:`ResultStore` now asks for
-``durable=False`` as the documented escape hatch instead of silently
-producing an ephemeral campaign.
+surface you are coding against and ``__all__`` is complete (a self-test
+asserts every public module attribute is exported and vice versa).
+There is no deprecation layer: a spelling is either the one above or
+a ``TypeError``.  Constructing a :class:`FillRuntime` without a
+:class:`ResultStore` warns ``RuntimeWarning`` unless ``durable=False``
+acknowledges the ephemeral campaign.
 """
 
 from __future__ import annotations
@@ -84,12 +90,7 @@ from .errors import (
     SolverDivergence,
     WorkerCrash,
 )
-from .kernels import (
-    ENGINES,
-    KernelConfig,
-    make_engine,
-    resolve_kernel_config,
-)
+from .kernels import ENGINES, KernelConfig, make_engine
 from .machine import CPUS_PER_NODE, Columbia, node_slots, vortex_subcluster
 from .mesh.cartesian import (
     CartesianMesh,
@@ -137,8 +138,8 @@ from .service import (
     SurrogateConfig,
     TenantQuota,
 )
-from .solvers.cart3d import Cart3DSolver, ParallelCart3D
-from .solvers.nsu3d import NSU3DSolver, ParallelNSU3D
+from .solvers.cart3d import Cart3DSolver, make_parallel_cart3d
+from .solvers.nsu3d import NSU3DSolver, make_parallel_nsu3d
 from .telemetry import (
     EpochClock,
     LatencyHistogram,
@@ -160,30 +161,9 @@ from .telemetry import (
 )
 
 #: The facade surface version: bumped when the blessed surface changes
-#: shape (new exports, deprecations, contract changes) — code against it
+#: shape (new exports, removals, contract changes) — code against it
 #: with ``assert repro.api.__api_version__ >= "4"``-style checks.
-#: 5.0 added the unified distributed-solve runtime surface
-#: (``Partitioner``/``DistributedDomain``/``DistributedSolveDriver``,
-#: the ``make_parallel_*`` factories and ``SimMPI``).
-#: 6.0 added unified backend selection (``RuntimeConfig`` +
-#: ``backend="sim" | "hybrid" | "process"`` across ``make_parallel_*``,
-#: ``Parallel*`` and ``Cart3DCaseRunner``), the real multi-core
-#: ``process`` backend (``ProcessExchanger``/``ProcessPool``) and the
-#: ``make_exchanger`` factory; the bare ``overlap``/``charge_compute``/
-#: ``sanitize``/``nranks`` keywords are deprecated.
-#: 7.0 added the aero-database query service (``DatabaseService``,
-#: ``PointQuery``/``QueryResponse``, the ``SurrogateConfig`` surrogate
-#: tier, ``AdmissionController``/``TenantQuota`` fair-share admission
-#: with the typed ``ServiceOverloaded`` shed error), the awaitable
-#: ``CaseHandle`` bridge (``await handle`` / ``result(timeout=...)``)
-#: and ``LatencyHistogram``.
-#: 8.0 added unified kernel-engine selection (``KernelConfig`` +
-#: ``engine="numpy" | "batched" | "numba"`` across the solver
-#: factories, ``make_parallel_*``, ``RuntimeConfig.kernels`` and
-#: ``Cart3DCaseRunner``) and the ``make_engine`` factory; the bare
-#: ``parallel``/``fastmath``/``block_size`` keywords on the solver
-#: factories are deprecated spellings of the config fields.
-__api_version__ = "8.0"
+__api_version__ = "9.0"
 
 __all__ = [
     # solvers — unified surface
@@ -214,15 +194,12 @@ __all__ = [
     "ENGINES",
     "KernelConfig",
     "make_engine",
-    "resolve_kernel_config",
     "PlanExchanger",
     "HybridExchanger",
     "ProcessExchanger",
     "ProcessPool",
     "make_exchanger",
     "GhostSanitizer",
-    "ParallelNSU3D",
-    "ParallelCart3D",
     "make_parallel_nsu3d",
     "make_parallel_cart3d",
     # geometry / meshes
@@ -329,10 +306,6 @@ def make_cart3d_solver(
     alpha_deg: float = 0.0,
     beta_deg: float = 0.0,
     kernel_config: KernelConfig | None = None,
-    engine: str | None = None,
-    parallel: bool | None = None,
-    fastmath: bool | None = None,
-    block_size: int | None = None,
     **kwargs,
 ) -> Cart3DSolver:
     """Construct the inviscid Cart3D-style solver (the blessed path).
@@ -343,14 +316,8 @@ def make_cart3d_solver(
     ``repro.database``.
 
     Kernel execution is selected by ``kernel_config=KernelConfig(...)``
-    (or the ``engine="numpy" | "batched" | "numba"`` shorthand); the
-    bare ``parallel``/``fastmath``/``block_size`` keywords are
-    deprecated spellings of the config fields.
+    (default: the reference ``"numpy"`` engine).
     """
-    kernel_config = resolve_kernel_config(
-        kernel_config, engine, where="make_cart3d_solver",
-        parallel=parallel, fastmath=fastmath, block_size=block_size,
-    )
     return Cart3DSolver(
         solid,
         mesh=mesh,
@@ -376,23 +343,13 @@ def make_nsu3d_solver(
     mg_levels: int = 4,
     turbulence: bool = True,
     kernel_config: KernelConfig | None = None,
-    engine: str | None = None,
-    parallel: bool | None = None,
-    fastmath: bool | None = None,
-    block_size: int | None = None,
     **kwargs,
 ) -> NSU3DSolver:
     """Construct the high-fidelity NSU3D-style RANS solver.
 
     Kernel execution is selected exactly like
-    :func:`make_cart3d_solver` — ``kernel_config=`` or the ``engine=``
-    shorthand, with the bare ``parallel``/``fastmath``/``block_size``
-    keywords deprecated.
+    :func:`make_cart3d_solver`: ``kernel_config=KernelConfig(...)``.
     """
-    kernel_config = resolve_kernel_config(
-        kernel_config, engine, where="make_nsu3d_solver",
-        parallel=parallel, fastmath=fastmath, block_size=block_size,
-    )
     return NSU3DSolver(
         mesh=mesh,
         mach=mach,
@@ -403,85 +360,4 @@ def make_nsu3d_solver(
         turbulence=turbulence,
         kernel_config=kernel_config,
         **kwargs,
-    )
-
-
-def make_parallel_nsu3d(
-    solver: NSU3DSolver,
-    nparts: int,
-    *,
-    seed: int = 0,
-    config: RuntimeConfig | None = None,
-    backend: str | None = None,
-    kernel_config: KernelConfig | None = None,
-    engine: str | None = None,
-    overlap: bool | None = None,
-    charge_compute: bool | None = None,
-    sanitize: bool | None = None,
-) -> ParallelNSU3D:
-    """Decompose a serial NSU3D solver for the distributed runtime.
-
-    Execution is selected by ``config=RuntimeConfig(...)`` (or the
-    ``backend="sim" | "hybrid" | "process"`` shorthand): call
-    ``.solve(ncycles, ...)`` for the config-driven path, or
-    ``.run(world, ncycles, ...)`` with your own :class:`SimMPI` world.
-    The kernel engine rides along the same way —
-    ``kernel_config=KernelConfig(...)`` / the ``engine=`` shorthand /
-    ``config.kernels``; when none of them is given the serial solver's
-    own engine carries over.  The bare
-    ``overlap``/``charge_compute``/``sanitize`` keywords are deprecated
-    spellings of the config fields.  The decomposition is
-    layout-generic: the solver's ``VariableLayout`` (any ``nvar``)
-    carries through every runtime layer, so turbulent (SA, 6-variable)
-    solvers decompose exactly like laminar ones — wall distances and
-    Green-Gauss gradient surfaces are split per rank, the gradients the
-    SA source terms need are completed by halo accumulation, and the
-    correction limiter's turbulence reference is allreduced so results
-    are partition-independent.
-    """
-    if kernel_config is not None or engine is not None:
-        kernel_config = resolve_kernel_config(
-            kernel_config, engine, where="make_parallel_nsu3d"
-        )
-    return ParallelNSU3D.from_solver(
-        solver, nparts, seed=seed, config=config, backend=backend,
-        kernel_config=kernel_config, overlap=overlap,
-        charge_compute=charge_compute, sanitize=sanitize,
-    )
-
-
-def make_parallel_cart3d(
-    solver: Cart3DSolver,
-    nparts: int,
-    *,
-    config: RuntimeConfig | None = None,
-    backend: str | None = None,
-    kernel_config: KernelConfig | None = None,
-    engine: str | None = None,
-    overlap: bool | None = None,
-    charge_compute: bool | None = None,
-    sanitize: bool | None = None,
-) -> ParallelCart3D:
-    """Decompose a serial Cart3D solver for the distributed runtime.
-
-    SFC-segment partitioning of the whole level hierarchy.  Execution
-    is selected by ``config=RuntimeConfig(...)`` (or the
-    ``backend="sim" | "hybrid" | "process"`` shorthand): call
-    ``.solve(ncycles, ...)`` for the config-driven path, or
-    ``.run(world, ncycles, ...)`` with your own :class:`SimMPI` world.
-    The kernel engine rides along the same way —
-    ``kernel_config=KernelConfig(...)`` / the ``engine=`` shorthand /
-    ``config.kernels``; when none of them is given the serial solver's
-    own engine carries over.  The bare
-    ``overlap``/``charge_compute``/``sanitize`` keywords are deprecated
-    spellings of the config fields.
-    """
-    if kernel_config is not None or engine is not None:
-        kernel_config = resolve_kernel_config(
-            kernel_config, engine, where="make_parallel_cart3d"
-        )
-    return ParallelCart3D.from_solver(
-        solver, nparts, config=config, backend=backend,
-        kernel_config=kernel_config, overlap=overlap,
-        charge_compute=charge_compute, sanitize=sanitize,
     )

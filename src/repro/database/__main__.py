@@ -49,6 +49,7 @@ def status(journal: str, echo=print) -> int:
 def _rebuild_runner(manifest: dict):
     """Reconstruct the campaign's runner from its manifest description."""
     from ..errors import ConfigurationError
+    from ..runtime import RuntimeConfig
     from .runtime import Cart3DCaseRunner
 
     described = (manifest or {}).get("runner")
@@ -70,11 +71,19 @@ def _rebuild_runner(manifest: dict):
         for k in ("dim", "base_level", "max_level", "mg_levels", "cycles")
         if k in described
     }
+    # describe() journals the decomposition only when one was used; a
+    # resumed case must run (and key) exactly as the interrupted one did
+    execution = {
+        k: described[k]
+        for k in ("backend", "nranks", "overlap")
+        if k in described
+    }
     return Cart3DCaseRunner(
         factory(),
         geometry_name=geometry_name,
         tol_orders=described.get("tol_orders", 4.0),
         converged_orders=described.get("converged_orders", 2.0),
+        config=RuntimeConfig(**execution),
         **settings,
     )
 

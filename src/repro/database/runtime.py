@@ -43,9 +43,7 @@ operationally:
   is configured, the case re-runs at the lower fidelity and its record
   is marked *degraded* rather than failing the campaign.
 
-Errors raised here live in the rooted :mod:`repro.errors` taxonomy; the
-historical names importable from this module (``CaseExecutionError``,
-``CaseTimeout``) remain as deprecated aliases.
+Errors raised here live in the rooted :mod:`repro.errors` taxonomy.
 
 Lint rule R005 bans direct ``Cart3DSolver``/``NSU3DSolver`` construction
 inside this package: the bundled :class:`Cart3DCaseRunner` builds its
@@ -65,35 +63,14 @@ from dataclasses import dataclass, field, replace
 
 from .. import errors
 from ..machine.topology import node_slots
-from ..solvers.interface import (
-    CaseResult,
-    CaseSpec,
-    case_result,
-    deprecated_accessor,
-)
+from ..runtime import RuntimeConfig
+from ..solvers.interface import CaseResult, CaseSpec, case_result
 from ..telemetry.spans import EpochClock, get_tracer
 from ..telemetry.spans import span as _span
 from .checkpoint import CampaignCheckpoint, CheckpointState
 from .resultstore import ResultStore
 from .scheduler import SchedulePlan
 from .store import AeroDatabase
-
-#: Historical import path -> the taxonomy class that replaced it.
-_DEPRECATED_ERRORS = {
-    "CaseExecutionError": errors.CaseExecutionError,
-    "CaseTimeout": errors.CaseTimeout,
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_ERRORS:
-        deprecated_accessor(
-            f"repro.database.runtime.{name}", f"repro.errors.{name}"
-        )
-        return _DEPRECATED_ERRORS[name]
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 
 @dataclass(frozen=True)
@@ -468,7 +445,7 @@ class FillRuntime:
                     "are ephemeral and the campaign cannot be resumed. Pass "
                     "a path-backed ResultStore (the blessed path), or "
                     "durable=False to acknowledge an ephemeral campaign.",
-                    DeprecationWarning,
+                    RuntimeWarning,
                     stacklevel=2,
                 )
             store = ResultStore()
@@ -981,16 +958,14 @@ class Cart3DCaseRunner:
     Solver construction goes through :func:`repro.api.make_cart3d_solver`
     — lint rule R005 keeps direct constructor calls out of this package.
 
-    A ``config=RuntimeConfig(...)`` (or the ``backend=`` shorthand)
-    with more than one rank runs each case through the unified
-    distributed runtime instead (:func:`repro.api.make_parallel_cart3d`
-    driven by the config, so ``backend="process"`` cases execute on
-    real worker processes).  The bare ``nranks``/``overlap`` keywords
-    are deprecated spellings of the config fields.
+    A ``config=RuntimeConfig(...)`` with more than one rank runs each
+    case through the unified distributed runtime instead
+    (:func:`repro.api.make_parallel_cart3d` driven by the config, so
+    ``backend="process"`` cases execute on real worker processes).
 
     The kernel engine is selected by ``kernel_config=KernelConfig(...)``
-    (or the ``engine=`` shorthand, or ``config.kernels``) and applies to
-    every case the runner solves, serial or distributed.  Engines are
+    and applies to every case the runner solves, serial or distributed
+    (a decomposed case runs its serial solver's engine).  Engines are
     numerically interchangeable (parity-tested), so the choice stays
     *out* of :meth:`settings` — cached results are engine-independent.
     """
@@ -1011,15 +986,8 @@ class Cart3DCaseRunner:
         geometry_name: str | None = None,
         chaos=None,
         config=None,
-        backend: str | None = None,
         kernel_config=None,
-        engine: str | None = None,
-        nranks: int | None = None,
-        overlap: bool | None = None,
     ):
-        from ..kernels import resolve_kernel_config
-        from ..runtime import merge_kernel_config, resolve_config
-
         self.geometry = geometry
         self.dim = dim
         self.base_level = base_level
@@ -1030,17 +998,8 @@ class Cart3DCaseRunner:
         self.converged_orders = converged_orders
         self.geometry_name = geometry_name
         self.chaos = chaos
-        self.config = resolve_config(
-            config, backend, where="Cart3DCaseRunner", nranks=nranks,
-            overlap=overlap,
-        )
-        if kernel_config is not None or engine is not None:
-            kernel_config = resolve_kernel_config(
-                kernel_config, engine, where="Cart3DCaseRunner"
-            )
-        self.config = merge_kernel_config(
-            self.config, kernel_config, "Cart3DCaseRunner"
-        )
+        self.config = config or RuntimeConfig()
+        self.kernel_config = kernel_config
         if self.config.backend != "sim" and self.config.nranks is None:
             raise errors.ConfigurationError(
                 "Cart3DCaseRunner sizes the decomposition from the "
@@ -1123,7 +1082,7 @@ class Cart3DCaseRunner:
             mach=wind.get("mach", 0.5),
             alpha_deg=wind.get("alpha", 0.0),
             beta_deg=wind.get("beta", 0.0),
-            kernel_config=self.config.kernels,
+            kernel_config=self.kernel_config,
         )
         if self.nranks == 1 and self.backend == "sim":
             solver.solve(ncycles=self.cycles, tol_orders=self.tol_orders)

@@ -23,9 +23,7 @@ Design rules:
   :class:`~repro.database.runtime.FillReport` of an aborted campaign) so
   drivers can resume, degrade or report without re-parsing messages.
 
-The historical names importable from ``repro.database.runtime``
-(``CaseExecutionError``, ``CaseTimeout``) remain as deprecated aliases;
-the blessed import paths are this module and :mod:`repro.api`.
+The import paths are this module and :mod:`repro.api`.
 
 This module deliberately imports nothing from the rest of the package
 (stdlib only) so every subsystem — ``comm`` at the bottom of the import

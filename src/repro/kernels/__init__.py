@@ -1,22 +1,16 @@
-"""Kernel engines: one contract, three implementations (PR 9).
+"""Kernel engines: one contract, two implementations (PR 9).
 
 The hot numerical kernels of both solvers — scatter accumulation, 6x6
 block assembly and solves, batched line-tridiagonal sweeps, RK stage
 updates — dispatch through a :class:`KernelEngine` selected by a frozen
 :class:`KernelConfig`, the same shape as the runtime's backend
 selection.  ``"numpy"`` is the bit-compatible reference, ``"batched"``
-the loop-free fast path, ``"numba"`` the optional JIT tier (soft
-import, degrades to batched).  See DESIGN.md section 9 for the
-contract: parity policy, the ambient-dispatch seam, and why result
-cache keys exclude the engine.
+the loop-free fast path.  See DESIGN.md section 9 for the contract:
+parity policy, the ambient-dispatch seam, who owns the engine choice,
+and why result cache keys exclude the engine.
 """
 
-from .config import (
-    DEFAULT_BLOCK_SIZE,
-    ENGINES,
-    KernelConfig,
-    resolve_kernel_config,
-)
+from .config import DEFAULT_BLOCK_SIZE, ENGINES, KernelConfig
 from .engine import (
     BlockFactor,
     KernelEngine,
@@ -37,6 +31,5 @@ __all__ = [
     "NumpyEngine",
     "get_engine",
     "make_engine",
-    "resolve_kernel_config",
     "use_engine",
 ]

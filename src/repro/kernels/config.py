@@ -14,24 +14,20 @@ RuntimeConfig` names the execution backend:
   "sets of 64 lines" strategy, section III), and prefactored
   point-implicit diagonals.  Results agree with ``"numpy"`` to the
   1e-10 parity window pinned by ``tests/test_kernel_engines.py``.
-* ``"numba"`` — optional ``@njit`` twins of the scatter/update kernels
-  behind a soft import; when numba is absent the engine degrades to
-  ``"batched"`` with a :class:`RuntimeWarning`.
 
-Old bare-keyword call sites fold into a config through
-:func:`resolve_kernel_config` under a ``DeprecationWarning`` —
-``engine=`` alone stays blessed shorthand, mirroring ``backend=``.
+``KernelConfig(engine=...)`` is the only spelling: the serial solver
+factories take it as ``kernel_config=``, and a decomposed solve runs
+the engine of the serial solver it decomposes.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 
 #: The blessed engine names, in documentation order.
-ENGINES = ("numpy", "batched", "numba")
+ENGINES = ("numpy", "batched")
 
 #: Default line-fusion batch width (the paper's "sets of 64 lines").
 DEFAULT_BLOCK_SIZE = 64
@@ -42,19 +38,15 @@ class KernelConfig:
     """How the hot kernels execute — engine plus its tuning knobs, in
     one immutable (and picklable) value.
 
-    ``block_size`` is the line-fusion batch width: the batched/numba
-    engines concatenate sorted line groups into fused Thomas slabs of at
-    least this many lines (padding short lines within a slab), bounding
+    ``block_size`` is the line-fusion batch width: the batched engine
+    concatenates sorted line groups into fused Thomas slabs of at least
+    this many lines (padding short lines within a slab), bounding
     per-group dispatch overhead the way the paper batches "sets of 64
-    lines of similar length".  ``parallel`` and ``fastmath`` configure
-    numba's ``@njit`` compilation and are meaningless (and rejected) for
-    the other engines; the reference ``"numpy"`` engine takes no tuning
-    knobs at all.
+    lines of similar length".  The reference ``"numpy"`` engine takes
+    no tuning knobs at all.
     """
 
     engine: str = "numpy"
-    parallel: bool = False
-    fastmath: bool = False
     block_size: int | None = None
 
     def __post_init__(self) -> None:
@@ -63,21 +55,10 @@ class KernelConfig:
                 f"unknown kernel engine {self.engine!r}; choose one of "
                 f"{ENGINES}"
             )
-        if self.engine != "numba" and (self.parallel or self.fastmath):
-            knobs = [
-                k for k, v in (
-                    ("parallel", self.parallel), ("fastmath", self.fastmath)
-                ) if v
-            ]
-            raise ConfigurationError(
-                f"{knobs} configure numba's @njit compilation and mean "
-                f"nothing for engine={self.engine!r}; drop them or use "
-                "engine='numba'"
-            )
         if self.block_size is not None:
             if self.engine == "numpy":
                 raise ConfigurationError(
-                    "block_size tunes the batched/numba line fusion; the "
+                    "block_size tunes the batched line fusion; the "
                     "reference 'numpy' engine takes no tuning knobs"
                 )
             if self.block_size < 1:
@@ -91,45 +72,3 @@ class KernelConfig:
             else DEFAULT_BLOCK_SIZE
         )
 
-
-def resolve_kernel_config(
-    config: KernelConfig | None,
-    engine: str | None = None,
-    *,
-    where: str,
-    stacklevel: int = 3,
-    **legacy: bool | int | None,
-) -> KernelConfig:
-    """Merge the blessed (``kernel_config``/``engine``) and deprecated
-    (bare keyword) call styles into one :class:`KernelConfig`.
-
-    ``legacy`` holds the historical keywords (``parallel``,
-    ``fastmath``, ``block_size``) with ``None`` meaning *not passed*.
-    Passing any of them warns ``DeprecationWarning``; combining them
-    with ``kernel_config=`` is an error (two sources of truth).
-    ``engine=`` alone is blessed shorthand for
-    ``KernelConfig(engine=...)`` — mirroring ``backend=`` in
-    :func:`~repro.runtime.config.resolve_config`.
-    """
-    given = {k: v for k, v in legacy.items() if v is not None}
-    if given:
-        if config is not None:
-            raise ConfigurationError(
-                f"{where}: pass either kernel_config=KernelConfig(...) "
-                f"or the deprecated {sorted(given)} keyword(s), not both"
-            )
-        warnings.warn(
-            f"{where}: the {sorted(given)} keyword(s) are deprecated; "
-            f"pass kernel_config=KernelConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return KernelConfig(engine=engine or "numpy", **given)
-    if config is None:
-        return KernelConfig(engine=engine or "numpy")
-    if engine is not None and engine != config.engine:
-        raise ConfigurationError(
-            f"{where}: engine={engine!r} conflicts with "
-            f"kernel_config.engine={config.engine!r}"
-        )
-    return config

@@ -16,13 +16,11 @@ ContextVar`, which makes the selection thread-local-by-default (SimMPI
 rank threads inherit a copy of the context) and safe to nest.
 
 :func:`make_engine` turns a :class:`~repro.kernels.config.KernelConfig`
-(or bare engine name) into an engine instance; ``"numba"`` degrades to
-``"batched"`` with a :class:`RuntimeWarning` when numba is absent.
+(or bare engine name) into an engine instance.
 """
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Iterator, Protocol, runtime_checkable
@@ -108,35 +106,11 @@ def use_engine(engine: KernelEngine | None) -> Iterator[KernelEngine]:
 def make_engine(
     config: KernelConfig | str | None = None,
 ) -> KernelEngine:
-    """Build the engine a :class:`KernelConfig` (or bare name) selects.
-
-    ``"numba"`` is behind a soft import: when numba is missing the call
-    warns :class:`RuntimeWarning` and returns the batched engine built
-    from the same knobs, so configured campaigns run everywhere.
-    """
+    """Build the engine a :class:`KernelConfig` (or bare name) selects."""
     if config is None:
         config = KernelConfig()
     elif isinstance(config, str):
         config = KernelConfig(engine=config)
     if config.engine == "numpy":
         return _REFERENCE
-    if config.engine == "batched":
-        return BatchedEngine(block_size=config.resolved_block_size)
-    from .numba_engine import NumbaEngine, load_numba
-
-    try:
-        load_numba()
-    except ImportError:
-        warnings.warn(
-            "engine='numba' requested but numba is not importable "
-            "(install the repro[kernels] extra); degrading to the "
-            "batched engine",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return BatchedEngine(block_size=config.resolved_block_size)
-    return NumbaEngine(
-        block_size=config.resolved_block_size,
-        parallel=config.parallel,
-        fastmath=config.fastmath,
-    )
+    return BatchedEngine(block_size=config.resolved_block_size)

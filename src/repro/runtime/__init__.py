@@ -8,9 +8,10 @@ generic FAS cycle driver with the documented coarse-CFL policy, and the
 :class:`DistributedSolveDriver` cycle loop with pluggable comm backends
 and opt-in overlapped exchange (fig. 7).
 
-Solver packages contribute only physics kernels and thin config shims
-(``ParallelNSU3D`` / ``ParallelCart3D``); lint rule R008 keeps all
-distributed execution behind this package.
+Solver packages contribute only physics kernels and a
+``make_parallel_*`` function that assembles partition, hierarchy and
+kernels into a driver; lint rule R008 keeps all distributed execution
+behind this package.
 """
 
 from .backends import (
@@ -20,12 +21,7 @@ from .backends import (
     ProcessExchanger,
     make_exchanger,
 )
-from .config import (
-    BACKENDS,
-    RuntimeConfig,
-    merge_kernel_config,
-    resolve_config,
-)
+from .config import BACKENDS, RuntimeConfig
 from .domain import (
     DistributedDomain,
     DomainHierarchy,
@@ -44,8 +40,6 @@ from .sanitizer import GhostSanitizer, GuardedArray, SanitizedPendingGroup
 __all__ = [
     "BACKENDS",
     "RuntimeConfig",
-    "merge_kernel_config",
-    "resolve_config",
     "Partitioner",
     "MetisLinePartitioner",
     "SFCPartitioner",

@@ -1,10 +1,10 @@
 """Unified backend selection for the distributed runtime (PR 7).
 
-One frozen :class:`RuntimeConfig` replaces the ``hybrid`` / ``overlap``
-/ ``sanitize`` / ``nranks`` keywords that were previously scattered
-across ``make_parallel_*``, the ``Parallel*`` facades and
-``Cart3DCaseRunner``.  The ``backend`` selector names the execution
-model explicitly:
+One frozen :class:`RuntimeConfig` is the only way to say how a
+distributed solve executes: ``make_parallel_*``,
+:class:`~repro.runtime.driver.DistributedSolveDriver` and
+``Cart3DCaseRunner`` all take it as ``config=``.  The ``backend``
+selector names the execution model explicitly:
 
 * ``"sim"`` — in-process :class:`~repro.comm.simmpi.SimMPI` world, one
   simulated rank thread per partition (virtual clocks, deterministic).
@@ -15,18 +15,15 @@ model explicitly:
   process per partition with shared-memory halo exchange: the only
   backend whose parallelism is real wall-clock concurrency.
 
-Old keyword call sites keep working through
-:func:`resolve_config`, which folds them into a config under a
-``DeprecationWarning``.
+The kernel engine is not an execution choice: a decomposed solve runs
+the ``kernel_config`` of the serial solver it decomposes.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 from ..errors import ConfigurationError
-from ..kernels import KernelConfig
 
 #: The blessed backend names, in documentation order.
 BACKENDS = ("sim", "hybrid", "process")
@@ -56,10 +53,6 @@ class RuntimeConfig:
     #: per-barrier / per-reply wait before a silent worker is declared
     #: dead (``WorkerCrash``); process backend only
     worker_timeout: float = 120.0
-    #: numerical kernel engine the solver kernels run on (``None`` means
-    #: the reference numpy engine); travels with the config into process
-    #: workers, so every backend runs the same engine
-    kernels: KernelConfig | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -113,66 +106,3 @@ class RuntimeConfig:
                 )
         return replace(self, nranks=nranks)
 
-
-def resolve_config(
-    config: RuntimeConfig | None,
-    backend: str | None = None,
-    *,
-    where: str,
-    stacklevel: int = 3,
-    **legacy: bool | int | None,
-) -> RuntimeConfig:
-    """Merge the blessed (``config``/``backend``) and deprecated
-    (bare keyword) call styles into one :class:`RuntimeConfig`.
-
-    ``legacy`` holds the historical keywords (``overlap``,
-    ``charge_compute``, ``sanitize``, ``nranks``) with ``None`` meaning
-    *not passed*.  Passing any of them warns ``DeprecationWarning``;
-    combining them with ``config=`` is an error (two sources of truth).
-    ``backend=`` alone is blessed shorthand for
-    ``RuntimeConfig(backend=...)``.
-    """
-    given = {k: v for k, v in legacy.items() if v is not None}
-    if given:
-        if config is not None:
-            raise ConfigurationError(
-                f"{where}: pass either config=RuntimeConfig(...) or the "
-                f"deprecated {sorted(given)} keyword(s), not both"
-            )
-        warnings.warn(
-            f"{where}: the {sorted(given)} keyword(s) are deprecated; "
-            f"pass config=RuntimeConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return RuntimeConfig(backend=backend or "sim", **given)
-    if config is None:
-        return RuntimeConfig(backend=backend or "sim")
-    if backend is not None and backend != config.backend:
-        raise ConfigurationError(
-            f"{where}: backend={backend!r} conflicts with "
-            f"config.backend={config.backend!r}"
-        )
-    return config
-
-
-def merge_kernel_config(
-    config: RuntimeConfig,
-    kernel_config: KernelConfig | None,
-    where: str,
-) -> RuntimeConfig:
-    """Fold a separately-passed ``kernel_config`` into a runtime config.
-
-    The facades accept the engine selection both ways — embedded in the
-    :class:`RuntimeConfig` (``kernels=``) or as a standalone
-    ``kernel_config=`` keyword.  Passing both with different values is
-    two sources of truth and an error.
-    """
-    if kernel_config is None:
-        return config
-    if config.kernels is not None and config.kernels != kernel_config:
-        raise ConfigurationError(
-            f"{where}: kernel_config={kernel_config!r} conflicts with "
-            f"config.kernels={config.kernels!r}"
-        )
-    return replace(config, kernels=kernel_config)

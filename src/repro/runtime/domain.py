@@ -1,13 +1,12 @@
 """Solver-agnostic distributed domains (tentpole piece 2).
 
-A :class:`DistributedDomain` owns what used to be duplicated between
-``LocalDomain`` (NSU3D) and ``LocalCartDomain`` (Cart3D): the
-:class:`~repro.comm.exchange.LocalHalo` lifecycle — local numbering with
-owned vertices first, the owned/ghost split, the matched exchange plan —
-plus an opaque solver payload carrying the rank-local physics (a
-``FlowContext``, a local Cart3D level, ...).  Attribute access falls
-through to the payload so existing call sites keep reading ``dom.vol``
-or ``dom.ctx.edges`` unchanged.
+A :class:`DistributedDomain` owns what both solvers' rank-local
+domains share: the :class:`~repro.comm.exchange.LocalHalo` lifecycle —
+local numbering with owned vertices first, the owned/ghost split, the
+matched exchange plan — plus an opaque solver payload carrying the
+rank-local physics (a ``FlowContext``, a local Cart3D level, ...).
+Attribute access falls through to the payload so existing call sites
+keep reading ``dom.vol`` or ``dom.ctx.edges`` unchanged.
 
 :func:`build_domain_hierarchy` stacks domains for multigrid: coarse
 partitions are *derived* from the fine partition (a coarse agglomerate

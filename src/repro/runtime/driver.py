@@ -1,8 +1,8 @@
 """The one distributed cycle loop for both solvers (tentpole piece 4).
 
-:class:`DistributedSolveDriver` owns everything the two historical
-``Parallel*`` classes each reimplemented: backend selection (pure MPI
-when ranks == partitions, hybrid master-thread when ranks <
+:class:`DistributedSolveDriver` is the object a decomposed solve is —
+``make_parallel_*`` return it directly.  It owns backend selection
+(pure MPI when ranks == partitions, hybrid master-thread when ranks <
 partitions, real spawned workers under ``backend="process"``),
 per-rank state initialization, the cycle loop with telemetry spans,
 the distributed FAS adapter over
@@ -45,7 +45,7 @@ class SolverKernels:
 
     ``init_state(dom)``, ``volumes(dom)``,
     ``fix_restricted_state(dom, q)``, ``mask_forcing(dom, f)``,
-    ``smooth(X, doms, qs, *, forcing, cfl, nsteps, overlap, in_cycle)``,
+    ``smooth(X, doms, qs, *, forcing, cfl, nsteps, overlap)``,
     ``defect(X, doms, qs, forcing)`` (completed residual minus forcing,
     ghost rows zeroed), ``apply_correction(comm, X, doms, qs, dqs)``,
     ``residual_norm(comm, X, doms, qs)``.
@@ -90,7 +90,7 @@ class _DistributedOps:
     def smooth(self, level, qs, forcing, cfl, nsteps):
         return self.kernels.smooth(
             self.X[level], self.doms[level], qs, forcing=forcing, cfl=cfl,
-            nsteps=nsteps, overlap=self.overlap, in_cycle=True,
+            nsteps=nsteps, overlap=self.overlap,
         )
 
     def defect(self, level, qs, forcing):
@@ -160,7 +160,7 @@ def run_rank_cycles(comm, exchangers, doms, cluster_local, kernels, *,
                     ncycles: int, cfl: float, cycle: str = "W",
                     nu1: int = 1, nu2: int = 1,
                     coarse_cfl: float | None = None,
-                    overlap: bool = False, smoothing_only: bool = False):
+                    overlap: bool = False):
     """One rank's whole solve: init state, iterate cycles, slice owned.
 
     This is the picklable body shared by every backend — SimMPI rank
@@ -178,21 +178,14 @@ def run_rank_cycles(comm, exchangers, doms, cluster_local, kernels, *,
     with get_tracer().bind(rank=comm.rank, clock=lambda: comm.clock):
         for _ in range(ncycles):
             with _span(f"{kernels.name}.parallel_cycle", cat="solver"):
-                if not smoothing_only:
-                    ops = _DistributedOps(
-                        comm, exchangers, doms, cluster_local, kernels,
-                        overlap,
-                    )
-                    qs = fas_cycle(
-                        ops, qs, cycle=cycle, nu1=nu1, nu2=nu2,
-                        cfl=cfl, coarse_cfl=coarse_cfl,
-                    )
-                else:
-                    qs = kernels.smooth(
-                        exchangers[0], doms[0], qs, forcing=None,
-                        cfl=cfl, nsteps=1, overlap=overlap,
-                        in_cycle=False,
-                    )
+                ops = _DistributedOps(
+                    comm, exchangers, doms, cluster_local, kernels,
+                    overlap,
+                )
+                qs = fas_cycle(
+                    ops, qs, cycle=cycle, nu1=nu1, nu2=nu2,
+                    cfl=cfl, coarse_cfl=coarse_cfl,
+                )
                 history.append(kernels.residual_norm(
                     comm, exchangers[0], doms[0], qs
                 ))
@@ -206,12 +199,15 @@ def run_rank_cycles(comm, exchangers, doms, cluster_local, kernels, *,
 class DistributedSolveDriver:
     """Run a domain hierarchy + kernels under a selected backend.
 
-    Backend selection lives in a
-    :class:`~repro.runtime.config.RuntimeConfig` (the legacy boolean
-    keywords still work and seed an equivalent config):
+    This is the object ``make_parallel_*`` return: one lifecycle —
+    :meth:`solve`, :meth:`run`, :meth:`close` (or the context manager)
+    — for both solvers.  How the solve executes is stated once, in a
+    :class:`~repro.runtime.config.RuntimeConfig`:
 
     * ``sim``/``hybrid`` solves run on a :class:`SimMPI` world —
-      :meth:`solve` builds it, or pass your own to :meth:`run`;
+      :meth:`solve` builds it, or pass your own to :meth:`run` when you
+      want to read its virtual clocks, message ledger or trace
+      afterwards;
     * ``process`` solves run on a pool of spawned workers
       (:class:`~repro.runtime.process.ProcessPool`) launched lazily on
       first use and reused for the driver's lifetime — call
@@ -233,24 +229,14 @@ class DistributedSolveDriver:
     ``finish()`` raises :class:`~repro.errors.GhostRaceError` instead
     of silently computing on stale data.
 
-    ``smoothing_only=True`` preserves the historical single-level
-    ``Parallel*`` contract — one plain smoothing step per outer cycle.
-    Hierarchy-built drivers (``Parallel*.from_solver``) leave it False
-    so a one-level hierarchy still runs the full cycle (``nu1 + nu2``
-    smoothing steps through the in-cycle guarded path), matching the
-    serial solvers' ``run_cycle`` at ``mg_levels=1``.
+    Every outer cycle is one full multigrid cycle; a one-level
+    hierarchy just smooths ``nu1 + nu2`` steps, matching the serial
+    solvers' ``run_cycle`` at ``mg_levels=1``.
     """
 
     def __init__(self, hierarchy, kernels, qinf, *,
-                 config: RuntimeConfig | None = None,
-                 overlap: bool = False, charge_compute: bool = False,
-                 smoothing_only: bool = False, sanitize: bool = False):
-        if config is None:
-            config = RuntimeConfig(
-                overlap=overlap, charge_compute=charge_compute,
-                sanitize=sanitize,
-            )
-        config = config.resolve(hierarchy.nparts)
+                 config: RuntimeConfig | None = None):
+        config = (config or RuntimeConfig()).resolve(hierarchy.nparts)
         self.hierarchy = hierarchy
         self.kernels = kernels
         self.qinf = np.asarray(qinf, dtype=np.float64)
@@ -260,9 +246,13 @@ class DistributedSolveDriver:
         self.worker_timeout = config.worker_timeout
         self.overlap = config.overlap
         self.charge_compute = config.charge_compute
-        self.smoothing_only = smoothing_only
         self.sanitize = config.sanitize
         self._pool = None
+
+    @property
+    def part(self) -> np.ndarray:
+        """The fine-level partition vector the hierarchy was built on."""
+        return self.hierarchy.levels[0].part
 
     @property
     def nparts(self) -> int:
@@ -289,7 +279,7 @@ class DistributedSolveDriver:
 
     def _ensure_pool(self):
         """The live worker pool, spawning one on first use.  Workers
-        capture ``overlap``/``sanitize``/``smoothing_only`` at spawn."""
+        capture ``overlap``/``sanitize`` at spawn."""
         if self._pool is None or self._pool.closed:
             from .process import ProcessPool
 
@@ -298,7 +288,6 @@ class DistributedSolveDriver:
                 self.hierarchy, self.kernels,
                 nvar=layout.nvar if layout is not None else len(self.qinf),
                 overlap=self.overlap,
-                smoothing_only=self.smoothing_only,
                 sanitize=self.sanitize,
                 timeout=self.worker_timeout,
             )
@@ -323,13 +312,8 @@ class DistributedSolveDriver:
 
     def run(self, world, ncycles: int, *, cfl: float, cycle: str = "W",
             nu1: int = 1, nu2: int = 1, coarse_cfl: float | None = None):
-        """Iterate ``ncycles`` cycles on ``world``; returns
-        (global q, history).
-
-        One full cycle per outer cycle (a single-level hierarchy just
-        smooths ``nu1 + nu2`` steps), unless ``smoothing_only`` pins the
-        historical one-step-per-cycle ``Parallel*`` contract.
-        """
+        """Iterate ``ncycles`` full cycles on a caller-supplied SimMPI
+        ``world``; returns (global q, history)."""
         if self.backend == "process":
             raise ConfigurationError(
                 "the process backend owns its worker world; call "
@@ -338,7 +322,6 @@ class DistributedSolveDriver:
         hierarchy, kernels = self.hierarchy, self.kernels
         overlap, charging = self.overlap, self.charge_compute
         sanitize = self.sanitize
-        smoothing_only = self.smoothing_only
         nparts, nlevels = self.nparts, self.nlevels
         if world.nranks == nparts:
             proc_of = {p: p for p in range(nparts)}
@@ -391,7 +374,6 @@ class DistributedSolveDriver:
                 comm, exchangers, doms, cluster_local, kernels,
                 ncycles=ncycles, cfl=cfl, cycle=cycle, nu1=nu1, nu2=nu2,
                 coarse_cfl=coarse_cfl, overlap=overlap,
-                smoothing_only=smoothing_only,
             )
 
         results = world.run(body)

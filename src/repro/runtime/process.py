@@ -147,7 +147,6 @@ class WorkerSpec:
     cluster_local: list
     kernels: object
     overlap: bool
-    smoothing_only: bool
     sanitize: bool
     timeout: float
 
@@ -264,8 +263,7 @@ def _worker_main(spec: WorkerSpec, layout: SharedLayout, raw: ctypes.Array,
             tracer = set_tracer(Tracer(enabled=bool(trace)))
             owned, history = run_rank_cycles(
                 comm, exchangers, spec.doms, spec.cluster_local,
-                spec.kernels, overlap=spec.overlap,
-                smoothing_only=spec.smoothing_only, **params,
+                spec.kernels, overlap=spec.overlap, **params,
             )
             for gids, rows in owned:
                 gather[gids] = rows
@@ -295,8 +293,7 @@ class ProcessPool:
     """
 
     def __init__(self, hierarchy: DomainHierarchy, kernels: object, *,
-                 nvar: int, overlap: bool = False,
-                 smoothing_only: bool = False, sanitize: bool = False,
+                 nvar: int, overlap: bool = False, sanitize: bool = False,
                  timeout: float = 120.0) -> None:
         ctx = mp.get_context("spawn")
         self.nranks = hierarchy.nparts
@@ -313,7 +310,7 @@ class ProcessPool:
             for rank in range(self.nranks):
                 parent, child = ctx.Pipe()
                 spec = self._make_spec(hierarchy, kernels, rank, overlap,
-                                       smoothing_only, sanitize)
+                                       sanitize)
                 proc = ctx.Process(
                     target=_worker_main,
                     args=(spec, self.layout, self._raw, self._barrier,
@@ -337,7 +334,7 @@ class ProcessPool:
             raise
 
     def _make_spec(self, hierarchy: DomainHierarchy, kernels: object,
-                   rank: int, overlap: bool, smoothing_only: bool,
+                   rank: int, overlap: bool,
                    sanitize: bool) -> WorkerSpec:
         # fresh domains (same halo + payload, empty caches): the scratch
         # caches can hold closures and frozen operators that don't pickle
@@ -355,8 +352,7 @@ class ProcessPool:
         return WorkerSpec(
             rank=rank, nranks=self.nranks, doms=doms,
             cluster_local=cluster_local, kernels=kernels, overlap=overlap,
-            smoothing_only=smoothing_only, sanitize=sanitize,
-            timeout=self.timeout,
+            sanitize=sanitize, timeout=self.timeout,
         )
 
     # -- failure handling ----------------------------------------------------

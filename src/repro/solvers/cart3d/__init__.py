@@ -4,19 +4,11 @@ from .levels import Cart3DLevel, TransferOp, build_levels
 from .multigrid import fas_cycle
 from .residual import FLUX_FUNCTIONS, ls_gradient_setup, residual, spectral_radius
 from .rk import RK_COEFFS, local_time_step, residual_norm, rk_smooth
-from .parallel import (
-    LocalCartDomain,
-    ParallelCart3D,
-    parallel_rk_smooth,
-    partition_level,
-)
+from .parallel import make_parallel_cart3d
 from .solver import Cart3DSolver, ConvergenceHistory
 
 __all__ = [
-    "ParallelCart3D",
-    "partition_level",
-    "parallel_rk_smooth",
-    "LocalCartDomain",
+    "make_parallel_cart3d",
     "Cart3DSolver",
     "ConvergenceHistory",
     "Cart3DLevel",

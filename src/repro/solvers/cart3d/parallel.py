@@ -13,16 +13,13 @@ Cart3D-specific pieces:
   edge graph,
 * :class:`Cart3DKernels` — the dict-of-partitions residual / 5-stage
   Runge-Kutta hooks the
-  :class:`~repro.runtime.driver.DistributedSolveDriver` drives,
-* thin deprecated shims (``partition_level``, ``local_residual``,
-  ``parallel_rk_smooth``, ``parallel_residual_norm``,
-  ``LocalCartDomain``) preserving the historical single-partition call
-  signatures, and
-* the :class:`ParallelCart3D` config facade.
+  :class:`~repro.runtime.driver.DistributedSolveDriver` drives, and
+* :func:`make_parallel_cart3d`, which decomposes a serial solver:
+  partition, domain hierarchy, kernels, driver.
 
 Correctness contract (tested): per-rank results equal the serial solver
 on the same level hierarchy to floating-point-reassociation tolerance —
-smoothing and full FAS cycles, overlap on or off.
+full FAS cycles, overlap on or off.
 """
 
 from __future__ import annotations
@@ -33,22 +30,18 @@ import numpy as np
 
 from ...kernels import KernelConfig, make_engine, use_engine
 from ...runtime import (
-    DistributedDomain,
     DistributedSolveDriver,
     LevelSpec,
     RuntimeConfig,
     SFCPartitioner,
     build_domain_hierarchy,
-    make_exchanger,
-    merge_kernel_config,
-    resolve_config,
 )
 from ..fluxes import rusanov_flux, wall_flux
-from ..gas import GAMMA, apply_positivity_floors, check_physical, pressure
+from ..gas import GAMMA, check_physical, pressure
 from .levels import Cart3DLevel
 from .residual import FLUX_FUNCTIONS
 from .rk import RK_COEFFS
-from .solver import FLOPS_PER_CELL_RESIDUAL
+from .solver import FLOPS_PER_CELL_RESIDUAL, Cart3DSolver
 
 
 @dataclass
@@ -64,24 +57,6 @@ class CartLevelPart:
     wall_normal: np.ndarray
     far_cell: np.ndarray  # owned-only
     far_normal: np.ndarray
-
-
-class LocalCartDomain(DistributedDomain):
-    """Deprecated pre-runtime name for a Cart3D rank-local domain.
-
-    Kept so historical constructors keep working; ``nowned`` now derives
-    from the halo and the keyword is ignored.
-    """
-
-    def __init__(self, halo, vol, face_left, face_right, face_normal,
-                 wall_cell, wall_normal, far_cell, far_normal,
-                 nowned: int | None = None):
-        super().__init__(halo, CartLevelPart(
-            vol=vol, face_left=face_left, face_right=face_right,
-            face_normal=face_normal, wall_cell=wall_cell,
-            wall_normal=wall_normal, far_cell=far_cell,
-            far_normal=far_normal,
-        ))
 
 
 def _local_cart_level(level: Cart3DLevel, h, part) -> CartLevelPart:
@@ -204,16 +179,11 @@ class Cart3DKernels:
         return qs
 
     def smooth(self, X, doms, qs, *, forcing=None, cfl: float = 2.0,
-               nsteps: int = 1, overlap: bool = False,
-               in_cycle: bool = False) -> dict:
+               nsteps: int = 1, overlap: bool = False) -> dict:
         """Domain-decomposed 5-stage RK with ghost refresh per stage,
         overlapped with the next stage's interior residual when
-        ``overlap`` is set.
-
-        ``in_cycle=True`` reproduces the serial smoother's globally
-        agreed stage-damping guard (multigrid parity); ``in_cycle=False``
-        keeps the historical standalone behavior of clipping to
-        positivity floors instead.
+        ``overlap`` is set.  An unphysical stage is damped by the serial
+        smoother's guard, with the decision agreed across ranks.
         """
         engine = self.engine
         with use_engine(engine):
@@ -232,41 +202,31 @@ class Cart3DKernels:
                         X, doms, qs, forcing, pending
                     )
                     pending = None
-                    if in_cycle:
-                        cand = {
-                            p: engine.rk_update(q0[p], alpha * dtov[p], rs[p])
-                            for p in doms
-                        }
-                        if not _globally_physical(X.comm, doms, cand):
-                            # halve the step until physical (rarely more
-                            # than once); the decision is collective so
-                            # all ranks damp identically
-                            scale = 0.5
-                            for _ in range(6):
-                                cand = {
-                                    p: engine.rk_update(
-                                        q0[p], scale * alpha * dtov[p], rs[p]
-                                    )
-                                    for p in doms
-                                }
-                                if _globally_physical(X.comm, doms, cand):
-                                    break
-                                scale *= 0.5
-                            else:
-                                raise FloatingPointError(
-                                    "RK stage unrecoverable: negative "
-                                    "density/pressure"
+                    cand = {
+                        p: engine.rk_update(q0[p], alpha * dtov[p], rs[p])
+                        for p in doms
+                    }
+                    if not _globally_physical(X.comm, doms, cand):
+                        # halve the step until physical (rarely more
+                        # than once); the decision is collective so
+                        # all ranks damp identically
+                        scale = 0.5
+                        for _ in range(6):
+                            cand = {
+                                p: engine.rk_update(
+                                    q0[p], scale * alpha * dtov[p], rs[p]
                                 )
-                        qs = cand
-                    else:
-                        qs = {
-                            p: apply_positivity_floors(
-                                engine.rk_update(
-                                    q0[p], alpha * dtov[p], rs[p]
-                                )
+                                for p in doms
+                            }
+                            if _globally_physical(X.comm, doms, cand):
+                                break
+                            scale *= 0.5
+                        else:
+                            raise FloatingPointError(
+                                "RK stage unrecoverable: negative "
+                                "density/pressure"
                             )
-                            for p in doms
-                        }
+                    qs = cand
                     if overlap:
                         pending = X.start_copy(qs, tag=23)
                     else:
@@ -374,186 +334,35 @@ class Cart3DKernels:
         ))
 
 
-# -- deprecated single-partition shims ---------------------------------------
+def make_parallel_cart3d(solver: Cart3DSolver, nparts: int, *,
+                         config: RuntimeConfig | None = None
+                         ) -> DistributedSolveDriver:
+    """Decompose a serial Cart3D solver for the distributed runtime.
 
-
-def partition_level(level: Cart3DLevel, nparts: int) -> tuple[list, np.ndarray]:
-    """SFC-segment decomposition of a flow level into local domains.
-
-    .. deprecated::
-        Kept as a shim over :mod:`repro.runtime` — build domains with
-        :class:`~repro.runtime.SFCPartitioner` and
-        :func:`~repro.runtime.build_domain_set` instead.  The partition
-        vector and domain payloads are identical to the historical ones
-        (same cut-cell weighting, same curve segmentation).
+    SFC-segment partitioning of the fine level (cut cells weighted
+    2.1x), the whole level hierarchy derived from it, and a driver that
+    runs full FAS cycles on it: call ``.solve(ncycles, cfl=...)`` for
+    the backend ``config`` selects, or ``.run(world, ncycles, cfl=...)``
+    with your own :class:`SimMPI` world.  What is decomposed is the
+    solver itself, so its flux function and ``kernel_config`` carry
+    over.  The distributed path runs first order (like the serial
+    coarse levels); second-order fine-level reconstruction needs
+    distributed least-squares gradients and stays serial.
     """
-    part = SFCPartitioner.from_level(level).partition(nparts)
-    hierarchy = build_domain_hierarchy(
-        [LevelSpec(
-            nvert=level.nflow,
-            edges=np.column_stack([level.face_left, level.face_right]),
-            payload=lambda h, p: _local_cart_level(level, h, p),
-        )],
-        [],
-        part,
+    part = SFCPartitioner.from_level(solver.levels[0]).partition(nparts)
+    specs = [
+        LevelSpec(
+            nvert=lvl.nflow,
+            edges=np.column_stack([lvl.face_left, lvl.face_right]),
+            payload=lambda h, p, lvl=lvl: _local_cart_level(lvl, h, p),
+        )
+        for lvl in solver.levels
+    ]
+    clusters = [t.parent for t in solver.transfers]
+    kernels = Cart3DKernels(
+        solver.qinf, flux=solver.flux, kernel_config=solver.kernel_config
     )
-    top = hierarchy.levels[0]
-    return top.domains, top.part
-
-
-def _single(comm, dom) -> tuple:
-    pid = dom.halo.rank
-    return pid, make_exchanger("plan", comm, plans={pid: dom.halo.plan})
-
-
-def local_residual(comm, dom, q: np.ndarray, qinf,
-                   flux: str = "vanleer") -> np.ndarray:
-    """Complete residual on owned cells (deprecated single-partition
-    shim over :class:`Cart3DKernels`)."""
-    pid, X = _single(comm, dom)
-    kern = Cart3DKernels(qinf, flux=flux)
-    return kern.defect(X, {pid: dom}, {pid: q})[pid]
-
-
-def parallel_rk_smooth(
-    comm,
-    dom,
-    q: np.ndarray,
-    qinf: np.ndarray,
-    cfl: float = 2.0,
-    flux: str = "vanleer",
-    nsteps: int = 1,
-) -> np.ndarray:
-    """Domain-decomposed 5-stage RK (deprecated single-partition shim
-    over :class:`Cart3DKernels`)."""
-    pid, X = _single(comm, dom)
-    kern = Cart3DKernels(qinf, flux=flux)
-    return kern.smooth(X, {pid: dom}, {pid: q}, cfl=cfl, nsteps=nsteps)[pid]
-
-
-def parallel_residual_norm(comm, dom, q, qinf,
-                           flux: str = "vanleer") -> float:
-    """Global volume-scaled L2 density-residual norm (allreduce)."""
-    pid, X = _single(comm, dom)
-    kern = Cart3DKernels(qinf, flux=flux)
-    return kern.residual_norm(comm, X, {pid: dom}, {pid: q})
-
-
-class ParallelCart3D:
-    """Config facade: the decomposed Euler solver under any backend.
-
-    Execution is selected by a
-    :class:`~repro.runtime.config.RuntimeConfig` (or the ``backend=``
-    shorthand): ``sim``/``hybrid`` run on SimMPI worlds, ``process`` on
-    a spawned worker pool — call :meth:`solve` for the config-driven
-    path, or :meth:`run` with your own world for the historical SimMPI
-    signature.  The historical constructor (fine level only — pure
-    smoothing runs) keeps working; pass ``levels``/``transfers`` from a
-    serial solver (or use :meth:`from_solver`) to run full distributed
-    FAS cycles.  The bare ``overlap``/``charge_compute``/``sanitize``
-    keywords are deprecated spellings of the config fields.
-    """
-
-    def __init__(self, level: Cart3DLevel, qinf: np.ndarray, nparts: int,
-                 flux: str = "vanleer", *, levels: list | None = None,
-                 transfers: list | None = None,
-                 config: RuntimeConfig | None = None,
-                 backend: str | None = None,
-                 kernel_config: KernelConfig | None = None,
-                 overlap: bool | None = None,
-                 charge_compute: bool | None = None,
-                 sanitize: bool | None = None):
-        config = resolve_config(
-            config, backend, where="ParallelCart3D", overlap=overlap,
-            charge_compute=charge_compute, sanitize=sanitize,
-        )
-        config = merge_kernel_config(config, kernel_config, "ParallelCart3D")
-        # the historical fine-level-only constructor runs plain
-        # smoothing steps; a caller-supplied hierarchy runs full cycles
-        # even when it has a single level (matching the serial solvers)
-        smoothing_only = levels is None
-        levels = list(levels) if levels is not None else [level]
-        clusters = [t.parent for t in transfers] if transfers else []
-        part = SFCPartitioner.from_level(levels[0]).partition(nparts)
-        specs = [
-            LevelSpec(
-                nvert=lvl.nflow,
-                edges=np.column_stack([lvl.face_left, lvl.face_right]),
-                payload=lambda h, p, lvl=lvl: _local_cart_level(lvl, h, p),
-            )
-            for lvl in levels
-        ]
-        self.hierarchy = build_domain_hierarchy(specs, clusters, part)
-        self.kernels = Cart3DKernels(
-            qinf, flux=flux, kernel_config=config.kernels
-        )
-        self.driver = DistributedSolveDriver(
-            self.hierarchy, self.kernels, qinf, config=config,
-            smoothing_only=smoothing_only,
-        )
-        self.config = self.driver.config
-        self.domains = self.hierarchy.levels[0].domains
-        self.part = part
-        self.level = levels[0]
-        self.qinf = qinf
-        self.nparts = nparts
-        self.flux = flux
-
-    @classmethod
-    def from_solver(cls, solver, nparts: int, *,
-                    config: RuntimeConfig | None = None,
-                    backend: str | None = None,
-                    kernel_config: KernelConfig | None = None,
-                    overlap: bool | None = None,
-                    charge_compute: bool | None = None,
-                    sanitize: bool | None = None) -> "ParallelCart3D":
-        """Decompose a serial :class:`Cart3DSolver`'s level hierarchy.
-
-        The distributed path runs first order (like the serial coarse
-        levels); second-order fine-level reconstruction needs
-        distributed least-squares gradients and stays serial.  With no
-        explicit engine selection the solver's own ``kernel_config``
-        carries over.
-        """
-        config = resolve_config(
-            config, backend, where="ParallelCart3D.from_solver",
-            overlap=overlap, charge_compute=charge_compute,
-            sanitize=sanitize,
-        )
-        if kernel_config is None and config.kernels is None:
-            kernel_config = getattr(solver, "kernel_config", None)
-        return cls(
-            solver.levels[0], solver.qinf, nparts, flux=solver.flux,
-            levels=solver.levels, transfers=solver.transfers,
-            config=config, kernel_config=kernel_config,
-        )
-
-    def run(self, world, ncycles: int, cfl: float = 2.0, *,
-            cycle: str = "W", nu1: int = 1, nu2: int = 1,
-            coarse_cfl: float | None = None):
-        """Iterate on a caller-supplied SimMPI world; returns
-        (global q over flow cells, residual history)."""
-        return self.driver.run(
-            world, ncycles, cfl=cfl, cycle=cycle, nu1=nu1, nu2=nu2,
-            coarse_cfl=coarse_cfl,
-        )
-
-    def solve(self, ncycles: int, cfl: float = 2.0, *,
-              cycle: str = "W", nu1: int = 1, nu2: int = 1,
-              coarse_cfl: float | None = None):
-        """Config-driven iterate (builds the backend's own world);
-        returns (global q over flow cells, residual history)."""
-        return self.driver.solve(
-            ncycles, cfl=cfl, cycle=cycle, nu1=nu1, nu2=nu2,
-            coarse_cfl=coarse_cfl,
-        )
-
-    def close(self) -> None:
-        """Release backend resources (the process backend's workers)."""
-        self.driver.close()
-
-    def __enter__(self) -> "ParallelCart3D":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    return DistributedSolveDriver(
+        build_domain_hierarchy(specs, clusters, part), kernels, solver.qinf,
+        config=config,
+    )

@@ -17,7 +17,7 @@ from ...machine.counters import PerfCounters
 from ...mesh.cartesian import CartesianMesh
 from ...mesh.cartesian.geometry import ImplicitSolid
 from ..gas import NVAR_EULER, freestream
-from ..interface import ConvergenceHistory, deprecated_accessor
+from ..interface import ConvergenceHistory
 from .levels import build_levels
 from .multigrid import fas_cycle
 from .residual import ls_gradient_setup, residual
@@ -88,12 +88,6 @@ class Cart3DSolver:
     def size(self) -> int:
         """Unified mesh-size accessor (:class:`SolverProtocol`): flow cells."""
         return self.levels[0].nflow
-
-    @property
-    def ncells(self) -> int:
-        """Deprecated: use :attr:`size`."""
-        deprecated_accessor("Cart3DSolver.ncells", "Cart3DSolver.size")
-        return self.size
 
     @property
     def ndof(self) -> int:

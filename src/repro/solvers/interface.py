@@ -19,9 +19,7 @@ hardware counters.  This module pins that contract down:
   :class:`~repro.solvers.nsu3d.NSU3DSolver` satisfy:
   ``solve() -> history`` plus ``forces()``, ``residual_norm()``,
   ``history``, ``counters``, ``size`` and ``ndof``.
-* :class:`ConvergenceHistory` — the shared residual/force trace (both
-  solvers used to carry private copies; ``NSU3DHistory`` remains as a
-  deprecated alias).
+* :class:`ConvergenceHistory` — the shared residual/force trace.
 
 The module deliberately imports nothing from ``repro.database`` at the
 top level so the solver and database packages stay acyclic.
@@ -31,20 +29,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Protocol, runtime_checkable
 
 import numpy as np
-
-
-def deprecated_accessor(old: str, new: str) -> None:
-    """Emit the house DeprecationWarning for a superseded accessor."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass
@@ -219,8 +207,7 @@ class SolverProtocol(Protocol):
     """What both flow solvers expose: ``solve -> history/forces/counters``.
 
     ``size`` is the unified mesh-size accessor (flow cells for Cart3D,
-    grid points for NSU3D); the old ``ncells``/``npoints`` names remain
-    as deprecation shims on the concrete classes.
+    grid points for NSU3D).
     """
 
     history: Any

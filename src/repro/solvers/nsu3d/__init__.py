@@ -19,26 +19,13 @@ from .linesolve import (
 )
 from .multigrid import fas_cycle, restrict_residual, restrict_solution
 from .residual import apply_wall_bc, mask_wall_rows, residual, residual_norm
-from .parallel import (
-    LocalDomain,
-    ParallelNSU3D,
-    parallel_residual,
-    parallel_residual_norm,
-    parallel_smooth,
-    partition_domain,
-)
-from .solver import NSU3DHistory, NSU3DSolver
+from .parallel import make_parallel_nsu3d
+from .solver import NSU3DSolver
 from .turbulence import eddy_viscosity, source_terms
 
 __all__ = [
-    "ParallelNSU3D",
-    "partition_domain",
-    "parallel_residual",
-    "parallel_smooth",
-    "parallel_residual_norm",
-    "LocalDomain",
+    "make_parallel_nsu3d",
     "NSU3DSolver",
-    "NSU3DHistory",
     "FlowContext",
     "context_from_dual",
     "wall_distance",

@@ -10,10 +10,9 @@ it that way).  This module contributes only what is NSU3D-specific:
   transfer hooks the :class:`~repro.runtime.driver.DistributedSolveDriver`
   drives (preconditioned-multistage line-implicit smoothing with the
   implicit operator's edge contributions summed across ranks, fig. 6),
-* thin deprecated shims (``partition_domain``, ``parallel_residual``,
-  ``parallel_smooth``, ``parallel_residual_norm``, ``LocalDomain``)
-  preserving the historical single-partition call signatures, and
-* the :class:`ParallelNSU3D` config facade.
+  and
+* :func:`make_parallel_nsu3d`, which decomposes a serial solver:
+  partition, domain hierarchy, kernels, driver.
 
 Because implicit lines are never split by the partitioner (fig. 6b),
 the block-tridiagonal solves remain rank-local.  State width is carried
@@ -27,8 +26,8 @@ one rank) before dividing by the control volumes, the residual's own
 partial-sum/complete/finalize pattern.
 
 Correctness contract (tested): per-rank results equal the serial solver
-on the same mesh to floating-point-reassociation tolerance — smoothing
-and full FAS cycles, overlap on or off.
+on the same mesh to floating-point-reassociation tolerance — full FAS
+cycles, overlap on or off.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ from ...runtime import (
     MetisLinePartitioner,
     RuntimeConfig,
     build_domain_hierarchy,
-    make_exchanger,
-    merge_kernel_config,
-    resolve_config,
 )
 from ..gas import (
     apply_positivity_floors,
@@ -76,18 +72,7 @@ from .residual import (
     residual,
     sa_source_residual,
 )
-from .solver import FLOPS_PER_POINT_RESIDUAL
-
-
-class LocalDomain(DistributedDomain):
-    """Deprecated pre-runtime name for an NSU3D rank-local domain.
-
-    Kept so historical constructors keep working; ``nowned`` now derives
-    from the halo and the third positional argument is ignored.
-    """
-
-    def __init__(self, halo, ctx: FlowContext, nowned: int | None = None):
-        super().__init__(halo, ctx)
+from .solver import FLOPS_PER_POINT_RESIDUAL, NSU3DSolver
 
 
 def _local_flow_context(ctx: FlowContext, h: Any, part: np.ndarray) -> FlowContext:
@@ -273,8 +258,7 @@ class NSU3DKernels:
         return result
 
     def smooth(self, X, doms, qs, *, forcing=None, cfl: float = 10.0,
-               nsteps: int = 1, overlap: bool = False,
-               in_cycle: bool = False) -> dict:
+               nsteps: int = 1, overlap: bool = False) -> dict:
         """Preconditioned-multistage implicit smoothing, decomposed.
 
         Each step freezes the implicit operator (exchanged diagonal +
@@ -282,7 +266,6 @@ class NSU3DKernels:
         three-stage recursion; ghost refresh per stage, overlapped with
         the next stage's interior residual when ``overlap`` is set.
         """
-        del in_cycle  # NSU3D's guards are identical in and out of a cycle
         engine = self.engine
         with use_engine(engine):
             qs = {p: apply_wall_bc(doms[p].ctx, qs[p]) for p in sorted(doms)}
@@ -571,195 +554,40 @@ class NSU3DKernels:
         ))
 
 
-# -- deprecated single-partition shims ---------------------------------------
+def make_parallel_nsu3d(solver: NSU3DSolver, nparts: int, *, seed: int = 0,
+                        config: RuntimeConfig | None = None
+                        ) -> DistributedSolveDriver:
+    """Decompose a serial NSU3D solver for the distributed runtime.
 
-
-def partition_domain(
-    ctx: FlowContext, nparts: int, seed: int = 0
-) -> tuple[list, np.ndarray]:
-    """Split a (fine-level) context into per-rank domains.
-
-    .. deprecated::
-        Kept as a shim over :mod:`repro.runtime` — build domains with
-        :class:`~repro.runtime.MetisLinePartitioner` and
-        :func:`~repro.runtime.build_domain_set` instead.  The partition
-        vector and domain payloads are identical to the historical ones
-        (same line contraction, same seed handling, fig. 6b).
+    Line-contracted METIS partition of the fine level (implicit lines
+    are never split, fig. 6b), the whole agglomeration hierarchy derived
+    from it, and a driver that runs full FAS cycles on it: call
+    ``.solve(ncycles, cfl=...)`` for the backend ``config`` selects, or
+    ``.run(world, ncycles, cfl=...)`` with your own :class:`SimMPI`
+    world.  What is decomposed is the solver itself, so its variable
+    layout, physics flags and ``kernel_config`` carry over: turbulent
+    (SA, 6-variable) solvers decompose exactly like laminar ones — wall
+    distances and Green-Gauss gradient surfaces are split per rank, the
+    gradients the SA source terms need are completed by halo
+    accumulation, and the correction limiter's turbulence reference is
+    allreduced so results are partition-independent.
     """
+    fine = solver.contexts[0]
     part = MetisLinePartitioner(
-        ctx.npoints, ctx.edges, lines=ctx.lines, seed=seed
+        fine.npoints, fine.edges, lines=fine.lines, seed=seed,
     ).partition(nparts)
-    hierarchy = build_domain_hierarchy(
-        [LevelSpec(
-            nvert=ctx.npoints, edges=ctx.edges,
-            payload=lambda h, p: _local_flow_context(ctx, h, p),
-        )],
-        [],
-        part,
+    specs = [
+        LevelSpec(
+            nvert=c.npoints, edges=c.edges,
+            payload=lambda h, p, c=c: _local_flow_context(c, h, p),
+        )
+        for c in solver.contexts
+    ]
+    kernels = NSU3DKernels(
+        solver.qinf, kernel_config=solver.kernel_config,
+        turbulence=solver.turbulence,
     )
-    level = hierarchy.levels[0]
-    return level.domains, level.part
-
-
-def _single(comm, dom) -> tuple:
-    pid = dom.halo.rank
-    return pid, make_exchanger("plan", comm, plans={pid: dom.halo.plan})
-
-
-def parallel_residual(comm, dom, q: np.ndarray, qinf,
-                      viscous: bool = True) -> np.ndarray:
-    """Complete residual on owned vertices (deprecated single-partition
-    shim over :class:`NSU3DKernels`)."""
-    pid, X = _single(comm, dom)
-    kern = NSU3DKernels(qinf, viscous=viscous)
-    return kern.defect(X, {pid: dom}, {pid: q})[pid]
-
-
-def parallel_smooth(
-    comm,
-    dom,
-    q: np.ndarray,
-    qinf: np.ndarray,
-    cfl: float = 10.0,
-    nsteps: int = 1,
-    viscous: bool = True,
-) -> np.ndarray:
-    """Preconditioned-multistage implicit smoothing (deprecated
-    single-partition shim over :class:`NSU3DKernels`)."""
-    pid, X = _single(comm, dom)
-    kern = NSU3DKernels(qinf, viscous=viscous)
-    return kern.smooth(X, {pid: dom}, {pid: q}, cfl=cfl, nsteps=nsteps)[pid]
-
-
-def parallel_residual_norm(comm, dom, q, qinf,
-                           viscous: bool = True) -> float:
-    """Global volume-scaled L2 continuity-residual norm (allreduce)."""
-    pid, X = _single(comm, dom)
-    kern = NSU3DKernels(qinf, viscous=viscous)
-    return kern.residual_norm(comm, X, {pid: dom}, {pid: q})
-
-
-class ParallelNSU3D:
-    """Config facade: the decomposed NSU3D solver under any backend.
-
-    Execution is selected by a
-    :class:`~repro.runtime.config.RuntimeConfig` (or the ``backend=``
-    shorthand): ``sim``/``hybrid`` run on SimMPI worlds, ``process`` on
-    a spawned worker pool — call :meth:`solve` for the config-driven
-    path, or :meth:`run` with your own world for the historical SimMPI
-    signature.  The historical constructor (fine context only — pure
-    smoothing runs) keeps working; pass ``contexts``/``maps`` from a
-    serial solver (or use :meth:`from_solver`) to run full distributed
-    FAS cycles.  The bare ``overlap``/``charge_compute``/``sanitize``
-    keywords are deprecated spellings of the config fields.
-    """
-
-    def __init__(self, ctx: FlowContext, qinf: np.ndarray, nparts: int,
-                 seed: int = 0, viscous: bool = True, *,
-                 turbulence: bool | None = None,
-                 contexts: list | None = None, maps: list | None = None,
-                 config: RuntimeConfig | None = None,
-                 backend: str | None = None,
-                 kernel_config: KernelConfig | None = None,
-                 overlap: bool | None = None,
-                 charge_compute: bool | None = None,
-                 sanitize: bool | None = None):
-        config = resolve_config(
-            config, backend, where="ParallelNSU3D", overlap=overlap,
-            charge_compute=charge_compute, sanitize=sanitize,
-        )
-        config = merge_kernel_config(config, kernel_config, "ParallelNSU3D")
-        # the historical fine-level-only constructor runs plain
-        # smoothing steps; a caller-supplied hierarchy runs full cycles
-        # even when it has a single level (matching the serial solvers)
-        smoothing_only = contexts is None
-        contexts = list(contexts) if contexts is not None else [ctx]
-        maps = list(maps) if maps is not None else []
-        part = MetisLinePartitioner(
-            contexts[0].npoints, contexts[0].edges,
-            lines=contexts[0].lines, seed=seed,
-        ).partition(nparts)
-        specs = [
-            LevelSpec(
-                nvert=c.npoints, edges=c.edges,
-                payload=lambda h, p, c=c: _local_flow_context(c, h, p),
-            )
-            for c in contexts
-        ]
-        self.hierarchy = build_domain_hierarchy(specs, maps, part)
-        self.kernels = NSU3DKernels(
-            qinf, viscous=viscous, kernel_config=config.kernels,
-            turbulence=turbulence,
-        )
-        self.driver = DistributedSolveDriver(
-            self.hierarchy, self.kernels, qinf, config=config,
-            smoothing_only=smoothing_only,
-        )
-        self.config = self.driver.config
-        self.domains = self.hierarchy.levels[0].domains
-        self.part = part
-        self.ctx = contexts[0]
-        self.qinf = qinf
-        self.nparts = nparts
-        self.viscous = viscous
-        self.turbulence = self.kernels.turbulence
-
-    @classmethod
-    def from_solver(cls, solver, nparts: int, *, seed: int = 0,
-                    config: RuntimeConfig | None = None,
-                    backend: str | None = None,
-                    kernel_config: KernelConfig | None = None,
-                    overlap: bool | None = None,
-                    charge_compute: bool | None = None,
-                    sanitize: bool | None = None) -> "ParallelNSU3D":
-        """Decompose a serial :class:`NSU3DSolver`'s hierarchy.
-
-        The solver's variable layout and physics flags carry over —
-        turbulent (SA) solvers decompose exactly like laminar ones —
-        and with no explicit engine selection the solver's own
-        ``kernel_config`` does too, so a decomposed solve runs the same
-        kernels on the same system as the serial one it came from.
-        """
-        config = resolve_config(
-            config, backend, where="ParallelNSU3D.from_solver",
-            overlap=overlap, charge_compute=charge_compute,
-            sanitize=sanitize,
-        )
-        if kernel_config is None and config.kernels is None:
-            kernel_config = getattr(solver, "kernel_config", None)
-        return cls(
-            solver.contexts[0], solver.qinf, nparts, seed=seed,
-            viscous=True, turbulence=solver.turbulence,
-            contexts=solver.contexts, maps=solver.maps,
-            config=config, kernel_config=kernel_config,
-        )
-
-    def run(self, world, ncycles: int, cfl: float = 10.0, *,
-            cycle: str = "W", nu1: int = 1, nu2: int = 1,
-            coarse_cfl: float | None = None):
-        """Iterate on a caller-supplied SimMPI world; returns
-        (global q, residual history)."""
-        return self.driver.run(
-            world, ncycles, cfl=cfl, cycle=cycle, nu1=nu1, nu2=nu2,
-            coarse_cfl=coarse_cfl,
-        )
-
-    def solve(self, ncycles: int, cfl: float = 10.0, *,
-              cycle: str = "W", nu1: int = 1, nu2: int = 1,
-              coarse_cfl: float | None = None):
-        """Config-driven iterate (builds the backend's own world);
-        returns (global q, residual history)."""
-        return self.driver.solve(
-            ncycles, cfl=cfl, cycle=cycle, nu1=nu1, nu2=nu2,
-            coarse_cfl=coarse_cfl,
-        )
-
-    def close(self) -> None:
-        """Release backend resources (the process backend's workers)."""
-        self.driver.close()
-
-    def __enter__(self) -> "ParallelNSU3D":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    return DistributedSolveDriver(
+        build_domain_hierarchy(specs, solver.maps, part), kernels,
+        solver.qinf, config=config,
+    )

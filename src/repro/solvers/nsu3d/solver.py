@@ -8,7 +8,6 @@ This is the object the figure-14(a) convergence study drives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from ...mesh.unstructured import (
 )
 from ...mesh.unstructured.dual import DualMesh
 from ..gas import NVAR_EULER, NVAR_RANS, freestream, pressure
-from ..interface import ConvergenceHistory, deprecated_accessor
+from ..interface import ConvergenceHistory
 from .agglomerate import build_hierarchy
 from .context import context_from_dual
 from .linesolve import smooth
@@ -32,17 +31,6 @@ from .residual import apply_wall_bc, residual_norm
 #: step, fed to the pfmon-style counters and the performance model.
 FLOPS_PER_POINT_RESIDUAL = 1800.0
 FLOPS_PER_POINT_IMPLICIT = 2600.0
-
-
-@dataclass
-class NSU3DHistory(ConvergenceHistory):
-    """Deprecated alias of the unified
-    :class:`~repro.solvers.interface.ConvergenceHistory`."""
-
-    def __post_init__(self):
-        deprecated_accessor(
-            "NSU3DHistory", "repro.solvers.interface.ConvergenceHistory"
-        )
 
 
 class NSU3DSolver:
@@ -122,12 +110,6 @@ class NSU3DSolver:
     def size(self) -> int:
         """Unified mesh-size accessor (:class:`SolverProtocol`): grid points."""
         return self.contexts[0].npoints
-
-    @property
-    def npoints(self) -> int:
-        """Deprecated: use :attr:`size`."""
-        deprecated_accessor("NSU3DSolver.npoints", "NSU3DSolver.size")
-        return self.size
 
     @property
     def ndof(self) -> int:

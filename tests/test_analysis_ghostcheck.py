@@ -22,8 +22,8 @@ from repro.analysis.ghostcheck import check_paths, check_source
 from repro.comm import SimMPI, build_halos
 from repro.errors import ExchangeLifecycleError, GhostRaceError, RankFailure
 from repro.mesh.unstructured import bump_channel
-from repro.runtime import PendingGroup
-from repro.solvers.nsu3d import NSU3DSolver, ParallelNSU3D
+from repro.runtime import PendingGroup, RuntimeConfig
+from repro.solvers.nsu3d import NSU3DSolver, make_parallel_nsu3d
 from repro.solvers.nsu3d.parallel import NSU3DKernels
 from repro.solvers.nsu3d.residual import residual
 
@@ -293,10 +293,11 @@ class TestGhostSanitizerRuntime:
     def test_planted_race_raises_with_span_attribution(self, small_nsu3d):
         """Acceptance: the sanitizer converts the silent race into a
         GhostRaceError naming the partition and the kernel span."""
-        pn = ParallelNSU3D.from_solver(small_nsu3d, 4, overlap=True,
-                                       sanitize=True)
-        pn.driver.kernels = RacyNSU3DKernels(small_nsu3d.qinf,
-                                             viscous=True)
+        pn = make_parallel_nsu3d(
+            small_nsu3d, 4,
+            config=RuntimeConfig(overlap=True, sanitize=True),
+        )
+        pn.kernels = RacyNSU3DKernels(small_nsu3d.qinf, viscous=True)
         with telemetry.capture():
             with pytest.raises(RankFailure) as exc_info:
                 pn.run(SimMPI(4), 2, cfl=8.0, cycle="W")
@@ -310,9 +311,10 @@ class TestGhostSanitizerRuntime:
                                                           small_nsu3d):
         """The control: unsanitized, the planted race is *benign* under
         SimMPI's shared memory — which is exactly why the guard exists."""
-        pn = ParallelNSU3D.from_solver(small_nsu3d, 4, overlap=True)
-        pn.driver.kernels = RacyNSU3DKernels(small_nsu3d.qinf,
-                                             viscous=True)
+        pn = make_parallel_nsu3d(
+            small_nsu3d, 4, config=RuntimeConfig(overlap=True),
+        )
+        pn.kernels = RacyNSU3DKernels(small_nsu3d.qinf, viscous=True)
         qg, hist = pn.run(SimMPI(4), 2, cfl=8.0, cycle="W")
         assert np.isfinite(qg).all() and np.isfinite(hist).all()
 

@@ -505,7 +505,7 @@ class TestFastEngineLoopRule:
         diags = diags_for(src, "src/repro/kernels/batched.py",
                           select={"R013"})
         assert [d.rule for d in diags] == ["R013"]
-        assert "compiled" in diags[0].message or "@njit" in diags[0].message
+        assert "vectorize" in diags[0].message
 
     def test_len_loop_flagged(self):
         src = "def f(xs):\n    for i in range(len(xs)):\n        pass\n"
@@ -523,28 +523,6 @@ class TestFastEngineLoopRule:
             "    return out\n"
         )
         assert diags_for(src, "src/repro/kernels/batched.py",
-                         select={"R013"}) == []
-
-    def test_njit_decorated_loop_passes(self):
-        src = (
-            "from numba import njit\n"
-            "@njit(cache=True)\n"
-            "def scatter(out, idx, contrib):\n"
-            "    for i in range(idx.shape[0]):\n"
-            "        out[idx[i]] += contrib[i]\n"
-        )
-        assert diags_for(src, "src/repro/kernels/numba_engine.py",
-                         select={"R013"}) == []
-
-    def test_aliased_jit_decorator_passes(self):
-        src = (
-            "import numba as nb\n"
-            "@nb.njit\n"
-            "def f(xs):\n"
-            "    for i in range(len(xs)):\n"
-            "        pass\n"
-        )
-        assert diags_for(src, "src/repro/kernels/numba_engine.py",
                          select={"R013"}) == []
 
     def test_reference_engine_module_is_exempt(self):

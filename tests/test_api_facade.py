@@ -1,6 +1,5 @@
 """Tests for the repro.api facade and the unified solver surface."""
 
-import warnings
 
 import pytest
 
@@ -49,7 +48,7 @@ class TestFacade:
             repro.no_such_submodule
 
     def test_api_version_is_declared(self):
-        assert api.__api_version__ == "8.0"
+        assert api.__api_version__ == "9.0"
 
     def test_service_surface_exported(self):
         for name in (
@@ -77,14 +76,13 @@ class TestFacade:
     def test_kernel_engine_surface_exported(self):
         for name in (
             "KernelConfig", "ENGINES", "make_engine",
-            "resolve_kernel_config",
         ):
             assert name in api.__all__
             assert getattr(api, name) is not None
         from repro import kernels
 
         assert api.KernelConfig is kernels.KernelConfig
-        assert api.ENGINES == ("numpy", "batched", "numba")
+        assert api.ENGINES == ("numpy", "batched")
 
     def test_all_is_complete(self):
         """Self-test of the facade contract: every public attribute is
@@ -140,28 +138,6 @@ class TestUnifiedSurface:
         assert cart3d.ndof == cart3d.size * NVAR_EULER
         assert nsu3d.size == nsu3d.contexts[0].npoints
         assert nsu3d.ndof == nsu3d.size * 6
-
-
-class TestDeprecatedAccessors:
-    def test_ncells_warns_and_matches_size(self, cart3d):
-        with pytest.warns(DeprecationWarning, match="Cart3DSolver.size"):
-            assert cart3d.ncells == cart3d.size
-
-    def test_npoints_warns_and_matches_size(self, nsu3d):
-        with pytest.warns(DeprecationWarning, match="NSU3DSolver.size"):
-            assert nsu3d.npoints == nsu3d.size
-
-    def test_nsu3d_history_class_warns(self):
-        from repro.solvers.nsu3d import NSU3DHistory
-
-        with pytest.warns(DeprecationWarning, match="ConvergenceHistory"):
-            h = NSU3DHistory()
-        assert isinstance(h, ConvergenceHistory)
-
-    def test_blessed_paths_stay_silent(self, cart3d, nsu3d):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cart3d.size, nsu3d.size, cart3d.history, nsu3d.forces()
 
 
 class TestCaseResultPackaging:

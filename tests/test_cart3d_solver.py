@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.comm import SimMPI
 from repro.mesh.cartesian import CartesianMesh, Sphere
-from repro.solvers.cart3d import (
-    Cart3DSolver,
-    ParallelCart3D,
-    build_levels,
-    partition_level,
-    residual,
-)
-from repro.solvers.cart3d.rk import rk_smooth
+from repro.runtime import SFCPartitioner
+from repro.solvers.cart3d import Cart3DSolver, build_levels, residual
 from repro.solvers.gas import freestream
 
 SPHERE = Sphere(center=[0.5, 0.5, 0.5], radius=0.15)
@@ -117,23 +110,11 @@ class TestConvergence:
 
 
 class TestParallel:
-    def test_parallel_matches_serial(self):
-        solver = Cart3DSolver(SPHERE, dim=2, base_level=4, max_level=5,
-                              mg_levels=1, mach=0.4)
-        level = solver.levels[0]
-        q_serial = np.tile(solver.qinf, (level.nflow, 1))
-        for _ in range(3):
-            q_serial = rk_smooth(level, q_serial, solver.qinf, cfl=2.0)
-
-        pc = ParallelCart3D(level, solver.qinf, nparts=4)
-        qg, hist = pc.run(SimMPI(4), ncycles=3, cfl=2.0)
-        assert np.allclose(qg, q_serial, rtol=1e-12, atol=1e-14)
-
     def test_partition_balances_weighted_cells(self):
         solver = Cart3DSolver(SPHERE, dim=2, base_level=4, max_level=5,
                               mg_levels=1, mach=0.4)
         level = solver.levels[0]
-        domains, part = partition_level(level, 4)
+        part = SFCPartitioner.from_level(level).partition(4)
         from repro.partition import cell_weights
 
         w = cell_weights(level.cut.is_cut_flow())
@@ -143,5 +124,5 @@ class TestParallel:
     def test_partition_contiguous_on_curve(self):
         solver = Cart3DSolver(SPHERE, dim=2, base_level=4, max_level=5,
                               mg_levels=1, mach=0.4)
-        _, part = partition_level(solver.levels[0], 4)
+        part = SFCPartitioner.from_level(solver.levels[0]).partition(4)
         assert (np.diff(part) >= 0).all()

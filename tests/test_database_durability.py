@@ -107,17 +107,6 @@ class TestErrorTaxonomy:
         corrupt = errors.CheckpointCorrupt(Path("j.jsonl"), 7, "bad json")
         assert corrupt.lineno == 7
 
-    def test_deprecated_runtime_aliases_warn_but_resolve(self):
-        import repro.database.runtime as runtime_mod
-
-        with pytest.warns(DeprecationWarning, match="repro.errors"):
-            alias = runtime_mod.CaseExecutionError
-        assert alias is errors.CaseExecutionError
-        with pytest.warns(DeprecationWarning):
-            assert runtime_mod.CaseTimeout is errors.CaseTimeout
-        with pytest.raises(AttributeError):
-            runtime_mod.NoSuchName
-
     def test_comm_raises_are_taxonomy_members(self):
         from repro.comm.simmpi import SimMPI
 
@@ -504,7 +493,7 @@ class TestDegradationLadder:
 
 class TestDurableContract:
     def test_storeless_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="durable=False"):
+        with pytest.warns(RuntimeWarning, match="durable=False"):
             rt = FillRuntime(TrackingRunner())
         rt.close()
 
@@ -615,6 +604,26 @@ class TestResumeCLI:
         assert desc["type"] == "cart3d"
         assert desc["geometry"] == "wing_body"
         assert desc["dim"] == 2
+
+    def test_distributed_runner_round_trips_through_manifest(self):
+        """A resumed case must run (and key) exactly as the interrupted
+        one did: the rebuilt runner's settings equal the journaled ones,
+        decomposition included."""
+        from repro.database.__main__ import _rebuild_runner
+        from repro.database.runtime import Cart3DCaseRunner
+        from repro.mesh.cartesian import wing_body
+        from repro.runtime import RuntimeConfig
+
+        runner = Cart3DCaseRunner(
+            wing_body(), dim=2, cycles=5, geometry_name="wing_body",
+            config=RuntimeConfig(backend="process", nranks=2, overlap=True),
+        )
+        # through JSON, as the journal stores it
+        manifest = json.loads(json.dumps({"runner": runner.describe()}))
+        rebuilt = _rebuild_runner(manifest)
+        assert rebuilt.settings() == runner.settings()
+        assert rebuilt.settings()["nranks"] == 2
+        assert rebuilt.config == runner.config
 
 
 class TestTelemetryCrashSpans:

@@ -2,9 +2,9 @@
 
 The contract under test: engines are numerically interchangeable
 (parity within 1e-10 across both solvers, serial and distributed), the
-``KernelConfig`` surface validates like ``RuntimeConfig``, the numba
-engine degrades gracefully when numba is absent, and engine selection
-never leaks into database cache keys.
+``KernelConfig`` surface validates like ``RuntimeConfig``, a decomposed
+solve runs its serial solver's engine on every backend, and engine
+selection never leaks into database cache keys.
 """
 
 import warnings
@@ -24,12 +24,11 @@ from repro.kernels import (
     NumpyEngine,
     get_engine,
     make_engine,
-    resolve_kernel_config,
     use_engine,
 )
 from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
-from repro.runtime import RuntimeConfig, merge_kernel_config
+from repro.runtime import RuntimeConfig
 from repro.solvers.gas import freestream, variable_layout
 
 PARITY = dict(rtol=1e-10, atol=1e-13)
@@ -60,18 +59,11 @@ class TestKernelConfig:
         assert cfg.resolved_block_size == DEFAULT_BLOCK_SIZE
 
     def test_engines_tuple(self):
-        assert ENGINES == ("numpy", "batched", "numba")
+        assert ENGINES == ("numpy", "batched")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown kernel engine"):
             KernelConfig(engine="fortran")
-
-    @pytest.mark.parametrize("engine", ["numpy", "batched"])
-    def test_numba_knobs_rejected_elsewhere(self, engine):
-        with pytest.raises(ConfigurationError, match="numba"):
-            KernelConfig(engine=engine, parallel=True)
-        with pytest.raises(ConfigurationError, match="numba"):
-            KernelConfig(engine=engine, fastmath=True)
 
     def test_block_size_rejected_for_numpy(self):
         with pytest.raises(ConfigurationError, match="block_size"):
@@ -92,45 +84,6 @@ class TestKernelConfig:
         assert hash(cfg) == hash(KernelConfig(engine="batched", block_size=32))
 
 
-class TestResolveKernelConfig:
-    def test_engine_shorthand_is_blessed(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cfg = resolve_kernel_config(None, "batched", where="t")
-        assert cfg == KernelConfig(engine="batched")
-
-    def test_legacy_keywords_warn(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            cfg = resolve_kernel_config(
-                None, "batched", where="t", block_size=16
-            )
-        assert cfg == KernelConfig(engine="batched", block_size=16)
-
-    def test_legacy_plus_config_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            resolve_kernel_config(
-                KernelConfig(), None, where="t", block_size=16
-            )
-
-    def test_engine_conflict_rejected(self):
-        with pytest.raises(ConfigurationError, match="conflicts"):
-            resolve_kernel_config(
-                KernelConfig(engine="batched"), "numpy", where="t"
-            )
-
-    def test_merge_kernel_config(self):
-        base = RuntimeConfig()
-        kc = KernelConfig(engine="batched")
-        merged = merge_kernel_config(base, kc, "t")
-        assert merged.kernels == kc
-        assert merge_kernel_config(base, None, "t") is base
-        # same value twice is fine; different values are two sources of
-        # truth
-        assert merge_kernel_config(merged, kc, "t").kernels == kc
-        with pytest.raises(ConfigurationError, match="conflicts"):
-            merge_kernel_config(merged, KernelConfig(), "t")
-
-
 class TestMakeEngine:
     def test_every_engine_satisfies_the_protocol(self):
         for name in ("numpy", "batched"):
@@ -144,18 +97,6 @@ class TestMakeEngine:
         eng = make_engine(KernelConfig(engine="batched", block_size=8))
         assert isinstance(eng, BatchedEngine)
         assert eng.block_size == 8
-
-    def test_numba_absent_degrades_to_batched(self, monkeypatch):
-        from repro.kernels import numba_engine
-
-        def no_numba():
-            raise ImportError("no module named numba")
-
-        monkeypatch.setattr(numba_engine, "load_numba", no_numba)
-        with pytest.warns(RuntimeWarning, match="degrading to the batched"):
-            eng = make_engine(KernelConfig(engine="numba"))
-        assert isinstance(eng, BatchedEngine)
-        assert isinstance(eng, KernelEngine)
 
     def test_ambient_default_is_reference(self):
         assert get_engine() is make_engine("numpy")
@@ -326,85 +267,88 @@ class TestSerialSolverParity:
 
 
 class TestDistributedParity:
-    """Engine selection rides RuntimeConfig into the sim backend."""
+    """A decomposed solve runs the engine of the serial solver it
+    decomposes — there is no second place to choose it."""
 
     def test_nsu3d_two_ranks(self, nsu3d_mesh):
         results = []
-        for cfg in (None, KernelConfig(engine="batched")):
-            solver = nsu3d_for(None, nsu3d_mesh, turbulence=False)
-            pn = api.make_parallel_nsu3d(
-                solver, 2,
-                config=RuntimeConfig(kernels=cfg) if cfg else None,
-            )
+        for cfg in (KernelConfig(), KernelConfig(engine="batched")):
+            solver = nsu3d_for(cfg, nsu3d_mesh, turbulence=False)
+            pn = api.make_parallel_nsu3d(solver, 2)
             qg, hist = pn.run(SimMPI(2), 2, cfl=8.0, cycle="W")
-            assert pn.kernels.engine.name == (
-                cfg.engine if cfg else "numpy"
-            )
+            assert pn.kernels.engine.name == cfg.engine
             assert np.isfinite(qg).all() and len(hist) == 2
             results.append(qg)
         assert np.allclose(results[1], results[0], **SOLVER_PARITY)
 
     def test_cart3d_two_ranks(self, sphere):
-        serial = cart3d_for(KernelConfig(), sphere)
-        for _ in range(2):
-            serial.run_cycle()
-        for cfg in (None, KernelConfig(engine="batched")):
-            solver = cart3d_for(None, sphere)
-            pc = api.make_parallel_cart3d(
-                solver, 2, kernel_config=cfg,
-            )
+        for cfg in (KernelConfig(), KernelConfig(engine="batched")):
+            solver = cart3d_for(cfg, sphere)
+            pc = api.make_parallel_cart3d(solver, 2)
             qg, hist = pc.run(SimMPI(2), 2, cfl=solver.cfl, cycle="W")
-            assert pc.kernels.engine.name == (
-                cfg.engine if cfg else "numpy"
-            )
+            assert pc.kernels.engine.name == cfg.engine
             assert np.isfinite(qg).all() and len(hist) == 2
 
     def test_cart3d_engines_agree_distributed(self, sphere):
         results = []
-        for cfg in (None, KernelConfig(engine="batched")):
-            solver = cart3d_for(None, sphere)
-            pc = api.make_parallel_cart3d(solver, 2, kernel_config=cfg)
+        for cfg in (KernelConfig(), KernelConfig(engine="batched")):
+            solver = cart3d_for(cfg, sphere)
+            pc = api.make_parallel_cart3d(solver, 2)
             qg, _ = pc.run(SimMPI(2), 2, cfl=solver.cfl, cycle="W")
             results.append(qg)
         assert np.allclose(results[1], results[0], **PARITY)
 
     def test_parallel_inherits_serial_engine(self, sphere):
-        solver = cart3d_for(KernelConfig(engine="batched"), sphere)
+        """The inheritance rule on ``sim`` and ``process``: the kernels
+        object carries the serial solver's engine (it is what a
+        ``WorkerSpec`` pickles), and the workers' history is bit-equal
+        to the in-process one on that engine."""
+        import pickle
+
+        solver = cart3d_for(KernelConfig(engine="batched", block_size=8),
+                            sphere)
         pc = api.make_parallel_cart3d(solver, 2)
-        assert pc.kernels.engine.name == "batched"
+        assert pc.kernels.kernel_config == solver.kernel_config
+        shipped = pickle.loads(pickle.dumps(pc.kernels))
+        assert shipped.engine.name == "batched"
+        assert shipped.engine.block_size == 8
+        _, hist_sim = pc.solve(2, cfl=solver.cfl)
+        with api.make_parallel_cart3d(
+            solver, 2, config=RuntimeConfig(backend="process"),
+        ) as workers:
+            _, hist = workers.solve(2, cfl=solver.cfl)
+        assert hist == hist_sim
 
 
 class TestFacadeSurface:
-    def test_engine_shorthand(self, sphere):
-        solver = cart3d_for(None, sphere)
-        assert solver.engine.name == "numpy"
-        fast = api.make_cart3d_solver(
-            sphere, dim=2, base_level=4, max_level=5, mg_levels=2,
-            engine="batched",
-        )
-        assert fast.engine.name == "batched"
-
-    def test_legacy_keywords_warn_and_fold(self, sphere):
-        with pytest.warns(DeprecationWarning, match="block_size"):
-            solver = api.make_cart3d_solver(
-                sphere, dim=2, base_level=4, max_level=5, mg_levels=2,
-                engine="batched", block_size=16,
-            )
-        assert solver.kernel_config == KernelConfig(
-            engine="batched", block_size=16
-        )
-
     def test_nsu3d_factory_takes_kernel_config(self, nsu3d_mesh):
         solver = api.make_nsu3d_solver(
-            mesh=nsu3d_mesh, mg_levels=2, engine="batched",
+            mesh=nsu3d_mesh, mg_levels=2,
+            kernel_config=KernelConfig(engine="batched"),
         )
         assert solver.kernel_config.engine == "batched"
+        assert solver.engine.name == "batched"
 
     def test_blessed_paths_stay_silent(self, sphere):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            api.make_cart3d_solver(
+            warnings.simplefilter("error")
+            solver = api.make_cart3d_solver(
                 sphere, dim=2, base_level=4, max_level=5, mg_levels=2,
+                kernel_config=KernelConfig(engine="batched"),
+            )
+        assert solver.engine.name == "batched"
+
+    def test_bare_kernel_keywords_rejected(self, sphere):
+        """``kernel_config=`` is the only spelling on the factories."""
+        for bare in ({"engine": "batched"}, {"block_size": 16}):
+            with pytest.raises(TypeError):
+                api.make_cart3d_solver(
+                    sphere, dim=2, base_level=4, max_level=5, mg_levels=2,
+                    **bare,
+                )
+        with pytest.raises(TypeError):
+            api.make_parallel_cart3d(
+                cart3d_for(None, sphere), 2,
                 kernel_config=KernelConfig(engine="batched"),
             )
 
@@ -419,21 +363,12 @@ class TestCacheKeyInvariance:
         geo = wing_body()
         base = api.Cart3DCaseRunner(geo, mg_levels=2, cycles=4)
         fast = api.Cart3DCaseRunner(
-            geo, mg_levels=2, cycles=4, engine="batched"
+            geo, mg_levels=2, cycles=4,
+            kernel_config=KernelConfig(engine="batched"),
         )
         assert fast.settings() == base.settings()
         assert fast.describe() == base.describe()
-        assert fast.config.kernels == KernelConfig(engine="batched")
-
-    def test_runner_rejects_conflicting_engine_sources(self):
-        from repro.mesh.cartesian import wing_body
-
-        with pytest.raises(ConfigurationError, match="conflicts"):
-            api.Cart3DCaseRunner(
-                wing_body(),
-                config=RuntimeConfig(kernels=KernelConfig()),
-                kernel_config=KernelConfig(engine="batched"),
-            )
+        assert fast.kernel_config == KernelConfig(engine="batched")
 
 
 class TestVariableLayout:

@@ -6,23 +6,26 @@ import pytest
 from repro.comm import SimMPI
 from repro.mesh.unstructured import build_dual, bump_channel, extract_lines
 from repro.solvers.gas import freestream
+from repro.runtime import (
+    LevelSpec,
+    MetisLinePartitioner,
+    build_domain_hierarchy,
+    make_exchanger,
+)
 from repro.solvers.nsu3d import (
     NSU3DSolver,
-    ParallelNSU3D,
     agglomerate,
     apply_wall_bc,
     build_hierarchy,
     coarsen_context,
     context_from_dual,
     green_gauss,
-    parallel_residual,
-    partition_domain,
     residual,
     residual_norm,
-    smooth,
     wall_distance,
 )
 from repro.solvers.nsu3d.linesolve import block_thomas
+from repro.solvers.nsu3d.parallel import NSU3DKernels, _local_flow_context
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +226,7 @@ class TestSolver:
 
     def test_six_dof_per_point(self, small_mesh):
         s = NSU3DSolver(mesh=small_mesh, turbulence=True, mg_levels=1)
-        assert s.ndof == 6 * s.npoints
+        assert s.ndof == 6 * s.size
 
     def test_forces_finite(self, small_mesh):
         s = NSU3DSolver(mesh=small_mesh, mach=0.5, reynolds=1e4,
@@ -238,6 +241,12 @@ class TestSolver:
             NSU3DSolver()
 
 
+def line_partition(ctx, nparts):
+    return MetisLinePartitioner(
+        ctx.npoints, ctx.edges, lines=ctx.lines, seed=0
+    ).partition(nparts)
+
+
 class TestParallelNSU3D:
     def test_residual_matches_serial(self, small_ctx):
         qinf = freestream(0.5, nvar=5)
@@ -248,12 +257,21 @@ class TestParallelNSU3D:
             * (1 + 0.01 * rng.standard_normal((small_ctx.npoints, 5))),
         )
         r_serial = residual(small_ctx, q, qinf, turbulence=False)
-        domains, part = partition_domain(small_ctx, 4)
+        spec = LevelSpec(
+            nvert=small_ctx.npoints, edges=small_ctx.edges,
+            payload=lambda h, p: _local_flow_context(small_ctx, h, p),
+        )
+        domains = build_domain_hierarchy(
+            [spec], [], line_partition(small_ctx, 4)
+        ).levels[0].domains
+        kernels = NSU3DKernels(qinf)
 
         def body(comm):
-            dom = domains[comm.rank]
+            pid = comm.rank
+            dom = domains[pid]
+            X = make_exchanger("plan", comm, plans={pid: dom.halo.plan})
             l2g = dom.halo.local_to_global()
-            r = parallel_residual(comm, dom, q[l2g].copy(), qinf)
+            r = kernels.defect(X, {pid: dom}, {pid: q[l2g].copy()})[pid]
             return dom.halo.owned_global, r[: dom.nowned]
 
         out = SimMPI(4).run(body)
@@ -262,18 +280,7 @@ class TestParallelNSU3D:
             r_par[gids] = r_own
         assert np.allclose(r_par, r_serial, atol=1e-13)
 
-    def test_smoothing_matches_serial(self, small_ctx):
-        qinf = freestream(0.5, nvar=5)
-        pn = ParallelNSU3D(small_ctx, qinf, nparts=3)
-        qg, hist = pn.run(SimMPI(3), ncycles=3, cfl=5.0)
-        qs = apply_wall_bc(small_ctx, np.tile(qinf, (small_ctx.npoints, 1)))
-        for _ in range(3):
-            qs = smooth(small_ctx, qs, qinf, cfl=5.0, nsteps=1,
-                        turbulence=False)
-        assert np.allclose(qg, qs, rtol=1e-10, atol=1e-13)
-        assert hist[-1] < hist[0]
-
     def test_lines_never_split(self, small_ctx):
-        _, part = partition_domain(small_ctx, 4)
+        part = line_partition(small_ctx, 4)
         for line in small_ctx.lines:
             assert len(np.unique(part[line])) == 1

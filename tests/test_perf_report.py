@@ -96,35 +96,6 @@ class TestPhaseTable:
         assert "p" in text and "1.000000" in text
 
 
-class TestDeprecatedAccessors:
-    def test_nsu3d_history_alias_warns(self):
-        from repro.solvers.nsu3d import NSU3DHistory
-
-        with pytest.warns(DeprecationWarning, match="ConvergenceHistory"):
-            NSU3DHistory()
-
-    def test_npoints_shim_warns_and_matches_size(self):
-        from repro.mesh.unstructured import bump_channel
-        from repro.api import make_nsu3d_solver
-
-        solver = make_nsu3d_solver(
-            mesh=bump_channel(ni=6, nj=4, nk=5), mg_levels=1,
-            turbulence=False,
-        )
-        with pytest.warns(DeprecationWarning, match="size"):
-            assert solver.npoints == solver.size
-
-    def test_ncells_shim_warns_and_matches_size(self):
-        from repro.api import Sphere, make_cart3d_solver
-
-        solver = make_cart3d_solver(
-            Sphere(center=[0.5, 0.5, 0.5], radius=0.2),
-            dim=2, base_level=3, max_level=4, mg_levels=1,
-        )
-        with pytest.warns(DeprecationWarning, match="size"):
-            assert solver.ncells == solver.size
-
-
 class TestComparison:
     def test_numeric_ratio(self):
         line = format_comparison("speedup", 2044, 2031)

@@ -19,16 +19,10 @@ from repro.comm import SimMPI
 from repro.mesh.cartesian import Sphere
 from repro.runtime import RuntimeConfig
 from repro.mesh.unstructured import bump_channel
-from repro.solvers.cart3d import Cart3DSolver, ParallelCart3D
+from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
 from repro.solvers.cart3d import fas_cycle as cart3d_fas_cycle
-from repro.solvers.cart3d import rk_smooth
-from repro.solvers.gas import NVAR_EULER, freestream, variable_layout
-from repro.solvers.nsu3d import (
-    NSU3DSolver,
-    ParallelNSU3D,
-    apply_wall_bc,
-    smooth,
-)
+from repro.solvers.gas import NVAR_EULER, variable_layout
+from repro.solvers.nsu3d import NSU3DSolver, make_parallel_nsu3d
 from repro.solvers.nsu3d import fas_cycle as nsu3d_fas_cycle
 from repro.solvers.nsu3d.gradients import green_gauss, green_gauss_sums
 
@@ -115,7 +109,7 @@ class TestNSU3DMultigridParity:
     @pytest.mark.parametrize("cycle", ["V", "W"])
     def test_ranks_and_cycles(self, nsu3d_solver, nparts, cycle):
         ref = nsu3d_serial(nsu3d_solver, 2, cycle)
-        pn = ParallelNSU3D.from_solver(nsu3d_solver, nparts)
+        pn = make_parallel_nsu3d(nsu3d_solver, nparts)
         qg, hist = pn.run(SimMPI(nparts), 2, cfl=CFL_NSU3D, cycle=cycle)
         assert np.allclose(qg, ref, rtol=1e-10, atol=1e-13)
         assert len(hist) == 2 and np.isfinite(hist).all()
@@ -128,15 +122,17 @@ class TestNSU3DMultigridParity:
         so passing also proves the sanitizer raises no false positives
         and leaves results bit-compatible."""
         ref = nsu3d_serial(nsu3d_solver, 2, "W")
-        pn = ParallelNSU3D.from_solver(nsu3d_solver, 4, overlap=overlap,
-                                       sanitize=sanitize)
+        pn = make_parallel_nsu3d(
+            nsu3d_solver, 4,
+            config=RuntimeConfig(overlap=overlap, sanitize=sanitize),
+        )
         qg, _ = pn.run(SimMPI(4), 2, cfl=CFL_NSU3D, cycle="W")
         assert np.allclose(qg, ref, rtol=1e-10, atol=1e-13)
 
     def test_hybrid_partitions_per_process(self, nsu3d_solver):
         """4 partitions on 2 ranks (master-thread model, fig. 7b)."""
         ref = nsu3d_serial(nsu3d_solver, 2, "W")
-        pn = ParallelNSU3D.from_solver(nsu3d_solver, 4)
+        pn = make_parallel_nsu3d(nsu3d_solver, 4)
         qg, _ = pn.run(SimMPI(2), 2, cfl=CFL_NSU3D, cycle="W")
         assert np.allclose(qg, ref, rtol=1e-10, atol=1e-13)
 
@@ -146,17 +142,17 @@ class TestNSU3DMultigridParity:
         hists = []
         for nparts, nranks, overlap in [(1, 1, False), (4, 4, False),
                                         (4, 4, True), (4, 2, False)]:
-            pn = ParallelNSU3D.from_solver(nsu3d_solver, nparts,
-                                           overlap=overlap)
+            pn = make_parallel_nsu3d(
+                nsu3d_solver, nparts, config=RuntimeConfig(overlap=overlap),
+            )
             _, hist = pn.run(SimMPI(nranks), 2, cfl=CFL_NSU3D, cycle="W")
             hists.append(np.asarray(hist))
         for h in hists[1:]:
             assert np.allclose(h, hists[0], rtol=1e-10)
 
     def test_single_level_hierarchy_runs_full_cycles(self):
-        """``from_solver`` at ``mg_levels=1`` matches the serial
-        ``fas_cycle`` (``nu1 + nu2`` smoothing steps per cycle), not the
-        historical smoothing-only contract."""
+        """A one-level hierarchy (``mg_levels=1``) matches the serial
+        ``fas_cycle``: ``nu1 + nu2`` smoothing steps per cycle."""
         mesh = bump_channel(ni=8, nj=4, nk=6, wall_spacing=5e-3, ratio=1.3,
                             bump_height=0.03)
         s = NSU3DSolver(mesh=mesh, mach=0.5, mg_levels=1, turbulence=False,
@@ -167,23 +163,10 @@ class TestNSU3DMultigridParity:
                 s.contexts, s.maps, q_serial, s.qinf, cycle="W",
                 cfl=CFL_NSU3D, turbulence=False,
             )
-        pn = ParallelNSU3D.from_solver(s, 2)
-        assert not pn.driver.smoothing_only
+        pn = make_parallel_nsu3d(s, 2)
         qg, _ = pn.run(SimMPI(2), 2, cfl=CFL_NSU3D, cycle="W")
         assert np.allclose(qg, q_serial, rtol=1e-10, atol=1e-13)
 
-    def test_single_level_smoothing_unchanged(self, nsu3d_solver):
-        """Pre-refactor pin: the historical smoothing-only constructor
-        still reproduces the serial smoother exactly."""
-        ctx = nsu3d_solver.contexts[0]
-        qinf = freestream(0.5, nvar=5)
-        pn = ParallelNSU3D(ctx, qinf, nparts=3)
-        qg, hist = pn.run(SimMPI(3), ncycles=3, cfl=5.0)
-        qs = apply_wall_bc(ctx, np.tile(qinf, (ctx.npoints, 1)))
-        for _ in range(3):
-            qs = smooth(ctx, qs, qinf, cfl=5.0, nsteps=1, turbulence=False)
-        assert np.allclose(qg, qs, rtol=1e-10, atol=1e-13)
-        assert hist[-1] < hist[0]
 
 class TestNSU3DTurbulentParity:
     """The layout-generic tentpole gate: the turbulent (6-variable) SA
@@ -193,12 +176,12 @@ class TestNSU3DTurbulentParity:
 
     def test_turbulent_construction_succeeds(self, nsu3d_turb_solver):
         """Regression for the two removed ConfigurationError gates:
-        ``from_solver`` on a turbulent solver now succeeds, inherits
+        decomposing a turbulent solver succeeds, inherits
         ``nvar``/``turbulence``, and emits no warning of any kind."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pn = ParallelNSU3D.from_solver(nsu3d_turb_solver, 2)
-        assert pn.turbulence is True
+            pn = make_parallel_nsu3d(nsu3d_turb_solver, 2)
+        assert pn.kernels.turbulence is True
         assert pn.kernels.layout.nvar == nsu3d_turb_solver.nvar == 6
         assert len(pn.qinf) == 6
 
@@ -206,7 +189,7 @@ class TestNSU3DTurbulentParity:
     @pytest.mark.parametrize("cycle", ["V", "W"])
     def test_ranks_and_cycles(self, nsu3d_turb_solver, nparts, cycle):
         ref = nsu3d_serial_turb(nsu3d_turb_solver, 2, cycle)
-        pn = ParallelNSU3D.from_solver(nsu3d_turb_solver, nparts)
+        pn = make_parallel_nsu3d(nsu3d_turb_solver, nparts)
         qg, hist = pn.run(SimMPI(nparts), 2, cfl=CFL_NSU3D, cycle=cycle)
         assert_turbulent_parity(qg, ref)
         assert len(hist) == 2 and np.isfinite(hist).all()
@@ -218,14 +201,16 @@ class TestNSU3DTurbulentParity:
         every overlap window; ``sanitize=True`` proves it (NaN canaries
         armed on all windows, zero false positives)."""
         ref = nsu3d_serial_turb(nsu3d_turb_solver, 2, "W")
-        pn = ParallelNSU3D.from_solver(nsu3d_turb_solver, 4,
-                                       overlap=overlap, sanitize=sanitize)
+        pn = make_parallel_nsu3d(
+            nsu3d_turb_solver, 4,
+            config=RuntimeConfig(overlap=overlap, sanitize=sanitize),
+        )
         qg, _ = pn.run(SimMPI(4), 2, cfl=CFL_NSU3D, cycle="W")
         assert_turbulent_parity(qg, ref)
 
     def test_hybrid_partitions_per_process(self, nsu3d_turb_solver):
         ref = nsu3d_serial_turb(nsu3d_turb_solver, 2, "W")
-        pn = ParallelNSU3D.from_solver(nsu3d_turb_solver, 4)
+        pn = make_parallel_nsu3d(nsu3d_turb_solver, 4)
         qg, _ = pn.run(SimMPI(2), 2, cfl=CFL_NSU3D, cycle="W")
         assert_turbulent_parity(qg, ref)
 
@@ -239,8 +224,8 @@ class TestNSU3DTurbulentParity:
         fields = rng.normal(size=(dual.npoints, 4))
         ref = green_gauss(dual, fields)
 
-        pn = ParallelNSU3D.from_solver(nsu3d_turb_solver, 2)
-        doms = pn.domains
+        pn = make_parallel_nsu3d(nsu3d_turb_solver, 2)
+        doms = pn.hierarchy.levels[0].domains
         sums = {}
         for p, dom in enumerate(doms):
             l2g = dom.halo.local_to_global()
@@ -269,7 +254,7 @@ class TestCart3DMultigridParity:
     @pytest.mark.parametrize("cycle", ["V", "W"])
     def test_ranks_and_cycles(self, cart3d_solver, nparts, cycle):
         ref = cart3d_serial(cart3d_solver, 3, cycle)
-        pc = ParallelCart3D.from_solver(cart3d_solver, nparts)
+        pc = make_parallel_cart3d(cart3d_solver, nparts)
         qg, hist = pc.run(SimMPI(nparts), 3, cfl=CFL_CART3D, cycle=cycle)
         assert np.allclose(qg, ref, rtol=1e-10, atol=1e-13)
         assert len(hist) == 3 and np.isfinite(hist).all()
@@ -280,14 +265,16 @@ class TestCart3DMultigridParity:
         """Parity in all overlap modes, with and without the
         GhostSanitizer armed (zero-false-positive gate)."""
         ref = cart3d_serial(cart3d_solver, 3, "W")
-        pc = ParallelCart3D.from_solver(cart3d_solver, 4, overlap=overlap,
-                                        sanitize=sanitize)
+        pc = make_parallel_cart3d(
+            cart3d_solver, 4,
+            config=RuntimeConfig(overlap=overlap, sanitize=sanitize),
+        )
         qg, _ = pc.run(SimMPI(4), 3, cfl=CFL_CART3D, cycle="W")
         assert np.allclose(qg, ref, rtol=1e-10, atol=1e-13)
 
     def test_hybrid_partitions_per_process(self, cart3d_solver):
         ref = cart3d_serial(cart3d_solver, 3, "W")
-        pc = ParallelCart3D.from_solver(cart3d_solver, 4)
+        pc = make_parallel_cart3d(cart3d_solver, 4)
         qg, _ = pc.run(SimMPI(2), 3, cfl=CFL_CART3D, cycle="W")
         assert np.allclose(qg, ref, rtol=1e-10, atol=1e-13)
 
@@ -318,16 +305,14 @@ class TestCart3DMultigridParity:
                 cart3d_solver.levels, cart3d_solver.transfers, q_serial,
                 cart3d_solver.qinf, cycle="W", cfl=2.0, coarse_cfl=1.0,
             )
-        pc = ParallelCart3D.from_solver(cart3d_solver, 2)
+        pc = make_parallel_cart3d(cart3d_solver, 2)
         qg, _ = pc.run(SimMPI(2), 2, cfl=2.0, cycle="W", coarse_cfl=1.0)
         assert np.allclose(qg, q_serial, rtol=1e-10, atol=1e-13)
 
     def test_single_level_hierarchy_runs_full_cycles(self):
-        """A one-level hierarchy built via ``from_solver`` runs the full
-        cycle (``nu1 + nu2`` smoothing steps), exactly like the serial
-        solver's ``run_cycle`` at ``mg_levels=1`` — only the historical
-        fine-level-only constructor keeps the one-step-per-cycle
-        smoothing contract (regression for the database fill path)."""
+        """A one-level hierarchy runs the full cycle (``nu1 + nu2``
+        smoothing steps), exactly like the serial solver's ``run_cycle``
+        at ``mg_levels=1`` (regression for the database fill path)."""
         sphere = Sphere(center=[0.5, 0.5, 0.5], radius=0.15)
         s = Cart3DSolver(sphere, dim=2, base_level=4, max_level=5,
                          mg_levels=1, mach=0.4)
@@ -337,22 +322,9 @@ class TestCart3DMultigridParity:
                 s.levels, s.transfers, q_serial, s.qinf, cycle="W",
                 cfl=CFL_CART3D,
             )
-        pc = ParallelCart3D.from_solver(s, 2)
-        assert not pc.driver.smoothing_only
+        pc = make_parallel_cart3d(s, 2)
         qg, _ = pc.run(SimMPI(2), 3, cfl=CFL_CART3D, cycle="W")
         assert np.allclose(qg, q_serial, rtol=1e-10, atol=1e-13)
-
-    def test_single_level_smoothing_unchanged(self, cart3d_solver):
-        """Pre-refactor pin: the historical smoothing-only constructor
-        still reproduces the serial RK smoother."""
-        level = cart3d_solver.levels[0]
-        q_serial = np.tile(cart3d_solver.qinf, (level.nflow, 1))
-        for _ in range(3):
-            q_serial = rk_smooth(level, q_serial, cart3d_solver.qinf,
-                                 cfl=2.0)
-        pc = ParallelCart3D(level, cart3d_solver.qinf, nparts=4)
-        qg, _ = pc.run(SimMPI(4), ncycles=3, cfl=2.0)
-        assert np.allclose(qg, q_serial, rtol=1e-12, atol=1e-14)
 
 
 class TestProcessBackendParity:
@@ -364,7 +336,7 @@ class TestProcessBackendParity:
 
     @pytest.mark.parametrize("nparts", [1, 2, 4])
     def test_nsu3d_ranks_and_cycles(self, nsu3d_solver, nparts):
-        pn = ParallelNSU3D.from_solver(
+        pn = make_parallel_nsu3d(
             nsu3d_solver, nparts, config=RuntimeConfig(backend="process"),
         )
         try:
@@ -378,7 +350,7 @@ class TestProcessBackendParity:
 
     @pytest.mark.parametrize("nparts", [1, 2, 4])
     def test_cart3d_ranks_and_cycles(self, cart3d_solver, nparts):
-        pc = ParallelCart3D.from_solver(
+        pc = make_parallel_cart3d(
             cart3d_solver, nparts, config=RuntimeConfig(backend="process"),
         )
         try:
@@ -396,7 +368,7 @@ class TestProcessBackendParity:
         """The turbulent row of the backend matrix: six-variable state
         slabs carved from shared memory, SA gradients completed across
         real process boundaries."""
-        pn = ParallelNSU3D.from_solver(
+        pn = make_parallel_nsu3d(
             nsu3d_turb_solver, nparts,
             config=RuntimeConfig(backend="process"),
         )
@@ -411,7 +383,7 @@ class TestProcessBackendParity:
 
     def test_nsu3d_turbulent_overlap_and_sanitize(self, nsu3d_turb_solver):
         ref = nsu3d_serial_turb(nsu3d_turb_solver, 2, "W")
-        with ParallelNSU3D.from_solver(
+        with make_parallel_nsu3d(
             nsu3d_turb_solver, 2,
             config=RuntimeConfig(backend="process", overlap=True,
                                  sanitize=True),
@@ -423,7 +395,7 @@ class TestProcessBackendParity:
         """Overlapped exchange in real concurrency, with the sanitizer's
         NaN canaries armed inside every worker."""
         ref = nsu3d_serial(nsu3d_solver, 2, "W")
-        with ParallelNSU3D.from_solver(
+        with make_parallel_nsu3d(
             nsu3d_solver, 2,
             config=RuntimeConfig(backend="process", overlap=True,
                                  sanitize=True),
@@ -433,7 +405,7 @@ class TestProcessBackendParity:
 
     def test_cart3d_overlap_and_sanitize(self, cart3d_solver):
         ref = cart3d_serial(cart3d_solver, 2, "W")
-        with ParallelCart3D.from_solver(
+        with make_parallel_cart3d(
             cart3d_solver, 2,
             config=RuntimeConfig(backend="process", overlap=True,
                                  sanitize=True),
@@ -445,9 +417,9 @@ class TestProcessBackendParity:
         """Same algorithm, same numbers: the process backend's residual
         history equals the SimMPI backend's bit-for-bit (the rank-order
         allreduce contract)."""
-        pc_sim = ParallelCart3D.from_solver(cart3d_solver, 2)
+        pc_sim = make_parallel_cart3d(cart3d_solver, 2)
         _, hist_sim = pc_sim.run(SimMPI(2), 2, cfl=CFL_CART3D, cycle="W")
-        with ParallelCart3D.from_solver(
+        with make_parallel_cart3d(
             cart3d_solver, 2, config=RuntimeConfig(backend="process"),
         ) as pc:
             _, hist = pc.solve(2, cfl=CFL_CART3D, cycle="W")
@@ -532,13 +504,13 @@ class TestVirtualLedgerPins:
     def test_ledger_and_history_bit_equal(self, request, name, nranks):
         if name == "nsu3d":  # turbulent, blocking exchange
             solver = request.getfixturevalue("nsu3d_turb_solver")
-            par = ParallelNSU3D.from_solver(
+            par = make_parallel_nsu3d(
                 solver, 4, config=RuntimeConfig(charge_compute=True),
             )
             cfl = CFL_NSU3D
         else:  # overlapped exchange
             solver = request.getfixturevalue("cart3d_solver")
-            par = ParallelCart3D.from_solver(
+            par = make_parallel_cart3d(
                 solver, 4,
                 config=RuntimeConfig(overlap=True, charge_compute=True),
             )

@@ -1,15 +1,14 @@
-"""Lifecycle, config and shim tests for the process backend (PR 7).
+"""Lifecycle and config tests for the process backend (PR 7).
 
 Parity of the numbers lives in ``test_runtime_parity.py``; this file
-covers everything around the numbers: the RuntimeConfig contract, the
-deprecated keyword shims, spawn/teardown robustness (worker death →
-``WorkerCrash``, double shutdown, pool respawn), picklability of the
-build recipe, the ``PendingGroup`` partial-progress fix, and the
+covers everything around the numbers: the RuntimeConfig contract (the
+one spelling of every execution choice), spawn/teardown robustness
+(worker death → ``WorkerCrash``, double shutdown, pool respawn),
+picklability of the build recipe, the ``PendingGroup`` partial-progress fix, and the
 telemetry spans workers ship home.
 """
 
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -23,13 +22,13 @@ from repro.errors import (
 from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
 from repro.runtime import (
+    DistributedSolveDriver,
     PendingGroup,
     RuntimeConfig,
     make_exchanger,
-    resolve_config,
 )
-from repro.solvers.cart3d import Cart3DSolver, ParallelCart3D
-from repro.solvers.nsu3d import NSU3DSolver, ParallelNSU3D
+from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
+from repro.solvers.nsu3d import NSU3DSolver, make_parallel_nsu3d
 from repro.telemetry import capture
 
 
@@ -81,67 +80,44 @@ class TestRuntimeConfig:
         with pytest.raises(ConfigurationError, match="one rank per"):
             RuntimeConfig(backend="sim", nranks=2).resolve(4)
 
-    def test_config_and_legacy_keywords_conflict(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            resolve_config(RuntimeConfig(), where="here", overlap=True)
-
-    def test_backend_conflicting_with_config_rejected(self):
-        with pytest.raises(ConfigurationError, match="conflicts"):
-            resolve_config(RuntimeConfig(backend="sim"), "process",
-                           where="here")
-
     def test_make_exchanger_rejects_unknown_backend(self):
         with pytest.raises(ConfigurationError, match="unknown exchanger"):
             make_exchanger("openmp", None)
 
-
-class TestDeprecatedKeywordShims:
-    def test_from_solver_keywords_warn_but_work(self, nsu3d_solver):
-        with pytest.warns(DeprecationWarning, match="overlap"):
-            pn = ParallelNSU3D.from_solver(nsu3d_solver, 2, overlap=True)
-        assert pn.config.overlap and pn.config.backend == "sim"
-
-    def test_facade_constructor_keywords_warn(self, cart3d_solver):
-        with pytest.warns(DeprecationWarning, match="sanitize"):
-            pc = ParallelCart3D.from_solver(cart3d_solver, 2,
-                                            sanitize=True)
-        assert pc.config.sanitize
-
-    def test_api_factory_keywords_warn(self, cart3d_solver):
-        from repro import api
-
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            api.make_parallel_cart3d(cart3d_solver, 2, overlap=True)
-
-    def test_config_path_is_silent(self, cart3d_solver):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            pc = ParallelCart3D.from_solver(
-                cart3d_solver, 2, config=RuntimeConfig(overlap=True),
-            )
-        assert pc.config.overlap
-
-    def test_case_runner_nranks_keyword_warns(self):
+    def test_config_and_legacy_keywords_conflict(self, cart3d_solver):
+        """``config=`` is the only spelling: a bare execution keyword is
+        a TypeError everywhere — never folded in, never silently
+        dropped because a config was also given."""
         from repro.database import Cart3DCaseRunner
         from repro.mesh.cartesian import wing_body
 
-        with pytest.warns(DeprecationWarning, match="nranks"):
-            runner = Cart3DCaseRunner(wing_body(), nranks=2, overlap=True)
-        assert runner.nranks == 2 and runner.overlap
-        assert runner.settings()["nranks"] == 2
+        with pytest.raises(TypeError):
+            make_parallel_cart3d(cart3d_solver, 2, overlap=True)
+        pc = make_parallel_cart3d(cart3d_solver, 2)
+        with pytest.raises(TypeError):
+            DistributedSolveDriver(pc.hierarchy, pc.kernels, pc.qinf,
+                                   config=RuntimeConfig(), sanitize=True)
+        with pytest.raises(TypeError):
+            Cart3DCaseRunner(wing_body(), nranks=2)
+
+    def test_backend_conflicting_with_config_rejected(self, cart3d_solver):
+        """There is no ``backend=`` shorthand to conflict with."""
+        with pytest.raises(TypeError):
+            make_parallel_cart3d(cart3d_solver, 2, backend="process",
+                                 config=RuntimeConfig(backend="sim"))
 
     def test_case_runner_config_path(self):
         from repro.database import Cart3DCaseRunner
         from repro.mesh.cartesian import wing_body
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            runner = Cart3DCaseRunner(
-                wing_body(),
-                config=RuntimeConfig(backend="process", nranks=2),
-            )
+        runner = Cart3DCaseRunner(
+            wing_body(),
+            config=RuntimeConfig(backend="process", nranks=2, overlap=True),
+        )
         assert runner.backend == "process"
+        assert runner.nranks == 2 and runner.overlap
         assert runner.settings()["backend"] == "process"
+        assert runner.settings()["nranks"] == 2
         with pytest.raises(ConfigurationError, match="explicit nranks"):
             Cart3DCaseRunner(wing_body(),
                              config=RuntimeConfig(backend="process"))
@@ -149,9 +125,9 @@ class TestDeprecatedKeywordShims:
 
 class TestSpawnLifecycle:
     def test_worker_death_raises_worker_crash(self, nsu3d_solver):
-        pn = ParallelNSU3D.from_solver(nsu3d_solver, 2, config=PROCESS)
+        pn = make_parallel_nsu3d(nsu3d_solver, 2, config=PROCESS)
         try:
-            pool = pn.driver._ensure_pool()
+            pool = pn._ensure_pool()
             pool._procs[0].terminate()
             pool._procs[0].join(timeout=10.0)
             with pytest.raises(WorkerCrash):
@@ -161,9 +137,9 @@ class TestSpawnLifecycle:
             pn.close()
 
     def test_pool_respawns_after_crash(self, nsu3d_solver):
-        pn = ParallelNSU3D.from_solver(nsu3d_solver, 2, config=PROCESS)
+        pn = make_parallel_nsu3d(nsu3d_solver, 2, config=PROCESS)
         try:
-            pool = pn.driver._ensure_pool()
+            pool = pn._ensure_pool()
             pool._procs[1].terminate()
             pool._procs[1].join(timeout=10.0)
             with pytest.raises(WorkerCrash):
@@ -175,9 +151,9 @@ class TestSpawnLifecycle:
             pn.close()
 
     def test_double_shutdown_is_clean(self, nsu3d_solver):
-        pn = ParallelNSU3D.from_solver(nsu3d_solver, 2, config=PROCESS)
+        pn = make_parallel_nsu3d(nsu3d_solver, 2, config=PROCESS)
         pn.solve(1, cfl=8.0)
-        pool = pn.driver._pool
+        pool = pn._pool
         pn.close()
         pn.close()
         pool.close()  # and directly on the already-closed pool
@@ -185,12 +161,12 @@ class TestSpawnLifecycle:
         assert all(not p.is_alive() for p in pool._procs)
 
     def test_closed_pool_refuses_to_run(self, nsu3d_solver):
-        pn = ParallelNSU3D.from_solver(nsu3d_solver, 2, config=PROCESS)
-        pool = pn.driver._ensure_pool()
+        pn = make_parallel_nsu3d(nsu3d_solver, 2, config=PROCESS)
+        pool = pn._ensure_pool()
         pn.close()
         with pytest.raises(RuntimeClosed):
             pool.run(ncycles=1, cfl=8.0)
-        # the facade itself recovers: a new pool is spawned on demand
+        # the driver itself recovers: a new pool is spawned on demand
         qg, _ = pn.solve(1, cfl=8.0)
         assert np.isfinite(qg).all()
         pn.close()
@@ -198,7 +174,7 @@ class TestSpawnLifecycle:
     def test_run_rejected_for_process_backend(self, nsu3d_solver):
         from repro.comm import SimMPI
 
-        pn = ParallelNSU3D.from_solver(nsu3d_solver, 2, config=PROCESS)
+        pn = make_parallel_nsu3d(nsu3d_solver, 2, config=PROCESS)
         with pytest.raises(ConfigurationError, match="solve"):
             pn.run(SimMPI(2), 1, cfl=8.0)
         pn.close()
@@ -219,9 +195,8 @@ class TestSpecPickling:
     def test_worker_spec_round_trip(self, cart3d_solver):
         from repro.runtime.process import SharedLayout
 
-        pc = ParallelCart3D.from_solver(cart3d_solver, 2)
-        pool_cls_args = pc.driver.hierarchy
-        layout = SharedLayout.build(pool_cls_args, nvar=len(pc.qinf))
+        pc = make_parallel_cart3d(cart3d_solver, 2)
+        layout = SharedLayout.build(pc.hierarchy, nvar=len(pc.qinf))
         assert pickle.loads(pickle.dumps(layout)).total == layout.total
         dom = pc.hierarchy.levels[0].domains[0]
         from repro.runtime import DistributedDomain
@@ -271,8 +246,7 @@ class TestPendingGroupPartialProgress:
 
 class TestWorkerTelemetry:
     def test_spans_come_home_with_rank_identity(self, cart3d_solver):
-        with ParallelCart3D.from_solver(cart3d_solver, 2,
-                                        config=PROCESS) as pc:
+        with make_parallel_cart3d(cart3d_solver, 2, config=PROCESS) as pc:
             with capture() as tracer:
                 pc.solve(1, cfl=2.0)
         ranks = {s.rank for s in tracer.spans}
