@@ -95,6 +95,17 @@ These rules encode exactly those house invariants:
   constant, never a bare literal that silently re-pins the five-variable
   assumption.  ``gas.py`` is exempt — it *defines* the layout and the
   named constants.
+* **R015 raw-scatter-outside-engine** — a bare ``np.add.at`` (any
+  ``np.<ufunc>.at``) under ``solvers`` or in ``comm/exchange.py``.
+  Scatter accumulation on the solve path has one spelling,
+  ``engine.scatter_add(out, idx, contrib)``: it is the call the engines
+  implement, the perf harness's probe attributes, and prebuilt
+  :class:`~repro.kernels.ScatterOperator` index sets ride.  A raw
+  ``ufunc.at`` bypasses all three (and is ~13x slower on state-vector
+  and Jacobian-block contributions).  Where the targets provably never
+  repeat, write ``arr[idx] += x``.  The reference engine module
+  (``kernels/numpy_engine.py``) is outside the rule's scope: its
+  ``np.add.at`` *is* the ad-hoc-index fallback.
 
 A finding on a line containing ``noqa`` is suppressed (same idiom as
 ruff); :data:`RULES` documents each rule and the path segments it
@@ -281,6 +292,17 @@ RULES = {
         ),
         segments=("solvers", "runtime"),
     ),
+    "R015": Rule(
+        id="R015",
+        name="raw-scatter-outside-engine",
+        description=(
+            "bare np.<ufunc>.at in a solver module or comm/exchange.py; "
+            "accumulate through engine.scatter_add (index array or "
+            "prebuilt ScatterOperator), or arr[idx] += x where the "
+            "targets never repeat"
+        ),
+        segments=("solvers",),
+    ),
 }
 
 #: Attribute calls R012 treats as synchronous whole-case execution.
@@ -332,6 +354,10 @@ def active_rules(path: Path, select=None) -> list[Rule]:
         if (r.segments is None or parts.intersection(r.segments))
         and not (r.exclude and parts.intersection(r.exclude))
     ]
+    if path.name == "exchange.py" and "comm" in parts:
+        # the halo unpack is the one scatter on the solve path that
+        # lives outside the solver packages
+        rules.append(RULES["R015"])
     if path.name == "__main__.py":
         # CLI entry points print by design; R006 polices hot paths only
         rules = [r for r in rules if r.id != "R006"]
@@ -519,6 +545,18 @@ class _LintVisitor(ast.NodeVisitor):
                     "print(...) in a hot-path package; emit telemetry "
                     "spans/instants (repro.telemetry) so progress lands "
                     "on the unified timeline",
+                )
+        if "R015" in self.rules and qual is not None:
+            parts = qual.split(".")
+            if len(parts) == 3 and parts[0] in ("numpy", "np") \
+                    and parts[2] == "at":
+                self._report(
+                    "R015",
+                    node,
+                    f"raw np.{parts[1]}.at(...) on the solve path; use "
+                    "engine.scatter_add (which takes an index array or a "
+                    "prebuilt ScatterOperator), or arr[idx] += x where "
+                    "the targets never repeat",
                 )
         if "R004" in self.rules and qual is not None:
             root, _, attr = qual.rpartition(".")

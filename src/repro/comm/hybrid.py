@@ -292,10 +292,10 @@ class HybridProcess:
                             trace(f"part{nbr}", dst_plan.owned_slots[pid],
                                   write=True, phase=f"copy@{token}",
                                   thread=item)
-                        np.add.at(
-                            arrays[nbr],
-                            dst_plan.owned_slots[pid],
-                            arrays[pid][plan.ghost_slots[nbr]],
+                        # owned_slots[pid] never repeats a slot (see
+                        # ExchangePlan._exchange_add)
+                        arrays[nbr][dst_plan.owned_slots[pid]] += (
+                            arrays[pid][plan.ghost_slots[nbr]]
                         )
                         arrays[pid][plan.ghost_slots[nbr]] = 0.0
                         item += 1
@@ -317,7 +317,7 @@ class HybridProcess:
                     if trace is not None:
                         trace(f"part{dst}", slots, write=True,
                               phase=f"unpack@{token}:{q}", thread=item)
-                    np.add.at(arrays[dst], slots, buf[offset : offset + n])
+                    arrays[dst][slots] += buf[offset : offset + n]
                     offset += n
 
     def _remote_procs(self) -> list:

@@ -5,7 +5,9 @@ block assembly and solves, batched line-tridiagonal sweeps, RK stage
 updates — dispatch through a :class:`KernelEngine` selected by a frozen
 :class:`KernelConfig`, the same shape as the runtime's backend
 selection.  ``"numpy"`` is the bit-compatible reference, ``"batched"``
-the loop-free fast path.  See DESIGN.md section 9 for the contract:
+the loop-free fast path; scatter over fixed index sets goes through
+prebuilt :class:`ScatterOperator` objects on either.  See DESIGN.md
+section 9 for the contract:
 parity policy, the ambient-dispatch seam, who owns the engine choice,
 and why result cache keys exclude the engine.
 """
@@ -20,6 +22,7 @@ from .engine import (
 )
 from .batched import BatchedEngine
 from .numpy_engine import NumpyEngine
+from .scatter import ScatterOperator, incidence
 
 __all__ = [
     "BatchedEngine",
@@ -29,7 +32,9 @@ __all__ = [
     "KernelConfig",
     "KernelEngine",
     "NumpyEngine",
+    "ScatterOperator",
     "get_engine",
+    "incidence",
     "make_engine",
     "use_engine",
 ]

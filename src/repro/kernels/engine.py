@@ -30,6 +30,7 @@ import numpy as np
 from .batched import BatchedEngine
 from .config import KernelConfig
 from .numpy_engine import NumpyEngine
+from .scatter import ScatterOperator
 
 
 class BlockFactor(Protocol):
@@ -44,7 +45,10 @@ class KernelEngine(Protocol):
 
     ``scatter_add`` mutates ``out`` in place (the accumulation pattern
     behind residuals, gradients and the implicit diagonal); everything
-    else is pure.  ``thomas`` takes a list of ``(lower, diag, upper,
+    else is pure.  Its ``idx`` is either an index array (``out[idx] +=
+    contrib``, repeats accumulating) or a prebuilt
+    :class:`~repro.kernels.scatter.ScatterOperator` for index sets that
+    never change — every engine applies an operator the same way.  ``thomas`` takes a list of ``(lower, diag, upper,
     rhs)`` block-tridiagonal groups — one per line-length class — and
     returns their solutions in order, which is the seam that lets the
     batched engine fuse groups into padded slabs.
@@ -53,7 +57,10 @@ class KernelEngine(Protocol):
     name: str
 
     def scatter_add(
-        self, out: np.ndarray, idx: np.ndarray, contrib: np.ndarray
+        self,
+        out: np.ndarray,
+        idx: np.ndarray | ScatterOperator,
+        contrib: np.ndarray | float,
     ) -> None: ...
 
     def euler_jacobian(

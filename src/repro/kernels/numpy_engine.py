@@ -1,8 +1,11 @@
 """The reference kernel engine: today's numpy code, extracted verbatim.
 
 Every kernel here is the exact implementation the solver modules ran
-before the engine layer existed — ``np.add.at`` scatter accumulation,
-the row-filled analytic Euler Jacobian, per-group block-Thomas
+before the engine layer existed — ``np.add.at`` scatter accumulation
+(for index arrays; a prebuilt :class:`~repro.kernels.scatter.
+ScatterOperator` performs the same additions in the same order and is
+applied identically by every engine), the row-filled analytic Euler
+Jacobian, per-group block-Thomas
 recursions, repeated ``np.linalg.solve`` on frozen diagonals.  It is the
 bit-compatibility anchor: the parity matrix in
 ``tests/test_kernel_engines.py`` pins every other engine against it, and
@@ -16,6 +19,8 @@ the specification the fast engines must match.
 from __future__ import annotations
 
 import numpy as np
+
+from .scatter import ScatterOperator
 
 
 def euler_jacobian(q: np.ndarray, normal: np.ndarray) -> np.ndarray:
@@ -111,9 +116,15 @@ class NumpyEngine:
     name = "numpy"
 
     def scatter_add(
-        self, out: np.ndarray, idx: np.ndarray, contrib: np.ndarray
+        self,
+        out: np.ndarray,
+        idx: np.ndarray | ScatterOperator,
+        contrib: np.ndarray | float,
     ) -> None:
-        np.add.at(out, idx, contrib)
+        if isinstance(idx, ScatterOperator):
+            idx.add_to(out, contrib)
+        else:
+            np.add.at(out, idx, contrib)
 
     def euler_jacobian(
         self, q: np.ndarray, normal: np.ndarray

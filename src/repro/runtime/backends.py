@@ -289,11 +289,10 @@ class ProcessExchanger:
                     if rows is None or not len(rows):
                         continue
                     _out, inbound = self.channels[q]
-                    np.add.at(
-                        arr, rows,
-                        inbound[: len(rows) * k].reshape(
-                            (len(rows),) + arr.shape[1:]
-                        ),
+                    # rows never repeats a slot (see
+                    # ExchangePlan._exchange_add)
+                    arr[rows] += inbound[: len(rows) * k].reshape(
+                        (len(rows),) + arr.shape[1:]
                     )
                 self._wait()
 

@@ -14,9 +14,11 @@ parent — the transfer operators are total functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from ...kernels import ScatterOperator, get_engine, incidence
 from ...mesh.cartesian import (
     CartesianMesh,
     CutCellMesh,
@@ -27,10 +29,61 @@ from ...mesh.cartesian import (
     sfc_coarsen,
 )
 from ...mesh.cartesian.geometry import ImplicitSolid
+from ..fluxes import FaceNormals, split_normals
+
+
+class FaceOperators:
+    """What a level derives from its face lists alone, computed once on
+    first use: the scatter operators of the face loop and the split
+    boundary normals.  Shared by the serial :class:`Cart3DLevel` and the
+    rank-local slices of the distributed path, which carry the same
+    fields (``vol``, ``face_left``/``face_right``, ``wall_cell``/
+    ``wall_normal``, ``far_cell``/``far_normal``)."""
+
+    @cached_property
+    def face_scatter(self) -> ScatterOperator:
+        """Signed face -> cell incidence: ``+f`` left, ``-f`` right."""
+        return incidence(
+            len(self.vol), (self.face_left, 1.0), (self.face_right, -1.0)
+        )
+
+    @cached_property
+    def face_scatter_unsigned(self) -> ScatterOperator:
+        return self.face_scatter.reweighted(1.0, 1.0)
+
+    @cached_property
+    def side_scatters(self) -> tuple[ScatterOperator, ScatterOperator]:
+        """One-sided (left, right) operators, for per-face terms that
+        differ between the two cells (index structures shared with
+        :attr:`face_scatter`)."""
+        return (
+            self.face_scatter.reweighted(1.0, None),
+            self.face_scatter.reweighted(None, 1.0),
+        )
+
+    @cached_property
+    def face_area(self) -> np.ndarray:
+        return np.linalg.norm(self.face_normal, axis=1)
+
+    @cached_property
+    def wall_scatter(self) -> ScatterOperator:
+        return incidence(len(self.vol), (self.wall_cell, 1.0))
+
+    @cached_property
+    def far_scatter(self) -> ScatterOperator:
+        return incidence(len(self.vol), (self.far_cell, 1.0))
+
+    @cached_property
+    def wall_normals(self) -> FaceNormals:
+        return split_normals(self.wall_normal)
+
+    @cached_property
+    def far_normals(self) -> FaceNormals:
+        return split_normals(self.far_normal)
 
 
 @dataclass(frozen=True)
-class Cart3DLevel:
+class Cart3DLevel(FaceOperators):
     """Flow-cell-indexed geometry of one multigrid level."""
 
     cut: CutCellMesh
@@ -50,16 +103,6 @@ class Cart3DLevel:
     @property
     def nfaces(self) -> int:
         return len(self.face_left)
-
-    def spectral_area(self) -> np.ndarray:
-        """Per-cell accumulated face area (for local time steps)."""
-        area = np.zeros(self.nflow, dtype=np.float64)
-        a = np.linalg.norm(self.face_normal, axis=1)
-        np.add.at(area, self.face_left, a)
-        np.add.at(area, self.face_right, a)
-        np.add.at(area, self.wall_cell, np.linalg.norm(self.wall_normal, axis=1))
-        np.add.at(area, self.far_cell, np.linalg.norm(self.far_normal, axis=1))
-        return area
 
 
 def _axis_normal(axis: np.ndarray, area: np.ndarray, sign=None) -> np.ndarray:
@@ -94,15 +137,20 @@ class TransferOp:
     parent: np.ndarray  # (nflow_fine,) coarse flow index
     nflow_coarse: int
 
+    @cached_property
+    def scatter(self) -> ScatterOperator:
+        """Sum over children, as a prebuilt operator."""
+        return incidence(self.nflow_coarse, (self.parent, 1.0))
+
     def restrict_solution(self, q: np.ndarray, vol_f: np.ndarray,
                           vol_c: np.ndarray) -> np.ndarray:
         out = np.zeros((self.nflow_coarse, q.shape[1]), dtype=np.float64)
-        np.add.at(out, self.parent, q * vol_f[:, None])
+        get_engine().scatter_add(out, self.scatter, q * vol_f[:, None])
         return out / vol_c[:, None]
 
     def restrict_residual(self, r: np.ndarray) -> np.ndarray:
         out = np.zeros((self.nflow_coarse, r.shape[1]), dtype=np.float64)
-        np.add.at(out, self.parent, r)
+        get_engine().scatter_add(out, self.scatter, r)
         return out
 
     def prolong(self, dq_c: np.ndarray) -> np.ndarray:

@@ -36,16 +36,15 @@ from ...runtime import (
     SFCPartitioner,
     build_domain_hierarchy,
 )
-from ..fluxes import rusanov_flux, wall_flux
-from ..gas import GAMMA, check_physical, pressure
-from .levels import Cart3DLevel
-from .residual import FLUX_FUNCTIONS
+from ..gas import check_physical
+from .levels import Cart3DLevel, FaceOperators
+from .residual import FLUX_FUNCTIONS, add_boundary_fluxes, spectral_radius
 from .rk import RK_COEFFS
 from .solver import FLOPS_PER_CELL_RESIDUAL, Cart3DSolver
 
 
 @dataclass
-class CartLevelPart:
+class CartLevelPart(FaceOperators):
     """Rank-local slice of a Cart3D level (geometry in local numbering,
     boundary lists owned-only)."""
 
@@ -83,19 +82,26 @@ def _local_cart_level(level: Cart3DLevel, h, part) -> CartLevelPart:
 
 
 def _split_faces(dom) -> tuple:
-    """(interior, ghost) face split for overlapped exchange: interior
-    faces touch only owned cells (computable while ghost updates are in
-    transit).  Wall/far boundary lists are owned-only and go with the
-    interior part."""
+    """(interior, ghost) split of a rank's slice for overlapped
+    exchange: interior faces touch only owned cells (computable while
+    ghost updates are in transit).  Wall/far boundary lists are
+    owned-only and go with the interior part."""
     cached = dom.cache.get("cart3d_split")
     if cached is None:
         ctx = dom.ctx
         gmask = (ctx.face_left >= dom.nowned) | (ctx.face_right >= dom.nowned)
+        none = np.empty(0, dtype=np.int64)
+        no_normal = np.empty((0, 3), dtype=np.float64)
         cached = (
-            (ctx.face_left[~gmask], ctx.face_right[~gmask],
-             ctx.face_normal[~gmask]),
-            (ctx.face_left[gmask], ctx.face_right[gmask],
-             ctx.face_normal[gmask]),
+            CartLevelPart(
+                ctx.vol, ctx.face_left[~gmask], ctx.face_right[~gmask],
+                ctx.face_normal[~gmask], ctx.wall_cell, ctx.wall_normal,
+                ctx.far_cell, ctx.far_normal,
+            ),
+            CartLevelPart(
+                ctx.vol, ctx.face_left[gmask], ctx.face_right[gmask],
+                ctx.face_normal[gmask], none, no_normal, none, no_normal,
+            ),
         )
         dom.cache["cart3d_split"] = cached
     return cached
@@ -237,31 +243,15 @@ class Cart3DKernels:
 
     # -- internals -----------------------------------------------------------
 
-    def _face_residual(self, dom, q, faces, boundary: bool) -> np.ndarray:
-        """Flux accumulation over a face subset (plus the owned-only
-        wall/far boundary fluxes when ``boundary``)."""
-        flux_fn = FLUX_FUNCTIONS[self.flux]
-        engine = self.engine
-        ctx = dom.ctx
-        fl, fr, fn = faces
+    def _face_residual(self, part: CartLevelPart, q) -> np.ndarray:
+        """Flux accumulation over a slice's faces plus its (owned-only)
+        wall/far boundary fluxes."""
         r = np.zeros_like(q)
-        f = flux_fn(q[fl], q[fr], fn)
-        engine.scatter_add(r, fl, f)
-        engine.scatter_add(r, fr, -f)
-        if boundary:
-            if len(ctx.wall_cell):
-                engine.scatter_add(
-                    r, ctx.wall_cell,
-                    wall_flux(q[ctx.wall_cell], ctx.wall_normal),
-                )
-            if len(ctx.far_cell):
-                qf = np.broadcast_to(
-                    self.qinf, (len(ctx.far_cell), q.shape[1])
-                )
-                engine.scatter_add(
-                    r, ctx.far_cell,
-                    rusanov_flux(q[ctx.far_cell], qf, ctx.far_normal),
-                )
+        flux = FLUX_FUNCTIONS[self.flux](
+            q[part.face_left], q[part.face_right], part.face_normal
+        )
+        self.engine.scatter_add(r, part.face_scatter, flux)
+        add_boundary_fluxes(part, r, q, self.qinf)
         return r
 
     def _completed_residual(self, X, doms, qs, forcing, pending) -> dict:
@@ -272,9 +262,7 @@ class Cart3DKernels:
         rs = {}
         if pending is None:
             for p, dom in doms.items():
-                ctx = dom.ctx
-                faces = (ctx.face_left, ctx.face_right, ctx.face_normal)
-                rs[p] = self._face_residual(dom, qs[p], faces, True)
+                rs[p] = self._face_residual(dom.ctx, qs[p])
             X.charge(self._flops(doms))
         else:
             # paper fig. 7: compute the interior while ghost values are
@@ -282,12 +270,12 @@ class Cart3DKernels:
             # ghost-touching face contributions
             for p, dom in doms.items():
                 interior, _ghost = _split_faces(dom)
-                rs[p] = self._face_residual(dom, qs[p], interior, True)
+                rs[p] = self._face_residual(interior, qs[p])
             X.charge(self._flops(doms))
             pending.finish()
             for p, dom in doms.items():
                 _interior, ghost = _split_faces(dom)
-                rs[p] = rs[p] + self._face_residual(dom, qs[p], ghost, False)
+                rs[p] = rs[p] + self._face_residual(ghost, qs[p])
         X.add(rs, tag=1)
         out = {}
         for p, dom in doms.items():
@@ -300,28 +288,10 @@ class Cart3DKernels:
 
     def _time_step(self, X, doms, qs, cfl) -> dict:
         """Local spectral-radius accumulation completed across ranks."""
-        engine = self.engine
-        accs = {}
-        for p, dom in doms.items():
-            ctx = dom.ctx
-            q = qs[p]
-            pr = pressure(q)
-            c = np.sqrt(GAMMA * pr / q[:, 0])
-            u = q[:, 1:4] / q[:, 0:1]
-            acc = np.zeros((dom.nlocal, 1), dtype=np.float64)
-
-            def term(cells, normals):
-                area = np.linalg.norm(normals, axis=1)
-                un = np.abs(np.einsum("nd,nd->n", u[cells], normals))
-                engine.scatter_add(acc[:, 0], cells, un + c[cells] * area)
-
-            term(ctx.face_left, ctx.face_normal)
-            term(ctx.face_right, ctx.face_normal)
-            if len(ctx.wall_cell):
-                term(ctx.wall_cell, ctx.wall_normal)
-            if len(ctx.far_cell):
-                term(ctx.far_cell, ctx.far_normal)
-            accs[p] = acc
+        accs = {
+            p: spectral_radius(dom.ctx, qs[p])[:, None]
+            for p, dom in doms.items()
+        }
         X.add(accs, tag=21)
         return {
             p: cfl * dom.ctx.vol / np.maximum(accs[p][:, 0], 1e-300)

@@ -15,6 +15,7 @@ import numpy as np
 
 from ...kernels import get_engine
 from ..fluxes import roe_flux, rusanov_flux, van_leer_flux, wall_flux
+from ..gas import GAMMA, pressure
 from .levels import Cart3DLevel
 
 FLUX_FUNCTIONS = {
@@ -36,9 +37,7 @@ def ls_gradient_setup(level: Cart3DLevel) -> tuple[np.ndarray, np.ndarray]:
     a = np.zeros((level.nflow, dim, dim), dtype=np.float64)
     dr = centers[level.face_right] - centers[level.face_left]
     outer = dr[:, :, None] * dr[:, None, :]
-    engine = get_engine()
-    engine.scatter_add(a, level.face_left, outer)
-    engine.scatter_add(a, level.face_right, outer)
+    get_engine().scatter_add(a, level.face_scatter_unsigned, outer)
     # regularize rank-deficient cells
     scale = np.trace(a, axis1=1, axis2=2)
     eye = np.eye(dim)[None, :, :]
@@ -55,9 +54,7 @@ def ls_gradients(
     dr = centers[level.face_right] - centers[level.face_left]
     dq = q[level.face_right] - q[level.face_left]
     contrib = dr[:, :, None] * dq[:, None, :]
-    engine = get_engine()
-    engine.scatter_add(rhs, level.face_left, contrib)
-    engine.scatter_add(rhs, level.face_right, contrib)
+    get_engine().scatter_add(rhs, level.face_scatter_unsigned, contrib)
     return np.einsum("nij,njk->nik", ainv, rhs)
 
 
@@ -98,18 +95,29 @@ def residual(
             ql[bad] = q[level.face_left][bad]
             qr[bad] = q[level.face_right][bad]
 
-    f = flux_fn(ql, qr, level.face_normal)
-    engine.scatter_add(r, level.face_left, f)
-    engine.scatter_add(r, level.face_right, -f)
+    engine.scatter_add(
+        r, level.face_scatter, flux_fn(ql, qr, level.face_normal)
+    )
+    add_boundary_fluxes(level, r, q, qinf)
+    return r
 
+
+def add_boundary_fluxes(level, r: np.ndarray, q: np.ndarray,
+                        qinf: np.ndarray) -> None:
+    """Accumulate the slip-wall and farfield fluxes of a level (or a
+    rank-local slice of one) into ``r``."""
+    engine = get_engine()
     if len(level.wall_cell):
-        fw = wall_flux(q[level.wall_cell], level.wall_normal)
-        engine.scatter_add(r, level.wall_cell, fw)
+        engine.scatter_add(
+            r, level.wall_scatter,
+            wall_flux(q[level.wall_cell], level.wall_normals),
+        )
     if len(level.far_cell):
         qf = np.broadcast_to(qinf, (len(level.far_cell), q.shape[1]))
-        ff = rusanov_flux(q[level.far_cell], qf, level.far_normal)
-        engine.scatter_add(r, level.far_cell, ff)
-    return r
+        engine.scatter_add(
+            r, level.far_scatter,
+            rusanov_flux(q[level.far_cell], qf, level.far_normals),
+        )
 
 
 def _limit(dq: np.ndarray, ref: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -120,27 +128,27 @@ def _limit(dq: np.ndarray, ref: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return np.where(dq * ref > 0, out, 0.0)
 
 
-def spectral_radius(level: Cart3DLevel, q: np.ndarray) -> np.ndarray:
+def spectral_radius(level, q: np.ndarray) -> np.ndarray:
     """Per-cell sum of |u.n| + c |S| over faces — the local-time-step
-    denominator."""
-    from ..gas import GAMMA, pressure
-
+    denominator (a partial sum on a rank-local slice of a level)."""
     p = pressure(q)
     c = np.sqrt(GAMMA * p / q[:, 0])
     u = q[:, 1:4] / q[:, 0:1]
     engine = get_engine()
-    out = np.zeros(level.nflow, dtype=np.float64)
+    out = np.zeros(len(level.vol), dtype=np.float64)
 
-    def face_term(cells, normals, other=None):
-        area = np.linalg.norm(normals, axis=1)
+    def face_term(cells, normals, area, scatter):
         un = np.abs(np.einsum("nd,nd->n", u[cells], normals))
-        lam = un + c[cells] * area
-        engine.scatter_add(out, cells, lam)
+        engine.scatter_add(out, scatter, un + c[cells] * area)
 
-    face_term(level.face_left, level.face_normal)
-    face_term(level.face_right, level.face_normal)
+    face_area = level.face_area
+    left, right = level.side_scatters
+    face_term(level.face_left, level.face_normal, face_area, left)
+    face_term(level.face_right, level.face_normal, face_area, right)
     if len(level.wall_cell):
-        face_term(level.wall_cell, level.wall_normal)
+        face_term(level.wall_cell, level.wall_normal,
+                  level.wall_normals.area, level.wall_scatter)
     if len(level.far_cell):
-        face_term(level.far_cell, level.far_normal)
+        face_term(level.far_cell, level.far_normal,
+                  level.far_normals.area, level.far_scatter)
     return out

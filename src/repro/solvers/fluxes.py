@@ -14,56 +14,152 @@ vectorized over faces with arbitrary (non-unit) area normals:
 
 Extra state columns beyond the five mean-flow variables (the SA working
 variable) are upwinded passively with the interface mass flux.
+
+Inside :func:`euler_flux`, :func:`max_wave_speed`, :func:`rusanov_flux`
+and :func:`wall_flux` the data is component-major: a state is unpacked
+once per side into contiguous ``rho, u, v, w, p`` rows
+(:func:`~repro.solvers.gas.primitive_rows`), the normal into ``nx, ny,
+nz, |S|`` rows (:class:`FaceNormals`), dot products are written out as
+``u*nx + v*ny + w*nz``, and the physical Euler flux of each side is built
+from the rows already in hand (:func:`_euler_rows`) instead of converting
+the state again.  Signatures stay ``(F, nvar)`` in and out, and the
+results are bit-identical to the array-of-vectors formulas
+(``tests/test_gas_fluxes.py``).  ``rusanov_flux`` and ``wall_flux`` also
+accept a prebuilt :class:`FaceNormals`, which is how a level hands over
+boundary geometry it split once instead of once per call.
+
+The two interior upwind fluxes, :func:`roe_flux` and
+:func:`van_leer_flux`, still work on arrays of vectors.  The same
+rewrite is bit-identical and 2.3-4x faster in isolation for both, but
+what it saves is per face — the same milliseconds on a serial solve and
+on its four-partition twin — and the distributed rows' fixed
+per-partition cost then reads as a ``dist_over_serial`` ratio outside
+the benchmark's bound; ROADMAP.md has the measurements.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .gas import GAMMA, GM1, NVAR_EULER, conservative_to_primitive, pressure
+from .gas import (
+    GAMMA,
+    GM1,
+    NVAR_EULER,
+    conservative_to_primitive,
+    pressure,
+    primitive_rows,
+)
+
+
+class FaceNormals(NamedTuple):
+    """Area-weighted face normals split into unit-normal component rows
+    and areas (zero-area faces get a zero unit normal, not NaN)."""
+
+    nx: np.ndarray
+    ny: np.ndarray
+    nz: np.ndarray
+    area: np.ndarray
+
+
+def split_normals(normal: np.ndarray | FaceNormals) -> FaceNormals:
+    """Split ``(..., 3)`` area-weighted normals; a :class:`FaceNormals`
+    passes through untouched."""
+    if isinstance(normal, FaceNormals):
+        return normal
+    normal = np.asarray(normal, dtype=np.float64)
+    area = np.linalg.norm(normal, axis=-1)
+    safe = np.maximum(area, 1e-300)
+    return FaceNormals(
+        normal[..., 0] / safe, normal[..., 1] / safe, normal[..., 2] / safe,
+        area,
+    )
 
 
 def _split_normal(normal: np.ndarray):
+    """``(unit normals (..., 3), areas)`` — the array-of-vectors form
+    :func:`van_leer_flux` still works on."""
     normal = np.asarray(normal, dtype=np.float64)
     area = np.linalg.norm(normal, axis=-1)
     safe = np.maximum(area, 1e-300)
     return normal / safe[..., None], area
 
 
+def _euler_rows(rho, u, v, w, p, energy, nx, ny, nz):
+    """Rows of the physical flux through a unit normal from primitive
+    rows: ``(vn, mass, x-, y-, z-momentum, energy)``."""
+    vn = u * nx + v * ny + w * nz
+    return (
+        vn,
+        rho * vn,
+        rho * u * vn + p * nx,
+        rho * v * vn + p * ny,
+        rho * w * vn + p * nz,
+        (energy + p) * vn,
+    )
+
+
+def _assemble(shape: tuple, nvar: int, rows, scale=None) -> np.ndarray:
+    """``(..., nvar)`` array whose first columns are ``rows`` (times
+    ``scale``); columns past them are left for the caller to fill."""
+    out = np.empty(shape + (nvar,), dtype=np.float64)
+    for j, row in enumerate(rows):
+        out[..., j] = row if scale is None else row * scale
+    return out
+
+
 def euler_flux(cons: np.ndarray, unit_normal: np.ndarray) -> np.ndarray:
     """Physical inviscid flux through a unit normal (per unit area)."""
     cons = np.asarray(cons, dtype=np.float64)
-    prim = conservative_to_primitive(cons)
-    rho, vel, p = prim[..., 0], prim[..., 1:4], prim[..., 4]
-    vn = np.sum(vel * unit_normal, axis=-1)
-    out = np.empty_like(cons)
-    out[..., 0] = rho * vn
-    out[..., 1:4] = (
-        rho[..., None] * vel * vn[..., None] + p[..., None] * unit_normal
+    unit_normal = np.asarray(unit_normal, dtype=np.float64)
+    vn, *rows = _euler_rows(
+        *primitive_rows(cons), cons[..., 4],
+        unit_normal[..., 0], unit_normal[..., 1], unit_normal[..., 2],
     )
-    out[..., 4] = (cons[..., 4] + p) * vn
-    if cons.shape[-1] > NVAR_EULER:
-        out[..., NVAR_EULER:] = cons[..., NVAR_EULER:] * vn[..., None]
+    out = _assemble(vn.shape, cons.shape[-1], rows)
+    out[..., NVAR_EULER:] = cons[..., NVAR_EULER:] * vn[..., None]
     return out
 
 
 def max_wave_speed(cons: np.ndarray, unit_normal: np.ndarray) -> np.ndarray:
-    prim = conservative_to_primitive(np.asarray(cons))
-    vn = np.sum(prim[..., 1:4] * unit_normal, axis=-1)
-    c = np.sqrt(GAMMA * prim[..., 4] / prim[..., 0])
-    return np.abs(vn) + c
+    rho, u, v, w, p = primitive_rows(cons)
+    unit_normal = np.asarray(unit_normal, dtype=np.float64)
+    vn = u * unit_normal[..., 0] + v * unit_normal[..., 1] \
+        + w * unit_normal[..., 2]
+    return np.abs(vn) + np.sqrt(GAMMA * p / rho)
 
 
-def rusanov_flux(ql: np.ndarray, qr: np.ndarray, normal: np.ndarray) -> np.ndarray:
+def rusanov_flux(
+    ql: np.ndarray, qr: np.ndarray, normal: np.ndarray | FaceNormals
+) -> np.ndarray:
     """Local Lax-Friedrichs flux; ``normal`` carries the face area."""
-    n, area = _split_normal(normal)
-    fl = euler_flux(ql, n)
-    fr = euler_flux(qr, n)
-    lam = np.maximum(max_wave_speed(ql, n), max_wave_speed(qr, n))
-    flux = 0.5 * (fl + fr) - 0.5 * lam[..., None] * (
-        np.asarray(qr, dtype=np.float64) - np.asarray(ql, dtype=np.float64)
+    ql = np.asarray(ql, dtype=np.float64)
+    qr = np.asarray(qr, dtype=np.float64)
+    nx, ny, nz, area = split_normals(normal)
+    rho_l, u_l, v_l, w_l, p_l = primitive_rows(ql)
+    rho_r, u_r, v_r, w_r, p_r = primitive_rows(qr)
+    vn_l, *fl = _euler_rows(rho_l, u_l, v_l, w_l, p_l, ql[..., 4], nx, ny, nz)
+    vn_r, *fr = _euler_rows(rho_r, u_r, v_r, w_r, p_r, qr[..., 4], nx, ny, nz)
+    half_lam = 0.5 * np.maximum(
+        np.abs(vn_l) + np.sqrt(GAMMA * p_l / rho_l),
+        np.abs(vn_r) + np.sqrt(GAMMA * p_r / rho_r),
     )
-    return flux * area[..., None]
+    flux = _assemble(
+        half_lam.shape, ql.shape[-1],
+        [
+            0.5 * (a + b) - half_lam * (qr[..., j] - ql[..., j])
+            for j, (a, b) in enumerate(zip(fl, fr))
+        ],
+        scale=area,
+    )
+    extra_l = ql[..., NVAR_EULER:]
+    extra_r = qr[..., NVAR_EULER:]
+    flux[..., NVAR_EULER:] = (
+        0.5 * (extra_l * vn_l[..., None] + extra_r * vn_r[..., None])
+        - half_lam[..., None] * (extra_r - extra_l)
+    ) * area[..., None]
+    return flux
 
 
 def roe_flux(
@@ -95,8 +191,10 @@ def roe_flux(
     u = w[..., None] * u_l + (1 - w)[..., None] * u_r
     h = w * h_l + (1 - w) * h_r
     ke = 0.5 * np.sum(u * u, axis=-1)
-    a2 = GM1 * (h - ke)
-    a = np.sqrt(np.maximum(a2, 1e-12))
+    # an unphysical average (h < ke) gets the floored sound speed in the
+    # wave strengths too, not a division by a negative or zero a^2
+    a2 = np.maximum(GM1 * (h - ke), 1e-12)
+    a = np.sqrt(a2)
     un = np.sum(u * n, axis=-1)
 
     # wave strengths
@@ -203,11 +301,15 @@ def _van_leer_half(q: np.ndarray, n: np.ndarray, sign: float) -> np.ndarray:
     return out
 
 
-def wall_flux(cons: np.ndarray, normal: np.ndarray) -> np.ndarray:
+def wall_flux(
+    cons: np.ndarray, normal: np.ndarray | FaceNormals
+) -> np.ndarray:
     """Slip-wall (inviscid) flux: pressure only, no mass crosses."""
     cons = np.asarray(cons, dtype=np.float64)
-    n, area = _split_normal(normal)
+    nx, ny, nz, area = split_normals(normal)
     p = pressure(cons)
-    out = np.zeros_like(cons)
-    out[..., 1:4] = p[..., None] * n
-    return out * area[..., None]
+    out = np.zeros(p.shape + cons.shape[-1:], dtype=np.float64)
+    out[..., 1] = p * nx * area
+    out[..., 2] = p * ny * area
+    out[..., 3] = p * nz * area
+    return out

@@ -76,25 +76,46 @@ def primitive_to_conservative(prim: np.ndarray) -> np.ndarray:
     return cons
 
 
+def primitive_rows(
+    cons: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(rho, u, v, w, p)`` of ``(..., nvar)`` conservative states, one
+    contiguous array per component.
+
+    The flux kernels work on these rows: every later operation then
+    streams through contiguous memory, and the sums over the three
+    velocity components are written out (``u*u + v*v + w*w``) rather
+    than reduced over a length-3 axis.
+    """
+    cons = np.asarray(cons, dtype=np.float64)
+    rho = np.array(cons[..., 0])
+    inv_rho = 1.0 / rho
+    u = cons[..., 1] * inv_rho
+    v = cons[..., 2] * inv_rho
+    w = cons[..., 3] * inv_rho
+    p = GM1 * (cons[..., 4] - 0.5 * rho * (u * u + v * v + w * w))
+    return rho, u, v, w, p
+
+
 def conservative_to_primitive(cons: np.ndarray) -> np.ndarray:
     """Inverse of :func:`primitive_to_conservative`."""
     cons = np.asarray(cons, dtype=np.float64)
-    rho = cons[..., 0]
-    inv_rho = 1.0 / rho
-    vel = cons[..., 1:4] * inv_rho[..., None]
+    rho, u, v, w, p = primitive_rows(cons)
     prim = np.empty_like(cons)
     prim[..., 0] = rho
-    prim[..., 1:4] = vel
-    prim[..., 4] = GM1 * (cons[..., 4] - 0.5 * rho * np.sum(vel**2, axis=-1))
+    prim[..., 1] = u
+    prim[..., 2] = v
+    prim[..., 3] = w
+    prim[..., 4] = p
     if cons.shape[-1] == NVAR_RANS:
-        prim[..., 5] = cons[..., 5] * inv_rho
+        prim[..., 5] = cons[..., 5] * (1.0 / rho)
     return prim
 
 
 def pressure(cons: np.ndarray) -> np.ndarray:
     cons = np.asarray(cons)
-    rho = cons[..., 0]
-    ke = 0.5 * np.sum(cons[..., 1:4] ** 2, axis=-1) / rho
+    mx, my, mz = cons[..., 1], cons[..., 2], cons[..., 3]
+    ke = 0.5 * (mx * mx + my * my + mz * mz) / cons[..., 0]
     return GM1 * (cons[..., 4] - ke)
 
 

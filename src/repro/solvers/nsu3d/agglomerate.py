@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...kernels import get_engine
 from .context import FlowContext
 
 
@@ -90,7 +91,7 @@ def coarsen_context(ctx: FlowContext, cluster: np.ndarray) -> FlowContext:
     key = lo * ncoarse + hi
     uniq, inv = np.unique(key, return_inverse=True)
     face_vectors = np.zeros((len(uniq), 3), dtype=np.float64)
-    np.add.at(face_vectors, inv, s)
+    get_engine().scatter_add(face_vectors, inv, s)
     edges = np.column_stack([uniq // ncoarse, uniq % ncoarse])
 
     def agg_boundary(verts, normals):
@@ -99,7 +100,7 @@ def coarsen_context(ctx: FlowContext, cluster: np.ndarray) -> FlowContext:
         cv = cluster[verts]
         u, inv2 = np.unique(cv, return_inverse=True)
         agg = np.zeros((len(u), 3), dtype=np.float64)
-        np.add.at(agg, inv2, normals)
+        get_engine().scatter_add(agg, inv2, normals)
         return u, agg
 
     wall_v, wall_n = agg_boundary(ctx.wall_vert, ctx.wall_normal)

@@ -11,16 +11,40 @@ The same context type serves the fine grid (built from a
 levels (built by :mod:`repro.solvers.nsu3d.agglomerate`), which is what
 lets one residual implementation run on every level of the multigrid
 hierarchy.
+
+A context's geometry never changes after construction, so everything
+the edge loop derives from it alone — dual-face areas, edge lengths, the
+MUSCL mid-point offsets, the incident-edge count, the boundary groups
+with their split normals, and the scatter operators of the edge list
+and of those groups — is computed once, on first use, and kept on the context
+(``functools.cached_property``: no registry, released with the context,
+pickled with it if already built).  The rank-local, interior and ghost
+sub-contexts of the distributed path are ``FlowContext`` objects too and
+get the same caching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
+from ...kernels import ScatterOperator, incidence
 from ...mesh.unstructured.dual import DualMesh
+from ..fluxes import FaceNormals, split_normals
 from .gradients import GradientSurface
+
+
+class BoundaryGroup(NamedTuple):
+    """One boundary condition's vertices with their split normals and
+    scatter operator."""
+
+    vert: np.ndarray
+    normal: np.ndarray  # (B, 3) aggregated outward area normals
+    normals: FaceNormals
+    scatter: ScatterOperator
 
 
 @dataclass
@@ -53,9 +77,111 @@ class FlowContext:
     def nedges(self) -> int:
         return len(self.edges)
 
-    def edge_distances(self) -> np.ndarray:
+    # -- per-level invariants, computed on first use -----------------------
+
+    @cached_property
+    def edge_area(self) -> np.ndarray:
+        """Dual-face areas ``|S|``."""
+        return np.linalg.norm(self.face_vectors, axis=1)
+
+    @cached_property
+    def edge_lengths(self) -> np.ndarray:
         d = self.points[self.edges[:, 1]] - self.points[self.edges[:, 0]]
         return np.maximum(np.linalg.norm(d, axis=1), 1e-300)
+
+    @cached_property
+    def muscl_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """End point -> edge mid-point vectors ``(dl, dr)``."""
+        pa = self.points[self.edges[:, 0]]
+        pb = self.points[self.edges[:, 1]]
+        mid = 0.5 * (pa + pb)
+        return mid - pa, mid - pb
+
+    @cached_property
+    def edge_scatter(self) -> ScatterOperator:
+        """Signed edge -> vertex incidence: ``+f`` at ``edges[:, 0]``,
+        ``-f`` at ``edges[:, 1]`` in one product."""
+        return incidence(
+            self.npoints, (self.edges[:, 0], 1.0), (self.edges[:, 1], -1.0)
+        )
+
+    @cached_property
+    def edge_scatter_unsigned(self) -> ScatterOperator:
+        """:attr:`edge_scatter` with ``+1`` at both ends (index
+        structures shared): one per-edge value added at either end."""
+        return self.edge_scatter.reweighted(1.0, 1.0)
+
+    @cached_property
+    def jacobian_scatters(self) -> tuple[ScatterOperator, ScatterOperator]:
+        """One-sided operators of the implicit diagonal's convective
+        part, weights folded in: ``+1/2 A(q_a)`` at ``edges[:, 0]``,
+        ``-1/2 A(q_b)`` at ``edges[:, 1]`` (the two ends carry different
+        blocks, so one signed product does not apply; the index
+        structures are :attr:`edge_scatter`'s)."""
+        return (
+            self.edge_scatter.reweighted(0.5, None),
+            self.edge_scatter.reweighted(None, -0.5),
+        )
+
+    @cached_property
+    def edge_degree(self) -> np.ndarray:
+        """Incident-edge count per vertex."""
+        degree = np.zeros(self.npoints, dtype=np.float64)
+        self.edge_scatter_unsigned.add_to(degree, 1.0)
+        return degree
+
+    def _boundary(self, *groups: tuple[np.ndarray, np.ndarray]) -> BoundaryGroup:
+        """The ``(vertices, normals)`` lists joined in the order given —
+        which is the order their contributions are added at a vertex
+        that sits in more than one of them."""
+        vert = np.concatenate([v for v, _ in groups])
+        normal = np.concatenate([n for _, n in groups])
+        return BoundaryGroup(
+            vert, normal, split_normals(normal),
+            incidence(self.npoints, (vert, 1.0)),
+        )
+
+    @cached_property
+    def far(self) -> BoundaryGroup:
+        return self._boundary((self.far_vert, self.far_normal))
+
+    @cached_property
+    def slip(self) -> BoundaryGroup:
+        """Symmetry planes then walls: both see the pressure-only flux."""
+        return self._boundary(
+            (self.sym_vert, self.sym_normal),
+            (self.wall_vert, self.wall_normal),
+        )
+
+    @cached_property
+    def boundary(self) -> BoundaryGroup:
+        """Every boundary face — far field, symmetry, wall — for terms
+        that treat them alike (boundary spectral radii)."""
+        return self._boundary(
+            (self.far_vert, self.far_normal),
+            (self.sym_vert, self.sym_normal),
+            (self.wall_vert, self.wall_normal),
+        )
+
+    @cached_property
+    def gradient_scatters(self) -> tuple[ScatterOperator, ScatterOperator]:
+        """(dual-face, boundary-face) operators of :attr:`dual` for
+        Green-Gauss; a context's dual integrates over the context's own
+        edge list, so the first is :attr:`edge_scatter`."""
+        return self.edge_scatter, incidence(
+            self.npoints, (self.dual.bvert, 1.0)
+        )
+
+    def restriction(
+        self, cluster: np.ndarray, ncoarse: int
+    ) -> ScatterOperator:
+        """Vertex -> agglomerate scatter along ``cluster``, this level's
+        map to the next coarser one (a level has one, so one slot)."""
+        cached = getattr(self, "_restriction", None)
+        if cached is None or cached[0] is not cluster:
+            cached = (cluster, incidence(ncoarse, (cluster, 1.0)))
+            self._restriction = cached
+        return cached[1]
 
 
 def context_from_dual(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...kernels import get_engine
+from ...kernels import ScatterOperator, get_engine, incidence
 from ...mesh.unstructured.dual import DualMesh
 
 
@@ -46,38 +46,60 @@ class GradientSurface:
     bnormal: np.ndarray  # (B, 3) outward boundary-face normal
 
 
+def surface_scatters(
+    dual: DualMesh | GradientSurface,
+) -> tuple[ScatterOperator, ScatterOperator]:
+    """(signed dual-face, boundary-face) scatter operators of a closed
+    surface.  A level context keeps its own
+    (:attr:`FlowContext.gradient_scatters`); this builds a fresh pair
+    for a surface nobody owns operators for."""
+    n = len(dual.volumes)
+    return (
+        incidence(n, (dual.edges[:, 0], 1.0), (dual.edges[:, 1], -1.0)),
+        incidence(n, (dual.bvert, 1.0)),
+    )
+
+
 def green_gauss_sums(
-    dual: DualMesh | GradientSurface, fields: np.ndarray
+    dual: DualMesh | GradientSurface,
+    fields: np.ndarray,
+    scatters: tuple[ScatterOperator, ScatterOperator] | None = None,
 ) -> np.ndarray:
     """Undivided Green-Gauss surface sums of ``fields`` (N, k) -> (N, 3, k).
 
     The closed-surface integral only — divide by ``dual.volumes`` to get
     gradients.  Interior dual faces use the edge-midpoint average;
     boundary faces use the boundary vertex value itself (first-order
-    closure).
+    closure).  ``scatters`` are the surface's prebuilt
+    :func:`surface_scatters`, when its owner has them.
     """
     fields = np.asarray(fields, dtype=np.float64)
     if fields.ndim == 1:
         fields = fields[:, None]
     n, k = len(dual.volumes), fields.shape[1]
     grad = np.zeros((n, 3, k), dtype=np.float64)
-    a = dual.edges[:, 0]
-    b = dual.edges[:, 1]
-    mid = 0.5 * (fields[a] + fields[b])  # (E, k)
+    faces, boundary = (
+        scatters if scatters is not None else surface_scatters(dual)
+    )
+    mid = 0.5 * (fields[dual.edges[:, 0]] + fields[dual.edges[:, 1]])
     engine = get_engine()
-    contrib = dual.face_vectors[:, :, None] * mid[:, None, :]
-    engine.scatter_add(grad, a, contrib)
-    engine.scatter_add(grad, b, -contrib)
-    bcontrib = dual.bnormal[:, :, None] * fields[dual.bvert][:, None, :]
-    engine.scatter_add(grad, dual.bvert, bcontrib)
+    engine.scatter_add(
+        grad, faces, dual.face_vectors[:, :, None] * mid[:, None, :]
+    )
+    engine.scatter_add(
+        grad, boundary,
+        dual.bnormal[:, :, None] * fields[dual.bvert][:, None, :],
+    )
     return grad
 
 
 def green_gauss(
-    dual: DualMesh | GradientSurface, fields: np.ndarray
+    dual: DualMesh | GradientSurface,
+    fields: np.ndarray,
+    scatters: tuple[ScatterOperator, ScatterOperator] | None = None,
 ) -> np.ndarray:
     """Gradients of ``fields`` (N, k) -> (N, 3, k)."""
-    grad = green_gauss_sums(dual, fields)
+    grad = green_gauss_sums(dual, fields, scatters)
     grad /= dual.volumes[:, None, None]
     return grad
 

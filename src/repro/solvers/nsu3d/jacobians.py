@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...kernels import get_engine
-from ..gas import GAMMA, conservative_to_primitive, variable_layout
+from ..gas import GAMMA, conservative_to_primitive, pressure, variable_layout
 from .context import FlowContext
 from .turbulence import CW1, eddy_viscosity
 
@@ -41,18 +41,29 @@ def euler_jacobian(q: np.ndarray, normal: np.ndarray) -> np.ndarray:
     return get_engine().euler_jacobian(q, normal)
 
 
-def edge_spectral_radius(q: np.ndarray, edges, face_vectors) -> np.ndarray:
-    """(|vn| + c) |S| at each edge from the face-average state."""
-    from ..gas import pressure
-
-    qa = q[edges[:, 0]]
-    qb = q[edges[:, 1]]
-    qm = 0.5 * (qa + qb)
-    area = np.linalg.norm(face_vectors, axis=1)
+def spectral_radius(
+    qm: np.ndarray, vectors: np.ndarray, area: np.ndarray
+) -> np.ndarray:
+    """``|u . S| + c |S|`` of face states ``qm`` through area vectors
+    ``vectors`` with ``area = |vectors|``."""
     u = qm[:, 1:4] / qm[:, 0:1]
-    vn = np.abs(np.einsum("ed,ed->e", u, face_vectors))
+    vn = np.abs(np.einsum("ed,ed->e", u, vectors))
     c = np.sqrt(GAMMA * np.maximum(pressure(qm), 1e-12) / qm[:, 0])
     return vn + c * area
+
+
+def edge_spectral_radius(ctx: FlowContext, q: np.ndarray) -> np.ndarray:
+    """(|vn| + c) |S| at each edge from the face-average state."""
+    qm = 0.5 * (q[ctx.edges[:, 0]] + q[ctx.edges[:, 1]])
+    return spectral_radius(qm, ctx.face_vectors, ctx.edge_area)
+
+
+def boundary_spectral_radius(ctx: FlowContext, q: np.ndarray) -> np.ndarray:
+    """Spectral radius at every boundary face (:attr:`FlowContext.
+    boundary` order) — what keeps the diagonal dominant, and the time
+    step bounded, at boundary vertices."""
+    faces = ctx.boundary
+    return spectral_radius(q[faces.vert], faces.normal, faces.normals.area)
 
 
 def viscous_edge_coefficient(ctx: FlowContext, q: np.ndarray) -> np.ndarray:
@@ -68,9 +79,24 @@ def viscous_edge_coefficient(ctx: FlowContext, q: np.ndarray) -> np.ndarray:
     )
     a = ctx.edges[:, 0]
     b = ctx.edges[:, 1]
-    area = np.linalg.norm(ctx.face_vectors, axis=1)
     mu_f = ctx.mu_lam + 0.5 * (mu_t[a] + mu_t[b])
-    return mu_f * area / ctx.edge_distances()
+    return mu_f * ctx.edge_area / ctx.edge_lengths
+
+
+def spectral_sum(ctx: FlowContext, q: np.ndarray) -> np.ndarray:
+    """Per-vertex sum of convective + viscous spectral radii over the
+    incident edges and boundary faces: the local-time-step denominator
+    (a partial sum on a rank-local context)."""
+    engine = get_engine()
+    acc = np.zeros(ctx.npoints, dtype=np.float64)
+    engine.scatter_add(
+        acc, ctx.edge_scatter_unsigned,
+        edge_spectral_radius(ctx, q) + 2 * viscous_edge_coefficient(ctx, q),
+    )
+    engine.scatter_add(
+        acc, ctx.boundary.scatter, boundary_spectral_radius(ctx, q)
+    )
+    return acc
 
 
 def sa_destruction_diagonal(ctx: FlowContext, q: np.ndarray) -> np.ndarray:
@@ -114,34 +140,26 @@ def assemble_diagonal(
 
     a = ctx.edges[:, 0]
     b = ctx.edges[:, 1]
-    lam = edge_spectral_radius(q, ctx.edges, ctx.face_vectors)
+    lam = edge_spectral_radius(ctx, q)
     kv = viscous_edge_coefficient(ctx, q)
     scal = 0.5 * lam + kv  # identity part, both endpoints
 
     engine = get_engine()
     scal_acc = np.zeros(n, dtype=np.float64)
-    engine.scatter_add(scal_acc, a, scal)
-    engine.scatter_add(scal_acc, b, scal)
+    engine.scatter_add(scal_acc, ctx.edge_scatter_unsigned, scal)
     if include_convective_jacobian:
         ja, jb = engine.edge_jacobians(q[a], q[b], ctx.face_vectors)
-        engine.scatter_add(diag, a, 0.5 * ja)
-        engine.scatter_add(diag, b, -0.5 * jb)
+        half_a, minus_half_b = ctx.jacobian_scatters
+        engine.scatter_add(diag, half_a, ja)
+        engine.scatter_add(diag, minus_half_b, jb)
     diag += scal_acc[:, None, None] * eye[None, :, :]
 
     # boundary spectral radii keep the diagonal dominant at boundaries
-    for verts, normals in (
-        (ctx.far_vert, ctx.far_normal),
-        (ctx.sym_vert, ctx.sym_normal),
-        (ctx.wall_vert, ctx.wall_normal),
-    ):
-        if len(verts):
-            lam_b = edge_spectral_radius(
-                np.vstack([q[verts]]),
-                np.column_stack([np.arange(len(verts))] * 2),
-                normals,
-            )
-            contrib = 0.5 * lam_b[:, None, None] * eye[None, :, :]
-            engine.scatter_add(diag, verts, contrib)
+    lam_b = boundary_spectral_radius(ctx, q)
+    engine.scatter_add(
+        diag, ctx.boundary.scatter,
+        0.5 * lam_b[:, None, None] * eye[None, :, :],
+    )
 
     # SA destruction linearization (adds to the diagonal only)
     if layout.turbulence and sa_destruction:
@@ -165,7 +183,7 @@ def edge_offdiagonals(
     nvar = q.shape[1]
     a = ctx.edges[:, 0]
     b = ctx.edges[:, 1]
-    lam = edge_spectral_radius(q, ctx.edges, ctx.face_vectors)
+    lam = edge_spectral_radius(ctx, q)
     kv = viscous_edge_coefficient(ctx, q)
     eye = np.eye(nvar)[None, :, :]
     ja, jb = get_engine().edge_jacobians(q[a], q[b], ctx.face_vectors)
@@ -177,22 +195,4 @@ def edge_offdiagonals(
 
 def local_time_step(ctx: FlowContext, q: np.ndarray, cfl: float) -> np.ndarray:
     """CFL-scaled local pseudo-time step per vertex."""
-    lam = edge_spectral_radius(q, ctx.edges, ctx.face_vectors)
-    kv = viscous_edge_coefficient(ctx, q)
-    engine = get_engine()
-    acc = np.zeros(ctx.npoints, dtype=np.float64)
-    engine.scatter_add(acc, ctx.edges[:, 0], lam + 2 * kv)
-    engine.scatter_add(acc, ctx.edges[:, 1], lam + 2 * kv)
-    for verts, normals in (
-        (ctx.far_vert, ctx.far_normal),
-        (ctx.sym_vert, ctx.sym_normal),
-        (ctx.wall_vert, ctx.wall_normal),
-    ):
-        if len(verts):
-            lam_b = edge_spectral_radius(
-                q[verts],
-                np.column_stack([np.arange(len(verts))] * 2),
-                normals,
-            )
-            engine.scatter_add(acc, verts, lam_b)
-    return cfl * ctx.volumes / np.maximum(acc, 1e-300)
+    return cfl * ctx.volumes / np.maximum(spectral_sum(ctx, q), 1e-300)

@@ -30,6 +30,8 @@ COARSE_CFL_FRACTION = 1.0
 
 
 def restrict_solution(q, cluster, vol_f, vol_c):
+    """Volume-weighted restriction along ``cluster`` — the index map, or
+    the level's prebuilt :meth:`FlowContext.restriction` operator."""
     out = np.zeros((len(vol_c), q.shape[1]), dtype=np.float64)
     get_engine().scatter_add(out, cluster, q * vol_f[:, None])
     return out / vol_c[:, None]
@@ -60,6 +62,11 @@ class _SerialNSU3DOps:
     def _order2(self, level: int) -> bool:
         return self.order2 and level == 0  # coarse levels run first order
 
+    def _restriction(self, level: int):
+        return self.contexts[level].restriction(
+            self.maps[level], self.contexts[level + 1].npoints
+        )
+
     def clone(self, q):
         return q.copy()
 
@@ -87,7 +94,7 @@ class _SerialNSU3DOps:
         # spurious momentum component at every wall agglomerate
         return apply_wall_bc(
             coarse,
-            restrict_solution(q, self.maps[level], ctx.volumes,
+            restrict_solution(q, self._restriction(level), ctx.volumes,
                               coarse.volumes),
         )
 
@@ -96,7 +103,8 @@ class _SerialNSU3DOps:
         return mask_wall_rows(
             coarse,
             self.defect(level + 1, q_c0, None)
-            - restrict_residual(defect, self.maps[level], coarse.npoints),
+            - restrict_residual(defect, self._restriction(level),
+                                coarse.npoints),
         )
 
     def apply_correction(self, level, q, q_c, q_c0):

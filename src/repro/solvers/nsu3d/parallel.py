@@ -55,9 +55,8 @@ from .gradients import GradientSurface, green_gauss_sums, vorticity_magnitude
 from .jacobians import (
     assemble_diagonal,
     edge_offdiagonals,
-    edge_spectral_radius,
     sa_destruction_diagonal,
-    viscous_edge_coefficient,
+    spectral_sum,
 )
 from .linesolve import (
     STAGE_COEFFS,
@@ -419,9 +418,9 @@ class NSU3DKernels:
             for p, dom in doms.items():
                 prim = conservative_to_primitive(qs[p])
                 fields = np.column_stack([prim[:, 1:4], prim[:, sa_var]])
-                sums[p] = green_gauss_sums(dom.ctx.dual, fields).reshape(
-                    dom.nlocal, 3 * fields.shape[1]
-                )
+                sums[p] = green_gauss_sums(
+                    dom.ctx.dual, fields, dom.ctx.gradient_scatters
+                ).reshape(dom.nlocal, 3 * fields.shape[1])
             X.add(sums, tag=15)
             for p, dom in doms.items():
                 grads = sums[p].reshape(dom.nlocal, 3, -1)
@@ -438,15 +437,11 @@ class NSU3DKernels:
             a = ctx.edges[:, 0]
             b = ctx.edges[:, 1]
             rate = (
-                np.linalg.norm(vel[b] - vel[a], axis=1)
-                / ctx.edge_distances()
+                np.linalg.norm(vel[b] - vel[a], axis=1) / ctx.edge_lengths
             )
-            acc = np.zeros((ctx.npoints, 2), dtype=np.float64)
-            engine.scatter_add(acc[:, 0], a, rate)
-            engine.scatter_add(acc[:, 0], b, rate)
-            engine.scatter_add(acc[:, 1], a, 1.0)
-            engine.scatter_add(acc[:, 1], b, 1.0)
-            accs[p] = acc
+            total = np.zeros(ctx.npoints, dtype=np.float64)
+            engine.scatter_add(total, ctx.edge_scatter_unsigned, rate)
+            accs[p] = np.column_stack([total, ctx.edge_degree])
         X.add(accs, tag=16)
         for p, dom in doms.items():
             vort = accs[p][:, 0] / np.maximum(accs[p][:, 1], 1.0)
@@ -457,29 +452,10 @@ class NSU3DKernels:
 
     def _time_step(self, X, doms, qs, cfl) -> dict:
         """Local spectral-radius accumulation completed across ranks."""
-        engine = self.engine
-        accs = {}
-        for p, dom in doms.items():
-            ctx = dom.ctx
-            q = qs[p]
-            lam = edge_spectral_radius(q, ctx.edges, ctx.face_vectors)
-            kv = viscous_edge_coefficient(ctx, q)
-            acc = np.zeros((ctx.npoints, 1), dtype=np.float64)
-            engine.scatter_add(acc[:, 0], ctx.edges[:, 0], lam + 2 * kv)
-            engine.scatter_add(acc[:, 0], ctx.edges[:, 1], lam + 2 * kv)
-            for verts, normals in (
-                (ctx.far_vert, ctx.far_normal),
-                (ctx.sym_vert, ctx.sym_normal),
-                (ctx.wall_vert, ctx.wall_normal),
-            ):
-                if len(verts):
-                    lam_b = edge_spectral_radius(
-                        q[verts],
-                        np.column_stack([np.arange(len(verts))] * 2),
-                        normals,
-                    )
-                    engine.scatter_add(acc[:, 0], verts, lam_b)
-            accs[p] = acc
+        accs = {
+            p: spectral_sum(dom.ctx, qs[p])[:, None]
+            for p, dom in doms.items()
+        }
         X.add(accs, tag=11)
         return {
             p: cfl * dom.ctx.volumes / np.maximum(accs[p][:, 0], 1e-300)

@@ -24,7 +24,13 @@ import numpy as np
 from ...kernels import get_engine
 from ...telemetry.spans import traced
 from ..fluxes import roe_flux, rusanov_flux, wall_flux
-from ..gas import GAMMA, GM1, conservative_to_primitive, variable_layout
+from ..gas import (
+    GAMMA,
+    GM1,
+    conservative_to_primitive,
+    primitive_to_conservative,
+    variable_layout,
+)
 from .context import FlowContext
 from .gradients import green_gauss, vorticity_magnitude
 from .turbulence import (
@@ -99,10 +105,8 @@ def residual(
     qr = q[b_idx]
     grad_prim = None
     if order2 and ctx.dual is not None:
-        grad_prim = green_gauss(ctx.dual, prim)
-        mid = 0.5 * (ctx.points[a_idx] + ctx.points[b_idx])
-        dl = mid - ctx.points[a_idx]
-        dr = mid - ctx.points[b_idx]
+        grad_prim = green_gauss(ctx.dual, prim, ctx.gradient_scatters)
+        dl, dr = ctx.muscl_offsets
         pl = prim[a_idx] + _limited(
             np.einsum("ed,edk->ek", dl, grad_prim[a_idx]),
             0.5 * (prim[b_idx] - prim[a_idx]),
@@ -112,28 +116,28 @@ def residual(
             0.5 * (prim[a_idx] - prim[b_idx]),
         )
         ok = (pl[:, 0] > 0) & (pl[:, 4] > 0) & (pr[:, 0] > 0) & (pr[:, 4] > 0)
-        from ..gas import primitive_to_conservative
-
         ql = np.where(ok[:, None], primitive_to_conservative(pl), ql)
         qr = np.where(ok[:, None], primitive_to_conservative(pr), qr)
 
-    f = roe_flux(ql, qr, ctx.face_vectors)
-    engine.scatter_add(r, a_idx, f)
-    engine.scatter_add(r, b_idx, -f)
+    engine.scatter_add(
+        r, ctx.edge_scatter, roe_flux(ql, qr, ctx.face_vectors)
+    )
 
     # -- boundary convective fluxes -------------------------------------------
     if len(ctx.far_vert):
-        ghost = farfield_ghost(q[ctx.far_vert], qinf, ctx.far_normal)
-        ff = rusanov_flux(q[ctx.far_vert], ghost, ctx.far_normal)
-        engine.scatter_add(r, ctx.far_vert, ff)
-    if len(ctx.sym_vert):
-        fs = wall_flux(q[ctx.sym_vert], ctx.sym_normal)
-        engine.scatter_add(r, ctx.sym_vert, fs)
-    if len(ctx.wall_vert):
-        # u = 0 there: only the pressure flux survives (momentum rows are
-        # masked anyway; continuity/energy see zero convective flux)
-        fw = wall_flux(q[ctx.wall_vert], ctx.wall_normal)
-        engine.scatter_add(r, ctx.wall_vert, fw)
+        q_far = q[ctx.far_vert]
+        ghost = farfield_ghost(q_far, qinf, ctx.far_normal)
+        engine.scatter_add(
+            r, ctx.far.scatter, rusanov_flux(q_far, ghost, ctx.far.normals)
+        )
+    # slip planes, and walls where u = 0: only the pressure flux survives
+    # (wall momentum rows are masked anyway; continuity/energy see zero
+    # convective flux)
+    slip = ctx.slip
+    if len(slip.vert):
+        engine.scatter_add(
+            r, slip.scatter, wall_flux(q[slip.vert], slip.normals)
+        )
 
     # -- viscous terms (edge-normal approximation) ------------------------------
     if viscous and ctx.mu_lam > 0.0:
@@ -146,8 +150,8 @@ def residual(
             if turbulence
             else np.zeros_like(rho)
         )
-        area = np.linalg.norm(ctx.face_vectors, axis=1)
-        dist = ctx.edge_distances()
+        area = ctx.edge_area
+        dist = ctx.edge_lengths
         mu_f = ctx.mu_lam + 0.5 * (mu_t[a_idx] + mu_t[b_idx])
         coef = mu_f * area / dist  # (E,)
 
@@ -173,13 +177,15 @@ def residual(
                 * area / dist
             )
             fv[:, sa_var] = -dcoef * (nu_hat[b_idx] - nu_hat[a_idx])
-        engine.scatter_add(r, a_idx, fv)
-        engine.scatter_add(r, b_idx, -fv)
+        engine.scatter_add(r, ctx.edge_scatter, fv)
 
         # -- SA sources --------------------------------------------------------
         if turbulence and sa_sources:
             if ctx.dual is not None:
-                grads = green_gauss(ctx.dual, np.column_stack([vel, nu_hat]))
+                grads = green_gauss(
+                    ctx.dual, np.column_stack([vel, nu_hat]),
+                    ctx.gradient_scatters,
+                )
                 vort = vorticity_magnitude(grads[:, :, :3])
                 grad_nu = grads[:, :, 3]
             else:
@@ -225,8 +231,6 @@ def farfield_ghost(
     reduce to full extrapolation / full freestream automatically through
     the upwind flux.
     """
-    from ..gas import primitive_to_conservative
-
     nvert = len(q)
     prim_i = conservative_to_primitive(q)
     prim_f = conservative_to_primitive(
@@ -250,15 +254,10 @@ def _edge_vorticity_estimate(ctx: FlowContext, vel: np.ndarray) -> np.ndarray:
     |dvel| / |dx| over incident edges."""
     a = ctx.edges[:, 0]
     b = ctx.edges[:, 1]
-    rate = np.linalg.norm(vel[b] - vel[a], axis=1) / ctx.edge_distances()
-    engine = get_engine()
+    rate = np.linalg.norm(vel[b] - vel[a], axis=1) / ctx.edge_lengths
     acc = np.zeros(ctx.npoints, dtype=np.float64)
-    cnt = np.zeros(ctx.npoints, dtype=np.float64)
-    engine.scatter_add(acc, a, rate)
-    engine.scatter_add(acc, b, rate)
-    engine.scatter_add(cnt, a, 1.0)
-    engine.scatter_add(cnt, b, 1.0)
-    return acc / np.maximum(cnt, 1.0)
+    get_engine().scatter_add(acc, ctx.edge_scatter_unsigned, rate)
+    return acc / np.maximum(ctx.edge_degree, 1.0)
 
 
 def residual_norm(ctx: FlowContext, q, qinf, **kw) -> float:

@@ -3,16 +3,12 @@
 from .arrays import (
     csr_from_edges,
     invert_permutation,
-    scatter_add,
-    segment_sums,
 )
 from .units import GB, GHZ, KB, MB, MICROSEC, fmt_bytes, fmt_time
 
 __all__ = [
     "csr_from_edges",
     "invert_permutation",
-    "scatter_add",
-    "segment_sums",
     "KB",
     "MB",
     "GB",

@@ -45,24 +45,6 @@ def csr_from_edges(nvert: int, edges: np.ndarray, symmetric: bool = True):
     return xadj, dst.astype(np.int64), eid.astype(np.int64)
 
 
-def scatter_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    """Accumulate ``values`` into ``target`` rows ``idx`` (duplicates add)."""
-    np.add.at(target, idx, values)
-
-
-def segment_sums(values: np.ndarray, seg_ids: np.ndarray, nseg: int) -> np.ndarray:
-    """Sum ``values`` grouped by ``seg_ids``.
-
-    Works for 1-D values or ``(N, k)`` row blocks; returns ``(nseg, ...)``.
-    """
-    values = np.asarray(values)
-    if values.ndim == 1:
-        return np.bincount(seg_ids, weights=values, minlength=nseg)
-    out = np.zeros((nseg,) + values.shape[1:], dtype=values.dtype)
-    np.add.at(out, seg_ids, values)
-    return out
-
-
 def invert_permutation(perm: np.ndarray) -> np.ndarray:
     """Return ``inv`` with ``inv[perm] == arange(len(perm))``."""
     perm = np.asarray(perm, dtype=np.int64)

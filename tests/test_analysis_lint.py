@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import RULES, lint_paths, lint_source
 from repro.analysis.__main__ import main as lint_main
 
@@ -631,6 +633,77 @@ class TestHardcodedStateWidthRule:
             [repo / "src" / "repro" / "solvers",
              repo / "src" / "repro" / "runtime"],
             select={"R014"},
+        )
+        assert diags == []
+
+
+class TestRawScatterRule:
+    SRC = (
+        "import numpy as np\n"
+        "def f(r, idx, flux):\n"
+        "    np.add.at(r, idx, flux)\n"
+    )
+
+    @pytest.mark.parametrize("path", [
+        "src/repro/solvers/nsu3d/residual.py",
+        "src/repro/solvers/cart3d/levels.py",
+        "src/repro/comm/exchange.py",
+    ])
+    def test_flagged_on_the_solve_path(self, path):
+        diags = diags_for(self.SRC, path, select={"R015"})
+        assert [d.rule for d in diags] == ["R015"]
+        assert diags[0].line == 3
+        assert "scatter_add" in diags[0].message
+
+    def test_other_ufuncs_and_import_spellings_flagged(self):
+        src = (
+            "import numpy\n"
+            "def f(hi, idx, x):\n"
+            "    numpy.maximum.at(hi, idx, x)\n"
+        )
+        diags = diags_for(src, "src/repro/solvers/nsu3d/jacobians.py",
+                          select={"R015"})
+        assert [d.rule for d in diags] == ["R015"]
+        assert "np.maximum.at" in diags[0].message
+
+    @pytest.mark.parametrize("path", [
+        # the reference engine's np.add.at *is* the ad-hoc fallback
+        "src/repro/kernels/numpy_engine.py",
+        # set-up code that builds meshes and graphs is not the solve path
+        "src/repro/mesh/unstructured/dual.py",
+        "src/repro/partition/metis.py",
+        # only the halo unpack is policed in comm
+        "src/repro/comm/simmpi.py",
+    ])
+    def test_out_of_scope_modules_pass(self, path):
+        assert diags_for(self.SRC, path, select={"R015"}) == []
+
+    def test_engine_scatter_and_indexed_add_pass(self):
+        src = (
+            "from repro.kernels import get_engine\n"
+            "def f(r, op, flux, slots, data):\n"
+            "    get_engine().scatter_add(r, op, flux)\n"
+            "    r[slots] += data\n"
+            "    return r.at\n"
+        )
+        assert diags_for(src, "src/repro/solvers/nsu3d/residual.py",
+                         select={"R015"}) == []
+
+    def test_noqa_suppresses(self):
+        src = (
+            "import numpy as np\n"
+            "def f(r, idx, flux):\n"
+            "    np.add.at(r, idx, flux)  # noqa: one-off diagnostic\n"
+        )
+        assert diags_for(src, "src/repro/solvers/nsu3d/residual.py",
+                         select={"R015"}) == []
+
+    def test_shipped_solve_path_is_clean(self):
+        repo = Path(__file__).parent.parent
+        diags = lint_paths(
+            [repo / "src" / "repro" / "solvers",
+             repo / "src" / "repro" / "comm" / "exchange.py"],
+            select={"R015"},
         )
         assert diags == []
 

@@ -10,8 +10,6 @@ from repro.util import (
     fmt_bytes,
     fmt_time,
     invert_permutation,
-    scatter_add,
-    segment_sums,
 )
 
 
@@ -54,23 +52,6 @@ class TestCsr:
         xadj, adjncy, _ = csr_from_edges(3, np.empty((0, 2), dtype=np.int64))
         assert list(xadj) == [0, 0, 0, 0]
         assert len(adjncy) == 0
-
-
-class TestScatterSegment:
-    def test_scatter_add_duplicates(self):
-        target = np.zeros(3)
-        scatter_add(target, np.array([0, 0, 2]), np.array([1.0, 2.0, 3.0]))
-        assert list(target) == [3.0, 0.0, 3.0]
-
-    def test_segment_sums_1d(self):
-        out = segment_sums(np.array([1.0, 2.0, 3.0]), np.array([0, 1, 0]), 2)
-        assert list(out) == [4.0, 2.0]
-
-    def test_segment_sums_2d(self):
-        vals = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        out = segment_sums(vals, np.array([1, 1, 0]), 2)
-        assert out.shape == (2, 2)
-        assert list(out[1]) == [3.0, 3.0]
 
 
 class TestPermutation:
