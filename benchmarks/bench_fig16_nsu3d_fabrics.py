@@ -51,9 +51,10 @@ def test_fig16b_six_level_multigrid(benchmark):
 
 def _turbulent_backend_sweep():
     """The turbulent solve over the reproduction's three comm fabrics:
-    SimMPI threads-as-ranks, the hybrid master-thread model (4
-    partitions on 2 ranks, fig. 7b), and the real multiprocessing
-    worker pool exchanging halos through shared memory."""
+    SimMPI with one partition per rank, the hybrid master-thread model
+    (4 partitions on 2 ranks, fig. 7b) — both stepped in lockstep on
+    this thread — and the real multiprocessing worker pool exchanging
+    halos through shared memory."""
     mesh = bump_channel(ni=8, nj=4, nk=6, wall_spacing=5e-3, ratio=1.3,
                         bump_height=0.03)
     s = NSU3DSolver(mesh=mesh, mach=0.5, mg_levels=2, turbulence=True,

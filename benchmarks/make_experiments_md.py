@@ -105,8 +105,9 @@ SECTIONS = [
     ("Figure 16 twin — turbulent solve across the comm backends "
      "(real solver runs)", "fig16_turbulent",
      "The fabric comparison's real-run twin: the same turbulent SA "
-     "solve on SimMPI threads-as-ranks, the hybrid master-thread model "
-     "(4 partitions on 2 ranks) and the multiprocessing worker pool "
+     "solve on SimMPI with one partition per rank, the hybrid "
+     "master-thread model (4 partitions on 2 ranks) — both stepped in "
+     "lockstep on one thread — and the multiprocessing worker pool "
      "with shared-memory halos — backend-independent results and one "
      "shared residual history."),
     ("Figure 17(a) — 2-level multigrid fabric comparison (virtual)", "fig17a", ""),
@@ -181,6 +182,23 @@ SECTIONS = [
      "--store db.jsonl --journal svc.jsonl queries.jsonl` (add "
      "`--recover` after a kill), `python -m repro.service status "
      "<journal>`."),
+    ("Section III — what the distributed runtime itself costs per cycle "
+     "(real solver runs)", "runtime_cycle",
+     "The same multigrid cycles serially, on four SimMPI partitions "
+     "(blocking and overlapped exchange) and on the spawned worker "
+     "pool.  The in-process columns do identical kernel work on one "
+     "thread — the driver steps every rank in lockstep, posting each "
+     "exchange on all ranks before finishing it on any — so "
+     "parallel/serial is the stack's own overhead: 2.0x NSU3D / 3.5x "
+     "Cart3D in this run (2.0-2.4x / 3.5-4.0x over three), against "
+     "2.4x / 5.1x (1.9-2.7x / 3.5-5.2x) when every rank had a thread "
+     "and a blocked receive woke another one.  These are single "
+     "3-cycle shots on a shared host; the alternating-pair referee is "
+     "the perf harness (`BENCH_19.json`).  The virtual columns are "
+     "the simulated-Columbia ledger and did not move by a bit: who "
+     "executes a rank's sends and receives is not an input to it.  "
+     "The proc columns are real concurrency on this container's two "
+     "cores (one core per worker exists only at x1 and x2)."),
     ("Section V — kernel engines, roofline before/after (real solver "
      "runs)", "kernel_engines",
      "The paper's single-CPU evidence is pfmon-measured FLOP rates "

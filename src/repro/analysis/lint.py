@@ -96,7 +96,8 @@ These rules encode exactly those house invariants:
   assumption.  ``gas.py`` is exempt — it *defines* the layout and the
   named constants.
 * **R015 raw-scatter-outside-engine** — a bare ``np.add.at`` (any
-  ``np.<ufunc>.at``) under ``solvers`` or in ``comm/exchange.py``.
+  ``np.<ufunc>.at``) under ``solvers`` or ``runtime``, or in
+  ``comm/exchange.py``.
   Scatter accumulation on the solve path has one spelling,
   ``engine.scatter_add(out, idx, contrib)``: it is the call the engines
   implement, the perf harness's probe attributes, and prebuilt
@@ -296,12 +297,12 @@ RULES = {
         id="R015",
         name="raw-scatter-outside-engine",
         description=(
-            "bare np.<ufunc>.at in a solver module or comm/exchange.py; "
-            "accumulate through engine.scatter_add (index array or "
-            "prebuilt ScatterOperator), or arr[idx] += x where the "
-            "targets never repeat"
+            "bare np.<ufunc>.at in a solver or runtime module or "
+            "comm/exchange.py; accumulate through engine.scatter_add "
+            "(index array or prebuilt ScatterOperator), or arr[idx] += x "
+            "where the targets never repeat"
         ),
-        segments=("solvers",),
+        segments=("solvers", "runtime"),
     ),
 }
 

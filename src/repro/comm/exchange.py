@@ -64,32 +64,16 @@ class ExchangePlan:
         return sum(len(v) for v in self.owned_slots.values()) * itemsize * nvar
 
     # -- the two exchange operations -------------------------------------------
+    #
+    # Each is one post half (receives, then sends) and one finish half
+    # (wait, unpack, drain); the blocking forms run them back to back.
 
     def exchange_copy(self, comm, arr: np.ndarray, tag: int = 0,
                       irregular: bool = False) -> None:
         """Owner values -> ghost copies.  ``arr`` is (nlocal,) or (nlocal, k)."""
         with _span("comm.exchange_copy", cat="comm", tag=tag,
                    neighbors=self.degree()):
-            self._exchange_copy(comm, arr, tag, irregular)
-
-    def _exchange_copy(self, comm, arr, tag, irregular) -> None:
-        reqs = [
-            (q, comm.irecv(q, tag)) for q in self.neighbors if q in self.ghost_slots
-        ]
-        for q in self.neighbors:
-            if q in self.owned_slots:
-                comm.isend(np.ascontiguousarray(arr[self.owned_slots[q]]), q, tag,
-                           irregular=irregular)
-            else:
-                comm.isend(np.empty((0,) + arr.shape[1:], dtype=arr.dtype), q, tag,
-                           irregular=irregular)
-        for q, req in reqs:
-            data = req.wait()
-            arr[self.ghost_slots[q]] = data
-        # drain the empty placeholder messages from one-sided neighbors
-        for q in self.neighbors:
-            if q not in self.ghost_slots:
-                comm.recv(q, tag)
+            self._post(comm, arr, tag, irregular, add=False)._land()
 
     def start_copy(self, comm, arr: np.ndarray, tag: int = 0,
                    irregular: bool = False) -> "PendingExchange":
@@ -103,61 +87,57 @@ class ExchangePlan:
         """
         with _span("comm.exchange_copy_start", cat="comm", tag=tag,
                    neighbors=self.degree()):
-            reqs = [
-                (q, comm.irecv(q, tag))
-                for q in self.neighbors if q in self.ghost_slots
-            ]
-            for q in self.neighbors:
-                if q in self.owned_slots:
-                    comm.isend(np.ascontiguousarray(arr[self.owned_slots[q]]),
-                               q, tag, irregular=irregular)
-                else:
-                    comm.isend(np.empty((0,) + arr.shape[1:], dtype=arr.dtype),
-                               q, tag, irregular=irregular)
-        return PendingExchange(plan=self, comm=comm, arr=arr, tag=tag,
-                               reqs=reqs)
+            return self._post(comm, arr, tag, irregular, add=False)
 
     def exchange_add(self, comm, arr: np.ndarray, tag: int = 1,
                      irregular: bool = False) -> None:
         """Ghost accumulations -> owner (added); ghosts are then zeroed."""
         with _span("comm.exchange_add", cat="comm", tag=tag,
                    neighbors=self.degree()):
-            self._exchange_add(comm, arr, tag, irregular)
+            self._post(comm, arr, tag, irregular, add=True)._land()
 
-    def _exchange_add(self, comm, arr, tag, irregular) -> None:
-        reqs = [
-            (q, comm.irecv(q, tag)) for q in self.neighbors if q in self.owned_slots
-        ]
+    def start_add(self, comm, arr: np.ndarray, tag: int = 1,
+                  irregular: bool = False) -> "PendingExchange":
+        """Post a ghost->owner accumulation without waiting: ghost rows
+        are shipped and zeroed now, owners are added to in ``finish``."""
+        with _span("comm.exchange_add", cat="comm", tag=tag,
+                   neighbors=self.degree()):
+            return self._post(comm, arr, tag, irregular, add=True)
+
+    def _post(self, comm, arr, tag, irregular, add) -> "PendingExchange":
+        """Post half.  Every neighbour pair trades exactly one message
+        per direction — an empty placeholder where the plan ships
+        nothing that way — so both sides can post and drain blindly."""
+        send, recv = (
+            (self.ghost_slots, self.owned_slots) if add
+            else (self.owned_slots, self.ghost_slots)
+        )
+        reqs = [(q, comm.irecv(q, tag)) for q in self.neighbors if q in recv]
         for q in self.neighbors:
-            if q in self.ghost_slots:
-                comm.isend(np.ascontiguousarray(arr[self.ghost_slots[q]]), q, tag,
+            if q in send:
+                comm.isend(np.ascontiguousarray(arr[send[q]]), q, tag,
                            irregular=irregular)
-                arr[self.ghost_slots[q]] = 0.0
+                if add:
+                    arr[send[q]] = 0.0
             else:
-                comm.isend(np.empty((0,) + arr.shape[1:], dtype=arr.dtype), q, tag,
-                           irregular=irregular)
-        for q, req in reqs:
-            # a neighbour mirrors each owned slot at most once (plancheck:
-            # unique ownership + pairwise agreement), so no repeats to
-            # accumulate over — a plain indexed add is exact
-            arr[self.owned_slots[q]] += req.wait()
-        for q in self.neighbors:
-            if q not in self.owned_slots:
-                comm.recv(q, tag)
+                comm.isend(np.empty((0,) + arr.shape[1:], dtype=arr.dtype),
+                           q, tag, irregular=irregular)
+        return PendingExchange(plan=self, comm=comm, arr=arr, tag=tag,
+                               reqs=reqs, add=add)
 
 
 @dataclass
 class PendingExchange:
-    """An in-flight owner->ghost exchange started by
-    :meth:`ExchangePlan.start_copy`.
+    """An in-flight exchange started by :meth:`ExchangePlan.start_copy`
+    (or :meth:`~ExchangePlan.start_add`, with ``add`` set).
 
-    ``finish`` waits for the posted receives, writes the ghost slots and
-    drains placeholder messages; it must be called **exactly once** — a
-    second call raises :class:`~repro.errors.ExchangeLifecycleError`,
-    because a double finish always means two code paths each believe
-    they own the overlap window.  This is the paper's
-    overlapped-communication pattern: post sends, compute the interior,
-    finish the boundary.
+    ``finish`` waits for the posted receives, writes the ghost slots
+    (adds into the owned slots) and drains placeholder messages; it must
+    be called **exactly once** — a second call raises
+    :class:`~repro.errors.ExchangeLifecycleError`, because a double
+    finish always means two code paths each believe they own the overlap
+    window.  This is the paper's overlapped-communication pattern: post
+    sends, compute the interior, finish the boundary.
     """
 
     plan: ExchangePlan
@@ -165,6 +145,7 @@ class PendingExchange:
     arr: np.ndarray
     tag: int
     reqs: list
+    add: bool = False
     done: bool = False
 
     def finish(self) -> np.ndarray:
@@ -175,14 +156,29 @@ class PendingExchange:
                 f"must be closed exactly once"
             )
         self.done = True
-        with _span("comm.exchange_copy_finish", cat="comm", tag=self.tag,
+        name = "comm.exchange_add" if self.add else "comm.exchange_copy_finish"
+        with _span(name, cat="comm", tag=self.tag,
                    neighbors=self.plan.degree()):
-            for q, req in self.reqs:
-                self.arr[self.plan.ghost_slots[q]] = req.wait()
-            for q in self.plan.neighbors:
-                if q not in self.plan.ghost_slots:
-                    self.comm.recv(q, self.tag)
+            self._land()
         return self.arr
+
+    def _land(self) -> None:
+        """Finish half: unpack what the posted receives bring, then
+        drain the placeholders of one-sided neighbours."""
+        plan, arr = self.plan, self.arr
+        recv = plan.owned_slots if self.add else plan.ghost_slots
+        for q, req in self.reqs:
+            if self.add:
+                # a neighbour mirrors each owned slot at most once
+                # (plancheck: unique ownership + pairwise agreement), so
+                # no repeats to accumulate over — a plain indexed add is
+                # exact
+                arr[recv[q]] += req.wait()
+            else:
+                arr[recv[q]] = req.wait()
+        for q in plan.neighbors:
+            if q not in recv:
+                self.comm.recv(q, self.tag)
 
 
 @dataclass

@@ -25,11 +25,12 @@ movement for the SimMPI-hosted solvers.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ExchangeLifecycleError
 from ..telemetry.spans import span as _span
 from .exchange import ExchangePlan
 
@@ -110,6 +111,24 @@ def hybrid_efficiency(
     return 1.0 / (1.0 + exposed)
 
 
+class PendingHybrid:
+    """The unpack half of a :class:`HybridProcess` exchange whose pack,
+    send and intra-process phases have run; ``finish`` exactly once."""
+
+    def __init__(self, unpack: Callable[[], None]):
+        self._unpack = unpack
+        self.done = False
+
+    def finish(self) -> None:
+        if self.done:
+            raise ExchangeLifecycleError(
+                "PendingHybrid.finish called twice; each exchange must "
+                "be completed exactly once"
+            )
+        self.done = True
+        self._unpack()
+
+
 @dataclass
 class HybridProcess:
     """One MPI process owning several thread partitions (fig. 7b).
@@ -131,6 +150,39 @@ class HybridProcess:
 
         ``arrays`` maps partition id -> local array (owned+ghost layout
         of that partition's plan).
+        """
+        pending = self.start_copy(comm, arrays, tag)
+        pending.finish()
+
+    def exchange_add(self, comm, arrays: dict, tag: int = 1) -> None:
+        """Hybrid ghost->owner accumulation of per-partition arrays.
+
+        The mirror of :meth:`exchange_copy`: every partition ships its
+        ghost-slot accumulations to the partition owning those vertices,
+        where they are **added**; shipped ghost slots are zeroed.
+        """
+        pending = self.start_add(comm, arrays, tag)
+        pending.finish()
+
+    def start_copy(self, comm, arrays: dict,
+                   tag: int = 0) -> PendingHybrid:
+        """Pack, send and intra-process half of :meth:`exchange_copy`;
+        the returned pending's ``finish`` waits and unpacks."""
+        return self._start(comm, arrays, tag, add=False)
+
+    def start_add(self, comm, arrays: dict, tag: int = 1) -> PendingHybrid:
+        """Pack, send and intra-process half of :meth:`exchange_add`;
+        ``finish`` unpack-adds the remote contributions — always after
+        the intra-process ones, so an owner row sums in one order."""
+        return self._start(comm, arrays, tag, add=True)
+
+    def _start(self, comm, arrays: dict, tag: int,
+               add: bool) -> PendingHybrid:
+        """Both exchanges, by direction: a copy ships owned rows into
+        the mirroring ghost slots, an add ships ghost rows (zeroing
+        them) onto the owned slots they mirror.  Buffer layout is
+        canonical — sorted by (destination partition, source partition)
+        — so the receiving process unpacks positionally.
 
         When ``comm`` traces (``SimMPI(..., trace=True)``), every
         pack/copy/unpack work item records its buffer accesses tagged
@@ -140,185 +192,91 @@ class HybridProcess:
         even though this simulation runs them sequentially.
         """
         trace = getattr(comm, "trace_access", None)
-        # per-call phase serial: accesses from different exchange_copy
-        # calls are program-ordered, so they must not share phase tokens
+        # per-call phase serial: accesses from different exchange calls
+        # are program-ordered, so they must not share phase tokens
         token = getattr(self, "_xchg_serial", 0)
         self._xchg_serial = token + 1
         remote = self._remote_procs()
+        out_side, in_side = (
+            ("ghost_slots", "owned_slots") if add
+            else ("owned_slots", "ghost_slots")
+        )
+
         with _span("comm.hybrid.pack", cat="comm", tag=tag,
                    remote_procs=len(remote)):
             reqs = {q: comm.irecv(q, tag) for q in remote}
-            # master thread: pack one buffer per remote process and send.
-            # Pack order is canonical — sorted by (destination partition,
-            # source partition) — so the receiver can unpack positionally.
+            # master thread: pack one buffer per remote process and send
             for q in remote:
-                pairs = sorted(
-                    (nbr, pid)
-                    for pid in self.part_ids
-                    for nbr in self.plans[pid].neighbors
-                    if self.proc_of[nbr] == q
-                    and nbr in self.plans[pid].owned_slots
-                )
-                chunks = [
-                    np.ascontiguousarray(
-                        arrays[src][self.plans[src].owned_slots[dst]]
-                    )
-                    for dst, src in pairs
-                ]
-                if trace is not None:
-                    for item, (dst, src) in enumerate(pairs):
-                        trace(
-                            f"part{src}",
-                            self.plans[src].owned_slots[dst],
-                            write=False,
-                            phase=f"pack@{token}",
-                            thread=item,
-                        )
-                buf = (
-                    np.concatenate(chunks)
-                    if chunks
-                    else np.empty((0,), dtype=np.float64)
-                )
-                comm.isend(buf, q, tag)
-        # OpenMP phase, overlapped with MPI transit: intra-process copies
-        with _span("comm.hybrid.copy", cat="comm", tag=tag):
-            item = 0
-            for pid in self.part_ids:
-                plan = self.plans[pid]
-                for nbr in plan.neighbors:
-                    if (
-                        self.proc_of[nbr] == self.rank
-                        and nbr in plan.ghost_slots
-                    ):
-                        src_plan = self.plans[nbr]
-                        if trace is not None:
-                            trace(
-                                f"part{nbr}",
-                                src_plan.owned_slots[pid],
-                                write=False,
-                                phase=f"copy@{token}",
-                                thread=item,
-                            )
-                            trace(
-                                f"part{pid}",
-                                plan.ghost_slots[nbr],
-                                write=True,
-                                phase=f"copy@{token}",
-                                thread=item,
-                            )
-                        arrays[pid][plan.ghost_slots[nbr]] = arrays[nbr][
-                            src_plan.owned_slots[pid]
-                        ]
-                        item += 1
-        # master waits, threads unpack (same canonical order as the sender)
-        with _span("comm.hybrid.unpack", cat="comm", tag=tag):
-            for q in remote:
-                buf = reqs[q].wait()
-                offset = 0
-                pairs = sorted(
-                    (pid, nbr)
-                    for pid in self.part_ids
-                    for nbr in self.plans[pid].neighbors
-                    if self.proc_of[nbr] == q
-                    and nbr in self.plans[pid].ghost_slots
-                )
-                for item, (dst, src) in enumerate(pairs):
-                    slots = self.plans[dst].ghost_slots[src]
-                    n = len(slots)
-                    if trace is not None:
-                        trace(
-                            f"part{dst}",
-                            slots,
-                            write=True,
-                            phase=f"unpack@{token}:{q}",
-                            thread=item,
-                        )
-                    arrays[dst][slots] = buf[offset : offset + n]
-                    offset += n
-
-    def exchange_add(self, comm, arrays: dict, tag: int = 1) -> None:
-        """Hybrid ghost->owner accumulation of per-partition arrays.
-
-        The mirror of :meth:`exchange_copy`: every partition ships its
-        ghost-slot accumulations to the partition owning those vertices,
-        where they are **added**; shipped ghost slots are zeroed.  Buffer
-        layout is canonical — sorted by (destination partition, source
-        partition) — matching positionally on the receiving process.
-        """
-        trace = getattr(comm, "trace_access", None)
-        token = getattr(self, "_xchg_serial", 0)
-        self._xchg_serial = token + 1
-        remote = self._remote_procs()
-        with _span("comm.hybrid.pack", cat="comm", tag=tag,
-                   remote_procs=len(remote)):
-            reqs = {q: comm.irecv(q, tag) for q in remote}
-            for q in remote:
-                pairs = sorted(
-                    (nbr, pid)
-                    for pid in self.part_ids
-                    for nbr in self.plans[pid].neighbors
-                    if self.proc_of[nbr] == q
-                    and nbr in self.plans[pid].ghost_slots
-                )
                 chunks = []
-                for item, (dst, src) in enumerate(pairs):
-                    slots = self.plans[src].ghost_slots[dst]
+                for item, (dst, src) in enumerate(sorted(
+                    (nbr, pid) for pid, nbr in self._crossing(q, out_side)
+                )):
+                    slots = getattr(self.plans[src], out_side)[dst]
                     chunks.append(np.ascontiguousarray(arrays[src][slots]))
                     if trace is not None:
-                        trace(f"part{src}", slots, write=True,
+                        trace(f"part{src}", slots, write=add,
                               phase=f"pack@{token}", thread=item)
-                    arrays[src][slots] = 0.0
+                    if add:
+                        arrays[src][slots] = 0.0
                 buf = (
                     np.concatenate(chunks)
                     if chunks
                     else np.empty((0,), dtype=np.float64)
                 )
                 comm.isend(buf, q, tag)
-        # OpenMP phase, overlapped with MPI transit: intra-process adds
+        # OpenMP phase, overlapped with MPI transit: intra-process moves
         with _span("comm.hybrid.copy", cat="comm", tag=tag):
-            item = 0
-            for pid in self.part_ids:
-                plan = self.plans[pid]
-                for nbr in plan.neighbors:
-                    if (
-                        self.proc_of[nbr] == self.rank
-                        and nbr in plan.ghost_slots
+            for item, (pid, nbr) in enumerate(
+                self._crossing(self.rank, "ghost_slots")
+            ):
+                ghost = self.plans[pid].ghost_slots[nbr]
+                # never repeats a slot (see PendingExchange._land)
+                owned = self.plans[nbr].owned_slots[pid]
+                if trace is not None:
+                    for part, slots, write in (
+                        ((pid, ghost, True), (nbr, owned, True)) if add
+                        else ((nbr, owned, False), (pid, ghost, True))
                     ):
-                        dst_plan = self.plans[nbr]
+                        trace(f"part{part}", slots, write=write,
+                              phase=f"copy@{token}", thread=item)
+                if add:
+                    arrays[nbr][owned] += arrays[pid][ghost]
+                    arrays[pid][ghost] = 0.0
+                else:
+                    arrays[pid][ghost] = arrays[nbr][owned]
+
+        # master waits, threads unpack (same canonical order as the sender)
+        def unpack() -> None:
+            with _span("comm.hybrid.unpack", cat="comm", tag=tag):
+                for q in remote:
+                    buf = reqs[q].wait()
+                    offset = 0
+                    for item, (dst, src) in enumerate(
+                        sorted(self._crossing(q, in_side))
+                    ):
+                        slots = getattr(self.plans[dst], in_side)[src]
+                        n = len(slots)
                         if trace is not None:
-                            trace(f"part{pid}", plan.ghost_slots[nbr],
-                                  write=True, phase=f"copy@{token}",
-                                  thread=item)
-                            trace(f"part{nbr}", dst_plan.owned_slots[pid],
-                                  write=True, phase=f"copy@{token}",
-                                  thread=item)
-                        # owned_slots[pid] never repeats a slot (see
-                        # ExchangePlan._exchange_add)
-                        arrays[nbr][dst_plan.owned_slots[pid]] += (
-                            arrays[pid][plan.ghost_slots[nbr]]
-                        )
-                        arrays[pid][plan.ghost_slots[nbr]] = 0.0
-                        item += 1
-        # master waits, threads unpack-add (same canonical order)
-        with _span("comm.hybrid.unpack", cat="comm", tag=tag):
-            for q in remote:
-                buf = reqs[q].wait()
-                offset = 0
-                pairs = sorted(
-                    (pid, nbr)
-                    for pid in self.part_ids
-                    for nbr in self.plans[pid].neighbors
-                    if self.proc_of[nbr] == q
-                    and nbr in self.plans[pid].owned_slots
-                )
-                for item, (dst, src) in enumerate(pairs):
-                    slots = self.plans[dst].owned_slots[src]
-                    n = len(slots)
-                    if trace is not None:
-                        trace(f"part{dst}", slots, write=True,
-                              phase=f"unpack@{token}:{q}", thread=item)
-                    arrays[dst][slots] += buf[offset : offset + n]
-                    offset += n
+                            trace(f"part{dst}", slots, write=True,
+                                  phase=f"unpack@{token}:{q}", thread=item)
+                        if add:
+                            arrays[dst][slots] += buf[offset : offset + n]
+                        else:
+                            arrays[dst][slots] = buf[offset : offset + n]
+                        offset += n
+
+        return PendingHybrid(unpack)
+
+    def _crossing(self, q: int, side: str) -> list:
+        """(own partition, partition on process ``q``) pairs whose plans
+        have ``side`` slots for each other."""
+        return [
+            (pid, nbr)
+            for pid in self.part_ids
+            for nbr in self.plans[pid].neighbors
+            if self.proc_of[nbr] == q
+            and nbr in getattr(self.plans[pid], side)
+        ]
 
     def _remote_procs(self) -> list:
         out = set()

@@ -2,17 +2,29 @@
 
 The paper's solvers are SPMD MPI programs.  We cannot run 2016 MPI ranks
 on real hardware here, so SimMPI provides the same programming model
-inside one Python process: :meth:`SimMPI.run` executes the user's rank
-function once per rank against a :class:`Comm` endpoint offering
+inside one Python process: a :class:`Comm` endpoint per rank offering
 blocking/non-blocking point-to-point operations and the collectives the
-solvers need.
+solvers need.  There are two ways to drive the endpoints, and they
+charge the same ledger.
 
-**Execution: one baton, cooperative hand-off.**  Each rank has its own
-thread so rank bodies stay plain blocking code, but the threads never
-run concurrently: exactly one rank holds the *baton* and executes; every
-other rank sleeps on a private gate and wants nothing from the
-interpreter.  The holder gives the baton up at the only two places a
-rank can block —
+**Lockstep: the caller steps every rank** (:meth:`SimMPI.lockstep`).
+A program that is SPMD by construction — the distributed solve driver,
+hence every ``sim``/``hybrid`` solve, ``FillRuntime`` worker and figure
+bench — needs no thread per rank: it posts each exchange on every
+endpoint before it finishes it on any, and reduces through
+:meth:`SimMPI.allreduce`.  Every receive then finds its message queued;
+one that does not is a :class:`~repro.errors.DeadlockError` raised on
+the spot.  No thread, gate or hand-off is involved.
+
+**Free-form rank programs: one baton, cooperative hand-off**
+(:meth:`SimMPI.run`).  Arbitrary blocking rank functions — the comm
+tests and patterns, tracecheck fixtures, ``python -m repro.telemetry``,
+the perf harness's exchange probe — are executed once per rank.  Each
+rank has its own thread so rank bodies stay plain blocking code, but
+the threads never run concurrently: exactly one rank holds the *baton*
+and executes; every other rank sleeps on a private gate and wants
+nothing from the interpreter.  The holder gives the baton up at the
+only two places a rank can block —
 
 * a receive (``recv`` / ``Request.wait``) whose mailbox is empty, and
 * a collective that not every rank has entered yet —
@@ -236,10 +248,13 @@ class _Baton:
     ``release()``, and each gate is touched by exactly those two.
     """
 
-    def __init__(self, nranks: int, hint: str):
+    def __init__(self, nranks: int, hint: str, state: int = _READY):
         self.nranks = nranks
         self.hint = hint
-        self.state = [_READY] * nranks
+        #: ``_DONE`` under :meth:`SimMPI.lockstep`, where no rank has a
+        #: thread: a caller that parks finds nobody ready and nobody
+        #: else parked, which :meth:`_hand_off` knows for a deadlock
+        self.state = [state] * nranks
         self.waiting: list[_MailKey | None] = [None] * nranks
         #: first failure of the run: (rank, exception)
         self.failure: tuple[int, BaseException] | None = None
@@ -516,13 +531,18 @@ class Comm:
         self._record("collective", nbytes=nbytes, detail=kind)
         world = self._world
         result, sync = world._collectives.round(
-            world._baton, self.rank, (value, self.clock), _make_sync(combine)
+            world._baton, self.rank, (value, before), _make_sync(combine)
         )
-        cost = world.collective_time(nbytes)
-        self.clock = sync + cost
+        self._leave_collective(before, sync, nbytes)
+        return result
+
+    def _leave_collective(self, before: float, sync: float,
+                          nbytes: float) -> None:
+        """Charge a collective entered at ``before`` whose last rank
+        arrived at ``sync``."""
+        self.clock = sync + self._world.collective_time(nbytes)
         self.stats.collectives += 1
         self.stats.comm_seconds += self.clock - before
-        return result
 
     def barrier(self) -> None:
         self._collective(None, lambda vals: None, nbytes=8, kind="barrier")
@@ -531,7 +551,7 @@ class Comm:
         """Reduce scalars or same-shape arrays across ranks; all get it."""
 
         def combine(vals: list) -> Any:
-            return _reduce(vals, op)
+            return fold(vals, op)
 
         nbytes = _payload_bytes(value)
         return _copy_result(
@@ -576,7 +596,9 @@ def _make_sync(combine: Callable[[list], Any]) -> Callable[[list], Any]:
     return wrapped
 
 
-def _reduce(vals: list, op: str) -> Any:
+def fold(vals: list, op: str) -> Any:
+    """Left fold of ``vals`` under ``op`` — the one association every
+    reduction in the tree uses, so results are bit-equal across backends."""
     if op == "sum":
         out = vals[0]
         if isinstance(out, np.ndarray):
@@ -645,7 +667,6 @@ class SimMPI:
         self._fabric = fabric
         self.trace_enabled = trace
         self.trace: list[TraceEvent] = []
-        self.comms: list[Comm] = []
         self._reset()
         if placement is not None:
             self._box_of = placement.box_of_rank()
@@ -664,13 +685,16 @@ class SimMPI:
     #
     # Everything below is called by the baton holder only.
 
-    def _reset(self) -> None:
-        """Fresh scheduler, mailboxes and collective state for one run."""
+    def _reset(self, state: int = _READY) -> list[Comm]:
+        """Fresh endpoints, scheduler, mailboxes and collective state
+        for one run; every rank starts in ``state``."""
+        self.comms = [Comm(self, r) for r in range(self.nranks)]
         self._baton = _Baton(
-            self.nranks, _TRACE_HINT if self.trace_enabled else ""
+            self.nranks, _TRACE_HINT if self.trace_enabled else "", state
         )
         self._mailboxes: dict[_MailKey, deque[_Message]] = {}
         self._collectives = _CollectiveContext(self.nranks)
+        return self.comms
 
     def _append_event(self, **fields: Any) -> int:
         """Record one trace event; returns its world-global eid."""
@@ -724,6 +748,29 @@ class SimMPI:
 
     # -- execution -------------------------------------------------------------
 
+    def lockstep(self) -> list[Comm]:
+        """Start a run whose every rank the *caller* steps, on its own
+        thread (module docstring); returns the fresh endpoints in rank
+        order.  Nothing can park — there is nobody to hand the baton to
+        — so a receive on an empty mailbox, or a collective entered on
+        one endpoint alone, raises :class:`DeadlockError` on the spot.
+        """
+        return self._reset(_DONE)
+
+    def allreduce(self, values: list, op: str = "sum") -> Any:
+        """Every rank's :meth:`Comm.allreduce` as one call from a
+        :meth:`lockstep` caller: ``values[r]`` is rank ``r``'s
+        contribution, folded in rank order.  Each endpoint is charged
+        exactly as if it had entered the collective itself."""
+        kind = f"allreduce:{op}"
+        sizes = [_payload_bytes(v) for v in values]
+        for comm, nbytes in zip(self.comms, sizes):
+            comm._record("collective", nbytes=nbytes, detail=kind)
+        sync = max(comm.clock for comm in self.comms)
+        for comm, nbytes in zip(self.comms, sizes):
+            comm._leave_collective(comm.clock, sync, nbytes)
+        return _copy_result(fold(values, op))
+
     def run(self, target: Callable[..., Any], *args: Any, **kwargs: Any) -> list:
         """Execute ``target(comm, *args, **kwargs)`` on every rank.
 
@@ -732,9 +779,7 @@ class SimMPI:
         :class:`RankFailure` for the first rank that failed (a 1-rank
         world runs inline, so its exception arrives unwrapped).
         """
-        comms = [Comm(self, r) for r in range(self.nranks)]
-        self.comms = comms
-        self._reset()
+        comms = self._reset()
         baton = self._baton
         if self.nranks == 1:
             return [target(comms[0], *args, **kwargs)]

@@ -12,8 +12,9 @@ adapters, the case runner) activate their configured engine around each
 cycle with :func:`use_engine`.  The default — with nothing activated —
 is the reference numpy engine, so every historical entry point keeps its
 bitwise behavior.  The active engine rides a :class:`contextvars.
-ContextVar`, which makes the selection thread-local-by-default (SimMPI
-rank threads inherit a copy of the context) and safe to nest.
+ContextVar`, which makes the selection thread-local-by-default (fill
+workers and free-form SimMPI rank threads inherit a copy of the
+context) and safe to nest.
 
 :func:`make_engine` turns a :class:`~repro.kernels.config.KernelConfig`
 (or bare engine name) into an engine instance.

@@ -16,6 +16,8 @@ behind this package.
 
 from .backends import (
     HybridExchanger,
+    LockstepComm,
+    LockstepExchanger,
     PendingGroup,
     PlanExchanger,
     ProcessExchanger,
@@ -58,6 +60,8 @@ __all__ = [
     "run_rank_cycles",
     "PlanExchanger",
     "HybridExchanger",
+    "LockstepComm",
+    "LockstepExchanger",
     "ProcessExchanger",
     "make_exchanger",
     "PendingGroup",

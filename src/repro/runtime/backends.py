@@ -7,7 +7,11 @@ and talk to one small Exchanger surface — ``copy``, ``add``,
 the paper's hybrid master-thread model (several partitions per process,
 :class:`~repro.comm.hybrid.HybridProcess`, fig. 7b), or real spawned
 worker processes (:class:`ProcessExchanger`, shared-memory halo
-buffers) without change.
+buffers) without change.  A ``sim``/``hybrid`` solve drives the first
+two for *every* rank of its world at once, on one thread:
+:class:`LockstepExchanger` posts each exchange on every rank's member,
+then finishes it on every rank's, and :class:`LockstepComm` reduces the
+kernels' per-partition contributions across all of them.
 
 ``start_copy`` is the overlapped-exchange entry point (post sends,
 compute interior, finish boundary).  The hybrid backend is already
@@ -31,14 +35,29 @@ that, so lifecycle flags (``charging``/``sanitize``) stay uniform.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
+from ..comm.hybrid import HybridProcess, partition_owners
+from ..comm.simmpi import fold
 from ..errors import ConfigurationError, ExchangeLifecycleError
-from ..telemetry.spans import span as _span
+from ..telemetry.spans import get_tracer, span as _span
+
+_UNBOUND = nullcontext()
+
+
+def _on_rank(comm):
+    """Tracer binding for one rank's half of an exchange: its ``comm.*``
+    spans land on that rank's track and clock, whoever steps it."""
+    tracer = get_tracer()
+    if not tracer.enabled:
+        return _UNBOUND
+    return tracer.bind(rank=comm.rank, clock=lambda: comm.clock)
 
 
 class PendingGroup:
-    """A batch of in-flight owner->ghost exchanges (one per partition).
+    """A batch of in-flight exchanges (one per partition, or per rank).
 
     Like the per-partition :class:`~repro.comm.exchange.PendingExchange`
     it wraps, ``finish`` must run exactly once; a second call raises
@@ -68,13 +87,27 @@ class PendingGroup:
                 p.finish()
             except Exception as exc:
                 pid = getattr(getattr(p, "plan", None), "rank", None)
-                exc.add_note(
-                    f"while finishing the exchange of partition {pid}"
-                )
+                if pid is not None:
+                    exc.add_note(
+                        f"while finishing the exchange of partition {pid}"
+                    )
                 raise
         # only a fully closed group is done — a mid-loop failure leaves
         # the group open so the remaining members can still be drained
         self.done = True
+
+
+class _RankPending(PendingGroup):
+    """One rank's open half of an exchange (what ``post`` returns);
+    finishes on that rank's tracer track."""
+
+    def __init__(self, comm, pendings: list):
+        super().__init__(pendings)
+        self.comm = comm
+
+    def finish(self) -> None:
+        with _on_rank(self.comm):
+            super().finish()
 
 
 class PlanExchanger:
@@ -91,6 +124,7 @@ class PlanExchanger:
     def __init__(self, comm, plans: dict):
         self.comm = comm
         self.plans = plans
+        self.pids = tuple(sorted(plans))
         #: when True, ``charge`` bills compute time to the virtual
         #: clock so overlap benefits show in SimMPI makespans
         self.charging = False
@@ -107,20 +141,37 @@ class PlanExchanger:
         for pid in sorted(arrays):
             self.plans[pid].exchange_add(self.comm, arrays[pid], tag)
 
+    def post(self, arrays: dict, tag: int, add: bool = False) -> PendingGroup:
+        """Post half of a copy (or ``add``); ``finish`` is the other."""
+        with _on_rank(self.comm):
+            return _RankPending(self.comm, [
+                (self.plans[pid].start_add if add
+                 else self.plans[pid].start_copy)(self.comm, arrays[pid], tag)
+                for pid in sorted(arrays)
+            ])
+
     def start_copy(self, arrays: dict, tag: int = 0):
-        group = PendingGroup([
-            self.plans[pid].start_copy(self.comm, arrays[pid], tag)
-            for pid in sorted(arrays)
-        ])
-        if self.sanitize:
-            from .sanitizer import GhostSanitizer
+        return _guarded(self, arrays, self.post(arrays, tag))
 
-            return GhostSanitizer(self.plans).guard(arrays, group)
+    def charge(self, flops: dict) -> None:
+        if self.charging:
+            _bill(self, flops)
+
+
+def _guarded(x, arrays: dict, group: PendingGroup):
+    """``group``, behind the GhostSanitizer when ``x.sanitize`` is set."""
+    if not x.sanitize:
         return group
+    from .sanitizer import GhostSanitizer
 
-    def charge(self, flops: float) -> None:
-        if self.charging and flops > 0.0:
-            self.comm.compute(flops=flops)
+    return GhostSanitizer(x.plans).guard(arrays, group)
+
+
+def _bill(x, flops: dict) -> None:
+    """Charge ``x``'s rank the ``{pid: flops}`` of its own partitions."""
+    total = float(sum(flops[pid] for pid in x.pids))
+    if total > 0.0:
+        x.comm.compute(flops=total)
 
 
 class HybridExchanger:
@@ -132,6 +183,7 @@ class HybridExchanger:
     def __init__(self, comm, process):
         self.comm = comm
         self.process = process
+        self.pids = process.part_ids
         self.charging = False
         #: accepted for interface symmetry; the hybrid backend has no
         #: overlap window to sanitize (``start_copy`` completes eagerly)
@@ -143,6 +195,13 @@ class HybridExchanger:
     def add(self, arrays: dict, tag: int = 1) -> None:
         self.process.exchange_add(self.comm, arrays, tag)
 
+    def post(self, arrays: dict, tag: int, add: bool = False) -> PendingGroup:
+        """Pack, send and intra-process half of a copy (or ``add``);
+        ``finish`` waits and unpacks."""
+        start = self.process.start_add if add else self.process.start_copy
+        with _on_rank(self.comm):
+            return _RankPending(self.comm, [start(self.comm, arrays, tag)])
+
     def start_copy(self, arrays: dict, tag: int = 0) -> PendingGroup:
         # intrinsically overlapped: intra-process copies already run
         # while inter-process messages are in flight.  A fresh group per
@@ -151,9 +210,112 @@ class HybridExchanger:
         self.copy(arrays, tag)
         return PendingGroup([])
 
-    def charge(self, flops: float) -> None:
-        if self.charging and flops > 0.0:
-            self.comm.compute(flops=flops)
+    def charge(self, flops: dict) -> None:
+        if self.charging:
+            _bill(self, flops)
+
+
+class LockstepComm:
+    """The kernels' comm surface over *every* rank of a SimMPI world
+    driven in lockstep (:meth:`~repro.comm.simmpi.SimMPI.lockstep`,
+    which constructing this starts).
+
+    One partition per rank exchanges by plan; fewer ranks than
+    partitions host contiguous blocks of them under the hybrid
+    master-thread model.  ``rank``/``clock`` are the lowest rank's, so
+    a span the kernels open once for the whole group lands on that
+    rank's track.
+    """
+
+    rank = 0
+
+    def __init__(self, world, nparts: int):
+        if world.nranks > nparts:
+            raise ConfigurationError(
+                f"{world.nranks} ranks for {nparts} partitions — the "
+                "driver needs at least one partition per rank"
+            )
+        self._world = world
+        self.proc_of = partition_owners(nparts, world.nranks)
+        #: per rank, its partition ids in ascending order
+        self.pids = [
+            tuple(p for p in range(nparts) if self.proc_of[p] == rank)
+            for rank in range(world.nranks)
+        ]
+        self.comms = world.lockstep()
+
+    @property
+    def clock(self) -> float:
+        return self.comms[0].clock
+
+    def allreduce(self, parts: dict, op: str = "sum"):
+        """Reduce ``{pid: contribution}``: each rank folds its own
+        partitions in pid order, then the ranks fold in rank order —
+        the association a rank program per rank would produce."""
+        return self._world.allreduce(
+            [fold([parts[p] for p in pids], op) for pids in self.pids], op
+        )
+
+    def exchanger(self, plans: dict) -> "LockstepExchanger":
+        """The rank-spanning exchanger over one level's ``{pid: plan}``."""
+        if len(self.comms) == len(plans):
+            members = [PlanExchanger(c, {c.rank: plans[c.rank]})
+                       for c in self.comms]
+        else:
+            members = [
+                HybridExchanger(c, HybridProcess(
+                    rank=c.rank, part_ids=self.pids[c.rank], plans=plans,
+                    proc_of=self.proc_of,
+                ))
+                for c in self.comms
+            ]
+        return LockstepExchanger(members, self, plans)
+
+
+class LockstepExchanger:
+    """Every rank's exchanger of a lockstep world behind the one
+    Exchanger surface: an exchange is *posted* on each member in rank
+    order (receives, then sends) and only then *finished* on each, so
+    every receive finds its message queued and no rank ever blocks —
+    the paper's master-thread "post all receives, post all sends, then
+    wait".  The members are the per-rank exchangers a rank program would
+    use, so clocks, stats, trace and arrays come out the same.
+    """
+
+    def __init__(self, members: list, comm: LockstepComm, plans: dict):
+        self.members = members
+        self.comm = comm
+        self.plans = plans
+        #: hybrid members complete ``start_copy`` eagerly (see
+        #: :class:`HybridExchanger`); so must the group
+        self.eager = members[0].kind == "hybrid"
+        self.charging = False
+        self.sanitize = False
+
+    def _post(self, arrays: dict, tag: int, add: bool) -> PendingGroup:
+        return PendingGroup([
+            m.post({p: arrays[p] for p in m.pids}, tag, add)
+            for m in self.members
+        ])
+
+    def copy(self, arrays: dict, tag: int = 0) -> None:
+        pending = self._post(arrays, tag, False)
+        pending.finish()
+
+    def add(self, arrays: dict, tag: int = 1) -> None:
+        pending = self._post(arrays, tag, True)
+        pending.finish()
+
+    def start_copy(self, arrays: dict, tag: int = 0):
+        if self.eager:
+            self.copy(arrays, tag)
+            return PendingGroup([])
+        return _guarded(self, arrays, self._post(arrays, tag, False))
+
+    def charge(self, flops: dict) -> None:
+        if self.charging:
+            for m in self.members:
+                _bill(m, flops)
 
 
 class _ProcessPending:
@@ -290,7 +452,7 @@ class ProcessExchanger:
                         continue
                     _out, inbound = self.channels[q]
                     # rows never repeats a slot (see
-                    # ExchangePlan._exchange_add)
+                    # PendingExchange._land)
                     arr[rows] += inbound[: len(rows) * k].reshape(
                         (len(rows),) + arr.shape[1:]
                     )
@@ -305,14 +467,9 @@ class ProcessExchanger:
                 self._publish(plan, arrays[pid], plan.owned_slots)
                 self._wait()
             pendings.append(_ProcessPending(self, pid, arrays[pid], tag))
-        group = PendingGroup(pendings)
-        if self.sanitize:
-            from .sanitizer import GhostSanitizer
+        return _guarded(self, arrays, PendingGroup(pendings))
 
-            return GhostSanitizer(self.plans).guard(arrays, group)
-        return group
-
-    def charge(self, flops: float) -> None:
+    def charge(self, flops: dict) -> None:
         """No-op: the process backend's clock is the real one."""
 
 

@@ -7,13 +7,16 @@ distributed solve executes: ``make_parallel_*``,
 selector names the execution model explicitly:
 
 * ``"sim"`` — in-process :class:`~repro.comm.simmpi.SimMPI` world, one
-  simulated rank thread per partition (virtual clocks, deterministic).
+  simulated rank per partition (virtual clocks, deterministic).
 * ``"hybrid"`` — SimMPI world with fewer ranks than partitions; each
-  rank's master thread serves several partitions (paper fig. 7b).
-  Requires an explicit ``nranks < nparts``.
+  rank serves several partitions under the paper's master-thread model
+  (fig. 7b).  Requires an explicit ``nranks < nparts``.
 * ``"process"`` — spawned ``multiprocessing`` worker pool, one OS
   process per partition with shared-memory halo exchange: the only
   backend whose parallelism is real wall-clock concurrency.
+
+``sim`` and ``hybrid`` solves run on the calling thread: the driver
+steps every rank of the world in lockstep, so neither starts a thread.
 
 The kernel engine is not an execution choice: a decomposed solve runs
 the ``kernel_config`` of the serial solver it decomposes.

@@ -14,19 +14,24 @@ Solver physics enters through a *kernels* object (duck-typed; see
 dicts, so one partition per rank (pure MPI), many partitions per
 process (hybrid) and one spawned worker per partition (process) all
 run the same code: :func:`run_rank_cycles` is the shared, picklable
-per-rank body — SimMPI rank threads call it through a closure, process
-workers import it by name after spawn.
+body.  A ``sim``/``hybrid`` solve calls it **once, on the calling
+thread, over the partitions of every rank** of the SimMPI world — the
+kernels' only blocking points sit inside the exchanger and
+``allreduce``, and :class:`~repro.runtime.backends.LockstepExchanger`
+/ :class:`~repro.runtime.backends.LockstepComm` step those on every
+rank's endpoint in turn, so no rank needs a thread of its own; process
+workers import it by name after spawn and run it over their partition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..comm.hybrid import HybridProcess, partition_owners
 from ..comm.simmpi import SimMPI
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, RankFailure
+from ..kernels import incidence
 from ..telemetry.spans import get_tracer, span as _span
-from .backends import make_exchanger
+from .backends import LockstepComm
 from .config import RuntimeConfig
 from .multigrid import fas_cycle
 
@@ -49,6 +54,11 @@ class SolverKernels:
     ``defect(X, doms, qs, forcing)`` (completed residual minus forcing,
     ghost rows zeroed), ``apply_correction(comm, X, doms, qs, dqs)``,
     ``residual_norm(comm, X, doms, qs)``.
+
+    ``doms`` may span several ranks, so kernels never fold across
+    partitions themselves: they hand ``comm.allreduce`` and
+    ``X.charge`` one contribution per partition (``{pid: ...}``) and
+    the comm folds them per rank in pid order, then across ranks.
 
     Kernels objects must be picklable (plain config state only): the
     process backend ships them to spawned workers.
@@ -105,9 +115,15 @@ class _DistributedOps:
         cl = self.cluster_local[level]
         acc = {}
         for p, dom in self.doms[level].items():
+            # a level has one map to the next coarser one: one slot
+            op = dom.cache.get("restrict")
+            if op is None:
+                op = dom.cache["restrict"] = incidence(
+                    doms_c[p].nlocal, (cl[p], 1.0)
+                )
             nvar = values[p].shape[1]
             a = np.zeros((doms_c[p].nlocal, nvar), dtype=np.float64)
-            np.add.at(a, cl[p], values[p][: dom.nowned])
+            self.kernels.engine.scatter_add(a, op, values[p][: dom.nowned])
             acc[p] = a
         self.X[level + 1].add(acc, tag=tag)
         return acc
@@ -161,20 +177,23 @@ def run_rank_cycles(comm, exchangers, doms, cluster_local, kernels, *,
                     nu1: int = 1, nu2: int = 1,
                     coarse_cfl: float | None = None,
                     overlap: bool = False):
-    """One rank's whole solve: init state, iterate cycles, slice owned.
+    """A whole solve over the partitions in ``doms``: init state,
+    iterate cycles, slice owned.
 
-    This is the picklable body shared by every backend — SimMPI rank
-    threads (sim/hybrid) call it from the driver's closure, spawned
-    process workers import it by name.  ``doms``/``cluster_local`` are
-    per-level ``{pid: ...}`` dicts restricted to this rank's
-    partitions; returns ``(owned, history)`` where ``owned`` is a list
+    This is the picklable body shared by every backend.  A
+    ``sim``/``hybrid`` driver calls it once over every partition of the
+    world, with a lockstep ``comm``/``exchangers`` pair that steps all
+    ranks; a spawned process worker imports it by name and runs it over
+    its own partition.  ``doms``/``cluster_local`` are per-level ``{pid:
+    ...}`` dicts; returns ``(owned, history)`` where ``owned`` is a list
     of ``(owned_global_ids, owned_rows)`` pairs.
     """
     pids = tuple(sorted(doms[0]))
     qs = {p: kernels.init_state(doms[0][p]) for p in pids}
     history = []
-    # each rank pins its identity and clock (virtual under SimMPI, wall
-    # in a worker), so spans (here and in comm.*) land on per-rank tracks
+    # solver spans land on ``comm``'s track and clock: a worker's own
+    # (wall), or the lowest rank's (virtual) when one call drives every
+    # rank; comm.* spans are re-bound per rank by the exchangers
     with get_tracer().bind(rank=comm.rank, clock=lambda: comm.clock):
         for _ in range(ncycles):
             with _span(f"{kernels.name}.parallel_cycle", cat="solver"):
@@ -204,9 +223,10 @@ class DistributedSolveDriver:
     — for both solvers.  How the solve executes is stated once, in a
     :class:`~repro.runtime.config.RuntimeConfig`:
 
-    * ``sim``/``hybrid`` solves run on a :class:`SimMPI` world —
-      :meth:`solve` builds it, or pass your own to :meth:`run` when you
-      want to read its virtual clocks, message ledger or trace
+    * ``sim``/``hybrid`` solves run on a :class:`SimMPI` world, every
+      rank stepped in lockstep on the calling thread (no rank threads)
+      — :meth:`solve` builds the world, or pass your own to :meth:`run`
+      when you want to read its virtual clocks, message ledger or trace
       afterwards;
     * ``process`` solves run on a pool of spawned workers
       (:class:`~repro.runtime.process.ProcessPool`) launched lazily on
@@ -241,12 +261,6 @@ class DistributedSolveDriver:
         self.kernels = kernels
         self.qinf = np.asarray(qinf, dtype=np.float64)
         self.config = config
-        self.backend = config.backend
-        self.nranks = config.nranks
-        self.worker_timeout = config.worker_timeout
-        self.overlap = config.overlap
-        self.charge_compute = config.charge_compute
-        self.sanitize = config.sanitize
         self._pool = None
 
     @property
@@ -265,8 +279,8 @@ class DistributedSolveDriver:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Tear down the worker pool (no-op for thread backends; safe
-        to call twice)."""
+        """Tear down the worker pool (no-op for the in-process
+        backends; safe to call twice)."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.close()
@@ -287,9 +301,9 @@ class DistributedSolveDriver:
             self._pool = ProcessPool(
                 self.hierarchy, self.kernels,
                 nvar=layout.nvar if layout is not None else len(self.qinf),
-                overlap=self.overlap,
-                sanitize=self.sanitize,
-                timeout=self.worker_timeout,
+                overlap=self.config.overlap,
+                sanitize=self.config.sanitize,
+                timeout=self.config.worker_timeout,
             )
         return self._pool
 
@@ -300,97 +314,51 @@ class DistributedSolveDriver:
               coarse_cfl: float | None = None):
         """Config-driven entry point: builds the right world for the
         selected backend; returns (global q, history)."""
-        if self.backend == "process":
-            return self._run_process(
-                ncycles, cfl=cfl, cycle=cycle, nu1=nu1, nu2=nu2,
+        if self.config.backend == "process":
+            return self._ensure_pool().run(
+                ncycles=ncycles, cfl=cfl, cycle=cycle, nu1=nu1, nu2=nu2,
                 coarse_cfl=coarse_cfl,
             )
         return self.run(
-            SimMPI(self.nranks), ncycles, cfl=cfl, cycle=cycle, nu1=nu1,
+            SimMPI(self.config.nranks), ncycles, cfl=cfl, cycle=cycle, nu1=nu1,
             nu2=nu2, coarse_cfl=coarse_cfl,
         )
 
     def run(self, world, ncycles: int, *, cfl: float, cycle: str = "W",
             nu1: int = 1, nu2: int = 1, coarse_cfl: float | None = None):
         """Iterate ``ncycles`` full cycles on a caller-supplied SimMPI
-        ``world``; returns (global q, history)."""
-        if self.backend == "process":
+        ``world``; returns (global q, history).  Any failure inside the
+        cycles surfaces as :class:`~repro.errors.RankFailure` with the
+        original as ``__cause__``; the world is reusable afterwards."""
+        if self.config.backend == "process":
             raise ConfigurationError(
                 "the process backend owns its worker world; call "
                 "solve() instead of run(world, ...)"
             )
-        hierarchy, kernels = self.hierarchy, self.kernels
-        overlap, charging = self.overlap, self.charge_compute
-        sanitize = self.sanitize
-        nparts, nlevels = self.nparts, self.nlevels
-        if world.nranks == nparts:
-            proc_of = {p: p for p in range(nparts)}
-            hybrid = False
-        elif world.nranks < nparts:
-            proc_of = partition_owners(nparts, world.nranks)
-            hybrid = True
-        else:
-            raise ConfigurationError(
-                f"{world.nranks} ranks for {nparts} partitions — the "
-                "driver needs at least one partition per rank"
+        comm = LockstepComm(world, self.nparts)
+        levels = self.hierarchy.levels
+        exchangers = []
+        for level in levels:
+            x = comm.exchanger(
+                {p: dom.halo.plan for p, dom in enumerate(level.domains)}
             )
-
-        def body(comm):
-            pids = tuple(sorted(
-                p for p in range(nparts) if proc_of[p] == comm.rank
-            ))
-            doms = [
-                {p: hierarchy.levels[lev].domains[p] for p in pids}
-                for lev in range(nlevels)
-            ]
-            if hybrid:
-                exchangers = [
-                    make_exchanger("hybrid", comm, process=HybridProcess(
-                        rank=comm.rank,
-                        part_ids=pids,
-                        plans={
-                            p: hierarchy.levels[lev].domains[p].halo.plan
-                            for p in range(nparts)
-                        },
-                        proc_of=proc_of,
-                    ))
-                    for lev in range(nlevels)
-                ]
-            else:
-                exchangers = [
-                    make_exchanger("plan", comm, plans={
-                        p: doms[lev][p].halo.plan for p in pids
-                    })
-                    for lev in range(nlevels)
-                ]
-            for x in exchangers:
-                x.charging = charging
-                x.sanitize = sanitize
-            cluster_local = [
-                {p: hierarchy.cluster_local[lev][p] for p in pids}
-                for lev in range(nlevels - 1)
-            ]
-            return run_rank_cycles(
-                comm, exchangers, doms, cluster_local, kernels,
+            x.charging = self.config.charge_compute
+            x.sanitize = self.config.sanitize
+            exchangers.append(x)
+        try:
+            owned, history = run_rank_cycles(
+                comm, exchangers,
+                [dict(enumerate(level.domains)) for level in levels],
+                self.hierarchy.cluster_local, self.kernels,
                 ncycles=ncycles, cfl=cfl, cycle=cycle, nu1=nu1, nu2=nu2,
-                coarse_cfl=coarse_cfl, overlap=overlap,
+                coarse_cfl=coarse_cfl, overlap=self.config.overlap,
             )
-
-        results = world.run(body)
+        except Exception as exc:
+            # one execution stands for every rank; blame the lowest
+            raise RankFailure(comm.rank, exc) from exc
         q_global = np.empty(
-            (hierarchy.levels[0].nglobal, len(self.qinf)), dtype=np.float64
+            (levels[0].nglobal, len(self.qinf)), dtype=np.float64
         )
-        for owned, _history in results:
-            for gids, q_owned in owned:
-                q_global[gids] = q_owned
-        return q_global, results[0][1]
-
-    def _run_process(self, ncycles: int, *, cfl: float, cycle: str,
-                     nu1: int, nu2: int, coarse_cfl: float | None):
-        """Run one solve on the (lazily spawned, reused) worker pool."""
-        pool = self._ensure_pool()
-        q_global, history = pool.run(
-            ncycles=ncycles, cfl=cfl, cycle=cycle, nu1=nu1, nu2=nu2,
-            coarse_cfl=coarse_cfl,
-        )
+        for gids, q_owned in owned:
+            q_global[gids] = q_owned
         return q_global, history

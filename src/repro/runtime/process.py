@@ -19,7 +19,7 @@ gather — adapted to the Exchanger protocol:
 * :class:`ProcessComm` gives workers the tiny comm surface the kernels
   use — ``rank``/``clock``/``allreduce``/``wait`` — where ``wait`` is
   the pool-wide two-phase barrier and ``allreduce`` combines rows in
-  rank order, the same summation order as SimMPI's ``_reduce``, so the
+  rank order, the same summation order as SimMPI's ``fold``, so the
   parity gate holds bit-for-bit across backends.
 * :class:`ProcessPool` owns the lifecycle: spawn + ready handshake,
   ``run`` round-trips over pipes, prompt failure detection (a dead or
@@ -47,6 +47,7 @@ from threading import BrokenBarrierError
 
 import numpy as np
 
+from ..comm.simmpi import fold
 from ..errors import ConfigurationError, RuntimeClosed, WorkerCrash
 from ..telemetry.spans import Tracer, get_tracer, set_tracer
 from .backends import make_exchanger
@@ -191,15 +192,17 @@ class ProcessComm:
     def compute(self, flops: float = 0.0, seconds: float = 0.0) -> None:
         """No-op: worker time is real time; nothing to bill."""
 
-    def allreduce(self, value: "float | np.ndarray",
-                  op: str = "sum") -> "float | np.ndarray":
-        """Reduce scalars or same-shape small arrays across all workers.
+    def allreduce(self, parts: dict, op: str = "sum") -> np.ndarray:
+        """Reduce ``{pid: small array}`` contributions across all workers.
 
-        Combines rows in ascending rank order — the same order SimMPI's
-        ``_reduce`` folds rank values — so reductions are bit-identical
-        across backends.
+        This worker's partitions fold in pid order, then the workers'
+        rows in ascending rank order — the association of
+        :class:`~repro.runtime.backends.LockstepComm` — so reductions
+        are bit-identical across backends.
         """
-        arr = np.asarray(value, dtype=np.float64)
+        arr = np.asarray(
+            fold([parts[p] for p in sorted(parts)], op), dtype=np.float64
+        )
         flat = arr.reshape(-1)
         if len(flat) > COLLECTIVE_CAP:
             raise ConfigurationError(
@@ -208,20 +211,9 @@ class ProcessComm:
             )
         self._coll[self.rank, :len(flat)] = flat
         self.wait()
-        acc = self._coll[0, :len(flat)].copy()
-        for r in range(1, self.nranks):
-            row = self._coll[r, :len(flat)]
-            if op == "sum":
-                acc = acc + row
-            elif op == "max":
-                acc = np.maximum(acc, row)
-            elif op == "min":
-                acc = np.minimum(acc, row)
-            else:
-                raise ConfigurationError(f"unknown allreduce op {op!r}")
+        # a copy: the scratch is rewritten by the next collective
+        acc = np.array(fold(list(self._coll[:, :len(flat)]), op))
         self.wait()
-        if arr.ndim == 0:
-            return float(acc[0])
         return acc.reshape(arr.shape)
 
 

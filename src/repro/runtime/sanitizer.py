@@ -4,8 +4,9 @@ The overlapped exchange (``start_copy`` → compute interior →
 ``finish``, paper fig. 7) carries an unchecked obligation: between the
 two calls a kernel must neither read the protected arrays' ghost rows
 nor write the arrays at all.  Under SimMPI a violation is silently
-benign — rank threads run one at a time, so stale ghost values happen
-to be the *pre-exchange* values and parity still holds — but it becomes
+benign — ranks are stepped one at a time and ghost rows are only written
+by ``finish``, so stale ghost values happen to be the *pre-exchange*
+values and parity still holds — but it becomes
 real data corruption on any backend where the exchange is genuinely
 concurrent.  This module makes the violation loud *today*, under the
 simulator, with two complementary mechanisms armed per window:

@@ -111,11 +111,10 @@ def _globally_physical(comm, doms, qs) -> bool:
     """check_physical over the union of owned rows, agreed by allreduce
     (every rank makes the same damping decision, like the serial
     global check)."""
-    bad = 0.0
-    for p, dom in doms.items():
-        if not check_physical(qs[p][: dom.nowned]):
-            bad = 1.0
-    total = comm.allreduce(np.array([bad]))
+    total = comm.allreduce({
+        p: np.array([0.0 if check_physical(qs[p][: dom.nowned]) else 1.0])
+        for p, dom in doms.items()
+    })
     return total[0] == 0.0
 
 
@@ -160,15 +159,14 @@ class Cart3DKernels:
     def residual_norm(self, comm, X, doms, qs) -> float:
         """Global volume-scaled L2 density-residual norm (allreduce)."""
         rs = self.defect(X, doms, qs)
-        local_sq = 0.0
-        local_n = 0.0
-        for p, dom in doms.items():
-            own = slice(0, dom.nowned)
-            local_sq += float(
-                np.sum((rs[p][own, 0] / dom.ctx.vol[own]) ** 2)
-            )
-            local_n += float(dom.nowned)
-        total = comm.allreduce(np.array([local_sq, local_n]))
+        total = comm.allreduce({
+            p: np.array([
+                np.sum((rs[p][: dom.nowned, 0]
+                        / dom.ctx.vol[: dom.nowned]) ** 2),
+                dom.nowned,
+            ])
+            for p, dom in doms.items()
+        })
         return float(np.sqrt(total[0] / total[1]))
 
     def apply_correction(self, comm, X, doms, qs, dqs) -> dict:
@@ -298,10 +296,11 @@ class Cart3DKernels:
             for p, dom in doms.items()
         }
 
-    def _flops(self, doms) -> float:
-        return float(sum(
-            dom.nlocal * FLOPS_PER_CELL_RESIDUAL for dom in doms.values()
-        ))
+    def _flops(self, doms) -> dict:
+        return {
+            p: dom.nlocal * FLOPS_PER_CELL_RESIDUAL
+            for p, dom in doms.items()
+        }
 
 
 def make_parallel_cart3d(solver: Cart3DSolver, nparts: int, *,

@@ -213,15 +213,14 @@ class NSU3DKernels:
     def residual_norm(self, comm, X, doms, qs) -> float:
         """Global volume-scaled L2 continuity-residual norm (allreduce)."""
         rs = self.defect(X, doms, qs)
-        local_sq = 0.0
-        local_n = 0.0
-        for p, dom in doms.items():
-            own = slice(0, dom.nowned)
-            local_sq += float(
-                np.sum((rs[p][own, 0] / dom.ctx.volumes[own]) ** 2)
-            )
-            local_n += float(dom.nowned)
-        total = comm.allreduce(np.array([local_sq, local_n]))
+        total = comm.allreduce({
+            p: np.array([
+                np.sum((rs[p][: dom.nowned, 0]
+                        / dom.ctx.volumes[: dom.nowned]) ** 2),
+                dom.nowned,
+            ])
+            for p, dom in doms.items()
+        })
         return float(np.sqrt(total[0] / total[1]))
 
     def apply_correction(self, comm: Any, X: Any, doms: dict, qs: dict,
@@ -245,15 +244,13 @@ class NSU3DKernels:
         owned rows (exact — max is order-independent) hands every rank
         the serial reference, so partitioning does not change the
         limiter."""
-        layout = self.layout
-        if not layout.turbulence:
+        turbulence = list(self.layout.turbulence)
+        if not turbulence:
             return None
-        local = np.zeros(len(layout.turbulence), dtype=np.float64)
-        for p, dom in doms.items():
-            own = qs[p][: dom.nowned]
-            for j, var in enumerate(layout.turbulence):
-                local[j] = max(local[j], float(np.abs(own[:, var]).max()))
-        result: np.ndarray = comm.allreduce(local, op="max")
+        result: np.ndarray = comm.allreduce({
+            p: np.abs(qs[p][: dom.nowned, turbulence]).max(axis=0)
+            for p, dom in doms.items()
+        }, op="max")
         return result
 
     def smooth(self, X, doms, qs, *, forcing=None, cfl: float = 10.0,
@@ -523,11 +520,11 @@ class NSU3DKernels:
             on_line[batch.ravel()] = True
         return batches, blocks, on_line
 
-    def _flops(self, doms) -> float:
-        return float(sum(
-            dom.ctx.npoints * FLOPS_PER_POINT_RESIDUAL
-            for dom in doms.values()
-        ))
+    def _flops(self, doms) -> dict:
+        return {
+            p: dom.ctx.npoints * FLOPS_PER_POINT_RESIDUAL
+            for p, dom in doms.items()
+        }
 
 
 def make_parallel_nsu3d(solver: NSU3DSolver, nparts: int, *, seed: int = 0,

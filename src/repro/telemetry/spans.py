@@ -25,6 +25,15 @@ Design rules:
   ``(rank, thread)`` track; :meth:`Tracer.bind` pins both (plus the
   clock) thread-locally, which is how SimMPI rank threads and fill
   worker slots each get their own timeline row.
+* **One thread, many ranks.**  A ``sim``/``hybrid`` distributed solve
+  steps every rank of its world on the calling thread.  ``comm.*``
+  spans still land on their own rank's track and virtual clock — the
+  exchangers re-bind the tracer to a rank while they step that rank's
+  half of an exchange — but a solver span (``*.parallel_cycle``,
+  ``nsu3d.residual``, ...) is opened once for the whole group and
+  lands on the lowest driven rank's track, on that rank's clock.
+  Per-rank kernel attribution needs spans with both stamps (wall and
+  virtual) and is not done here.
 
 The module-level :func:`span` / :func:`instant` / :func:`traced` route
 through one process-global tracer (:func:`get_tracer` /

@@ -505,11 +505,11 @@ class TestNoRawScatterOnTheCyclePath:
     here as a ``ufunc.at`` call."""
 
     @staticmethod
-    def calls_during_a_cycle(solver):
-        solver.run_cycle()  # first cycle builds the lazy operators
+    def calls_during_a_cycle(cycle):
+        cycle()  # first cycle builds the lazy operators
         profile = cProfile.Profile()
         profile.enable()
-        solver.run_cycle()
+        cycle()
         profile.disable()
         return {name for _file, _line, name in pstats.Stats(profile).stats}
 
@@ -524,7 +524,22 @@ class TestNoRawScatterOnTheCyclePath:
                                    order2=True),
         ]
         for solver in solvers:
-            names = self.calls_during_a_cycle(solver)
+            names = self.calls_during_a_cycle(solver.run_cycle)
+            assert any("csr_matvec" in name for name in names)
+            assert not any("'at' of 'numpy.ufunc'" in name for name in names)
+
+    def test_distributed_cycles(self, nsu3d_mesh, sphere):
+        """The runtime's own scatter — restriction along the local
+        agglomerate maps — rides a cached operator too."""
+        for par, cfl in [
+            (api.make_parallel_nsu3d(
+                nsu3d_for(KernelConfig(), nsu3d_mesh), 4), 8.0),
+            (api.make_parallel_cart3d(
+                cart3d_for(KernelConfig(), sphere), 4), 2.0),
+        ]:
+            names = self.calls_during_a_cycle(
+                lambda: par.solve(1, cfl=cfl)
+            )
             assert any("csr_matvec" in name for name in names)
             assert not any("'at' of 'numpy.ufunc'" in name for name in names)
 

@@ -397,10 +397,11 @@ class TestDriverValidation:
         def body(comm):
             x = PlanExchanger(comm, {comm.rank: halos[comm.rank].plan})
             before = comm.clock
-            x.charge(1e9)  # charging defaults to off: a no-op
+            # charging defaults to off: a no-op
+            x.charge({comm.rank: 1e9})
             assert comm.clock == before
             x.charging = True
-            x.charge(1e9)
+            x.charge({comm.rank: 1e9})
             return comm.clock > before
 
         assert all(SimMPI(2).run(body))
