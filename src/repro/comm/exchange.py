@@ -46,12 +46,21 @@ class ExchangePlan:
     rank: int
     ghost_slots: dict[int, np.ndarray] = field(default_factory=dict)
     owned_slots: dict[int, np.ndarray] = field(default_factory=dict)
+    #: (slot-dict keys the list was derived from, the list)
+    _neighbors: tuple | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def neighbors(self) -> list[int]:
         """Sorted ranks this rank exchanges with, in either direction —
-        the union of ``ghost_slots`` and ``owned_slots`` keys."""
-        return sorted(set(self.ghost_slots) | set(self.owned_slots))
+        the union of ``ghost_slots`` and ``owned_slots`` keys.  Sorted
+        once per plan, not once per access (an exchange asks five
+        times); slot dicts that gain or lose a rank re-derive it."""
+        keys = (*self.ghost_slots, *self.owned_slots)
+        cached = self._neighbors
+        if cached is None or cached[0] != keys:
+            cached = self._neighbors = (keys, sorted(set(keys)))
+        return cached[1]
 
     def degree(self) -> int:
         """Number of distinct communication partners, counting a rank

@@ -35,10 +35,11 @@ from ..fluxes import FaceNormals, split_normals
 class FaceOperators:
     """What a level derives from its face lists alone, computed once on
     first use: the scatter operators of the face loop and the split
-    boundary normals.  Shared by the serial :class:`Cart3DLevel` and the
-    rank-local slices of the distributed path, which carry the same
-    fields (``vol``, ``face_left``/``face_right``, ``wall_cell``/
-    ``wall_normal``, ``far_cell``/``far_normal``)."""
+    face and boundary normals.  Shared by the serial
+    :class:`Cart3DLevel` and the rank-local slices of the distributed
+    path, which carry the same fields (``vol``, ``face_left``/
+    ``face_right``/``face_normal``, ``wall_cell``/``wall_normal``,
+    ``far_cell``/``far_normal``)."""
 
     @cached_property
     def face_scatter(self) -> ScatterOperator:
@@ -62,8 +63,12 @@ class FaceOperators:
         )
 
     @cached_property
+    def face_normals(self) -> FaceNormals:
+        return split_normals(self.face_normal)
+
+    @property
     def face_area(self) -> np.ndarray:
-        return np.linalg.norm(self.face_normal, axis=1)
+        return self.face_normals.area
 
     @cached_property
     def wall_scatter(self) -> ScatterOperator:

@@ -13,7 +13,10 @@ Cart3D-specific pieces:
   edge graph,
 * :class:`Cart3DKernels` — the dict-of-partitions residual / 5-stage
   Runge-Kutta hooks the
-  :class:`~repro.runtime.driver.DistributedSolveDriver` drives, and
+  :class:`~repro.runtime.driver.DistributedSolveDriver` drives; a
+  residual pass stacks the faces of whatever partitions it is handed
+  (every one of a lockstep world, a process worker's own) and calls
+  each flux kernel once (:class:`_FaceBatch`), and
 * :func:`make_parallel_cart3d`, which decomposes a serial solver:
   partition, domain hierarchy, kernels, driver.
 
@@ -25,6 +28,7 @@ full FAS cycles, overlap on or off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,9 +40,10 @@ from ...runtime import (
     SFCPartitioner,
     build_domain_hierarchy,
 )
+from ..fluxes import rusanov_flux, split_normals, wall_flux
 from ..gas import check_physical
 from .levels import Cart3DLevel, FaceOperators
-from .residual import FLUX_FUNCTIONS, add_boundary_fluxes, spectral_radius
+from .residual import FLUX_FUNCTIONS, spectral_radius
 from .rk import RK_COEFFS
 from .solver import FLOPS_PER_CELL_RESIDUAL, Cart3DSolver
 
@@ -81,30 +86,70 @@ def _local_cart_level(level: Cart3DLevel, h, part) -> CartLevelPart:
     )
 
 
-def _split_faces(dom) -> tuple:
-    """(interior, ghost) split of a rank's slice for overlapped
+class _FaceBatch:
+    """The faces of several rank-local slices stacked end to end, so a
+    pass makes one call per flux kernel however many partitions the
+    kernels object was handed.  Holds what no pass changes: the stacked
+    split normals and each slice's span in them."""
+
+    def __init__(self, slices: dict):
+        self.slices = slices  # {pid: CartLevelPart}
+        self.face_normals, self.faces = self._stack("face_normal")
+        self.wall_normals, self.walls = self._stack("wall_normal")
+        self.far_normals, self.fars = self._stack("far_normal")
+
+    def _stack(self, name) -> tuple:
+        rows = [getattr(s, name) for s in self.slices.values()]
+        ends = accumulate(len(r) for r in rows)
+        return split_normals(np.concatenate(rows)), [
+            slice(e - len(r), e) for r, e in zip(rows, ends)
+        ]
+
+
+def _cached(doms, key, build):
+    """``build()`` once per level: kept on the first partition's domain
+    — a level's domains live and die together — under the pids the
+    structure spans."""
+    cache = next(iter(doms.values())).cache
+    key = key, tuple(doms)
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def _face_batch(doms) -> _FaceBatch:
+    """Every face of the level slices in ``doms``, as one batch."""
+    return _cached(doms, "cart3d_batch", lambda: _FaceBatch(
+        {p: dom.ctx for p, dom in doms.items()}
+    ))
+
+
+def _split_batches(doms) -> tuple:
+    """(interior, ghost) split of :func:`_face_batch` for overlapped
     exchange: interior faces touch only owned cells (computable while
     ghost updates are in transit).  Wall/far boundary lists are
-    owned-only and go with the interior part."""
-    cached = dom.cache.get("cart3d_split")
-    if cached is None:
-        ctx = dom.ctx
-        gmask = (ctx.face_left >= dom.nowned) | (ctx.face_right >= dom.nowned)
+    owned-only and go with the interior batch."""
+
+    def build():
         none = np.empty(0, dtype=np.int64)
         no_normal = np.empty((0, 3), dtype=np.float64)
-        cached = (
-            CartLevelPart(
+        interior, ghost = {}, {}
+        for p, dom in doms.items():
+            ctx = dom.ctx
+            gmask = (ctx.face_left >= dom.nowned) \
+                | (ctx.face_right >= dom.nowned)
+            interior[p] = CartLevelPart(
                 ctx.vol, ctx.face_left[~gmask], ctx.face_right[~gmask],
                 ctx.face_normal[~gmask], ctx.wall_cell, ctx.wall_normal,
                 ctx.far_cell, ctx.far_normal,
-            ),
-            CartLevelPart(
+            )
+            ghost[p] = CartLevelPart(
                 ctx.vol, ctx.face_left[gmask], ctx.face_right[gmask],
                 ctx.face_normal[gmask], none, no_normal, none, no_normal,
-            ),
-        )
-        dom.cache["cart3d_split"] = cached
-    return cached
+            )
+        return _FaceBatch(interior), _FaceBatch(ghost)
+
+    return _cached(doms, "cart3d_split", build)
 
 
 def _globally_physical(comm, doms, qs) -> bool:
@@ -241,39 +286,58 @@ class Cart3DKernels:
 
     # -- internals -----------------------------------------------------------
 
-    def _face_residual(self, part: CartLevelPart, q) -> np.ndarray:
-        """Flux accumulation over a slice's faces plus its (owned-only)
-        wall/far boundary fluxes."""
-        r = np.zeros_like(q)
+    def _batch_residual(self, batch: _FaceBatch, qs) -> dict:
+        """Flux accumulation over a batch's faces plus its (owned-only)
+        wall/far boundary fluxes: states gathered per partition and
+        stacked, one call per flux kernel, each partition's rows
+        scattered through its own operators in its own face order."""
+
+        def gather(cells):
+            return np.concatenate(
+                [qs[p][getattr(s, cells)] for p, s in batch.slices.items()]
+            )
+
         flux = FLUX_FUNCTIONS[self.flux](
-            q[part.face_left], q[part.face_right], part.face_normal
+            gather("face_left"), gather("face_right"), batch.face_normals
         )
-        self.engine.scatter_add(r, part.face_scatter, flux)
-        add_boundary_fluxes(part, r, q, self.qinf)
-        return r
+        # a batch without boundary faces (the ghost one) skips the calls
+        wall, far = gather("wall_cell"), gather("far_cell")
+        if len(wall):
+            wall = wall_flux(wall, batch.wall_normals)
+        if len(far):
+            far = rusanov_flux(
+                far, np.broadcast_to(self.qinf, far.shape), batch.far_normals
+            )
+        rs = {}
+        for (p, s), faces, walls, fars in zip(
+            batch.slices.items(), batch.faces, batch.walls, batch.fars
+        ):
+            r = rs[p] = np.zeros_like(qs[p])
+            self.engine.scatter_add(r, s.face_scatter, flux[faces])
+            if len(s.wall_cell):
+                self.engine.scatter_add(r, s.wall_scatter, wall[walls])
+            if len(s.far_cell):
+                self.engine.scatter_add(r, s.far_scatter, far[fars])
+        return rs
 
     def _completed_residual(self, X, doms, qs, forcing, pending) -> dict:
         """Residual completed across ranks: local flux accumulation
         (split into interior/ghost faces when finishing an overlapped
         exchange), exchange-add to owners, ghost rows zeroed, forcing
         subtracted."""
-        rs = {}
         if pending is None:
-            for p, dom in doms.items():
-                rs[p] = self._face_residual(dom.ctx, qs[p])
+            rs = self._batch_residual(_face_batch(doms), qs)
             X.charge(self._flops(doms))
         else:
             # paper fig. 7: compute the interior while ghost values are
             # in transit, then finish the exchange and add the
             # ghost-touching face contributions
-            for p, dom in doms.items():
-                interior, _ghost = _split_faces(dom)
-                rs[p] = self._face_residual(interior, qs[p])
+            interior, ghost = _split_batches(doms)
+            rs = self._batch_residual(interior, qs)
             X.charge(self._flops(doms))
             pending.finish()
-            for p, dom in doms.items():
-                _interior, ghost = _split_faces(dom)
-                rs[p] = rs[p] + self._face_residual(ghost, qs[p])
+            late = self._batch_residual(ghost, qs)
+            rs = {p: rs[p] + late[p] for p in doms}
         X.add(rs, tag=1)
         out = {}
         for p, dom in doms.items():

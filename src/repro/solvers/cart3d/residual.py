@@ -96,7 +96,7 @@ def residual(
             qr[bad] = q[level.face_right][bad]
 
     engine.scatter_add(
-        r, level.face_scatter, flux_fn(ql, qr, level.face_normal)
+        r, level.face_scatter, flux_fn(ql, qr, level.face_normals)
     )
     add_boundary_fluxes(level, r, q, qinf)
     return r

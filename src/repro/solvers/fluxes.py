@@ -15,26 +15,21 @@ vectorized over faces with arbitrary (non-unit) area normals:
 Extra state columns beyond the five mean-flow variables (the SA working
 variable) are upwinded passively with the interface mass flux.
 
-Inside :func:`euler_flux`, :func:`max_wave_speed`, :func:`rusanov_flux`
-and :func:`wall_flux` the data is component-major: a state is unpacked
-once per side into contiguous ``rho, u, v, w, p`` rows
+Every kernel here is component-major: a state is unpacked once per side
+into contiguous ``rho, u, v, w, p`` rows
 (:func:`~repro.solvers.gas.primitive_rows`), the normal into ``nx, ny,
 nz, |S|`` rows (:class:`FaceNormals`), dot products are written out as
 ``u*nx + v*ny + w*nz``, and the physical Euler flux of each side is built
 from the rows already in hand (:func:`_euler_rows`) instead of converting
-the state again.  Signatures stay ``(F, nvar)`` in and out, and the
-results are bit-identical to the array-of-vectors formulas
-(``tests/test_gas_fluxes.py``).  ``rusanov_flux`` and ``wall_flux`` also
-accept a prebuilt :class:`FaceNormals`, which is how a level hands over
-boundary geometry it split once instead of once per call.
-
-The two interior upwind fluxes, :func:`roe_flux` and
-:func:`van_leer_flux`, still work on arrays of vectors.  The same
-rewrite is bit-identical and 2.3-4x faster in isolation for both, but
-what it saves is per face — the same milliseconds on a serial solve and
-on its four-partition twin — and the distributed rows' fixed
-per-partition cost then reads as a ``dist_over_serial`` ratio outside
-the benchmark's bound; ROADMAP.md has the measurements.
+the state again.  Branches are taken per face by ``np.where`` over rows
+computed for every face (van Leer's sub/supersonic split, Roe's entropy
+fix), skipped when no face needs the other branch, rather than by
+boolean-mask gathers and scatters.  Signatures stay ``(F, nvar)`` in and
+out, and the results are bit-identical — signed zeros included — to the
+array-of-vectors formulas ``tests/test_gas_fluxes.py`` keeps as oracles.
+The interface and boundary fluxes accept a prebuilt :class:`FaceNormals`,
+which is how a level hands over geometry it split once instead of once
+per call.
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ from .gas import (
     GAMMA,
     GM1,
     NVAR_EULER,
-    conservative_to_primitive,
     pressure,
     primitive_rows,
 )
@@ -75,15 +69,6 @@ def split_normals(normal: np.ndarray | FaceNormals) -> FaceNormals:
         normal[..., 0] / safe, normal[..., 1] / safe, normal[..., 2] / safe,
         area,
     )
-
-
-def _split_normal(normal: np.ndarray):
-    """``(unit normals (..., 3), areas)`` — the array-of-vectors form
-    :func:`van_leer_flux` still works on."""
-    normal = np.asarray(normal, dtype=np.float64)
-    area = np.linalg.norm(normal, axis=-1)
-    safe = np.maximum(area, 1e-300)
-    return normal / safe[..., None], area
 
 
 def _euler_rows(rho, u, v, w, p, energy, nx, ny, nz):
@@ -165,7 +150,7 @@ def rusanov_flux(
 def roe_flux(
     ql: np.ndarray,
     qr: np.ndarray,
-    normal: np.ndarray,
+    normal: np.ndarray | FaceNormals,
     entropy_fix: float = 0.05,
 ) -> np.ndarray:
     """Roe's approximate Riemann solver (Harten entropy fix).
@@ -176,129 +161,136 @@ def roe_flux(
     """
     ql = np.asarray(ql, dtype=np.float64)
     qr = np.asarray(qr, dtype=np.float64)
-    n, area = _split_normal(normal)
-    pl = conservative_to_primitive(ql)
-    pr = conservative_to_primitive(qr)
-    rho_l, u_l, p_l = pl[..., 0], pl[..., 1:4], pl[..., 4]
-    rho_r, u_r, p_r = pr[..., 0], pr[..., 1:4], pr[..., 4]
+    nx, ny, nz, area = split_normals(normal)
+    rho_l, u_l, v_l, w_l, p_l = primitive_rows(ql)
+    rho_r, u_r, v_r, w_r, p_r = primitive_rows(qr)
     h_l = (ql[..., 4] + p_l) / rho_l
     h_r = (qr[..., 4] + p_r) / rho_r
 
     # Roe averages
     sl = np.sqrt(rho_l)
     sr = np.sqrt(rho_r)
-    w = sl / (sl + sr)
-    u = w[..., None] * u_l + (1 - w)[..., None] * u_r
-    h = w * h_l + (1 - w) * h_r
-    ke = 0.5 * np.sum(u * u, axis=-1)
+    wl = sl / (sl + sr)
+    wr = 1 - wl
+    u = wl * u_l + wr * u_r
+    v = wl * v_l + wr * v_r
+    w = wl * w_l + wr * w_r
+    h = wl * h_l + wr * h_r
+    ke = 0.5 * (u * u + v * v + w * w)
     # an unphysical average (h < ke) gets the floored sound speed in the
     # wave strengths too, not a division by a negative or zero a^2
     a2 = np.maximum(GM1 * (h - ke), 1e-12)
     a = np.sqrt(a2)
-    un = np.sum(u * n, axis=-1)
+    un = u * nx + v * ny + w * nz
 
     # wave strengths
-    drho = rho_r - rho_l
     dp = p_r - p_l
-    du = u_r - u_l
-    dun = np.sum(du * n, axis=-1)
+    du, dv, dw = u_r - u_l, v_r - v_l, w_r - w_l
+    dun = du * nx + dv * ny + dw * nz
     rho_roe = sl * sr
+    jump = rho_roe * a * dun
 
-    a1 = (dp - rho_roe * a * dun) / (2 * a2)  # u - a wave
-    a3 = (dp + rho_roe * a * dun) / (2 * a2)  # u + a wave
-    a2w = drho - dp / a2  # entropy wave
-    # shear waves: velocity jump minus its normal part
-    dut = du - dun[..., None] * n
-
-    lam1 = np.abs(un - a)
     lam2 = np.abs(un)
-    lam3 = np.abs(un + a)
-    # Harten entropy fix on the nonlinear waves
     eps = entropy_fix * a
-    for lam in (lam1, lam3):
+
+    def fixed(lam):
+        """Harten entropy fix on a nonlinear wave."""
         small = lam < eps
-        lam[small] = (lam[small] ** 2 / np.maximum(eps[small], 1e-300)
-                      + eps[small]) * 0.5
+        if not small.any():
+            return lam
+        return np.where(
+            small, (lam ** 2 / np.maximum(eps, 1e-300) + eps) * 0.5, lam
+        )
 
-    nvar = ql.shape[-1]
-    diss = np.zeros(ql.shape[:-1] + (NVAR_EULER,), dtype=np.float64)
+    k1 = (dp - jump) / (2 * a2) * fixed(np.abs(un - a))  # u - a wave
+    k2 = ((rho_r - rho_l) - dp / a2) * lam2  # entropy wave
+    k3 = (dp + jump) / (2 * a2) * fixed(np.abs(un + a))  # u + a wave
+    # shear waves: velocity jump minus its normal part
+    shear = rho_roe * lam2
+    tx, ty, tz = du - dun * nx, dv - dun * ny, dw - dun * nz
+    aun = a * un
+    # each row is summed from +0.0 in wave order (u - a, entropy, shear,
+    # u + a): a sum of negative zeros keeps its sign otherwise
+    diss = (
+        0.0 + k1 + k2 + k3,
+        0.0 + k1 * (u - a * nx) + k2 * u + shear * tx + k3 * (u + a * nx),
+        0.0 + k1 * (v - a * ny) + k2 * v + shear * ty + k3 * (v + a * ny),
+        0.0 + k1 * (w - a * nz) + k2 * w + shear * tz + k3 * (w + a * nz),
+        0.0 + k1 * (h - aun) + k2 * ke
+        + shear * (u * tx + v * ty + w * tz) + k3 * (h + aun),
+    )
 
-    def add_wave(strength, lam, r0, r13, r4):
-        diss[..., 0] += strength * lam * r0
-        diss[..., 1:4] += (strength * lam)[..., None] * r13
-        diss[..., 4] += strength * lam * r4
-
-    add_wave(a1, lam1, 1.0, u - a[..., None] * n, h - a * un)
-    add_wave(a2w, lam2, 1.0, u, ke)
-    # shear contribution
-    diss[..., 1:4] += (rho_roe * lam2)[..., None] * dut
-    diss[..., 4] += rho_roe * lam2 * np.sum(u * dut, axis=-1)
-    add_wave(a3, lam3, 1.0, u + a[..., None] * n, h + a * un)
-
-    fl = euler_flux(ql[..., :NVAR_EULER], n)
-    fr = euler_flux(qr[..., :NVAR_EULER], n)
-    flux5 = 0.5 * (fl + fr) - 0.5 * diss
-
-    if nvar > NVAR_EULER:
-        flux = np.empty_like(ql)
-        flux[..., :NVAR_EULER] = flux5
+    _, *fl = _euler_rows(rho_l, u_l, v_l, w_l, p_l, ql[..., 4], nx, ny, nz)
+    _, *fr = _euler_rows(rho_r, u_r, v_r, w_r, p_r, qr[..., 4], nx, ny, nz)
+    rows = [0.5 * (f + g) - 0.5 * d for f, g, d in zip(fl, fr, diss)]
+    flux = _assemble(rows[0].shape, ql.shape[-1], rows, scale=area)
+    if ql.shape[-1] > NVAR_EULER:
         # passive upwinding of extra variables with the mass flux
-        mass = flux5[..., 0]
+        mass = rows[0][..., None]
         nu_up = np.where(
-            mass[..., None] >= 0,
+            mass >= 0,
             ql[..., NVAR_EULER:] / rho_l[..., None],
             qr[..., NVAR_EULER:] / rho_r[..., None],
         )
-        flux[..., NVAR_EULER:] = mass[..., None] * nu_up
-    else:
-        flux = flux5
-    return flux * area[..., None]
+        flux[..., NVAR_EULER:] = mass * nu_up * area[..., None]
+    return flux
 
 
-def van_leer_flux(ql: np.ndarray, qr: np.ndarray, normal: np.ndarray) -> np.ndarray:
+def van_leer_flux(
+    ql: np.ndarray, qr: np.ndarray, normal: np.ndarray | FaceNormals
+) -> np.ndarray:
     """Van Leer flux-vector splitting, F = F+(ql) + F-(qr)."""
-    n, area = _split_normal(normal)
-    flux = _van_leer_half(np.asarray(ql, dtype=np.float64), n, +1.0) + \
-        _van_leer_half(np.asarray(qr, dtype=np.float64), n, -1.0)
-    return flux * area[..., None]
+    ql = np.asarray(ql, dtype=np.float64)
+    qr = np.asarray(qr, dtype=np.float64)
+    nx, ny, nz, area = split_normals(normal)
+    plus, extra_p = _van_leer_half(ql, nx, ny, nz, +1.0)
+    minus, extra_m = _van_leer_half(qr, nx, ny, nz, -1.0)
+    rows = [a + b for a, b in zip(plus, minus)]
+    flux = _assemble(rows[0].shape, ql.shape[-1], rows, scale=area)
+    flux[..., NVAR_EULER:] = (extra_p + extra_m) * area[..., None]
+    return flux
 
 
-def _van_leer_half(q: np.ndarray, n: np.ndarray, sign: float) -> np.ndarray:
-    prim = conservative_to_primitive(q)
-    rho, vel, p = prim[..., 0], prim[..., 1:4], prim[..., 4]
+def _van_leer_half(q, nx, ny, nz, sign: float):
+    """One side's split flux per unit area: the five Euler rows and the
+    ``(..., nvar - 5)`` passive columns.  The subsonic formula is
+    evaluated on every face and the branch picked per face afterwards;
+    a face that is neither subsonic nor fully upwind — downwind, or a
+    NaN state — contributes zero."""
+    rho, u, v, w, p = primitive_rows(q)
     a = np.sqrt(GAMMA * p / rho)
-    vn = np.sum(vel * n, axis=-1)
+    vn = u * nx + v * ny + w * nz
     m = vn / a
-    out = np.zeros_like(q)
-
-    full = sign * m >= 1.0  # fully upwind
-    if full.any():
-        out[full] = euler_flux(q[full], n[full])
+    fmass = sign * 0.25 * rho * a * (m + sign) ** 2
+    common = (-vn + sign * 2.0 * a) / GAMMA
+    # energy: van Leer's split enthalpy form
+    h_split = (
+        0.5 * (u * u + v * v + w * w)
+        - 0.5 * vn**2
+        + (GM1 * vn + sign * 2 * a) ** 2 / (2 * (GAMMA**2 - 1.0))
+    )
+    rows = [
+        fmass,
+        fmass * (u + common * nx),
+        fmass * (v + common * ny),
+        fmass * (w + common * nz),
+        fmass * h_split,
+    ]
+    passive = q[..., NVAR_EULER:]
+    extra = fmass[..., None] * (passive / rho[..., None])
     sub = np.abs(m) < 1.0
-    if sub.any():
-        rs, vs, ps = rho[sub], vel[sub], p[sub]
-        a_s, m_s, vn_s = a[sub], m[sub], vn[sub]
-        n_s = n[sub]
-        fmass = sign * 0.25 * rs * a_s * (m_s + sign) ** 2
-        common = (-vn_s + sign * 2.0 * a_s) / GAMMA
-        out_sub = np.zeros_like(q[sub])
-        out_sub[..., 0] = fmass
-        out_sub[..., 1:4] = fmass[..., None] * (
-            vs + common[..., None] * n_s
+    if not sub.all():
+        full = sign * m >= 1.0  # fully upwind: the physical flux
+        _, *phys = _euler_rows(rho, u, v, w, p, q[..., 4], nx, ny, nz)
+        rows = [
+            np.where(sub, row, np.where(full, f, 0.0))
+            for row, f in zip(rows, phys)
+        ]
+        extra = np.where(
+            sub[..., None], extra,
+            np.where(full[..., None], passive * vn[..., None], 0.0),
         )
-        # energy: van Leer's split enthalpy form
-        h_split = (
-            0.5 * np.sum(vs * vs, axis=-1)
-            - 0.5 * vn_s**2
-            + ((GM1) * vn_s + sign * 2 * a_s) ** 2 / (2 * (GAMMA**2 - 1.0))
-        )
-        out_sub[..., 4] = fmass * h_split
-        if q.shape[-1] > NVAR_EULER:
-            out_sub[..., NVAR_EULER:] = fmass[..., None] * (
-                q[sub][..., NVAR_EULER:] / rs[..., None]
-            )
-        out[sub] = out_sub
-    return out
+    return rows, extra
 
 
 def wall_flux(

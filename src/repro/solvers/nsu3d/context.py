@@ -80,9 +80,14 @@ class FlowContext:
     # -- per-level invariants, computed on first use -----------------------
 
     @cached_property
+    def edge_normals(self) -> FaceNormals:
+        """:attr:`face_vectors` split for the edge fluxes."""
+        return split_normals(self.face_vectors)
+
+    @property
     def edge_area(self) -> np.ndarray:
         """Dual-face areas ``|S|``."""
-        return np.linalg.norm(self.face_vectors, axis=1)
+        return self.edge_normals.area
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:

@@ -120,7 +120,7 @@ def residual(
         qr = np.where(ok[:, None], primitive_to_conservative(pr), qr)
 
     engine.scatter_add(
-        r, ctx.edge_scatter, roe_flux(ql, qr, ctx.face_vectors)
+        r, ctx.edge_scatter, roe_flux(ql, qr, ctx.edge_normals)
     )
 
     # -- boundary convective fluxes -------------------------------------------

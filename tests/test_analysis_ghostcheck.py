@@ -21,8 +21,11 @@ from repro import telemetry
 from repro.analysis.ghostcheck import check_paths, check_source
 from repro.comm import SimMPI, build_halos
 from repro.errors import ExchangeLifecycleError, GhostRaceError, RankFailure
+from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
 from repro.runtime import PendingGroup, RuntimeConfig
+from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
+from repro.solvers.cart3d.parallel import Cart3DKernels, _face_batch
 from repro.solvers.nsu3d import NSU3DSolver, make_parallel_nsu3d
 from repro.solvers.nsu3d.parallel import NSU3DKernels
 from repro.solvers.nsu3d.residual import residual
@@ -223,8 +226,36 @@ def _helper(self, dom, qs, pending):
     return r1
 """
 
+    #: Cart3D's shape: one batch per pass over every partition handed in
+    BATCH_OK = """
+def smooth(self, X, doms, qs):
+    pending = X.start_copy(qs, tag=23)
+    rs = self._completed_residual(X, doms, qs, pending)
+    pending = None
+    return rs
+
+def _completed_residual(self, X, doms, qs, pending):
+    interior, ghost = _split_batches(doms)
+    rs = self._batch_residual(interior, qs)
+    pending.finish()
+    late = self._batch_residual(ghost, qs)
+    return {p: rs[p] + late[p] for p in doms}
+"""
+
+    #: the whole-level batch gathers ghost rows: not inside the window
+    BATCH_RACY = BATCH_OK.replace(
+        "rs = self._batch_residual(interior, qs)",
+        "rs = self._batch_residual(_face_batch(doms), qs)",
+    )
+
     def test_clean_helper_passes(self):
         assert rules(self.HELPER_OK) == []
+
+    def test_split_batches_pass_and_the_whole_batch_is_flagged(self):
+        assert rules(self.BATCH_OK) == []
+        diags = check_source(self.BATCH_RACY, "t.py")
+        assert [d.rule for d in diags] == ["ghost/read-in-window"]
+        assert diags[0].line == 10 and "'qs'" in diags[0].message
 
     def test_racy_helper_is_flagged(self):
         diags = check_source(self.HELPER_RACY, "t.py")
@@ -281,6 +312,29 @@ class RacyNSU3DKernels(NSU3DKernels):
         return out
 
 
+class RacyCart3DKernels(Cart3DKernels):
+    """The same planted race through the batched path: the whole-level
+    batch (ghost-touching faces included) evaluated before ``finish``.
+    Its gathers are per partition, so the guard views still see them."""
+
+    def _completed_residual(self, X, doms, qs, forcing, pending):
+        if pending is None:
+            return super()._completed_residual(X, doms, qs, forcing,
+                                               pending)
+        rs = self._batch_residual(_face_batch(doms), qs)  # noqa
+        pending.finish()
+        X.add(rs, tag=1)
+        for p, dom in doms.items():
+            rs[p][dom.nowned:] = 0.0
+        return rs
+
+
+@pytest.fixture(scope="module")
+def small_cart3d():
+    return Cart3DSolver(Sphere(center=[0.5, 0.5, 0.5], radius=0.15), dim=2,
+                        base_level=4, max_level=5, mg_levels=2, mach=0.4)
+
+
 @pytest.fixture(scope="module")
 def small_nsu3d():
     mesh = bump_channel(ni=8, nj=4, nk=6, wall_spacing=5e-3, ratio=1.3,
@@ -316,6 +370,29 @@ class TestGhostSanitizerRuntime:
         )
         pn.kernels = RacyNSU3DKernels(small_nsu3d.qinf, viscous=True)
         qg, hist = pn.run(SimMPI(4), 2, cfl=8.0, cycle="W")
+        assert np.isfinite(qg).all() and np.isfinite(hist).all()
+
+
+    def test_planted_race_in_the_cart3d_batch_raises(self, small_cart3d):
+        par = make_parallel_cart3d(
+            small_cart3d, 4,
+            config=RuntimeConfig(overlap=True, sanitize=True),
+        )
+        par.kernels = RacyCart3DKernels(small_cart3d.qinf)
+        with pytest.raises(RankFailure) as exc_info:
+            par.solve(1, cfl=2.0)
+        cause = exc_info.value.__cause__
+        assert isinstance(cause, GhostRaceError)
+        assert "ghost rows read" in str(cause)
+        assert cause.partition in range(4)
+
+    def test_racy_cart3d_batch_passes_silently_without_sanitizer(
+            self, small_cart3d):
+        par = make_parallel_cart3d(
+            small_cart3d, 4, config=RuntimeConfig(overlap=True),
+        )
+        par.kernels = RacyCart3DKernels(small_cart3d.qinf)
+        qg, hist = par.solve(2, cfl=2.0)
         assert np.isfinite(qg).all() and np.isfinite(hist).all()
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import SimMPI, build_halos, communication_graph, max_degree
+from repro.comm.exchange import ExchangePlan
 
 
 def grid_graph(nx, ny):
@@ -78,6 +79,34 @@ class TestBuildHalos:
         nvert, edges = grid_graph(3, 3)
         with pytest.raises(ValueError):
             build_halos(nvert, edges, np.zeros(4, dtype=np.int64))
+
+
+class TestPlanNeighbors:
+    """``neighbors`` is sorted once per plan, not once per access — and
+    plans are filled in after construction (``build_halos``, hand-built
+    plancheck fixtures), so it must follow the slot dicts."""
+
+    def test_sorted_once_while_the_slots_stand(self):
+        nvert, edges = grid_graph(6, 6)
+        plan = build_halos(nvert, edges, strip_partition(nvert, 3))[1].plan
+        assert plan.neighbors == [0, 2]
+        assert plan.neighbors is plan.neighbors
+        assert plan.degree() == 2
+
+    def test_slot_changes_after_the_first_access_are_followed(self):
+        plan = ExchangePlan(rank=1)
+        assert plan.neighbors == [] and plan.degree() == 0
+        plan.ghost_slots[3] = np.array([4])
+        assert plan.neighbors == [3]
+        plan.owned_slots[0] = np.array([0])
+        plan.owned_slots[3] = np.array([1])
+        assert plan.neighbors == [0, 3] and plan.degree() == 2
+        # same number of entries, another rank
+        del plan.ghost_slots[3], plan.owned_slots[3]
+        plan.ghost_slots[2] = np.array([4])
+        assert plan.neighbors == [0, 2]
+        plan.ghost_slots.clear()
+        assert plan.neighbors == [0]
 
 
 class TestExchanges:

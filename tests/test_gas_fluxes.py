@@ -268,6 +268,51 @@ def _ref_roe(ql, qr, normal, entropy_fix=0.05, floor_strengths=True):
     return flux * area[..., None]
 
 
+def _ref_van_leer(ql, qr, normal):
+    """The array-of-vectors ``van_leer_flux`` the kernel replaced: each
+    half moves its faces through boolean-mask gathers and scatters."""
+
+    def half(q, n, sign):
+        prim = _ref_primitive(q)
+        rho, vel, p = prim[..., 0], prim[..., 1:4], prim[..., 4]
+        a = np.sqrt(GAMMA * p / rho)
+        vn = np.sum(vel * n, axis=-1)
+        m = vn / a
+        out = np.zeros_like(q)
+
+        full = sign * m >= 1.0  # fully upwind
+        if full.any():
+            out[full] = _ref_euler(q[full], n[full])
+        sub = np.abs(m) < 1.0
+        if sub.any():
+            rs, vs, ps = rho[sub], vel[sub], p[sub]
+            a_s, m_s, vn_s = a[sub], m[sub], vn[sub]
+            n_s = n[sub]
+            fmass = sign * 0.25 * rs * a_s * (m_s + sign) ** 2
+            common = (-vn_s + sign * 2.0 * a_s) / GAMMA
+            out_sub = np.zeros_like(q[sub])
+            out_sub[..., 0] = fmass
+            out_sub[..., 1:4] = fmass[..., None] * (
+                vs + common[..., None] * n_s
+            )
+            # energy: van Leer's split enthalpy form
+            h_split = (
+                0.5 * np.sum(vs * vs, axis=-1)
+                - 0.5 * vn_s**2
+                + ((GM1) * vn_s + sign * 2 * a_s) ** 2 / (2 * (GAMMA**2 - 1.0))
+            )
+            out_sub[..., 4] = fmass * h_split
+            if q.shape[-1] > 5:
+                out_sub[..., 5:] = fmass[..., None] * (
+                    q[sub][..., 5:] / rs[..., None]
+                )
+            out[sub] = out_sub
+        return out
+
+    n, area = _ref_split(normal)
+    return (half(ql, n, +1.0) + half(qr, n, -1.0)) * area[..., None]
+
+
 def _ref_wall(cons, normal):
     n, area = _ref_split(normal)
     out = np.zeros_like(cons)
@@ -316,6 +361,13 @@ def same(a, b):
     return np.array_equal(a, b, equal_nan=True)
 
 
+def same_bytes(a, b):
+    """:func:`same`, signs of zeros included: ``-0.0 == 0.0``, so a
+    value comparison lets a sign drift in a downwind or zero-area row
+    through."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestRowKernelsMatchReference:
     """Each component-major kernel against its straight-line formula, on
     generated face sets."""
@@ -350,13 +402,32 @@ class TestRowKernelsMatchReference:
     @faces
     def test_roe(self, seed, nvar, regime):
         ql, qr, normal = drawn_faces(seed, nvar, regime)
-        assert same(roe_flux(ql, qr, normal), _ref_roe(ql, qr, normal))
+        assert same_bytes(roe_flux(ql, qr, normal), _ref_roe(ql, qr, normal))
+
+    @settings(max_examples=60, deadline=None)
+    @faces
+    def test_van_leer(self, seed, nvar, regime):
+        ql, qr, normal = drawn_faces(seed, nvar, regime)
+        assert same_bytes(van_leer_flux(ql, qr, normal),
+                          _ref_van_leer(ql, qr, normal))
+
+    @pytest.mark.parametrize("nvar", [5, 6])
+    def test_van_leer_takes_no_branch_on_a_nan_state(self, nvar):
+        """NaN is neither subsonic nor fully upwind: such a side adds
+        the zero flux it always did, not NaN."""
+        ql, qr, normal = drawn_faces(5, nvar, "supersonic")
+        ql[1] = qr[1] = ql[2] = qr[4] = np.nan
+        f = van_leer_flux(ql, qr, normal)
+        assert same_bytes(f, _ref_van_leer(ql, qr, normal))
+        assert not f[1].any() and not np.signbit(f[1]).any()
+        assert np.isfinite(f).all()
 
     @settings(max_examples=40, deadline=None)
     @faces
     def test_rusanov(self, seed, nvar, regime):
         ql, qr, normal = drawn_faces(seed, nvar, regime)
-        assert same(rusanov_flux(ql, qr, normal), _ref_rusanov(ql, qr, normal))
+        assert same_bytes(rusanov_flux(ql, qr, normal),
+                          _ref_rusanov(ql, qr, normal))
 
     @settings(max_examples=40, deadline=None)
     @faces
@@ -377,8 +448,9 @@ class TestRowKernelsMatchReference:
         ql, qr, normal = drawn_faces(seed, nvar, regime)
         split = split_normals(normal)
         assert split_normals(split) is split
-        assert same(rusanov_flux(ql, qr, split), rusanov_flux(ql, qr, normal))
-        assert same(wall_flux(ql, split), wall_flux(ql, normal))
+        for flux in (rusanov_flux, roe_flux, van_leer_flux):
+            assert same_bytes(flux(ql, qr, split), flux(ql, qr, normal))
+        assert same_bytes(wall_flux(ql, split), wall_flux(ql, normal))
 
     def test_zero_area_faces_carry_no_flux(self):
         ql, qr, normal = drawn_faces(11, 6, "subsonic")
