@@ -1,8 +1,8 @@
 """Kernel engines: one contract, two implementations (PR 9).
 
 The hot numerical kernels of both solvers — scatter accumulation, 6x6
-block assembly and solves, batched line-tridiagonal sweeps, RK stage
-updates — dispatch through a :class:`KernelEngine` selected by a frozen
+block assembly and solves, batched line-tridiagonal factorizations and
+sweeps, RK stage updates — dispatch through a :class:`KernelEngine` selected by a frozen
 :class:`KernelConfig`, the same shape as the runtime's backend
 selection.  ``"numpy"`` is the bit-compatible reference, ``"batched"``
 the loop-free fast path; scatter over fixed index sets goes through

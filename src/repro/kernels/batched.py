@@ -16,14 +16,12 @@ production-sized meshes (``benchmarks/bench_kernel_engines.py``):
   into one padded slab (identity diagonal, zero couplings and zero RHS
   beyond each line's real length — provably inert stations) cuts the
   number of Python-level recursion steps and batches the per-station
-  ``np.linalg.solve`` over every line at once: the paper's "sets of 64
+  block inversions over every line at once: the paper's "sets of 64
   lines of similar length, over which vectorization may then take
-  place".
-* **Stacked block assembly and prefactored diagonals** — the two edge
-  endpoint Jacobians assemble in one stacked pass, and frozen
-  point-implicit diagonals are inverted once per smoothing step instead
-  of re-factored per stage (the three-stage recursion reuses the same
-  blocks).
+  place".  The recursion itself is the shared
+  :class:`~repro.kernels.numpy_engine.ThomasFactor`.
+* **Stacked block assembly** — the two edge endpoint Jacobians assemble
+  in one stacked pass.
 
 Everything else intentionally reuses the reference implementation: the
 row-filled Euler Jacobian is constant-bound (3x3) and already vectorized
@@ -40,19 +38,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_BLOCK_SIZE
-from .numpy_engine import block_thomas, euler_jacobian
+from .numpy_engine import PrefactoredDiagonal, ThomasFactor, euler_jacobian
 from .scatter import ScatterOperator
-
-
-class _PrefactoredDiagonal:
-    """Frozen-operator point solves with the inverse precomputed once;
-    each stage application is a batched matmul instead of a fresh LU."""
-
-    def __init__(self, diag: np.ndarray):
-        self._inv = np.linalg.inv(diag)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return np.einsum("nab,nb->na", self._inv, rhs)
 
 
 def _fused_slab(systems: list) -> list:
@@ -67,7 +54,7 @@ def _fused_slab(systems: list) -> list:
     """
     if len(systems) == 1:
         lower, diag, upper, rhs = systems[0]
-        return [block_thomas(lower, diag, upper, rhs)]
+        return [ThomasFactor(lower, diag, upper).solve(rhs)]
     k = systems[0][1].shape[2]
     lengths = [s[1].shape[1] for s in systems]
     counts = [s[1].shape[0] for s in systems]
@@ -87,7 +74,7 @@ def _fused_slab(systems: list) -> list:
             lower[rows, : m - 1] = lo
             upper[rows, : m - 1] = up
         row += count
-    out = block_thomas(lower, diag, upper, rhs)
+    out = ThomasFactor(lower, diag, upper).solve(rhs)
     solutions = []
     row = 0
     for m, count in zip(lengths, counts):
@@ -170,15 +157,16 @@ class BatchedEngine:
     def block_solve(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(diag, rhs[:, :, None])[:, :, 0]
 
-    def block_factor(self, diag: np.ndarray) -> _PrefactoredDiagonal:
-        return _PrefactoredDiagonal(diag)
+    def block_factor(self, diag: np.ndarray) -> PrefactoredDiagonal:
+        return PrefactoredDiagonal(diag)
+
+    def thomas_factor(self, lower: np.ndarray, diag: np.ndarray,
+                      upper: np.ndarray) -> ThomasFactor:
+        return ThomasFactor(lower, diag, upper)
 
     def thomas(self, systems: list) -> list:
         if len(systems) <= 1:
-            return [
-                block_thomas(lower, diag, upper, rhs)
-                for lower, diag, upper, rhs in systems
-            ]
+            return _fused_slab(systems) if systems else []
         # sort by line length so slab padding stays bounded, then pack
         # consecutive groups until each slab holds >= block_size lines
         order = sorted(

@@ -1,10 +1,20 @@
 """The kernel-engine contract and the dispatch seam.
 
 :class:`KernelEngine` is the runtime-checkable protocol every engine
-implements: the six hot primitives the solvers dispatch through —
-scatter accumulation, Euler-Jacobian block assembly (single and
-per-edge-pair), dense block solves (one-shot and frozen/factored),
-grouped block-tridiagonal Thomas sweeps, and the RK stage update.
+implements: the seven hot primitives the solvers dispatch through —
+``scatter_add``, ``euler_jacobian`` and ``edge_jacobians`` (Euler
+Jacobian blocks, single and per-edge-pair), ``block_solve`` and
+``block_factor`` (dense block solves, one-shot and frozen), ``thomas``
+(grouped block-tridiagonal solves) and ``rk_update`` — plus
+``thomas_factor``, which is to ``thomas`` what ``block_factor`` is to
+``block_solve``: it eliminates one group of lines once and returns an
+object whose ``solve(rhs)`` only runs the right-hand-side sweeps, so a
+smoothing step that applies one frozen operator in three stages factors
+it once.  ``thomas(systems)`` is the one-shot ``factor -> solve`` over
+several groups; both end in the single recursion of
+:class:`~repro.kernels.numpy_engine.ThomasFactor`, and frozen point
+blocks in the single :class:`~repro.kernels.numpy_engine.
+PrefactoredDiagonal`, whichever engine is active.
 
 Dispatch is ambient: the solver modules call :func:`get_engine` at their
 hot sites, and the facades (serial solvers, the ``SolverKernels``
@@ -35,24 +45,28 @@ from .scatter import ScatterOperator
 
 
 class BlockFactor(Protocol):
-    """A frozen, reusable factorization of point-implicit diagonals."""
+    """A frozen, reusable factorization — of point-implicit diagonals
+    (``block_factor``) or of one group of block-tridiagonal lines
+    (``thomas_factor``)."""
 
     def solve(self, rhs: np.ndarray) -> np.ndarray: ...
 
 
 @runtime_checkable
 class KernelEngine(Protocol):
-    """The six hot primitives every kernel engine provides.
+    """The hot primitives every kernel engine provides.
 
     ``scatter_add`` mutates ``out`` in place (the accumulation pattern
     behind residuals, gradients and the implicit diagonal); everything
     else is pure.  Its ``idx`` is either an index array (``out[idx] +=
     contrib``, repeats accumulating) or a prebuilt
     :class:`~repro.kernels.scatter.ScatterOperator` for index sets that
-    never change — every engine applies an operator the same way.  ``thomas`` takes a list of ``(lower, diag, upper,
-    rhs)`` block-tridiagonal groups — one per line-length class — and
-    returns their solutions in order, which is the seam that lets the
-    batched engine fuse groups into padded slabs.
+    never change — every engine applies an operator the same way.
+    ``thomas`` takes a list of ``(lower, diag, upper, rhs)``
+    block-tridiagonal groups — one per line-length class — and returns
+    their solutions in order, which is the seam that lets the batched
+    engine fuse groups into padded slabs; ``thomas_factor`` takes one
+    group's matrix and returns its reusable factorization.
     """
 
     name: str
@@ -77,6 +91,10 @@ class KernelEngine(Protocol):
     ) -> np.ndarray: ...
 
     def block_factor(self, diag: np.ndarray) -> BlockFactor: ...
+
+    def thomas_factor(
+        self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
+    ) -> BlockFactor: ...
 
     def thomas(self, systems: list) -> list: ...
 

@@ -1,15 +1,18 @@
-"""The reference kernel engine: today's numpy code, extracted verbatim.
+"""The reference kernel engine, and the implementations every engine
+shares.
 
-Every kernel here is the exact implementation the solver modules ran
-before the engine layer existed — ``np.add.at`` scatter accumulation
-(for index arrays; a prebuilt :class:`~repro.kernels.scatter.
-ScatterOperator` performs the same additions in the same order and is
-applied identically by every engine), the row-filled analytic Euler
-Jacobian, per-group block-Thomas
-recursions, repeated ``np.linalg.solve`` on frozen diagonals.  It is the
-bit-compatibility anchor: the parity matrix in
-``tests/test_kernel_engines.py`` pins every other engine against it, and
-the seed test suite's pinned histories reproduce on it exactly.
+The kernels here are the code the solver modules ran before the engine
+layer existed — ``np.add.at`` scatter accumulation (for index arrays; a
+prebuilt :class:`~repro.kernels.scatter.ScatterOperator` performs the
+same additions in the same order and is applied identically by every
+engine) and the row-filled analytic Euler Jacobian — plus the two
+frozen-operator factorizations, which exist once for all engines:
+:class:`PrefactoredDiagonal` (point blocks inverted once per smoothing
+step) and :class:`ThomasFactor` (one group of block-tridiagonal lines
+eliminated once; ``thomas`` is its one-shot ``factor -> solve``).  The
+parity matrix in ``tests/test_kernel_engines.py`` pins every other
+engine against this one, and keeps the recursion ``ThomasFactor``
+replaced (one ``np.linalg.solve`` per station per stage) as its oracle.
 
 Being the reference, this module is the one engine exempt from lint
 rule R013 (no per-point Python loops in engine modules): its loops *are*
@@ -63,51 +66,62 @@ def euler_jacobian(q: np.ndarray, normal: np.ndarray) -> np.ndarray:
     return a
 
 
-def block_thomas(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """Batched block-tridiagonal LU solve (the reference recursion).
-
-    Shapes: diag (L, m, k, k); lower/upper (L, m-1, k, k); rhs (L, m, k).
-    Vectorized across the L lines of the batch; the recursion runs over
-    the m stations.  Extracted from ``solvers/nsu3d/linesolve.py``.
-    """
-    L, m, k, _ = diag.shape
-    cprime = np.empty((L, max(m - 1, 0), k, k), dtype=np.float64)
-    dprime = np.empty((L, m, k), dtype=np.float64)
-    dmat = diag[:, 0]
-    if m > 1:
-        cprime[:, 0] = np.linalg.solve(dmat, upper[:, 0])
-    dprime[:, 0] = np.linalg.solve(dmat, rhs[:, 0][..., None])[..., 0]
-    for i in range(1, m):
-        dmat = diag[:, i] - np.einsum(
-            "lab,lbc->lac", lower[:, i - 1], cprime[:, i - 1]
-        )
-        if i < m - 1:
-            cprime[:, i] = np.linalg.solve(dmat, upper[:, i])
-        rhs_i = rhs[:, i] - np.einsum(
-            "lab,lb->la", lower[:, i - 1], dprime[:, i - 1]
-        )
-        dprime[:, i] = np.linalg.solve(dmat, rhs_i[..., None])[..., 0]
-    out = np.empty((L, m, k), dtype=np.float64)
-    out[:, m - 1] = dprime[:, m - 1]
-    for i in range(m - 2, -1, -1):
-        out[:, i] = dprime[:, i] - np.einsum(
-            "lab,lb->la", cprime[:, i], out[:, i + 1]
-        )
-    return out
-
-
-class _RepeatedSolveFactor:
-    """Frozen-operator point solves, reference style: keep the diagonal
-    and call ``np.linalg.solve`` per stage — bitwise what the solvers
-    did before factoring existed."""
+class PrefactoredDiagonal:
+    """Frozen point-implicit blocks, inverted once: a smoothing step
+    reapplies the same operator in every stage, so each application is a
+    batched mat-vec instead of a fresh LU."""
 
     def __init__(self, diag: np.ndarray):
-        self._diag = diag
+        self._inv = np.linalg.inv(diag)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self._diag, rhs[:, :, None])[:, :, 0]
+        return np.einsum("nab,nb->na", self._inv, rhs)
+
+
+class ThomasFactor:
+    """One group of block-tridiagonal lines, eliminated once.
+
+    Shapes: diag (L, m, k, k); lower/upper (L, m-1, k, k) with
+    ``upper[l, i]`` coupling station i to i+1 and ``lower[l, i]``
+    station i+1 to i.  The forward elimination — the only part that
+    depends on nothing but the matrix — runs here, vectorized across
+    the L lines (the paper's groups-of-64 strategy) with the recursion
+    over the m stations, and keeps per station the inverse of the
+    eliminated diagonal ``D'_i``, ``D'_i^-1 lower_{i-1}`` and ``c'_i =
+    D'_i^-1 upper_i``; :meth:`solve` is then one batched mat-vec and the
+    two station sweeps per right-hand side.  This is the one Thomas
+    recursion: every engine's ``thomas`` / ``thomas_factor`` ends here.
+    """
+
+    def __init__(self, lower: np.ndarray, diag: np.ndarray,
+                 upper: np.ndarray):
+        m = diag.shape[1]
+        inv = np.empty_like(diag, dtype=np.float64)
+        cprime = np.empty_like(upper, dtype=np.float64)
+        for i in range(m):
+            dmat = diag[:, i]
+            if i:
+                dmat = dmat - lower[:, i - 1] @ cprime[:, i - 1]
+            inv[:, i] = np.linalg.inv(dmat)
+            if i < m - 1:
+                cprime[:, i] = inv[:, i] @ upper[:, i]
+        self._inv = inv
+        self._inv_lower = inv[:, 1:] @ lower
+        self._cprime = cprime
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solutions (L, m, k) for right-hand sides (L, m, k)."""
+        m = rhs.shape[1]
+        out = np.einsum("lmab,lmb->lma", self._inv, rhs)
+        for i in range(1, m):
+            out[:, i] -= np.einsum(
+                "lab,lb->la", self._inv_lower[:, i - 1], out[:, i - 1]
+            )
+        for i in range(m - 2, -1, -1):
+            out[:, i] -= np.einsum(
+                "lab,lb->la", self._cprime[:, i], out[:, i + 1]
+            )
+        return out
 
 
 class NumpyEngine:
@@ -140,12 +154,16 @@ class NumpyEngine:
     def block_solve(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(diag, rhs[:, :, None])[:, :, 0]
 
-    def block_factor(self, diag: np.ndarray) -> _RepeatedSolveFactor:
-        return _RepeatedSolveFactor(diag)
+    def block_factor(self, diag: np.ndarray) -> PrefactoredDiagonal:
+        return PrefactoredDiagonal(diag)
+
+    def thomas_factor(self, lower: np.ndarray, diag: np.ndarray,
+                      upper: np.ndarray) -> ThomasFactor:
+        return ThomasFactor(lower, diag, upper)
 
     def thomas(self, systems: list) -> list:
         return [
-            block_thomas(lower, diag, upper, rhs)
+            ThomasFactor(lower, diag, upper).solve(rhs)
             for lower, diag, upper, rhs in systems
         ]
 

@@ -57,6 +57,17 @@ class DistributedDomain:
         return getattr(self.ctx, name)
 
 
+def level_cache(doms: dict, key: str, build: Callable[[], Any]) -> Any:
+    """``build()`` once per level: kept on the first domain's
+    :attr:`~DistributedDomain.cache` — a level's domains live and die
+    together — under the partition ids the structure spans."""
+    cache = next(iter(doms.values())).cache
+    slot = key, tuple(doms)
+    if slot not in cache:
+        cache[slot] = build()
+    return cache[slot]
+
+
 @dataclass
 class LevelSpec:
     """Global description of one level, ready to be decomposed.

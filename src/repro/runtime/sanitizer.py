@@ -26,7 +26,13 @@ simulator, with two complementary mechanisms armed per window:
   the innermost open telemetry span (the kernel phase, when tracing is
   enabled).  The underlying buffer is additionally marked
   ``writeable=False`` so even code holding a pre-swap reference cannot
-  scribble on an in-flight exchange.
+  scribble on an in-flight exchange.  A guard knows its ghost rows as
+  a row *mask*, so the protection survives stacking: a kernel that
+  joins the partitions it was handed into one array
+  (``np.concatenate``, how NSU3D runs each pass once per rank) gets a
+  guarded copy whose mask is the members' masks end to end, and a
+  gather from it that reaches any member's ghost range traps and names
+  that member's partition.
 
 Basic slices (``q[:, 0]``, ``q[: nowned]``), pointwise ufuncs and
 NumPy-function dispatch all pass through untrapped and return *plain*
@@ -63,17 +69,23 @@ class GuardedArray(np.ndarray):
 
     Instances are created by :class:`GhostSanitizer` via
     ``raw.view(GuardedArray)`` plus three instance attributes:
-    ``_ghost_start`` (first ghost row), ``_partition`` and ``_active``.
-    A ``GuardedArray`` lacking those attributes (e.g. produced by
-    ``.copy()`` or template construction) is inert and behaves exactly
-    like ``ndarray``.
+    ``_ghost`` (a row mask: which rows are ghosts), ``_partition`` (the
+    partition id — or one id per row) and ``_active``.  A partition's
+    own array is the one-range case (every row from its first ghost
+    on); ``np.concatenate`` of guards taken inside a window — a kernel
+    stacking the partitions it was handed — is guarded too, with the
+    members' masks end to end, so a gather from the stacked copy traps
+    like one from a member and names the partition whose ghost row it
+    reached.  A ``GuardedArray`` lacking those attributes (e.g. produced
+    by ``.copy()`` or template construction) is inert and behaves
+    exactly like ``ndarray``.
 
     Trapped while active:
 
-    * ``__getitem__`` with a first-axis selector that can reach a ghost
-      row: negative-normalized integers ``>= _ghost_start``, integer
-      fancy indexes with any entry in the ghost region, boolean masks
-      selecting any ghost row.
+    * ``__getitem__`` with a first-axis selector that reaches a ghost
+      row: integers (negative ones counted from the end), integer fancy
+      indexes with any entry on a ghost row, boolean masks selecting
+      any ghost row.
     * ``__setitem__`` — any write during the window.
     * ufunc ``out=`` targets and in-place ufunc methods (``np.add.at``).
 
@@ -82,41 +94,41 @@ class GuardedArray(np.ndarray):
     objects so guards never propagate into derived state.
     """
 
-    def _trap(self, detail: str):
-        raise GhostRaceError(
-            detail,
-            partition=getattr(self, "_partition", None),
-            span=_current_span(),
-        )
+    def _trap(self, detail: str, row: int | None = None):
+        partition = getattr(self, "_partition", None)
+        if np.ndim(partition):
+            partition = int(partition[0 if row is None else row])
+        raise GhostRaceError(detail, partition=partition,
+                             span=_current_span())
 
-    def _selects_ghost_rows(self, idx) -> bool:
+    def _selected_ghost_row(self, idx) -> int | None:
+        """A ghost row the first-axis selector of ``idx`` reaches."""
         sel = idx[0] if isinstance(idx, tuple) else idx
         if sel is None or sel is Ellipsis or isinstance(sel, slice):
-            return False
-        nrows = self.shape[0]
-        ghost_start = self._ghost_start
-        if isinstance(sel, (int, np.integer)):
-            i = int(sel)
-            if i < 0:
-                i += nrows
-            return i >= ghost_start
+            return None
+        ghost = self._ghost
         arr = np.asarray(sel)
         if arr.dtype == bool:
-            flat = arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr
-            if flat.shape[0] != nrows:
-                return False
-            return bool(np.asarray(flat[ghost_start:]).any())
-        if np.issubdtype(arr.dtype, np.integer) and arr.size:
-            rows = np.where(arr < 0, arr + nrows, arr)
-            return bool((np.asarray(rows) >= ghost_start).any())
-        return False
+            rows = arr.reshape(len(arr), -1).any(axis=1) if arr.ndim > 1 \
+                else arr
+            if rows.shape != ghost.shape:
+                return None
+            hits = np.flatnonzero(rows & ghost)
+        elif np.issubdtype(arr.dtype, np.integer):
+            rows = arr.ravel() % max(len(ghost), 1)
+            hits = rows[ghost[rows]]
+        else:
+            return None
+        return int(hits[0]) if len(hits) else None
 
     def __getitem__(self, idx):
-        if getattr(self, "_active", False) and self._selects_ghost_rows(idx):
-            self._trap(
-                "ghost rows read (gather into the poisoned region) "
-                "during an open overlap window"
-            )
+        if getattr(self, "_active", False):
+            row = self._selected_ghost_row(idx)
+            if row is not None:
+                self._trap(
+                    "ghost rows read (gather into the poisoned region) "
+                    "during an open overlap window", row,
+                )
         return self.view(np.ndarray)[idx]
 
     def __setitem__(self, idx, value):
@@ -162,7 +174,30 @@ class GuardedArray(np.ndarray):
                 return {k: strip(v) for k, v in obj.items()}
             return obj
 
-        return func(*strip(args), **strip(kwargs or {}))
+        out = func(*strip(args), **strip(kwargs or {}))
+        if func is np.concatenate and len(args) == 1 and not kwargs:
+            out = _guard_stacked(args[0], out)
+        return out
+
+
+def _guard_stacked(members, out: np.ndarray) -> np.ndarray:
+    """``out = np.concatenate(members)`` (rows end to end), guarded by
+    the members' ghost masks end to end if any member is an active
+    guard: the copy holds their poisoned rows."""
+    if not any(getattr(m, "_active", False) for m in members):
+        return out
+    armed = [
+        (m._ghost, m._partition) if getattr(m, "_active", False)
+        else (np.zeros(len(m), dtype=bool), -1)
+        for m in members
+    ]
+    guard = out.view(GuardedArray)
+    guard._ghost = np.concatenate([ghost for ghost, _pid in armed])
+    guard._partition = np.concatenate(
+        [np.broadcast_to(pid, len(ghost)) for ghost, pid in armed]
+    )
+    guard._active = True
+    return guard
 
 
 class SanitizedPendingGroup:
@@ -232,7 +267,7 @@ class GhostSanitizer:
                 raw[ghost_start:] = np.nan
             raw.flags.writeable = False
             guard = raw.view(GuardedArray)
-            guard._ghost_start = ghost_start
+            guard._ghost = np.arange(len(raw)) >= ghost_start
             guard._partition = pid
             guard._active = True
             arrays[pid] = guard

@@ -40,6 +40,7 @@ from ...runtime import (
     SFCPartitioner,
     build_domain_hierarchy,
 )
+from ...runtime.domain import level_cache
 from ..fluxes import rusanov_flux, split_normals, wall_flux
 from ..gas import check_physical
 from .levels import Cart3DLevel, FaceOperators
@@ -106,20 +107,9 @@ class _FaceBatch:
         ]
 
 
-def _cached(doms, key, build):
-    """``build()`` once per level: kept on the first partition's domain
-    — a level's domains live and die together — under the pids the
-    structure spans."""
-    cache = next(iter(doms.values())).cache
-    key = key, tuple(doms)
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
-
-
 def _face_batch(doms) -> _FaceBatch:
     """Every face of the level slices in ``doms``, as one batch."""
-    return _cached(doms, "cart3d_batch", lambda: _FaceBatch(
+    return level_cache(doms, "cart3d_batch", lambda: _FaceBatch(
         {p: dom.ctx for p, dom in doms.items()}
     ))
 
@@ -149,7 +139,7 @@ def _split_batches(doms) -> tuple:
             )
         return _FaceBatch(interior), _FaceBatch(ghost)
 
-    return _cached(doms, "cart3d_split", build)
+    return level_cache(doms, "cart3d_split", build)
 
 
 def _globally_physical(comm, doms, qs) -> bool:

@@ -13,6 +13,7 @@ conversions untouched (it is advected like a passive scalar).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,8 +57,10 @@ class VariableLayout:
         object.__setattr__(self, "limited", (self.density, self.energy))
 
 
+@lru_cache(maxsize=None)
 def variable_layout(nvar: int) -> VariableLayout:
-    """The :class:`VariableLayout` for an ``nvar``-wide state."""
+    """The :class:`VariableLayout` for an ``nvar``-wide state (frozen,
+    a function of the width alone: one instance per width)."""
     return VariableLayout(nvar=int(nvar))
 
 

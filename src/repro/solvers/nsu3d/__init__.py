@@ -4,19 +4,7 @@ from .agglomerate import agglomerate, build_hierarchy, coarsen_context
 from .context import FlowContext, context_from_dual
 from .distance import wall_distance
 from .gradients import green_gauss, vorticity_magnitude
-from .jacobians import (
-    assemble_diagonal,
-    edge_offdiagonals,
-    euler_jacobian,
-    local_time_step,
-)
-from .linesolve import (
-    batch_lines_by_length,
-    block_thomas,
-    line_implicit_update,
-    point_implicit_update,
-    smooth,
-)
+from .linesolve import FrozenOperator, block_thomas, smooth
 from .multigrid import fas_cycle, restrict_residual, restrict_solution
 from .residual import apply_wall_bc, mask_wall_rows, residual, residual_norm
 from .parallel import make_parallel_nsu3d
@@ -35,15 +23,9 @@ __all__ = [
     "residual_norm",
     "apply_wall_bc",
     "mask_wall_rows",
-    "euler_jacobian",
-    "assemble_diagonal",
-    "edge_offdiagonals",
-    "local_time_step",
+    "FrozenOperator",
     "smooth",
-    "point_implicit_update",
-    "line_implicit_update",
     "block_thomas",
-    "batch_lines_by_length",
     "agglomerate",
     "coarsen_context",
     "build_hierarchy",

@@ -14,13 +14,16 @@ hierarchy.
 
 A context's geometry never changes after construction, so everything
 the edge loop derives from it alone — dual-face areas, edge lengths, the
-MUSCL mid-point offsets, the incident-edge count, the boundary groups
-with their split normals, and the scatter operators of the edge list
-and of those groups — is computed once, on first use, and kept on the context
+MUSCL mid-point offsets, the incident-edge count, each vertex's net
+face-vector sum, the implicit lines batched by length with their line ->
+edge lookup, the boundary groups with their split normals, and the
+scatter operators of the edge list and of those groups — is computed
+once, on first use, and kept on the context
 (``functools.cached_property``: no registry, released with the context,
-pickled with it if already built).  The rank-local, interior and ghost
-sub-contexts of the distributed path are ``FlowContext`` objects too and
-get the same caching.
+pickled with it if already built).  The stacked context a distributed
+level runs on, and its interior and ghost sub-contexts, are
+``FlowContext`` objects too and get the same caching (the rank-local
+ones they are concatenated from then never build theirs).
 """
 
 from __future__ import annotations
@@ -45,6 +48,29 @@ class BoundaryGroup(NamedTuple):
     normal: np.ndarray  # (B, 3) aggregated outward area normals
     normals: FaceNormals
     scatter: ScatterOperator
+
+
+class LineStructure(NamedTuple):
+    """The implicit lines of a level as the line solver reads them:
+    lines of equal length batched ("sets of 64 lines of similar
+    length"), every along-line link resolved to its edge, and the
+    vertices no line covers."""
+
+    batches: tuple  # one (L, m) vertex-index array per line length
+    edge: np.ndarray  # edge id of each link, batch after batch, (L, m-1) each
+    forward: np.ndarray  # the link runs edges[:, 0] -> edges[:, 1]
+    rest: np.ndarray  # off-line vertices (point-implicit)
+
+    def per_batch(self, links: np.ndarray) -> list:
+        """Per-link rows (:attr:`edge` order) as one ``(L, m-1, ...)``
+        array per batch."""
+        sizes = [b.shape[0] * (b.shape[1] - 1) for b in self.batches]
+        return [
+            rows.reshape(b.shape[0], b.shape[1] - 1, *links.shape[1:])
+            for b, rows in zip(
+                self.batches, np.split(links, np.cumsum(sizes)[:-1])
+            )
+        ]
 
 
 @dataclass
@@ -117,15 +143,41 @@ class FlowContext:
         return self.edge_scatter.reweighted(1.0, 1.0)
 
     @cached_property
-    def jacobian_scatters(self) -> tuple[ScatterOperator, ScatterOperator]:
-        """One-sided operators of the implicit diagonal's convective
-        part, weights folded in: ``+1/2 A(q_a)`` at ``edges[:, 0]``,
-        ``-1/2 A(q_b)`` at ``edges[:, 1]`` (the two ends carry different
-        blocks, so one signed product does not apply; the index
-        structures are :attr:`edge_scatter`'s)."""
-        return (
-            self.edge_scatter.reweighted(0.5, None),
-            self.edge_scatter.reweighted(None, -0.5),
+    def half_face_sum(self) -> np.ndarray:
+        """``1/2 sum(+-S_e)`` per vertex, ``(N, 3)``: half the net
+        outward face vector of its incident dual faces — what the
+        convective part of the implicit diagonal multiplies ``A(q)``
+        by.  The dual is closed, so it is minus half the boundary
+        normal (zero at interior vertices); on a rank-local context it
+        is that rank's partial sum."""
+        total = np.zeros((self.npoints, 3), dtype=np.float64)
+        self.edge_scatter.add_to(total, self.face_vectors)
+        return 0.5 * total
+
+    @cached_property
+    def line_structure(self) -> LineStructure:
+        groups: dict = {}
+        for line in self.lines:
+            groups.setdefault(len(line), []).append(line)
+        batches = tuple(np.array(g, dtype=np.int64) for g in groups.values())
+        n = self.npoints
+        if not batches:
+            none = np.empty(0, dtype=np.int64)
+            return LineStructure((), none, none.astype(bool), np.arange(n))
+        va = np.concatenate([b[:, :-1].ravel() for b in batches])
+        vb = np.concatenate([b[:, 1:].ravel() for b in batches])
+        on_line = np.zeros(n, dtype=bool)
+        on_line[va] = on_line[vb] = True
+        # vertex pair -> edge id through the sorted (low, high) keys
+        key = self.edges[:, 0] * n + self.edges[:, 1]
+        order = np.argsort(key)
+        links = np.minimum(va, vb) * n + np.maximum(va, vb)
+        edge = order[np.searchsorted(key[order], links) % len(key)]
+        if (key[edge] != links).any():
+            raise ValueError("line contains a non-edge vertex pair")
+        return LineStructure(
+            batches, edge, self.edges[edge, 0] == va,
+            np.flatnonzero(~on_line),
         )
 
     @cached_property

@@ -18,9 +18,23 @@ viscous coefficient.  The SA row couples through its advection speed and
 a destruction-term diagonal.  Diagonal blocks add ``V/dt`` for the
 pseudo-time term; wall-vertex momentum/SA rows are replaced by identity
 (strong boundary condition).
+
+One smoothing step evaluates the per-edge radii once
+(:func:`edge_radii`) and feeds all three consumers from them — the local
+time step (:func:`spectral_sum`), the diagonal (:func:`edge_diagonal`)
+and the along-line couplings (:func:`line_offdiagonals`).  The
+convective part of a vertex's diagonal sums ``+-1/2 A(q_a) . S_e`` over
+its incident edges with the *same* ``A(q_a)``, and ``A . S`` is linear
+in ``S``, so it is formed in closed form as ``A(q_a) . (1/2 sum +-S_e)``
+with the bracket cached per level (:attr:`FlowContext.half_face_sum`):
+one Jacobian evaluation per vertex, none per edge.  Off-diagonal blocks
+are only ever read along the implicit lines, so they are evaluated at
+the line edges alone.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,17 +42,6 @@ from ...kernels import get_engine
 from ..gas import GAMMA, conservative_to_primitive, pressure, variable_layout
 from .context import FlowContext
 from .turbulence import CW1, eddy_viscosity
-
-
-def euler_jacobian(q: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """Analytic flux Jacobian A . S for conservative variables.
-
-    ``q`` is (N, nvar >= 5); ``normal`` (N, 3) carries the face area.
-    Returns (N, nvar, nvar); the SA row/column holds passive advection.
-    The assembly itself lives in :mod:`repro.kernels` and runs on the
-    active engine.
-    """
-    return get_engine().euler_jacobian(q, normal)
 
 
 def spectral_radius(
@@ -83,19 +86,32 @@ def viscous_edge_coefficient(ctx: FlowContext, q: np.ndarray) -> np.ndarray:
     return mu_f * ctx.edge_area / ctx.edge_lengths
 
 
-def spectral_sum(ctx: FlowContext, q: np.ndarray) -> np.ndarray:
+class EdgeRadii(NamedTuple):
+    """What one state fixes for a whole smoothing step, per face."""
+
+    lam: np.ndarray  # (E,) convective spectral radius per edge
+    kv: np.ndarray  # (E,) viscous stiffness per edge
+    lam_b: np.ndarray  # (B,) spectral radius per boundary face
+
+
+def edge_radii(ctx: FlowContext, q: np.ndarray) -> EdgeRadii:
+    return EdgeRadii(
+        edge_spectral_radius(ctx, q),
+        viscous_edge_coefficient(ctx, q),
+        boundary_spectral_radius(ctx, q),
+    )
+
+
+def spectral_sum(ctx: FlowContext, radii: EdgeRadii) -> np.ndarray:
     """Per-vertex sum of convective + viscous spectral radii over the
     incident edges and boundary faces: the local-time-step denominator
     (a partial sum on a rank-local context)."""
     engine = get_engine()
     acc = np.zeros(ctx.npoints, dtype=np.float64)
     engine.scatter_add(
-        acc, ctx.edge_scatter_unsigned,
-        edge_spectral_radius(ctx, q) + 2 * viscous_edge_coefficient(ctx, q),
+        acc, ctx.edge_scatter_unsigned, radii.lam + 2 * radii.kv
     )
-    engine.scatter_add(
-        acc, ctx.boundary.scatter, boundary_spectral_radius(ctx, q)
-    )
+    engine.scatter_add(acc, ctx.boundary.scatter, radii.lam_b)
     return acc
 
 
@@ -103,11 +119,10 @@ def sa_destruction_diagonal(ctx: FlowContext, q: np.ndarray) -> np.ndarray:
     """Pointwise SA destruction linearization per turbulence column.
 
     Returns ``(N, nturb)`` diagonal increments (``V * 2 cw1 nu / d^2``
-    for each working variable).  Kept separate from
-    :func:`assemble_diagonal`'s edge terms so the distributed path can
-    exclude it from the cross-rank exchange-add (it is pointwise, not
-    edge-split — summing ghost copies would double-count it at owners)
-    and re-add it locally afterwards.
+    for each working variable).  Pointwise, not edge-split, so it is
+    no part of :func:`edge_diagonal` — summing ghost copies across
+    ranks would double-count it at owners — and
+    :func:`complete_diagonal` adds it after the owner sum.
     """
     layout = variable_layout(q.shape[1])
     prim = conservative_to_primitive(q)
@@ -118,56 +133,44 @@ def sa_destruction_diagonal(ctx: FlowContext, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def assemble_diagonal(
-    ctx: FlowContext,
-    q: np.ndarray,
-    dt: np.ndarray,
-    include_convective_jacobian: bool = True,
-    sa_destruction: bool = True,
+def _block_diagonals(blocks: np.ndarray) -> np.ndarray:
+    """Writable ``(..., k)`` view of the diagonals of ``(..., k, k)``."""
+    return np.einsum("...ii->...i", blocks)
+
+
+def edge_diagonal(
+    ctx: FlowContext, q: np.ndarray, radii: EdgeRadii
 ) -> np.ndarray:
-    """(N, nvar, nvar) diagonal blocks of the implicit system.
-
-    ``sa_destruction=False`` leaves out the pointwise SA destruction
-    diagonal (:func:`sa_destruction_diagonal`); the distributed smoother
-    exchanges only the edge-split part and re-adds the pointwise term
-    after the cross-rank sum.
-    """
-    nvar = q.shape[1]
-    layout = variable_layout(nvar)
-    n = ctx.npoints
-    eye = np.eye(nvar)
-    diag = (ctx.volumes / dt)[:, None, None] * eye[None, :, :]
-
-    a = ctx.edges[:, 0]
-    b = ctx.edges[:, 1]
-    lam = edge_spectral_radius(ctx, q)
-    kv = viscous_edge_coefficient(ctx, q)
-    scal = 0.5 * lam + kv  # identity part, both endpoints
-
+    """(N, nvar, nvar) edge- and boundary-face part of the implicit
+    diagonal — the part a decomposed level sums across ranks (each face
+    lives on one rank): the closed-form convective block plus the
+    accumulated ``1/2 lam + k_visc`` (boundary faces: ``1/2 lam``, which
+    keeps the diagonal dominant there) on the identity."""
     engine = get_engine()
-    scal_acc = np.zeros(n, dtype=np.float64)
-    engine.scatter_add(scal_acc, ctx.edge_scatter_unsigned, scal)
-    if include_convective_jacobian:
-        ja, jb = engine.edge_jacobians(q[a], q[b], ctx.face_vectors)
-        half_a, minus_half_b = ctx.jacobian_scatters
-        engine.scatter_add(diag, half_a, ja)
-        engine.scatter_add(diag, minus_half_b, jb)
-    diag += scal_acc[:, None, None] * eye[None, :, :]
-
-    # boundary spectral radii keep the diagonal dominant at boundaries
-    lam_b = boundary_spectral_radius(ctx, q)
+    ident = np.zeros(ctx.npoints, dtype=np.float64)
     engine.scatter_add(
-        diag, ctx.boundary.scatter,
-        0.5 * lam_b[:, None, None] * eye[None, :, :],
+        ident, ctx.edge_scatter_unsigned, 0.5 * radii.lam + radii.kv
     )
+    engine.scatter_add(ident, ctx.boundary.scatter, 0.5 * radii.lam_b)
+    diag = engine.euler_jacobian(q, ctx.half_face_sum)
+    on_diagonal = _block_diagonals(diag)
+    on_diagonal += ident[:, None]
+    return diag
 
-    # SA destruction linearization (adds to the diagonal only)
-    if layout.turbulence and sa_destruction:
-        dest = sa_destruction_diagonal(ctx, q)
-        for j, var in enumerate(layout.turbulence):
-            diag[:, var, var] += dest[:, j]
 
-    # strong wall rows -> identity
+def complete_diagonal(
+    ctx: FlowContext, q: np.ndarray, diag: np.ndarray, dt: np.ndarray
+) -> np.ndarray:
+    """Finish :func:`edge_diagonal`'s (owner-summed) blocks in place
+    with the pointwise terms — the ``V/dt`` identity and the SA
+    destruction linearization — and the strong wall rows."""
+    layout = variable_layout(q.shape[1])
+    on_diagonal = _block_diagonals(diag)
+    on_diagonal += (ctx.volumes / dt)[:, None]
+    if layout.turbulence:
+        on_diagonal[:, list(layout.turbulence)] += sa_destruction_diagonal(
+            ctx, q
+        )
     w = ctx.wall_vert
     if len(w):
         for row in layout.momentum + layout.turbulence:
@@ -176,23 +179,24 @@ def assemble_diagonal(
     return diag
 
 
-def edge_offdiagonals(
-    ctx: FlowContext, q: np.ndarray
+def line_offdiagonals(
+    ctx: FlowContext, q: np.ndarray, radii: EdgeRadii
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Off-diagonal blocks per edge: (dR_a/dq_b, dR_b/dq_a)."""
-    nvar = q.shape[1]
-    a = ctx.edges[:, 0]
-    b = ctx.edges[:, 1]
-    lam = edge_spectral_radius(ctx, q)
-    kv = viscous_edge_coefficient(ctx, q)
-    eye = np.eye(nvar)[None, :, :]
-    ja, jb = get_engine().edge_jacobians(q[a], q[b], ctx.face_vectors)
-    scal = (0.5 * lam + kv)[:, None, None] * eye
-    off_ab = 0.5 * jb - scal
-    off_ba = -0.5 * ja - scal
-    return off_ab, off_ba
-
-
-def local_time_step(ctx: FlowContext, q: np.ndarray, cfl: float) -> np.ndarray:
-    """CFL-scaled local pseudo-time step per vertex."""
-    return cfl * ctx.volumes / np.maximum(spectral_sum(ctx, q), 1e-300)
+    """Sub/super-diagonal blocks of every along-line link, in
+    :attr:`LineStructure.edge` order: ``upper`` couples a line vertex to
+    the next one (``dR_i/dq_{i+1}``), ``lower`` the next one back."""
+    lines = ctx.line_structure
+    e = lines.edge
+    ja, jb = get_engine().edge_jacobians(
+        q[ctx.edges[e, 0]], q[ctx.edges[e, 1]], ctx.face_vectors[e]
+    )
+    scal = (0.5 * radii.lam[e] + radii.kv[e])[:, None]
+    off_ab = 0.5 * jb  # dR_a/dq_b
+    off_ba = -0.5 * ja  # dR_b/dq_a
+    for off in (off_ab, off_ba):
+        on_diagonal = _block_diagonals(off)
+        on_diagonal -= scal
+    forward = lines.forward[:, None, None]
+    return (
+        np.where(forward, off_ba, off_ab), np.where(forward, off_ab, off_ba)
+    )

@@ -10,6 +10,20 @@ length, and grouped into sets of 64 lines of similar length, over which
 vectorization may then take place" — our numpy implementation does
 exactly that: lines of equal length are batched and the Thomas recursion
 runs vectorized across the batch.
+
+A smoothing step freezes its implicit operator at the step's initial
+state and applies it in each of the three stages, so everything that
+depends on that state alone is done once per step, in
+:class:`FrozenOperator`: the per-face radii (shared by the local time
+step, the diagonal and the line couplings), the diagonal blocks, the
+couplings at the line edges, and the *factorization* — each line group
+eliminated once (``engine.thomas_factor``), the off-line blocks inverted
+once (``engine.block_factor``).  A stage is then a residual and the
+right-hand-side sweeps.  The line batches and the line -> edge lookup
+are geometry and live on the context
+(:attr:`FlowContext.line_structure`).  The distributed smoother
+(:mod:`.parallel`) builds the same operator on the stacked context of
+its partitions and only adds the two owner sums.
 """
 
 from __future__ import annotations
@@ -18,10 +32,21 @@ import numpy as np
 
 from ...kernels import get_engine
 from ...telemetry.spans import traced
-from ..gas import variable_layout
+from ..gas import apply_positivity_floors, variable_layout
 from .context import FlowContext
-from .jacobians import assemble_diagonal, edge_offdiagonals, local_time_step
+from .jacobians import (
+    complete_diagonal,
+    edge_diagonal,
+    edge_radii,
+    line_offdiagonals,
+    spectral_sum,
+)
 from .residual import apply_wall_bc, residual
+
+#: Exchange tags of the two owner sums a decomposed
+#: :class:`FrozenOperator` performs (spectral radii, diagonal blocks).
+TAG_SPECTRAL_SUM = 11
+TAG_DIAGONAL = 12
 
 
 def limit_correction(q, dq, max_change: float = 0.2, turb_ref=None):
@@ -59,76 +84,6 @@ def limit_correction(q, dq, max_change: float = 0.2, turb_ref=None):
     return q + np.minimum(s, 1.0)[:, None] * dq
 
 
-def point_implicit_update(
-    ctx: FlowContext,
-    q: np.ndarray,
-    rhs: np.ndarray,
-    dt: np.ndarray,
-) -> np.ndarray:
-    """One block-Jacobi step: q - D^{-1} rhs (all points)."""
-    diag = assemble_diagonal(ctx, q, dt)
-    dq = get_engine().block_solve(diag, rhs)
-    return q - dq
-
-
-def batch_lines_by_length(lines: list) -> dict:
-    """Group lines by vertex count: {length: (L, length) index array}."""
-    groups: dict = {}
-    for line in lines:
-        groups.setdefault(len(line), []).append(line)
-    return {
-        length: np.array(batch, dtype=np.int64)
-        for length, batch in groups.items()
-    }
-
-
-def _edge_lookup(ctx: FlowContext):
-    """Map vertex pair -> edge index (sign tells orientation)."""
-    n = ctx.npoints
-    key = ctx.edges[:, 0] * n + ctx.edges[:, 1]
-    order = np.argsort(key)
-    return key[order], order, n
-
-
-def line_offdiag_blocks(
-    ctx: FlowContext,
-    q: np.ndarray,
-    batch: np.ndarray,
-    offdiags: tuple[np.ndarray, np.ndarray] | None = None,
-    lookup: tuple[np.ndarray, np.ndarray, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sub/super-diagonal blocks along each line of a batch.
-
-    Returns (lower, upper) of shape (L, m-1, nvar, nvar): ``upper[l, i]``
-    couples line vertex i to i+1 (= dR_i/dq_{i+1}), ``lower[l, i]``
-    couples vertex i+1 to i.
-
-    ``offdiags`` and ``lookup`` allow hoisting the per-edge Jacobians
-    (``edge_offdiagonals``) and the edge-index sort out of a loop over
-    batches — both depend only on ``(ctx, q)``, not the batch, and the
-    gather below is a pure indexing operation on them.
-    """
-    sorted_keys, order, n = lookup if lookup is not None else _edge_lookup(ctx)
-    va = batch[:, :-1]
-    vb = batch[:, 1:]
-    lo = np.minimum(va, vb)
-    hi = np.maximum(va, vb)
-    keys = lo * n + hi
-    pos = np.searchsorted(sorted_keys, keys.ravel())
-    if (sorted_keys[pos] != keys.ravel()).any():
-        raise ValueError("line contains a non-edge vertex pair")
-    eid = order[pos].reshape(keys.shape)
-
-    off_ab, off_ba = (
-        offdiags if offdiags is not None else edge_offdiagonals(ctx, q)
-    )
-    # off_ab couples edges[:,0] -> edges[:,1]; orient along the line
-    forward = (ctx.edges[eid, 0] == va)
-    upper = np.where(forward[..., None, None], off_ab[eid], off_ba[eid])
-    lower = np.where(forward[..., None, None], off_ba[eid], off_ab[eid])
-    return lower, upper
-
-
 def block_thomas(
     lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
@@ -137,44 +92,63 @@ def block_thomas(
     Shapes: diag (L, m, k, k); lower/upper (L, m-1, k, k); rhs (L, m, k).
     Vectorized across the L lines of the batch (the paper's groups-of-64
     strategy); the recursion runs over the m stations.  The recursion
-    itself lives in :mod:`repro.kernels`; this wrapper dispatches one
-    group through the active engine.
+    itself lives in :mod:`repro.kernels`; this is the one-shot
+    factor-then-solve of the active engine.
     """
-    return get_engine().thomas([(lower, diag, upper, rhs)])[0]
+    return get_engine().thomas_factor(lower, diag, upper).solve(rhs)
 
 
-def line_implicit_update(
-    ctx: FlowContext,
-    q: np.ndarray,
-    rhs: np.ndarray,
-    dt: np.ndarray,
-) -> np.ndarray:
-    """Line-implicit smoothing: block-tridiagonal solves along the
-    implicit lines, point-implicit everywhere else."""
-    engine = get_engine()
-    diag = assemble_diagonal(ctx, q, dt)
-    dq = np.zeros_like(q)
+class FrozenOperator:
+    """The implicit operator of one smoothing step, frozen at the
+    step's initial state and factored once.
 
-    batches = batch_lines_by_length(ctx.lines)
-    offdiags = edge_offdiagonals(ctx, q)
-    lookup = _edge_lookup(ctx)
-    on_line = np.zeros(ctx.npoints, dtype=bool)
-    systems = []
-    for batch in batches.values():
-        on_line[batch.ravel()] = True
-        lower, upper = line_offdiag_blocks(
-            ctx, q, batch, offdiags=offdiags, lookup=lookup
-        )
-        systems.append((lower, diag[batch], upper, rhs[batch]))
-    # one engine call over every line-length group, so fused-slab
-    # engines see all groups at once
-    for batch, sol in zip(batches.values(), engine.thomas(systems)):
-        dq[batch.reshape(-1)] = sol.reshape(-1, q.shape[1])
+    Everything that depends on the state alone is evaluated here, one
+    time: the per-face radii feed the local time step (:attr:`dt`), the
+    diagonal blocks and the along-line couplings; the line groups are
+    eliminated (``engine.thomas_factor``) and the off-line blocks
+    inverted (``engine.block_factor``), so each stage's :meth:`solve` is
+    only the right-hand-side sweeps.
 
-    rest = ~on_line
-    if rest.any():
-        dq[rest] = engine.block_solve(diag[rest], rhs[rest])
-    return q - dq
+    ``owner_sum(array, tag)``, when given, completes a per-vertex
+    partial sum in place across the ranks of a decomposed level (an
+    exchange-add over the caller's partitions); it sees the spectral
+    sum and the edge part of the diagonal.  Lines are never split by
+    the partitioner (fig. 6b), so their couplings need no completion.
+    """
+
+    def __init__(self, ctx: FlowContext, q: np.ndarray, cfl: float,
+                 use_lines: bool = True, owner_sum=None):
+        engine = get_engine()
+        radii = edge_radii(ctx, q)
+        total = spectral_sum(ctx, radii)[:, None]
+        diag = edge_diagonal(ctx, q, radii)
+        if owner_sum is not None:
+            owner_sum(total, TAG_SPECTRAL_SUM)
+            owner_sum(diag.reshape(ctx.npoints, -1), TAG_DIAGONAL)
+        #: CFL-scaled local pseudo-time step per vertex
+        self.dt = cfl * ctx.volumes / np.maximum(total[:, 0], 1e-300)
+        diag = complete_diagonal(ctx, q, diag, self.dt)
+        lines = ctx.line_structure
+        self._lines: list = []
+        self._rest: np.ndarray | slice = slice(None)
+        if use_lines and lines.batches:
+            self._rest = lines.rest
+            lower, upper = map(
+                lines.per_batch, line_offdiagonals(ctx, q, radii)
+            )
+            self._lines = [
+                (batch, engine.thomas_factor(lo, diag[batch], up))
+                for batch, lo, up in zip(lines.batches, lower, upper)
+            ]
+        self._points = engine.block_factor(diag[self._rest])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``P^-1 rhs``: line solves on the lines, point solves off."""
+        dq = np.empty_like(rhs)
+        for batch, factor in self._lines:
+            dq[batch] = factor.solve(rhs[batch])
+        dq[self._rest] = self._points.solve(rhs[self._rest])
+        return dq
 
 
 #: Multistage coefficients for the preconditioned scheme.  A plain
@@ -210,12 +184,9 @@ def smooth(
     multistage scheme.  Per-point correction limiting and positivity
     floors guard the startup transient.
     """
-    from ..gas import apply_positivity_floors
-
     q = apply_wall_bc(ctx, q)
     for _ in range(nsteps):
-        dt = local_time_step(ctx, q, cfl)
-        solve = _build_operator(ctx, q, dt, use_lines)
+        operator = FrozenOperator(ctx, q, cfl, use_lines)
         q0 = q
         for alpha in STAGE_COEFFS:
             r = residual(
@@ -224,64 +195,19 @@ def smooth(
             )
             if forcing is not None:
                 r = r - forcing
-            dq = -alpha * relax * solve(r)
+            dq = -alpha * relax * operator.solve(r)
             if not np.isfinite(dq).all():
                 raise FloatingPointError("implicit stage produced non-finite dq")
-            cand = apply_wall_bc(ctx, limit_correction(q0, dq))
-            for var in variable_layout(cand.shape[1]).turbulence:
-                cand[:, var] = np.maximum(cand[:, var], 0.0)
-            q = apply_positivity_floors(cand)
+            q = stage_update(ctx, q0, dq)
     return q
 
 
-def _build_operator(ctx: FlowContext, q: np.ndarray, dt: np.ndarray,
-                    use_lines: bool):
-    """Freeze the implicit operator; return ``solve(rhs) -> dq``.
-
-    The frozen blocks are prepared once through the active engine: the
-    point-implicit diagonal is factored (engines may prefactor it, since
-    the multistage recursion reapplies the same operator), the per-edge
-    Jacobians and the edge lookup are hoisted out of the per-batch loop,
-    and each stage's line solves go to the engine as one multi-group
-    Thomas call so fused-slab engines batch across length groups.
-    """
-    engine = get_engine()
-    diag = assemble_diagonal(ctx, q, dt)
-    if not (use_lines and ctx.lines):
-        factor = engine.block_factor(diag)
-
-        def solve_point(rhs):
-            return factor.solve(rhs)
-
-        return solve_point
-
-    batches = batch_lines_by_length(ctx.lines)
-    offdiags = edge_offdiagonals(ctx, q)
-    lookup = _edge_lookup(ctx)
-    blocks = {
-        length: line_offdiag_blocks(
-            ctx, q, batch, offdiags=offdiags, lookup=lookup
-        )
-        for length, batch in batches.items()
-    }
-    line_diags = {length: diag[batch] for length, batch in batches.items()}
-    on_line = np.zeros(ctx.npoints, dtype=bool)
-    for batch in batches.values():
-        on_line[batch.ravel()] = True
-    rest = ~on_line
-    rest_factor = engine.block_factor(diag[rest]) if rest.any() else None
-
-    def solve_lines(rhs):
-        dq = np.zeros_like(rhs)
-        systems = [
-            (blocks[length][0], line_diags[length], blocks[length][1],
-             rhs[batch])
-            for length, batch in batches.items()
-        ]
-        for batch, sol in zip(batches.values(), engine.thomas(systems)):
-            dq[batch.reshape(-1)] = sol.reshape(-1, rhs.shape[1])
-        if rest_factor is not None:
-            dq[rest] = rest_factor.solve(rhs[rest])
-        return dq
-
-    return solve_lines
+def stage_update(ctx: FlowContext, q0: np.ndarray, dq: np.ndarray,
+                 turb_ref=None) -> np.ndarray:
+    """``q0 + dq`` as a stage accepts it: correction limited, strong
+    wall rows re-imposed, turbulence variables and then density and
+    pressure floored."""
+    cand = apply_wall_bc(ctx, limit_correction(q0, dq, turb_ref=turb_ref))
+    for var in variable_layout(cand.shape[1]).turbulence:
+        cand[:, var] = np.maximum(cand[:, var], 0.0)
+    return apply_positivity_floors(cand)

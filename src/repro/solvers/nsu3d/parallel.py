@@ -6,6 +6,10 @@ exchange scheduling, the cycle loop, multigrid transfers — lives in
 it that way).  This module contributes only what is NSU3D-specific:
 
 * the rank-local :class:`FlowContext` payload built from a halo,
+* :class:`_Stack` — those payloads, for whatever partitions a kernels
+  object is handed (every one of a lockstep world, a hybrid rank's own,
+  a process worker's one), concatenated with vertex offsets into one
+  :class:`FlowContext` per level, cached on the level,
 * :class:`NSU3DKernels` — the dict-of-partitions residual/smoother/
   transfer hooks the :class:`~repro.runtime.driver.DistributedSolveDriver`
   drives (preconditioned-multistage line-implicit smoothing with the
@@ -25,26 +29,48 @@ are exchange-added to their owners (every dual face lives on exactly
 one rank) before dividing by the control volumes, the residual's own
 partial-sum/complete/finalize pattern.
 
+One master thread does the work and the exchange for every partition
+of its rank (paper section III), so every pass runs the *serial* kernels
+(:func:`~.residual.residual`, :class:`~.linesolve.FrozenOperator`, the
+Green-Gauss sums) **once** on the stacked context: the partitions'
+states are joined into one array going in (``np.concatenate``), and
+what the exchanger, ``X.charge`` and the allreduce are handed coming out
+are per-partition row-slice views of the stacked result — same call
+sites, same tags, same message counts and virtual ledger as one call
+per partition.  Stacking moves no bit: rows of different partitions
+never share a scatter row (the offsets keep them apart and an
+``incidence`` operator adds a row's contributions in list order), and
+every other kernel is row-, edge- or line-local (batched LAPACK works
+per matrix, the ``einsum`` contractions never reduce across the batch
+axis).  Equal-length line batches merge across partitions — the
+paper's "sets of 64 lines of similar length" made fatter.  What stays
+per partition is what must: reductions (norms, the limiter's reference)
+fold per partition and then per rank so no sum is reassociated, and the
+exchange itself.
+
 Correctness contract (tested): per-rank results equal the serial solver
 on the same mesh to floating-point-reassociation tolerance — full FAS
-cycles, overlap on or off.
+cycles, overlap on or off — and equal a one-partition-at-a-time
+evaluation exactly (``tests/test_nsu3d_stack.py``).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
 
 from ...kernels import KernelConfig, make_engine, use_engine
 from ...runtime import (
-    DistributedDomain,
     DistributedSolveDriver,
     LevelSpec,
     MetisLinePartitioner,
     RuntimeConfig,
     build_domain_hierarchy,
 )
+from ...runtime.domain import level_cache
 from ..gas import (
     apply_positivity_floors,
     conservative_to_primitive,
@@ -52,18 +78,11 @@ from ..gas import (
 )
 from .context import FlowContext
 from .gradients import GradientSurface, green_gauss_sums, vorticity_magnitude
-from .jacobians import (
-    assemble_diagonal,
-    edge_offdiagonals,
-    sa_destruction_diagonal,
-    spectral_sum,
-)
 from .linesolve import (
     STAGE_COEFFS,
-    _edge_lookup,
-    batch_lines_by_length,
+    FrozenOperator,
     limit_correction,
-    line_offdiag_blocks,
+    stage_update,
 )
 from .residual import (
     apply_wall_bc,
@@ -131,34 +150,92 @@ def _local_flow_context(ctx: FlowContext, h: Any, part: np.ndarray) -> FlowConte
     )
 
 
-def _split_residual_contexts(dom: DistributedDomain) -> tuple:
-    """(interior, ghost) context split for overlapped exchange: interior
-    edges touch only owned vertices (computable while ghost updates are
-    in transit); ghost edges carry everything else.  Boundary lists are
-    owned-only and go with the interior part.  Valid because the split
-    residual runs with ``sa_sources=False`` — purely edge- and
-    boundary-based terms; the pointwise SA sources are added once from
-    halo-completed gradients after the exchange finishes."""
-    cached = dom.cache.get("nsu3d_split")
-    if cached is None:
-        ctx = dom.ctx
-        gmask = (ctx.edges >= dom.nowned).any(axis=1)
-        interior = FlowContext(
-            points=ctx.points, edges=ctx.edges[~gmask],
-            face_vectors=ctx.face_vectors[~gmask], volumes=ctx.volumes,
-            dist=ctx.dist, mu_lam=ctx.mu_lam, wall_vert=ctx.wall_vert,
-            wall_normal=ctx.wall_normal, far_vert=ctx.far_vert,
-            far_normal=ctx.far_normal, sym_vert=ctx.sym_vert,
-            sym_normal=ctx.sym_normal, lines=[], dual=None,
+class _Stack:
+    """The rank-local contexts of the partitions a kernels object is
+    handed — every one of a lockstep world, a hybrid rank's own, a
+    process worker's one — end to end as one :class:`FlowContext`, so a
+    pass runs each serial kernel once.  ``spans`` are the partitions'
+    row ranges; ``ghost`` masks the rows some other partition owns."""
+
+    def __init__(self, doms: dict):
+        ctxs = [dom.ctx for dom in doms.values()]
+        ends = list(accumulate(dom.nlocal for dom in doms.values()))
+        starts = [e - dom.nlocal for e, dom in zip(ends, doms.values())]
+        self.spans = {p: slice(s, e) for p, s, e in zip(doms, starts, ends)}
+        self.ghost = np.zeros(ends[-1], dtype=bool)
+        for dom, s, e in zip(doms.values(), starts, ends):
+            self.ghost[s + dom.nowned:e] = True
+        self.owned = np.flatnonzero(~self.ghost)
+
+        def rows(name):
+            return np.concatenate([getattr(c, name) for c in ctxs])
+
+        def ids(name, of=lambda c: c):
+            return np.concatenate(
+                [getattr(of(c), name) + s for c, s in zip(ctxs, starts)]
+            )
+
+        edges, face_vectors, volumes = (
+            ids("edges"), rows("face_vectors"), rows("volumes")
+        )
+        dual = None
+        if ctxs[0].dual is not None:
+            dual = GradientSurface(
+                edges=edges, face_vectors=face_vectors, volumes=volumes,
+                bvert=ids("bvert", lambda c: c.dual),
+                bnormal=np.concatenate([c.dual.bnormal for c in ctxs]),
+            )
+        self.ctx = FlowContext(
+            points=rows("points"), edges=edges, face_vectors=face_vectors,
+            volumes=volumes, dist=rows("dist"), mu_lam=ctxs[0].mu_lam,
+            wall_vert=ids("wall_vert"), wall_normal=rows("wall_normal"),
+            far_vert=ids("far_vert"), far_normal=rows("far_normal"),
+            sym_vert=ids("sym_vert"), sym_normal=rows("sym_normal"),
+            lines=[line + s for c, s in zip(ctxs, starts)
+                   for line in c.lines],
+            dual=dual,
+        )
+
+    def join(self, arrays: dict) -> np.ndarray:
+        """The partitions' rows as one fresh array (inside an overlap
+        window the sanitizer's guards make it a guarded one)."""
+        return np.concatenate([arrays[p] for p in self.spans])
+
+    def split(self, array: np.ndarray) -> dict:
+        """Per-partition row-slice views — what the exchanger gets."""
+        return {p: array[span] for p, span in self.spans.items()}
+
+
+def _stack(doms: dict) -> _Stack:
+    return level_cache(doms, "nsu3d_stack", lambda: _Stack(doms))
+
+
+def _split_stack(doms: dict) -> tuple:
+    """(interior, ghost) split of the stacked context for overlapped
+    exchange: interior edges touch only owned vertices (computable
+    while ghost updates are in transit); ghost edges carry everything
+    else.  Boundary lists are owned-only and go with the interior part.
+    Valid because the split residual runs with ``sa_sources=False`` —
+    purely edge- and boundary-based terms; the pointwise SA sources are
+    added once from halo-completed gradients after the exchange
+    finishes."""
+
+    def build():
+        stack = _stack(doms)
+        ctx = stack.ctx
+        gmask = stack.ghost[ctx.edges].any(axis=1)
+        interior = replace(
+            ctx, edges=ctx.edges[~gmask],
+            face_vectors=ctx.face_vectors[~gmask], lines=[], dual=None,
         )
         ghost = FlowContext(
             points=ctx.points, edges=ctx.edges[gmask],
             face_vectors=ctx.face_vectors[gmask], volumes=ctx.volumes,
-            dist=ctx.dist, mu_lam=ctx.mu_lam, lines=[], dual=None,
+            dist=ctx.dist, mu_lam=ctx.mu_lam,
         )
-        cached = (interior, ghost)
-        dom.cache["nsu3d_split"] = cached
-    return cached
+        return interior, ghost
+
+    return level_cache(doms, "nsu3d_split", build)
 
 
 class NSU3DKernels:
@@ -207,8 +284,12 @@ class NSU3DKernels:
         return mask_wall_rows(dom.ctx, f)
 
     def defect(self, X, doms, qs, forcing=None) -> dict:
+        stack = _stack(doms)
         with use_engine(self.engine):
-            return self._completed_residual(X, doms, qs, forcing, None)
+            return stack.split(self._completed_residual(
+                X, doms, qs,
+                None if forcing is None else stack.join(forcing), None,
+            ))
 
     def residual_norm(self, comm, X, doms, qs) -> float:
         """Global volume-scaled L2 continuity-residual norm (allreduce)."""
@@ -225,14 +306,12 @@ class NSU3DKernels:
 
     def apply_correction(self, comm: Any, X: Any, doms: dict, qs: dict,
                          dqs: dict) -> dict:
-        turb_ref = self._turbulence_reference(comm, doms, qs)
-        out = {}
-        for p, dom in doms.items():
-            cand = apply_wall_bc(
-                dom.ctx, limit_correction(qs[p], dqs[p], turb_ref=turb_ref)
-            )
-            out[p] = apply_positivity_floors(cand)
-        return out
+        stack = _stack(doms)
+        cand = apply_wall_bc(stack.ctx, limit_correction(
+            stack.join(qs), stack.join(dqs),
+            turb_ref=self._turbulence_reference(comm, doms, qs),
+        ))
+        return stack.split(apply_positivity_floors(cand))
 
     def _turbulence_reference(
         self, comm: Any, doms: dict, qs: dict
@@ -261,67 +340,35 @@ class NSU3DKernels:
         rank-local line blocks) at the step's initial state and runs the
         three-stage recursion; ghost refresh per stage, overlapped with
         the next stage's interior residual when ``overlap`` is set.
+        The serial smoother's step on the stacked context, plus its
+        exchanges: what ``X`` and the allreduce see are the partitions'
+        row slices of the stacked arrays.
         """
-        engine = self.engine
-        with use_engine(engine):
-            qs = {p: apply_wall_bc(doms[p].ctx, qs[p]) for p in sorted(doms)}
+        stack = _stack(doms)
+        ctx = stack.ctx
+        with use_engine(self.engine):
+            qs = stack.split(apply_wall_bc(ctx, stack.join(qs)))
             X.copy(qs, tag=13)
+            if forcing is not None:
+                forcing = stack.join(forcing)
             pending = None
             for _ in range(nsteps):
                 if pending is not None:
                     pending.finish()
                     pending = None
-                dt = self._time_step(X, doms, qs, cfl)
-                diag = self._diagonal(X, doms, qs, dt)
-                lineops = {p: self._line_structures(doms[p], qs[p])
-                           for p in doms}
-                # freeze the per-step operator through the engine: gather
-                # each group's line diagonals once and factor the
-                # off-line blocks once — the three stages reuse them
-                line_diags = {
-                    p: {length: diag[p][batch]
-                        for length, batch in lineops[p][0].items()}
-                    for p in doms
-                }
-                rest_factors = {
-                    p: engine.block_factor(diag[p][~lineops[p][2]])
-                    if (~lineops[p][2]).any() else None
-                    for p in doms
-                }
-                q0 = {p: qs[p].copy() for p in doms}
+                q0 = stack.join(qs)
+                operator = self._operator(X, stack, q0, cfl)
                 # the limiter's growth floor references the step-initial
                 # state, identically on every rank (allreduce-max)
-                turb_ref = self._turbulence_reference(X.comm, doms, q0)
+                turb_ref = self._turbulence_reference(X.comm, doms, qs)
                 for alpha in STAGE_COEFFS:
-                    rs = self._completed_residual(
+                    r = self._completed_residual(
                         X, doms, qs, forcing, pending
                     )
                     pending = None
-                    for p, dom in doms.items():
-                        batches, blocks, on_line = lineops[p]
-                        r = rs[p]
-                        dq = np.zeros_like(r)
-                        systems = [
-                            (blocks[length][0], line_diags[p][length],
-                             blocks[length][1], r[batch])
-                            for length, batch in batches.items()
-                        ]
-                        sols = engine.thomas(systems)
-                        for batch, sol in zip(batches.values(), sols):
-                            dq[batch.reshape(-1)] = sol.reshape(
-                                -1, r.shape[1]
-                            )
-                        rest = ~on_line
-                        if rest.any():
-                            dq[rest] = rest_factors[p].solve(r[rest])
-                        cand = apply_wall_bc(
-                            dom.ctx,
-                            limit_correction(q0[p], -alpha * dq,
-                                             turb_ref=turb_ref),
-                        )
-                        for var in self.layout.turbulence:
-                            cand[:, var] = np.maximum(cand[:, var], 0.0)
-                        qs[p] = apply_positivity_floors(cand)
+                    qs = stack.split(stage_update(
+                        ctx, q0, -alpha * operator.solve(r), turb_ref
+                    ))
                     if overlap:
                         pending = X.start_copy(qs, tag=14)
                     else:
@@ -333,67 +380,58 @@ class NSU3DKernels:
     # -- internals -----------------------------------------------------------
 
     def _completed_residual(self, X: Any, doms: dict, qs: dict,
-                            forcing: dict | None, pending: Any) -> dict:
-        """Residual completed across ranks: local evaluation (split into
-        interior/ghost parts when finishing an overlapped exchange),
-        exchange-add to owners, ghost rows zeroed, SA sources added at
-        owned rows from halo-completed gradients, strong wall rows
-        re-imposed, forcing subtracted."""
-        rs = {}
+                            forcing: np.ndarray | None,
+                            pending: Any) -> np.ndarray:
+        """Stacked residual completed across ranks: local evaluation
+        (split into interior/ghost parts when finishing an overlapped
+        exchange), exchange-add to owners, ghost rows zeroed, SA sources
+        added at owned rows from halo-completed gradients, strong wall
+        rows re-imposed, the (stacked) forcing subtracted."""
+        stack = _stack(doms)
+        terms = dict(turbulence=self.turbulence, viscous=self.viscous,
+                     sa_sources=False)
         if pending is None:
-            for p, dom in doms.items():
-                rs[p] = residual(dom.ctx, qs[p], self.qinf,
-                                 turbulence=self.turbulence,
-                                 viscous=self.viscous, sa_sources=False)
+            q = stack.join(qs)
+            r = residual(stack.ctx, q, self.qinf, **terms)
             X.charge(self._flops(doms))
         else:
             # paper fig. 7: compute the interior while ghost values are
             # in transit, then finish the exchange and add the
             # ghost-touching edge contributions
-            for p, dom in doms.items():
-                interior, _ghost = _split_residual_contexts(dom)
-                rs[p] = residual(interior, qs[p], self.qinf,
-                                 turbulence=self.turbulence,
-                                 viscous=self.viscous, sa_sources=False)
+            interior, ghost = _split_stack(doms)
+            r = residual(interior, stack.join(qs), self.qinf, **terms)
             X.charge(self._flops(doms))
             pending.finish()
-            for p, dom in doms.items():
-                _interior, ghost = _split_residual_contexts(dom)
-                rs[p] = rs[p] + residual(ghost, qs[p], self.qinf,
-                                         turbulence=self.turbulence,
-                                         viscous=self.viscous,
-                                         sa_sources=False)
+            q = stack.join(qs)
+            r = r + residual(ghost, q, self.qinf, **terms)
         # the gradient pass reads ghost state, so it runs only after the
         # exchange above has finished (sanitizer-safe)
-        sa = self._sa_fields(X, doms, qs)
-        X.add(rs, tag=1)
-        out = {}
-        sa_var = self.layout.turbulence[0] if self.layout.turbulence else None
-        for p, dom in doms.items():
-            r = rs[p]
-            r[dom.nowned:] = 0.0
-            if sa is not None:
-                # pointwise SA sources at owned rows (each vertex is
-                # owned by exactly one rank — no double counting)
-                vort, grad_nu = sa[p]
-                ctx = dom.ctx
-                own = slice(0, dom.nowned)
-                prim = conservative_to_primitive(qs[p][own])
-                r[own, sa_var] += sa_source_residual(
-                    prim[:, 0], prim[:, sa_var], vort[own], grad_nu[own],
-                    ctx.dist[own], ctx.mu_lam, ctx.volumes[own],
-                )
-            # remote edge contributions landed after residual()'s own
-            # masking; re-impose the strong wall rows
-            r = mask_wall_rows(dom.ctx, r)
-            if forcing is not None:
-                r = r - forcing[p]
-            out[p] = r
-        return out
+        sa = self._sa_fields(X, stack, q)
+        X.add(stack.split(r), tag=1)
+        r[stack.ghost] = 0.0
+        if sa is not None:
+            # pointwise SA sources at owned rows (each vertex is owned
+            # by exactly one rank — no double counting)
+            vort, grad_nu = sa
+            ctx, own = stack.ctx, stack.owned
+            sa_var = self.layout.turbulence[0]
+            prim = conservative_to_primitive(q[own])
+            r[own, sa_var] += sa_source_residual(
+                prim[:, 0], prim[:, sa_var], vort[own], grad_nu[own],
+                ctx.dist[own], ctx.mu_lam, ctx.volumes[own],
+            )
+        # remote edge contributions landed after residual()'s own
+        # masking; re-impose the strong wall rows
+        r = mask_wall_rows(stack.ctx, r)
+        if forcing is not None:
+            r = r - forcing
+        return r
 
-    def _sa_fields(self, X: Any, doms: dict, qs: dict) -> dict | None:
-        """Halo-completed vorticity magnitude and SA-gradient fields,
-        ``{pid: (vort, grad_nu)}`` (or ``None`` when SA sources are off).
+    def _sa_fields(self, X: Any, stack: _Stack, q: np.ndarray
+                   ) -> tuple | None:
+        """Halo-completed vorticity magnitude and SA-gradient fields
+        ``(vort, grad_nu)`` of the stacked state (or ``None`` when SA
+        sources are off).
 
         Fine levels accumulate each rank's partial Green-Gauss surface
         sums over its :class:`GradientSurface` and complete them with an
@@ -403,122 +441,43 @@ class NSU3DKernels:
         zeroed by the exchange — the sources are only evaluated at owned
         rows."""
         layout = self.layout
-        any_dom = next(iter(doms.values()))
+        ctx = stack.ctx
         if not (self.turbulence and layout.turbulence and self.viscous
-                and any_dom.ctx.mu_lam > 0.0):
+                and ctx.mu_lam > 0.0):
             return None
-        engine = self.engine
-        sa_var = layout.turbulence[0]
-        out: dict = {}
-        if any_dom.ctx.dual is not None:
-            sums = {}
-            for p, dom in doms.items():
-                prim = conservative_to_primitive(qs[p])
-                fields = np.column_stack([prim[:, 1:4], prim[:, sa_var]])
-                sums[p] = green_gauss_sums(
-                    dom.ctx.dual, fields, dom.ctx.gradient_scatters
-                ).reshape(dom.nlocal, 3 * fields.shape[1])
-            X.add(sums, tag=15)
-            for p, dom in doms.items():
-                grads = sums[p].reshape(dom.nlocal, 3, -1)
-                grads = grads / dom.ctx.volumes[:, None, None]
-                out[p] = (
-                    vorticity_magnitude(grads[:, :, :3]), grads[:, :, 3]
-                )
-            return out
-        accs = {}
-        for p, dom in doms.items():
-            ctx = dom.ctx
-            prim = conservative_to_primitive(qs[p])
-            vel = prim[:, 1:4]
-            a = ctx.edges[:, 0]
-            b = ctx.edges[:, 1]
-            rate = (
-                np.linalg.norm(vel[b] - vel[a], axis=1) / ctx.edge_lengths
+        prim = conservative_to_primitive(q)
+        if ctx.dual is not None:
+            fields = np.column_stack(
+                [prim[:, 1:4], prim[:, layout.turbulence[0]]]
             )
-            total = np.zeros(ctx.npoints, dtype=np.float64)
-            engine.scatter_add(total, ctx.edge_scatter_unsigned, rate)
-            accs[p] = np.column_stack([total, ctx.edge_degree])
-        X.add(accs, tag=16)
-        for p, dom in doms.items():
-            vort = accs[p][:, 0] / np.maximum(accs[p][:, 1], 1.0)
-            out[p] = (
-                vort, np.zeros((dom.nlocal, 3), dtype=np.float64)
-            )
-        return out
+            sums = green_gauss_sums(
+                ctx.dual, fields, ctx.gradient_scatters
+            ).reshape(ctx.npoints, 3 * fields.shape[1])
+            X.add(stack.split(sums), tag=15)
+            grads = sums.reshape(ctx.npoints, 3, -1)
+            grads = grads / ctx.volumes[:, None, None]
+            return vorticity_magnitude(grads[:, :, :3]), grads[:, :, 3]
+        vel = prim[:, 1:4]
+        rate = (
+            np.linalg.norm(vel[ctx.edges[:, 1]] - vel[ctx.edges[:, 0]],
+                           axis=1) / ctx.edge_lengths
+        )
+        total = np.zeros(ctx.npoints, dtype=np.float64)
+        self.engine.scatter_add(total, ctx.edge_scatter_unsigned, rate)
+        accs = np.column_stack([total, ctx.edge_degree])
+        X.add(stack.split(accs), tag=16)
+        vort = accs[:, 0] / np.maximum(accs[:, 1], 1.0)
+        return vort, np.zeros((ctx.npoints, 3), dtype=np.float64)
 
-    def _time_step(self, X, doms, qs, cfl) -> dict:
-        """Local spectral-radius accumulation completed across ranks."""
-        accs = {
-            p: spectral_sum(dom.ctx, qs[p])[:, None]
-            for p, dom in doms.items()
-        }
-        X.add(accs, tag=11)
-        return {
-            p: cfl * dom.ctx.volumes / np.maximum(accs[p][:, 0], 1e-300)
-            for p, dom in doms.items()
-        }
-
-    def _diagonal(self, X: Any, doms: dict, qs: dict, dt: dict) -> dict:
-        """Implicit diagonal blocks with edge contributions summed
-        across ranks (each cross edge lives on exactly one rank).
-
-        Pointwise terms — the V/dt identity and the SA destruction
-        linearization — are kept out of the exchanged part (summing
-        their ghost copies would double-count them at owners) and
-        re-added locally after the cross-rank sum."""
-        layout = self.layout
-        flats = {}
-        vdts = {}
-        for p, dom in doms.items():
-            ctx = dom.ctx
-            q = qs[p]
-            nvar = q.shape[1]
-            # edge-only contributions: subtract the V/dt identity that
-            # assemble_diagonal always adds before exchanging
-            diag = assemble_diagonal(ctx, q, dt[p], sa_destruction=False)
-            eye = np.eye(nvar)
-            vdt = (ctx.volumes / dt[p])[:, None, None] * eye[None, :, :]
-            edge_part = diag - vdt
-            flats[p] = edge_part.reshape(ctx.npoints, nvar * nvar)
-            vdts[p] = vdt
-        X.add(flats, tag=12)
-        out = {}
-        for p, dom in doms.items():
-            ctx = dom.ctx
-            nvar = qs[p].shape[1]
-            total = flats[p].reshape(ctx.npoints, nvar, nvar) + vdts[p]
-            if layout.turbulence:
-                dest = sa_destruction_diagonal(ctx, qs[p])
-                for j, var in enumerate(layout.turbulence):
-                    total[:, var, var] += dest[:, j]
-            # strong wall rows were summed over; rebuild them as identity
-            w = ctx.wall_vert
-            if len(w):
-                for row in layout.momentum + layout.turbulence:
-                    total[w, row, :] = 0.0
-                    total[w, row, row] = 1.0
-            out[p] = total
-        return out
-
-    def _line_structures(self, dom, q) -> tuple:
-        """Per-step frozen line-implicit structures (fig. 6b: lines are
-        never split, so these stay rank-local).  The per-edge Jacobians
-        and the edge lookup are computed once and shared by every batch.
-        """
-        batches = batch_lines_by_length(dom.ctx.lines)
-        offdiags = edge_offdiagonals(dom.ctx, q) if batches else None
-        lookup = _edge_lookup(dom.ctx) if batches else None
-        blocks = {
-            length: line_offdiag_blocks(
-                dom.ctx, q, batch, offdiags=offdiags, lookup=lookup
-            )
-            for length, batch in batches.items()
-        }
-        on_line = np.zeros(dom.nlocal, dtype=bool)
-        for batch in batches.values():
-            on_line[batch.ravel()] = True
-        return batches, blocks, on_line
+    def _operator(self, X: Any, stack: _Stack, q: np.ndarray,
+                  cfl: float) -> FrozenOperator:
+        """The serial smoother's frozen operator on the stacked context,
+        its spectral sums and diagonal blocks completed across ranks
+        (each cross edge lives on exactly one rank)."""
+        return FrozenOperator(
+            stack.ctx, q, cfl,
+            owner_sum=lambda part, tag: X.add(stack.split(part), tag=tag),
+        )
 
     def _flops(self, doms) -> dict:
         return {

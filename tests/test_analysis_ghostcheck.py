@@ -23,11 +23,11 @@ from repro.comm import SimMPI, build_halos
 from repro.errors import ExchangeLifecycleError, GhostRaceError, RankFailure
 from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
-from repro.runtime import PendingGroup, RuntimeConfig
+from repro.runtime import GuardedArray, PendingGroup, RuntimeConfig
 from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
 from repro.solvers.cart3d.parallel import Cart3DKernels, _face_batch
 from repro.solvers.nsu3d import NSU3DSolver, make_parallel_nsu3d
-from repro.solvers.nsu3d.parallel import NSU3DKernels
+from repro.solvers.nsu3d.parallel import NSU3DKernels, _stack
 from repro.solvers.nsu3d.residual import residual
 
 SRC = Path(__file__).parent.parent / "src" / "repro"
@@ -248,8 +248,38 @@ def _completed_residual(self, X, doms, qs, pending):
         "rs = self._batch_residual(_face_batch(doms), qs)",
     )
 
+    #: NSU3D's shape: the partitions' states joined into one array and
+    #: one serial residual per pass over the stacked (split) context
+    STACK_OK = """
+def smooth(self, X, doms, qs):
+    pending = X.start_copy(qs, tag=14)
+    r = self._completed_residual(X, doms, qs, pending)
+    pending = None
+    return r
+
+def _completed_residual(self, X, doms, qs, pending):
+    stack = _stack(doms)
+    interior, ghost = _split_stack(doms)
+    r = residual(interior, stack.join(qs), self.qinf)
+    pending.finish()
+    q = stack.join(qs)
+    return r + residual(ghost, q, self.qinf)
+"""
+
+    #: the whole stacked context gathers ghost rows: not inside the window
+    STACK_RACY = STACK_OK.replace(
+        "r = residual(interior, stack.join(qs), self.qinf)",
+        "r = residual(stack.ctx, stack.join(qs), self.qinf)",
+    )
+
     def test_clean_helper_passes(self):
         assert rules(self.HELPER_OK) == []
+
+    def test_split_stack_passes_and_the_whole_stack_is_flagged(self):
+        assert rules(self.STACK_OK) == []
+        diags = check_source(self.STACK_RACY, "t.py")
+        assert [d.rule for d in diags] == ["ghost/read-in-window"]
+        assert diags[0].line == 11 and "'qs'" in diags[0].message
 
     def test_split_batches_pass_and_the_whole_batch_is_flagged(self):
         assert rules(self.BATCH_OK) == []
@@ -288,28 +318,22 @@ class TestShippedSourceIsClean:
 
 
 class RacyNSU3DKernels(NSU3DKernels):
-    """Planted race: evaluates the *full-context* residual (which
-    gathers ghost rows) while the exchange is still in flight, then
-    finishes — numerically near-identical under SimMPI, which is why
-    only the sanitizer can catch it."""
+    """Planted race: evaluates the residual of the *whole* stacked
+    context (which gathers ghost rows) while the exchange is still in
+    flight, then finishes — numerically near-identical under SimMPI,
+    which is why only the sanitizer can catch it."""
 
     def _completed_residual(self, X, doms, qs, forcing, pending):
         if pending is None:
             return super()._completed_residual(X, doms, qs, forcing,
                                                pending)
-        rs = {
-            p: residual(dom.ctx, qs[p], self.qinf, turbulence=False,  # noqa
-                        viscous=self.viscous)
-            for p, dom in doms.items()
-        }
+        stack = _stack(doms)
+        r = residual(stack.ctx, stack.join(qs), self.qinf,  # noqa
+                     turbulence=False, viscous=self.viscous)
         pending.finish()
-        X.add(rs, tag=1)
-        out = {}
-        for p, dom in doms.items():
-            r = rs[p]
-            r[dom.nowned:] = 0.0
-            out[p] = r
-        return out
+        X.add(stack.split(r), tag=1)
+        r[stack.ghost] = 0.0
+        return r
 
 
 class RacyCart3DKernels(Cart3DKernels):
@@ -394,6 +418,120 @@ class TestGhostSanitizerRuntime:
         par.kernels = RacyCart3DKernels(small_cart3d.qinf)
         qg, hist = par.solve(2, cfl=2.0)
         assert np.isfinite(qg).all() and np.isfinite(hist).all()
+
+
+def armed(nrows, ghost_start, pid, seed=0):
+    """One partition's state as :meth:`GhostSanitizer.guard` arms it."""
+    raw = np.random.default_rng(seed).random((nrows, 3))
+    raw[ghost_start:] = np.nan
+    guard = raw.view(GuardedArray)
+    guard._ghost = np.arange(nrows) >= ghost_start
+    guard._partition = pid
+    guard._active = True
+    return guard
+
+
+class TestMaskGuardedArray:
+    """The guard traps by ghost-row *mask*.  One partition's array is
+    the one-range case; the concatenation of several taken inside a
+    window — the stacked state — carries every member's range and names
+    the member whose ghost row was reached."""
+
+    #: partitions 3, 5, 8 with 4+2, 3+3, 5+1 owned+ghost rows: stacked
+    #: ghost rows are 4-5, 9-11 and 17
+    MEMBERS = [(6, 4, 3), (6, 3, 5), (6, 5, 8)]
+    GHOSTS = {4: 3, 5: 3, 9: 5, 10: 5, 11: 5, 17: 8}
+
+    def stacked(self):
+        return np.concatenate([armed(*m) for m in self.MEMBERS])
+
+    def test_concatenated_guards_are_guarded(self):
+        q = self.stacked()
+        assert isinstance(q, GuardedArray) and q._active
+        assert np.flatnonzero(q._ghost).tolist() == sorted(self.GHOSTS)
+        assert np.isnan(np.asarray(q)[q._ghost]).all()
+        # not a view of any member: the members stay one-range guards
+        assert q.base is None or not isinstance(q.base, GuardedArray)
+
+    def test_integer_reads_on_either_side_of_each_range(self):
+        q = self.stacked()
+        for row in range(18):
+            for index in (row, row - 18, np.int64(row)):
+                if row in self.GHOSTS:
+                    with pytest.raises(GhostRaceError) as err:
+                        q[index]
+                    assert err.value.partition == self.GHOSTS[row]
+                else:
+                    assert np.isfinite(q[index]).all()
+
+    def test_fancy_reads(self):
+        q = self.stacked()
+        owned = [r for r in range(18) if r not in self.GHOSTS]
+        assert q[owned].shape == (12, 3) and type(q[owned]) is np.ndarray
+        assert np.isfinite(q[np.array(owned) - 18]).all()
+        assert np.isfinite(q[np.array([[0, 1], [6, 8]])]).all()
+        for rows, pid in (([0, 3, 9], 5), ([16, 17], 8), ([-1], 8),
+                          ([2, -14], 3), (np.array([[0, 1], [6, 11]]), 5)):
+            with pytest.raises(GhostRaceError) as err:
+                q[rows]
+            assert err.value.partition == pid
+        with pytest.raises(GhostRaceError):
+            q[[0, 9], 1]  # a column pick does not hide the ghost row
+
+    def test_boolean_reads(self):
+        q = self.stacked()
+        mask = np.ones(18, dtype=bool)
+        mask[sorted(self.GHOSTS)] = False
+        assert np.isfinite(q[mask]).all()
+        for row, pid in self.GHOSTS.items():
+            hit = mask.copy()
+            hit[row] = True
+            with pytest.raises(GhostRaceError) as err:
+                q[hit]
+            assert err.value.partition == pid
+        assert q[np.zeros(18, dtype=bool)].shape == (0, 3)
+
+    def test_what_still_passes(self):
+        """Basic slices, pointwise work and NumPy functions are legal
+        inside a window and give plain arrays."""
+        q = self.stacked()
+        for out in (q[:, 0], q[:4], q * 2.0, np.sqrt(q), np.zeros_like(q),
+                    q[..., 1]):
+            assert type(out) is np.ndarray
+        assert np.isnan(q * 2.0)[q._ghost].all()
+
+    def test_writes_trap(self):
+        q = self.stacked()
+        with pytest.raises(GhostRaceError):
+            q[0] = 1.0
+        with pytest.raises(GhostRaceError):
+            np.add.at(q, [0], 1.0)
+        with pytest.raises(GhostRaceError):
+            np.multiply(q, 2.0, out=q)
+
+    def test_mixed_and_inert_members(self):
+        plain = np.ones((2, 3))
+        q = np.concatenate([plain, armed(6, 4, 7)])
+        assert q._partition.tolist() == [-1, -1] + [7] * 6
+        with pytest.raises(GhostRaceError) as err:
+            q[6]
+        assert err.value.partition == 7
+        assert np.array_equal(q[[0, 1, 5]], np.asarray(q)[[0, 1, 5]])
+        # guards disarmed by finish() stack to a plain array
+        done = armed(6, 4, 7)
+        done._active = False
+        assert type(np.concatenate([done, done])) is np.ndarray
+        # other axes and other functions do not propagate the guard
+        assert type(np.concatenate([armed(6, 4, 1)], axis=1)) is np.ndarray
+        assert type(np.vstack([armed(6, 4, 1)])) is np.ndarray
+
+    def test_one_range_guard_is_the_special_case(self):
+        q = armed(6, 4, 2)
+        assert np.isfinite(q[[0, 3, -3]]).all()
+        for index in (4, -1, [0, 5], np.arange(6) > 2):
+            with pytest.raises(GhostRaceError) as err:
+                q[index]
+            assert err.value.partition == 2
 
 
 class TestExchangeLifecycle:

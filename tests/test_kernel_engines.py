@@ -41,6 +41,7 @@ from repro.runtime import DistributedDomain, RuntimeConfig
 from repro.runtime.process import WorkerSpec
 from repro.solvers.gas import freestream, variable_layout
 from repro.solvers.nsu3d import residual as nsu3d_residual
+from repro.solvers.nsu3d.parallel import _stack
 
 PARITY = dict(rtol=1e-10, atol=1e-13)
 
@@ -213,6 +214,139 @@ class TestPrimitiveParity:
         ref = q0 - scale[:, None] * r
         assert np.array_equal(self.ref.rk_update(q0, scale, r), ref)
         assert np.array_equal(self.fast.rk_update(q0, scale, r), ref)
+
+
+def _ref_block_thomas(lower, diag, upper, rhs):
+    """The recursion the engines ran before ``thomas_factor`` existed
+    (``kernels/numpy_engine.py::block_thomas`` at PR 20, verbatim): one
+    ``np.linalg.solve`` per station per right-hand side."""
+    L, m, k, _ = diag.shape
+    cprime = np.empty((L, max(m - 1, 0), k, k), dtype=np.float64)
+    dprime = np.empty((L, m, k), dtype=np.float64)
+    dmat = diag[:, 0]
+    if m > 1:
+        cprime[:, 0] = np.linalg.solve(dmat, upper[:, 0])
+    dprime[:, 0] = np.linalg.solve(dmat, rhs[:, 0][..., None])[..., 0]
+    for i in range(1, m):
+        dmat = diag[:, i] - np.einsum(
+            "lab,lbc->lac", lower[:, i - 1], cprime[:, i - 1]
+        )
+        if i < m - 1:
+            cprime[:, i] = np.linalg.solve(dmat, upper[:, i])
+        rhs_i = rhs[:, i] - np.einsum(
+            "lab,lb->la", lower[:, i - 1], dprime[:, i - 1]
+        )
+        dprime[:, i] = np.linalg.solve(dmat, rhs_i[..., None])[..., 0]
+    out = np.empty((L, m, k), dtype=np.float64)
+    out[:, m - 1] = dprime[:, m - 1]
+    for i in range(m - 2, -1, -1):
+        out[:, i] = dprime[:, i] - np.einsum(
+            "lab,lb->la", cprime[:, i], out[:, i + 1]
+        )
+    return out
+
+
+def _dense_tridiagonal_solve(lower, diag, upper, rhs):
+    """Each line's block-tridiagonal system assembled densely."""
+    L, m, k, _ = diag.shape
+    out = np.empty((L, m, k))
+    for l in range(L):
+        big = np.zeros((m * k, m * k))
+        for i in range(m):
+            rows = slice(i * k, (i + 1) * k)
+            big[rows, rows] = diag[l, i]
+            if i + 1 < m:
+                nxt = slice((i + 1) * k, (i + 2) * k)
+                big[rows, nxt] = upper[l, i]
+                big[nxt, rows] = lower[l, i]
+        out[l] = np.linalg.solve(big, rhs[l].ravel()).reshape(m, k)
+    return out
+
+
+def drawn_line_group(L, m, k, seed):
+    """A diagonally dominant block-tridiagonal group, like a frozen
+    implicit operator's (``V/dt`` + spectral radii on the diagonal)."""
+    rng = np.random.default_rng(seed)
+    diag = rng.standard_normal((L, m, k, k)) + 8.0 * np.eye(k)
+    lower = 0.5 * rng.standard_normal((L, m - 1, k, k))
+    upper = 0.5 * rng.standard_normal((L, m - 1, k, k))
+    return lower, diag, upper
+
+
+class TestThomasFactor:
+    """``thomas_factor`` eliminates a line group once; its ``solve`` is
+    only the right-hand-side sweeps.  The oracles are the recursion it
+    replaced and a dense solve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        L=st.integers(0, 7), m=st.integers(1, 12),
+        k=st.sampled_from([5, 6]), engine=st.sampled_from(ENGINES),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_old_recursion_and_a_dense_solve(
+            self, L, m, k, engine, seed):
+        lower, diag, upper = drawn_line_group(L, m, k, seed)
+        rhs = np.random.default_rng(seed + 1).standard_normal((L, m, k))
+        out = make_engine(engine).thomas_factor(lower, diag, upper).solve(rhs)
+        assert out.shape == (L, m, k)
+        assert np.allclose(out, _ref_block_thomas(lower, diag, upper, rhs),
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(
+            out, _dense_tridiagonal_solve(lower, diag, upper, rhs),
+            rtol=1e-12, atol=1e-12,
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        L=st.integers(1, 6), m=st.integers(1, 12),
+        k=st.sampled_from([5, 6]), engine=st.sampled_from(ENGINES),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_factor_serves_every_stage(self, L, m, k, engine, seed):
+        """Three right-hand sides through one factor — a smoothing
+        step's three stages — equal three one-shot solves exactly, and
+        leave the factor and the inputs untouched."""
+        eng = make_engine(engine)
+        lower, diag, upper = drawn_line_group(L, m, k, seed)
+        kept = [a.copy() for a in (lower, diag, upper)]
+        factor = eng.thomas_factor(lower, diag, upper)
+        rng = np.random.default_rng(seed + 1)
+        stages = [rng.standard_normal((L, m, k)) for _ in range(3)]
+        reused = [factor.solve(rhs) for rhs in stages]
+        for rhs, out in zip(stages, reused):
+            (fresh,) = eng.thomas([(lower, diag, upper, rhs)])
+            assert np.array_equal(out, fresh)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(kept, (lower, diag, upper)))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_single_station_and_empty_groups(self, engine):
+        eng = make_engine(engine)
+        none = np.empty((2, 0, 5, 5))
+        diag = 2.0 * np.tile(np.eye(5), (2, 1, 1, 1))
+        out = eng.thomas_factor(none, diag, none).solve(np.ones((2, 1, 5)))
+        assert np.array_equal(out, np.full((2, 1, 5), 0.5))
+        for m in (1, 4):
+            lower, diag, upper = drawn_line_group(0, m, 6, 0)
+            out = eng.thomas_factor(lower, diag, upper).solve(
+                np.empty((0, m, 6))
+            )
+            assert out.shape == (0, m, 6)
+        assert eng.thomas([]) == []
+
+    def test_block_factor_is_one_implementation(self):
+        """Frozen point blocks are inverted once on every engine — the
+        same class, not a per-engine copy."""
+        rng = np.random.default_rng(3)
+        diag = rng.standard_normal((9, 6, 6)) + 6.0 * np.eye(6)
+        rhs = rng.standard_normal((9, 6))
+        factors = [make_engine(e).block_factor(diag) for e in ENGINES]
+        assert len({type(f) for f in factors}) == 1
+        assert np.array_equal(*(f.solve(rhs) for f in factors))
+        assert np.allclose(factors[0].solve(rhs),
+                           np.linalg.solve(diag, rhs[:, :, None])[:, :, 0],
+                           rtol=1e-12, atol=1e-12)
 
 
 #: trailing shapes a contribution can have: scalar rows, state vectors,
@@ -589,11 +723,19 @@ class TestOperatorLifetime:
                            for cl in hierarchy.cluster_local],
             kernels=par.kernels, overlap=False, sanitize=False, timeout=5.0,
         )
-        fine = spec.doms[0][rank].ctx
-        assert ("edge_scatter" in vars(fine)) == built
+        # a cycle's operators live on the stacked context of the
+        # partitions the kernels were handed: the solve's spans both, a
+        # worker builds its own over its share on first use
+        whole = _stack(dict(enumerate(hierarchy.levels[0].domains))).ctx
+        assert ("edge_scatter" in vars(whole)) == built
+        fine = spec.doms[0]
+        if built:
+            _stack(fine).ctx.edge_scatter
         shipped = pickle.loads(pickle.dumps(spec))
-        twin = shipped.doms[0][rank].ctx
-        assert ("edge_scatter" in vars(twin)) == built
+        twin = shipped.doms[0]
+        assert bool(twin[rank].cache) == built
+        assert ("edge_scatter" in vars(_stack(twin).ctx)) == built
+        fine, twin = _stack(fine).ctx, _stack(twin).ctx
         q = np.tile(solver.qinf, (fine.npoints, 1))
         q *= 1.0 + 0.01 * np.random.default_rng(0).random(q.shape)
         assert np.array_equal(

@@ -24,8 +24,24 @@ from repro.solvers.nsu3d import (
     residual_norm,
     wall_distance,
 )
-from repro.solvers.nsu3d.linesolve import block_thomas
-from repro.solvers.nsu3d.parallel import NSU3DKernels, _local_flow_context
+from repro.kernels import get_engine
+from repro.solvers.gas import variable_layout
+from repro.solvers.nsu3d.jacobians import (
+    boundary_spectral_radius,
+    complete_diagonal,
+    edge_diagonal,
+    edge_radii,
+    edge_spectral_radius,
+    line_offdiagonals,
+    sa_destruction_diagonal,
+    viscous_edge_coefficient,
+)
+from repro.solvers.nsu3d.linesolve import FrozenOperator, block_thomas
+from repro.solvers.nsu3d.parallel import (
+    NSU3DKernels,
+    _local_flow_context,
+    make_parallel_nsu3d,
+)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +169,197 @@ class TestBlockThomas:
             np.empty((1, 0, 2, 2)), diag, np.empty((1, 0, 2, 2)), rhs
         )
         assert np.allclose(out[0, 0], [2.0, 3.0])
+
+
+# -- the edge-form operator assembly this PR replaced, kept as oracles ----------
+#
+# Bodies of ``jacobians.local_time_step`` / ``spectral_sum`` /
+# ``assemble_diagonal`` / ``edge_offdiagonals`` at PR 20, verbatim apart
+# from spelling out ``ctx.jacobian_scatters`` (the context no longer
+# keeps those two operators).
+
+
+def _ref_local_time_step(ctx, q, cfl):
+    engine = get_engine()
+    acc = np.zeros(ctx.npoints, dtype=np.float64)
+    engine.scatter_add(
+        acc, ctx.edge_scatter_unsigned,
+        edge_spectral_radius(ctx, q) + 2 * viscous_edge_coefficient(ctx, q),
+    )
+    engine.scatter_add(
+        acc, ctx.boundary.scatter, boundary_spectral_radius(ctx, q)
+    )
+    return cfl * ctx.volumes / np.maximum(acc, 1e-300)
+
+
+def _ref_assemble_diagonal(ctx, q, dt, sa_destruction=True):
+    nvar = q.shape[1]
+    layout = variable_layout(nvar)
+    n = ctx.npoints
+    eye = np.eye(nvar)
+    diag = (ctx.volumes / dt)[:, None, None] * eye[None, :, :]
+
+    a = ctx.edges[:, 0]
+    b = ctx.edges[:, 1]
+    lam = edge_spectral_radius(ctx, q)
+    kv = viscous_edge_coefficient(ctx, q)
+    scal = 0.5 * lam + kv  # identity part, both endpoints
+
+    engine = get_engine()
+    scal_acc = np.zeros(n, dtype=np.float64)
+    engine.scatter_add(scal_acc, ctx.edge_scatter_unsigned, scal)
+    ja, jb = engine.edge_jacobians(q[a], q[b], ctx.face_vectors)
+    half_a = ctx.edge_scatter.reweighted(0.5, None)
+    minus_half_b = ctx.edge_scatter.reweighted(None, -0.5)
+    engine.scatter_add(diag, half_a, ja)
+    engine.scatter_add(diag, minus_half_b, jb)
+    diag += scal_acc[:, None, None] * eye[None, :, :]
+
+    # boundary spectral radii keep the diagonal dominant at boundaries
+    lam_b = boundary_spectral_radius(ctx, q)
+    engine.scatter_add(
+        diag, ctx.boundary.scatter,
+        0.5 * lam_b[:, None, None] * eye[None, :, :],
+    )
+
+    # SA destruction linearization (adds to the diagonal only)
+    if layout.turbulence and sa_destruction:
+        dest = sa_destruction_diagonal(ctx, q)
+        for j, var in enumerate(layout.turbulence):
+            diag[:, var, var] += dest[:, j]
+
+    # strong wall rows -> identity
+    w = ctx.wall_vert
+    if len(w):
+        for row in layout.momentum + layout.turbulence:
+            diag[w, row, :] = 0.0
+            diag[w, row, row] = 1.0
+    return diag
+
+
+def _ref_edge_offdiagonals(ctx, q):
+    nvar = q.shape[1]
+    a = ctx.edges[:, 0]
+    b = ctx.edges[:, 1]
+    lam = edge_spectral_radius(ctx, q)
+    kv = viscous_edge_coefficient(ctx, q)
+    eye = np.eye(nvar)[None, :, :]
+    ja, jb = get_engine().edge_jacobians(q[a], q[b], ctx.face_vectors)
+    scal = (0.5 * lam + kv)[:, None, None] * eye
+    off_ab = 0.5 * jb - scal
+    off_ba = -0.5 * ja - scal
+    return off_ab, off_ba
+
+
+def perturbed(ctx, qinf, seed):
+    rng = np.random.default_rng(seed)
+    return apply_wall_bc(ctx, np.tile(qinf, (ctx.npoints, 1)) * (
+        1.0 + 0.05 * rng.random((ctx.npoints, len(qinf)))
+    ))
+
+
+def face_scale(ctx):
+    """Largest ``|S|`` at each vertex: what a block entry is a sum of
+    terms of, so what its rounding error scales with."""
+    scale = np.zeros(ctx.npoints)
+    np.maximum.at(scale, ctx.edges[:, 0], ctx.edge_area)
+    np.maximum.at(scale, ctx.edges[:, 1], ctx.edge_area)
+    np.maximum.at(scale, ctx.boundary.vert, ctx.boundary.normals.area)
+    return scale[:, None, None]
+
+
+@pytest.fixture(scope="module", params=[True, False],
+                ids=["turbulent", "laminar"])
+def mg_solver(request, small_mesh):
+    return NSU3DSolver(mesh=small_mesh, mach=0.5, mg_levels=3,
+                       turbulence=request.param, cfl=8.0)
+
+
+class TestFrozenOperatorOracles:
+    """The shared builder against the edge-form assembly it replaced."""
+
+    def test_time_step_is_bit_equal(self, mg_solver):
+        for level, ctx in enumerate(mg_solver.contexts):
+            q = perturbed(ctx, mg_solver.qinf, level)
+            assert np.array_equal(
+                FrozenOperator(ctx, q, 7.5).dt,
+                _ref_local_time_step(ctx, q, 7.5),
+            )
+
+    def test_closed_dual_diagonal_matches_the_edge_sum(self, mg_solver):
+        """``sum(+-1/2 A(q_a).S_e) = A(q_a).(1/2 sum +-S_e)`` to
+        rounding, on every level."""
+        for level, ctx in enumerate(mg_solver.contexts):
+            q = perturbed(ctx, mg_solver.qinf, level)
+            dt = _ref_local_time_step(ctx, q, 7.5)
+            new = complete_diagonal(
+                ctx, q, edge_diagonal(ctx, q, edge_radii(ctx, q)), dt
+            )
+            ref = _ref_assemble_diagonal(ctx, q, dt)
+            # V/dt is a sum of the same |S|-sized radii, so one scale
+            assert (np.abs(new - ref) <= 1e-12 * face_scale(ctx)).all()
+
+    def test_rank_local_diagonals_sum_to_the_serial_one(self, mg_solver):
+        """The half face sum of a rank-local context is a partial one;
+        ``A.S`` is linear in ``S``, so the owner sum of the partial
+        closed-form blocks, completed, is the serial block."""
+        par = make_parallel_nsu3d(mg_solver, 4)
+        for level, ctx in enumerate(mg_solver.contexts):
+            q = perturbed(ctx, mg_solver.qinf, level)
+            total = np.zeros((ctx.npoints, q.shape[1], q.shape[1]))
+            for dom in par.hierarchy.levels[level].domains:
+                l2g = dom.halo.local_to_global()
+                local = edge_diagonal(
+                    dom.ctx, q[l2g], edge_radii(dom.ctx, q[l2g])
+                )
+                np.add.at(total, l2g, local)
+            dt = _ref_local_time_step(ctx, q, 7.5)
+            new = complete_diagonal(ctx, q, total, dt)
+            ref = _ref_assemble_diagonal(ctx, q, dt)
+            assert (np.abs(new - ref) <= 1e-12 * face_scale(ctx)).all()
+
+    def test_line_couplings_are_the_edge_blocks_at_line_edges(
+            self, mg_solver):
+        ctx = mg_solver.contexts[0]
+        lines = ctx.line_structure
+        assert lines.batches and 0 < len(lines.edge) < ctx.nedges
+        q = perturbed(ctx, mg_solver.qinf, 5)
+        lower, upper = line_offdiagonals(ctx, q, edge_radii(ctx, q))
+        off_ab, off_ba = _ref_edge_offdiagonals(ctx, q)
+        fwd = lines.forward[:, None, None]
+        e = lines.edge
+        assert np.allclose(upper, np.where(fwd, off_ab[e], off_ba[e]),
+                           rtol=1e-13, atol=1e-15)
+        assert np.allclose(lower, np.where(fwd, off_ba[e], off_ab[e]),
+                           rtol=1e-13, atol=1e-15)
+        # every link is a real edge joining consecutive line vertices
+        for batch, links in zip(lines.batches, lines.per_batch(e)):
+            ends = np.sort(ctx.edges[links], axis=-1)
+            pairs = np.sort(np.stack([batch[:, :-1], batch[:, 1:]], -1), -1)
+            assert np.array_equal(ends, pairs)
+        covered = np.concatenate([b.ravel() for b in lines.batches])
+        assert np.array_equal(
+            np.sort(np.concatenate([covered, lines.rest])),
+            np.arange(ctx.npoints),
+        )
+
+    def test_frozen_solve_inverts_the_edge_form_operator(self, mg_solver):
+        """``solve`` applied to ``P q`` (diagonal + along-line couplings
+        of the oracle assembly) gives ``q`` back."""
+        ctx = mg_solver.contexts[0]
+        q = perturbed(ctx, mg_solver.qinf, 9)
+        op = FrozenOperator(ctx, q, 7.5)
+        diag = _ref_assemble_diagonal(ctx, q, op.dt)
+        off_ab, off_ba = _ref_edge_offdiagonals(ctx, q)
+        x = np.random.default_rng(1).standard_normal(q.shape)
+        px = np.einsum("nab,nb->na", diag, x)
+        lines = ctx.line_structure
+        for e, fwd in zip(lines.edge, lines.forward):
+            a, b = ctx.edges[e] if fwd else ctx.edges[e][::-1]
+            up, lo = (off_ab[e], off_ba[e]) if fwd else (off_ba[e], off_ab[e])
+            px[a] += up @ x[b]
+            px[b] += lo @ x[a]
+        assert np.allclose(op.solve(px), x, rtol=1e-9, atol=1e-9)
 
 
 class TestAgglomeration:
