@@ -198,7 +198,21 @@ SECTIONS = [
      "the simulated-Columbia ledger and did not move by a bit: who "
      "executes a rank's sends and receives is not an input to it.  "
      "The proc columns are real concurrency on this container's two "
-     "cores (one core per worker exists only at x1 and x2)."),
+     "cores (one core per worker exists only at x1 and x2), each the "
+     "median of 15 three-cycle solves on a warm pool.  Until PR 23 "
+     "they rose with every worker — 0.022 / 0.031-0.042 / 0.089-0.096 "
+     "s NSU3D and 0.022 / 0.066-0.101 / 0.196-0.239 s Cart3D over "
+     "three runs of this recipe on the parent — because every "
+     "exchange was two pool-wide `multiprocessing.Barrier` waits.  A "
+     "worker now waits only for the sequence word its neighbour "
+     "writes in the shared slab: x2 reads level with x1 on both "
+     "solvers (NSU3D 0.021-0.027 against 0.022-0.028, Cart3D "
+     "0.023-0.029 against 0.021-0.030 over three runs), which on a "
+     "mesh this small — 400 points, ~140 exchanges per 20 ms cycle — "
+     "means the second core pays for the synchronisation and no more; "
+     "x4 is four workers on two cores and still halves (0.040-0.056 / "
+     "0.069-0.085 s).  The alternating-pair referee for the same "
+     "change on the harness mesh is `BENCH_23.json`."),
     ("Section V — kernel engines, roofline before/after (real solver "
      "runs)", "kernel_engines",
      "The paper's single-CPU evidence is pfmon-measured FLOP rates "

@@ -18,8 +18,10 @@ compute interior, finish boundary).  The hybrid backend is already
 internally overlapped — its intra-process copies run while inter-process
 messages are in transit — so its ``start_copy`` completes eagerly and
 returns an already-finished pending.  The process backend's window is
-*real* concurrency: between the post barrier and the finish barrier
-every worker computes its interior on its own core.
+*real* concurrency: between publishing its rows and consuming its
+neighbours' every worker computes its interior on its own core, and it
+only ever waits for those neighbours (sequence words in the shared
+slab), never for the pool.
 
 Setting ``sanitize = True`` on an exchanger arms the
 :class:`~repro.runtime.sanitizer.GhostSanitizer` for every overlap
@@ -36,6 +38,7 @@ that, so lifecycle flags (``charging``/``sanitize``) stay uniform.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from math import prod
 
 import numpy as np
 
@@ -318,20 +321,24 @@ class LockstepExchanger:
                 _bill(m, flops)
 
 
+#: Header words of a process-backend channel block.  The sender alone
+#: writes ``POSTED``, ``TAG`` and ``LENGTH`` (payload doubles), the
+#: receiver alone ``CONSUMED``, a cache line away; payload follows.
+POSTED, TAG, LENGTH, CONSUMED, HEADER = 0, 1, 2, 8, 16
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
 class _ProcessPending:
-    """The open half of a :class:`ProcessExchanger` overlap window.
+    """The open half of a :class:`ProcessExchanger` exchange; it keeps
+    the sequence number it was posted under, so ``finish`` consumes the
+    blocks its own ``post`` is paired with whatever happened since."""
 
-    ``finish`` reads the peers' published owned rows into this worker's
-    ghost slots, then passes the completion barrier that lets everyone
-    reuse the shared buffers.
-    """
-
-    def __init__(self, exchanger: "ProcessExchanger", pid: int,
-                 arr: np.ndarray, tag: int):
+    def __init__(self, exchanger: "ProcessExchanger", plan, arr: np.ndarray,
+                 tag: int, add: bool, seq: int):
         self.x = exchanger
-        self.plan = exchanger.plans[pid]
+        self.plan = plan
         self.arr = arr
-        self.tag = tag
+        self.tag, self.add, self.seq = tag, add, seq
         self.done = False
 
     def finish(self) -> np.ndarray:
@@ -342,37 +349,63 @@ class _ProcessPending:
                 f"must be closed exactly once"
             )
         self.done = True
-        with _span("comm.exchange_copy_finish", cat="comm", tag=self.tag,
-                   neighbors=self.plan.degree()):
-            self.x._read_ghosts(self.plan, self.arr)
-            self.x._wait()
-        return self.arr
+        x, plan, arr, seq = self.x, self.plan, self.arr, self.seq
+        recv = plan.owned_slots if self.add else plan.ghost_slots
+        name = "comm.exchange_add" if self.add else "comm.exchange_copy_finish"
+        with _span(name, cat="comm", tag=self.tag, neighbors=plan.degree()):
+            # PlanExchanger's summation order, hence bit parity (rows
+            # never repeats a slot, see PendingExchange._land)
+            for q in plan.neighbors:
+                blk = x.channels[q][1]
+                rows = recv.get(q, _NO_ROWS)
+                shape = (len(rows),) + arr.shape[1:]
+                n = prod(shape)
+                x.comm.await_seq(blk, POSTED, seq, level=x.level, peer=q,
+                                 what="posted")
+                if (blk[TAG], blk[LENGTH]) != (self.tag, n):
+                    raise ExchangeLifecycleError(
+                        f"rank {plan.rank} expected tag {self.tag} "
+                        f"({n} doubles) from rank {q} on level {x.level}, "
+                        f"exchange {seq}, but it posted tag "
+                        f"{int(blk[TAG])} ({int(blk[LENGTH])} doubles)"
+                    )
+                data = blk[HEADER:HEADER + n].reshape(shape)
+                if self.add:
+                    arr[rows] += data
+                else:
+                    arr[rows] = data
+                x.comm.store_seq(blk, CONSUMED, seq)
+        x._open = None
+        return arr
 
 
 class ProcessExchanger:
     """Real multi-core backend: shared-memory halo exchange between
-    spawned worker processes, synchronized by a two-phase barrier.
+    spawned worker processes, synchronized neighbour to neighbour.
 
     Each worker owns exactly one partition.  For every directed
     neighbor pair the :class:`~repro.runtime.process.ProcessPool`
-    allocates a flat float64 block in one shared slab; ``channels``
-    maps neighbor rank -> ``(out, inbound)`` views of this worker's
-    send and receive blocks.  Every collective operation is two barrier
-    phases over the whole pool:
+    allocates a flat float64 block in one shared slab — ``HEADER``
+    words, then the payload; ``channels`` maps neighbor rank -> ``(out,
+    inbound)`` views of this worker's send and receive blocks.  The
+    exchanger numbers its exchanges (SPMD: both ends of a channel count
+    the same ones); each is two steps per neighbour ``q``, and each
+    step waits on ``q`` alone:
 
-    * **publish** — write the rows the plan says each peer needs, then
-      barrier (all data is now visible);
-    * **consume** — read the peers' blocks into local slots, then
-      barrier (all buffers are reusable).
+    * **publish** (:meth:`post`) — wait until ``q`` has ``consumed``
+      exchange ``seq - 1``, write the rows the plan says it needs, their
+      tag and length, then ``posted = seq``;
+    * **consume** (the pending's ``finish``) — wait for ``posted >=
+      seq``, check tag and length, land the rows, ``consumed = seq``.
 
-    ``start_copy`` performs only the publish phase and returns a
-    pending whose ``finish`` runs the consume phase — so between the
-    two barriers all workers compute their interiors concurrently on
-    separate cores, which is the paper's fig. 7 overlap made real.
-    The kernels' SPMD structure (every rank issues the same exchange
-    sequence) is what makes untagged barrier pairing sound; message
-    tags are accepted for interface compatibility and recorded on
-    telemetry spans only.
+    A neighbour the plan ships nothing to still sequences.  ``copy``
+    and ``add`` are publish-then-consume; ``start_copy`` returns the
+    pending with only the publish done, so inside the window all workers
+    compute their interiors concurrently on separate cores — the paper's
+    fig. 7 overlap made real.  One window at a time: posting inside an
+    open one would overwrite a block the peer has not read, and raises.
+    The memory ordering this leans on is stated at
+    :meth:`~repro.runtime.process.ProcessComm.store_seq`/``await_seq``.
 
     Floating-point parity with :class:`PlanExchanger` holds because
     ``add`` accumulates at owners in the same sorted-neighbor order
@@ -381,100 +414,70 @@ class ProcessExchanger:
 
     kind = "process"
 
-    def __init__(self, comm, plans: dict, channels: dict):
+    def __init__(self, comm, plans: dict, channels: dict, level: int = 0):
         self.comm = comm
         self.plans = plans
-        #: neighbor rank -> (out view, inbound view): flat float64
-        #: blocks of the pool's shared slab
+        #: neighbor rank -> (out block, inbound block): flat float64
+        #: views of the pool's shared slab, header first
         self.channels = channels
+        self.level = level
+        #: exchanges posted so far, and the open pending if any
+        self.seq, self._open = 0, None
         #: accepted for symmetry; real wall clocks need no charging
         self.charging = False
         self.sanitize = False
 
-    def _wait(self) -> None:
-        self.comm.wait()
-
-    def _publish(self, plan, arr: np.ndarray, slots: dict) -> None:
-        """Write ``arr[slots[q]]`` into the out-block of each neighbor."""
-        k = int(np.prod(arr.shape[1:], dtype=np.int64)) or 1
-        for q in plan.neighbors:
-            rows = slots.get(q)
-            if rows is None or not len(rows):
-                continue
-            out, _inbound = self.channels[q]
-            n = len(rows) * k
-            if n > len(out):
-                raise ConfigurationError(
-                    f"shared halo block for pair ({plan.rank}->{q}) "
-                    f"holds {len(out)} doubles, need {n}"
-                )
-            out[:n] = arr[rows].reshape(-1)
-
-    def _read_ghosts(self, plan, arr: np.ndarray) -> None:
-        k = int(np.prod(arr.shape[1:], dtype=np.int64)) or 1
-        for q in plan.neighbors:
-            rows = plan.ghost_slots.get(q)
-            if rows is None or not len(rows):
-                continue
-            _out, inbound = self.channels[q]
-            arr[rows] = inbound[: len(rows) * k].reshape(
-                (len(rows),) + arr.shape[1:]
+    def post(self, arrays: dict, tag: int, add: bool = False):
+        """Publish half of a copy (or ``add``: ghost rows ship to their
+        owners and zero); ``finish`` of the result is the consume half."""
+        (pid, arr), = arrays.items()
+        plan = self.plans[pid]
+        if self._open is not None:
+            raise ExchangeLifecycleError(
+                f"rank {plan.rank}, level {self.level}: exchange with tag "
+                f"{tag} posted inside the open window of tag "
+                f"{self._open.tag}; finish() that one first"
             )
+        self.seq = seq = self.seq + 1
+        send = plan.ghost_slots if add else plan.owned_slots
+        name = "comm.exchange_add" if add else "comm.exchange_copy_start"
+        with _span(name, cat="comm", tag=tag, neighbors=plan.degree()):
+            for q in plan.neighbors:
+                blk = self.channels[q][0]
+                rows = send.get(q, _NO_ROWS)
+                payload = arr[rows].reshape(-1)
+                n = len(payload)
+                if n > len(blk) - HEADER:
+                    raise ConfigurationError(
+                        f"shared halo block for pair ({plan.rank}->{q}) "
+                        f"holds {len(blk) - HEADER} doubles, need {n}"
+                    )
+                self.comm.await_seq(blk, CONSUMED, seq - 1, level=self.level,
+                                    peer=q, what="consumed")
+                blk[HEADER:HEADER + n] = payload
+                blk[TAG], blk[LENGTH] = tag, n
+                self.comm.store_seq(blk, POSTED, seq)
+                if add:
+                    arr[rows] = 0.0
+        self._open = _ProcessPending(self, plan, arr, tag, add, seq)
+        return self._open
 
     def copy(self, arrays: dict, tag: int = 0) -> None:
-        for pid in sorted(arrays):
-            plan = self.plans[pid]
-            with _span("comm.exchange_copy", cat="comm", tag=tag,
-                       neighbors=plan.degree()):
-                self._publish(plan, arrays[pid], plan.owned_slots)
-                self._wait()
-                self._read_ghosts(plan, arrays[pid])
-                self._wait()
+        self.post(arrays, tag).finish()
 
     def add(self, arrays: dict, tag: int = 1) -> None:
-        for pid in sorted(arrays):
-            plan = self.plans[pid]
-            arr = arrays[pid]
-            with _span("comm.exchange_add", cat="comm", tag=tag,
-                       neighbors=plan.degree()):
-                self._publish(plan, arr, plan.ghost_slots)
-                for q in plan.neighbors:
-                    rows = plan.ghost_slots.get(q)
-                    if rows is not None and len(rows):
-                        arr[rows] = 0.0
-                self._wait()
-                k = int(np.prod(arr.shape[1:], dtype=np.int64)) or 1
-                # accumulate in sorted-neighbor order: the same
-                # summation order as PlanExchanger, hence bit parity
-                for q in plan.neighbors:
-                    rows = plan.owned_slots.get(q)
-                    if rows is None or not len(rows):
-                        continue
-                    _out, inbound = self.channels[q]
-                    # rows never repeats a slot (see
-                    # PendingExchange._land)
-                    arr[rows] += inbound[: len(rows) * k].reshape(
-                        (len(rows),) + arr.shape[1:]
-                    )
-                self._wait()
+        self.post(arrays, tag, add=True).finish()
 
     def start_copy(self, arrays: dict, tag: int = 0):
-        pendings = []
-        for pid in sorted(arrays):
-            plan = self.plans[pid]
-            with _span("comm.exchange_copy_start", cat="comm", tag=tag,
-                       neighbors=plan.degree()):
-                self._publish(plan, arrays[pid], plan.owned_slots)
-                self._wait()
-            pendings.append(_ProcessPending(self, pid, arrays[pid], tag))
-        return _guarded(self, arrays, PendingGroup(pendings))
+        return _guarded(self, arrays, PendingGroup([self.post(arrays, tag)]))
 
     def charge(self, flops: dict) -> None:
         """No-op: the process backend's clock is the real one."""
 
 
 def make_exchanger(backend: str, comm, *, plans: dict | None = None,
-                   process=None, channels: dict | None = None):
+                   process=None, channels: dict | None = None,
+                   level: int = 0):
     """The one blessed construction point for exchangers.
 
     Lint rule R011 bans direct ``*Exchanger(...)`` construction outside
@@ -487,7 +490,7 @@ def make_exchanger(backend: str, comm, *, plans: dict | None = None,
     if backend == "hybrid":
         return HybridExchanger(comm, process)
     if backend == "process":
-        return ProcessExchanger(comm, plans or {}, channels or {})
+        return ProcessExchanger(comm, plans or {}, channels or {}, level)
     raise ConfigurationError(
         f"unknown exchanger backend {backend!r}; choose 'sim', "
         "'hybrid' or 'process'"

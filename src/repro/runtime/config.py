@@ -53,8 +53,9 @@ class RuntimeConfig:
     overlap: bool = False
     sanitize: bool = False
     charge_compute: bool = False
-    #: per-barrier / per-reply wait before a silent worker is declared
-    #: dead (``WorkerCrash``); process backend only
+    #: longest one wait may last — a worker's for one neighbour's
+    #: sequence word, the master's for one reply — before the silent
+    #: peer is declared dead (``WorkerCrash``); process backend only
     worker_timeout: float = 120.0
 
     def __post_init__(self) -> None:

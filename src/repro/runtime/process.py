@@ -8,54 +8,64 @@ messages.  The structure follows nengo_mpi's master/worker split —
 spawn once, build-from-spec in the worker, run N steps on command,
 gather — adapted to the Exchanger protocol:
 
-* :class:`SharedLayout` carves the slab: one flat block per directed
-  neighbor pair per level (sized for the widest payload, the
-  ``nvar x nvar`` block diagonals), one ``(nranks, COLLECTIVE_CAP)``
-  collective scratch, one ``(nglobal, nvar)`` gather region.
+* :class:`SharedLayout` carves the slab: one block per directed
+  neighbor pair per level (sequence header, then the widest payload,
+  the ``nvar x nvar`` block diagonals), a ``(2, nranks,
+  COLLECTIVE_CAP)`` collective scratch with a ``coll_seq`` word per
+  rank and the abort word, one ``(nglobal, nvar)`` gather region.
 * :class:`WorkerSpec` is the picklable build recipe a worker receives:
   its per-level :class:`~repro.runtime.domain.DistributedDomain` (halo
   + payload, caches dropped), cluster maps, the kernels object, and the
   exchange-mode flags.
 * :class:`ProcessComm` gives workers the tiny comm surface the kernels
-  use — ``rank``/``clock``/``allreduce``/``wait`` — where ``wait`` is
-  the pool-wide two-phase barrier and ``allreduce`` combines rows in
-  rank order, the same summation order as SimMPI's ``fold``, so the
-  parity gate holds bit-for-bit across backends.
+  use — ``rank``/``clock``/``allreduce`` — and the backend's one way
+  to synchronise: ``store_seq``/``await_seq`` on sequence words in the
+  slab, each written by one named peer; nobody waits on the pool.
+  ``allreduce`` combines rows in rank order, SimMPI's ``fold`` order,
+  so the parity gate holds bit-for-bit across backends.
 * :class:`ProcessPool` owns the lifecycle: spawn + ready handshake,
   ``run`` round-trips over pipes, prompt failure detection (a dead or
-  silent worker raises :class:`~repro.errors.WorkerCrash` and aborts
-  the barrier so the survivors unwind too), idempotent ``close``.
+  silent worker raises :class:`~repro.errors.WorkerCrash` and sets the
+  abort word so the survivors unwind too), idempotent ``close``.
 
 Workers run their solves under a private enabled
 :class:`~repro.telemetry.spans.Tracer` whenever the master's tracer is
 enabled, and ship the recorded spans back over the pipe; the pool
 absorbs them into the master tracer so ``python -m repro.telemetry
-report`` renders a true multi-core timeline.
+report`` renders a true multi-core timeline, ``comm.wait`` spans (who
+waited for whom) included.
 """
 
 from __future__ import annotations
 
 import ctypes
 import multiprocessing as mp
+import os
 import time
 import traceback
 from dataclasses import dataclass
-from multiprocessing import synchronize as mp_sync
 from multiprocessing.connection import Connection
 from multiprocessing.sharedctypes import RawArray
-from threading import BrokenBarrierError
 
 import numpy as np
 
 from ..comm.simmpi import fold
 from ..errors import ConfigurationError, RuntimeClosed, WorkerCrash
-from ..telemetry.spans import Tracer, get_tracer, set_tracer
-from .backends import make_exchanger
+from ..telemetry.spans import Tracer, get_tracer, set_tracer, span as _span
+from .backends import HEADER, make_exchanger
 from .domain import DistributedDomain, DomainHierarchy
 
 #: Doubles of per-rank scratch for one collective; kernels reduce tiny
 #: vectors (residual norms, physicality counts), so this is generous.
 COLLECTIVE_CAP = 32
+#: Doubles per cache line: words different ranks write sit this far
+#: apart, so one's store never invalidates the line another polls.
+LINE = 8
+#: A wait is ``SPIN`` polls (a round trip between two running workers
+#: takes a few), then ``sched_yield`` for ``YIELD_S`` seconds (an
+#: oversubscribed peer gets the core), then sleeps doubling up to
+#: ``NAP_CAP`` (a hung peer costs no core).
+SPIN, YIELD_S, NAP_CAP = 400, 1.0e-3, 2.0e-3
 
 
 @dataclass(frozen=True)
@@ -63,10 +73,10 @@ class SharedLayout:
     """Offsets into the pool's one shared float64 slab.
 
     ``pair_offsets[(level, src, dst)]`` locates the block ``src``
-    publishes for ``dst`` on ``level`` (capacity in doubles); the
-    collective and gather regions follow the pair blocks.  Built once
-    on the master and shipped to every worker, so all processes carve
-    identical views.
+    publishes for ``dst`` on ``level`` (capacity in doubles, ``HEADER``
+    included); the collective and gather regions follow the pair
+    blocks.  Built once on the master and shipped to every worker, so
+    all processes carve identical views.
     """
 
     pair_offsets: dict
@@ -91,11 +101,12 @@ class SharedLayout:
                         len(plan.owned_slots.get(q, ())),
                         len(plan.ghost_slots.get(q, ())),
                     )
-                    cap = max(rows, 1) * width
+                    cap = HEADER + -(-rows * width // LINE) * LINE
                     pair_offsets[(lev, p, q)] = (offset, cap)
                     offset += cap
         coll_offset = offset
-        offset += hierarchy.nparts * COLLECTIVE_CAP
+        # two scratch parities, a coll_seq line per rank, the abort line
+        offset += hierarchy.nparts * (2 * COLLECTIVE_CAP + LINE) + LINE
         gather_offset = offset
         gather_shape = (hierarchy.levels[0].nglobal, nvar)
         offset += gather_shape[0] * gather_shape[1]
@@ -118,10 +129,14 @@ class SharedLayout:
             out[q] = (buf[o_off:o_off + o_cap], buf[i_off:i_off + i_cap])
         return out
 
-    def coll_view(self, buf: np.ndarray) -> np.ndarray:
-        n = self.nranks * COLLECTIVE_CAP
-        return buf[self.coll_offset:self.coll_offset + n].reshape(
-            self.nranks, COLLECTIVE_CAP
+    def coll_views(self, buf: np.ndarray) -> tuple:
+        """``(scratch[parity, rank, :], coll_seq[rank], abort[0])``."""
+        n = 2 * self.nranks * COLLECTIVE_CAP
+        seq = self.coll_offset + n
+        end = seq + self.nranks * LINE
+        return (
+            buf[self.coll_offset:seq].reshape(2, self.nranks, COLLECTIVE_CAP),
+            buf[seq:end:LINE], buf[end:end + 1],
         )
 
     def gather_view(self, buf: np.ndarray) -> np.ndarray:
@@ -153,44 +168,65 @@ class WorkerSpec:
 
 
 class ProcessComm:
-    """The kernels' comm surface, backed by a pool-wide barrier.
+    """The kernels' comm surface, and the backend's one way to wait.
 
-    ``wait`` is one barrier phase (the exchangers call it twice per
-    collective operation: publish, consume); a broken or timed-out
-    barrier — some peer died or hung — surfaces as
-    :class:`WorkerCrash` so the whole pool unwinds instead of
+    All synchronisation is two calls on a *sequence word* of the slab
+    that one process alone writes: :meth:`store_seq` says "everything I
+    wrote before this is yours", :meth:`await_seq` blocks until a named
+    peer has said so.  A dead or hung peer — or the pool's abort word —
+    surfaces as :class:`WorkerCrash`, so the pool unwinds instead of
     deadlocking.  ``clock`` reads real elapsed seconds from the pool's
     shared epoch (``time.monotonic`` is system-wide on Linux), so the
     per-rank telemetry tracks share one time base.
     """
 
-    def __init__(self, rank: int, nranks: int, barrier: "mp_sync.Barrier",
-                 coll: np.ndarray, timeout: float, epoch: float) -> None:
+    def __init__(self, rank: int, layout: SharedLayout, buf: np.ndarray,
+                 timeout: float, epoch: float) -> None:
         self.rank = rank
-        self.nranks = nranks
-        self._barrier = barrier
-        self._coll = coll
-        self._timeout = timeout
-        self._epoch = epoch
+        self.nranks = layout.nranks
+        self._coll, self._coll_seq, self._abort = layout.coll_views(buf)
+        self._seq, self._timeout, self._epoch = 0, timeout, epoch
 
     @property
     def clock(self) -> float:
         return time.monotonic() - self._epoch
 
-    def wait(self) -> None:
-        try:
-            self._barrier.wait(self._timeout)
-        except BrokenBarrierError:
-            raise WorkerCrash(
-                f"rank {self.rank}: pool barrier broke after "
-                f"{self._timeout:.0f}s — a peer worker died or hung"
-            ) from None
+    @staticmethod
+    def store_seq(words: np.ndarray, i: int, seq: int) -> None:
+        """Release point: ``words[i] = seq`` must become visible after
+        every store the caller made before it.  x86-64 is total store
+        order (stores retire in program order, an aligned 8-byte store
+        is atomic), so the plain store does; a weaker machine (ARM,
+        POWER) needs a store-release fence above it, here only."""
+        words[i] = seq
 
-    def barrier(self) -> None:
-        self.wait()
-
-    def compute(self, flops: float = 0.0, seconds: float = 0.0) -> None:
-        """No-op: worker time is real time; nothing to bill."""
+    def await_seq(self, words: np.ndarray, i: int, seq: int, *,
+                  level: int | None, peer: int, what: str) -> None:
+        """Acquire point: return once ``words[i] >= seq``; the caller's
+        payload loads must not pass this load.  x86-64 keeps loads in
+        order; a weaker machine needs a load-acquire fence before the
+        return, here only.  A wait that outlasts the spin phase is a
+        ``comm.wait`` span on a traced run, and from then on every pass
+        checks the abort word and ``worker_timeout``."""
+        for _ in range(SPIN):
+            if words[i] >= seq:
+                return
+        with _span("comm.wait", cat="comm", level=level, peer=peer,
+                   what=what, seq=seq):
+            start, nap = time.monotonic(), 2.0e-5
+            while words[i] < seq:
+                waited = time.monotonic() - start
+                if self._abort[0] or waited > self._timeout:
+                    raise WorkerCrash(
+                        f"rank {self.rank} waited {waited:.1f}s for rank "
+                        f"{peer} ({what} >= {seq}, level {level}): the "
+                        "pool was aborted, or that worker died or hung"
+                    )
+                if waited < YIELD_S:
+                    os.sched_yield()
+                else:
+                    time.sleep(nap)
+                    nap = min(2.0 * nap, NAP_CAP)
 
     def allreduce(self, parts: dict, op: str = "sum") -> np.ndarray:
         """Reduce ``{pid: small array}`` contributions across all workers.
@@ -198,7 +234,10 @@ class ProcessComm:
         This worker's partitions fold in pid order, then the workers'
         rows in ascending rank order — the association of
         :class:`~repro.runtime.backends.LockstepComm` — so reductions
-        are bit-identical across backends.
+        are bit-identical across backends.  The row goes into the
+        scratch half of this collective's parity: a rank already in the
+        next one writes the other half, and none reaches the one after
+        before every rank has left this one.
         """
         arr = np.asarray(
             fold([parts[p] for p in sorted(parts)], op), dtype=np.float64
@@ -209,17 +248,19 @@ class ProcessComm:
                 f"allreduce payload of {len(flat)} doubles exceeds the "
                 f"collective scratch ({COLLECTIVE_CAP})"
             )
-        self._coll[self.rank, :len(flat)] = flat
-        self.wait()
-        # a copy: the scratch is rewritten by the next collective
-        acc = np.array(fold(list(self._coll[:, :len(flat)]), op))
-        self.wait()
-        return acc.reshape(arr.shape)
+        self._seq = seq = self._seq + 1
+        rows = self._coll[seq % 2, :, :len(flat)]
+        rows[self.rank] = flat
+        self.store_seq(self._coll_seq, self.rank, seq)
+        for r in range(self.nranks):
+            self.await_seq(self._coll_seq, r, seq, level=None, peer=r,
+                           what="allreduce")
+        # a copy: the scratch is rewritten two collectives on
+        return np.array(fold(list(rows), op)).reshape(arr.shape)
 
 
 def _worker_main(spec: WorkerSpec, layout: SharedLayout, raw: ctypes.Array,
-                 barrier: mp_sync.Barrier, conn: Connection,
-                 epoch: float) -> None:
+                 conn: Connection, epoch: float) -> None:
     """Worker process entry point: build from spec, then serve commands.
 
     Pipe protocol (worker side): send ``("ready", rank)`` once built;
@@ -231,16 +272,13 @@ def _worker_main(spec: WorkerSpec, layout: SharedLayout, raw: ctypes.Array,
 
     try:
         buf = np.frombuffer(raw, dtype=np.float64)
-        comm = ProcessComm(
-            spec.rank, spec.nranks, barrier, layout.coll_view(buf),
-            spec.timeout, epoch,
-        )
+        comm = ProcessComm(spec.rank, layout, buf, spec.timeout, epoch)
         exchangers = []
         for lev, doms in enumerate(spec.doms):
             plan = doms[spec.rank].halo.plan
             x = make_exchanger(
                 "process", comm, plans={spec.rank: plan},
-                channels=layout.channels(buf, lev, spec.rank, plan),
+                channels=layout.channels(buf, lev, spec.rank, plan), level=lev,
             )
             x.sanitize = spec.sanitize
             exchangers.append(x)
@@ -293,7 +331,6 @@ class ProcessPool:
         self.layout = SharedLayout.build(hierarchy, nvar)
         self._raw = RawArray(ctypes.c_double, self.layout.total)
         self._buf = np.frombuffer(self._raw, dtype=np.float64)
-        self._barrier = ctx.Barrier(self.nranks)
         self._epoch = time.monotonic()
         self._procs: list = []
         self._conns: list = []
@@ -305,8 +342,7 @@ class ProcessPool:
                                        sanitize)
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(spec, self.layout, self._raw, self._barrier,
-                          child, self._epoch),
+                    args=(spec, self.layout, self._raw, child, self._epoch),
                     name=f"repro-worker-{rank}",
                     daemon=True,
                 )
@@ -373,10 +409,11 @@ class ProcessPool:
                 )
 
     def _fail(self) -> None:
-        """Hard teardown after a fault: break the barrier so live
-        workers unwind, then terminate everything."""
+        """Hard teardown after a fault: set the abort word so live
+        workers leave their waits, then terminate everything."""
         self.closed = True
-        self._barrier.abort()
+        *_scratch, abort = self.layout.coll_views(self._buf)
+        abort[0] = 1.0
         for proc in self._procs:
             if proc.is_alive():
                 proc.terminate()
@@ -427,14 +464,14 @@ class ProcessPool:
             for rank in sorted(pending):
                 conn, proc = self._conns[rank], self._procs[rank]
                 try:
-                    has_msg = conn.poll(0.05)
+                    # a pipe at EOF polls ready and then fails to read
+                    msg = conn.recv() if conn.poll(0.05) else None
                 except (EOFError, OSError):
                     raise WorkerCrash(
                         f"worker {rank} closed its pipe unexpectedly "
                         f"(exit code {proc.exitcode})"
                     ) from None
-                if has_msg:
-                    msg = conn.recv()
+                if msg is not None:
                     if msg[0] == "error":
                         raise WorkerCrash(
                             f"worker {rank} raised:\n{msg[2]}"
