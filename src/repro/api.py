@@ -316,7 +316,8 @@ def make_cart3d_solver(
     ``repro.database``.
 
     Kernel execution is selected by ``kernel_config=KernelConfig(...)``
-    (default: the reference ``"numpy"`` engine).
+    (default: the reference ``"numpy"`` engine); ``hierarchy=`` hands on
+    a prebuilt ``build_levels`` pair (wind-independent, shareable).
     """
     return Cart3DSolver(
         solid,

@@ -128,7 +128,7 @@ class VariableFidelityStudy:
         """One Cart3D solve through the runtime; records forces +
         convergence.  Re-running an identical case is a cache hit."""
         spec = self.case_spec(wind, config)
-        handle = self.runtime().submit(spec, shared=(solid, None))
+        handle = self.runtime().submit(spec, shared=(solid, None, None))
         result = handle.result()
         if not handle.hit:
             self.cases_run += 1

@@ -3,17 +3,17 @@
 ``schedule_fill`` answers the *planning* question (how long does a fill
 occupy N Columbia boxes); this module answers the *execution* one.  A
 :class:`FillRuntime` consumes the same :func:`build_job_tree` hierarchy
-and really runs the cases on a bounded worker pool whose width is the
-machine model's slot count (:func:`repro.machine.topology.node_slots` —
-"running as many cases simultaneously as memory permits").  It layers on
-what a real campaign needs and the paper's job scripts provided
-operationally:
+and really runs the cases on ``min(slots, runner.max_inflight)`` threads
+(``slots``: :func:`repro.machine.topology.node_slots`, "running as many
+cases simultaneously as memory permits"; threads that step solvers in
+one interpreter only trade its lock).  It layers on what a real campaign
+needs and the paper's job scripts provided operationally:
 
 * **geometry amortization** — each geometry instance is prepared
-  (surface + mesh) exactly once, lazily, shared by every wind case under
-  it ("this approach amortizes the cost of preparing the surface and
-  meshing each instance of the geometry over the hundreds or thousands
-  of runs");
+  (surface, mesh, multigrid hierarchy) exactly once, lazily, shared by
+  every wind case under it ("this approach amortizes the cost of
+  preparing the surface and meshing each instance of the geometry over
+  the hundreds or thousands of runs");
 * **content-keyed caching/dedup** — results land in a
   :class:`~repro.database.resultstore.ResultStore` keyed by
   :attr:`CaseSpec.key`; re-submitting an identical case is a cache hit,
@@ -270,6 +270,7 @@ class FillReport:
     outcomes: list
     events: list
     slots: int
+    workers: int = 0  # threads that ran the slots (<= slots)
     cases: int = 0
     executed: int = 0
     cache_hits: int = 0
@@ -314,6 +315,7 @@ class FillReport:
             "restored": self.restored,
             "meshes built": self.meshes_built,
             "slots": self.slots,
+            "worker threads": self.workers,
             "max concurrent": self.max_concurrent,
             "wall seconds": round(self.wall_seconds, 3),
         }
@@ -363,7 +365,8 @@ class FillRuntime:
     runner:
         ``runner(spec, shared) -> CaseResult`` — executes one case.
         ``shared`` is the (lazily built) per-geometry product, or None
-        for direct submissions.
+        for direct submissions.  ``runner.max_inflight``, if present,
+        caps the worker threads; further cases wait in the pool's queue.
     nnodes, cpus_per_case:
         Slot sizing via the machine model: ``(512 // cpus_per_case) *
         nnodes`` concurrent cases, exactly the planner's arithmetic.
@@ -473,8 +476,10 @@ class FillRuntime:
         self._user_on_event = on_event
         self._clock = EpochClock()
         self.events = EventLog(self._now, self._dispatch_event)
+        cap = getattr(runner, "max_inflight", None)
+        self.workers = min(self.slots, cap or self.slots)
         self._pool = ThreadPoolExecutor(
-            max_workers=self.slots, thread_name_prefix="fill"
+            max_workers=self.workers, thread_name_prefix="fill"
         )
         # RLock: on_event callbacks fired from submit() may legally
         # re-enter the runtime (e.g. cancel or chase with a new submit)
@@ -618,6 +623,7 @@ class FillRuntime:
             outcomes=outcomes,
             events=events,
             slots=self.slots,
+            workers=self.workers,
             cases=len(handles),
             executed=len({id(o) for o in ran}),
             cache_hits=sum(1 for h in handles if h.hit),
@@ -656,6 +662,7 @@ class FillRuntime:
             "settings": dict(settings),
             "nnodes": self.nnodes,
             "cpus_per_case": self.cpus_per_case,
+            "worker_threads": self.workers,
             "store": str(self.store.path) if self.store.path else None,
             "runner": describe() if describe is not None else None,
             "plan": plan.to_json() if plan is not None else None,
@@ -952,11 +959,14 @@ class FillRuntime:
 class Cart3DCaseRunner:
     """The default runner: real Cart3D solves through the facade.
 
-    ``prepare`` deflects and meshes one geometry instance
-    (:func:`~repro.mesh.cartesian.adapt_to_geometry` runs once per
-    instance); ``__call__`` solves one wind case on the shared mesh.
-    Solver construction goes through :func:`repro.api.make_cart3d_solver`
-    — lint rule R005 keeps direct constructor calls out of this package.
+    ``prepare`` owns what does not depend on the wind — deflected solid,
+    mesh, multigrid hierarchy — built once per instance, shared read-only;
+    ``__call__`` pays freestream, state and cycles through
+    :func:`repro.api.make_cart3d_solver` (lint rule R005).  ``max_inflight``
+    is the cases worth running at once: 1 while they are stepped in this
+    interpreter, uncapped on ``backend="process"`` (the slot thread only
+    waits on pipes).  :class:`FillRuntime` sizes its pool from it, so there
+    is no lock here and a queued case has not started.
 
     A ``config=RuntimeConfig(...)`` with more than one rank runs each
     case through the unified distributed runtime instead
@@ -1010,6 +1020,7 @@ class Cart3DCaseRunner:
         self.nranks = self.config.nranks if self.config.nranks else 1
         self.overlap = self.config.overlap
         self.backend = self.config.backend
+        self.max_inflight = None if self.backend == "process" else 1
         self._deflectable = {c.name for c in geometry.components}
 
     def describe(self) -> dict:
@@ -1049,15 +1060,18 @@ class Cart3DCaseRunner:
         return self.geometry.with_deflections(**deflections)
 
     def prepare(self, geo_job):
-        """Mesh one instance (shared by all its wind cases)."""
+        """``(solid, mesh, (levels, transfers))`` of one instance."""
         from ..mesh.cartesian import adapt_to_geometry
+        from ..solvers.cart3d.levels import build_levels, freeze
 
         solid = self.configure(geo_job.config_params)
         mesh, _ = adapt_to_geometry(
             solid, dim=self.dim, base_level=self.base_level,
             max_level=self.max_level,
         )
-        return solid, mesh
+        hierarchy = build_levels(solid, mesh=mesh, mg_levels=self.mg_levels)
+        freeze(hierarchy)
+        return solid, mesh, hierarchy
 
     def __call__(self, spec: CaseSpec, shared=None) -> CaseResult:
         from .. import api
@@ -1068,8 +1082,8 @@ class Cart3DCaseRunner:
             raise errors.SolverDivergence(
                 f"chaos: solver diverged on case {spec.key}"
             )
-        solid, mesh = shared if shared is not None else (
-            self.configure(spec.config_params), None
+        solid, mesh, hierarchy = shared if shared is not None else (
+            self.configure(spec.config_params), None, None
         )
         wind = spec.wind_params
         solver = api.make_cart3d_solver(
@@ -1083,6 +1097,7 @@ class Cart3DCaseRunner:
             alpha_deg=wind.get("alpha", 0.0),
             beta_deg=wind.get("beta", 0.0),
             kernel_config=self.kernel_config,
+            hierarchy=hierarchy,
         )
         if self.nranks == 1 and self.backend == "sim":
             solver.solve(ncycles=self.cycles, tol_orders=self.tol_orders)

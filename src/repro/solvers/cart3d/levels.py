@@ -13,7 +13,7 @@ parent — the transfer operators are total functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -160,6 +160,17 @@ class TransferOp:
 
     def prolong(self, dq_c: np.ndarray) -> np.ndarray:
         return dq_c[self.parent]
+
+
+def freeze(obj) -> None:
+    """Make every array under ``obj`` read-only: shared, so write-proof."""
+    if is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in fields(obj)]
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            freeze(item)
 
 
 def build_levels(

@@ -37,7 +37,8 @@ class Cart3DSolver:
     Parameters mirror the paper's setup: ``mg_levels=4`` is the SSLV
     baseline ("The baseline solution algorithm used 4 levels of
     multigrid"); ``mg_levels=1`` is the single-grid comparator of
-    figure 21.
+    figure 21.  ``hierarchy`` is a prebuilt :func:`build_levels` pair —
+    wind-independent, so the cases of one geometry instance share one.
     """
 
     def __init__(
@@ -57,8 +58,9 @@ class Cart3DSolver:
         curve: str = "hilbert",
         counters: PerfCounters | None = None,
         kernel_config: KernelConfig | None = None,
+        hierarchy: tuple[list, list] | None = None,
     ):
-        self.levels, self.transfers = build_levels(
+        self.levels, self.transfers = hierarchy or build_levels(
             solid, mesh=mesh, dim=dim, base_level=base_level,
             max_level=max_level, mg_levels=mg_levels, curve=curve,
         )

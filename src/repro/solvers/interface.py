@@ -234,7 +234,8 @@ def case_result(solver: SolverProtocol, spec: CaseSpec,
     hist = solver.history
     return CaseResult(
         spec=spec,
-        coefficients=solver.forces(),
+        # built-in floats: a journal round trip is then type-identical
+        coefficients={k: float(v) for k, v in solver.forces().items()},
         residual_history=tuple(hist.residuals),
         converged=hist.orders_converged() >= converged_orders,
         flops=float(getattr(solver.counters, "total_flops", 0.0)),

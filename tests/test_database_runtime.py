@@ -102,35 +102,38 @@ class TestRunTree:
 
     def test_more_cases_than_slots_respects_bound(self):
         slots = node_slots(128)  # 4 slots
-        live = []
-        peak = []
-        lock = threading.Lock()
+        # a runner with no ``max_inflight`` keeps every slot's thread: a
+        # case returns only once ``slots`` cases are inside the runner at
+        # once (a broken barrier fails the case; there are no retries)
+        together = threading.Barrier(slots, timeout=5)
 
         def runner(s, shared=None):
-            with lock:
-                live.append(s.key)
-                peak.append(len(live))
-            time.sleep(0.02)
-            with lock:
-                live.remove(s.key)
+            together.wait()
             return ok_runner(s)
 
-        with FillRuntime(runner, cpus_per_case=128, durable=False) as rt:
+        with FillRuntime(runner, cpus_per_case=128, max_attempts=1,
+                         durable=False) as rt:
             report = rt.run_tree(tiny_tree(nconfig=3, nwind=4))
         assert report.cases == 12
-        assert report.executed == 12
-        assert 1 < max(peak) <= slots
-        assert report.max_concurrent <= slots
+        assert report.executed == 12 and report.ok()
+        assert rt.workers == report.slots == slots
+        assert 1 < report.max_concurrent <= slots
 
     def test_geometry_prepared_once_per_instance(self):
         builds = []
+        # the widest race window: all 8 cases (16 slots) have started
+        # before any of them asks for its instance's geometry
+        together = threading.Barrier(8, timeout=5)
+
+        def on_event(event):
+            if event.kind == "start":
+                together.wait()
 
         def prepare(geo_job):
             builds.append(geo_job.config_params["flap"])
-            time.sleep(0.01)  # widen the race window
             return geo_job.config_params
 
-        with FillRuntime(ok_runner, durable=False) as rt:
+        with FillRuntime(ok_runner, on_event=on_event, durable=False) as rt:
             report = rt.run_tree(tiny_tree(nconfig=2, nwind=4), prepare=prepare)
         assert sorted(builds) == [0.0, 1.0]  # once per instance, not per case
         assert report.meshes_built == 2
