@@ -220,27 +220,20 @@ SECTIONS = [
      "x4 is four workers on two cores and still halves (0.040-0.056 / "
      "0.069-0.085 s).  The alternating-pair referee for the same "
      "change on the harness mesh is `BENCH_23.json`."),
-    ("Section V — kernel engines, roofline before/after (real solver "
-     "runs)", "kernel_engines",
+    ("Section V — kernel engines, roofline (real solver runs)",
+     "kernel_engines",
      "The paper's single-CPU evidence is pfmon-measured FLOP rates "
      "against the Itanium2 peak (§V); this bench replays that "
-     "methodology on the reproduction's own hot path.  Both solvers "
-     "run both kernel engines — `numpy` (the extracted reference) and "
-     "`batched` (bincount scatter, stacked edge Jacobians, fused "
-     "block-Thomas slabs: the paper's 'sets of 64 lines of similar "
-     "length, over which vectorization may then take place') — and the "
-     "calibrated counters bill identical FLOPs to each, so a higher "
-     "roofline fraction against one 1.6 GHz Itanium2 "
-     "is exactly a faster wall clock.  The bench asserts final states "
-     "inside the 1e-10 parity window (the engine is a performance "
-     "knob, never a results knob — which is also why database cache "
-     "keys exclude it) and records the batched/numpy ratio; it no "
-     "longer asserts that batched wins, because since PR 15 scatter "
-     "over fixed index sets runs through the same prebuilt operators "
-     "on both engines, which was batched's edge on NSU3D (1.05x before, "
-     "parity now, with both engines ~1.6x faster than they were).  "
-     "Timing is min-of-interleaved-rounds: noise on a shared box is "
-     "one-sided, so the fastest round is the stable estimator."),
+     "methodology on the reproduction's own hot path.  Both solvers run "
+     "the one kernel engine, and the calibrated counters bill a fixed "
+     "FLOP count per cycle, so a higher roofline fraction against one "
+     "1.6 GHz Itanium2 is exactly a faster wall clock.  A second "
+     "engine, `batched`, used to run beside it; once both shared the "
+     "scatter operators over fixed index sets and the frozen line "
+     "operator, it computed the same bits in the same time (1.00x on "
+     "NSU3D and 1.04x on Cart3D in its last run) and was deleted.  "
+     "Timing is min-of-rounds: noise on a shared box is one-sided, so "
+     "the fastest round is the stable estimator."),
 ]
 
 

@@ -79,13 +79,6 @@ These rules encode exactly those house invariants:
   awaited through the :class:`~repro.database.runtime.CaseHandle`
   asyncio bridge.  Synchronous helpers (``def``) in the package —
   including nested ones — are their own execution context and exempt.
-* **R013 python-loop-in-fast-engine** — a per-element Python loop
-  (``for i in range(len(...))`` / ``range(x.shape[0])``) inside a
-  :mod:`repro.kernels` engine module.  The whole point of the batched
-  engine is that element traversal happens in compiled code; a
-  Python-level point loop there silently re-introduces the overhead
-  the engine exists to remove.  The ``numpy_engine`` module is exempt
-  — it *is* the extracted reference code.
 * **R014 hardcoded-state-width** — the literal ``5`` used as a state
   width in ``solvers``/``runtime``: comparisons of ``len(...)``/
   ``x.shape[...]``/``*nvar*`` expressions against ``5``, and ``[:5]``/
@@ -99,12 +92,12 @@ These rules encode exactly those house invariants:
   ``np.<ufunc>.at``) under ``solvers`` or ``runtime``, or in
   ``comm/exchange.py``.
   Scatter accumulation on the solve path has one spelling,
-  ``engine.scatter_add(out, idx, contrib)``: it is the call the engines
-  implement, the perf harness's probe attributes, and prebuilt
+  ``engine.scatter_add(out, idx, contrib)``: it is the call the engine
+  implements, the perf harness's probe attributes, and prebuilt
   :class:`~repro.kernels.ScatterOperator` index sets ride.  A raw
   ``ufunc.at`` bypasses all three (and is ~13x slower on state-vector
   and Jacobian-block contributions).  Where the targets provably never
-  repeat, write ``arr[idx] += x``.  The reference engine module
+  repeat, write ``arr[idx] += x``.  The engine module
   (``kernels/numpy_engine.py``) is outside the rule's scope: its
   ``np.add.at`` *is* the ad-hoc-index fallback.
 
@@ -272,16 +265,6 @@ RULES = {
         ),
         segments=("service",),
     ),
-    "R013": Rule(
-        id="R013",
-        name="python-loop-in-fast-engine",
-        description=(
-            "per-element Python loop in a kernels engine module; the "
-            "fast engines must traverse elements in compiled code — "
-            "vectorize it"
-        ),
-        segments=("kernels",),
-    ),
     "R014": Rule(
         id="R014",
         name="hardcoded-state-width",
@@ -362,10 +345,6 @@ def active_rules(path: Path, select=None) -> list[Rule]:
     if path.name == "__main__.py":
         # CLI entry points print by design; R006 polices hot paths only
         rules = [r for r in rules if r.id != "R006"]
-    if path.name == "numpy_engine.py":
-        # the reference engine is the extracted historical code, loops
-        # and all; R013 polices the fast engines only
-        rules = [r for r in rules if r.id != "R013"]
     if path.name == "gas.py":
         # gas.py defines variable_layout and the NVAR_* constants — the
         # one place the width literal legitimately lives
@@ -829,14 +808,6 @@ class _LintVisitor(ast.NodeVisitor):
                 node,
                 f"Python for loop over {ast.unparse(node.iter)} in a solver "
                 "hot module iterates a mesh-sized array element by element",
-            )
-        if "R013" in self.rules and self._is_mesh_range(node.iter):
-            self._report(
-                "R013",
-                node,
-                f"Python for loop over {ast.unparse(node.iter)} in a fast "
-                "kernel engine traverses elements one at a time; "
-                "vectorize it",
             )
         self.generic_visit(node)
 

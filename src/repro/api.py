@@ -24,13 +24,10 @@ decision                           spelling
 =================================  =====================================
 build a serial solver              ``make_cart3d_solver(...)`` /
                                    ``make_nsu3d_solver(...)``
-which kernel engine it runs        ``kernel_config=KernelConfig(...)``
-                                   on those factories
 decompose it                       ``make_parallel_cart3d(solver, n)`` /
                                    ``make_parallel_nsu3d(solver, n)``
                                    (returns the
-                                   :class:`DistributedSolveDriver`;
-                                   runs the solver's own engine)
+                                   :class:`DistributedSolveDriver`)
 how the decomposed solve executes  ``config=RuntimeConfig(backend=...,
                                    nranks=..., overlap=..., ...)``
 mesh size of a solver              ``solver.size``
@@ -90,7 +87,6 @@ from .errors import (
     SolverDivergence,
     WorkerCrash,
 )
-from .kernels import ENGINES, KernelConfig, make_engine
 from .machine import CPUS_PER_NODE, Columbia, node_slots, vortex_subcluster
 from .mesh.cartesian import (
     CartesianMesh,
@@ -163,7 +159,7 @@ from .telemetry import (
 #: The facade surface version: bumped when the blessed surface changes
 #: shape (new exports, removals, contract changes) — code against it
 #: with ``assert repro.api.__api_version__ >= "4"``-style checks.
-__api_version__ = "9.0"
+__api_version__ = "10.0"
 
 __all__ = [
     # solvers — unified surface
@@ -190,10 +186,6 @@ __all__ = [
     "DistributedSolveDriver",
     "BACKENDS",
     "RuntimeConfig",
-    # kernel engines (one numerical fast path for both solvers)
-    "ENGINES",
-    "KernelConfig",
-    "make_engine",
     "PlanExchanger",
     "HybridExchanger",
     "ProcessExchanger",
@@ -305,7 +297,6 @@ def make_cart3d_solver(
     mach: float = 0.5,
     alpha_deg: float = 0.0,
     beta_deg: float = 0.0,
-    kernel_config: KernelConfig | None = None,
     **kwargs,
 ) -> Cart3DSolver:
     """Construct the inviscid Cart3D-style solver (the blessed path).
@@ -315,9 +306,8 @@ def make_cart3d_solver(
     function, which is what lint rule R005 checks inside
     ``repro.database``.
 
-    Kernel execution is selected by ``kernel_config=KernelConfig(...)``
-    (default: the reference ``"numpy"`` engine); ``hierarchy=`` hands on
-    a prebuilt ``build_levels`` pair (wind-independent, shareable).
+    ``hierarchy=`` hands on a prebuilt ``build_levels`` pair
+    (wind-independent, shareable).
     """
     return Cart3DSolver(
         solid,
@@ -329,7 +319,6 @@ def make_cart3d_solver(
         mach=mach,
         alpha_deg=alpha_deg,
         beta_deg=beta_deg,
-        kernel_config=kernel_config,
         **kwargs,
     )
 
@@ -343,14 +332,9 @@ def make_nsu3d_solver(
     reynolds: float = 1.0e5,
     mg_levels: int = 4,
     turbulence: bool = True,
-    kernel_config: KernelConfig | None = None,
     **kwargs,
 ) -> NSU3DSolver:
-    """Construct the high-fidelity NSU3D-style RANS solver.
-
-    Kernel execution is selected exactly like
-    :func:`make_cart3d_solver`: ``kernel_config=KernelConfig(...)``.
-    """
+    """Construct the high-fidelity NSU3D-style RANS solver."""
     return NSU3DSolver(
         mesh=mesh,
         mach=mach,
@@ -359,6 +343,5 @@ def make_nsu3d_solver(
         reynolds=reynolds,
         mg_levels=mg_levels,
         turbulence=turbulence,
-        kernel_config=kernel_config,
         **kwargs,
     )

@@ -972,12 +972,6 @@ class Cart3DCaseRunner:
     case through the unified distributed runtime instead
     (:func:`repro.api.make_parallel_cart3d` driven by the config, so
     ``backend="process"`` cases execute on real worker processes).
-
-    The kernel engine is selected by ``kernel_config=KernelConfig(...)``
-    and applies to every case the runner solves, serial or distributed
-    (a decomposed case runs its serial solver's engine).  Engines are
-    numerically interchangeable (parity-tested), so the choice stays
-    *out* of :meth:`settings` — cached results are engine-independent.
     """
 
     solver_name = "cart3d"
@@ -996,7 +990,6 @@ class Cart3DCaseRunner:
         geometry_name: str | None = None,
         chaos=None,
         config=None,
-        kernel_config=None,
     ):
         self.geometry = geometry
         self.dim = dim
@@ -1009,7 +1002,6 @@ class Cart3DCaseRunner:
         self.geometry_name = geometry_name
         self.chaos = chaos
         self.config = config or RuntimeConfig()
-        self.kernel_config = kernel_config
         if self.config.backend != "sim" and self.config.nranks is None:
             raise errors.ConfigurationError(
                 "Cart3DCaseRunner sizes the decomposition from the "
@@ -1096,7 +1088,6 @@ class Cart3DCaseRunner:
             mach=wind.get("mach", 0.5),
             alpha_deg=wind.get("alpha", 0.0),
             beta_deg=wind.get("beta", 0.0),
-            kernel_config=self.kernel_config,
             hierarchy=hierarchy,
         )
         if self.nranks == 1 and self.backend == "sim":

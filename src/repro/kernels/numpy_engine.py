@@ -1,22 +1,15 @@
-"""The reference kernel engine, and the implementations every engine
-shares.
+"""The kernel engine, and the two frozen-operator factorizations.
 
 The kernels here are the code the solver modules ran before the engine
 layer existed — ``np.add.at`` scatter accumulation (for index arrays; a
 prebuilt :class:`~repro.kernels.scatter.ScatterOperator` performs the
-same additions in the same order and is applied identically by every
-engine) and the row-filled analytic Euler Jacobian — plus the two
-frozen-operator factorizations, which exist once for all engines:
-:class:`PrefactoredDiagonal` (point blocks inverted once per smoothing
-step) and :class:`ThomasFactor` (one group of block-tridiagonal lines
-eliminated once; ``thomas`` is its one-shot ``factor -> solve``).  The
-parity matrix in ``tests/test_kernel_engines.py`` pins every other
-engine against this one, and keeps the recursion ``ThomasFactor``
-replaced (one ``np.linalg.solve`` per station per stage) as its oracle.
-
-Being the reference, this module is the one engine exempt from lint
-rule R013 (no per-point Python loops in engine modules): its loops *are*
-the specification the fast engines must match.
+same additions in the same order) and the row-filled analytic Euler
+Jacobian — plus :class:`PrefactoredDiagonal` (point blocks inverted once
+per smoothing step) and :class:`ThomasFactor` (one group of
+block-tridiagonal lines eliminated once; ``thomas`` is its one-shot
+``factor -> solve``).  ``tests/test_kernel_engines.py`` keeps the
+recursion ``ThomasFactor`` replaced (one ``np.linalg.solve`` per station
+per stage) and a dense tridiagonal solve as its oracles.
 """
 
 from __future__ import annotations
@@ -90,7 +83,7 @@ class ThomasFactor:
     eliminated diagonal ``D'_i``, ``D'_i^-1 lower_{i-1}`` and ``c'_i =
     D'_i^-1 upper_i``; :meth:`solve` is then one batched mat-vec and the
     two station sweeps per right-hand side.  This is the one Thomas
-    recursion: every engine's ``thomas`` / ``thomas_factor`` ends here.
+    recursion: ``thomas`` and ``thomas_factor`` both end here.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray,
@@ -125,9 +118,12 @@ class ThomasFactor:
 
 
 class NumpyEngine:
-    """The reference :class:`~repro.kernels.engine.KernelEngine`."""
+    """The :class:`~repro.kernels.engine.KernelEngine`.
 
-    name = "numpy"
+    ``block_solve`` and ``thomas`` have no caller in the solvers; they
+    stay because a timing probe wraps every primitive by name and warns
+    on a missing one.
+    """
 
     def scatter_add(
         self,

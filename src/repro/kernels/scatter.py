@@ -27,7 +27,7 @@ result is bit-identical, not merely close.
 Operators are plain objects owned by whatever owns the index arrays
 (a level context, a transfer map); nothing here keeps a registry, so
 they are released with their owner.  ``engine.scatter_add(out, op,
-contrib)`` is the way to apply one — both engines route an operator to
+contrib)`` is the way to apply one — the engine routes an operator to
 :meth:`ScatterOperator.add_to`.
 """
 

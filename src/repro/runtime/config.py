@@ -18,8 +18,8 @@ selector names the execution model explicitly:
 ``sim`` and ``hybrid`` solves run on the calling thread: the driver
 steps every rank of the world in lockstep, so neither starts a thread.
 
-The kernel engine is not an execution choice: a decomposed solve runs
-the ``kernel_config`` of the serial solver it decomposes.
+The kernel engine is not an execution choice: there is one
+(:mod:`repro.kernels`), and every backend runs it.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ...kernels import KernelConfig, make_engine, use_engine
+from ...kernels import get_engine, use_engine
 from ...runtime import (
     DistributedSolveDriver,
     LevelSpec,
@@ -162,16 +162,12 @@ class Cart3DKernels:
     #: default cfl=2.0 — see the policy in :mod:`repro.runtime.multigrid`
     coarse_cfl_fraction = 0.75
 
-    def __init__(self, qinf: np.ndarray, flux: str = "vanleer",
-                 kernel_config: KernelConfig | None = None):
+    def __init__(self, qinf: np.ndarray, flux: str = "vanleer"):
         self.qinf = np.asarray(qinf, dtype=np.float64)
         self.flux = flux
-        self.kernel_config = (
-            kernel_config if kernel_config is not None else KernelConfig()
-        )
-        # engines hold no compiled state, so the kernels object (and with
-        # it the engine choice) stays picklable for WorkerSpec transport
-        self.engine = make_engine(self.kernel_config)
+        # the engine holds no state, so the kernels object stays
+        # picklable for WorkerSpec transport
+        self.engine = get_engine()
 
     # -- driver hooks --------------------------------------------------------
 
@@ -367,10 +363,10 @@ def make_parallel_cart3d(solver: Cart3DSolver, nparts: int, *,
     runs full FAS cycles on it: call ``.solve(ncycles, cfl=...)`` for
     the backend ``config`` selects, or ``.run(world, ncycles, cfl=...)``
     with your own :class:`SimMPI` world.  What is decomposed is the
-    solver itself, so its flux function and ``kernel_config`` carry
-    over.  The distributed path runs first order (like the serial
-    coarse levels); second-order fine-level reconstruction needs
-    distributed least-squares gradients and stays serial.
+    solver itself, so its flux function carries over.  The distributed
+    path runs first order (like the serial coarse levels); second-order
+    fine-level reconstruction needs distributed least-squares gradients
+    and stays serial.
     """
     part = SFCPartitioner.from_level(solver.levels[0]).partition(nparts)
     specs = [
@@ -382,9 +378,7 @@ def make_parallel_cart3d(solver: Cart3DSolver, nparts: int, *,
         for lvl in solver.levels
     ]
     clusters = [t.parent for t in solver.transfers]
-    kernels = Cart3DKernels(
-        solver.qinf, flux=solver.flux, kernel_config=solver.kernel_config
-    )
+    kernels = Cart3DKernels(solver.qinf, flux=solver.flux)
     return DistributedSolveDriver(
         build_domain_hierarchy(specs, clusters, part), kernels, solver.qinf,
         config=config,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...kernels import KernelConfig, make_engine, use_engine
+from ...kernels import get_engine, use_engine
 from ...machine.counters import PerfCounters
 from ...mesh.cartesian import CartesianMesh
 from ...mesh.cartesian.geometry import ImplicitSolid
@@ -57,7 +57,6 @@ class Cart3DSolver:
         order2: bool = False,
         curve: str = "hilbert",
         counters: PerfCounters | None = None,
-        kernel_config: KernelConfig | None = None,
         hierarchy: tuple[list, list] | None = None,
     ):
         self.levels, self.transfers = hierarchy or build_levels(
@@ -72,10 +71,7 @@ class Cart3DSolver:
         self.cfl = cfl
         self.order2 = order2
         self.counters = counters if counters is not None else PerfCounters()
-        self.kernel_config = (
-            kernel_config if kernel_config is not None else KernelConfig()
-        )
-        self.engine = make_engine(self.kernel_config)
+        self.engine = get_engine()
         self.grad_setups = (
             [ls_gradient_setup(self.levels[0])] if order2 else None
         )

@@ -62,7 +62,7 @@ from typing import Any
 
 import numpy as np
 
-from ...kernels import KernelConfig, make_engine, use_engine
+from ...kernels import get_engine, use_engine
 from ...runtime import (
     DistributedSolveDriver,
     LevelSpec,
@@ -247,7 +247,6 @@ class NSU3DKernels:
     coarse_cfl_fraction = 1.0
 
     def __init__(self, qinf: np.ndarray, viscous: bool = True,
-                 kernel_config: KernelConfig | None = None,
                  turbulence: bool | None = None):
         self.qinf = np.asarray(qinf, dtype=np.float64)
         self.viscous = viscous
@@ -259,12 +258,9 @@ class NSU3DKernels:
             turbulence if turbulence is not None
             else bool(self.layout.turbulence)
         )
-        self.kernel_config = (
-            kernel_config if kernel_config is not None else KernelConfig()
-        )
-        # engines hold no compiled state, so the kernels object (and with
-        # it the engine choice) stays picklable for WorkerSpec transport
-        self.engine = make_engine(self.kernel_config)
+        # the engine holds no state, so the kernels object stays
+        # picklable for WorkerSpec transport
+        self.engine = get_engine()
 
     # -- driver hooks --------------------------------------------------------
 
@@ -497,8 +493,8 @@ def make_parallel_nsu3d(solver: NSU3DSolver, nparts: int, *, seed: int = 0,
     ``.solve(ncycles, cfl=...)`` for the backend ``config`` selects, or
     ``.run(world, ncycles, cfl=...)`` with your own :class:`SimMPI`
     world.  What is decomposed is the solver itself, so its variable
-    layout, physics flags and ``kernel_config`` carry over: turbulent
-    (SA, 6-variable) solvers decompose exactly like laminar ones — wall
+    layout and physics flags carry over: turbulent (SA, 6-variable)
+    solvers decompose exactly like laminar ones — wall
     distances and Green-Gauss gradient surfaces are split per rank, the
     gradients the SA source terms need are completed by halo
     accumulation, and the correction limiter's turbulence reference is
@@ -515,10 +511,7 @@ def make_parallel_nsu3d(solver: NSU3DSolver, nparts: int, *, seed: int = 0,
         )
         for c in solver.contexts
     ]
-    kernels = NSU3DKernels(
-        solver.qinf, kernel_config=solver.kernel_config,
-        turbulence=solver.turbulence,
-    )
+    kernels = NSU3DKernels(solver.qinf, turbulence=solver.turbulence)
     return DistributedSolveDriver(
         build_domain_hierarchy(specs, solver.maps, part), kernels,
         solver.qinf, config=config,

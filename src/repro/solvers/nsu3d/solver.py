@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...kernels import KernelConfig, make_engine, use_engine
+from ...kernels import get_engine, use_engine
 from ...machine.counters import PerfCounters
 from ...mesh.unstructured import (
     HybridMesh,
@@ -70,7 +70,6 @@ class NSU3DSolver:
         nu2: int = 1,
         use_lines: bool = True,
         counters: PerfCounters | None = None,
-        kernel_config: KernelConfig | None = None,
     ):
         if dual is None:
             if mesh is None:
@@ -93,10 +92,7 @@ class NSU3DSolver:
         self.cfl_ramp = cfl_ramp
         self.nu1, self.nu2 = nu1, nu2
         self.counters = counters if counters is not None else PerfCounters()
-        self.kernel_config = (
-            kernel_config if kernel_config is not None else KernelConfig()
-        )
-        self.engine = make_engine(self.kernel_config)
+        self.engine = get_engine()
         self.q = apply_wall_bc(
             fine, np.tile(self.qinf, (fine.npoints, 1))
         )

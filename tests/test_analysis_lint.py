@@ -497,63 +497,6 @@ class TestBlockingCallInServiceCoroutine:
         assert diags == []
 
 
-class TestFastEngineLoopRule:
-    def test_point_loop_flagged_in_engine_module(self):
-        src = (
-            "def scatter(out, idx, contrib):\n"
-            "    for i in range(idx.shape[0]):\n"
-            "        out[idx[i]] += contrib[i]\n"
-        )
-        diags = diags_for(src, "src/repro/kernels/batched.py",
-                          select={"R013"})
-        assert [d.rule for d in diags] == ["R013"]
-        assert "vectorize" in diags[0].message
-
-    def test_len_loop_flagged(self):
-        src = "def f(xs):\n    for i in range(len(xs)):\n        pass\n"
-        diags = diags_for(src, "src/repro/kernels/fast.py", select={"R013"})
-        assert [d.rule for d in diags] == ["R013"]
-
-    def test_group_loop_passes(self):
-        # iterating line *groups* (a handful of slabs) is the batching
-        # strategy itself, not a per-element traversal
-        src = (
-            "def thomas(systems):\n"
-            "    out = []\n"
-            "    for lower, diag, upper, rhs in systems:\n"
-            "        out.append(rhs)\n"
-            "    return out\n"
-        )
-        assert diags_for(src, "src/repro/kernels/batched.py",
-                         select={"R013"}) == []
-
-    def test_reference_engine_module_is_exempt(self):
-        src = "def f(xs):\n    for i in range(len(xs)):\n        pass\n"
-        assert diags_for(src, "src/repro/kernels/numpy_engine.py",
-                         select={"R013"}) == []
-
-    def test_not_flagged_outside_kernels(self):
-        src = "def f(xs):\n    for i in range(len(xs)):\n        pass\n"
-        assert diags_for(src, "src/repro/runtime/driver.py",
-                         select={"R013"}) == []
-
-    def test_noqa_suppresses(self):
-        src = (
-            "def f(xs):\n"
-            "    for i in range(len(xs)):  # noqa: setup-only loop\n"
-            "        pass\n"
-        )
-        assert diags_for(src, "src/repro/kernels/fast.py",
-                         select={"R013"}) == []
-
-    def test_shipped_kernels_package_is_clean(self):
-        repo = Path(__file__).parent.parent
-        diags = lint_paths(
-            [repo / "src" / "repro" / "kernels"], select={"R013"}
-        )
-        assert diags == []
-
-
 class TestHardcodedStateWidthRule:
     def test_len_comparison_flagged(self):
         src = (
@@ -669,7 +612,7 @@ class TestRawScatterRule:
         assert "np.maximum.at" in diags[0].message
 
     @pytest.mark.parametrize("path", [
-        # the reference engine's np.add.at *is* the ad-hoc fallback
+        # the engine's np.add.at *is* the ad-hoc fallback
         "src/repro/kernels/numpy_engine.py",
         # set-up code that builds meshes and graphs is not the solve path
         "src/repro/mesh/unstructured/dual.py",

@@ -48,7 +48,7 @@ class TestFacade:
             repro.no_such_submodule
 
     def test_api_version_is_declared(self):
-        assert api.__api_version__ == "9.0"
+        assert api.__api_version__ == "10.0"
 
     def test_service_surface_exported(self):
         for name in (
@@ -74,15 +74,30 @@ class TestFacade:
         assert api.BACKENDS == ("sim", "hybrid", "process")
 
     def test_kernel_engine_surface_exported(self):
-        for name in (
-            "KernelConfig", "ENGINES", "make_engine",
-        ):
-            assert name in api.__all__
-            assert getattr(api, name) is not None
+        """There is one kernel engine, so there is nothing to select."""
         from repro import kernels
 
-        assert api.KernelConfig is kernels.KernelConfig
-        assert api.ENGINES == ("numpy", "batched")
+        assert len(api.__all__) == 111
+        for name in ("KernelConfig", "ENGINES", "make_engine"):
+            assert name not in api.__all__
+            assert not hasattr(api, name)
+        for name in ("KernelConfig", "BatchedEngine", "make_engine"):
+            assert not hasattr(kernels, name)
+
+    def test_removed_kernel_keywords_rejected(self):
+        """``kernel_config=`` is gone from every place that took it, and
+        a removed keyword is a ``TypeError``, not a silent default."""
+        sphere = api.Sphere(center=[0.5, 0.5, 0.5], radius=0.15)
+        mesh = api.bump_channel(ni=8, nj=4, nk=6)
+        with pytest.raises(TypeError):
+            api.make_nsu3d_solver(mesh=mesh, mg_levels=2, kernel_config=None)
+        for bad in ({"kernel_config": None}, {"engine": "numpy"},
+                    {"block_size": 16}):
+            with pytest.raises(TypeError):
+                api.make_cart3d_solver(sphere, dim=2, base_level=4,
+                                       max_level=5, mg_levels=2, **bad)
+        with pytest.raises(TypeError):
+            api.Cart3DCaseRunner(api.wing_body(), kernel_config=None)
 
     def test_all_is_complete(self):
         """Self-test of the facade contract: every public attribute is

@@ -272,6 +272,33 @@ class TestCaching:
         c = CaseSpec(config={"a": 1.0, "b": 2.5}, wind=a.wind_params)
         assert c.key != a.key
 
+    def test_case_runner_keys_are_pinned(self):
+        """A stored campaign's keys, settings and manifest entry for a
+        fixed ``Cart3DCaseRunner`` do not move: literals, not a
+        comparison between two runners."""
+        from repro.api import Cart3DCaseRunner, wing_body
+
+        runner = Cart3DCaseRunner(wing_body(), mg_levels=2, cycles=4)
+        settings = {"dim": 2, "base_level": 4, "max_level": 5,
+                    "mg_levels": 2, "cycles": 4}
+        assert runner.settings() == settings
+        assert runner.describe() == {
+            "type": "cart3d", "geometry": None, "tol_orders": 4.0,
+            "converged_orders": 2.0, **settings,
+        }
+        tree = build_job_tree(StudyDefinition(
+            config_space=ParameterSpace(axes=(Axis("flap", (0.0, 5.0)),)),
+            wind_space=ParameterSpace(axes=(Axis("mach", (0.4, 0.5)),)),
+        ))
+        store = ResultStore()
+        with FillRuntime(ok_runner, store=store) as rt:
+            rt.run_tree(tree, solver=runner.solver_name,
+                        settings=runner.settings())
+        assert sorted(store.keys()) == [
+            "1398e9e08c62132b", "3b44fa98da68d6b4",
+            "45cf0dbcfcda8ac3", "b837fbfd4b361ab9",
+        ]
+
 
 class TestPlanCrossCheck:
     def test_realized_fill_agrees_with_plan(self):
