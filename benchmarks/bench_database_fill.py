@@ -3,7 +3,7 @@
 The acceptance benchmark for the unified case-submission API: a
 24-case SSLV-style fill runs through :class:`repro.api.FillRuntime`
 on the one worker thread its in-interpreter runner is worth (of eight
-planned slots), with one injected transient failure that succeeds on
+node slots), with one injected transient failure that succeeds on
 retry, coefficients bit-identical to a serial loop over the same cases
 and a wall clock within 1.15x of that loop.  Re-running the identical
 fill is >= 90% cache hits; both runs' event-stream summaries land in
@@ -30,7 +30,6 @@ from repro.api import (
     StudyDefinition,
     build_job_tree,
     fill_summary_table,
-    schedule_fill,
     wing_body,
 )
 
@@ -81,7 +80,6 @@ def test_fill_campaign_through_runtime(benchmark):
     flaky = FlakyOnce(runner, fail_key)
 
     def run():
-        plan = schedule_fill(tree, nnodes=1, cpus_per_case=64)
         with capture() as tracer, FillRuntime(
             flaky,
             nnodes=1,
@@ -90,19 +88,18 @@ def test_fill_campaign_through_runtime(benchmark):
             tracer=tracer,
             durable=False,  # in-session sweep; the chaos bench is durable
         ) as rt:
-            first = rt.run_tree(tree, plan=plan)
-            second = rt.run_tree(tree, plan=plan)
+            first = rt.run_tree(tree)
+            second = rt.run_tree(tree)
             timeline = rt.timeline()
         return first, second, timeline
 
     first, second, timeline = run_once(benchmark, run)
 
-    # 24 cases on the runner's one thread, planner and runtime agree
+    # 24 cases on the runner's one thread, never more than the slots
     assert first.cases == study.ncases == 24
     assert first.executed == 24
     assert first.max_concurrent <= first.workers <= first.slots
     assert first.meshes_built == 2
-    assert first.plan_issues == []
 
     # the injected failure was retried and the campaign still succeeded
     assert flaky.failed_once
@@ -200,7 +197,6 @@ def test_fill_campaign_survives_chaos(benchmark, tmp_path):
     ))
     journal = tmp_path / "campaign.jsonl"
     store_path = tmp_path / "results.jsonl"
-    plan = schedule_fill(tree, nnodes=1, cpus_per_case=64)
 
     def run():
         segments = []
@@ -216,7 +212,7 @@ def test_fill_campaign_survives_chaos(benchmark, tmp_path):
             ) as rt:
                 try:
                     if segment == 1:
-                        final = rt.run_tree(tree, plan=plan)
+                        final = rt.run_tree(tree)
                     else:
                         final = rt.resume(checkpoint=journal)
                     segments.append(("completed", final))
@@ -246,8 +242,8 @@ def test_fill_campaign_survives_chaos(benchmark, tmp_path):
         reference = rt.run_tree(tree)
     def db_map(report):
         return {
-            tuple(sorted(r.params.items())): r.coefficients
-            for r in report.database().slice()
+            tuple(sorted(o.spec.params.items())): o.result.coefficients
+            for o in report.outcomes if o.result is not None
         }
 
     chaotic_db, clean_db = db_map(final), db_map(reference)

@@ -42,7 +42,7 @@ def main():
     def evaluate(variables):
         wind = dict(design_point)
         wind["alpha"] = variables["alpha"]
-        record = study.run_case(study.geometry, wind, {"case": 0})
+        record = study.run_case(wind, {"case": 0})
         return (record.coefficients["cl"] - target_cl) ** 2
 
     optimizer = DesignOptimizer(

@@ -6,9 +6,9 @@ a configuration sweep, meshes each instance automatically (the mesh
 responds to the deflection, fig. 8), then fills a small wind-space
 database per configuration through the executing
 :class:`~repro.api.FillRuntime` — cases packed onto node slots, each
-mesh amortized over its wind cases, the planner's schedule cross-checked
-against the realized packing.  A second identical fill is all cache
-hits; the virtual database re-runs an un-stored case on demand.
+mesh amortized over its wind cases.  The planner estimates the same fill
+on a Columbia box.  A second identical fill is all cache hits; the
+virtual database re-runs an un-stored case on demand.
 
 Run:  python examples/shuttle_database.py
 """
@@ -74,8 +74,7 @@ def main():
     first = runner.last_report
     print(f"filled {len(db)} cases with {runner.meshes_built} meshes "
           f"on {first.slots} node slots "
-          f"(realized concurrency {first.max_concurrent}, "
-          f"plan issues: {first.plan_issues or 'none'})")
+          f"(realized concurrency {first.max_concurrent})")
     params, cd = db.coefficients("cd")
     print(f"  cd range over the envelope: {np.nanmin(cd):.5f} .. "
           f"{np.nanmax(cd):.5f}")
@@ -90,7 +89,7 @@ def main():
     print()
 
     # mesh/partition stats for one instance (fig. 12's 2.1x cut weights)
-    solver_case = runner._configure({"elevon": 10.0})
+    solver_case = runner.runner().configure({"elevon": 10.0})
     s = make_cart3d_solver(solver_case, dim=3, base_level=3, max_level=5,
                            mg_levels=1)
     level = s.levels[0]
@@ -101,18 +100,12 @@ def main():
           f"(cut cells weighted 2.1x): max/avg load = "
           f"{max(loads) / (sum(loads) / 16):.3f}")
 
-    # the virtual database: query a case that was never stored
-    missing = {"elevon": 0.0, "mach": 0.6, "alpha": 1.0}
-
-    def rerun(params):
-        solid = runner._configure(params)
-        wind = {k: params[k] for k in ("mach", "alpha")}
-        return runner.run_case(solid, wind, {"elevon": params["elevon"]})
-
-    db._solver_callback = rerun
-    rec = db.get(missing)
-    print(f"virtual re-run of {missing}: cd={rec.coefficients['cd']:.5f} "
-          f"(database now {len(db)} cases, {db.reruns} re-run)")
+    # the virtual database: a case that was never stored re-runs on demand
+    wind, config = {"mach": 0.6, "alpha": 1.0}, {"elevon": 0.0}
+    stored = len(db)
+    rec = runner.run_case(wind, config)
+    print(f"virtual re-run of {config | wind}: cd={rec.coefficients['cd']:.5f} "
+          f"(database now {len(db)} cases, {len(db) - stored} re-run)")
 
 
 if __name__ == "__main__":

@@ -49,12 +49,10 @@ from .core.design import DesignHistory, DesignOptimizer, trim_objective
 from .core.flightenv import AeroInterpolant, FlightState, fly_through
 from .core.workflow import VariableFidelityStudy
 from .database import (
-    AeroDatabase,
     Axis,
     CampaignCheckpoint,
     Cart3DCaseRunner,
     CaseHandle,
-    CaseRecord,
     ChaosPolicy,
     CheckpointState,
     FillEvent,
@@ -68,7 +66,6 @@ from .database import (
     SchedulePlan,
     StudyDefinition,
     build_job_tree,
-    cross_check_plan,
     meshing_amortization,
     schedule_fill,
     standard_study,
@@ -159,7 +156,7 @@ from .telemetry import (
 #: The facade surface version: bumped when the blessed surface changes
 #: shape (new exports, removals, contract changes) — code against it
 #: with ``assert repro.api.__api_version__ >= "4"``-style checks.
-__api_version__ = "10.0"
+__api_version__ = "11.0"
 
 __all__ = [
     # solvers — unified surface
@@ -221,9 +218,6 @@ __all__ = [
     "CaseHandle",
     "Cart3DCaseRunner",
     "ResultStore",
-    "cross_check_plan",
-    "AeroDatabase",
-    "CaseRecord",
     # durability: checkpoint/resume + fault injection
     "CampaignCheckpoint",
     "CheckpointState",

@@ -68,10 +68,6 @@ class ExchangePlan:
         degree observed was 18)."""
         return len(self.neighbors)
 
-    def halo_bytes(self, itemsize: int = 8, nvar: int = 1) -> float:
-        """Bytes this rank ships per exchange_copy."""
-        return sum(len(v) for v in self.owned_slots.values()) * itemsize * nvar
-
     # -- the two exchange operations -------------------------------------------
     #
     # Each is one post half (receives, then sends) and one finish half
@@ -216,10 +212,6 @@ class LocalHalo:
 
     def local_to_global(self) -> np.ndarray:
         return np.concatenate([self.owned_global, self.ghost_global])
-
-    def globalize(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (global ids, owned rows of ``arr``) for gather/compare."""
-        return self.owned_global, arr[: self.nowned]
 
 
 def build_halos(nvert: int, edges: np.ndarray, part: np.ndarray,

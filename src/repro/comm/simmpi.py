@@ -514,10 +514,6 @@ class Comm:
 
         return Request(complete, lambda: bool(world._mailboxes.get(key)))
 
-    def sendrecv(self, payload: Any, dest: int, source: int, tag: int = 0) -> Any:
-        self.isend(payload, dest, tag)
-        return self.recv(source, tag)
-
     # -- collectives ----------------------------------------------------------
 
     def _collective(
@@ -579,10 +575,6 @@ class Comm:
     def gather(self, value: Any, root: int = 0) -> list | None:
         everything = self.allgather(value)
         return everything if self.rank == root else None
-
-    def reduce(self, value: Any, op: str = "sum", root: int = 0) -> Any:
-        result = self.allreduce(value, op)
-        return result if self.rank == root else None
 
 
 def _make_sync(combine: Callable[[list], Any]) -> Callable[[list], Any]:

@@ -123,8 +123,7 @@ def trim_objective(study, target_cl: float, wind: dict,
     """
 
     def evaluate(variables: dict) -> float:
-        solid = study._configure(variables)
-        record = study.run_case(solid, wind, variables)
+        record = study.run_case(wind, variables)
         cl = record.coefficients["cl"]
         cd = record.coefficients["cd"]
         return (cl - target_cl) ** 2 + cd_weight * cd

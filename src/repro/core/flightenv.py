@@ -17,28 +17,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..database import AeroDatabase
+from ..database import ResultStore
 
 
 @dataclass
 class AeroInterpolant:
-    """Bilinear (Mach, alpha) interpolation of database coefficients."""
+    """Bilinear (Mach, alpha) interpolation of the coefficients stored in
+    the aero database (:class:`~repro.database.ResultStore`)."""
 
-    database: AeroDatabase
+    database: ResultStore
     fixed: dict = field(default_factory=dict)
 
     def __post_init__(self):
         records = self.database.slice(**self.fixed)
         if not records:
             raise ValueError("no database records match the fixed parameters")
-        self.machs = np.array(sorted({r.params["mach"] for r in records}))
-        self.alphas = np.array(sorted({r.params["alpha"] for r in records}))
+        points = [r.spec.params for r in records]
+        self.machs = np.array(sorted({p["mach"] for p in points}))
+        self.alphas = np.array(sorted({p["alpha"] for p in points}))
         self._tables = {}
         for name in ("cl", "cd", "cm"):
             table = np.full((len(self.machs), len(self.alphas)), np.nan)
-            for r in records:
-                i = int(np.searchsorted(self.machs, r.params["mach"]))
-                j = int(np.searchsorted(self.alphas, r.params["alpha"]))
+            for r, p in zip(records, points):
+                i = int(np.searchsorted(self.machs, p["mach"]))
+                j = int(np.searchsorted(self.alphas, p["alpha"]))
                 table[i, j] = r.coefficients.get(name, np.nan)
             if np.isnan(table).any():
                 raise ValueError(f"database not dense in (mach, alpha) for {name}")

@@ -16,30 +16,24 @@ high-fidelity model; anchor corrections calibrate the inviscid database
 ("large numbers of inviscid solutions can often be corrected using the
 results of a relatively few full Navier-Stokes simulations").
 
-Since the fill-runtime redesign, both :meth:`VariableFidelityStudy.fill`
-and :meth:`VariableFidelityStudy.run_case` route through one
+Both :meth:`VariableFidelityStudy.fill` and the virtual re-run
+:meth:`VariableFidelityStudy.run_case` route through one
 :class:`~repro.database.runtime.FillRuntime`: cases execute on a bounded
 worker pool sized from the machine model, geometry instances are meshed
 once and shared (the paper's amortization), and identical re-submissions
-are content-keyed cache hits.  ``fill`` also cross-checks the retained
-:func:`~repro.database.scheduler.schedule_fill` plan against the
-realized packing and keeps the report on :attr:`last_report`.
+are content-keyed cache hits.  The runtime's
+:class:`~repro.database.resultstore.ResultStore` is the study's
+database; ``fill`` keeps its report on :attr:`last_report`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..database import (
-    AeroDatabase,
-    CaseRecord,
-    StudyDefinition,
-    build_job_tree,
-    schedule_fill,
-)
+from ..database import ResultStore, StudyDefinition, build_job_tree
 from ..database.runtime import Cart3DCaseRunner, FillReport, FillRuntime
 from ..mesh.cartesian.geometry import Assembly
-from ..solvers.interface import CaseSpec
+from ..solvers.interface import CaseResult, CaseSpec
 
 
 @dataclass
@@ -75,7 +69,6 @@ class VariableFidelityStudy:
     nnodes: int = 1
     cpus_per_case: int = 32
     store: object | None = None
-    database: AeroDatabase = field(default_factory=AeroDatabase)
     meshes_built: int = 0
     cases_run: int = 0
     last_report: FillReport | None = field(default=None, repr=False)
@@ -113,9 +106,6 @@ class VariableFidelityStudy:
             )
         return self._runtime
 
-    def _configure(self, config_params: dict) -> Assembly:
-        return self.runner().configure(config_params)
-
     def case_spec(self, wind: dict, config: dict) -> CaseSpec:
         """The content-keyed spec for one case of this study."""
         return CaseSpec(
@@ -123,33 +113,39 @@ class VariableFidelityStudy:
             settings=self.runner().settings(),
         )
 
-    def run_case(self, solid: Assembly, wind: dict,
-                 config: dict) -> CaseRecord:
-        """One Cart3D solve through the runtime; records forces +
-        convergence.  Re-running an identical case is a cache hit."""
-        spec = self.case_spec(wind, config)
-        handle = self.runtime().submit(spec, shared=(solid, None, None))
+    def run_case(self, wind: dict, config: dict) -> CaseResult:
+        """One Cart3D solve through the runtime — the paper's virtual
+        re-run of a case the database lacks.  Re-running an identical
+        case is a cache hit."""
+        handle = self.runtime().submit(self.case_spec(wind, config))
         result = handle.result()
         if not handle.hit:
             self.cases_run += 1
-        return result.to_record()
+        return result
 
-    def fill(self, max_cases: int | None = None) -> AeroDatabase:
+    def fill(self, max_cases: int | None = None) -> ResultStore:
         """Hierarchical database fill through the executing runtime:
         mesh each configuration once, sweep the wind space on it (the
         paper's amortization), cases packed onto node slots concurrently.
+        Returns the runtime's store — the study's database.
         """
         tree = _truncate_tree(build_job_tree(self.study), max_cases)
-        ncases = sum(len(g.flow_jobs) for g in tree)
-        plan = schedule_fill(
-            tree, nnodes=self.nnodes, cpus_per_case=self.cpus_per_case
-        ) if ncases else None
-        report = self.runtime().run_tree(tree, plan=plan)
+        report = self.runtime().run_tree(tree)
         self.last_report = report
         self.meshes_built += report.meshes_built
         self.cases_run += report.executed
-        report.database(self.database)
-        return self.database
+        return self.runtime().store
+
+    def _stored(self, params: dict) -> CaseResult:
+        """The stored result at merged config + wind ``params`` (split by
+        the study's config-axis names); KeyError if it is not stored."""
+        config_names = set(self.study.config_space.names)
+        config = {k: v for k, v in params.items() if k in config_names}
+        wind = {k: v for k, v in params.items() if k not in config_names}
+        result = self.runtime().store.get(self.case_spec(wind, config).key)
+        if result is None:
+            raise KeyError(f"case {params} not in the database")
+        return result
 
     # -- high-fidelity anchoring -------------------------------------------------
 
@@ -163,7 +159,7 @@ class VariableFidelityStudy:
         using the results of a relatively few full Navier-Stokes
         simulations'.
         """
-        low = self.database.get(anchor_params)
+        low = self._stored(anchor_params)
         return {
             name: nsu3d_forces[name] - low.coefficients.get(name, 0.0)
             for name in nsu3d_forces
@@ -174,7 +170,7 @@ class VariableFidelityStudy:
         self, params: dict, name: str, corrections: dict
     ) -> float:
         """Database lookup with the anchor correction applied."""
-        rec = self.database.get(params)
+        rec = self._stored(params)
         return rec.coefficients[name] + corrections.get(name, 0.0)
 
 

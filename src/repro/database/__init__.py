@@ -1,8 +1,10 @@
 """Cart3D-style automated parameter studies (paper section IV):
 config-space x wind-space definitions, hierarchical job control, node
-packing (the planner), the executing fill runtime with content-keyed
-caching, journal-backed checkpoint/resume with deterministic fault
-injection, and the aero-performance database with virtual re-runs."""
+packing (the planner), the executing fill runtime, journal-backed
+checkpoint/resume with deterministic fault injection, and the
+aero-performance database itself — the content-keyed
+:class:`ResultStore` every campaign fills, whose missing cases re-run on
+demand (the paper's virtual database)."""
 
 from ..errors import CaseExecutionError, CaseTimeout
 from .chaos import ChaosPolicy
@@ -18,10 +20,8 @@ from .runtime import (
     FillRuntime,
     JobOutcome,
     SharedGeometry,
-    cross_check_plan,
 )
 from .scheduler import SchedulePlan, schedule_fill
-from .store import AeroDatabase, CaseRecord
 
 __all__ = [
     "Axis",
@@ -34,8 +34,6 @@ __all__ = [
     "meshing_amortization",
     "SchedulePlan",
     "schedule_fill",
-    "AeroDatabase",
-    "CaseRecord",
     "ResultStore",
     "FillRuntime",
     "FillReport",
@@ -49,5 +47,4 @@ __all__ = [
     "ChaosPolicy",
     "SharedGeometry",
     "Cart3DCaseRunner",
-    "cross_check_plan",
 ]

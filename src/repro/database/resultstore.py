@@ -1,18 +1,27 @@
-"""Content-keyed persistent store of case results (fill cache/dedup).
+"""The aero-performance database (paper §IV-V): content-keyed, persistent.
 
-The paper's "virtual database" observes that re-running a case is often
-cheaper than retrieving it from mass storage — but *within* a fill
-campaign the opposite holds: re-submitting an identical case (same
-config, wind and solver settings) must be a cache hit, not a second
-solve.  :class:`ResultStore` provides exactly that layer for the fill
-runtime: an in-memory map from :attr:`CaseSpec.key` to
-:class:`~repro.solvers.interface.CaseResult`, optionally backed by an
-append-only JSON-lines file so a campaign survives process restarts.
+"In general, the only data stored for these cases are surface pressures,
+convergence histories and force and moment coefficients.  If, during
+review of the results, the database shows unexpected results in a
+particular region, those cases are typically re-run on-demand ... In
+many cases, it is actually faster to re-run a case than it would be to
+retrieve it from mass storage" — the *virtual database*.
+
+:class:`ResultStore` keeps exactly those records: an in-memory map from
+:attr:`CaseSpec.key` to :class:`~repro.solvers.interface.CaseResult`,
+optionally backed by an append-only JSON-lines file so a campaign
+survives process restarts.  Within a fill campaign, re-submitting an
+identical case (same config, wind and solver settings) is a cache hit,
+not a second solve; a case the store lacks re-runs on demand through
+:meth:`~repro.core.workflow.VariableFidelityStudy.run_case`.  The review
+verbs — :meth:`ResultStore.slice`, :meth:`~ResultStore.coefficients`,
+:meth:`~ResultStore.outliers`, :meth:`~ResultStore.unconverged` and
+:meth:`~ResultStore.degraded` — match on :attr:`CaseSpec.params`.
 
 The store deliberately keys on *content* (the sha-256 of the canonical
 spec), not on parameter dicts, so two callers constructing the same case
 through different code paths — the facade, a raw :class:`FlowJob`, a
-re-run callback — dedup against each other.
+virtual re-run — dedup against each other.
 
 For the query service's surrogate tier the store also maintains a
 **point index**: within each *group* of cases that differ only in their
@@ -30,6 +39,8 @@ import math
 import threading
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 from ..errors import CheckpointCorrupt
 from ..solvers.interface import CaseResult, CaseSpec
@@ -117,10 +128,6 @@ class ResultStore:
         with self._lock:
             return len(self._results)
 
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._results
-
     @property
     def path(self) -> Path | None:
         return self._path
@@ -192,8 +199,44 @@ class ResultStore:
         scored.sort(key=lambda pair: pair[0])
         return [(distance, results[key]) for distance, key in scored[:k]]
 
-    def clear(self) -> None:
-        """Drop the in-memory view (the persistence file is untouched)."""
+    # -- review verbs (match on spec.params) ---------------------------------
+
+    def slice(self, **fixed) -> list[CaseResult]:
+        """Stored results whose parameters match all the given values."""
         with self._lock:
-            self._results.clear()
-            self._points.clear()
+            results = list(self._results.values())
+        return [
+            r for r in results
+            if all(r.spec.params.get(k) == v for k, v in fixed.items())
+        ]
+
+    def coefficients(self, name: str) -> tuple[list[dict], np.ndarray]:
+        """(list of param dicts, array of one coefficient) over all cases."""
+        results = self.slice()
+        values = np.array([r.coefficients.get(name, np.nan) for r in results])
+        return [r.spec.params for r in results], values
+
+    def outliers(self, name: str, nsigma: float = 3.0) -> list[CaseResult]:
+        """Cases whose coefficient deviates > nsigma from the database
+        mean — 'unexpected results in a particular region' flagged for
+        on-demand re-runs."""
+        results = self.slice()
+        values = np.array([r.coefficients.get(name, np.nan) for r in results])
+        good = values[np.isfinite(values)]
+        if len(good) < 3:
+            return []
+        mu, sd = good.mean(), good.std()
+        if sd == 0:
+            return []
+        return [
+            r for r, v in zip(results, values)
+            if np.isfinite(v) and abs(v - mu) > nsigma * sd
+        ]
+
+    def unconverged(self) -> list[CaseResult]:
+        return [r for r in self.slice() if not r.converged]
+
+    def degraded(self) -> list[CaseResult]:
+        """Results filled at the fallback fidelity — candidates for the
+        paper's on-demand re-run once the primary solver recovers."""
+        return [r for r in self.slice() if r.degraded]

@@ -1,9 +1,7 @@
 """Executing fill runtime: the paper's §IV job control, actually run.
 
-``schedule_fill`` answers the *planning* question (how long does a fill
-occupy N Columbia boxes); this module answers the *execution* one.  A
-:class:`FillRuntime` consumes the same :func:`build_job_tree` hierarchy
-and really runs the cases on ``min(slots, runner.max_inflight)`` threads
+A :class:`FillRuntime` consumes a :func:`build_job_tree` hierarchy and
+really runs the cases on ``min(slots, runner.max_inflight)`` threads
 (``slots``: :func:`repro.machine.topology.node_slots`, "running as many
 cases simultaneously as memory permits"; threads that step solvers in
 one interpreter only trade its lock).  It layers on what a real campaign
@@ -28,10 +26,6 @@ needs and the paper's job scripts provided operationally:
 * **a structured event stream** — every submit/start/retry/done/failed/
   cache-hit is a :class:`FillEvent`; :func:`repro.perf.report.fill_summary_table`
   renders the per-run summaries side by side;
-* **plan cross-checking** — the retained planner's
-  :class:`~repro.database.scheduler.SchedulePlan` is compared against the
-  realized packing (:func:`cross_check_plan`): job counts, slot sizing
-  and the concurrency high-water mark must agree;
 * **durability** — with a :class:`~repro.database.checkpoint.
   CampaignCheckpoint` attached, every event (and every completed case's
   result) is journaled; a campaign killed mid-run — including by a
@@ -69,8 +63,6 @@ from ..telemetry.spans import EpochClock, get_tracer
 from ..telemetry.spans import span as _span
 from .checkpoint import CampaignCheckpoint, CheckpointState
 from .resultstore import ResultStore
-from .scheduler import SchedulePlan
-from .store import AeroDatabase
 
 
 @dataclass(frozen=True)
@@ -87,7 +79,7 @@ class FillEvent:
     seq: int
     t: float  # seconds since the runtime's epoch
     kind: str  # submit|cache_hit|geometry|start|retry|done|failed|cancelled|
-    #            cancel|cross_check|chaos|crash|abort|fallback|resume
+    #            cancel|chaos|crash|abort|fallback|resume
     key: str  # case content key ("" for runtime-level events)
     info: dict = field(default_factory=dict)
     vt: float = 0.0  # strictly monotonic virtual timestamp
@@ -227,11 +219,6 @@ class CaseHandle:
     def __await__(self):
         return self.wait().__await__()
 
-    def done(self) -> bool:
-        return self._outcome is not None or (
-            self._future is not None and self._future.done()
-        )
-
 
 class SharedGeometry:
     """Lazy once-per-instance geometry preparation (paper amortization).
@@ -247,10 +234,6 @@ class SharedGeometry:
         self._lock = threading.Lock()
         self._built = False
         self._value = None
-
-    @property
-    def built(self) -> bool:
-        return self._built
 
     def __call__(self):
         with self._lock:
@@ -283,23 +266,9 @@ class FillReport:
     meshes_built: int = 0
     max_concurrent: int = 0
     wall_seconds: float = 0.0
-    plan_issues: list | None = None
 
     def ok(self) -> bool:
-        return (
-            self.failures == 0
-            and self.cancelled == 0
-            and self.crashed == 0
-            and not self.plan_issues
-        )
-
-    def database(self, db: AeroDatabase | None = None) -> AeroDatabase:
-        """Insert every successful result into an :class:`AeroDatabase`."""
-        db = db if db is not None else AeroDatabase()
-        for out in self.outcomes:
-            if out.result is not None:
-                db.insert(out.result.to_record())
-        return db
+        return self.failures == 0 and self.cancelled == 0 and self.crashed == 0
 
     def summary(self) -> dict:
         """Counters in render order — rows of the fill summary table."""
@@ -334,27 +303,6 @@ def _max_overlap(intervals) -> int:
         live += delta
         peak = max(peak, live)
     return peak
-
-
-def cross_check_plan(plan: SchedulePlan, report: FillReport) -> list[str]:
-    """Compare the planner's packing against the runtime's realized one."""
-    issues = []
-    if len(plan.assignments) != report.cases:
-        issues.append(
-            f"planner packed {len(plan.assignments)} flow jobs but the "
-            f"runtime saw {report.cases} submissions"
-        )
-    if report.slots != plan.concurrent_cases:
-        issues.append(
-            f"runtime sized {report.slots} worker slots but the plan "
-            f"assumed {plan.concurrent_cases} concurrent cases"
-        )
-    if report.max_concurrent > plan.concurrent_cases:
-        issues.append(
-            f"realized concurrency {report.max_concurrent} exceeded the "
-            f"planned slot capacity {plan.concurrent_cases}"
-        )
-    return issues
 
 
 class FillRuntime:
@@ -569,17 +517,13 @@ class FillRuntime:
         prepare=None,
         solver: str | None = None,
         settings: dict | None = None,
-        plan: SchedulePlan | None = None,
     ) -> FillReport:
         """Execute a :func:`build_job_tree` hierarchy end to end.
 
         ``prepare(geo_job)`` builds the per-instance shared geometry
         (defaults to the runner's ``prepare`` attribute when present);
         ``settings`` are stamped onto every :class:`CaseSpec` so the
-        cache key covers solver configuration.  When ``plan`` is given,
-        the realized packing is cross-checked against it and any
-        discrepancies recorded as a ``cross_check`` event and in
-        :attr:`FillReport.plan_issues`.
+        cache key covers solver configuration.
         """
         prepare = prepare if prepare is not None else getattr(
             self.runner, "prepare", None
@@ -607,7 +551,7 @@ class FillRuntime:
             # case still leaves a journal that can rebuild the job tree
             self.checkpoint.write_manifest(
                 self._campaign_manifest(
-                    [spec for spec, _ in jobs], solver, settings, plan
+                    [spec for spec, _ in jobs], solver, settings
                 )
             )
         handles = [self.submit(spec, shared=shared) for spec, shared in jobs]
@@ -638,15 +582,6 @@ class FillRuntime:
             ),
             wall_seconds=self._now() - t0,
         )
-        if plan is not None:
-            report.plan_issues = cross_check_plan(plan, report)
-            self.events.emit(
-                "cross_check",
-                issues=list(report.plan_issues),
-                planned_slots=plan.concurrent_cases,
-                realized_max_concurrent=report.max_concurrent,
-            )
-            report.events = self.events.since(seq0)
         if self._aborted.is_set():
             reason = self._abort_reason or "worker crash"
             self.events.emit("abort", reason=reason)
@@ -654,7 +589,7 @@ class FillRuntime:
             raise errors.CampaignAborted(reason, report=report)
         return report
 
-    def _campaign_manifest(self, specs, solver, settings, plan) -> dict:
+    def _campaign_manifest(self, specs, solver, settings) -> dict:
         """Enough journal to rebuild the campaign in a fresh process."""
         describe = getattr(self.runner, "describe", None)
         return {
@@ -665,20 +600,13 @@ class FillRuntime:
             "worker_threads": self.workers,
             "store": str(self.store.path) if self.store.path else None,
             "runner": describe() if describe is not None else None,
-            "plan": plan.to_json() if plan is not None else None,
             "cases": [
                 {"config": spec.config_params, "wind": spec.wind_params}
                 for spec in specs
             ],
         }
 
-    def resume(
-        self,
-        tree=None,
-        *,
-        plan: SchedulePlan | None = None,
-        checkpoint=None,
-    ) -> FillReport:
+    def resume(self, tree=None, *, checkpoint=None) -> FillReport:
         """Continue a journaled campaign with zero recomputation.
 
         Loads the checkpoint (``checkpoint`` may be a
@@ -730,9 +658,7 @@ class FillRuntime:
                 f"tree explicitly to resume"
             )
         try:
-            report = self.run_tree(
-                tree, plan=plan, solver=solver, settings=settings
-            )
+            report = self.run_tree(tree, solver=solver, settings=settings)
         except errors.CampaignAborted as exc:
             if exc.report is not None:
                 exc.report.restored = restored

@@ -33,17 +33,6 @@ class SchedulePlan:
     concurrent_cases: int
     assignments: list = field(default_factory=list)  # (job, node, start, end)
 
-    def to_json(self) -> dict:
-        """Summary form for the campaign-checkpoint manifest (the full
-        per-job assignment list does not belong in a journal line)."""
-        return {
-            "makespan_seconds": self.makespan_seconds,
-            "mesh_seconds": self.mesh_seconds,
-            "flow_seconds": self.flow_seconds,
-            "concurrent_cases": self.concurrent_cases,
-            "njobs": len(self.assignments),
-        }
-
 
 def schedule_fill(
     tree: list,

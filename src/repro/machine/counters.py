@@ -28,11 +28,6 @@ class RegionStats:
     bytes_moved: float = 0.0
     calls: int = 0
 
-    def merge(self, other: "RegionStats") -> None:
-        self.flops += other.flops
-        self.bytes_moved += other.bytes_moved
-        self.calls += other.calls
-
 
 @dataclass
 class PerfCounters:

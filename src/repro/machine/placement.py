@@ -128,10 +128,6 @@ class JobPlacement:
     def nboxes(self) -> int:
         return sum(1 for c in self.cpus_per_box if c > 0)
 
-    @property
-    def is_hybrid(self) -> bool:
-        return self.omp_threads > 1
-
     def ranks_per_box(self) -> tuple[int, ...]:
         return tuple(c // self.omp_threads for c in self.cpus_per_box)
 

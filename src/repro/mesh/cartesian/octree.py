@@ -309,8 +309,3 @@ class CartesianMesh:
             bsign=np.concatenate(bs),
             barea=np.concatenate(ba),
         )
-
-    def select(self, keep: np.ndarray) -> "CartesianMesh":
-        """Sub-mesh of the cells where ``keep`` is true."""
-        keep = np.asarray(keep, dtype=bool)
-        return replace(self, level=self.level[keep], ijk=self.ijk[keep])

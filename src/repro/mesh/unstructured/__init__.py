@@ -19,12 +19,6 @@ from .lines import (
     group_lines_by_length,
     line_coverage,
 )
-from .metrics import (
-    max_aspect_ratio,
-    stretching_summary,
-    vertex_aspect_ratio,
-    wall_normal_spacing,
-)
 from .reorder import (
     apply_vertex_order,
     bandwidth,
@@ -58,8 +52,4 @@ __all__ = [
     "bandwidth",
     "color_edges",
     "check_coloring",
-    "vertex_aspect_ratio",
-    "max_aspect_ratio",
-    "stretching_summary",
-    "wall_normal_spacing",
 ]

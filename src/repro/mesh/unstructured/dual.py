@@ -57,10 +57,6 @@ class DualMesh:
     def npoints(self) -> int:
         return len(self.points)
 
-    @property
-    def nedges(self) -> int:
-        return len(self.edges)
-
     def edge_lengths(self) -> np.ndarray:
         d = self.points[self.edges[:, 1]] - self.points[self.edges[:, 0]]
         return np.linalg.norm(d, axis=1)

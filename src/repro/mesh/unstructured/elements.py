@@ -30,10 +30,6 @@ class ElementType:
     edges: tuple  # pairs of local vertex ids
 
     @property
-    def nfaces(self) -> int:
-        return len(self.faces)
-
-    @property
     def nedges(self) -> int:
         return len(self.edges)
 

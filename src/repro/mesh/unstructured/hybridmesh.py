@@ -37,10 +37,6 @@ class BoundaryPatch:
         if self.faces.ndim != 2 or self.faces.shape[1] != 4:
             raise ValueError("patch faces must be (F, 4) with -1 padding")
 
-    @property
-    def nfaces(self) -> int:
-        return len(self.faces)
-
 
 @dataclass
 class HybridMesh:
@@ -79,18 +75,8 @@ class HybridMesh:
     def npoints(self) -> int:
         return len(self.points)
 
-    @property
-    def nelements(self) -> int:
-        return sum(len(c) for c in self.elements.values())
-
     def element_counts(self) -> dict:
         return {name: len(conn) for name, conn in self.elements.items() if len(conn)}
-
-    def patch(self, name: str) -> BoundaryPatch:
-        for p in self.patches:
-            if p.name == name:
-                return p
-        raise KeyError(name)
 
     def all_edges(self) -> np.ndarray:
         """Unique undirected mesh edges over all element families."""

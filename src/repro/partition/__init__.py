@@ -22,10 +22,8 @@ from .metis import partition_graph
 from .quality import (
     boundary_counts,
     edge_cut,
-    halo_surface_law,
     ideal_cubic_surface_to_volume,
     imbalance,
-    neighbor_counts,
     part_weights,
     surface_to_volume,
 )
@@ -48,8 +46,6 @@ __all__ = [
     "imbalance",
     "part_weights",
     "boundary_counts",
-    "neighbor_counts",
     "surface_to_volume",
     "ideal_cubic_surface_to_volume",
-    "halo_surface_law",
 ]

@@ -82,9 +82,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.xadj[v + 1] - self.xadj[v])
 
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.xadj)
-
     def total_edge_weight(self) -> float:
         return float(self.adjwgt.sum()) / 2.0
 

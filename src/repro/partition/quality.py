@@ -3,9 +3,7 @@
 The paper leans on two quality statements: METIS-style partitions keep
 implicit lines intact while balancing per-level work, and SFC-derived
 partitions have surface-to-volume ratios that "track that of an idealized
-cubic partitioner" (reference [18]).  These metrics quantify both, and
-they calibrate the halo-size laws used by the performance model at
-72M-point scale.
+cubic partitioner" (reference [18]).  These metrics quantify both.
 """
 
 from __future__ import annotations
@@ -42,25 +40,6 @@ def boundary_counts(graph: Graph, part: np.ndarray, nparts: int) -> np.ndarray:
     return np.bincount(part[boundary_vertices], minlength=nparts)
 
 
-def neighbor_counts(graph: Graph, part: np.ndarray, nparts: int) -> np.ndarray:
-    """Number of distinct partner parts per part (communication degree)."""
-    part = np.asarray(part)
-    edges, _ = graph.edge_list()
-    pu, pv = part[edges[:, 0]], part[edges[:, 1]]
-    cross = pu != pv
-    pairs = np.unique(
-        np.column_stack(
-            [np.minimum(pu[cross], pv[cross]), np.maximum(pu[cross], pv[cross])]
-        ),
-        axis=0,
-    )
-    out = np.zeros(nparts, dtype=np.int64)
-    for a, b in pairs:
-        out[a] += 1
-        out[b] += 1
-    return out
-
-
 def surface_to_volume(graph: Graph, part: np.ndarray, nparts: int) -> np.ndarray:
     """Per-part ratio of boundary vertices to owned vertices."""
     counts = np.bincount(np.asarray(part), minlength=nparts).astype(float)
@@ -81,16 +60,3 @@ def ideal_cubic_surface_to_volume(cells_per_part: float) -> float:
         raise ValueError("cells_per_part must be positive")
     side = cells_per_part ** (1.0 / 3.0)
     return min(6.0 / side, 1.0)
-
-
-def halo_surface_law(npoints: int, nparts: int, c_surface: float = 6.0) -> float:
-    """Expected halo size (points) of one partition: ``c * (N/P)^(2/3)``.
-
-    The constant is measured on real partitioner output (tests fit it);
-    the performance model extrapolates with it to the paper's 72M-point
-    mesh.  Capped at the partition size itself.
-    """
-    if nparts < 1 or npoints < 0:
-        raise ValueError("bad npoints/nparts")
-    per = npoints / nparts
-    return float(min(c_surface * per ** (2.0 / 3.0), per))

@@ -272,10 +272,6 @@ class DistributedSolveDriver:
     def nparts(self) -> int:
         return self.hierarchy.nparts
 
-    @property
-    def nlevels(self) -> int:
-        return self.hierarchy.nlevels
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:

@@ -513,9 +513,3 @@ class ProcessPool:
                 proc.join(timeout=5.0)
         for conn in self._conns:
             conn.close()
-
-    def __enter__(self) -> "ProcessPool":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

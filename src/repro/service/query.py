@@ -58,10 +58,6 @@ class PointQuery:
             point["beta"] = self.beta
         return point
 
-    @property
-    def config_params(self) -> dict:
-        return dict(self.config)
-
     def spec(self, solver: str = "cart3d",
              settings: Mapping | None = None) -> CaseSpec:
         """The content-keyed case spec this query resolves to."""

@@ -105,10 +105,6 @@ class Cart3DLevel(FaceOperators):
     def nflow(self) -> int:
         return len(self.vol)
 
-    @property
-    def nfaces(self) -> int:
-        return len(self.face_left)
-
 
 def _axis_normal(axis: np.ndarray, area: np.ndarray, sign=None) -> np.ndarray:
     out = np.zeros((len(axis), 3), dtype=np.float64)

@@ -188,15 +188,3 @@ class Cart3DSolver:
                 order2=self.order2,
                 grad_setup=self.grad_setups[0] if self.grad_setups else None,
             )
-
-    def level_residual(self, lvl: int) -> np.ndarray:
-        """Raw residual on one level (used by the parallel driver's
-        consistency tests)."""
-        with use_engine(self.engine):
-            return residual(
-                self.levels[lvl],
-                self.q if lvl == 0
-                else np.tile(self.qinf, (self.levels[lvl].nflow, 1)),
-                self.qinf,
-                flux=self.flux,
-            )

@@ -198,8 +198,3 @@ def check_physical(cons: np.ndarray) -> bool:
     """True when density and pressure are everywhere positive."""
     cons = np.asarray(cons)
     return bool((cons[..., 0] > 0).all() and (pressure(cons) > 0).all())
-
-
-def total_energy_flux_consistent(cons: np.ndarray) -> np.ndarray:
-    """rho H = rho E + p, the enthalpy transported by the flux."""
-    return np.asarray(cons)[..., 4] + pressure(cons)

@@ -11,9 +11,9 @@ hardware counters.  This module pins that contract down:
   Two specs with the same content share the same :attr:`CaseSpec.key`,
   which is what the fill runtime's cache/dedup layer keys on.
 * :class:`CaseResult` — the solver-agnostic outcome: force/moment
-  coefficients, residual history, convergence flag, counted FLOPs.
-  ``to_record()`` converts to the :class:`~repro.database.store.CaseRecord`
-  the aero-database stores.
+  coefficients, residual history, convergence flag, counted FLOPs — the
+  record the aero database (:class:`~repro.database.resultstore.ResultStore`)
+  stores.
 * :class:`SolverProtocol` — the structural type both
   :class:`~repro.solvers.cart3d.Cart3DSolver` and
   :class:`~repro.solvers.nsu3d.NSU3DSolver` satisfy:
@@ -101,8 +101,8 @@ class CaseSpec:
 
     @property
     def params(self) -> dict:
-        """Merged config + wind parameters — the database key the paper
-        stores records under (solver settings are not part of it)."""
+        """Merged config + wind parameters — what the database's review
+        verbs match on (solver settings are not part of it)."""
         merged = dict(self.config)
         merged.update(self.wind)
         return merged
@@ -156,19 +156,6 @@ class CaseResult:
         if len(h) < 2 or h[0] <= 0:
             return 0.0
         return float(np.log10(h[0] / max(h[-1], 1e-300)))
-
-    def to_record(self):
-        """Convert to the :class:`~repro.database.store.CaseRecord` the
-        aero-database stores (import deferred to stay acyclic)."""
-        from ..database.store import CaseRecord
-
-        return CaseRecord(
-            params=self.spec.params,
-            coefficients=dict(self.coefficients),
-            residual_history=list(self.residual_history),
-            converged=self.converged,
-            degraded=self.degraded,
-        )
 
     def to_json(self) -> dict:
         """JSON-able form for the persistent result store."""

@@ -30,23 +30,6 @@ def van_albada(a: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return np.where(a * b > 0, out, 0.0)
 
 
-def venkatakrishnan_phi(
-    dmax: np.ndarray, dmin: np.ndarray, d2: np.ndarray, eps2: float
-) -> np.ndarray:
-    """Venkatakrishnan limiter value for one extrapolation ``d2``.
-
-    ``dmax``/``dmin`` bound the admissible reconstruction range.
-    """
-    d1 = np.where(d2 > 0, dmax, dmin)
-    num = (d1 * d1 + eps2) * d2 + 2 * d2 * d2 * d1
-    den = d1 * d1 + 2 * d2 * d2 + d1 * d2 + eps2
-    phi = np.where(
-        np.abs(d2) > 1e-14, num / (np.maximum(np.abs(den), 1e-300) *
-                                   np.where(d2 == 0, 1.0, d2)), 1.0
-    )
-    return np.clip(phi, 0.0, 1.0)
-
-
 LIMITERS = {
     "minmod": minmod,
     "van_albada": van_albada,

@@ -6,8 +6,8 @@ trace events, and ``FillRuntime`` fill events — on a shared virtual
 clock:
 
 * :mod:`repro.telemetry.spans` — the :class:`Tracer` and the
-  module-level :func:`span` / :func:`instant` / :func:`traced`
-  helpers instrumentation sites call (near-zero cost when disabled).
+  module-level :func:`span` / :func:`traced` helpers instrumentation
+  sites call (near-zero cost when disabled).
 * :mod:`repro.telemetry.collect` — the :class:`Timeline` model and
   adapters ingesting every stream into named per-rank tracks.
 * :mod:`repro.telemetry.export` — Perfetto/Chrome ``trace_event``
@@ -43,7 +43,6 @@ from .spans import (
     Tracer,
     capture,
     get_tracer,
-    instant,
     set_tracer,
     span,
     traced,
@@ -67,7 +66,6 @@ __all__ = [
     "capture",
     "chrome_trace",
     "get_tracer",
-    "instant",
     "load_trace",
     "merged_fill_timeline",
     "metrics",

@@ -64,10 +64,6 @@ class Timeline:
         self.events.append(event)
         return event
 
-    def extend(self, other: "Timeline") -> "Timeline":
-        self.events.extend(other.events)
-        return self
-
     # -- views ---------------------------------------------------------------
 
     def spans(self) -> list[TimelineEvent]:
@@ -249,8 +245,8 @@ def add_fill_events(timeline: Timeline, events, pid: str = "fill") -> Timeline:
     ``scheduler`` track (one per case key); per-attempt ``start`` /
     ``retry_start`` events become spans on the worker-slot track they
     ran on; everything else (cache hits, geometry builds, retries,
-    chaos injections, campaign aborts, resume restores, plan
-    cross-checks) becomes an instant.  Replay is deterministic because
+    chaos injections, campaign aborts, resume restores) becomes an
+    instant.  Replay is deterministic because
     events carry strictly monotonic virtual timestamps
     (:attr:`FillEvent.vt`).
     """

@@ -190,10 +190,6 @@ class Tracer:
             self._ticks += 1.0
             return self._ticks
 
-    def set_clock(self, clock) -> None:
-        """Install the tracer-wide default virtual clock."""
-        self._clock = clock
-
     def track(self) -> tuple[int, int]:
         """This thread's (rank, thread) track identity."""
         local = self._local
@@ -210,15 +206,6 @@ class Tracer:
         if names is None:
             names = self._local.open_names = []
         return names
-
-    def open_spans(self) -> tuple:
-        """Names of this thread's currently open spans, outermost first.
-
-        Diagnostics (the :class:`~repro.runtime.sanitizer.GhostSanitizer`
-        in particular) use this to attribute a failure to the kernel
-        phase that was executing, not the machinery that detected it.
-        """
-        return tuple(self._open_names())
 
     def current_span(self) -> str | None:
         """Name of this thread's innermost open span, or ``None``."""
@@ -288,23 +275,6 @@ class Tracer:
                 )
             )
 
-    def traced(self, name: str | None = None, cat: str = "phase"):
-        """Decorator form: span the whole function call."""
-
-        def decorate(fn):
-            label = name if name is not None else fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*args, **kwargs):
-                if not self.enabled:
-                    return fn(*args, **kwargs)
-                with self.span(label, cat=cat):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
-
     # -- inspection ----------------------------------------------------------
 
     def clear(self) -> None:
@@ -367,12 +337,6 @@ def span(name: str, cat: str = "phase", **args):
     if not tracer.enabled:
         return NULL_SPAN
     return tracer.span(name, cat, **args)
-
-
-def instant(name: str, cat: str = "mark", **args) -> None:
-    tracer = _TRACER
-    if tracer.enabled:
-        tracer.instant(name, cat, **args)
 
 
 def traced(name: str | None = None, cat: str = "phase"):

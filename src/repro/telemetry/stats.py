@@ -93,19 +93,6 @@ class LatencyHistogram:
                 return min(max(self._edge(index), self.min), self.max)
         return self.max
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram (same geometry) into this one."""
-        if (other._lo, other._per_decade, other._nbuckets) != (
-            self._lo, self._per_decade, self._nbuckets
-        ):
-            raise ValueError("cannot merge histograms with different buckets")
-        for index, n in enumerate(other._counts):
-            self._counts[index] += n
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     def summary(self) -> dict:
         """The render-ready dict: count, mean, p50/p90/p99, max."""
         if self.count == 0:

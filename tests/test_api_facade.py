@@ -48,7 +48,7 @@ class TestFacade:
             repro.no_such_submodule
 
     def test_api_version_is_declared(self):
-        assert api.__api_version__ == "10.0"
+        assert api.__api_version__ == "11.0"
 
     def test_service_surface_exported(self):
         for name in (
@@ -77,12 +77,22 @@ class TestFacade:
         """There is one kernel engine, so there is nothing to select."""
         from repro import kernels
 
-        assert len(api.__all__) == 111
+        assert len(api.__all__) == 108
         for name in ("KernelConfig", "ENGINES", "make_engine"):
             assert name not in api.__all__
             assert not hasattr(api, name)
         for name in ("KernelConfig", "BatchedEngine", "make_engine"):
             assert not hasattr(kernels, name)
+
+    def test_no_runtime_plan_check(self):
+        """A campaign takes no plan to check itself against: ``plan=`` is
+        a ``TypeError`` (``schedule_fill`` is a standalone estimate)."""
+        with api.FillRuntime(lambda spec, shared=None: None,
+                             durable=False) as rt:
+            with pytest.raises(TypeError):
+                rt.run_tree([], plan=None)
+            with pytest.raises(TypeError):
+                rt.resume(plan=None)
 
     def test_removed_kernel_keywords_rejected(self):
         """``kernel_config=`` is gone from every place that took it, and
@@ -167,10 +177,10 @@ class TestCaseResultPackaging:
         assert again.spec.key == spec.key
         assert again.coefficients == result.coefficients
 
-    def test_to_record_carries_params_and_history(self, cart3d):
+    def test_result_carries_params_and_history(self, cart3d):
         from repro.solvers import case_result
 
         spec = CaseSpec(config={"flap": 1.0}, wind={"mach": 0.4})
-        rec = case_result(cart3d, spec).to_record()
-        assert rec.params == {"flap": 1.0, "mach": 0.4}
+        rec = case_result(cart3d, spec)
+        assert rec.spec.params == {"flap": 1.0, "mach": 0.4}
         assert len(rec.residual_history) == len(cart3d.history.residuals)

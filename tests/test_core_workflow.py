@@ -10,8 +10,9 @@ from repro.core import (
     fly_through,
     is_statically_stable,
 )
-from repro.database import AeroDatabase, Axis, CaseRecord, ParameterSpace, StudyDefinition
+from repro.database import Axis, ParameterSpace, ResultStore, StudyDefinition
 from repro.mesh.cartesian import wing_body
+from repro.solvers import CaseResult, CaseSpec
 
 
 @pytest.fixture(scope="module")
@@ -41,13 +42,13 @@ def filled_study(tiny_study):
 
 class TestVariableFidelity:
     def test_fill_produces_all_cases(self, filled_study, tiny_study):
-        assert len(filled_study.database) == tiny_study.ncases
+        assert len(filled_study.runtime().store) == tiny_study.ncases
         assert filled_study.meshes_built == 1  # one config instance
         assert filled_study.cases_run == tiny_study.ncases
 
     def test_records_carry_forces_and_history(self, filled_study):
-        rec = filled_study.database.get(
-            {"aileron": 0.0, "mach": 0.4, "alpha": 0.0}
+        [rec] = filled_study.runtime().store.slice(
+            aileron=0.0, mach=0.4, alpha=0.0
         )
         assert "cd" in rec.coefficients and "cl" in rec.coefficients
         assert len(rec.residual_history) == 10
@@ -70,7 +71,8 @@ class TestVariableFidelity:
         fixed = filled_study.corrected_coefficient(anchor, "cl", corr)
         assert fixed == pytest.approx(0.123)
         other = {"aileron": 0.0, "mach": 0.4, "alpha": 0.0}
-        raw = filled_study.database.get(other).coefficients["cl"]
+        [stored] = filled_study.runtime().store.slice(**other)
+        raw = stored.coefficients["cl"]
         assert filled_study.corrected_coefficient(
             other, "cl", corr
         ) == pytest.approx(raw + corr["cl"])
@@ -78,12 +80,13 @@ class TestVariableFidelity:
 
 def synthetic_db():
     """Analytic database: cl = 0.1 a, cm = -0.02 a, cd = 0.01 + m^2/100."""
-    db = AeroDatabase()
+    db = ResultStore()
     for m in (0.4, 0.5, 0.6):
         for a in (0.0, 2.0, 4.0):
-            db.insert(
-                CaseRecord(
-                    params={"mach": m, "alpha": a, "elevator": 0.0},
+            db.put(
+                CaseResult(
+                    spec=CaseSpec(config={"elevator": 0.0},
+                                  wind={"mach": m, "alpha": a}),
                     coefficients={
                         "cl": 0.1 * a,
                         "cd": 0.01 + m**2 / 100,

@@ -1,21 +1,24 @@
 """Tests for the parameter-study / aero-database machinery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import VariableFidelityStudy
 from repro.database import (
-    AeroDatabase,
     Axis,
-    CaseRecord,
     ParameterSpace,
+    ResultStore,
     StudyDefinition,
     build_job_tree,
     meshing_amortization,
     schedule_fill,
     standard_study,
 )
+from repro.solvers import CaseResult, CaseSpec
 
 
 class TestParameterSpaces:
@@ -123,84 +126,137 @@ class TestScheduler:
             schedule_fill([], nnodes=1, cpus_per_case=4096)
 
 
-def make_record(mach, alpha, cl):
-    return CaseRecord(
-        params={"mach": mach, "alpha": alpha},
+class CountingRunner:
+    """Stands in for ``Cart3DCaseRunner``: counts the cases it executes."""
+
+    solver_name = "cart3d"
+
+    def __init__(self):
+        self.calls = []
+
+    def settings(self):
+        return {}
+
+    def __call__(self, spec, shared=None):
+        self.calls.append(spec.key)
+        return CaseResult(spec=spec, coefficients={"cl": 0.42})
+
+
+def make_result(mach, alpha, cl, converged=True):
+    return CaseResult(
+        spec=CaseSpec(wind={"mach": mach, "alpha": alpha}),
         coefficients={"cl": cl, "cd": 0.01},
-        residual_history=[1.0, 1e-6],
+        residual_history=(1.0, 1e-6),
+        converged=converged,
+    )
+
+
+def make_study(runner=None):
+    return VariableFidelityStudy(
+        geometry=None,
+        study=StudyDefinition(
+            config_space=ParameterSpace(axes=(Axis("flap", (0.0,)),)),
+            wind_space=ParameterSpace(axes=(Axis("mach", (0.5,)),)),
+        ),
+        _runner=runner or CountingRunner(),
     )
 
 
 class TestDatabase:
+    """The aero database is the fill runtime's :class:`ResultStore`."""
+
     def test_insert_and_get(self):
-        db = AeroDatabase()
-        db.insert(make_record(0.5, 1.0, 0.3))
-        rec = db.get({"mach": 0.5, "alpha": 1.0})
-        assert rec.coefficients["cl"] == 0.3
-        assert {"mach": 0.5, "alpha": 1.0} in db
+        store = ResultStore()
+        key = store.put(make_result(0.5, 1.0, 0.3))
+        assert key == CaseSpec(wind={"mach": 0.5, "alpha": 1.0}).key
+        assert store.get(key).coefficients["cl"] == 0.3
+        assert store.keys() == [key]
 
     def test_missing_without_solver_raises(self):
-        db = AeroDatabase()
+        study = make_study()
+        assert study.runtime().store.get(
+            study.case_spec({"mach": 0.9}, {"flap": 0.0}).key
+        ) is None
         with pytest.raises(KeyError):
-            db.get({"mach": 0.9, "alpha": 0.0})
+            study.corrected_coefficient({"flap": 0.0, "mach": 0.9}, "cl", {})
+        assert study.runner().calls == []
 
     def test_virtual_rerun(self):
-        """The paper's virtual database: missing cases re-run on demand."""
-        calls = []
-
-        def solver(params):
-            calls.append(params)
-            return make_record(params["mach"], params["alpha"], 0.42)
-
-        db = AeroDatabase(solver_callback=solver)
-        rec = db.get({"mach": 0.7, "alpha": 2.0})
+        """The paper's virtual database: a case the store lacks re-runs
+        on demand, once; asking again is a cache hit."""
+        study = make_study()
+        wind, config = {"mach": 0.7, "alpha": 2.0}, {"flap": 0.0}
+        rec = study.run_case(wind, config)
         assert rec.coefficients["cl"] == 0.42
-        assert db.reruns == 1
-        # second query hits the stored record
-        db.get({"mach": 0.7, "alpha": 2.0})
-        assert db.reruns == 1
+        assert study.runner().calls == [study.case_spec(wind, config).key]
+        assert study.run_case(wind, config).coefficients["cl"] == 0.42
+        assert len(study.runner().calls) == study.cases_run == 1
+        assert study.corrected_coefficient(
+            {**config, **wind}, "cl", {"cl": 0.08}
+        ) == pytest.approx(0.5)
 
     def test_slice(self):
-        db = AeroDatabase()
+        store = ResultStore()
         for m in (0.4, 0.5):
             for a in (0.0, 2.0):
-                db.insert(make_record(m, a, m + a))
-        subset = db.slice(mach=0.5)
+                store.put(make_result(m, a, m + a))
+        subset = store.slice(mach=0.5)
         assert len(subset) == 2
-        assert all(r.params["mach"] == 0.5 for r in subset)
+        assert all(r.spec.params["mach"] == 0.5 for r in subset)
+        assert len(store.slice()) == 4
+
+    def test_coefficients(self):
+        store = ResultStore()
+        for a in (0.0, 1.0, 2.0):
+            store.put(make_result(0.5, a, 0.1 * a))
+        params, cl = store.coefficients("cl")
+        assert [p["alpha"] for p in params] == [0.0, 1.0, 2.0]
+        assert cl.tolist() == [0.0, 0.1, 0.2]
+        assert np.isnan(store.coefficients("cm")[1]).all()
 
     def test_outliers_flagged(self):
-        db = AeroDatabase()
+        store = ResultStore()
         for i in range(20):
-            db.insert(make_record(0.4 + 0.01 * i, 0.0, 0.30))
-        db.insert(make_record(0.9, 0.0, 25.0))  # wild
-        bad = db.outliers("cl")
+            store.put(make_result(0.4 + 0.01 * i, 0.0, 0.30))
+        store.put(make_result(0.9, 0.0, 25.0))  # wild
+        bad = store.outliers("cl")
         assert len(bad) == 1
         assert bad[0].coefficients["cl"] == 25.0
 
     def test_orders_converged(self):
-        rec = make_record(0.5, 0.0, 0.3)
-        assert rec.orders_converged == pytest.approx(6.0)
+        assert make_result(0.5, 0.0, 0.3).orders_converged() == pytest.approx(6.0)
 
     def test_unconverged_listing(self):
-        db = AeroDatabase()
-        rec = make_record(0.5, 0.0, 0.3)
-        rec.converged = False
-        db.insert(rec)
-        assert db.unconverged() == [rec]
+        store = ResultStore()
+        rec = make_result(0.5, 0.0, 0.3, converged=False)
+        store.put(rec)
+        store.put(make_result(0.6, 0.0, 0.3))
+        assert store.unconverged() == [rec]
+
+    def test_degraded_listing(self):
+        store = ResultStore()
+        rec = replace(make_result(0.5, 0.0, 0.3), degraded=True)
+        store.put(rec)
+        store.put(make_result(0.6, 0.0, 0.3))
+        assert store.degraded() == [rec]
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(1, 30), seed=st.integers(0, 99))
-    def test_roundtrip_property(self, n, seed):
+    def test_roundtrip_property(self, tmp_path_factory, n, seed):
         rng = np.random.default_rng(seed)
-        db = AeroDatabase()
-        cases = []
+        path = tmp_path_factory.mktemp("store") / "results.jsonl"
+        store = ResultStore(path)
+        latest = {}
         for _ in range(n):
             m = float(rng.integers(30, 90)) / 100
             a = float(rng.integers(-40, 80)) / 10
             cl = float(rng.normal())
-            db.insert(make_record(m, a, cl))
-            cases.append(((m, a), cl))
-        # last write wins per key; check every stored key retrievable
-        for (m, a), _ in cases:
-            assert db.get({"mach": m, "alpha": a}).params["mach"] == m
+            store.put(make_result(m, a, cl))
+            latest[(m, a)] = cl
+        # reloaded from disk, last write wins per key and every stored
+        # point is retrievable
+        reloaded = ResultStore(path)
+        assert len(reloaded) == len(latest)
+        for (m, a), cl in latest.items():
+            [rec] = reloaded.slice(mach=m, alpha=a)
+            assert rec.coefficients["cl"] == cl

@@ -49,16 +49,14 @@ class TrackingRunner:
 
     solver_name = "fake"
 
-    def __init__(self, delay=0.0):
-        self.delay = delay
+    def __init__(self, gate=None):
+        self.gate = gate  # a threading.Event every case waits for
         self.calls = []
         self._lock = threading.Lock()
 
     def __call__(self, spec, shared=None):
-        if self.delay:
-            import time
-
-            time.sleep(self.delay)
+        if self.gate is not None:
+            self.gate.wait(5)
         with self._lock:
             self.calls.append(spec.key)
         return CaseResult(
@@ -74,8 +72,8 @@ class TrackingRunner:
 
 def fill_db(report):
     return {
-        tuple(sorted(r.params.items())): r.coefficients
-        for r in report.database().slice()
+        tuple(sorted(o.spec.params.items())): o.result.coefficients
+        for o in report.outcomes if o.result is not None
     }
 
 
@@ -301,6 +299,30 @@ class TestCheckpointJournal:
         assert victim not in state2.completed
         assert victim in state2.interrupted
 
+    def test_journal_with_a_plan_manifest_still_resumes(self, tmp_path):
+        """Older journals carry a ``"plan"`` entry in their manifest (the
+        campaign's planner summary); it is ignored, not rejected."""
+        journal = tmp_path / "campaign.jsonl"
+        journal.write_text(
+            '{"record": "manifest", "version": 1, "campaign": {"solver": '
+            '"fake", "settings": {}, "nnodes": 1, "cpus_per_case": 512, '
+            '"worker_threads": 1, "store": null, "runner": null, "plan": '
+            '{"makespan_seconds": 1260.0, "mesh_seconds": 60.0, '
+            '"flow_seconds": 1200.0, "concurrent_cases": 1, "njobs": 2}, '
+            '"cases": [{"config": {"flap": 0.0}, "wind": {"mach": 0.3}}, '
+            '{"config": {"flap": 0.0}, "wind": {"mach": 0.35}}]}}\n'
+        )
+        state = CampaignCheckpoint.load(journal)
+        assert state.manifest["plan"]["njobs"] == 2
+        assert len(state.case_specs()) == 2
+        runner = TrackingRunner()
+        with FillRuntime(runner, durable=False) as rt:
+            report = rt.resume(checkpoint=journal)
+        assert report.ok() and report.cases == report.executed == 2
+        assert sorted(runner.calls) == sorted(
+            s.key for s in state.case_specs()
+        )
+
     def test_terminal_kinds_cover_crash(self):
         assert "crash" in TERMINAL_KINDS
 
@@ -313,8 +335,11 @@ class TestKillResume:
         self, tmp_path
     ):
         journal = tmp_path / "campaign.jsonl"
-        runner = TrackingRunner(delay=0.002)
-        counted = {"n": 0}
+        # no case runs before all 24 are queued, so the cancel below
+        # always lands mid-campaign
+        queued = threading.Event()
+        runner = TrackingRunner(gate=queued)
+        counted = {"n": 0, "submit": 0}
 
         rt = FillRuntime(
             runner, cpus_per_case=512, durable=False,  # 1 slot: serial
@@ -323,6 +348,10 @@ class TestKillResume:
 
         def cancel_after(event, n_events=40):
             counted["n"] += 1
+            if event.kind == "submit":
+                counted["submit"] += 1
+                if counted["submit"] == 24:
+                    queued.set()
             if counted["n"] == n_events:
                 rt.cancel()
 
@@ -453,8 +482,7 @@ class TestDegradationLadder:
         assert report.degraded == 24
         assert report.summary()["degraded"] == 24
         assert len(fallback.calls) == 24
-        db = report.database()
-        assert len(db.degraded()) == 24
+        assert len(rt.store.degraded()) == 24
         assert all(o.result.degraded for o in report.outcomes)
         kinds = [e.kind for e in report.events]
         assert "fallback" in kinds
