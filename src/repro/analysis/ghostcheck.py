@@ -19,7 +19,7 @@ The pass is a per-function abstract interpreter over the AST:
   ones the shipped kernels use:
 
   - an **interior context**: the first element of a tuple-unpack from
-    a ``_split*`` helper (``interior, ghost = _split_batches(doms)``)
+    a ``_split*`` helper (``interior, ghost = _split_stack(doms)``)
     blesses any call it appears in, because such a call evaluates only
     edges/faces whose endpoints are owned rows;
   - a **bounded slice**: ``q[: dom.nowned]``-style reads cannot reach

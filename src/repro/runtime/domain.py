@@ -19,6 +19,7 @@ locally resident — the invariant the distributed transfer operators in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable
 
 import numpy as np
@@ -66,6 +67,45 @@ def level_cache(doms: dict, key: str, build: Callable[[], Any]) -> Any:
     if slot not in cache:
         cache[slot] = build()
     return cache[slot]
+
+
+class RowStack:
+    """The rows of the partitions in ``doms`` — every one of a lockstep
+    world, a hybrid rank's own, a process worker's one — end to end, so
+    a pass runs each serial kernel once on all of them (paper section
+    III).  ``spans`` / ``owned_spans`` are each partition's rows / owned
+    rows, ``owned`` all owned rows, ``ghost`` masks the others.  Solvers
+    subclass it to stack their payload (:meth:`concat`)."""
+
+    def __init__(self, doms: dict):
+        sizes = [dom.nlocal for dom in doms.values()]
+        self.starts = [end - n for end, n in zip(accumulate(sizes), sizes)]
+        self.spans = {p: slice(s, s + n)
+                      for p, s, n in zip(doms, self.starts, sizes)}
+        self.owned_spans = {p: slice(s, s + dom.nowned)
+                            for (p, dom), s in zip(doms.items(), self.starts)}
+        self.ghost = np.ones(sum(sizes), dtype=bool)
+        for span in self.owned_spans.values():
+            self.ghost[span] = False
+        self.owned = np.flatnonzero(~self.ghost)
+
+    def concat(self, parts: list, name: str, *, ids: bool = False
+               ) -> np.ndarray:
+        """Field ``name`` of every partition's entry of ``parts`` end to
+        end; ``ids`` marks row indices, shifted to the stack's rows."""
+        return np.concatenate([
+            getattr(part, name) + start if ids else getattr(part, name)
+            for part, start in zip(parts, self.starts)
+        ])
+
+    def join(self, arrays: dict) -> np.ndarray:
+        """The partitions' rows as one fresh array (inside an overlap
+        window the sanitizer's guards make it a guarded one)."""
+        return np.concatenate([arrays[p] for p in self.spans])
+
+    def split(self, array: np.ndarray) -> dict:
+        """Per-partition row-slice views — what the exchanger gets."""
+        return {p: array[span] for p, span in self.spans.items()}
 
 
 @dataclass

@@ -36,8 +36,8 @@ class FaceOperators:
     """What a level derives from its face lists alone, computed once on
     first use: the scatter operators of the face loop and the split
     face and boundary normals.  Shared by the serial
-    :class:`Cart3DLevel` and the rank-local slices of the distributed
-    path, which carry the same fields (``vol``, ``face_left``/
+    :class:`Cart3DLevel` and the stacked rank-local slices of the
+    distributed path, which carry the same fields (``vol``, ``face_left``/
     ``face_right``/``face_normal``, ``wall_cell``/``wall_normal``,
     ``far_cell``/``far_normal``)."""
 

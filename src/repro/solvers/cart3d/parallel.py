@@ -11,24 +11,34 @@ Cart3D-specific pieces:
 * the rank-local level payload (:class:`CartLevelPart`) built from a
   halo — the face graph of the Cartesian mesh plays the role of the
   edge graph,
+* :class:`_Stack` — those payloads, for whatever partitions a kernels
+  object is handed, end to end as one :class:`CartLevelPart` per level
+  (a :class:`~repro.runtime.domain.RowStack`, like NSU3D's), plus its
+  interior/ghost face halves, cached on the level,
 * :class:`Cart3DKernels` — the dict-of-partitions residual / 5-stage
   Runge-Kutta hooks the
-  :class:`~repro.runtime.driver.DistributedSolveDriver` drives; a
-  residual pass stacks the faces of whatever partitions it is handed
-  (every one of a lockstep world, a process worker's own) and calls
-  each flux kernel once (:class:`_FaceBatch`), and
+  :class:`~repro.runtime.driver.DistributedSolveDriver` drives, and
 * :func:`make_parallel_cart3d`, which decomposes a serial solver:
   partition, domain hierarchy, kernels, driver.
 
+One master thread does the work for every partition of its rank (paper
+section III): a hook joins the partitions' states once and every pass
+runs the *serial* kernels once on the stacked level; the exchanger,
+``X.charge`` and the allreduce get per-partition row-slice views, so
+tags, message counts and the virtual ledger do not move.  Stacking
+moves no bit: fluxes are face-local, rows of different partitions never
+share a scatter row, and reductions still fold per partition.
+
 Correctness contract (tested): per-rank results equal the serial solver
 on the same level hierarchy to floating-point-reassociation tolerance —
-full FAS cycles, overlap on or off.
+full FAS cycles, overlap on or off — and equal a one-partition-at-a-time
+evaluation exactly (``tests/test_cart3d_batch.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,11 +50,10 @@ from ...runtime import (
     SFCPartitioner,
     build_domain_hierarchy,
 )
-from ...runtime.domain import level_cache
-from ..fluxes import rusanov_flux, split_normals, wall_flux
-from ..gas import check_physical
+from ...runtime.domain import RowStack, level_cache
+from ..gas import pressure
 from .levels import Cart3DLevel, FaceOperators
-from .residual import FLUX_FUNCTIONS, spectral_radius
+from .residual import residual, spectral_radius
 from .rk import RK_COEFFS
 from .solver import FLOPS_PER_CELL_RESIDUAL, Cart3DSolver
 
@@ -87,70 +96,52 @@ def _local_cart_level(level: Cart3DLevel, h, part) -> CartLevelPart:
     )
 
 
-class _FaceBatch:
-    """The faces of several rank-local slices stacked end to end, so a
-    pass makes one call per flux kernel however many partitions the
-    kernels object was handed.  Holds what no pass changes: the stacked
-    split normals and each slice's span in them."""
+class _Stack(RowStack):
+    """The rank-local slices of the partitions a kernels object is
+    handed, end to end as one :class:`CartLevelPart` (``part``): the
+    scatter operators and split normals of every pass are built on it,
+    the per-partition slices build none."""
 
-    def __init__(self, slices: dict):
-        self.slices = slices  # {pid: CartLevelPart}
-        self.face_normals, self.faces = self._stack("face_normal")
-        self.wall_normals, self.walls = self._stack("wall_normal")
-        self.far_normals, self.fars = self._stack("far_normal")
+    #: the fields holding cell indices, offset to the stack's rows
+    CELLS = ("face_left", "face_right", "wall_cell", "far_cell")
 
-    def _stack(self, name) -> tuple:
-        rows = [getattr(s, name) for s in self.slices.values()]
-        ends = accumulate(len(r) for r in rows)
-        return split_normals(np.concatenate(rows)), [
-            slice(e - len(r), e) for r, e in zip(rows, ends)
-        ]
+    def __init__(self, doms: dict):
+        super().__init__(doms)
+        parts = [dom.ctx for dom in doms.values()]
+        self.part = CartLevelPart(**{
+            f.name: self.concat(parts, f.name, ids=f.name in self.CELLS)
+            for f in fields(CartLevelPart)
+        })
 
-
-def _face_batch(doms) -> _FaceBatch:
-    """Every face of the level slices in ``doms``, as one batch."""
-    return level_cache(doms, "cart3d_batch", lambda: _FaceBatch(
-        {p: dom.ctx for p, dom in doms.items()}
-    ))
-
-
-def _split_batches(doms) -> tuple:
-    """(interior, ghost) split of :func:`_face_batch` for overlapped
-    exchange: interior faces touch only owned cells (computable while
-    ghost updates are in transit).  Wall/far boundary lists are
-    owned-only and go with the interior batch."""
-
-    def build():
+    @cached_property
+    def halves(self) -> tuple:
+        """(interior, ghost) split of ``part`` for overlapped exchange:
+        interior faces touch only owned cells (computable while ghost
+        updates are in transit).  Wall/far boundary lists are
+        owned-only and go with the interior half."""
+        part = self.part
+        gmask = self.ghost[part.face_left] | self.ghost[part.face_right]
         none = np.empty(0, dtype=np.int64)
         no_normal = np.empty((0, 3), dtype=np.float64)
-        interior, ghost = {}, {}
-        for p, dom in doms.items():
-            ctx = dom.ctx
-            gmask = (ctx.face_left >= dom.nowned) \
-                | (ctx.face_right >= dom.nowned)
-            interior[p] = CartLevelPart(
-                ctx.vol, ctx.face_left[~gmask], ctx.face_right[~gmask],
-                ctx.face_normal[~gmask], ctx.wall_cell, ctx.wall_normal,
-                ctx.far_cell, ctx.far_normal,
-            )
-            ghost[p] = CartLevelPart(
-                ctx.vol, ctx.face_left[gmask], ctx.face_right[gmask],
-                ctx.face_normal[gmask], none, no_normal, none, no_normal,
-            )
-        return _FaceBatch(interior), _FaceBatch(ghost)
 
-    return level_cache(doms, "cart3d_split", build)
+        def faces(sel):
+            return dict(face_left=part.face_left[sel],
+                        face_right=part.face_right[sel],
+                        face_normal=part.face_normal[sel])
+
+        return replace(part, **faces(~gmask)), replace(
+            part, **faces(gmask), wall_cell=none, wall_normal=no_normal,
+            far_cell=none, far_normal=no_normal,
+        )
 
 
-def _globally_physical(comm, doms, qs) -> bool:
-    """check_physical over the union of owned rows, agreed by allreduce
-    (every rank makes the same damping decision, like the serial
-    global check)."""
-    total = comm.allreduce({
-        p: np.array([0.0 if check_physical(qs[p][: dom.nowned]) else 1.0])
-        for p, dom in doms.items()
-    })
-    return total[0] == 0.0
+def _stack(doms) -> _Stack:
+    return level_cache(doms, "cart3d_stack", lambda: _Stack(doms))
+
+
+def _split_stack(doms) -> tuple:
+    """The stacked level's (interior, ghost) face halves."""
+    return _stack(doms).halves
 
 
 class Cart3DKernels:
@@ -184,8 +175,12 @@ class Cart3DKernels:
         return f
 
     def defect(self, X, doms, qs, forcing=None) -> dict:
+        stack = _stack(doms)
         with use_engine(self.engine):
-            return self._completed_residual(X, doms, qs, forcing, None)
+            return stack.split(self._completed_residual(
+                X, doms, stack.join(qs), qs,
+                None if forcing is None else stack.join(forcing), None,
+            ))
 
     def residual_norm(self, comm, X, doms, qs) -> float:
         """Global volume-scaled L2 density-residual norm (allreduce)."""
@@ -204,13 +199,15 @@ class Cart3DKernels:
         """Serial guard, made global: fall back to a damped correction
         if prolongation produced an unphysical state, with the damping
         decision agreed across ranks."""
-        cand = {p: qs[p] + dqs[p] for p in doms}
+        stack = _stack(doms)
+        q, dq = stack.join(qs), stack.join(dqs)
+        cand = q + dq
         scale = 1.0
-        while not _globally_physical(comm, doms, cand) and scale > 1e-3:
+        while not _physical(comm, stack, cand) and scale > 1e-3:
             scale *= 0.5
-            cand = {p: qs[p] + scale * dqs[p] for p in doms}
-        if _globally_physical(comm, doms, cand):
-            qs = cand
+            cand = q + scale * dq
+        if _physical(comm, stack, cand):
+            return stack.split(cand)
         return qs
 
     def smooth(self, X, doms, qs, *, forcing=None, cfl: float = 2.0,
@@ -218,42 +215,43 @@ class Cart3DKernels:
         """Domain-decomposed 5-stage RK with ghost refresh per stage,
         overlapped with the next stage's interior residual when
         ``overlap`` is set.  An unphysical stage is damped by the serial
-        smoother's guard, with the decision agreed across ranks.
+        smoother's guard, with the decision agreed across ranks.  The
+        serial stage on the stacked level, plus its exchanges: what
+        ``X`` and the allreduce see are the partitions' row slices.
         """
+        stack = _stack(doms)
         engine = self.engine
         with use_engine(engine):
-            qs = dict(qs)
+            q = stack.join(qs)
+            qs = stack.split(q)
             X.copy(qs, tag=22)
+            if forcing is not None:
+                forcing = stack.join(forcing)
             pending = None
             for _ in range(nsteps):
                 if pending is not None:
                     pending.finish()
                     pending = None
-                dt = self._time_step(X, doms, qs, cfl)
-                dtov = {p: dt[p] / doms[p].ctx.vol for p in doms}
-                q0 = {p: qs[p].copy() for p in doms}
+                # no later write reaches the step's initial state: each
+                # stage's candidate is a fresh array
+                q0 = q
+                dtov = self._time_step(X, stack, q, cfl) / stack.part.vol
                 for alpha in RK_COEFFS:
-                    rs = self._completed_residual(
-                        X, doms, qs, forcing, pending
+                    r = self._completed_residual(
+                        X, doms, q, qs, forcing, pending
                     )
                     pending = None
-                    cand = {
-                        p: engine.rk_update(q0[p], alpha * dtov[p], rs[p])
-                        for p in doms
-                    }
-                    if not _globally_physical(X.comm, doms, cand):
+                    cand = engine.rk_update(q0, alpha * dtov, r)
+                    if not _physical(X.comm, stack, cand):
                         # halve the step until physical (rarely more
                         # than once); the decision is collective so
                         # all ranks damp identically
                         scale = 0.5
                         for _ in range(6):
-                            cand = {
-                                p: engine.rk_update(
-                                    q0[p], scale * alpha * dtov[p], rs[p]
-                                )
-                                for p in doms
-                            }
-                            if _globally_physical(X.comm, doms, cand):
+                            cand = engine.rk_update(
+                                q0, scale * alpha * dtov, r
+                            )
+                            if _physical(X.comm, stack, cand):
                                 break
                             scale *= 0.5
                         else:
@@ -261,7 +259,8 @@ class Cart3DKernels:
                                 "RK stage unrecoverable: negative "
                                 "density/pressure"
                             )
-                    qs = cand
+                    q = cand
+                    qs = stack.split(q)
                     if overlap:
                         pending = X.start_copy(qs, tag=23)
                     else:
@@ -272,85 +271,57 @@ class Cart3DKernels:
 
     # -- internals -----------------------------------------------------------
 
-    def _batch_residual(self, batch: _FaceBatch, qs) -> dict:
-        """Flux accumulation over a batch's faces plus its (owned-only)
-        wall/far boundary fluxes: states gathered per partition and
-        stacked, one call per flux kernel, each partition's rows
-        scattered through its own operators in its own face order."""
-
-        def gather(cells):
-            return np.concatenate(
-                [qs[p][getattr(s, cells)] for p, s in batch.slices.items()]
-            )
-
-        flux = FLUX_FUNCTIONS[self.flux](
-            gather("face_left"), gather("face_right"), batch.face_normals
-        )
-        # a batch without boundary faces (the ghost one) skips the calls
-        wall, far = gather("wall_cell"), gather("far_cell")
-        if len(wall):
-            wall = wall_flux(wall, batch.wall_normals)
-        if len(far):
-            far = rusanov_flux(
-                far, np.broadcast_to(self.qinf, far.shape), batch.far_normals
-            )
-        rs = {}
-        for (p, s), faces, walls, fars in zip(
-            batch.slices.items(), batch.faces, batch.walls, batch.fars
-        ):
-            r = rs[p] = np.zeros_like(qs[p])
-            self.engine.scatter_add(r, s.face_scatter, flux[faces])
-            if len(s.wall_cell):
-                self.engine.scatter_add(r, s.wall_scatter, wall[walls])
-            if len(s.far_cell):
-                self.engine.scatter_add(r, s.far_scatter, far[fars])
-        return rs
-
-    def _completed_residual(self, X, doms, qs, forcing, pending) -> dict:
-        """Residual completed across ranks: local flux accumulation
-        (split into interior/ghost faces when finishing an overlapped
-        exchange), exchange-add to owners, ghost rows zeroed, forcing
-        subtracted."""
+    def _completed_residual(self, X, doms, q, qs, forcing, pending
+                            ) -> np.ndarray:
+        """Stacked residual of the stacked state ``q``, completed across
+        ranks: local flux accumulation (split into interior/ghost faces
+        when finishing an overlapped exchange), exchange-add to owners,
+        ghost rows zeroed, the (stacked) forcing subtracted.  Inside the
+        window the state is read as ``stack.join(qs)`` — ``qs`` is what
+        ``pending`` was posted on, guarded when the sanitizer is armed —
+        and never as ``q``."""
+        stack = _stack(doms)
         if pending is None:
-            rs = self._batch_residual(_face_batch(doms), qs)
+            r = residual(stack.part, q, self.qinf, self.flux)
             X.charge(self._flops(doms))
         else:
             # paper fig. 7: compute the interior while ghost values are
             # in transit, then finish the exchange and add the
             # ghost-touching face contributions
-            interior, ghost = _split_batches(doms)
-            rs = self._batch_residual(interior, qs)
+            interior, ghost = _split_stack(doms)
+            r = residual(interior, stack.join(qs), self.qinf, self.flux)
             X.charge(self._flops(doms))
             pending.finish()
-            late = self._batch_residual(ghost, qs)
-            rs = {p: rs[p] + late[p] for p in doms}
-        X.add(rs, tag=1)
-        out = {}
-        for p, dom in doms.items():
-            r = rs[p]
-            r[dom.nowned:] = 0.0
-            if forcing is not None:
-                r = r - forcing[p]
-            out[p] = r
-        return out
+            r = r + residual(ghost, q, self.qinf, self.flux)
+        X.add(stack.split(r), tag=1)
+        r[stack.ghost] = 0.0
+        if forcing is not None:
+            r = r - forcing
+        return r
 
-    def _time_step(self, X, doms, qs, cfl) -> dict:
+    def _time_step(self, X, stack, q, cfl) -> np.ndarray:
         """Local spectral-radius accumulation completed across ranks."""
-        accs = {
-            p: spectral_radius(dom.ctx, qs[p])[:, None]
-            for p, dom in doms.items()
-        }
-        X.add(accs, tag=21)
-        return {
-            p: cfl * dom.ctx.vol / np.maximum(accs[p][:, 0], 1e-300)
-            for p, dom in doms.items()
-        }
+        acc = spectral_radius(stack.part, q)[:, None]
+        X.add(stack.split(acc), tag=21)
+        return cfl * stack.part.vol / np.maximum(acc[:, 0], 1e-300)
 
     def _flops(self, doms) -> dict:
         return {
             p: dom.nlocal * FLOPS_PER_CELL_RESIDUAL
             for p, dom in doms.items()
         }
+
+
+def _physical(comm, stack, q) -> bool:
+    """Density and pressure positive on every partition's owned rows,
+    agreed by allreduce (every rank makes the same damping decision,
+    like the serial global check)."""
+    bad = ~((q[:, 0] > 0) & (pressure(q) > 0))
+    total = comm.allreduce({
+        p: np.array([float(bad[own].any())])
+        for p, own in stack.owned_spans.items()
+    })
+    return total[0] == 0.0
 
 
 def make_parallel_cart3d(solver: Cart3DSolver, nparts: int, *,

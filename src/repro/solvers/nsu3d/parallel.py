@@ -7,9 +7,10 @@ it that way).  This module contributes only what is NSU3D-specific:
 
 * the rank-local :class:`FlowContext` payload built from a halo,
 * :class:`_Stack` — those payloads, for whatever partitions a kernels
-  object is handed (every one of a lockstep world, a hybrid rank's own,
-  a process worker's one), concatenated with vertex offsets into one
-  :class:`FlowContext` per level, cached on the level,
+  object is handed, concatenated with vertex offsets into one
+  :class:`FlowContext` per level (a
+  :class:`~repro.runtime.domain.RowStack`, like Cart3D's), cached on
+  the level,
 * :class:`NSU3DKernels` — the dict-of-partitions residual/smoother/
   transfer hooks the :class:`~repro.runtime.driver.DistributedSolveDriver`
   drives (preconditioned-multistage line-implicit smoothing with the
@@ -57,7 +58,6 @@ evaluation exactly (``tests/test_nsu3d_stack.py``).
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -70,7 +70,7 @@ from ...runtime import (
     RuntimeConfig,
     build_domain_hierarchy,
 )
-from ...runtime.domain import level_cache
+from ...runtime.domain import RowStack, level_cache
 from ..gas import (
     apply_positivity_floors,
     conservative_to_primitive,
@@ -150,40 +150,31 @@ def _local_flow_context(ctx: FlowContext, h: Any, part: np.ndarray) -> FlowConte
     )
 
 
-class _Stack:
+class _Stack(RowStack):
     """The rank-local contexts of the partitions a kernels object is
-    handed — every one of a lockstep world, a hybrid rank's own, a
-    process worker's one — end to end as one :class:`FlowContext`, so a
-    pass runs each serial kernel once.  ``spans`` are the partitions'
-    row ranges; ``ghost`` masks the rows some other partition owns."""
+    handed, end to end as one :class:`FlowContext` (``ctx``), so a pass
+    runs each serial kernel once."""
 
     def __init__(self, doms: dict):
+        super().__init__(doms)
         ctxs = [dom.ctx for dom in doms.values()]
-        ends = list(accumulate(dom.nlocal for dom in doms.values()))
-        starts = [e - dom.nlocal for e, dom in zip(ends, doms.values())]
-        self.spans = {p: slice(s, e) for p, s, e in zip(doms, starts, ends)}
-        self.ghost = np.zeros(ends[-1], dtype=bool)
-        for dom, s, e in zip(doms.values(), starts, ends):
-            self.ghost[s + dom.nowned:e] = True
-        self.owned = np.flatnonzero(~self.ghost)
 
-        def rows(name):
-            return np.concatenate([getattr(c, name) for c in ctxs])
+        def rows(name: str) -> np.ndarray:
+            return self.concat(ctxs, name)
 
-        def ids(name, of=lambda c: c):
-            return np.concatenate(
-                [getattr(of(c), name) + s for c, s in zip(ctxs, starts)]
-            )
+        def ids(name: str) -> np.ndarray:
+            return self.concat(ctxs, name, ids=True)
 
         edges, face_vectors, volumes = (
             ids("edges"), rows("face_vectors"), rows("volumes")
         )
         dual = None
         if ctxs[0].dual is not None:
+            duals = [c.dual for c in ctxs]
             dual = GradientSurface(
                 edges=edges, face_vectors=face_vectors, volumes=volumes,
-                bvert=ids("bvert", lambda c: c.dual),
-                bnormal=np.concatenate([c.dual.bnormal for c in ctxs]),
+                bvert=self.concat(duals, "bvert", ids=True),
+                bnormal=self.concat(duals, "bnormal"),
             )
         self.ctx = FlowContext(
             points=rows("points"), edges=edges, face_vectors=face_vectors,
@@ -191,19 +182,10 @@ class _Stack:
             wall_vert=ids("wall_vert"), wall_normal=rows("wall_normal"),
             far_vert=ids("far_vert"), far_normal=rows("far_normal"),
             sym_vert=ids("sym_vert"), sym_normal=rows("sym_normal"),
-            lines=[line + s for c, s in zip(ctxs, starts)
+            lines=[line + s for c, s in zip(ctxs, self.starts)
                    for line in c.lines],
             dual=dual,
         )
-
-    def join(self, arrays: dict) -> np.ndarray:
-        """The partitions' rows as one fresh array (inside an overlap
-        window the sanitizer's guards make it a guarded one)."""
-        return np.concatenate([arrays[p] for p in self.spans])
-
-    def split(self, array: np.ndarray) -> dict:
-        """Per-partition row-slice views — what the exchanger gets."""
-        return {p: array[span] for p, span in self.spans.items()}
 
 
 def _stack(doms: dict) -> _Stack:

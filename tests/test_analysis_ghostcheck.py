@@ -25,7 +25,9 @@ from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
 from repro.runtime import GuardedArray, PendingGroup, RuntimeConfig
 from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
-from repro.solvers.cart3d.parallel import Cart3DKernels, _face_batch
+from repro.solvers.cart3d.parallel import Cart3DKernels
+from repro.solvers.cart3d.parallel import _stack as _cart3d_stack
+from repro.solvers.cart3d.residual import residual as cart3d_residual
 from repro.solvers.nsu3d import NSU3DSolver, make_parallel_nsu3d
 from repro.solvers.nsu3d.parallel import NSU3DKernels, _stack
 from repro.solvers.nsu3d.residual import residual
@@ -226,26 +228,26 @@ def _helper(self, dom, qs, pending):
     return r1
 """
 
-    #: Cart3D's shape: one batch per pass over every partition handed in
+    #: Cart3D's shape: the stacked state ``q`` outside the window, the
+    #: join of the views the window was posted on inside it
     BATCH_OK = """
-def smooth(self, X, doms, qs):
+def smooth(self, X, doms, q, qs):
     pending = X.start_copy(qs, tag=23)
-    rs = self._completed_residual(X, doms, qs, pending)
+    r = self._completed_residual(X, doms, q, qs, pending)
     pending = None
-    return rs
+    return r
 
-def _completed_residual(self, X, doms, qs, pending):
-    interior, ghost = _split_batches(doms)
-    rs = self._batch_residual(interior, qs)
+def _completed_residual(self, X, doms, q, qs, pending):
+    interior, ghost = _split_stack(doms)
+    r = residual(interior, _stack(doms).join(qs), self.qinf)
     pending.finish()
-    late = self._batch_residual(ghost, qs)
-    return {p: rs[p] + late[p] for p in doms}
+    return r + residual(ghost, q, self.qinf)
 """
 
-    #: the whole-level batch gathers ghost rows: not inside the window
+    #: the whole stacked level gathers ghost rows: not inside the window
     BATCH_RACY = BATCH_OK.replace(
-        "rs = self._batch_residual(interior, qs)",
-        "rs = self._batch_residual(_face_batch(doms), qs)",
+        "r = residual(interior, _stack(doms).join(qs), self.qinf)",
+        "r = residual(_stack(doms).part, _stack(doms).join(qs), self.qinf)",
     )
 
     #: NSU3D's shape: the partitions' states joined into one array and
@@ -337,20 +339,23 @@ class RacyNSU3DKernels(NSU3DKernels):
 
 
 class RacyCart3DKernels(Cart3DKernels):
-    """The same planted race through the batched path: the whole-level
-    batch (ghost-touching faces included) evaluated before ``finish``.
-    Its gathers are per partition, so the guard views still see them."""
+    """The same planted race through the stacked path: the whole-level
+    stacked pass (ghost-touching faces included) evaluated before
+    ``finish``.  It reads the state as the shipped kernels must inside a
+    window, ``stack.join(qs)``: the join of guard views is guarded, so
+    the gather traps and names the partition whose ghost row it hit."""
 
-    def _completed_residual(self, X, doms, qs, forcing, pending):
+    def _completed_residual(self, X, doms, q, qs, forcing, pending):
         if pending is None:
-            return super()._completed_residual(X, doms, qs, forcing,
+            return super()._completed_residual(X, doms, q, qs, forcing,
                                                pending)
-        rs = self._batch_residual(_face_batch(doms), qs)  # noqa
+        stack = _cart3d_stack(doms)
+        r = cart3d_residual(stack.part, stack.join(qs),  # noqa
+                            self.qinf, self.flux)
         pending.finish()
-        X.add(rs, tag=1)
-        for p, dom in doms.items():
-            rs[p][dom.nowned:] = 0.0
-        return rs
+        X.add(stack.split(r), tag=1)
+        r[stack.ghost] = 0.0
+        return r
 
 
 @pytest.fixture(scope="module")

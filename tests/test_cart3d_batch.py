@@ -1,14 +1,16 @@
-"""One flux call per pass: ``Cart3DKernels`` over the partitions it is
-handed.
+"""One stacked level per rank: ``Cart3DKernels`` over the partitions it
+is handed.
 
-A residual pass stacks the faces of every partition in ``doms`` and
-calls each flux kernel once (``_FaceBatch``).  That is a data-movement
-change only — the kernels are element-wise and each partition still
-scatters its own rows through its own operators — so everything here is
-exact: batched against per-partition evaluation on generated levels,
-whole solves against hashes recorded at the commit before the batch
-existed, call counts that no longer grow with the partition count, and
-the batch cache's lifetime.
+Every hook joins the partitions' states into one array, runs the
+*serial* kernels once on the stacked level (``_Stack``: every
+partition's faces, walls and far faces end to end, cell indices offset
+to the stack's rows), and hands the exchanger per-partition row slices
+of the result.  Fluxes are face-local and rows of different partitions
+never share a scatter row, so that is a data-movement change only and
+everything here is exact: stacked against per-partition evaluation on
+generated levels, whole solves against hashes recorded before any
+stacking existed, call counts that do not grow with the partition
+count, and the stack cache's lifetime.
 """
 
 import cProfile
@@ -30,8 +32,8 @@ from repro.runtime.domain import DistributedDomain
 from repro.runtime.process import WorkerSpec
 from repro.solvers.cart3d.parallel import (
     Cart3DKernels,
-    _face_batch,
-    _split_batches,
+    _split_stack,
+    _stack,
 )
 from repro.solvers.cart3d.residual import FLUX_FUNCTIONS, add_boundary_fluxes
 
@@ -52,18 +54,34 @@ def small_solver(solid: str, dim: int, flux: str):
     return _SOLVERS[key]
 
 
+class SumOnly:
+    """A comm whose allreduce folds what it is handed, nothing else."""
+
+    def allreduce(self, parts, op="sum"):
+        assert op == "sum"
+        return sum(parts.values())
+
+
 class NoExchange:
-    """An exchanger that ships nothing: ``_completed_residual`` then
-    returns each partition's local part (ghost rows zeroed)."""
+    """An exchanger that ships nothing: every pass then returns each
+    partition's local part, ghost rows as the caller left them."""
 
     def __init__(self, pids):
         self.pids = set(pids)
+        self.comm = SumOnly()
 
     def charge(self, flops):
         assert set(flops) == self.pids
 
     def add(self, arrays, tag):
         assert set(arrays) == self.pids
+
+    def copy(self, arrays, tag):
+        assert set(arrays) == self.pids
+
+    def start_copy(self, arrays, tag):
+        self.copy(arrays, tag)
+        return Window()
 
 
 class Window:
@@ -85,9 +103,12 @@ def perturbed_states(doms, qinf, seed):
     }
 
 
+def some(things, pids):
+    return None if things is None else {p: things[p] for p in pids}
+
+
 def alone(kern, part, q):
-    """The per-partition evaluation the batch replaced, from the serial
-    residual's own pieces."""
+    """One partition's residual from the serial residual's own pieces."""
     r = np.zeros_like(q)
     flux = FLUX_FUNCTIONS[kern.flux](
         q[part.face_left], q[part.face_right], part.face_normal
@@ -119,56 +140,83 @@ class TestBatchedEqualsPerPartition:
             p: 1e-3 * q for p, q in qs.items()
         }
 
-        def completed(some):
+        def passes(pids):
+            """Completed residual, time step, one RK step and the defect
+            over the partitions ``pids``, as per-partition rows."""
+            mine, states = some(doms, pids), some(qs, pids)
+            stack = _stack(mine)
             pending = Window() if overlapped else None
-            out = kern._completed_residual(
-                NoExchange(some), {p: doms[p] for p in some},
-                {p: qs[p] for p in some},
-                None if forcing is None else {p: forcing[p] for p in some},
+            r = kern._completed_residual(
+                NoExchange(pids), mine, stack.join(states), states,
+                None if forcing is None else stack.join(some(forcing, pids)),
                 pending,
             )
             assert pending is None or pending.done
-            return out
+            dt = kern._time_step(NoExchange(pids), stack, stack.join(states),
+                                 2.0)
+            # unforced: with nothing exchanged, an owned cell whose
+            # faces all live on another rank has no spectral radius
+            smoothed = kern.smooth(NoExchange(pids), mine, states, cfl=1.0,
+                                   overlap=overlapped)
+            return [stack.split(r), stack.split(dt), smoothed,
+                    kern.defect(NoExchange(pids), mine, states,
+                                some(forcing, pids))]
 
-        together = completed(list(doms))
-        assert list(together) == list(doms)
+        together = passes(list(doms))
         for p, dom in doms.items():
-            assert np.array_equal(together[p], completed([p])[p])
-            # and both are what the serial pieces give on that slice
-            # (one pass over all faces; the overlapped split adds the
-            # ghost faces' sum afterwards, which may reassociate)
+            for whole, part in zip(together, passes([p])):
+                assert list(whole) == list(doms)
+                assert np.array_equal(whole[p], part[p])
+            # and the residual is what the serial pieces give on that
+            # slice (one pass over all faces; the overlapped split adds
+            # the ghost faces' sum afterwards, which may reassociate)
             ref = alone(kern, dom.ctx, qs[p])
             ref[dom.nowned:] = 0.0
             if forcing is not None:
                 ref = ref - forcing[p]
             if overlapped:
-                assert np.allclose(together[p], ref, rtol=1e-12, atol=1e-14)
+                assert np.allclose(together[0][p], ref, rtol=1e-12,
+                                   atol=1e-14)
             else:
-                assert np.array_equal(together[p], ref)
+                assert np.array_equal(together[0][p], ref)
 
     def test_split_batches_cover_every_face_once(self):
         solver = small_solver("sphere", 3, "vanleer")
         par = api.make_parallel_cart3d(solver, 4)
         doms = dict(enumerate(par.hierarchy.levels[0].domains))
-        whole = _face_batch(doms)
-        interior, ghost = _split_batches(doms)
-        assert _face_batch(doms) is whole
-        assert _split_batches(doms)[0] is interior
-        for p, dom in doms.items():
-            nfaces = len(dom.ctx.face_left)
-            assert len(interior.slices[p].face_left) \
-                + len(ghost.slices[p].face_left) == nfaces
-            assert (interior.slices[p].face_left < dom.nowned).all()
-            assert (interior.slices[p].face_right < dom.nowned).all()
-            # boundary lists ride with the interior batch
-            assert len(ghost.slices[p].wall_cell) == 0
-            assert len(ghost.slices[p].far_cell) == 0
-            assert interior.slices[p].wall_cell is dom.ctx.wall_cell
-        assert len(whole.face_normals.area) == sum(
-            len(dom.ctx.face_left) for dom in doms.values()
-        )
-        assert whole.faces[-1].stop == len(whole.face_normals.area)
-        assert ghost.walls[-1] == slice(0, 0)
+        stack = _stack(doms)
+        interior, ghost = _split_stack(doms)
+        assert _stack(doms) is stack
+        assert _split_stack(doms)[0] is interior
+        part = stack.part
+        assert len(part.vol) == sum(d.nlocal for d in doms.values())
+        nfaces = [len(d.ctx.face_left) for d in doms.values()]
+        assert len(interior.face_left) + len(ghost.face_left) \
+            == len(part.face_left) == sum(nfaces)
+        assert not stack.ghost[interior.face_left].any()
+        assert not stack.ghost[interior.face_right].any()
+        assert (stack.ghost[ghost.face_left]
+                | stack.ghost[ghost.face_right]).all()
+        # boundary lists are owned-only and ride with the interior half
+        assert interior.wall_cell is part.wall_cell
+        assert len(ghost.wall_cell) == len(ghost.far_cell) == 0
+        assert not stack.ghost[part.wall_cell].any()
+        assert not stack.ghost[part.far_cell].any()
+        # each partition's rows and faces, in its own order, offset
+        for (p, dom), end in zip(doms.items(), np.cumsum(nfaces)):
+            rows = stack.spans[p]
+            faces = slice(end - len(dom.ctx.face_left), end)
+            assert np.array_equal(part.vol[rows], dom.ctx.vol)
+            assert np.array_equal(stack.ghost[rows],
+                                  np.arange(dom.nlocal) >= dom.nowned)
+            for name in ("face_left", "face_right"):
+                assert np.array_equal(
+                    getattr(part, name)[faces] - rows.start,
+                    getattr(dom.ctx, name),
+                )
+            assert np.array_equal(part.face_normal[faces],
+                                  dom.ctx.face_normal)
+        assert np.array_equal(stack.owned, np.flatnonzero(~stack.ghost))
 
 
 #: sha256(q.tobytes())[:16] and the hex residual history of a 2-cycle
@@ -231,8 +279,8 @@ class TestSolvesEqualTheParents:
 
 
 def calls_in_a_cycle(cycle):
-    """{function name: [call count, caller files]} of one ``cycle()``,
-    after a first one has filled the lazy caches."""
+    """{function name: [call count, {caller (file, name): calls}]} of one
+    ``cycle()``, after a first one has filled the lazy caches."""
     cycle()
     profile = cProfile.Profile()
     profile.enable()
@@ -240,15 +288,20 @@ def calls_in_a_cycle(cycle):
     profile.disable()
     calls: dict = {}
     for (_file, _line, name), row in pstats.Stats(profile).stats.items():
-        entry = calls.setdefault(name, [0, set()])
+        entry = calls.setdefault(name, [0, {}])
         entry[0] += row[1]
-        entry[1].update(caller[0] for caller in row[4])
+        for (file, _, caller), stats in row[4].items():
+            key = file, caller
+            entry[1][key] = entry[1].get(key, 0) + stats[0]
     return calls
 
 
 class TestCallCounts:
-    """What the batch is for: the flux kernels are called per pass, not
-    per partition per pass — and no pass re-derives ``|S|``."""
+    """What the stack is for: every kernel is called per pass, not per
+    partition per pass — and no pass re-derives ``|S|``."""
+
+    KERNELS = ("scatter_add", "rk_update", "spectral_radius",
+               "van_leer_flux", "wall_flux", "rusanov_flux")
 
     @pytest.mark.parametrize("overlap", [False, True])
     def test_flux_calls_do_not_grow_with_partitions(self, overlap):
@@ -257,18 +310,23 @@ class TestCallCounts:
             mach=0.4,
         )
         counts = {}
-        for nparts in (2, 4):
+        for nparts in (1, 2, 4):
             par = api.make_parallel_cart3d(
                 solver, nparts,
                 config=RuntimeConfig(backend="sim", overlap=overlap),
             )
             calls = calls_in_a_cycle(lambda: par.solve(1, cfl=2.0))
-            counts[nparts] = {
-                name: calls[name][0]
-                for name in ("van_leer_flux", "wall_flux", "rusanov_flux")
-            }
-        assert counts[2] == counts[4]
-        assert all(n > 0 for n in counts[2].values())
+            counts[nparts] = {name: calls[name][0] for name in self.KERNELS}
+            # the driver's transfer operators still scatter once per
+            # partition (runtime/driver.py, shared with NSU3D): not
+            # Cart3DKernels' calls
+            counts[nparts]["scatter_add"] -= sum(
+                n for (file, caller), n in calls["scatter_add"][1].items()
+                if file.endswith("runtime/driver.py")
+                and caller == "_restrict_sum"
+            )
+        assert counts[1] == counts[2] == counts[4], counts
+        assert all(n > 0 for n in counts[1].values())
 
     def test_normals_are_not_split_on_the_cycle_path(self):
         """Every flux is handed a ``FaceNormals`` its level split once:
@@ -291,14 +349,15 @@ class TestCallCounts:
             cart.run_cycle,
             nsu.run_cycle,
         ):
-            callers = calls_in_a_cycle(cycle).get("norm", [0, set()])[1]
-            assert not any(f.endswith("solvers/fluxes.py") for f in callers)
+            callers = calls_in_a_cycle(cycle).get("norm", [0, {}])[1]
+            assert not any(f.endswith("solvers/fluxes.py")
+                           for f, _ in callers)
 
 
 class TestBatchLifetime:
-    """The batches live in a domain's scratch cache: no registry keeps
-    them, and a worker's share of the hierarchy pickles with or without
-    them."""
+    """The stack lives in a domain's scratch cache: no registry keeps
+    it, and a worker's share of the hierarchy pickles with or without
+    it."""
 
     def test_released_with_the_level(self):
         solver = small_solver("sphere", 2, "vanleer")
@@ -307,10 +366,15 @@ class TestBatchLifetime:
         )
         par.solve(1, cfl=2.0)
         doms = dict(enumerate(par.hierarchy.levels[0].domains))
-        refs = [weakref.ref(b)
-                for b in (_face_batch(doms), *_split_batches(doms))]
-        assert _face_batch(doms) in doms[0].cache.values()  # built by solve
-        del doms, par
+        built = [_stack(doms), *_split_stack(doms)]
+        assert built[0] in doms[0].cache.values()  # built by the solve
+        assert "face_scatter" in vars(built[0].part)
+        # ... and the rank-local slices keep no operator of their own
+        assert all("face_scatter" not in vars(d.ctx)
+                   and "side_scatters" not in vars(d.ctx)
+                   for d in doms.values())
+        refs = [weakref.ref(b) for b in built]
+        del doms, par, built
         gc.collect()
         assert [ref() for ref in refs] == [None, None, None]
 
@@ -320,8 +384,6 @@ class TestBatchLifetime:
         par = api.make_parallel_cart3d(
             solver, 2, config=RuntimeConfig(overlap=True)
         )
-        if built:
-            par.solve(1, cfl=2.0)
         hierarchy = par.hierarchy
         rank = 1
         spec = WorkerSpec(
@@ -334,23 +396,27 @@ class TestBatchLifetime:
             kernels=par.kernels, overlap=True, sanitize=False, timeout=5.0,
         )
         fine = spec.doms[0]
-        assert ("face_scatter" in vars(fine[rank].ctx)) == built
+        qs = perturbed_states(fine, solver.qinf, 0)
         if built:
-            # the batches themselves travel too, when a cache is shipped
-            fine[rank].cache.update(hierarchy.levels[0].domains[rank].cache)
-            _split_batches(fine)
+            # what a worker's first cycle fills: its one-partition stack
+            # and halves, operators built
+            spec.kernels.smooth(NoExchange(fine), fine, dict(qs), cfl=2.0,
+                                overlap=True)
+        assert bool(fine[rank].cache) == built
         shipped = pickle.loads(pickle.dumps(spec))
         twin = shipped.doms[0]
-        assert ("face_scatter" in vars(twin[rank].ctx)) == built
         assert bool(twin[rank].cache) == built
-        qs = perturbed_states(fine, solver.qinf, 0)
+        if built:
+            assert "face_scatter" in vars(_stack(twin).part)
+            assert "face_scatter" in vars(_split_stack(twin)[1])
+        # the per-partition slices never build an operator
+        assert "face_scatter" not in vars(fine[rank].ctx)
+        assert "face_scatter" not in vars(twin[rank].ctx)
         assert isinstance(shipped.kernels, Cart3DKernels)
         for overlapped in (False, True):
             a, b = (
-                kern._completed_residual(
-                    NoExchange(doms), doms, dict(qs), None,
-                    Window() if overlapped else None,
-                )
+                kern.smooth(NoExchange(doms), doms, dict(qs), cfl=2.0,
+                            overlap=overlapped)
                 for kern, doms in ((spec.kernels, fine),
                                    (shipped.kernels, twin))
             )

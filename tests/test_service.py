@@ -260,8 +260,7 @@ class TestCoalescing:
                     for _ in range(8)
                 ]
                 # all eight are parked on one in-flight solve
-                while not runner.entered.is_set():
-                    await asyncio.sleep(0.005)
+                assert await asyncio.to_thread(runner.entered.wait, 5.0)
                 assert len(service._inflight) == 1
                 runner.gate.set()
                 return await asyncio.gather(*tasks)
@@ -425,18 +424,26 @@ class TestAdmission:
         async def drive():
             admission = AdmissionController(2, max_queue=10)
             order = []
+            done = {tag: asyncio.Event()
+                    for tag in ("a0", "a1", "a2", "a3", "b0")}
 
             async def hold(tenant, tag):
                 await admission.acquire(tenant)
                 order.append(tag)
-                await asyncio.sleep(0.01)
+                await done[tag].wait()
                 admission.release(tenant)
 
             burst = [
                 asyncio.create_task(hold("a", f"a{i}")) for i in range(4)
             ]
-            await asyncio.sleep(0.005)  # a0/a1 granted, a2/a3 queued
+            # a0/a1 granted, a2/a3 queued
+            await yield_until(lambda: admission.queued == 2)
             late = asyncio.create_task(hold("b", "b0"))
+            await yield_until(lambda: admission.queued == 3)
+            done["a0"].set()  # one slot frees while a1 still holds one
+            await yield_until(lambda: len(order) == 3)
+            for event in done.values():
+                event.set()
             await asyncio.gather(*burst, late)
             return order
 
@@ -502,7 +509,7 @@ class TestAdmission:
             admission = AdmissionController(1, max_queue=4)
             await admission.acquire("a")
             parked = asyncio.create_task(admission.acquire("b"))
-            await asyncio.sleep(0.002)
+            await yield_until(lambda: admission.queued == 1)
             parked.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await parked
@@ -539,8 +546,7 @@ class TestAdmission:
                     service.query(PointQuery(mach=0.5, alpha=1.0,
                                              tenant="a"))
                 )
-                while not runner.entered.is_set():
-                    await asyncio.sleep(0.005)
+                assert await asyncio.to_thread(runner.entered.wait, 5.0)
                 with pytest.raises(ServiceOverloaded):
                     await service.query(
                         PointQuery(mach=0.6, alpha=2.0, tenant="b")
@@ -580,8 +586,7 @@ class TestAdmission:
                     service.query(PointQuery(mach=0.9, alpha=8.0,
                                              tenant="slow"))
                 )
-                while not runner.entered.is_set():
-                    await asyncio.sleep(0.005)
+                assert await asyncio.to_thread(runner.entered.wait, 5.0)
                 exact = await asyncio.wait_for(
                     service.query(PointQuery(mach=0.5, alpha=2.0,
                                              tenant="fast")),
