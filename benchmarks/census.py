@@ -32,9 +32,12 @@ that no source entered, with its length and the reason it stays, then
 every ``repro.api.__all__`` name that nothing outside ``tests/`` uses
 (beyond its defining module and the package re-exports).  An entry
 without a reason makes the exit status 1; so does a reason for an entry
-that no longer exists.  The report is ``benchmarks/results/census.txt``;
-it holds no timings, so a re-run on the same tree writes the same file
-(``git diff --exit-code benchmarks/results/census.txt``).
+that no longer exists.  A last, informational section lists per module
+the functions only ``tier1`` enters — no example, figure bench or
+harness run does; it needs no reasons and leaves the exit status
+alone.  The report is ``benchmarks/results/census.txt``; it holds no
+timings, so a re-run on the same tree writes the same file (``git diff
+--exit-code benchmarks/results/census.txt``).
 """
 
 from __future__ import annotations
@@ -138,7 +141,10 @@ API_REASONS: dict = {
 
 # -- the hook -----------------------------------------------------------------
 
+#: the code objects the running source entered; :func:`main` swaps in a
+#: fresh set per source and keeps each in :data:`ENTERED`
 entered: set = set()
+ENTERED: dict = {}
 
 
 def _hook(frame, event, arg):
@@ -266,19 +272,30 @@ def functions() -> list:
     return found
 
 
-def unreached() -> tuple:
-    seen = {
+def _keys(codes) -> set:
+    return {
         (os.path.realpath(code.co_filename), code.co_firstlineno,
          code.co_name)
-        for code in list(entered)
+        for code in list(codes)
     }
+
+
+def _key(fn) -> tuple:
+    return os.path.realpath(fn[0]), fn[2], fn[1].rsplit(".", 1)[-1]
+
+
+def unreached() -> tuple:
+    """Every function, those no source entered, and those only
+    ``tier1`` entered."""
+    seen = {name: _keys(codes) for name, codes in ENTERED.items()}
+    others = set().union(*(keys for name, keys in seen.items()
+                           if name != "tier1"))
     every = functions()
-    missed = [
-        fn for fn in every
-        if (os.path.realpath(fn[0]), fn[2], fn[1].rsplit(".", 1)[-1])
-        not in seen
-    ]
-    return every, missed
+    missed = [fn for fn in every
+              if not any(_key(fn) in keys for keys in seen.values())]
+    tier1_only = [fn for fn in every
+                  if _key(fn) in seen["tier1"] and _key(fn) not in others]
+    return every, missed, tier1_only
 
 
 def facade_orphans() -> list:
@@ -320,7 +337,8 @@ def facade_orphans() -> list:
     return orphans
 
 
-def render(every: list, missed: list, orphans: list) -> tuple:
+def render(every: list, missed: list, orphans: list,
+           tier1_only: list) -> tuple:
     problems = []
     lines = [
         "# Reachability census of src/repro (python3 benchmarks/census.py;",
@@ -356,6 +374,22 @@ def render(every: list, missed: list, orphans: list) -> tuple:
         lines.append(f"{name}  [{', '.join(users) or 'none'}]  {reason}")
     problems += [f"stale reason: api.{name}" for name in API_REASONS
                  if name not in names]
+    by_module: dict = {}
+    for path, qualname, first, nlines in tier1_only:
+        by_module.setdefault(path.relative_to(PACKAGE).as_posix(), []).append(
+            (first, qualname, nlines))
+    lines += [
+        "",
+        "## functions only tier1 enters, by module (informational; no "
+        "reasons): path  functions  lines, then line  qualname  lines",
+        f"# {len(tier1_only)} functions "
+        f"({sum(fn[3] for fn in tier1_only)} lines).",
+    ]
+    for rel, fns in sorted(by_module.items(),
+                           key=lambda kv: (-sum(f[2] for f in kv[1]), kv[0])):
+        lines.append(f"{rel}  {len(fns)}  {sum(f[2] for f in fns)}")
+        lines += [f"  {first}  {qualname}  {nlines}"
+                  for first, qualname, nlines in sorted(fns)]
     return "\n".join(lines) + "\n", problems
 
 
@@ -363,17 +397,19 @@ def main() -> int:
     # as ``python -m pytest`` from the root: tests import ``tests.*``
     os.chdir(ROOT)
     sys.path[:0] = [str(SRC), str(ROOT)]
+    global entered
     before = _snapshot()
     try:
         for source, run in SOURCES.items():
+            entered = ENTERED[source] = set()
             install()
             print(f"census: {source}: {run()}", file=sys.stderr)
     finally:
         sys.settrace(None)
         threading.settrace(None)
         _restore(before)
-    every, missed = unreached()
-    text, problems = render(every, missed, facade_orphans())
+    every, missed, tier1_only = unreached()
+    text, problems = render(every, missed, facade_orphans(), tier1_only)
     OUT.write_text(text)
     for problem in problems:
         print(f"census: {problem}", file=sys.stderr)

@@ -125,7 +125,7 @@ def _protected_roots(call: ast.Call) -> set:
         if root is not None and root not in _NON_ARRAY_ROOTS:
             roots.add(root)
     for kw in call.keywords:
-        if kw.arg in (None, "tag", "irregular"):
+        if kw.arg in (None, "tag"):
             continue
         root = _root_name(kw.value)
         if root is not None and root not in _NON_ARRAY_ROOTS:
@@ -354,8 +354,8 @@ class _FunctionChecker:
                 "ghost/dropped-pending",
                 stmt,
                 f"result of {called_on}.start_copy(...) is discarded; "
-                "bind the PendingExchange/PendingGroup and finish() it "
-                "(or use the blocking copy())",
+                "bind the pending exchange and finish() it (or use the "
+                "blocking copy())",
             )
             self._check_expr(value, state, set(), skip_start_copy=True)
             return state

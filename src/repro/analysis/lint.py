@@ -48,9 +48,9 @@ These rules encode exactly those house invariants:
   multigrid → cycle-driver stack" claim true statically rather than by
   convention.
 * **R009 unbound-start-copy** — a ``start_copy(...)`` call used as a
-  bare expression statement: the returned
-  ``PendingExchange``/``PendingGroup`` is dropped on the floor, its
-  posted receives leak and the matching ``finish()`` can never run.
+  bare expression statement: the returned pending is dropped on the
+  floor, its posted receives leak and the matching ``finish()`` can
+  never run.
   The deeper dataflow cousin of this rule (reads *inside* a bound
   window) lives in :mod:`repro.analysis.ghostcheck`; R009 catches the
   purely syntactic form everywhere, including tests and scripts.
@@ -63,8 +63,8 @@ These rules encode exactly those house invariants:
   the durable-campaign error taxonomy exists to prevent.  Close
   windows on the success path; in cleanup, drop the pending instead.
 * **R011 exchanger-construction-outside-runtime** — direct
-  ``PlanExchanger``/``HybridExchanger``/``ProcessExchanger``
-  construction anywhere outside :mod:`repro.runtime`.  Exchangers come
+  ``HybridExchanger``/``ProcessExchanger`` construction anywhere
+  outside :mod:`repro.runtime`.  Exchangers come
   from :func:`repro.runtime.make_exchanger` (or ``RuntimeConfig``
   backend selection in the driver) so the lifecycle flags
   (``charging``/``sanitize``) and backend semantics stay uniform; the
@@ -293,11 +293,7 @@ RULES = {
 R012_BLOCKING_ATTRS = {"run_case", "run_tree"}
 
 #: Exchanger classes whose construction R011 routes through the factory.
-R011_EXCHANGER_CLASSES = {
-    "PlanExchanger",
-    "HybridExchanger",
-    "ProcessExchanger",
-}
+R011_EXCHANGER_CLASSES = {"HybridExchanger", "ProcessExchanger"}
 
 #: Solver classes whose construction R005 routes through the facade,
 #: mapped to the blessed factory.
@@ -323,7 +319,6 @@ R008_BANNED_COMM_NAMES = {
     "build_halos",
     "LocalHalo",
     "ExchangePlan",
-    "PendingExchange",
     "communication_graph",
 }
 

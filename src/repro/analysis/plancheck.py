@@ -11,9 +11,9 @@ runtime then assumes without checking:
   ``q`` knows about ``p``;
 * **unique ownership** — every ghost slot mirrors exactly one owned
   vertex on exactly one peer rank;
-* **schedule liveness** — the receive-before-send order used by
-  ``exchange_copy``/``exchange_add`` admits no wait-for cycle, and every
-  posted receive is matched by a send.
+* **schedule liveness** — the receive-before-send order of the copy and
+  add exchanges admits no wait-for cycle, and every posted receive is
+  matched by a send.
 
 :func:`check_plans` proves all four statically — no SimMPI run needed —
 and reports violations as :class:`~repro.analysis.diagnostics.Diagnostic`
@@ -254,22 +254,23 @@ def check_pairwise(halos: list) -> list[Diagnostic]:
 
 # -- schedule liveness --------------------------------------------------------
 
-_IRECV, _ISEND, _WAIT, _RECV = "irecv", "isend", "wait", "recv"
+_IRECV, _ISEND, _WAIT = "irecv", "isend", "wait"
 
 
 def _schedule_ops(plan, op: str) -> list[tuple[str, int]]:
     """The (operation, peer) sequence a rank executes for one exchange.
 
-    Mirrors ``ExchangePlan.exchange_copy`` / ``exchange_add``: receives
-    posted first, one (possibly empty) send per neighbor, waits in post
-    order, then blocking drains of placeholder messages.  For ``add`` the
-    ghost/owner roles are swapped.
+    Mirrors :meth:`~repro.comm.hybrid.HybridProcess.post` and its
+    pending's ``finish`` at one partition per rank: a receive posted
+    from every neighbor, one (possibly empty) send to each, then waits —
+    first for the neighbors that ship rows, then for the empty ones.
+    For ``add`` the ghost/owner roles are swapped.
     """
     recv_side = plan.ghost_slots if op == "copy" else plan.owned_slots
-    ops = [(_IRECV, q) for q in plan.neighbors if q in recv_side]
+    ops = [(_IRECV, q) for q in plan.neighbors]
     ops += [(_ISEND, q) for q in plan.neighbors]
     ops += [(_WAIT, q) for q in plan.neighbors if q in recv_side]
-    ops += [(_RECV, q) for q in plan.neighbors if q not in recv_side]
+    ops += [(_WAIT, q) for q in plan.neighbors if q not in recv_side]
     return ops
 
 
@@ -301,7 +302,7 @@ def check_schedule(plans: list, op: str = "copy") -> list[Diagnostic]:
                     ops.popleft()
                     progress = True
                     continue
-                # wait/recv: consume one queued message or block
+                # wait: consume one queued message or block
                 if channels.get((peer, rank), 0) > 0:
                     channels[peer, rank] -= 1
                     ops.popleft()

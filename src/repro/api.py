@@ -106,7 +106,6 @@ from .runtime import (
     LevelSpec,
     MetisLinePartitioner,
     Partitioner,
-    PlanExchanger,
     ProcessExchanger,
     ProcessPool,
     RuntimeConfig,
@@ -156,7 +155,7 @@ from .telemetry import (
 #: The facade surface version: bumped when the blessed surface changes
 #: shape (new exports, removals, contract changes) — code against it
 #: with ``assert repro.api.__api_version__ >= "4"``-style checks.
-__api_version__ = "11.0"
+__api_version__ = "12.0"
 
 __all__ = [
     # solvers — unified surface
@@ -183,7 +182,6 @@ __all__ = [
     "DistributedSolveDriver",
     "BACKENDS",
     "RuntimeConfig",
-    "PlanExchanger",
     "HybridExchanger",
     "ProcessExchanger",
     "ProcessPool",

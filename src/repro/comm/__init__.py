@@ -4,7 +4,6 @@ hybrid MPI/OpenMP strategies, and communication-pattern benchmarks."""
 from .exchange import (
     ExchangePlan,
     LocalHalo,
-    PendingExchange,
     build_halos,
     communication_graph,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "TraceEvent",
     "ExchangePlan",
     "LocalHalo",
-    "PendingExchange",
     "build_halos",
     "communication_graph",
     "HybridProcess",

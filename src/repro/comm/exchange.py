@@ -1,23 +1,24 @@
-"""Ghost-vertex halo exchange (paper section III, figure 6a).
+"""Ghost-vertex halo data structures (paper section III, figure 6a).
 
 NSU3D assigns every partition-straddling mesh edge to exactly one of the
 two processors; that processor constructs a *ghost vertex* mirroring the
 off-processor endpoint.  A residual evaluation then needs two exchanges:
 
-* ``exchange_add`` — flux contributions accumulated at ghost vertices are
+* an **add** — flux contributions accumulated at ghost vertices are
   shipped to the physical owner and **added** there (completing the
   residual), and
-* ``exchange_copy`` — freshly updated owner values are shipped back and
+* a **copy** — freshly updated owner values are shipped back and
   **copied** into the ghosts.
 
-Messages between a rank pair are packed into a single buffer per
-direction ("fewer larger messages" to amortize latency, exactly the
-paper's strategy); receives are posted before sends.
-
+This module holds the data those exchanges run on, not the exchanges.
 :func:`build_halos` performs the preprocessing: given the global graph
 and a partition vector it derives, for every rank, the local numbering
 (owned vertices first, ghosts appended), the locally assigned edges, and
 a matched :class:`ExchangePlan` whose buffer orderings agree pairwise.
+The in-process exchange over these plans is
+:class:`~repro.comm.hybrid.HybridProcess` (fig. 7b, from one partition
+per process to several), the multi-core one
+:class:`~repro.runtime.backends.ProcessExchanger`.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigurationError, ExchangeLifecycleError
-from ..telemetry.spans import span as _span
+from ..errors import ConfigurationError
 
 
 @dataclass
@@ -54,8 +54,8 @@ class ExchangePlan:
     def neighbors(self) -> list[int]:
         """Sorted ranks this rank exchanges with, in either direction —
         the union of ``ghost_slots`` and ``owned_slots`` keys.  Sorted
-        once per plan, not once per access (an exchange asks five
-        times); slot dicts that gain or lose a rank re-derive it."""
+        once per plan, not once per access; slot dicts that gain or lose
+        a rank re-derive it."""
         keys = (*self.ghost_slots, *self.owned_slots)
         cached = self._neighbors
         if cached is None or cached[0] != keys:
@@ -67,123 +67,6 @@ class ExchangePlan:
         once even when traffic flows both ways (paper: max fine-grid
         degree observed was 18)."""
         return len(self.neighbors)
-
-    # -- the two exchange operations -------------------------------------------
-    #
-    # Each is one post half (receives, then sends) and one finish half
-    # (wait, unpack, drain); the blocking forms run them back to back.
-
-    def exchange_copy(self, comm, arr: np.ndarray, tag: int = 0,
-                      irregular: bool = False) -> None:
-        """Owner values -> ghost copies.  ``arr`` is (nlocal,) or (nlocal, k)."""
-        with _span("comm.exchange_copy", cat="comm", tag=tag,
-                   neighbors=self.degree()):
-            self._post(comm, arr, tag, irregular, add=False)._land()
-
-    def start_copy(self, comm, arr: np.ndarray, tag: int = 0,
-                   irregular: bool = False) -> "PendingExchange":
-        """Post an owner->ghost exchange without waiting (paper fig. 7).
-
-        Receives and sends are posted immediately; ghost slots are only
-        written when :meth:`PendingExchange.finish` is called, so the
-        caller may compute on interior data while messages are in
-        transit.  ``arr`` must stay alive (and its ghost rows untouched)
-        until ``finish`` runs.
-        """
-        with _span("comm.exchange_copy_start", cat="comm", tag=tag,
-                   neighbors=self.degree()):
-            return self._post(comm, arr, tag, irregular, add=False)
-
-    def exchange_add(self, comm, arr: np.ndarray, tag: int = 1,
-                     irregular: bool = False) -> None:
-        """Ghost accumulations -> owner (added); ghosts are then zeroed."""
-        with _span("comm.exchange_add", cat="comm", tag=tag,
-                   neighbors=self.degree()):
-            self._post(comm, arr, tag, irregular, add=True)._land()
-
-    def start_add(self, comm, arr: np.ndarray, tag: int = 1,
-                  irregular: bool = False) -> "PendingExchange":
-        """Post a ghost->owner accumulation without waiting: ghost rows
-        are shipped and zeroed now, owners are added to in ``finish``."""
-        with _span("comm.exchange_add", cat="comm", tag=tag,
-                   neighbors=self.degree()):
-            return self._post(comm, arr, tag, irregular, add=True)
-
-    def _post(self, comm, arr, tag, irregular, add) -> "PendingExchange":
-        """Post half.  Every neighbour pair trades exactly one message
-        per direction — an empty placeholder where the plan ships
-        nothing that way — so both sides can post and drain blindly."""
-        send, recv = (
-            (self.ghost_slots, self.owned_slots) if add
-            else (self.owned_slots, self.ghost_slots)
-        )
-        reqs = [(q, comm.irecv(q, tag)) for q in self.neighbors if q in recv]
-        for q in self.neighbors:
-            if q in send:
-                comm.isend(np.ascontiguousarray(arr[send[q]]), q, tag,
-                           irregular=irregular)
-                if add:
-                    arr[send[q]] = 0.0
-            else:
-                comm.isend(np.empty((0,) + arr.shape[1:], dtype=arr.dtype),
-                           q, tag, irregular=irregular)
-        return PendingExchange(plan=self, comm=comm, arr=arr, tag=tag,
-                               reqs=reqs, add=add)
-
-
-@dataclass
-class PendingExchange:
-    """An in-flight exchange started by :meth:`ExchangePlan.start_copy`
-    (or :meth:`~ExchangePlan.start_add`, with ``add`` set).
-
-    ``finish`` waits for the posted receives, writes the ghost slots
-    (adds into the owned slots) and drains placeholder messages; it must
-    be called **exactly once** — a second call raises
-    :class:`~repro.errors.ExchangeLifecycleError`, because a double
-    finish always means two code paths each believe they own the overlap
-    window.  This is the paper's overlapped-communication pattern: post
-    sends, compute the interior, finish the boundary.
-    """
-
-    plan: ExchangePlan
-    comm: object
-    arr: np.ndarray
-    tag: int
-    reqs: list
-    add: bool = False
-    done: bool = False
-
-    def finish(self) -> np.ndarray:
-        if self.done:
-            raise ExchangeLifecycleError(
-                f"PendingExchange.finish called twice (rank "
-                f"{self.plan.rank}, tag {self.tag}); each overlap window "
-                f"must be closed exactly once"
-            )
-        self.done = True
-        name = "comm.exchange_add" if self.add else "comm.exchange_copy_finish"
-        with _span(name, cat="comm", tag=self.tag,
-                   neighbors=self.plan.degree()):
-            self._land()
-        return self.arr
-
-    def _land(self) -> None:
-        """Finish half: unpack what the posted receives bring, then
-        drain the placeholders of one-sided neighbours."""
-        plan, arr = self.plan, self.arr
-        recv = plan.owned_slots if self.add else plan.ghost_slots
-        for q, req in self.reqs:
-            if self.add:
-                # a neighbour mirrors each owned slot at most once
-                # (plancheck: unique ownership + pairwise agreement), so
-                # no repeats to accumulate over — a plain indexed add is
-                # exact
-                arr[recv[q]] += req.wait()
-            else:
-                arr[recv[q]] = req.wait()
-        for q in plan.neighbors:
-            if q not in recv:
-                self.comm.recv(q, self.tag)
 
 
 @dataclass

@@ -20,18 +20,23 @@ considers two programming models:
 The paper uses the master-thread strategy exclusively; both are modelled
 here.  :func:`hybrid_efficiency` is the analytic form used by the
 performance model; :class:`HybridProcess` executes the actual data
-movement for the SimMPI-hosted solvers.
+movement for the SimMPI-hosted solvers.  It is the one in-process halo
+exchange: pure MPI is the layout in which every process owns one
+partition, so it has no intra-process copies and sends one message per
+neighbour and direction.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import ConfigurationError, ExchangeLifecycleError
-from ..telemetry.spans import span as _span
+from ..telemetry.spans import get_tracer, span as _span
 from .exchange import ExchangePlan
 
 #: Seconds per byte for thread-side buffer packing/unpacking (memcpy-rate
@@ -111,33 +116,56 @@ def hybrid_efficiency(
     return 1.0 / (1.0 + exposed)
 
 
-class PendingHybrid:
-    """The unpack half of a :class:`HybridProcess` exchange whose pack,
-    send and intra-process phases have run; ``finish`` exactly once."""
+_UNBOUND = nullcontext()
 
-    def __init__(self, unpack: Callable[[], None]):
+#: What a process sends a neighbour it ships no rows to: every
+#: neighbour pair trades one message per direction, so both sides can
+#: post and wait blindly.
+_NOTHING = np.empty(0)
+
+
+def _on_rank(comm):
+    """Tracer binding for one rank's half of an exchange: its ``comm.*``
+    spans land on that rank's track and clock, whoever steps it."""
+    tracer = get_tracer()
+    if not tracer.enabled:
+        return _UNBOUND
+    return tracer.bind(rank=comm.rank, clock=lambda: comm.clock)
+
+
+class PendingHybrid:
+    """The wait-and-unpack half of a :class:`HybridProcess` exchange
+    whose pack, send and intra-process phases have run.  ``finish`` runs
+    exactly once, on the posting rank's tracer track; ``rank`` names
+    that rank when a batch of pendings fails to finish."""
+
+    def __init__(self, comm, tag: int, unpack: Callable[[], None]):
+        self.comm, self.rank, self.tag = comm, comm.rank, tag
         self._unpack = unpack
         self.done = False
 
     def finish(self) -> None:
         if self.done:
             raise ExchangeLifecycleError(
-                "PendingHybrid.finish called twice; each exchange must "
-                "be completed exactly once"
+                f"exchange finish called twice (rank {self.rank}, tag "
+                f"{self.tag}); each exchange must be completed exactly once"
             )
         self.done = True
-        self._unpack()
+        with _on_rank(self.comm):
+            self._unpack()
 
 
 @dataclass
 class HybridProcess:
-    """One MPI process owning several thread partitions (fig. 7b).
+    """One MPI process owning one or several thread partitions (fig. 7b).
 
     ``plans`` maps a *global partition id* to its :class:`ExchangePlan`
     over global partition ids; ``proc_of`` maps global partition ids to
     MPI process ranks.  Intra-process neighbors are served by direct
     copies; inter-process traffic is aggregated into one buffer per
-    remote process, sent by the master (the calling thread).
+    remote process, sent by the master (the calling thread).  Pure MPI
+    is the layout where every process owns one partition: no copies,
+    one message per neighbour and direction.
     """
 
     rank: int
@@ -145,127 +173,152 @@ class HybridProcess:
     plans: dict
     proc_of: dict
 
-    def exchange_copy(self, comm, arrays: dict, tag: int = 0) -> None:
-        """Hybrid owner->ghost update of per-partition arrays.
+    @cached_property
+    def real_window(self) -> bool:
+        """Whether an overlapped exchange keeps its window open: true
+        when every process owns one partition (post now, unpack at
+        ``finish``).  When some own several, the intra-process copies
+        already run while messages are in transit, so the exchange
+        completes eagerly.  A property of the layout, so every process
+        of a world agrees."""
+        return len(set(self.proc_of.values())) == len(self.proc_of)
 
-        ``arrays`` maps partition id -> local array (owned+ghost layout
-        of that partition's plan).
-        """
-        pending = self.start_copy(comm, arrays, tag)
-        pending.finish()
+    def exchange_copy(self, comm, arrays: dict, tag: int = 0) -> None:
+        """Owner->ghost update of per-partition arrays: ``arrays`` maps
+        partition id -> local array (owned+ghost layout of its plan)."""
+        self.post(comm, arrays, tag).finish()
 
     def exchange_add(self, comm, arrays: dict, tag: int = 1) -> None:
-        """Hybrid ghost->owner accumulation of per-partition arrays.
-
-        The mirror of :meth:`exchange_copy`: every partition ships its
+        """Ghost->owner accumulation: every partition ships its
         ghost-slot accumulations to the partition owning those vertices,
-        where they are **added**; shipped ghost slots are zeroed.
-        """
-        pending = self.start_add(comm, arrays, tag)
-        pending.finish()
+        where they are **added**; shipped ghost slots are zeroed."""
+        self.post(comm, arrays, tag, add=True).finish()
 
-    def start_copy(self, comm, arrays: dict,
-                   tag: int = 0) -> PendingHybrid:
-        """Pack, send and intra-process half of :meth:`exchange_copy`;
-        the returned pending's ``finish`` waits and unpacks."""
-        return self._start(comm, arrays, tag, add=False)
-
-    def start_add(self, comm, arrays: dict, tag: int = 1) -> PendingHybrid:
-        """Pack, send and intra-process half of :meth:`exchange_add`;
-        ``finish`` unpack-adds the remote contributions — always after
-        the intra-process ones, so an owner row sums in one order."""
-        return self._start(comm, arrays, tag, add=True)
-
-    def _start(self, comm, arrays: dict, tag: int,
-               add: bool) -> PendingHybrid:
-        """Both exchanges, by direction: a copy ships owned rows into
-        the mirroring ghost slots, an add ships ghost rows (zeroing
-        them) onto the owned slots they mirror.  Buffer layout is
-        canonical — sorted by (destination partition, source partition)
-        — so the receiving process unpacks positionally.
+    def post(self, comm, arrays: dict, tag: int,
+             add: bool = False) -> PendingHybrid:
+        """Pack, send and intra-process half of an exchange; the
+        returned pending's ``finish`` waits and unpacks — remote adds
+        always after the intra-process ones, so an owner row sums in one
+        order.  Buffer layout is canonical — sorted by (destination
+        partition, source partition) — so the receiver unpacks
+        positionally.
 
         When ``comm`` traces (``SimMPI(..., trace=True)``), every
         pack/copy/unpack work item records its buffer accesses tagged
-        with a per-call phase token and a per-item thread token: within
-        one phase the work items are conceptually thread-parallel OpenMP
-        iterations, so the trace race detector treats them as unordered
-        even though this simulation runs them sequentially.
+        with a phase token and a thread token: within one phase the
+        work items are conceptually thread-parallel OpenMP iterations,
+        so the trace race detector treats them as unordered even though
+        this simulation runs them sequentially.  A copy runs one thread
+        per work item; an add runs one thread per partition it adds
+        into, so an owner row sums in one thread's order.  The phase
+        token is the rank's trace position when the exchange starts,
+        unique across exchanges and levels, so program-ordered
+        exchanges never share a phase.
         """
-        trace = getattr(comm, "trace_access", None)
-        # per-call phase serial: accesses from different exchange calls
-        # are program-ordered, so they must not share phase tokens
-        token = getattr(self, "_xchg_serial", 0)
-        self._xchg_serial = token + 1
-        remote = self._remote_procs()
-        out_side, in_side = (
-            ("ghost_slots", "owned_slots") if add
-            else ("owned_slots", "ghost_slots")
-        )
-
-        with _span("comm.hybrid.pack", cat="comm", tag=tag,
-                   remote_procs=len(remote)):
-            reqs = {q: comm.irecv(q, tag) for q in remote}
-            # master thread: pack one buffer per remote process and send
-            for q in remote:
-                chunks = []
-                for item, (dst, src) in enumerate(sorted(
-                    (nbr, pid) for pid, nbr in self._crossing(q, out_side)
-                )):
-                    slots = getattr(self.plans[src], out_side)[dst]
-                    chunks.append(np.ascontiguousarray(arrays[src][slots]))
+        sends, local, recvs = self._routes[add]
+        # finish lands in the arrays posted now, whatever the caller's
+        # dict holds by then
+        arrays = dict(arrays)
+        token = comm.trace_seq
+        trace = None if token is None else comm.trace_access
+        with _on_rank(comm):
+            with _span("comm.exchange.pack", cat="comm", tag=tag,
+                       remote_procs=len(sends)):
+                reqs = {q: comm.irecv(q, tag) for q, _chunks in sends}
+                # master thread: one buffer per remote process
+                for q, chunks in sends:
+                    bufs = []
+                    for item, (src, slots) in enumerate(chunks):
+                        bufs.append(np.ascontiguousarray(arrays[src][slots]))
+                        if trace is not None:
+                            trace(f"part{src}", slots, write=add,
+                                  phase=f"pack@{token}", thread=item)
+                        if add:
+                            arrays[src][slots] = 0.0
+                    if len(bufs) == 1:
+                        buf = bufs[0]
+                    else:  # several chunks, or nothing to ship
+                        buf = np.concatenate(bufs) if bufs else _NOTHING
+                    comm.isend(buf, q, tag)
+            # OpenMP phase, overlapped with MPI transit
+            with _span("comm.exchange.copy", cat="comm", tag=tag):
+                for item, (pid, ghost, nbr, owned) in enumerate(local):
                     if trace is not None:
-                        trace(f"part{src}", slots, write=add,
-                              phase=f"pack@{token}", thread=item)
+                        for part, slots, write in (
+                            ((pid, ghost, True), (nbr, owned, True)) if add
+                            else ((nbr, owned, False), (pid, ghost, True))
+                        ):
+                            trace(f"part{part}", slots, write=write,
+                                  phase=f"copy@{token}",
+                                  thread=nbr if add else item)
                     if add:
-                        arrays[src][slots] = 0.0
-                buf = (
-                    np.concatenate(chunks)
-                    if chunks
-                    else np.empty((0,), dtype=np.float64)
-                )
-                comm.isend(buf, q, tag)
-        # OpenMP phase, overlapped with MPI transit: intra-process moves
-        with _span("comm.hybrid.copy", cat="comm", tag=tag):
-            for item, (pid, nbr) in enumerate(
-                self._crossing(self.rank, "ghost_slots")
-            ):
-                ghost = self.plans[pid].ghost_slots[nbr]
-                # never repeats a slot (see PendingExchange._land)
-                owned = self.plans[nbr].owned_slots[pid]
-                if trace is not None:
-                    for part, slots, write in (
-                        ((pid, ghost, True), (nbr, owned, True)) if add
-                        else ((nbr, owned, False), (pid, ghost, True))
-                    ):
-                        trace(f"part{part}", slots, write=write,
-                              phase=f"copy@{token}", thread=item)
-                if add:
-                    arrays[nbr][owned] += arrays[pid][ghost]
-                    arrays[pid][ghost] = 0.0
-                else:
-                    arrays[pid][ghost] = arrays[nbr][owned]
+                        arrays[nbr][owned] += arrays[pid][ghost]
+                        arrays[pid][ghost] = 0.0
+                    else:
+                        arrays[pid][ghost] = arrays[nbr][owned]
 
         # master waits, threads unpack (same canonical order as the sender)
         def unpack() -> None:
-            with _span("comm.hybrid.unpack", cat="comm", tag=tag):
-                for q in remote:
+            with _span("comm.exchange.unpack", cat="comm", tag=tag):
+                for q, rows in recvs:
                     buf = reqs[q].wait()
-                    offset = 0
-                    for item, (dst, src) in enumerate(
-                        sorted(self._crossing(q, in_side))
-                    ):
-                        slots = getattr(self.plans[dst], in_side)[src]
-                        n = len(slots)
+                    for item, (dst, slots, lo, hi) in enumerate(rows):
                         if trace is not None:
                             trace(f"part{dst}", slots, write=True,
-                                  phase=f"unpack@{token}:{q}", thread=item)
+                                  phase=f"unpack@{token}:{q}",
+                                  thread=dst if add else item)
+                        # a slot never repeats within one (dst, src) list
+                        # (plancheck: unique ownership + pairwise
+                        # agreement), so a plain indexed add is exact
                         if add:
-                            arrays[dst][slots] += buf[offset : offset + n]
+                            arrays[dst][slots] += buf[lo:hi]
                         else:
-                            arrays[dst][slots] = buf[offset : offset + n]
-                        offset += n
+                            arrays[dst][slots] = buf[lo:hi]
 
-        return PendingHybrid(unpack)
+        return PendingHybrid(comm, tag, unpack)
+
+    @cached_property
+    def _routes(self) -> tuple:
+        """The static schedule of both directions, indexed by ``add``:
+        resolved once per process, not once per exchange."""
+        return (self._route("owned_slots", "ghost_slots"),
+                self._route("ghost_slots", "owned_slots"))
+
+    def _route(self, out_side: str, in_side: str) -> tuple:
+        """``(sends, local, recvs)`` of one direction.  ``sends`` lists
+        ``(q, ((src, slots), ...))`` per remote process in ascending
+        order; ``local`` the intra-process ``(pid, ghost slots, nbr,
+        owned slots)`` pairs; ``recvs`` the ``(q, ((dst, slots, lo,
+        hi), ...))`` unpack lists in wait order — processes that ship
+        rows first, then the empty ones, each ascending."""
+        remote = sorted({
+            self.proc_of[nbr]
+            for pid in self.part_ids for nbr in self.plans[pid].neighbors
+        } - {self.rank})
+        sends = tuple(
+            (q, tuple(
+                (src, getattr(self.plans[src], out_side)[dst])
+                for dst, src in sorted(
+                    (nbr, pid) for pid, nbr in self._crossing(q, out_side)
+                )
+            ))
+            for q in remote
+        )
+        recvs = []
+        for q in remote:
+            rows, lo = [], 0
+            for dst, src in sorted(self._crossing(q, in_side)):
+                slots = getattr(self.plans[dst], in_side)[src]
+                rows.append((dst, slots, lo, lo + len(slots)))
+                lo += len(slots)
+            recvs.append((q, tuple(rows)))
+        recvs.sort(key=lambda route: not route[1])
+        local = tuple(
+            (pid, self.plans[pid].ghost_slots[nbr],
+             nbr, self.plans[nbr].owned_slots[pid])
+            for pid, nbr in self._crossing(self.rank, "ghost_slots")
+        )
+        return sends, local, tuple(recvs)
 
     def _crossing(self, q: int, side: str) -> list:
         """(own partition, partition on process ``q``) pairs whose plans
@@ -277,15 +330,6 @@ class HybridProcess:
             if self.proc_of[nbr] == q
             and nbr in getattr(self.plans[pid], side)
         ]
-
-    def _remote_procs(self) -> list:
-        out = set()
-        for pid in self.part_ids:
-            for nbr in self.plans[pid].neighbors:
-                q = self.proc_of[nbr]
-                if q != self.rank:
-                    out.add(q)
-        return sorted(out)
 
 
 def partition_owners(nparts: int, nprocs: int) -> dict:

@@ -206,13 +206,8 @@ class Request:
     ``wait()``, the only call here that may give up the baton.
     """
 
-    def __init__(
-        self,
-        complete: Callable[[], Any] | None = None,
-        probe: Callable[[], bool] | None = None,
-    ):
+    def __init__(self, complete: Callable[[], Any] | None = None):
         self._complete = complete
-        self._probe = probe
         self._done = complete is None
         self._result: Any = None
 
@@ -221,16 +216,6 @@ class Request:
             self._result = self._complete()
             self._done = True
         return self._result
-
-    def test(self) -> bool:
-        """Would ``wait()`` return without blocking?
-
-        True for a send and for a completed receive; for a pending
-        receive, whether a matching message is queued right now.  Never
-        yields the baton, so a rank polling ``test()`` in a loop starves
-        its peers: poll, then ``wait()``.
-        """
-        return self._done or (self._probe is not None and self._probe())
 
 
 class _Abort(BaseException):
@@ -392,6 +377,12 @@ class Comm:
             rank=self.rank, seq=event_seq, op=op, clock=self.clock, **fields
         )
 
+    @property
+    def trace_seq(self) -> int | None:
+        """The ``seq`` this rank's next traced event will carry, or None
+        when the world does not trace."""
+        return self._seq if self._world.trace_enabled else None
+
     def trace_access(
         self,
         buffer: str,
@@ -512,7 +503,7 @@ class Comm:
             )
             return msg.payload
 
-        return Request(complete, lambda: bool(world._mailboxes.get(key)))
+        return Request(complete)
 
     # -- collectives ----------------------------------------------------------
 
@@ -554,28 +545,6 @@ class Comm:
             self._collective(value, combine, nbytes, kind=f"allreduce:{op}")
         )
 
-    def allgather(self, value: Any) -> list:
-        out: list = _copy_result(
-            self._collective(
-                value, lambda vals: list(vals), _payload_bytes(value),
-                kind="allgather",
-            )
-        )
-        return out
-
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        result = self._collective(
-            value if self.rank == root else None,
-            lambda vals: vals[root],
-            _payload_bytes(value) if self.rank == root else 8,
-            kind=f"bcast:{root}",
-        )
-        return _copy_result(result)
-
-    def gather(self, value: Any, root: int = 0) -> list | None:
-        everything = self.allgather(value)
-        return everything if self.rank == root else None
-
 
 def _make_sync(combine: Callable[[list], Any]) -> Callable[[list], Any]:
     """Wrap a payload combiner so it also returns the max clock."""
@@ -616,8 +585,6 @@ def _copy_result(value: Any) -> Any:
     arrays so one rank cannot mutate another's view."""
     if isinstance(value, np.ndarray):
         return value.copy()
-    if isinstance(value, list):
-        return [v.copy() if isinstance(v, np.ndarray) else v for v in value]
     return value
 
 

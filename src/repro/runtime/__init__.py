@@ -19,7 +19,6 @@ from .backends import (
     LockstepComm,
     LockstepExchanger,
     PendingGroup,
-    PlanExchanger,
     ProcessExchanger,
     make_exchanger,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "DistributedSolveDriver",
     "SolverKernels",
     "run_rank_cycles",
-    "PlanExchanger",
     "HybridExchanger",
     "LockstepComm",
     "LockstepExchanger",

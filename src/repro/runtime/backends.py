@@ -2,26 +2,28 @@
 
 Solver kernels operate on per-partition state dicts (``{pid: array}``)
 and talk to one small Exchanger surface — ``copy``, ``add``,
-``start_copy`` and ``charge`` — so the same kernel runs under pure MPI
-(one partition per rank, :class:`~repro.comm.exchange.ExchangePlan`),
-the paper's hybrid master-thread model (several partitions per process,
-:class:`~repro.comm.hybrid.HybridProcess`, fig. 7b), or real spawned
-worker processes (:class:`ProcessExchanger`, shared-memory halo
-buffers) without change.  A ``sim``/``hybrid`` solve drives the first
-two for *every* rank of its world at once, on one thread:
-:class:`LockstepExchanger` posts each exchange on every rank's member,
-then finishes it on every rank's, and :class:`LockstepComm` reduces the
-kernels' per-partition contributions across all of them.
+``start_copy`` and ``charge`` — so the same kernel runs in-process
+(:class:`HybridExchanger` over the paper's fig. 7b master-thread
+:class:`~repro.comm.hybrid.HybridProcess`, from one partition per rank
+— pure MPI — to several) or on real spawned worker processes
+(:class:`ProcessExchanger`, shared-memory halo buffers) without change.
+A ``sim``/``hybrid`` solve drives the in-process exchange for *every*
+rank of its world at once, on one thread: :class:`LockstepExchanger`
+posts each exchange on every rank's member, then finishes it on every
+rank's, and :class:`LockstepComm` reduces the kernels' per-partition
+contributions across all of them.
 
 ``start_copy`` is the overlapped-exchange entry point (post sends,
-compute interior, finish boundary).  The hybrid backend is already
-internally overlapped — its intra-process copies run while inter-process
-messages are in transit — so its ``start_copy`` completes eagerly and
-returns an already-finished pending.  The process backend's window is
-*real* concurrency: between publishing its rows and consuming its
-neighbours' every worker computes its interior on its own core, and it
-only ever waits for those neighbours (sequence words in the shared
-slab), never for the pool.
+compute interior, finish boundary).  With one partition per rank the
+in-process window is real: ghost rows land at ``finish``.  With several
+the exchange is already internally overlapped — intra-process copies
+run while inter-process messages are in transit — so ``start_copy``
+completes eagerly and returns an already-finished pending
+(:attr:`~repro.comm.hybrid.HybridProcess.real_window`).  The process
+backend's window is *real* concurrency: between publishing its rows and
+consuming its neighbours' every worker computes its interior on its own
+core, and it only ever waits for those neighbours (sequence words in
+the shared slab), never for the pool.
 
 Setting ``sanitize = True`` on an exchanger arms the
 :class:`~repro.runtime.sanitizer.GhostSanitizer` for every overlap
@@ -37,39 +39,27 @@ that, so lifecycle flags (``charging``/``sanitize``) stay uniform.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from math import prod
 
 import numpy as np
 
-from ..comm.hybrid import HybridProcess, partition_owners
+from ..comm.hybrid import HybridProcess, PendingHybrid, partition_owners
 from ..comm.simmpi import fold
 from ..errors import ConfigurationError, ExchangeLifecycleError
-from ..telemetry.spans import get_tracer, span as _span
-
-_UNBOUND = nullcontext()
-
-
-def _on_rank(comm):
-    """Tracer binding for one rank's half of an exchange: its ``comm.*``
-    spans land on that rank's track and clock, whoever steps it."""
-    tracer = get_tracer()
-    if not tracer.enabled:
-        return _UNBOUND
-    return tracer.bind(rank=comm.rank, clock=lambda: comm.clock)
+from ..telemetry.spans import span as _span
 
 
 class PendingGroup:
-    """A batch of in-flight exchanges (one per partition, or per rank).
+    """A batch of in-flight exchanges (one per rank).
 
-    Like the per-partition :class:`~repro.comm.exchange.PendingExchange`
-    it wraps, ``finish`` must run exactly once; a second call raises
+    Like the per-rank pendings it wraps, ``finish`` must run exactly
+    once; a second call raises
     :class:`~repro.errors.ExchangeLifecycleError`.
 
     If a member ``finish()`` fails, the group is **not** marked done:
     members that already closed are skipped on a retry (their own
     ``done`` flags record the progress), and the raised error carries
-    the failing partition id as a note.
+    the failing member's rank (or partition) as a note.
     """
 
     def __init__(self, pendings: list):
@@ -90,9 +80,14 @@ class PendingGroup:
                 p.finish()
             except Exception as exc:
                 pid = getattr(getattr(p, "plan", None), "rank", None)
+                rank = getattr(p, "rank", None)
                 if pid is not None:
                     exc.add_note(
                         f"while finishing the exchange of partition {pid}"
+                    )
+                elif rank is not None:
+                    exc.add_note(
+                        f"while finishing the exchange of rank {rank}"
                     )
                 raise
         # only a fully closed group is done — a mid-loop failure leaves
@@ -100,74 +95,13 @@ class PendingGroup:
         self.done = True
 
 
-class _RankPending(PendingGroup):
-    """One rank's open half of an exchange (what ``post`` returns);
-    finishes on that rank's tracer track."""
-
-    def __init__(self, comm, pendings: list):
-        super().__init__(pendings)
-        self.comm = comm
-
-    def finish(self) -> None:
-        with _on_rank(self.comm):
-            super().finish()
-
-
-class PlanExchanger:
-    """Pure-MPI backend: plan-based exchange per partition.
-
-    ``plans`` maps partition id -> :class:`ExchangePlan`; in pure mode a
-    rank holds exactly one partition, making every operation identical
-    (same messages, same tags, same virtual-clock charges) to the
-    historical per-solver code.
-    """
-
-    kind = "plan"
-
-    def __init__(self, comm, plans: dict):
-        self.comm = comm
-        self.plans = plans
-        self.pids = tuple(sorted(plans))
-        #: when True, ``charge`` bills compute time to the virtual
-        #: clock so overlap benefits show in SimMPI makespans
-        self.charging = False
-        #: when True, ``start_copy`` arms the GhostSanitizer: NaN
-        #: canaries in the ghost slots plus read-trapping guard views
-        #: until the matching ``finish()``
-        self.sanitize = False
-
-    def copy(self, arrays: dict, tag: int = 0) -> None:
-        for pid in sorted(arrays):
-            self.plans[pid].exchange_copy(self.comm, arrays[pid], tag)
-
-    def add(self, arrays: dict, tag: int = 1) -> None:
-        for pid in sorted(arrays):
-            self.plans[pid].exchange_add(self.comm, arrays[pid], tag)
-
-    def post(self, arrays: dict, tag: int, add: bool = False) -> PendingGroup:
-        """Post half of a copy (or ``add``); ``finish`` is the other."""
-        with _on_rank(self.comm):
-            return _RankPending(self.comm, [
-                (self.plans[pid].start_add if add
-                 else self.plans[pid].start_copy)(self.comm, arrays[pid], tag)
-                for pid in sorted(arrays)
-            ])
-
-    def start_copy(self, arrays: dict, tag: int = 0):
-        return _guarded(self, arrays, self.post(arrays, tag))
-
-    def charge(self, flops: dict) -> None:
-        if self.charging:
-            _bill(self, flops)
-
-
-def _guarded(x, arrays: dict, group: PendingGroup):
-    """``group``, behind the GhostSanitizer when ``x.sanitize`` is set."""
+def _guarded(x, arrays: dict, pending):
+    """``pending``, behind the GhostSanitizer when ``x.sanitize`` is set."""
     if not x.sanitize:
-        return group
+        return pending
     from .sanitizer import GhostSanitizer
 
-    return GhostSanitizer(x.plans).guard(arrays, group)
+    return GhostSanitizer(x.plans).guard(arrays, pending)
 
 
 def _bill(x, flops: dict) -> None:
@@ -178,38 +112,40 @@ def _bill(x, flops: dict) -> None:
 
 
 class HybridExchanger:
-    """Hybrid backend: one :class:`HybridProcess` serving all partitions
-    of this MPI process (paper fig. 7b master-thread model)."""
-
-    kind = "hybrid"
+    """The in-process backend: one :class:`HybridProcess` serving every
+    partition of this rank (paper fig. 7b master-thread model; pure MPI
+    is one partition per rank)."""
 
     def __init__(self, comm, process):
         self.comm = comm
         self.process = process
+        self.plans = process.plans
         self.pids = process.part_ids
+        #: when True, ``charge`` bills compute time to the virtual
+        #: clock so overlap benefits show in SimMPI makespans
         self.charging = False
-        #: accepted for interface symmetry; the hybrid backend has no
-        #: overlap window to sanitize (``start_copy`` completes eagerly)
+        #: when True, a real ``start_copy`` window arms the
+        #: GhostSanitizer: NaN canaries in the ghost slots plus
+        #: read-trapping guard views until the matching ``finish()``
         self.sanitize = False
 
+    def post(self, arrays: dict, tag: int,
+             add: bool = False) -> PendingHybrid:
+        """Pack, send and intra-process half of a copy (or ``add``);
+        ``finish`` of the result waits and unpacks."""
+        return self.process.post(self.comm, arrays, tag, add)
+
     def copy(self, arrays: dict, tag: int = 0) -> None:
-        self.process.exchange_copy(self.comm, arrays, tag)
+        self.post(arrays, tag).finish()
 
     def add(self, arrays: dict, tag: int = 1) -> None:
-        self.process.exchange_add(self.comm, arrays, tag)
+        self.post(arrays, tag, add=True).finish()
 
-    def post(self, arrays: dict, tag: int, add: bool = False) -> PendingGroup:
-        """Pack, send and intra-process half of a copy (or ``add``);
-        ``finish`` waits and unpacks."""
-        start = self.process.start_add if add else self.process.start_copy
-        with _on_rank(self.comm):
-            return _RankPending(self.comm, [start(self.comm, arrays, tag)])
-
-    def start_copy(self, arrays: dict, tag: int = 0) -> PendingGroup:
-        # intrinsically overlapped: intra-process copies already run
-        # while inter-process messages are in flight.  A fresh group per
-        # call (not a shared sentinel) keeps the exactly-once ``finish``
-        # contract enforceable.
+    def start_copy(self, arrays: dict, tag: int = 0):
+        if self.process.real_window:
+            return _guarded(self, arrays, self.post(arrays, tag))
+        # already overlapped inside; a fresh group per call (not a
+        # shared sentinel) keeps the exactly-once ``finish`` enforceable
         self.copy(arrays, tag)
         return PendingGroup([])
 
@@ -223,11 +159,10 @@ class LockstepComm:
     driven in lockstep (:meth:`~repro.comm.simmpi.SimMPI.lockstep`,
     which constructing this starts).
 
-    One partition per rank exchanges by plan; fewer ranks than
-    partitions host contiguous blocks of them under the hybrid
-    master-thread model.  ``rank``/``clock`` are the lowest rank's, so
-    a span the kernels open once for the whole group lands on that
-    rank's track.
+    Each rank hosts a contiguous block of partitions — one each under
+    pure MPI — and exchanges under the master-thread model.
+    ``rank``/``clock`` are the lowest rank's, so a span the kernels open
+    once for the whole group lands on that rank's track.
     """
 
     rank = 0
@@ -261,17 +196,13 @@ class LockstepComm:
 
     def exchanger(self, plans: dict) -> "LockstepExchanger":
         """The rank-spanning exchanger over one level's ``{pid: plan}``."""
-        if len(self.comms) == len(plans):
-            members = [PlanExchanger(c, {c.rank: plans[c.rank]})
-                       for c in self.comms]
-        else:
-            members = [
-                HybridExchanger(c, HybridProcess(
-                    rank=c.rank, part_ids=self.pids[c.rank], plans=plans,
-                    proc_of=self.proc_of,
-                ))
-                for c in self.comms
-            ]
+        members = [
+            HybridExchanger(c, HybridProcess(
+                rank=c.rank, part_ids=self.pids[c.rank], plans=plans,
+                proc_of=self.proc_of,
+            ))
+            for c in self.comms
+        ]
         return LockstepExchanger(members, self, plans)
 
 
@@ -289,9 +220,9 @@ class LockstepExchanger:
         self.members = members
         self.comm = comm
         self.plans = plans
-        #: hybrid members complete ``start_copy`` eagerly (see
-        #: :class:`HybridExchanger`); so must the group
-        self.eager = members[0].kind == "hybrid"
+        #: the members complete ``start_copy`` eagerly unless the
+        #: layout gives them a real window; so must the group
+        self.eager = not members[0].process.real_window
         self.charging = False
         self.sanitize = False
 
@@ -344,17 +275,18 @@ class _ProcessPending:
     def finish(self) -> np.ndarray:
         if self.done:
             raise ExchangeLifecycleError(
-                f"PendingExchange.finish called twice (rank "
-                f"{self.plan.rank}, tag {self.tag}); each overlap window "
-                f"must be closed exactly once"
+                f"exchange finish called twice (rank {self.plan.rank}, "
+                f"tag {self.tag}); each overlap window must be closed "
+                f"exactly once"
             )
         self.done = True
         x, plan, arr, seq = self.x, self.plan, self.arr, self.seq
         recv = plan.owned_slots if self.add else plan.ghost_slots
         name = "comm.exchange_add" if self.add else "comm.exchange_copy_finish"
         with _span(name, cat="comm", tag=self.tag, neighbors=plan.degree()):
-            # PlanExchanger's summation order, hence bit parity (rows
-            # never repeats a slot, see PendingExchange._land)
+            # the in-process exchange's summation order, hence bit
+            # parity (rows never repeats a slot: plancheck's unique
+            # ownership + pairwise agreement)
             for q in plan.neighbors:
                 blk = x.channels[q][1]
                 rows = recv.get(q, _NO_ROWS)
@@ -407,12 +339,11 @@ class ProcessExchanger:
     The memory ordering this leans on is stated at
     :meth:`~repro.runtime.process.ProcessComm.store_seq`/``await_seq``.
 
-    Floating-point parity with :class:`PlanExchanger` holds because
-    ``add`` accumulates at owners in the same sorted-neighbor order
-    and the owner/ghost slot orderings are the plan's own.
+    Floating-point parity with the in-process :class:`HybridExchanger`
+    at one partition per rank holds because ``add`` accumulates at
+    owners in the same sorted-neighbor order and the owner/ghost slot
+    orderings are the plan's own.
     """
-
-    kind = "process"
 
     def __init__(self, comm, plans: dict, channels: dict, level: int = 0):
         self.comm = comm
@@ -484,9 +415,16 @@ def make_exchanger(backend: str, comm, *, plans: dict | None = None,
     :mod:`repro.runtime`, so every exchanger in the tree comes through
     here (or through :class:`~repro.runtime.config.RuntimeConfig`
     backend selection in the driver) with uniform lifecycle flags.
+    ``"sim"``/``"plan"`` is the in-process exchange of a rank holding
+    the one partition of ``plans`` (pure MPI: partition id = rank);
+    ``"hybrid"`` takes a ready :class:`HybridProcess`.
     """
     if backend in ("sim", "plan"):
-        return PlanExchanger(comm, plans or {})
+        plans = plans or {}
+        return HybridExchanger(comm, HybridProcess(
+            rank=comm.rank, part_ids=tuple(sorted(plans)), plans=plans,
+            proc_of=partition_owners(comm.size, comm.size),
+        ))
     if backend == "hybrid":
         return HybridExchanger(comm, process)
     if backend == "process":

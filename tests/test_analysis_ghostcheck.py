@@ -23,7 +23,12 @@ from repro.comm import SimMPI, build_halos
 from repro.errors import ExchangeLifecycleError, GhostRaceError, RankFailure
 from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
-from repro.runtime import GuardedArray, PendingGroup, RuntimeConfig
+from repro.runtime import (
+    GuardedArray,
+    PendingGroup,
+    RuntimeConfig,
+    make_exchanger,
+)
 from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
 from repro.solvers.cart3d.parallel import Cart3DKernels
 from repro.solvers.cart3d.parallel import _stack as _cart3d_stack
@@ -547,6 +552,7 @@ class TestExchangeLifecycle:
             group.finish()
 
     def test_plan_pending_double_finish_raises(self):
+        """The in-process pending of a one-partition rank."""
         nvert = 16
         edges = np.array(
             [(i, i + 1) for i in range(nvert - 1)], dtype=np.int64
@@ -557,7 +563,8 @@ class TestExchangeLifecycle:
         def body(comm):
             h = halos[comm.rank]
             arr = np.zeros((h.nlocal, 1))
-            pending = h.plan.start_copy(comm, arr, tag=3)
+            X = make_exchanger("plan", comm, plans={comm.rank: h.plan})
+            pending = X.start_copy({comm.rank: arr}, tag=3)
             pending.finish()
             try:
                 pending.finish()

@@ -297,7 +297,7 @@ class TestDistributedMachineryRule:
 
     def test_runtime_and_physics_imports_pass(self):
         src = (
-            "from ...runtime import DistributedSolveDriver, PlanExchanger\n"
+            "from ...runtime import DistributedSolveDriver, make_exchanger\n"
             "from ...telemetry.spans import span\n"
             "from ..gas import apply_positivity_floors\n"
             "from .residual import residual\n"

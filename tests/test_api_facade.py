@@ -48,7 +48,7 @@ class TestFacade:
             repro.no_such_submodule
 
     def test_api_version_is_declared(self):
-        assert api.__api_version__ == "11.0"
+        assert api.__api_version__ == "12.0"
 
     def test_service_surface_exported(self):
         for name in (
@@ -72,12 +72,16 @@ class TestFacade:
             assert name in api.__all__
             assert getattr(api, name) is not None
         assert api.BACKENDS == ("sim", "hybrid", "process")
+        # one in-process exchange: pure MPI is one partition per rank
+        for name in ("PlanExchanger", "PendingExchange"):
+            assert name not in api.__all__
+            assert not hasattr(api, name)
 
     def test_kernel_engine_surface_exported(self):
         """There is one kernel engine, so there is nothing to select."""
         from repro import kernels
 
-        assert len(api.__all__) == 108
+        assert len(api.__all__) == 107
         for name in ("KernelConfig", "ENGINES", "make_engine"):
             assert name not in api.__all__
             assert not hasattr(api, name)

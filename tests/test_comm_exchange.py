@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.comm import SimMPI, build_halos, communication_graph, max_degree
 from repro.comm.exchange import ExchangePlan
+from repro.runtime import make_exchanger
 
 
 def grid_graph(nx, ny):
@@ -109,6 +110,11 @@ class TestPlanNeighbors:
         assert plan.neighbors == [0]
 
 
+def exchanger(comm, halo):
+    """The in-process exchange of a rank holding one partition."""
+    return make_exchanger("plan", comm, plans={comm.rank: halo.plan})
+
+
 class TestExchanges:
     def run_world(self, nvert, edges, part, mode):
         """Run a halo exchange and return the global array as seen by owners."""
@@ -121,14 +127,14 @@ class TestExchanges:
             l2g = h.local_to_global()
             if mode == "copy":
                 arr[: h.nowned] = l2g[: h.nowned].astype(float) + 1.0
-                h.plan.exchange_copy(comm, arr)
+                exchanger(comm, h).copy({comm.rank: arr})
                 # ghosts must now hold their owners' values
                 return arr, l2g
             # add: every local slot (owned + ghost) carries one unit;
-            # after exchange_add owners hold their full global degree count
+            # after the add owners hold their full global degree count
             arr[:] = 1.0
             # only ghost slots contribute remotely; owned slots keep theirs
-            h.plan.exchange_add(comm, arr)
+            exchanger(comm, h).add({comm.rank: arr})
             return arr, l2g
 
         world = SimMPI(nparts)
@@ -170,7 +176,7 @@ class TestExchanges:
             arr = np.zeros((h.nlocal, 3))
             l2g = h.local_to_global()
             arr[: h.nowned] = l2g[: h.nowned, None] * np.array([1.0, 2.0, 3.0])
-            h.plan.exchange_copy(comm, arr)
+            exchanger(comm, h).copy({comm.rank: arr})
             return arr, l2g
 
         results = SimMPI(2).run(body)
@@ -185,7 +191,7 @@ class TestExchanges:
         seed=st.integers(0, 1000),
     )
     def test_random_partition_copy_roundtrip(self, nx, ny, nparts, seed):
-        """Property: after exchange_copy every ghost equals its owner's
+        """Property: after a copy every ghost equals its owner's
         value for arbitrary (possibly disconnected) partitions."""
         nvert, edges = grid_graph(nx, ny)
         rng = np.random.default_rng(seed)
@@ -199,7 +205,7 @@ class TestExchanges:
             arr = np.zeros(h.nlocal)
             l2g = h.local_to_global()
             arr[: h.nowned] = 100.0 + l2g[: h.nowned]
-            h.plan.exchange_copy(comm, arr)
+            exchanger(comm, h).copy({comm.rank: arr})
             return np.allclose(arr, 100.0 + l2g)
 
         assert all(SimMPI(nparts).run(body))

@@ -85,34 +85,20 @@ class TestPointToPoint:
             SimMPI(2).run(body)
 
     def test_isend_request_is_born_complete(self):
+        """Sends are buffered: waiting on one never hands the baton
+        over, so rank 1 has not run when rank 0's wait returns."""
+        log = []
+
         def body(comm):
+            log.append(comm.rank)
             if comm.rank == 0:
-                req = comm.isend(np.zeros(2), dest=1)
-                return req.test(), req.wait()
-            comm.recv(source=0)
+                assert comm.isend(np.zeros(2), dest=1).wait() is None
+                log.append("waited")
+            else:
+                comm.recv(source=0)
 
-        assert SimMPI(2).run(body)[0] == (True, None)
-
-    def test_irecv_test_probes_without_yielding(self):
-        """``test()`` says whether a matching message is queued; it must
-        not hand the baton over, so rank 1 has not run when rank 0
-        first asks."""
-
-        def body(comm):
-            if comm.rank == 1:
-                comm.send(np.arange(3.0), dest=0, tag=4)
-                comm.barrier()
-                return None
-            req = comm.irecv(source=1, tag=4)
-            before = req.test()  # rank 1 not scheduled yet
-            comm.barrier()  # rank 0 parks, rank 1 sends
-            queued = req.test()
-            data = req.wait()
-            return before, queued, req.test(), data
-
-        before, queued, after, data = SimMPI(2).run(body)[0]
-        assert (before, queued, after) == (False, True, True)
-        assert np.array_equal(data, np.arange(3.0))
+        SimMPI(2).run(body)
+        assert log == [0, "waited", 1]
 
 
 class TestCollectives:
@@ -135,27 +121,6 @@ class TestCollectives:
     def test_allreduce_unknown_op(self):
         with pytest.raises(RuntimeError):
             SimMPI(2).run(lambda comm: comm.allreduce(1, op="prod"))
-
-    def test_allgather(self):
-        results = SimMPI(3).run(lambda comm: comm.allgather(comm.rank * 2))
-        assert results == [[0, 2, 4]] * 3
-
-    def test_bcast(self):
-        def body(comm):
-            value = np.arange(3.0) if comm.rank == 1 else None
-            return comm.bcast(value, root=1)
-
-        results = SimMPI(3).run(body)
-        for r in results:
-            assert np.array_equal(r, np.arange(3.0))
-
-    def test_gather(self):
-        def body(comm):
-            return comm.gather(comm.rank**2, root=0)
-
-        results = SimMPI(3).run(body)
-        assert results[0] == [0, 1, 4]
-        assert results[1] is None
 
     def test_collective_results_not_aliased(self):
         def body(comm):

@@ -5,8 +5,7 @@ import pytest
 
 from repro.analysis.plancheck import check_plans
 from repro.comm import SimMPI, build_halos
-from repro.comm.exchange import PendingExchange
-from repro.comm.hybrid import HybridProcess, partition_owners
+from repro.comm.hybrid import HybridProcess, PendingHybrid, partition_owners
 from repro.errors import ConfigurationError, ExchangeLifecycleError
 from repro.mesh.unstructured import build_dual, bump_channel, extract_lines
 from repro.runtime import (
@@ -14,7 +13,6 @@ from repro.runtime import (
     LevelSpec,
     MetisLinePartitioner,
     Partitioner,
-    PlanExchanger,
     SFCPartitioner,
     build_domain_hierarchy,
     build_domain_set,
@@ -29,6 +27,7 @@ from repro.solvers.nsu3d import context_from_dual
 from repro.solvers.nsu3d.multigrid import (
     COARSE_CFL_FRACTION as NSU3D_FRACTION,
 )
+from tests.test_comm_exchange import exchanger
 
 
 def grid_graph(nx, ny):
@@ -254,7 +253,7 @@ class TestDomainHierarchy:
             )
 
 
-class TestPendingExchange:
+class TestInProcessPending:
     def test_start_finish_equals_exchange_copy(self):
         nvert, edges = grid_graph(6, 6)
         part = strip_partition(nvert, 3)
@@ -266,14 +265,16 @@ class TestPendingExchange:
                 h = halos[comm.rank]
                 arr = np.zeros((h.nlocal, 2))
                 arr[: h.nowned] = base[h.owned_global][:, None]
+                x = exchanger(comm, h)
                 if overlapped:
-                    pending = h.plan.start_copy(comm, arr, tag=5)
-                    assert isinstance(pending, PendingExchange)
+                    pending = x.start_copy({comm.rank: arr}, tag=5)
+                    # one partition per rank: the window is real
+                    assert isinstance(pending, PendingHybrid)
                     pending.finish()
                     with pytest.raises(ExchangeLifecycleError):
                         pending.finish()  # each window closes exactly once
                 else:
-                    h.plan.exchange_copy(comm, arr, tag=5)
+                    x.copy({comm.rank: arr}, tag=5)
                 return arr
 
             return SimMPI(3).run(body)
@@ -290,7 +291,7 @@ class TestPendingExchange:
             h = halos[comm.rank]
             arr = np.zeros((h.nlocal, 1))
             arr[: h.nowned, 0] = h.owned_global
-            h.plan.start_copy(comm, arr).finish()
+            exchanger(comm, h).start_copy({comm.rank: arr}).finish()
             l2g = h.local_to_global()
             assert np.array_equal(arr[h.nowned:, 0], l2g[h.nowned:])
             return True
@@ -311,7 +312,7 @@ class TestHybridExchangeAdd:
 
         def body(comm):
             arr = fills[comm.rank].copy()
-            halos[comm.rank].plan.exchange_add(comm, arr, tag=9)
+            exchanger(comm, halos[comm.rank]).add({comm.rank: arr}, tag=9)
             return arr
 
         return fills, SimMPI(4).run(body)
@@ -395,7 +396,7 @@ class TestDriverValidation:
         halos = build_halos(nvert, edges, part)
 
         def body(comm):
-            x = PlanExchanger(comm, {comm.rank: halos[comm.rank].plan})
+            x = exchanger(comm, halos[comm.rank])
             before = comm.clock
             # charging defaults to off: a no-op
             x.charge({comm.rank: 1e9})

@@ -41,6 +41,25 @@ def grid_graph(nx, ny):
     return nx * ny, edges.astype(np.int64)
 
 
+def oracle(halos, fills, add):
+    """The exchange by global id, in plain numpy: owner -> ghost copy,
+    or ghost -> owner add with the ghost rows zeroed."""
+    nvert = sum(h.nowned for h in halos)
+    owned = np.zeros((nvert,) + fills[0].shape[1:])
+    for h in halos:
+        owned[h.owned_global] = fills[h.rank][: h.nowned]
+    if add:
+        for h in halos:  # a halo lists each ghost once
+            owned[h.ghost_global] += fills[h.rank][h.nowned:]
+    out = {}
+    for h in halos:
+        out[h.rank] = np.zeros_like(fills[h.rank])
+        out[h.rank][: h.nowned] = owned[h.owned_global]
+        if not add:
+            out[h.rank][h.nowned:] = owned[h.ghost_global]
+    return out
+
+
 @pytest.fixture(scope="module")
 def nsu3d_solver():
     mesh = bump_channel(ni=8, nj=4, nk=6, wall_spacing=5e-3, ratio=1.3,
@@ -128,7 +147,8 @@ class TestFailurePaths:
 class TestLockstepEqualsThreaded:
     """The same plans, driven by a rank program per rank inside
     ``SimMPI.run`` and by the lockstep exchanger, leave the same bits
-    everywhere an observer can look."""
+    everywhere an observer can look — and the arrays the global-id
+    oracle says, whatever the ranks per process."""
 
     @staticmethod
     def program(X, comm_allreduce, arrays, pids, op, charging):
@@ -151,7 +171,7 @@ class TestLockstepEqualsThreaded:
         nx=st.integers(3, 6), ny=st.integers(3, 6),
         nparts=st.integers(2, 6), nvar=st.integers(1, 6),
         op=st.sampled_from(["copy", "add", "start_finish"]),
-        charging=st.booleans(), per_rank=st.sampled_from([1, 2]),
+        charging=st.booleans(), per_rank=st.integers(1, 3),
         seed=st.integers(0, 2**16),
     )
     def test_arrays_clocks_and_stats_bit_equal(
@@ -171,6 +191,10 @@ class TestLockstepEqualsThreaded:
         arrays = {p: a.copy() for p, a in fills.items()}
         total = self.program(group.exchanger(plans), group.allreduce,
                              arrays, sorted(plans), op, charging)
+        expected = oracle(halos, fills, add=op == "add")
+        for p in plans:
+            assert np.allclose(arrays[p], expected[p], rtol=1e-13,
+                               atol=1e-13)
 
         def body(comm):
             pids = group.pids[comm.rank]
@@ -215,11 +239,19 @@ class TestLockstepEqualsThreaded:
 
         first, second = traced(), traced()
         assert first.trace and first.trace == second.trace
-        if nranks == 4:
-            # (a traced *hybrid* solve has always read as racy: every
-            # level's HybridProcess numbers its phases from zero on the
-            # same buffer names, threaded or not)
-            assert check_trace(first.trace, first.nranks) == []
+        # phase tokens are per-rank trace positions, so two levels'
+        # exchanges never share a phase on the same buffer names
+        assert check_trace(first.trace, first.nranks) == []
+
+    @pytest.mark.parametrize("nranks", [4, 2], ids=["sim", "hybrid"])
+    def test_traced_cart3d_solve_checks_clean(self, cart3d_solver, nranks):
+        par = make_parallel_cart3d(
+            cart3d_solver, 4, config=RuntimeConfig(overlap=True),
+        )
+        world = SimMPI(nranks, trace=True)
+        par.run(world, 1, cfl=CFL_CART3D)
+        assert any(e.op == "access" for e in world.trace)
+        assert check_trace(world.trace, nranks) == []
 
 
 class TestTelemetryUnderLockstep:
