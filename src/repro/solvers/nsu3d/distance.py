@@ -10,7 +10,6 @@ near-wall values the model is sensitive to.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ...mesh.unstructured.dual import DualMesh
 
@@ -22,6 +21,10 @@ def wall_distance(dual: DualMesh, floor: float = 1e-12) -> np.ndarray:
     divides by d^2; wall values of the working variable are pinned to
     zero anyway).
     """
+    # deferred: scipy.spatial pulls in scipy.linalg and scipy.special,
+    # ~16 MB resident that only a turbulent NSU3D set-up needs
+    from scipy.spatial import cKDTree
+
     wall = dual.wall_vertices()
     if len(wall) == 0:
         raise ValueError("mesh has no wall patch — cannot compute distance")
