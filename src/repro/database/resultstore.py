@@ -24,18 +24,24 @@ through different code paths — the facade, a raw :class:`FlowJob`, a
 virtual re-run — dedup against each other.
 
 For the query service's surrogate tier the store also maintains a
-**point index**: within each *group* of cases that differ only in their
-wind-space point (same solver, config instance and solver settings),
-``(mach, alpha, ...) -> content key``.  It is built once from the
-persisted lines at load and maintained incrementally on every
-:meth:`put`, so :meth:`nearest` — the k-nearest-neighbor lookup the
-surrogate interpolation feeds on — never rescans the store.
+columnar **point index**: within each *group* of cases that differ only
+in their wind-space point (same solver, config instance and solver
+settings), one row per stored wind point — its content key, and its
+numeric coordinates kept as columns, sub-indexed by (numeric axis
+names, non-numeric wind items), so that only points on the same axis
+set meet.  It is built once from the persisted lines at load, and every
+:meth:`put` appends a row (a re-put only refreshes the row's key); the
+NumPy arrays are rebuilt lazily on the next :meth:`nearest`.  So
+:meth:`nearest` — the k-nearest-neighbor lookup the surrogate
+interpolation feeds on — never rescans the store and never re-derives a
+content key: it takes the group's arrays under the lock and answers
+with a fixed number of array operations (per-axis spread, normalized
+distances, a stable top-k).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import threading
 import warnings
 from pathlib import Path
@@ -52,26 +58,79 @@ def _group_key(spec: CaseSpec) -> tuple:
     return (spec.solver, spec.config, spec.settings)
 
 
-def _wind_distance(a: dict, b: dict, scales: dict) -> float | None:
-    """Normalized Euclidean distance over shared numeric wind axes.
+def _axis_set(wind: tuple) -> tuple[tuple, tuple, list[float]]:
+    """Split wind items into the sub-index they belong to — (numeric
+    axis names, non-numeric items) — and the numeric coordinates.
 
-    Returns None when the two points do not span the same numeric axes
-    (a case recorded with a ``beta`` axis is not a neighbor of a query
-    without one — interpolating across differing axis sets would
-    silently extrapolate along the missing dimension).
+    Only points with the same sub-index are neighbors: a case recorded
+    with a ``beta`` axis is not a neighbor of a query without one
+    (interpolating across differing axis sets would silently
+    extrapolate along the missing dimension), and a non-numeric wind
+    value must match exactly.
     """
-    if set(a) != set(b):
-        return None
-    total = 0.0
-    for name, va in a.items():
-        vb = b[name]
-        if not isinstance(va, (int, float)) or not isinstance(vb, (int, float)):
-            if va != vb:
-                return None
-            continue
-        scale = scales.get(name, 1.0)
-        total += ((float(va) - float(vb)) / scale) ** 2
-    return math.sqrt(total)
+    names, other, coords = [], [], []
+    for name, value in wind:
+        if isinstance(value, (int, float)):
+            names.append(name)
+            coords.append(float(value))
+        else:
+            other.append((name, value))
+    return tuple(names), tuple(other), coords
+
+
+class _Group:
+    """One neighbor group's wind points as numeric columns.
+
+    Rows are numbered in first-put order; a re-put of a stored point
+    only refreshes its content key.  ``subs`` holds, per sub-index, its
+    rows and one coordinate column per numeric axis.  The NumPy form is
+    rebuilt lazily after a put.
+    """
+
+    __slots__ = ("rows", "keys", "subs", "_arrays")
+
+    def __init__(self) -> None:
+        self.rows: dict[tuple, int] = {}
+        self.keys: list[str] = []
+        self.subs: dict[tuple, tuple[list[int], list[list[float]]]] = {}
+        self._arrays: tuple | None = None
+
+    def add(self, wind: tuple, key: str) -> None:
+        self._arrays = None
+        row = self.rows.get(wind)
+        if row is not None:
+            self.keys[row] = key
+            return
+        row = self.rows[wind] = len(self.keys)
+        self.keys.append(key)
+        names, other, coords = _axis_set(wind)
+        ids, columns = self.subs.setdefault(
+            (names, other), ([], [[] for _ in names])
+        )
+        ids.append(row)
+        for column, value in zip(columns, coords):
+            column.append(value)
+
+    def arrays(self) -> tuple:
+        """``(keys, {sub: (rows, columns)}, {axis: (lo, hi)})`` — the
+        bounds over every sub-index carrying the axis, what the
+        distance normalization spans.  Immutable once built, so a
+        snapshot outlives later puts."""
+        if self._arrays is None:
+            subs = {
+                sub: (np.array(ids, dtype=np.intp),
+                      np.array(columns, dtype=np.float64)
+                      .reshape(len(columns), len(ids)))
+                for sub, (ids, columns) in self.subs.items()
+            }
+            bounds: dict[str, tuple[float, float]] = {}
+            for (names, _), (_, columns) in subs.items():
+                for name, column in zip(names, columns):
+                    lo, hi = bounds.get(name, (np.inf, -np.inf))
+                    bounds[name] = (min(lo, float(column.min())),
+                                    max(hi, float(column.max())))
+            self._arrays = (tuple(self.keys), subs, bounds)
+        return self._arrays
 
 
 class ResultStore:
@@ -89,8 +148,8 @@ class ResultStore:
     def __init__(self, path: str | Path | None = None):
         self._lock = threading.Lock()
         self._results: dict[str, CaseResult] = {}
-        #: group key -> {wind-items tuple -> content key}
-        self._points: dict[tuple, dict[tuple, str]] = {}
+        #: group key -> that group's wind points
+        self._points: dict[tuple, _Group] = {}
         self._path = Path(path) if path is not None else None
         if self._path is not None and self._path.exists():
             lines = self._path.read_text().splitlines()
@@ -121,8 +180,9 @@ class ResultStore:
     def _index(self, spec: CaseSpec) -> None:
         """Register one spec's wind point (caller holds the lock, or is
         the constructor before the store is shared)."""
-        group = self._points.setdefault(_group_key(spec), {})
-        group[spec.wind] = spec.key
+        self._points.setdefault(_group_key(spec), _Group()).add(
+            spec.wind, spec.key
+        )
 
     def __len__(self) -> int:
         with self._lock:
@@ -154,7 +214,8 @@ class ResultStore:
     def group_size(self, spec: CaseSpec) -> int:
         """Number of stored wind points in ``spec``'s neighbor group."""
         with self._lock:
-            return len(self._points.get(_group_key(spec), ()))
+            group = self._points.get(_group_key(spec))
+            return 0 if group is None else len(group.keys)
 
     def nearest(self, spec: CaseSpec, k: int = 4) -> list[tuple[float, CaseResult]]:
         """The ``k`` stored cases nearest to ``spec`` in wind space.
@@ -165,39 +226,47 @@ class ResultStore:
         shared numeric wind axes, each axis normalized by the value
         spread the group actually covers, so a Mach range of 0.3 and an
         alpha range of 10 degrees weigh equally.  The exact point itself
-        (``spec.key``) is excluded: the caller already checked it.
+        (``spec.key``) is excluded: the caller already checked it.  The
+        spread covers every point of the group that carries the axis,
+        whatever its axis set, except that one.
 
-        Returns ``(distance, result)`` pairs sorted nearest-first.
+        Returns ``(distance, result)`` pairs sorted nearest-first (ties
+        in first-put order).  The work is a fixed number of array
+        operations on the group's columns, not a loop over candidates.
         """
-        query = spec.wind_params
+        names, other, query = _axis_set(spec.wind)
         with self._lock:
             group = self._points.get(_group_key(spec))
-            if not group:
+            if group is None:
                 return []
-            candidates = [
-                (dict(wind), key)
-                for wind, key in group.items()
-                if key != spec.key and key in self._results
+            keys, subs, bounds = group.arrays()
+            own = group.rows.get(spec.wind, -1)
+        if own >= 0 and keys[own] != spec.key:
+            own = -1    # an equal wind tuple now stored under another key
+        if (names, other) not in subs:
+            return []    # no stored point spans the query's axis set
+        rows, columns = subs[names, other]
+        keep = rows != own
+        rows = rows[keep]
+        if not rows.size:
+            return []
+        total = np.zeros(rows.size)
+        for name, value, column in zip(names, query, columns):
+            # the spread includes the query, so it makes no difference
+            # that the bounds also cover the excluded exact point
+            lo, hi = bounds[name]
+            spread = max(value, hi) - min(value, lo)
+            scale = spread if spread > 0.0 else 1.0
+            step = (value - column[keep]) / scale
+            total += step * step
+        distance = np.sqrt(total)
+        order = np.argsort(distance, kind="stable")[:k]
+        with self._lock:
+            return [
+                (d, self._results[keys[row]])
+                for d, row in zip(distance[order].tolist(),
+                                  rows[order].tolist())
             ]
-            results = {key: self._results[key] for _, key in candidates}
-        scales: dict[str, float] = {}
-        for name, value in query.items():
-            if not isinstance(value, (int, float)):
-                continue
-            values = [float(value)] + [
-                float(wind[name])
-                for wind, _ in candidates
-                if isinstance(wind.get(name), (int, float))
-            ]
-            spread = max(values) - min(values)
-            scales[name] = spread if spread > 0.0 else 1.0
-        scored = []
-        for wind, key in candidates:
-            distance = _wind_distance(query, wind, scales)
-            if distance is not None:
-                scored.append((distance, key))
-        scored.sort(key=lambda pair: pair[0])
-        return [(distance, results[key]) for distance, key in scored[:k]]
 
     # -- review verbs (match on spec.params) ---------------------------------
 

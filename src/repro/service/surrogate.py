@@ -18,8 +18,16 @@ Two interpolants over the normalized wind-space axes:
 
 The error estimate is leave-one-out cross-validation over the neighbor
 set: refit without each neighbor, predict it, take the worst miss over
-neighbors and coefficients.  With too few points for LOO the spread of
-neighbor values stands in (conservative).  Eligibility is explicit:
+neighbors and coefficients.  For ``linear`` with every refit affine
+(``n - 1 >= ndim + 1``) no refit runs: one QR of the full design gives
+each miss in closed form, ``(y_i - ŷ_i) / (1 - h_ii)`` with ``h_ii``
+the leverage of neighbor ``i``.  That path is guarded — the design must
+have full rank and every leverage must satisfy ``h_ii < 1 - 1e-6``
+(a leverage near 1 means the refit without that neighbor is singular,
+and the formula divides by almost nothing) — and anything the guard
+rejects, like ``rbf`` and inverse-distance refits, runs the refit loop.
+With too few points for LOO the spread of neighbor values stands in
+(conservative).  Eligibility is explicit:
 :meth:`SurrogateConfig.eligible` requires ``min_neighbors`` within
 ``max_distance`` (normalized units), so the tier never quietly
 extrapolates from the far side of the database.
@@ -122,15 +130,49 @@ def _predict(coords: np.ndarray, values: np.ndarray, at: np.ndarray,
     )
 
 
+def _loo_closed_form(coords: np.ndarray,
+                     values: np.ndarray) -> float | None:
+    """Worst leave-one-out miss of the affine least-squares fit from one
+    QR of the full design, or None where that is unsafe.
+
+    Dropping row ``i`` of a full-rank least-squares fit moves the
+    prediction at ``x_i`` so that its miss is ``(y_i - ŷ_i) / (1 -
+    h_ii)``, with ``ŷ = Q Qᵀ y`` the full fit and ``h_ii = |Q_i|²`` the
+    leverage.  Valid only while every refit still has full rank: the
+    design must have it (every ``|R_jj|`` above ``1e-6`` of the
+    largest) and no row may carry the fit alone (``h_ii < 1 - 1e-6``;
+    a leverage of 1 means the refit without that row is singular).
+    """
+    n = coords.shape[0]
+    design = np.hstack([np.ones((n, 1), dtype=np.float64), coords])
+    q, r = np.linalg.qr(design)
+    pivots = np.abs(np.diag(r))
+    leverage = np.einsum("ij,ij->i", q, q)
+    if (pivots.min() <= 1.0e-6 * pivots.max()
+            or not np.all(leverage < 1.0 - 1.0e-6)):
+        return None
+    residual = values - q @ (q.T @ values)
+    return float(np.abs(residual / (1.0 - leverage)[:, None]).max())
+
+
 def _loo_error(coords: np.ndarray, values: np.ndarray,
                method: str) -> float:
     """Leave-one-out cross-validation error (worst miss, coefficient
     units); falls back to the neighbor-value spread when the set is too
-    small to refit without a point."""
-    n = coords.shape[0]
+    small to refit without a point.
+
+    An affine (``linear``) refit comes from :func:`_loo_closed_form`
+    when every refit is itself an affine fit (``n - 1 >= ndim + 1``) and
+    the set passes its guard; otherwise — ``rbf``, inverse-distance
+    refits, degenerate sets — each neighbor is refit away in turn."""
+    n, ndim = coords.shape
     if n < 3:
         spread = values.max(axis=0) - values.min(axis=0)
         return float(spread.max()) if spread.size else 0.0
+    if method == "linear" and n - 1 >= ndim + 1:
+        worst = _loo_closed_form(coords, values)
+        if worst is not None:
+            return worst
     worst = 0.0
     mask = np.ones(n, dtype=bool)
     for i in range(n):

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Protocol, runtime_checkable
 
 import numpy as np
@@ -107,21 +108,28 @@ class CaseSpec:
         merged.update(self.wind)
         return merged
 
-    @property
+    @cached_property
     def key(self) -> str:
         """Content key: identical cases — however constructed — collide
-        here, which is what makes re-submission a cache hit."""
+        here, which is what makes re-submission a cache hit.
+
+        Computed once per spec and cached in the instance ``__dict__``
+        (the fields are frozen, so it can never go stale): a spec that
+        crosses the runtime, the store and the journal hashes once.
+        The cached value rides along through ``pickle`` and ``copy``;
+        :func:`dataclasses.replace` builds a new spec and hashes anew.
+        Equality and ``hash()`` still compare the fields only."""
         payload = json.dumps(
             [self.solver, self.config, self.wind, self.settings],
             default=str,
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    @property
+    @cached_property
     def geometry_key(self) -> str:
         """Key of the geometry instance (config-space only): every case
         sharing it reuses one surface preparation + mesh, the paper's
-        amortization."""
+        amortization.  Cached like :attr:`key`."""
         payload = json.dumps([self.solver, self.config], default=str)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

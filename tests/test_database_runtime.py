@@ -6,12 +6,18 @@ without real solves; one closing test runs a small real fill and checks
 it matches a serial loop exactly.
 """
 
+import copy
+import dataclasses
+import hashlib
+import json
+import pickle
 import threading
 
 import pytest
 
 from repro.database import (
     Axis,
+    CampaignCheckpoint,
     FillRuntime,
     ParameterSpace,
     ResultStore,
@@ -21,6 +27,7 @@ from repro.database import (
 )
 from repro.errors import CaseExecutionError
 from repro.machine import CPUS_PER_NODE, node_slots
+from repro.service import PointQuery
 from repro.solvers import CaseResult, CaseSpec
 
 
@@ -300,6 +307,101 @@ class TestCaching:
             "1398e9e08c62132b", "3b44fa98da68d6b4",
             "45cf0dbcfcda8ac3", "b837fbfd4b361ab9",
         ]
+
+
+class TestCaseSpecKey:
+    """``CaseSpec.key`` / ``geometry_key`` are hashed once per spec and
+    cached; nothing else about the spec moves."""
+
+    PINNED = [
+        (CaseSpec(wind={"mach": 0.5, "alpha": 2.0}, solver="synthetic"),
+         "08d4b12b1fbce3ce", "51d5da973fc5b37e"),
+        (CaseSpec(config={"flap": 5.0, "aileron": -2.5},
+                  wind={"mach": 0.84, "alpha": 3.06, "beta": 1.0},
+                  solver="cart3d", settings={"cycles": 50, "mg_levels": 3}),
+         "b05cc711d10449f8", "346835f8e084b6b2"),
+        (PointQuery(mach=0.45, alpha=1.5, config={"elevon": 10.0},
+                    beta=0.5).spec("nsu3d", {"levels": 2}),
+         "b9d0c3e631944efd", "555a8af2ac230a12"),
+    ]
+
+    @pytest.mark.parametrize("spec, key, geometry_key", PINNED)
+    def test_keys_are_pinned(self, spec, key, geometry_key):
+        assert (spec.key, spec.geometry_key) == (key, geometry_key)
+
+    def test_key_hashed_once_per_spec(self, count_calls):
+        calls = count_calls(hashlib, "sha256")
+        s = spec(0)
+        assert s.key == s.key == spec(0).key
+        assert s.geometry_key == s.geometry_key
+        assert len(calls) == 3    # two specs' keys, one geometry key
+
+    @pytest.mark.parametrize("clone", [
+        lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy, copy.copy,
+    ])
+    def test_cached_key_survives_copies(self, count_calls, clone):
+        s = spec(0)
+        key = s.key
+        calls = count_calls(hashlib, "sha256")
+        twin = clone(s)
+        assert twin == s and hash(twin) == hash(s)
+        assert twin.key == key
+        assert calls == []
+
+    def test_replace_recomputes_the_key(self):
+        s = spec(0)
+        moved = dataclasses.replace(s, wind={"mach": 0.9})
+        assert moved.key == CaseSpec(config={"flap": 0.0},
+                                     wind={"mach": 0.9}).key != s.key
+        assert dataclasses.replace(s, solver="nsu3d").geometry_key != (
+            s.geometry_key
+        )
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        cached, fresh = spec(0), spec(0)
+        cached.key
+        assert "key" in vars(cached) and "key" not in vars(fresh)
+        assert cached == fresh
+        assert hash(cached) == hash(fresh) == hash(
+            (fresh.config, fresh.wind, fresh.solver, fresh.settings)
+        )
+        assert [f.name for f in dataclasses.fields(CaseSpec)] == [
+            "config", "wind", "solver", "settings",
+        ]
+
+    def test_result_json_bytes_unchanged(self):
+        s, _, _ = self.PINNED[1]
+        s.key
+        result = CaseResult(spec=s, coefficients={"cl": 0.5, "cd": 0.02},
+                            residual_history=(1.0, 1e-6), flops=12.0)
+        assert json.dumps(result.to_json()) == (
+            '{"config": {"aileron": -2.5, "flap": 5.0}, "wind": {"alpha": '
+            '3.06, "beta": 1.0, "mach": 0.84}, "solver": "cart3d", '
+            '"settings": {"cycles": 50, "mg_levels": 3}, "coefficients": '
+            '{"cl": 0.5, "cd": 0.02}, "residual_history": [1.0, 1e-06], '
+            '"converged": true, "flops": 12.0, "degraded": false}'
+        )
+
+    def test_refill_hashes_each_spec_once(self, tmp_path, count_calls):
+        """24 cases through a path-backed store and a journal, as a
+        database fill runs them: each fill builds 24 specs and hashes
+        each once — the re-fill, all cache hits, included."""
+        tree = build_job_tree(StudyDefinition(
+            config_space=ParameterSpace(axes=(Axis("flap", (0.0, 5.0)),)),
+            wind_space=ParameterSpace(axes=(
+                Axis("mach", (0.4, 0.5, 0.6)),
+                Axis("alpha", (0.0, 1.0, 2.0, 3.0)),
+            )),
+        ))
+        calls = count_calls(hashlib, "sha256")
+        with FillRuntime(
+            ok_runner, store=ResultStore(tmp_path / "store.jsonl"),
+            checkpoint=CampaignCheckpoint(tmp_path / "fill.journal"),
+        ) as rt:
+            cold = rt.run_tree(tree)
+            assert (cold.executed, len(calls)) == (24, 24)
+            refill = rt.run_tree(tree)
+        assert (refill.cache_hits, len(calls)) == (24, 48)
 
 
 class TestEventStream:

@@ -8,10 +8,15 @@ journal, the CLI, and the telemetry hot-path instrumentation.
 """
 
 import asyncio
+import hashlib
 import json
+import math
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.database.checkpoint import CampaignCheckpoint
 from repro.database.chaos import ChaosPolicy
@@ -30,6 +35,7 @@ from repro.service import (
     TenantQuota,
     interpolate,
 )
+from repro.service import surrogate
 from repro.service.__main__ import SyntheticRunner, main as service_main
 from repro.solvers.interface import CaseResult, CaseSpec
 from repro.telemetry import capture
@@ -166,6 +172,151 @@ class TestPointIndex:
             wind={"mach": 0.45, "alpha": 1.0}, solver="synthetic"
         )
         assert len(reloaded.nearest(probe, k=4)) == 2
+
+    def test_nearest_hashes_only_the_query_key(self, count_calls):
+        """On a 1 000-record store a lookup derives no stored key: the
+        only hash is the query's own, for excluding its exact point."""
+        store = ResultStore()
+        for i in range(1000):
+            store.put(synth_result(0.3 + 0.5 * (i % 32) / 32,
+                                   10.0 * (i // 32) / 32))
+        store.nearest(synth_result(0.3, 0.0).spec, k=6)   # lazy build
+        calls = count_calls(hashlib, "sha256")
+        stored = synth_result(0.3 + 0.5 * 5 / 32, 10.0 * 7 / 32).spec
+        neighbors = store.nearest(stored, k=6)
+        assert len(neighbors) == 6 and len(calls) == 1
+        assert stored.key not in [r.spec.key for _, r in neighbors]
+        store.nearest(stored, k=6)
+        store.nearest(CaseSpec(wind={"mach": 0.512, "alpha": 3.3},
+                               solver="synthetic"), k=6)
+        assert len(calls) == 1
+
+
+def _wind_distance(a: dict, b: dict, scales: dict) -> float | None:
+    """Scalar per-candidate distance (oracle): None unless both points
+    span the same axes with equal non-numeric values; else the
+    normalized Euclidean distance, squared with ``**``."""
+    if set(a) != set(b):
+        return None
+    total = 0.0
+    for name, va in a.items():
+        vb = b[name]
+        if not isinstance(va, (int, float)) or not isinstance(vb, (int, float)):
+            if va != vb:
+                return None
+            continue
+        scale = scales.get(name, 1.0)
+        total += ((float(va) - float(vb)) / scale) ** 2
+    return math.sqrt(total)
+
+
+class ScanIndex:
+    """Oracle point index: every query scans its group, keying and
+    scoring each candidate in turn."""
+
+    def __init__(self):
+        self.results = {}
+        self.points = {}
+
+    def put(self, result):
+        spec = result.spec
+        self.results[spec.key] = result
+        group = self.points.setdefault(
+            (spec.solver, spec.config, spec.settings), {}
+        )
+        group[spec.wind] = spec.key
+
+    def nearest(self, spec, k):
+        query = spec.wind_params
+        group = self.points.get((spec.solver, spec.config, spec.settings))
+        if not group:
+            return []
+        candidates = [(dict(wind), key) for wind, key in group.items()
+                      if key != spec.key]
+        scales = {}
+        for name, value in query.items():
+            if not isinstance(value, (int, float)):
+                continue
+            values = [float(value)] + [
+                float(wind[name]) for wind, _ in candidates
+                if isinstance(wind.get(name), (int, float))
+            ]
+            spread = max(values) - min(values)
+            scales[name] = spread if spread > 0.0 else 1.0
+        scored = []
+        for wind, key in candidates:
+            distance = _wind_distance(query, wind, scales)
+            if distance is not None:
+                scored.append((distance, key))
+        scored.sort(key=lambda pair: pair[0])
+        return [(d, self.results[key]) for d, key in scored[:k]]
+
+
+# grid values re-put points; ints meet equal floats (1 == 1.0, two keys)
+AXIS_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    st.integers(-1, 3),
+    st.floats(-2.0, 4.0, allow_nan=False),
+)
+
+
+@st.composite
+def wind_points(draw):
+    wind = {"mach": draw(AXIS_VALUES), "alpha": draw(AXIS_VALUES)}
+    if draw(st.booleans()):
+        wind["beta"] = draw(AXIS_VALUES)
+    if draw(st.integers(0, 3)) == 0:
+        wind["regime"] = draw(st.sampled_from(["cruise", "landing"]))
+    return wind
+
+
+CONFIGS = ({}, {"flap": 5.0})
+
+
+class TestPointIndexProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        puts=st.lists(
+            st.tuples(st.sampled_from(CONFIGS), wind_points()),
+            min_size=1, max_size=30,
+        ),
+        queries=st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 29),
+                          st.tuples(st.sampled_from(CONFIGS), wind_points())),
+                st.integers(1, 40),
+            ),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_columnar_index_matches_the_scan(self, tmp_path_factory,
+                                             puts, queries):
+        path = tmp_path_factory.mktemp("index") / "store.jsonl"
+        store, oracle = ResultStore(path), ScanIndex()
+        for i, (config, wind) in enumerate(puts):
+            result = CaseResult(
+                spec=CaseSpec(config=config, wind=wind, solver="synthetic"),
+                coefficients={"cl": float(i)},
+            )
+            store.put(result)
+            oracle.put(result)
+        specs = []
+        for target, k in queries:
+            if isinstance(target, int):     # a stored point: excluded
+                config, wind = puts[target % len(puts)]
+            else:
+                config, wind = target
+            specs.append((CaseSpec(config=config, wind=wind,
+                                   solver="synthetic"), k))
+        for index in (store, ResultStore(path)):
+            for spec, k in specs:
+                got, want = index.nearest(spec, k), oracle.nearest(spec, k)
+                assert [(r.spec.key, r.coefficients) for _, r in got] == [
+                    (r.spec.key, r.coefficients) for _, r in want
+                ]
+                assert spec.key not in [r.spec.key for _, r in got]
+                for (a, _), (b, _) in zip(got, want):
+                    assert abs(a - b) <= 2 * math.ulp(b)
 
 
 class TestCaseHandleBridge:
@@ -404,6 +555,111 @@ class TestSurrogate:
             SurrogateConfig(method="spline")
         with pytest.raises(ConfigurationError):
             SurrogateConfig(k=2, min_neighbors=3)
+
+
+def refit_loo(coords, values, method):
+    """Oracle: leave-one-out by refitting without each neighbor in turn
+    (``_loo_error`` for sets of three or more before the closed form)."""
+    worst = 0.0
+    mask = np.ones(coords.shape[0], dtype=bool)
+    for i in range(coords.shape[0]):
+        mask[i] = False
+        predicted = surrogate._predict(
+            coords[mask], values[mask], coords[i], method
+        )
+        worst = max(worst, float(np.abs(predicted - values[i]).max()))
+        mask[i] = True
+    return worst
+
+
+def leverages(coords):
+    design = np.hstack([np.ones((coords.shape[0], 1)), coords])
+    return np.diag(design @ np.linalg.pinv(design))
+
+
+SAMPLES = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+class TestLeaveOneOut:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ndim=st.integers(1, 3),
+        extra=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_closed_form_matches_refits(self, ndim, extra, data):
+        n = ndim + 1 + extra
+        coords = np.array(data.draw(st.lists(
+            st.lists(st.floats(0.0, 1.0, allow_nan=False),
+                     min_size=ndim, max_size=ndim),
+            min_size=n, max_size=n,
+        )))
+        values = np.array(data.draw(st.lists(
+            st.lists(SAMPLES, min_size=3, max_size=3),
+            min_size=n, max_size=n,
+        )))
+        design = np.hstack([np.ones((n, 1)), coords])
+        # non-degenerate: well conditioned, no neighbor carrying its refit
+        assume(np.linalg.cond(design) < 1.0e4)
+        assume(leverages(coords).max() < 1.0 - 1.0e-3)
+        want = refit_loo(coords, values, "linear")
+        assert surrogate._loo_closed_form(coords, values) is not None
+        # relative to the miss, or to the samples where an affine
+        # surface fits them exactly and both sides are round-off
+        assert surrogate._loo_error(coords, values, "linear") == (
+            pytest.approx(want, rel=1.0e-9,
+                          abs=1.0e-9 * np.abs(values).max())
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["collinear", "pinned", "few", "rbf"]),
+        n=st.integers(3, 7),
+        start=st.tuples(SAMPLES, SAMPLES),
+        step=st.tuples(SAMPLES, SAMPLES),
+        values=st.lists(st.lists(SAMPLES, min_size=2, max_size=2),
+                        min_size=7, max_size=7),
+    )
+    def test_degenerate_sets_take_the_refits(self, kind, n, start, step,
+                                             values):
+        """Collinear points, a neighbor whose removal leaves a collinear
+        set (leverage 1), too few points for affine refits and ``rbf``
+        all return the refit loop's value, bit for bit."""
+        t = np.arange(n, dtype=np.float64)[:, None]
+        coords = np.array(start) + t * np.array(step)
+        method = "linear"
+        if kind == "pinned":
+            assume(n >= 4)
+            coords[-1] += np.array([-step[1], step[0]])
+        elif kind == "few":
+            coords = coords[:3]
+        elif kind == "rbf":
+            coords[-1] += np.array([-step[1], step[0]])
+            method = "rbf"
+        assume(np.ptp(coords, axis=0).min() > 1.0e-3)
+        assume(len(np.unique(coords, axis=0)) == len(coords))
+        values = np.array(values[:len(coords)])
+        try:
+            want = refit_loo(coords, values, method)
+        except (np.linalg.LinAlgError, ValueError):
+            assume(False)    # rbf cannot fit a collinear set at all
+        got = surrogate._loo_error(coords, values, method)
+        assert got.hex() == want.hex()
+
+    def test_interpolation_fits_once(self, count_calls):
+        """Six non-degenerate neighbors: the prediction is the only
+        least-squares fit; the error estimate refits nothing."""
+        calls = count_calls(np.linalg, "lstsq")
+        neighbors = [
+            (0.1, synth_result(mach, alpha))
+            for mach, alpha in [(0.4, 0.0), (0.5, 0.0), (0.6, 2.0),
+                                (0.4, 4.0), (0.5, 4.0), (0.6, 0.0)]
+        ]
+        coefficients, error = interpolate(
+            {"mach": 0.45, "alpha": 1.5}, neighbors, "linear"
+        )
+        assert len(calls) == 1
+        assert error > 0.0 and set(coefficients) == {"cl", "cd", "cm"}
 
 
 async def yield_until(predicate):
