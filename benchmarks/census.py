@@ -105,9 +105,6 @@ REASONS: dict = {
         "runtime/process.py:ProcessComm.clock",
         "runtime/backends.py:ProcessExchanger.charge",
     ),
-    "analysis/__main__.py:_plancheck_selfcheck":
-        "runs only under `python -m repro.analysis check`, a subprocess of "
-        "tests/test_analysis_selfcheck.py",
 }
 
 #: ``repro.api.__all__`` names with no user outside ``tests/`` -> why
@@ -118,6 +115,8 @@ API_REASONS: dict = {
                         "runtime's building block (test_runtime*.py)",
     "BACKENDS": "the names RuntimeConfig(backend=) accepts "
                 "(test_api_facade.py)",
+    "HybridExchanger": "return type of make_exchanger for the in-process "
+                       "backends: the facade names the types it hands out",
     "wing_mesh": "bump_channel's wing-like twin, the other NSU3D mesh "
                  "generator (test_unstructured_mesh.py)",
     "standard_study": "the paper's 6-D (aileron, elevator, rudder) x "

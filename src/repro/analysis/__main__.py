@@ -1,21 +1,10 @@
-"""Run the repo's static analyzers from the command line.
+"""Run the repo's lint rules from the command line.
 
-Three subcommands share one exit-code contract (nonzero when any
-error-severity diagnostic is found, so each slots directly into CI
-next to pytest):
+    python -m repro.analysis check [paths] [--list-rules]
 
-* ``python -m repro.analysis lint [paths]`` — the repo-specific AST
-  lint rules (R001–R010).  For compatibility with the original
-  single-purpose CLI, invoking without a subcommand
-  (``python -m repro.analysis [paths]``) runs lint as well.
-* ``python -m repro.analysis ghostcheck [paths]`` — the
-  overlap-safety dataflow pass: no ghost reads inside an open
-  ``start_copy``…``finish`` window, every window closed exactly once.
-* ``python -m repro.analysis check [paths]`` — the umbrella: lint and
-  ghostcheck over the given paths (default: the installed ``repro``
-  package) plus a plancheck self-check that builds a small
-  deterministic halo set through :func:`repro.comm.build_halos` and
-  verifies it pairwise-consistent and deadlock-free.
+Lints the given files or directories (default: the installed ``repro``
+package) and exits nonzero when any error-severity diagnostic is found,
+so it slots into CI next to pytest; exit status 2 is bad usage.
 """
 
 from __future__ import annotations
@@ -25,145 +14,38 @@ import sys
 from pathlib import Path
 
 from .diagnostics import errors, format_report
-from .ghostcheck import GHOST_RULES, check_paths
 from .lint import RULES, lint_paths
 
-_SUBCOMMANDS = ("lint", "ghostcheck", "check")
 
-
-def _add_paths_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.analysis",
+        description="Static checks for the repro codebase.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    check = sub.add_parser("check", help="run the house lint rules")
+    check.add_argument(
         "paths",
         nargs="*",
         help="files or directories to analyze (default: the repro package)",
     )
+    check.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="print the rule catalog and exit",
+    )
+    args = parser.parse_args(argv)
 
-
-def _resolve_paths(parser, args) -> list[Path]:
-    if args.paths:
-        paths = [Path(p) for p in args.paths]
-    else:
-        paths = [Path(__file__).resolve().parent.parent]
+    if args.list_rules:
+        for rule in RULES.values():
+            scope = ", ".join(rule.segments) if rule.segments else "entire tree"
+            print(f"{rule.id} {rule.name} [{scope}]\n    {rule.description}")
+        return 0
+    paths = [Path(p) for p in args.paths] or [Path(__file__).resolve().parent.parent]
     missing = [p for p in paths if not p.exists()]
     if missing:
         parser.error(f"no such file or directory: {missing[0]}")
-    return paths
-
-
-def _plancheck_selfcheck():
-    """Build a small deterministic halo set and verify its plans.
-
-    An 8-partition strip decomposition of a 12x12 grid graph — large
-    enough to exercise pairwise matching and schedule liveness on a
-    nontrivial neighbor structure, small enough to verify in
-    milliseconds.
-    """
-    import numpy as np
-
-    from ..comm import build_halos
-    from .plancheck import check_plans
-
-    nx = ny = 12
-    nvert = nx * ny
-    edges = []
-    for i in range(nx):
-        for j in range(ny):
-            if i + 1 < nx:
-                edges.append((i * ny + j, (i + 1) * ny + j))
-            if j + 1 < ny:
-                edges.append((i * ny + j, i * ny + j + 1))
-    part = (np.arange(nvert) * 8) // nvert
-    return check_plans(build_halos(nvert, np.array(edges, dtype=np.int64),
-                                   part))
-
-
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # legacy spelling: `python -m repro.analysis [paths]` runs lint
-    if not argv or argv[0] not in _SUBCOMMANDS:
-        if not any(a in ("-h", "--help") for a in argv[:1]):
-            argv = ["lint", *argv]
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="Static correctness analyzers for the repro codebase.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    lint_p = sub.add_parser(
-        "lint", help="repo-specific AST lint rules (R001-R010)"
-    )
-    _add_paths_arg(lint_p)
-    lint_p.add_argument(
-        "--select",
-        help="comma-separated rule ids/names to run (default: all)",
-    )
-    lint_p.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog and exit",
-    )
-
-    ghost_p = sub.add_parser(
-        "ghostcheck",
-        help="overlap-safety dataflow pass over start_copy/finish windows",
-    )
-    _add_paths_arg(ghost_p)
-    ghost_p.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog and exit",
-    )
-
-    check_p = sub.add_parser(
-        "check",
-        help="umbrella: lint + ghostcheck + plancheck self-check",
-    )
-    _add_paths_arg(check_p)
-
-    args = parser.parse_args(argv)
-
-    if args.command == "lint":
-        if args.list_rules:
-            for rule in RULES.values():
-                scope = (
-                    ", ".join(rule.segments) if rule.segments
-                    else "entire tree"
-                )
-                print(f"{rule.id} {rule.name} [{scope}]\n"
-                      f"    {rule.description}")
-            return 0
-        paths = _resolve_paths(parser, args)
-        select = None
-        if args.select:
-            select = set(args.select.split(","))
-            known = set(RULES) | {r.name for r in RULES.values()}
-            unknown = sorted(select - known)
-            if unknown:
-                parser.error(
-                    f"unknown rule(s) {', '.join(unknown)}; "
-                    "see --list-rules for the catalog"
-                )
-        diags = lint_paths(paths, select=select)
-        print(format_report(diags))
-        return 1 if errors(diags) else 0
-
-    if args.command == "ghostcheck":
-        if args.list_rules:
-            for rule_id, description in GHOST_RULES.items():
-                print(f"{rule_id}\n    {description}")
-            return 0
-        paths = _resolve_paths(parser, args)
-        diags = check_paths(paths)
-        print(format_report(diags))
-        return 1 if errors(diags) else 0
-
-    # umbrella
-    paths = _resolve_paths(parser, args)
     diags = lint_paths(paths)
-    diags += check_paths(paths)
-    diags += _plancheck_selfcheck()
     print(format_report(diags))
     return 1 if errors(diags) else 0
 

@@ -1,11 +1,11 @@
-"""Structured findings shared by every analyzer in :mod:`repro.analysis`.
+"""Structured findings of :mod:`repro.analysis`.
 
-All three analyzers (plan verifier, trace checker, lint pass) report
-problems as :class:`Diagnostic` records rather than raising or printing,
-so callers — tests, CI, ``python -m repro.analysis`` — can filter,
-count, and format them uniformly.  A diagnostic carries whichever
-location fields make sense for its origin: communication checks fill
-``rank``/``peer``/``slot``, the lint pass fills ``path``/``line``.
+The lint pass reports problems as :class:`Diagnostic` records rather
+than raising or printing, so callers — tests, CI, ``python -m
+repro.analysis check`` — can filter, count, and format them uniformly.
+A diagnostic carries whichever location fields make sense for its
+origin: ``path``/``line`` for source findings, ``rank``/``peer``/``slot``
+for findings about a communication structure.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ SEVERITIES = ("note", "warning", "error")
 class Diagnostic:
     """One analyzer finding.
 
-    ``rule`` is a stable machine-readable identifier (e.g.
-    ``plan/length-mismatch``, ``trace/deadlock``, ``R001``); ``message``
-    is the human explanation.  Optional location fields:
+    ``rule`` is a stable machine-readable identifier (e.g. ``R006``,
+    ``lint/syntax-error``); ``message`` is the human explanation.
+    Optional location fields:
 
-    * ``rank``/``peer``/``slot`` — communication-structure findings;
-    * ``path``/``line`` — source-code findings from the lint pass.
+    * ``path``/``line`` — source-code findings from the lint pass;
+    * ``rank``/``peer``/``slot`` — communication-structure findings.
     """
 
     rule: str

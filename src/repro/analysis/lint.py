@@ -5,41 +5,27 @@ inner loops must be vectorized to hit the paper's throughput, or that
 kernel allocations must pin their dtype to keep working sets predictable.
 These rules encode exactly those house invariants:
 
-* **R001 wall-clock-in-virtual-time** — ``time.time``/``perf_counter``
-  and friends are forbidden inside the virtual-time packages (``comm``,
-  ``perf``): mixing wall clock into the ledger silently corrupts every
-  scaling prediction calibrated from it.
-* **R002 silent-except** — a broad ``except Exception`` (or bare
-  ``except``) whose body never raises hides real failures behind
-  fallback values (the original ``_payload_bytes`` bug: unpicklable
-  payloads were silently billed 64 bytes).
 * **R003 python-mesh-loop** — ``for i in range(len(arr))`` /
   ``range(arr.shape[0])`` in solver hot modules is a Python-level loop
   over a mesh-sized array; vectorize it.
 * **R004 implicit-dtype-alloc** — ``np.zeros``/``empty``/``ones``/
   ``full`` without an explicit dtype in solver kernels; implicit float64
   defaults hide precision and memory-footprint decisions.
-* **R005 solver-construction-outside-facade** — direct
-  ``Cart3DSolver(...)``/``NSU3DSolver(...)`` construction inside
-  ``repro.database``; the fill runtime must build solvers through the
-  :mod:`repro.api` factories so submission, caching and counter wiring
-  stay uniform.
-* **R006 adhoc-instrumentation** — ``print(...)`` or wall-clock reads in
-  the ``solvers``/``comm``/``database`` hot paths; measurement and
-  progress reporting must go through :mod:`repro.telemetry` spans (and
-  clocks through its :class:`~repro.telemetry.EpochClock` injection) so
-  every observation lands on the unified timeline.  Where R001 already
-  flags a wall-clock call (the ``comm`` overlap) R006 stays silent
-  rather than double-reporting.  ``__main__.py`` CLI modules are exempt:
-  printing is their job.
-* **R007 swallowed-exception** — bare ``except:`` anywhere, and ``except
-  Exception: pass`` (a body that is *only* ``pass``/``...``): the
-  strictest form of the silent-failure family.  R002 already flags broad
-  handlers that never raise; R007 exists because an empty handler is
-  never a judgment call — there is no fallback behavior to defend — and
-  because bare ``except:`` also traps ``KeyboardInterrupt``/
-  ``SystemExit``, making a stuck campaign unkillable.  Where R007
-  fires, R002 stays silent (one offence, one diagnostic).
+* **R006 adhoc-instrumentation** — ``print(...)`` or wall-clock reads
+  (``time.time``/``perf_counter`` and friends) in the ``solvers``/
+  ``comm``/``database``/``perf`` packages.  SimMPI clocks are virtual:
+  mixing wall clock into the ledger silently corrupts every scaling
+  prediction calibrated from it, and measurement and progress
+  reporting must go through :mod:`repro.telemetry` spans (clocks
+  through its :class:`~repro.telemetry.EpochClock` injection) so every
+  observation lands on the unified timeline.  ``__main__.py`` CLI
+  modules are exempt: printing is their job.
+* **R007 swallowed-exception** — bare ``except:`` anywhere, and a broad
+  ``except Exception``/``BaseException`` whose handler never raises:
+  failures vanish or turn into fallback values (the original
+  ``_payload_bytes`` bug: unpicklable payloads were silently billed 64
+  bytes), and bare ``except:`` also traps ``KeyboardInterrupt``/
+  ``SystemExit``, making a stuck campaign unkillable.
 * **R008 distributed-machinery-in-solver** — modules under ``solvers``
   may not import ``comm.simmpi``/``comm.exchange`` or ``partition.*``
   directly.  All domain decomposition, halo construction and exchange
@@ -47,13 +33,6 @@ These rules encode exactly those house invariants:
   physics kernels only.  This is what keeps the "one partition → halo →
   multigrid → cycle-driver stack" claim true statically rather than by
   convention.
-* **R009 unbound-start-copy** — a ``start_copy(...)`` call used as a
-  bare expression statement: the returned pending is dropped on the
-  floor, its posted receives leak and the matching ``finish()`` can
-  never run.
-  The deeper dataflow cousin of this rule (reads *inside* a bound
-  window) lives in :mod:`repro.analysis.ghostcheck`; R009 catches the
-  purely syntactic form everywhere, including tests and scripts.
 * **R010 finish-in-cleanup** — ``finish()`` called inside an ``except``
   handler that never re-raises, or inside a ``finally`` block.  Since
   ``finish()`` itself raises (:class:`~repro.errors.
@@ -62,13 +41,6 @@ These rules encode exactly those house invariants:
   the original error with a secondary one — exactly the failure mode
   the durable-campaign error taxonomy exists to prevent.  Close
   windows on the success path; in cleanup, drop the pending instead.
-* **R011 exchanger-construction-outside-runtime** — direct
-  ``HybridExchanger``/``ProcessExchanger`` construction anywhere
-  outside :mod:`repro.runtime`.  Exchangers come
-  from :func:`repro.runtime.make_exchanger` (or ``RuntimeConfig``
-  backend selection in the driver) so the lifecycle flags
-  (``charging``/``sanitize``) and backend semantics stay uniform; the
-  runtime package itself is the factory's home and is exempt.
 * **R012 blocking-call-in-service-coroutine** — ``time.sleep``, direct
   solver construction, or a synchronous campaign driver
   (``FillRuntime.run_case``/``run_tree``) inside a coroutine body in
@@ -103,7 +75,7 @@ These rules encode exactly those house invariants:
 
 A finding on a line containing ``noqa`` is suppressed (same idiom as
 ruff); :data:`RULES` documents each rule and the path segments it
-applies to.  Run the pass with ``python -m repro.analysis``.
+applies to.  Run the pass with ``python -m repro.analysis check``.
 """
 
 from __future__ import annotations
@@ -135,36 +107,15 @@ DTYPE_ALLOCATORS = {"empty": 1, "zeros": 1, "ones": 1, "full": 2}
 @dataclass(frozen=True)
 class Rule:
     """One lint rule: identity, rationale, and the path segments (package
-    directory names) it applies to — ``None`` means the whole tree.
-    ``exclude`` names segments carved *out* of the rule's scope (the
-    rule applies everywhere its ``segments`` say, except there)."""
+    directory names) it applies to — ``None`` means the whole tree."""
 
     id: str
     name: str
     description: str
     segments: tuple | None
-    exclude: tuple | None = None
 
 
 RULES = {
-    "R001": Rule(
-        id="R001",
-        name="wall-clock-in-virtual-time",
-        description=(
-            "wall-clock call inside a virtual-time package; SimMPI clocks "
-            "are virtual and must never mix with time.time()/perf_counter()"
-        ),
-        segments=("comm", "perf"),
-    ),
-    "R002": Rule(
-        id="R002",
-        name="silent-except",
-        description=(
-            "broad except handler that never raises; failures are silently "
-            "converted into fallback behavior"
-        ),
-        segments=None,
-    ),
     "R003": Rule(
         id="R003",
         name="python-mesh-loop",
@@ -183,31 +134,23 @@ RULES = {
         ),
         segments=("solvers",),
     ),
-    "R005": Rule(
-        id="R005",
-        name="solver-construction-outside-facade",
-        description=(
-            "direct solver construction inside the database package; build "
-            "through repro.api.make_cart3d_solver/make_nsu3d_solver"
-        ),
-        segments=("database",),
-    ),
     "R006": Rule(
         id="R006",
         name="adhoc-instrumentation",
         description=(
-            "ad-hoc timing/printing in a hot-path package; route "
-            "measurement through repro.telemetry spans instead so it "
-            "lands on the unified timeline"
+            "ad-hoc timing/printing in a hot-path or virtual-time "
+            "package; SimMPI clocks are virtual and measurement goes "
+            "through repro.telemetry spans so it lands on the unified "
+            "timeline"
         ),
-        segments=("solvers", "comm", "database"),
+        segments=("solvers", "comm", "database", "perf"),
     ),
     "R007": Rule(
         id="R007",
         name="swallowed-exception",
         description=(
-            "bare except, or a broad except whose body is only pass; "
-            "failures vanish without trace and bare except traps "
+            "bare except, or a broad except that never raises; failures "
+            "vanish or become fallback values, and bare except traps "
             "KeyboardInterrupt/SystemExit"
         ),
         segments=None,
@@ -223,16 +166,6 @@ RULES = {
         ),
         segments=("solvers",),
     ),
-    "R009": Rule(
-        id="R009",
-        name="unbound-start-copy",
-        description=(
-            "start_copy(...) result discarded as a bare statement; the "
-            "pending exchange leaks and finish() can never run — bind "
-            "it, or use the blocking copy()"
-        ),
-        segments=None,
-    ),
     "R010": Rule(
         id="R010",
         name="finish-in-cleanup",
@@ -242,17 +175,6 @@ RULES = {
             "error — close windows on the success path instead"
         ),
         segments=None,
-    ),
-    "R011": Rule(
-        id="R011",
-        name="exchanger-construction-outside-runtime",
-        description=(
-            "direct *Exchanger construction outside repro.runtime; route "
-            "through repro.runtime.make_exchanger (or RuntimeConfig "
-            "backend selection) so lifecycle flags stay uniform"
-        ),
-        segments=None,
-        exclude=("runtime",),
     ),
     "R012": Rule(
         id="R012",
@@ -292,15 +214,8 @@ RULES = {
 #: Attribute calls R012 treats as synchronous whole-case execution.
 R012_BLOCKING_ATTRS = {"run_case", "run_tree"}
 
-#: Exchanger classes whose construction R011 routes through the factory.
-R011_EXCHANGER_CLASSES = {"HybridExchanger", "ProcessExchanger"}
-
-#: Solver classes whose construction R005 routes through the facade,
-#: mapped to the blessed factory.
-FACADE_SOLVERS = {
-    "Cart3DSolver": "repro.api.make_cart3d_solver",
-    "NSU3DSolver": "repro.api.make_nsu3d_solver",
-}
+#: Solver classes whose construction R012 keeps off the event loop.
+SOLVER_CLASSES = {"Cart3DSolver", "NSU3DSolver"}
 
 #: Modules R008 bans from solver packages (normalized: no ``repro.``
 #: prefix, relative dots stripped).  ``partition`` covers the whole
@@ -323,15 +238,14 @@ R008_BANNED_COMM_NAMES = {
 }
 
 
-def active_rules(path: Path, select=None) -> list[Rule]:
+def active_rules(path: Path) -> list[Rule]:
     """Rules applying to ``path``, by its directory segments."""
     path = Path(path)
     parts = set(path.parts)
     rules = [
         r
         for r in RULES.values()
-        if (r.segments is None or parts.intersection(r.segments))
-        and not (r.exclude and parts.intersection(r.exclude))
+        if r.segments is None or parts.intersection(r.segments)
     ]
     if path.name == "exchange.py" and "comm" in parts:
         # the halo unpack is the one scatter on the solve path that
@@ -344,15 +258,13 @@ def active_rules(path: Path, select=None) -> list[Rule]:
         # gas.py defines variable_layout and the NVAR_* constants — the
         # one place the width literal legitimately lives
         rules = [r for r in rules if r.id != "R014"]
-    if select is not None:
-        rules = [r for r in rules if r.id in select or r.name in select]
     return rules
 
 
-def lint_source(text: str, path, select=None) -> list[Diagnostic]:
+def lint_source(text: str, path) -> list[Diagnostic]:
     """Lint one module's source text; ``path`` scopes which rules apply."""
     path = Path(path)
-    rules = {r.id for r in active_rules(path, select)}
+    rules = {r.id for r in active_rules(path)}
     if not rules:
         return []
     try:
@@ -381,19 +293,19 @@ def lint_source(text: str, path, select=None) -> list[Diagnostic]:
     ]
 
 
-def lint_file(path, select=None) -> list[Diagnostic]:
+def lint_file(path) -> list[Diagnostic]:
     path = Path(path)
-    return lint_source(path.read_text(), path, select)
+    return lint_source(path.read_text(), path)
 
 
-def lint_paths(paths, select=None) -> list[Diagnostic]:
+def lint_paths(paths) -> list[Diagnostic]:
     """Lint every ``*.py`` under the given files/directories."""
     diags: list[Diagnostic] = []
     for path in paths:
         path = Path(path)
         files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
         for f in files:
-            diags.extend(lint_file(f, select))
+            diags.extend(lint_file(f))
     return diags
 
 
@@ -491,27 +403,19 @@ class _LintVisitor(ast.NodeVisitor):
         base = self._aliases.get(node.id, node.id)
         return ".".join([base] + list(reversed(parts)))
 
-    # -- R001 / R004: calls ---------------------------------------------------
+    # -- calls ----------------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         qual = self._qualname(node.func)
-        if "R001" in self.rules and qual in WALL_CLOCK_CALLS:
-            self._report(
-                "R001",
-                node,
-                f"wall-clock call {qual}() inside a virtual-time module; "
-                "advance virtual clocks via Comm.compute()/transfer costs",
-            )
         if "R006" in self.rules:
-            # wall-clock reads: R001 takes precedence where both apply
-            # (the comm package) so one offence yields one diagnostic
-            if qual in WALL_CLOCK_CALLS and "R001" not in self.rules:
+            if qual in WALL_CLOCK_CALLS:
                 self._report(
                     "R006",
                     node,
-                    f"wall-clock call {qual}() in a hot-path package; "
-                    "inject a repro.telemetry.EpochClock and record spans "
-                    "instead of timing ad hoc",
+                    f"wall-clock call {qual}() in a hot-path or "
+                    "virtual-time package; advance virtual clocks via "
+                    "Comm.compute()/transfer costs, or inject a "
+                    "repro.telemetry.EpochClock and record spans",
                 )
             if qual == "print":
                 self._report(
@@ -547,16 +451,6 @@ class _LintVisitor(ast.NodeVisitor):
                         f"np.{attr}(...) without an explicit dtype in a "
                         "kernel module",
                     )
-        if "R005" in self.rules and qual is not None:
-            cls = qual.rpartition(".")[2]
-            if cls in FACADE_SOLVERS:
-                self._report(
-                    "R005",
-                    node,
-                    f"direct {cls}(...) construction inside the database "
-                    f"package; go through {FACADE_SOLVERS[cls]} so every "
-                    "runtime-built solver shares the audited facade path",
-                )
         if "R012" in self.rules and self._in_coroutine:
             blocking = None
             if qual == "time.sleep":
@@ -565,7 +459,7 @@ class _LintVisitor(ast.NodeVisitor):
                     "tenant behind it; use await asyncio.sleep(...)"
                 )
             elif qual is not None and (
-                qual.rpartition(".")[2] in FACADE_SOLVERS
+                qual.rpartition(".")[2] in SOLVER_CLASSES
             ):
                 blocking = (
                     f"direct {qual.rpartition('.')[2]}(...) construction "
@@ -587,42 +481,7 @@ class _LintVisitor(ast.NodeVisitor):
                     node,
                     f"blocking call in a service coroutine: {blocking}",
                 )
-        if "R011" in self.rules and qual is not None:
-            cls = qual.rpartition(".")[2]
-            if cls in R011_EXCHANGER_CLASSES:
-                self._report(
-                    "R011",
-                    node,
-                    f"direct {cls}(...) construction outside repro.runtime; "
-                    "route through repro.runtime.make_exchanger (or "
-                    "RuntimeConfig backend selection) so lifecycle flags "
-                    "stay uniform",
-                )
         self.generic_visit(node)
-
-    # -- R009: start_copy result dropped on the floor --------------------------
-
-    def visit_Expr(self, node: ast.Expr) -> None:
-        if "R009" in self.rules and self._start_copy_call(node.value):
-            called_on = ast.unparse(self._start_copy_call(node.value).func)
-            self._report(
-                "R009",
-                node,
-                f"result of {called_on}(...) is discarded; bind the "
-                "pending exchange and finish() it, or use the blocking "
-                "copy() if overlap is not wanted here",
-            )
-        self.generic_visit(node)
-
-    @staticmethod
-    def _start_copy_call(expr) -> ast.Call | None:
-        if (
-            isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Attribute)
-            and expr.func.attr == "start_copy"
-        ):
-            return expr
-        return None
 
     # -- R010: finish() on a cleanup path --------------------------------------
 
@@ -652,12 +511,11 @@ class _LintVisitor(ast.NodeVisitor):
                     calls.append(sub)
         return calls
 
-    # -- R002: silent broad except --------------------------------------------
+    # -- R007: swallowed exceptions -------------------------------------------
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if "R010" in self.rules and not any(
-            isinstance(n, ast.Raise) for n in ast.walk(node)
-        ):
+        raises = any(isinstance(n, ast.Raise) for n in ast.walk(node))
+        if "R010" in self.rules and not raises:
             for call in self._finish_calls(node.body):
                 self._report(
                     "R010",
@@ -667,54 +525,25 @@ class _LintVisitor(ast.NodeVisitor):
                     "secondary finish() failure would mask it — re-raise "
                     "after cleanup or drop the pending",
                 )
-        broad = self._is_broad(node.type)
-        caught = "bare except" if node.type is None else (
-            f"except {ast.unparse(node.type)}" if node.type else "except"
-        )
-        empty_body = all(
-            isinstance(stmt, ast.Pass)
-            or (
-                isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Constant)
-                and stmt.value.value is Ellipsis
-            )
-            for stmt in node.body
-        )
-        swallowed = node.type is None or (broad and empty_body)
-        if "R007" in self.rules and swallowed:
-            detail = (
-                "traps KeyboardInterrupt/SystemExit too"
-                if node.type is None
-                else "an empty handler erases the failure entirely"
-            )
+        if "R007" in self.rules and (
+            node.type is None or (self._is_broad(node.type) and not raises)
+        ):
+            if node.type is None:
+                what = ("bare except traps KeyboardInterrupt/SystemExit "
+                        "too")
+            else:
+                what = (f"except {ast.unparse(node.type)} never re-raises; "
+                        "failures vanish or become fallback values")
             self._report(
                 "R007",
                 node,
-                f"{caught} with "
-                f"{'an empty body' if empty_body else 'no exception type'}"
-                f" swallows failures without trace ({detail}); catch "
-                "specific exceptions and handle or re-raise them",
-            )
-        elif (
-            "R002" in self.rules
-            and broad
-            and not any(isinstance(n, ast.Raise) for n in ast.walk(node))
-        ):
-            # R007 (when selected) owns the swallowed cases; R002 flags
-            # the remaining broad handlers that convert failures into
-            # fallback values without ever re-raising
-            self._report(
-                "R002",
-                node,
-                f"{caught} swallows all failures without re-raising; "
-                "catch specific exceptions or raise a typed error",
+                f"{what} — catch specific exceptions and handle them, or "
+                "raise a typed error",
             )
         self.generic_visit(node)
 
     @staticmethod
     def _is_broad(expr) -> bool:
-        if expr is None:
-            return True
         names = expr.elts if isinstance(expr, ast.Tuple) else [expr]
         return any(
             isinstance(n, ast.Name) and n.id in ("Exception", "BaseException")

@@ -12,10 +12,8 @@ the variable-fidelity workflow — re-exported from one module::
     )
 
 The facade also owns the *factory* functions
-(:func:`make_cart3d_solver` / :func:`make_nsu3d_solver`) through which
-all solver construction inside :mod:`repro.database` must go — lint rule
-R005 enforces that, so submission, caching and counter wiring stay
-uniform no matter which code path builds the solver.
+(:func:`make_cart3d_solver` / :func:`make_nsu3d_solver`), thin
+keyword-only wrappers over the solver constructors.
 
 Every decision has one spelling here:
 
@@ -291,12 +289,7 @@ def make_cart3d_solver(
     beta_deg: float = 0.0,
     **kwargs,
 ) -> Cart3DSolver:
-    """Construct the inviscid Cart3D-style solver (the blessed path).
-
-    Thin by design: it exists so every construction site — the fill
-    runtime, the workflow, user scripts — goes through one audited
-    function, which is what lint rule R005 checks inside
-    ``repro.database``.
+    """Construct the inviscid Cart3D-style solver.
 
     ``hierarchy=`` hands on a prebuilt ``build_levels`` pair
     (wind-independent, shareable).

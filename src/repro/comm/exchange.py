@@ -38,9 +38,9 @@ class ExchangePlan:
     ghosts of vertices owned by rank ``q``; ``owned_slots[q]`` is an
     int64 index array of local owned slots that rank ``q`` mirrors as
     ghosts.  The orderings are constructed identically on both sides
-    (ascending global id), so buffers need no index metadata.
-    :func:`repro.analysis.plancheck.check_plans` verifies these
-    invariants statically.
+    (ascending global id), so buffers need no index metadata.  The
+    tier-1 exchange properties (``tests/test_comm_exchange.py``) check
+    these invariants on :func:`build_halos`, the one producer of plans.
     """
 
     rank: int

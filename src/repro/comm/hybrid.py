@@ -202,25 +202,11 @@ class HybridProcess:
         order.  Buffer layout is canonical — sorted by (destination
         partition, source partition) — so the receiver unpacks
         positionally.
-
-        When ``comm`` traces (``SimMPI(..., trace=True)``), every
-        pack/copy/unpack work item records its buffer accesses tagged
-        with a phase token and a thread token: within one phase the
-        work items are conceptually thread-parallel OpenMP iterations,
-        so the trace race detector treats them as unordered even though
-        this simulation runs them sequentially.  A copy runs one thread
-        per work item; an add runs one thread per partition it adds
-        into, so an owner row sums in one thread's order.  The phase
-        token is the rank's trace position when the exchange starts,
-        unique across exchanges and levels, so program-ordered
-        exchanges never share a phase.
         """
         sends, local, recvs = self._routes[add]
         # finish lands in the arrays posted now, whatever the caller's
         # dict holds by then
         arrays = dict(arrays)
-        token = comm.trace_seq
-        trace = None if token is None else comm.trace_access
         with _on_rank(comm):
             with _span("comm.exchange.pack", cat="comm", tag=tag,
                        remote_procs=len(sends)):
@@ -228,11 +214,8 @@ class HybridProcess:
                 # master thread: one buffer per remote process
                 for q, chunks in sends:
                     bufs = []
-                    for item, (src, slots) in enumerate(chunks):
+                    for src, slots in chunks:
                         bufs.append(np.ascontiguousarray(arrays[src][slots]))
-                        if trace is not None:
-                            trace(f"part{src}", slots, write=add,
-                                  phase=f"pack@{token}", thread=item)
                         if add:
                             arrays[src][slots] = 0.0
                     if len(bufs) == 1:
@@ -242,15 +225,7 @@ class HybridProcess:
                     comm.isend(buf, q, tag)
             # OpenMP phase, overlapped with MPI transit
             with _span("comm.exchange.copy", cat="comm", tag=tag):
-                for item, (pid, ghost, nbr, owned) in enumerate(local):
-                    if trace is not None:
-                        for part, slots, write in (
-                            ((pid, ghost, True), (nbr, owned, True)) if add
-                            else ((nbr, owned, False), (pid, ghost, True))
-                        ):
-                            trace(f"part{part}", slots, write=write,
-                                  phase=f"copy@{token}",
-                                  thread=nbr if add else item)
+                for pid, ghost, nbr, owned in local:
                     if add:
                         arrays[nbr][owned] += arrays[pid][ghost]
                         arrays[pid][ghost] = 0.0
@@ -262,14 +237,11 @@ class HybridProcess:
             with _span("comm.exchange.unpack", cat="comm", tag=tag):
                 for q, rows in recvs:
                     buf = reqs[q].wait()
-                    for item, (dst, slots, lo, hi) in enumerate(rows):
-                        if trace is not None:
-                            trace(f"part{dst}", slots, write=True,
-                                  phase=f"unpack@{token}:{q}",
-                                  thread=dst if add else item)
+                    for dst, slots, lo, hi in rows:
                         # a slot never repeats within one (dst, src) list
-                        # (plancheck: unique ownership + pairwise
-                        # agreement), so a plain indexed add is exact
+                        # (build_halos gives every ghost one owner and one
+                        # slot, a tier-1 property), so a plain indexed add
+                        # is exact
                         if add:
                             arrays[dst][slots] += buf[lo:hi]
                         else:

@@ -18,7 +18,7 @@ the spot.  No thread, gate or hand-off is involved.
 
 **Free-form rank programs: one baton, cooperative hand-off**
 (:meth:`SimMPI.run`).  Arbitrary blocking rank functions — the comm
-tests and patterns, tracecheck fixtures, ``python -m repro.telemetry``,
+tests and patterns, ``python -m repro.telemetry``,
 the perf harness's exchange probe — are executed once per rank.  Each
 rank has its own thread so rank bodies stay plain blocking code, but
 the threads never run concurrently: exactly one rank holds the *baton*
@@ -72,10 +72,8 @@ Two things distinguish SimMPI from a toy queue wrapper:
   model needs (messages per cycle, halo bytes, FLOPs).
 
 An opt-in structured trace (``SimMPI(..., trace=True)``) records every
-send/recv/collective/compute as a :class:`TraceEvent`; the analyzers in
-:mod:`repro.analysis.tracecheck` run a vector-clock happens-before pass
-over it to explain deadlocks, tag mismatches, divergent collectives, and
-buffer races beyond the one line a :class:`DeadlockError` carries.
+send/recv/collective/compute as a :class:`TraceEvent`; the telemetry
+collector turns it into timeline events.
 """
 
 from __future__ import annotations
@@ -107,10 +105,7 @@ _COLLECTIVE: _MailKey = (-1, -1, -1)
 _READY, _RUNNING, _PARKED, _DONE = range(4)
 
 #: Appended to a :class:`DeadlockError` raised in a traced world.
-_TRACE_HINT = (
-    " (trace recorded: run repro.analysis.tracecheck.check_trace("
-    "world.trace, world.nranks) for the full explanation)"
-)
+_TRACE_HINT = " (trace recorded: world.trace holds every event up to the hang)"
 
 
 def _payload_bytes(obj: Any) -> int:
@@ -162,30 +157,20 @@ class TraceEvent:
 
     ``eid`` is a world-global id assigned in recording order — which,
     under the baton scheduler, is the same on every run of the same
-    program; ``seq`` is the per-rank program order the happens-before
-    analysis relies on.  ``matched`` links a completed ``recv`` to the
-    ``eid`` of the send it consumed, giving the trace checker exact
-    cross-rank edges.  Buffer ``access`` events carry the logical buffer
-    name, touched ``indices``, and the concurrency ``phase``/``thread``
-    tokens used to model the hybrid (fig. 7b) thread-parallel
-    pack/copy/unpack phases.
+    program; ``seq`` is the per-rank program order.  ``matched`` links a
+    completed ``recv`` to the ``eid`` of the send it consumed.
     """
 
     eid: int
     rank: int
     seq: int
-    op: str  # send | recv_post | recv | collective | compute | access
+    op: str  # send | recv_post | recv | collective | compute
     peer: int | None = None
     tag: int | None = None
     nbytes: float = 0.0
     clock: float = 0.0
     detail: str = ""
     matched: int | None = None
-    buffer: str | None = None
-    indices: tuple = ()
-    write: bool = False
-    phase: str | None = None
-    thread: int | None = None
 
 
 @dataclass
@@ -324,6 +309,7 @@ class _CollectiveContext:
     def __init__(self, nranks: int):
         self.nranks = nranks
         self.slots: list = [None] * nranks
+        self.kinds: list = [None] * nranks
         self.arrived = 0
         self.result: Any = None
 
@@ -333,20 +319,31 @@ class _CollectiveContext:
         rank: int,
         value: Any,
         combine: Callable[[list], Any],
+        kind: str,
     ) -> Any:
         """Deposit ``value``; the last rank to arrive combines the slots
         (rank order, whatever the arrival order) and readies the rest.
+
+        Every rank must enter the same collective: a round whose ranks
+        entered different kinds (a ``barrier`` against an ``allreduce``)
+        raises :class:`DeadlockError` on the last to arrive, whose
+        combine would otherwise fold mismatched payloads.
 
         One ``result`` field is enough: the next round cannot complete,
         and overwrite it, before every rank has woken from this one,
         read it and entered again.
         """
         self.slots[rank] = value
+        self.kinds[rank] = kind
         self.arrived += 1
         if self.arrived < self.nranks:
             baton.park(rank, _COLLECTIVE)
             return self.result
         self.arrived = 0
+        if len(set(self.kinds)) > 1:
+            raise DeadlockError("divergent collective: " + ", ".join(
+                f"rank {r} entered {k}" for r, k in enumerate(self.kinds)
+            ))
         self.result = combine(self.slots)
         for r in range(self.nranks):
             if r != rank:
@@ -375,38 +372,6 @@ class Comm:
         self._seq += 1
         return self._world._append_event(
             rank=self.rank, seq=event_seq, op=op, clock=self.clock, **fields
-        )
-
-    @property
-    def trace_seq(self) -> int | None:
-        """The ``seq`` this rank's next traced event will carry, or None
-        when the world does not trace."""
-        return self._seq if self._world.trace_enabled else None
-
-    def trace_access(
-        self,
-        buffer: str,
-        indices: Any,
-        write: bool = True,
-        phase: str | None = None,
-        thread: int | None = None,
-    ) -> None:
-        """Record a shared-buffer access for the trace race detector.
-
-        ``phase``/``thread`` model conceptually thread-parallel work (the
-        hybrid pack/copy/unpack phases): two accesses in the same phase
-        from different threads are treated as unordered even though the
-        simulation executes them sequentially.  No-op unless tracing.
-        """
-        if not self._world.trace_enabled:
-            return
-        self._record(
-            "access",
-            buffer=buffer,
-            indices=tuple(int(i) for i in np.atleast_1d(indices)),
-            write=write,
-            phase=phase,
-            thread=thread,
         )
 
     # -- virtual time -------------------------------------------------------
@@ -518,7 +483,8 @@ class Comm:
         self._record("collective", nbytes=nbytes, detail=kind)
         world = self._world
         result, sync = world._collectives.round(
-            world._baton, self.rank, (value, before), _make_sync(combine)
+            world._baton, self.rank, (value, before), _make_sync(combine),
+            kind,
         )
         self._leave_collective(before, sync, nbytes)
         return result
@@ -603,8 +569,7 @@ class SimMPI:
         still ask for cross-box costs.
     trace:
         Record a structured :class:`TraceEvent` log of every operation
-        (``self.trace``) for the :mod:`repro.analysis.tracecheck`
-        deadlock/race analyzers.  Off by default: tracing costs memory
+        (``self.trace``).  Off by default: tracing costs memory
         proportional to message count.
     """
 

@@ -38,10 +38,6 @@ needs and the paper's job scripts provided operationally:
   is marked *degraded* rather than failing the campaign.
 
 Errors raised here live in the rooted :mod:`repro.errors` taxonomy.
-
-Lint rule R005 bans direct ``Cart3DSolver``/``NSU3DSolver`` construction
-inside this package: the bundled :class:`Cart3DCaseRunner` builds its
-solvers through the :mod:`repro.api` facade.
 """
 
 from __future__ import annotations
@@ -888,7 +884,7 @@ class Cart3DCaseRunner:
     ``prepare`` owns what does not depend on the wind — deflected solid,
     mesh, multigrid hierarchy — built once per instance, shared read-only;
     ``__call__`` pays freestream, state and cycles through
-    :func:`repro.api.make_cart3d_solver` (lint rule R005).  ``max_inflight``
+    :func:`repro.api.make_cart3d_solver`.  ``max_inflight``
     is the cases worth running at once: 1 while they are stepped in this
     interpreter, uncapped on ``backend="process"`` (the slot thread only
     waits on pipes).  :class:`FillRuntime` sizes its pool from it, so there

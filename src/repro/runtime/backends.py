@@ -30,11 +30,6 @@ Setting ``sanitize = True`` on an exchanger arms the
 window it opens: ghost slots are poisoned with a NaN canary and the
 protected arrays are swapped for read-trapping guard views until the
 matching ``finish()``.
-
-Exchangers are constructed only inside this package — everything else
-routes through :func:`make_exchanger` (or backend selection on a
-:class:`~repro.runtime.config.RuntimeConfig`); lint rule R011 enforces
-that, so lifecycle flags (``charging``/``sanitize``) stay uniform.
 """
 
 from __future__ import annotations
@@ -285,8 +280,8 @@ class _ProcessPending:
         name = "comm.exchange_add" if self.add else "comm.exchange_copy_finish"
         with _span(name, cat="comm", tag=self.tag, neighbors=plan.degree()):
             # the in-process exchange's summation order, hence bit
-            # parity (rows never repeats a slot: plancheck's unique
-            # ownership + pairwise agreement)
+            # parity (rows never repeats a slot: build_halos gives every
+            # ghost one owner and one slot, a tier-1 property)
             for q in plan.neighbors:
                 blk = x.channels[q][1]
                 rows = recv.get(q, _NO_ROWS)
@@ -409,12 +404,8 @@ class ProcessExchanger:
 def make_exchanger(backend: str, comm, *, plans: dict | None = None,
                    process=None, channels: dict | None = None,
                    level: int = 0):
-    """The one blessed construction point for exchangers.
+    """An exchanger of ``backend`` for one rank, lifecycle flags off.
 
-    Lint rule R011 bans direct ``*Exchanger(...)`` construction outside
-    :mod:`repro.runtime`, so every exchanger in the tree comes through
-    here (or through :class:`~repro.runtime.config.RuntimeConfig`
-    backend selection in the driver) with uniform lifecycle flags.
     ``"sim"``/``"plan"`` is the in-process exchange of a rank holding
     the one partition of ``plans`` (pure MPI: partition id = rank);
     ``"hybrid"`` takes a ready :class:`HybridProcess`.

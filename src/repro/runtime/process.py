@@ -303,7 +303,7 @@ def _worker_main(spec: WorkerSpec, layout: SharedLayout, raw: ctypes.Array,
             ))
     except (BrokenPipeError, EOFError):
         pass  # master went away; nothing left to report to
-    except BaseException:  # noqa: R002 — reported to the master as WorkerCrash
+    except BaseException:  # noqa: R007 — reported to the master as WorkerCrash
         # last handler in the process: the failure is not swallowed, it
         # crosses the pipe and resurfaces as WorkerCrash on the master
         try:

@@ -163,20 +163,16 @@ def _compute_duration(detail: str) -> float:
 
 
 def add_simmpi_trace(timeline: Timeline, trace, pid: str = "mpi",
-                     offset: float = 0.0,
-                     include_access: bool = False) -> Timeline:
+                     offset: float = 0.0) -> Timeline:
     """Ingest a ``SimMPI(trace=True)`` structured event log.
 
     ``compute`` events become spans (their duration is recorded in the
     event detail; the clock stamp is the interval end); sends, receives
     and collectives become instants on the issuing rank's track, carrying
-    peer/tag/byte attributes.  Buffer-access events are diagnostic
-    payload for the race checker and are skipped unless asked for.
+    peer/tag/byte attributes.
     """
     for ev in trace:
         tid = f"rank{ev.rank}"
-        if ev.op == "access" and not include_access:
-            continue
         if ev.op == "compute":
             dur = _compute_duration(ev.detail)
             timeline.add(

@@ -20,7 +20,7 @@ Design rules:
   Without a clock the tracer ticks an internal strictly-increasing
   event counter, so ordering is always well defined.  The only wall
   clock lives here, in :class:`EpochClock` — the telemetry package is
-  deliberately outside the R001/R006 lint segments.
+  deliberately outside the R006 lint segments.
 * **Thread identity is track identity.**  Every span lands on a
   ``(rank, thread)`` track; :meth:`Tracer.bind` pins both (plus the
   clock) thread-locally, which is how SimMPI rank threads and fill
@@ -91,7 +91,7 @@ class EpochClock:
 
     This is the single blessed wall-clock reader for runtimes that need
     real elapsed time (the fill runtime's worker timeline).  Hot-path
-    packages must not read the wall clock directly (lint R001/R006);
+    packages must not read the wall clock directly (lint R006);
     they take a clock like this one by injection.
     """
 

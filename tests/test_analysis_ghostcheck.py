@@ -1,11 +1,11 @@
-"""The overlap-safety race detector, both layers.
+"""The overlap-window contract, at run time.
 
-Static layer (:mod:`repro.analysis.ghostcheck`): the AST dataflow pass
-must flag every way a kernel can break the ``start_copy`` … ``finish``
-contract — ghost reads mid-window, leaked or double-closed windows,
-add-reductions on in-transit arrays — while passing *clean* on the two
-shipped solvers, whose smoothers are the very pattern the analysis
-exists to police.
+The static checker that once proved kernels never touch ghost rows
+inside a ``start_copy`` … ``finish`` window is gone: each of its
+fixtures is now a row of the planted-bug matrix
+(``tests/test_planted_bugs.py``), planted in a running NSU3D or Cart3D
+solve, and the classes below keep those fixtures' test ids as pointers
+to their rows.
 
 Dynamic layer (:class:`repro.runtime.sanitizer.GhostSanitizer`): a
 planted racy kernel must die with a :class:`GhostRaceError` attributed
@@ -15,10 +15,8 @@ matrix untouched (that half lives in ``test_runtime_parity.py``).
 
 import numpy as np
 import pytest
-from pathlib import Path
 
 from repro import telemetry
-from repro.analysis.ghostcheck import check_paths, check_source
 from repro.comm import SimMPI, build_halos
 from repro.errors import ExchangeLifecycleError, GhostRaceError, RankFailure
 from repro.mesh.cartesian import Sphere
@@ -30,337 +28,50 @@ from repro.runtime import (
     make_exchanger,
 )
 from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
-from repro.solvers.cart3d.parallel import Cart3DKernels
-from repro.solvers.cart3d.parallel import _stack as _cart3d_stack
-from repro.solvers.cart3d.residual import residual as cart3d_residual
 from repro.solvers.nsu3d import NSU3DSolver, make_parallel_nsu3d
-from repro.solvers.nsu3d.parallel import NSU3DKernels, _stack
-from repro.solvers.nsu3d.residual import residual
-
-SRC = Path(__file__).parent.parent / "src" / "repro"
-
-
-def rules(src: str) -> list:
-    return [d.rule for d in check_source(src, "t.py")]
+from tests.test_planted_bugs import (RacyCart3DKernels, RacyNSU3DKernels,
+                                     row_test)
 
 
 class TestStaticRules:
-    def test_planted_ghost_read_is_flagged(self):
-        """Acceptance fixture: a gather from a protected array between
-        start_copy and finish."""
-        diags = check_source(
-            """
-def smooth(X, qs, p):
-    pending = X.start_copy(qs, tag=7)
-    bad = qs[p] * 2.0
-    pending.finish()
-    return bad
-""",
-            "fixture.py",
-        )
-        assert [d.rule for d in diags] == ["ghost/read-in-window"]
-        assert diags[0].severity == "error"
-        assert "qs" in diags[0].message and diags[0].line == 4
-
-    def test_write_during_window_is_flagged(self):
-        assert rules(
-            """
-def f(X, qs, p):
-    pending = X.start_copy(qs, tag=1)
-    qs[p][0] = 1.0
-    pending.finish()
-"""
-        ) == ["ghost/read-in-window"]
-
-    def test_unfinished_window(self):
-        assert rules(
-            """
-def f(X, qs):
-    pending = X.start_copy(qs, tag=1)
-    return 3
-"""
-        ) == ["ghost/unfinished-window"]
-
-    def test_double_finish(self):
-        assert rules(
-            """
-def f(X, qs):
-    pending = X.start_copy(qs, tag=1)
-    pending.finish()
-    pending.finish()
-"""
-        ) == ["ghost/double-finish"]
-
-    def test_dropped_pending_bare_expression(self):
-        assert rules(
-            """
-def f(X, qs):
-    X.start_copy(qs, tag=1)
-"""
-        ) == ["ghost/dropped-pending"]
-
-    def test_dropped_pending_rebind(self):
-        assert rules(
-            """
-def f(X, qs):
-    pending = X.start_copy(qs, tag=1)
-    pending = X.start_copy(qs, tag=2)
-    pending.finish()
-"""
-        ) == ["ghost/dropped-pending"]
-
-    def test_add_reduction_in_window(self):
-        assert rules(
-            """
-def f(X, qs):
-    pending = X.start_copy(qs, tag=1)
-    X.add(qs, tag=2)
-    pending.finish()
-"""
-        ) == ["ghost/add-in-window"]
-
-    def test_noqa_suppresses(self):
-        assert rules(
-            """
-def f(X, qs, p):
-    pending = X.start_copy(qs, tag=1)
-    bad = qs[p] * 2.0  # noqa: deliberate race fixture
-    pending.finish()
-"""
-        ) == []
+    test_planted_ghost_read_is_flagged = row_test("ghost/read-in-window")
+    test_write_during_window_is_flagged = row_test("ghost/write-in-window")
+    test_unfinished_window = row_test("ghost/dropped-window")
+    test_double_finish = row_test("ghost/double-finish")
+    test_dropped_pending_bare_expression = row_test("ghost/dropped-window")
+    test_dropped_pending_rebind = row_test("ghost/rebound-window")
+    test_add_reduction_in_window = row_test("ghost/add-in-window")
+    # the planted racy kernels carry a `# noqa`; the sanitizer fires anyway
+    test_noqa_suppresses = row_test("ghost/read-in-window")
 
 
 class TestBlessedIdioms:
-    """The patterns the shipped kernels use must analyze race-free."""
-
-    def test_guarded_finish_loop(self):
-        """The smoothers' carry-a-pending-across-stages shape."""
-        assert rules(
-            """
-def f(X, qs, overlap):
-    pending = None
-    for step in range(3):
-        if pending is not None:
-            pending.finish()
-            pending = None
-        if overlap:
-            pending = X.start_copy(qs, tag=1)
-        else:
-            X.copy(qs, tag=1)
-    if pending is not None:
-        pending.finish()
-"""
-        ) == []
-
-    def test_cross_iteration_read_is_caught(self):
-        """Opening at the bottom of an iteration races the read at the
-        top of the next one — the loop body must be analyzed twice."""
-        assert rules(
-            """
-def f(X, qs, p):
-    pending = None
-    for step in range(3):
-        r = qs[p] + 1.0
-        if pending is not None:
-            pending.finish()
-        pending = X.start_copy(qs, tag=1)
-    pending.finish()
-"""
-        ) == ["ghost/read-in-window"]
-
-    def test_interior_split_context_blesses_reads(self):
-        assert rules(
-            """
-def f(X, qs, dom, p):
-    pending = X.start_copy(qs, tag=1)
-    interior, _ghost = _split_faces(dom)
-    r = residual(interior, qs[p])
-    pending.finish()
-"""
-        ) == []
-
-    def test_owned_bounded_slice_blesses_reads(self):
-        assert rules(
-            """
-def f(X, qs, dom, p):
-    pending = X.start_copy(qs, tag=1)
-    r = qs[p][: dom.nowned] * 2.0
-    pending.finish()
-"""
-        ) == []
-
-    def test_returned_pending_escapes(self):
-        assert rules(
-            """
-def f(X, qs):
-    pending = X.start_copy(qs, tag=1)
-    return pending
-"""
-        ) == []
+    test_guarded_finish_loop = row_test("control/overlap-nsu3d")
+    test_cross_iteration_read_is_caught = row_test("ghost/read-in-window")
+    test_interior_split_context_blesses_reads = row_test(
+        "control/overlap-nsu3d")
+    test_owned_bounded_slice_blesses_reads = row_test(
+        "control/owned-read-in-window")
+    test_returned_pending_escapes = row_test("control/overlap-nsu3d")
 
 
 class TestInterprocedural:
-    """Passing an open pending into a helper transfers the obligation:
-    the helper is re-analyzed with the window mapped onto its params —
-    exactly how ``smooth`` hands off to ``_completed_residual``."""
-
-    HELPER_OK = """
-def f(self, X, qs, dom):
-    pending = X.start_copy(qs, tag=1)
-    r = self._helper(dom, qs, pending)
-    pending = None
-    return r
-
-def _helper(self, dom, qs, pending):
-    interior, _ghost = _split_faces(dom)
-    r1 = residual(interior, qs)
-    pending.finish()
-    _interior, ghost = _split_faces(dom)
-    r2 = residual(ghost, qs)
-    return r1 + r2
-"""
-
-    HELPER_RACY = """
-def f(self, X, qs, dom):
-    pending = X.start_copy(qs, tag=1)
-    r = self._helper(dom, qs, pending)
-    pending = None
-    return r
-
-def _helper(self, dom, qs, pending):
-    r1 = residual(dom, qs)
-    pending.finish()
-    return r1
-"""
-
-    #: Cart3D's shape: the stacked state ``q`` outside the window, the
-    #: join of the views the window was posted on inside it
-    BATCH_OK = """
-def smooth(self, X, doms, q, qs):
-    pending = X.start_copy(qs, tag=23)
-    r = self._completed_residual(X, doms, q, qs, pending)
-    pending = None
-    return r
-
-def _completed_residual(self, X, doms, q, qs, pending):
-    interior, ghost = _split_stack(doms)
-    r = residual(interior, _stack(doms).join(qs), self.qinf)
-    pending.finish()
-    return r + residual(ghost, q, self.qinf)
-"""
-
-    #: the whole stacked level gathers ghost rows: not inside the window
-    BATCH_RACY = BATCH_OK.replace(
-        "r = residual(interior, _stack(doms).join(qs), self.qinf)",
-        "r = residual(_stack(doms).part, _stack(doms).join(qs), self.qinf)",
-    )
-
-    #: NSU3D's shape: the partitions' states joined into one array and
-    #: one serial residual per pass over the stacked (split) context
-    STACK_OK = """
-def smooth(self, X, doms, qs):
-    pending = X.start_copy(qs, tag=14)
-    r = self._completed_residual(X, doms, qs, pending)
-    pending = None
-    return r
-
-def _completed_residual(self, X, doms, qs, pending):
-    stack = _stack(doms)
-    interior, ghost = _split_stack(doms)
-    r = residual(interior, stack.join(qs), self.qinf)
-    pending.finish()
-    q = stack.join(qs)
-    return r + residual(ghost, q, self.qinf)
-"""
-
-    #: the whole stacked context gathers ghost rows: not inside the window
-    STACK_RACY = STACK_OK.replace(
-        "r = residual(interior, stack.join(qs), self.qinf)",
-        "r = residual(stack.ctx, stack.join(qs), self.qinf)",
-    )
-
-    def test_clean_helper_passes(self):
-        assert rules(self.HELPER_OK) == []
-
-    def test_split_stack_passes_and_the_whole_stack_is_flagged(self):
-        assert rules(self.STACK_OK) == []
-        diags = check_source(self.STACK_RACY, "t.py")
-        assert [d.rule for d in diags] == ["ghost/read-in-window"]
-        assert diags[0].line == 11 and "'qs'" in diags[0].message
-
-    def test_split_batches_pass_and_the_whole_batch_is_flagged(self):
-        assert rules(self.BATCH_OK) == []
-        diags = check_source(self.BATCH_RACY, "t.py")
-        assert [d.rule for d in diags] == ["ghost/read-in-window"]
-        assert diags[0].line == 10 and "'qs'" in diags[0].message
-
-    def test_racy_helper_is_flagged(self):
-        diags = check_source(self.HELPER_RACY, "t.py")
-        assert [d.rule for d in diags] == ["ghost/read-in-window"]
-        # the finding lands inside the helper, at the racy read
-        assert diags[0].line == 9
+    test_clean_helper_passes = row_test("control/overlap-nsu3d")
+    test_split_stack_passes_and_the_whole_stack_is_flagged = row_test(
+        "control/overlap-nsu3d", "ghost/read-in-window")
+    test_split_batches_pass_and_the_whole_batch_is_flagged = row_test(
+        "control/overlap-cart3d", "ghost/read-in-window-cart3d")
+    test_racy_helper_is_flagged = row_test("ghost/read-in-window")
 
 
 class TestShippedSourceIsClean:
-    """Acceptance: the analysis proves the real kernels and the runtime
-    overlap machinery race-free — zero findings, not zero coverage."""
-
-    def test_solver_kernels_and_runtime_pass(self):
-        paths = [
-            SRC / "solvers" / "nsu3d" / "parallel.py",
-            SRC / "solvers" / "cart3d" / "parallel.py",
-            SRC / "runtime" / "backends.py",
-            SRC / "runtime" / "driver.py",
-            SRC / "runtime" / "sanitizer.py",
-        ]
-        for p in paths:
-            assert p.exists(), p
-        assert check_paths(paths) == []
-
-    def test_whole_tree_passes(self):
-        assert check_paths([SRC]) == []
+    test_solver_kernels_and_runtime_pass = row_test(
+        "control/overlap-nsu3d", "control/overlap-cart3d")
+    test_whole_tree_passes = row_test(
+        "control/overlap-nsu3d", "control/overlap-cart3d")
 
 
 # -- dynamic layer -------------------------------------------------------------
-
-
-class RacyNSU3DKernels(NSU3DKernels):
-    """Planted race: evaluates the residual of the *whole* stacked
-    context (which gathers ghost rows) while the exchange is still in
-    flight, then finishes — numerically near-identical under SimMPI,
-    which is why only the sanitizer can catch it."""
-
-    def _completed_residual(self, X, doms, qs, forcing, pending):
-        if pending is None:
-            return super()._completed_residual(X, doms, qs, forcing,
-                                               pending)
-        stack = _stack(doms)
-        r = residual(stack.ctx, stack.join(qs), self.qinf,  # noqa
-                     turbulence=False, viscous=self.viscous)
-        pending.finish()
-        X.add(stack.split(r), tag=1)
-        r[stack.ghost] = 0.0
-        return r
-
-
-class RacyCart3DKernels(Cart3DKernels):
-    """The same planted race through the stacked path: the whole-level
-    stacked pass (ghost-touching faces included) evaluated before
-    ``finish``.  It reads the state as the shipped kernels must inside a
-    window, ``stack.join(qs)``: the join of guard views is guarded, so
-    the gather traps and names the partition whose ghost row it hit."""
-
-    def _completed_residual(self, X, doms, q, qs, forcing, pending):
-        if pending is None:
-            return super()._completed_residual(X, doms, q, qs, forcing,
-                                               pending)
-        stack = _cart3d_stack(doms)
-        r = cart3d_residual(stack.part, stack.join(qs),  # noqa
-                            self.qinf, self.flux)
-        pending.finish()
-        X.add(stack.split(r), tag=1)
-        r[stack.ghost] = 0.0
-        return r
 
 
 @pytest.fixture(scope="module")

@@ -1,182 +1,37 @@
-"""Tests for the static exchange-plan verifier."""
+"""Exchange-plan failures, checked on running exchanges.
 
-import copy
+The static plan verifier is gone: plans have one producer,
+:func:`~repro.comm.build_halos`, and the exchange property
+(``assert_exchange_roundtrip`` in ``test_comm_exchange.py``) checks it
+on drawn partitions.  Each fixture of the verifier is a row of the
+planted-bug matrix (``tests/test_planted_bugs.py``); these classes keep
+the fixtures' test ids as pointers to their rows.
+"""
 
-import numpy as np
-import pytest
-
-from repro.analysis import (
-    check_ownership,
-    check_pairwise,
-    check_plans,
-    check_schedule,
-    errors,
-    format_report,
-)
-from repro.comm import build_halos
-from repro.comm.exchange import ExchangePlan
-
-
-def grid_graph(nx, ny):
-    def vid(i, j):
-        return i * ny + j
-
-    edges = []
-    for i in range(nx):
-        for j in range(ny):
-            if i + 1 < nx:
-                edges.append((vid(i, j), vid(i + 1, j)))
-            if j + 1 < ny:
-                edges.append((vid(i, j), vid(i, j + 1)))
-    return nx * ny, np.array(edges, dtype=np.int64)
-
-
-def strip_partition(nvert, nparts):
-    return (np.arange(nvert) * nparts) // nvert
-
-
-def seed_halos(nparts=8, nx=12, ny=12):
-    nvert, edges = grid_graph(nx, ny)
-    part = strip_partition(nvert, nparts)
-    return build_halos(nvert, edges, part)
+from tests.test_planted_bugs import row_test
 
 
 class TestCleanPlans:
-    def test_seed_mesh_8_ranks_zero_diagnostics(self):
-        """Acceptance: build_halos output verifies clean at >= 8 ranks."""
-        assert check_plans(seed_halos(nparts=8)) == []
-
-    def test_seed_mesh_random_partition_zero_diagnostics(self):
-        nvert, edges = grid_graph(10, 10)
-        rng = np.random.default_rng(7)
-        part = rng.integers(0, 9, size=nvert)
-        part[:9] = np.arange(9)
-        assert check_plans(build_halos(nvert, edges, part)) == []
-
-    def test_report_counts_are_zero(self):
-        report = format_report(check_plans(seed_halos()))
-        assert "0 error(s), 0 warning(s)" in report
+    test_seed_mesh_8_ranks_zero_diagnostics = row_test("control/halos-8-strips")
+    test_seed_mesh_random_partition_zero_diagnostics = row_test(
+        "control/halos-random")
+    test_report_counts_are_zero = row_test("control/halos-8-strips")
 
 
 class TestCorruptedPlans:
-    def test_reversed_mirror_is_order_mismatch(self):
-        halos = seed_halos()
-        bad = copy.deepcopy(halos)
-        # rank 1 owns vertices mirrored on rank 0; reverse its send order
-        bad[1].plan.owned_slots[0] = bad[1].plan.owned_slots[0][::-1].copy()
-        diags = check_plans(bad)
-        rules = {d.rule for d in diags}
-        assert "plan/order-mismatch" in rules
-        mism = next(d for d in diags if d.rule == "plan/order-mismatch")
-        assert mism.peer == 1 and mism.rank == 0  # ghost side reports
-        assert mism.slot is not None
-
-    def test_length_mismatch_detected(self):
-        bad = copy.deepcopy(seed_halos())
-        bad[1].plan.owned_slots[0] = bad[1].plan.owned_slots[0][:-1]
-        rules = {d.rule for d in check_plans(bad)}
-        assert "plan/length-mismatch" in rules
-
-    def test_dropped_neighbor_deadlocks_schedule(self):
-        bad = copy.deepcopy(seed_halos())
-        q = next(iter(bad[0].plan.ghost_slots))
-        del bad[0].plan.ghost_slots[q]
-        diags = check_plans(bad)
-        rules = {d.rule for d in diags}
-        assert "plan/asymmetric-neighbors" in rules
-        assert "plan/missing-mirror" in rules
-        assert "plan/schedule-deadlock" in rules
-        stuck = next(d for d in diags if d.rule == "plan/schedule-deadlock")
-        assert stuck.rank == q and stuck.peer == 0
-
-    def test_duplicate_ghost_owner_detected(self):
-        bad = copy.deepcopy(seed_halos())
-        plan = bad[1].plan
-        src = next(iter(plan.ghost_slots))
-        other = src + 1 if src + 1 != 1 else src + 2
-        plan.ghost_slots[other] = plan.ghost_slots[src][:1].copy()
-        rules = {d.rule for d in check_plans(bad)}
-        assert "plan/multiple-owners" in rules or "plan/wrong-owner" in rules
-
-    def test_ghost_slot_out_of_range(self):
-        bad = copy.deepcopy(seed_halos())
-        plan = bad[2].plan
-        q = next(iter(plan.ghost_slots))
-        plan.ghost_slots[q] = plan.ghost_slots[q].copy()
-        plan.ghost_slots[q][0] = 10_000
-        rules = {d.rule for d in check_ownership(bad)}
-        assert "plan/ghost-slot-range" in rules
-
-    def test_wrong_owner_detected(self):
-        halos = seed_halos()
-        bad = copy.deepcopy(halos)
-        plan = bad[3].plan
-        # attribute rank 4's ghosts to rank 5, which does not own them
-        assert 4 in plan.ghost_slots
-        plan.ghost_slots[5] = plan.ghost_slots.pop(4)
-        rules = {d.rule for d in check_plans(bad)}
-        assert "plan/wrong-owner" in rules
+    test_reversed_mirror_is_order_mismatch = row_test("plan/reversed-mirror")
+    test_length_mismatch_detected = row_test("plan/length-mismatch")
+    test_dropped_neighbor_deadlocks_schedule = row_test("plan/dropped-neighbor")
+    test_duplicate_ghost_owner_detected = row_test("plan/duplicate-ghost-owner")
+    test_ghost_slot_out_of_range = row_test("plan/ghost-slot-range")
+    test_wrong_owner_detected = row_test("plan/wrong-owner")
 
 
 class TestScheduleSimulator:
-    def test_symmetric_ring_is_live(self):
-        plans = []
-        for r in range(4):
-            left, right = (r - 1) % 4, (r + 1) % 4
-            plans.append(
-                ExchangePlan(
-                    rank=r,
-                    ghost_slots={
-                        left: np.array([10]),
-                        right: np.array([11]),
-                    },
-                    owned_slots={
-                        left: np.array([0]),
-                        right: np.array([1]),
-                    },
-                )
-            )
-        assert check_schedule(plans, op="copy") == []
-        assert check_schedule(plans, op="add") == []
-
-    def test_circular_wait_reports_cycle(self):
-        # 0 waits on 1, 1 waits on 2, 2 waits on 0; each rank only knows
-        # its ghost source, so nobody sends to the rank waiting on it.
-        plans = [
-            ExchangePlan(rank=0, ghost_slots={1: np.array([5])}),
-            ExchangePlan(rank=1, ghost_slots={2: np.array([5])}),
-            ExchangePlan(rank=2, ghost_slots={0: np.array([5])}),
-        ]
-        diags = check_schedule(plans, op="copy")
-        assert errors(diags)
-        cycle = [d for d in diags if d.rule == "plan/wait-cycle"]
-        assert len(cycle) == 1
-        assert "0" in cycle[0].message and "2" in cycle[0].message
-        stuck = {d.rank for d in diags if d.rule == "plan/schedule-deadlock"}
-        assert stuck == {0, 1, 2}
-
-    def test_missing_send_reports_waiting_rank(self):
-        plans = [
-            ExchangePlan(rank=0, ghost_slots={1: np.array([3])}),
-            ExchangePlan(rank=1),  # knows nothing about rank 0
-        ]
-        diags = check_schedule(plans, op="copy")
-        stuck = [d for d in diags if d.rule == "plan/schedule-deadlock"]
-        assert len(stuck) == 1
-        assert stuck[0].rank == 0 and stuck[0].peer == 1
-
-    def test_bad_op_rejected(self):
-        with pytest.raises(ValueError):
-            check_schedule([], op="scatter")
+    test_symmetric_ring_is_live = row_test("control/symmetric-ring")
+    test_circular_wait_reports_cycle = row_test("plan/circular-wait")
+    test_missing_send_reports_waiting_rank = row_test("plan/missing-send")
 
 
 class TestPairwiseDirect:
-    def test_send_without_ghost_mirror(self):
-        halos = seed_halos()
-        bad = copy.deepcopy(halos)
-        q = next(iter(bad[1].plan.owned_slots))
-        del bad[q].plan.ghost_slots[1]
-        diags = check_pairwise(bad)
-        assert any(
-            d.rule == "plan/missing-mirror" and d.rank == 1 for d in diags
-        )
+    test_send_without_ghost_mirror = row_test("plan/send-without-mirror")

@@ -1,42 +1,18 @@
-"""Tier-1 enforcement: the repo's own source passes its own analyzers.
+"""Tier-1 enforcement: the shipped package passes its own lint rules.
 
-This is the CI wiring for the static battery — any future commit that
-adds a wall-clock call to a virtual-time module, a silent broad except,
-a Python-level mesh loop, a dtype-implicit kernel allocation, a dropped
-``start_copy`` result, or a ghost-row read inside an open overlap
-window fails pytest, not just an optional side tool.
+Any commit that adds a wall-clock call to a virtual-time module, a
+swallowed exception, a Python-level mesh loop, a dtype-implicit kernel
+allocation or another house-rule violation fails pytest, not just an
+optional side tool.  The run is the CLI itself, as CI would call it.
 """
 
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis import check_paths, errors, format_report, lint_paths
-
-SRC = Path(__file__).parent.parent / "src" / "repro"
-
-
-def test_repo_source_passes_custom_lint():
-    diags = lint_paths([SRC])
-    assert diags == [], "\n" + format_report(diags)
-
-
-def test_repo_source_passes_ghostcheck():
-    """The overlap-safety contract holds statically over the whole
-    tree: every start_copy window in the shipped kernels and runtime
-    is provably interior-only and closed exactly once."""
-    diags = check_paths([SRC])
-    assert diags == [], "\n" + format_report(diags)
-
-
-def test_no_error_severity_anywhere():
-    assert errors(lint_paths([SRC])) == []
-    assert errors(check_paths([SRC])) == []
-
 
 def test_check_umbrella_command_is_clean():
-    """`python -m repro.analysis check` — lint + ghostcheck + the
-    plancheck self-check — exits 0 on the shipped package."""
+    """`python -m repro.analysis check` exits 0 on the shipped package."""
     repo = Path(__file__).parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "repro.analysis", "check"],
@@ -46,4 +22,4 @@ def test_check_umbrella_command_is_clean():
         env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "0 error(s)" in proc.stdout
+    assert "0 error(s), 0 warning(s)" in proc.stdout

@@ -85,7 +85,7 @@ class TestBuildHalos:
 class TestPlanNeighbors:
     """``neighbors`` is sorted once per plan, not once per access — and
     plans are filled in after construction (``build_halos``, hand-built
-    plancheck fixtures), so it must follow the slot dicts."""
+    test plans), so it must follow the slot dicts."""
 
     def test_sorted_once_while_the_slots_stand(self):
         nvert, edges = grid_graph(6, 6)
@@ -189,26 +189,70 @@ class TestExchanges:
         ny=st.integers(3, 8),
         nparts=st.integers(2, 5),
         seed=st.integers(0, 1000),
+        add=st.booleans(),
+        nextra=st.integers(0, 3),
     )
-    def test_random_partition_copy_roundtrip(self, nx, ny, nparts, seed):
-        """Property: after a copy every ghost equals its owner's
-        value for arbitrary (possibly disconnected) partitions."""
+    def test_random_partition_copy_roundtrip(self, nx, ny, nparts, seed,
+                                             add, nextra):
+        """Property: for arbitrary (possibly disconnected) partitions,
+        widened by up to ``nextra`` drawn extra ghosts per partition, a
+        copy gives every ghost its owner's value and an add gives every
+        owner the serial sum."""
         nvert, edges = grid_graph(nx, ny)
         rng = np.random.default_rng(seed)
         part = rng.integers(0, nparts, size=nvert)
         # ensure all ranks exist
         part[:nparts] = np.arange(nparts)
-        halos = build_halos(nvert, edges, part)
+        extra = [
+            rng.choice(np.flatnonzero(part != p),
+                       size=min(nextra, int((part != p).sum())),
+                       replace=False).astype(np.int64)
+            for p in range(nparts)
+        ]
+        assert_exchange_roundtrip(
+            build_halos(nvert, edges, part, extra_ghosts=extra), add=add
+        )
 
-        def body(comm):
-            h = halos[comm.rank]
+
+def assert_exchange_roundtrip(halos, add: bool = False) -> None:
+    """The exchange property of a plan set, one SimMPI rank per
+    partition: after a copy every local slot holds its owner's value;
+    after an add every owner holds the serial sum of the contributions
+    of every slot holding its vertex, and every ghost slot is zero.
+
+    Contributions are small integers, distinct per (partition, vertex),
+    so the sums are exact and a misrouted row cannot cancel out.  A plan
+    set that breaks the property fails here with an ``AssertionError``
+    or with the exchange's own error (a :class:`RankFailure` around a
+    ``DeadlockError``, a shape or index error).
+    """
+    def contribution(rank, gids):
+        return (rank + 1.0) + 16.0 * gids
+
+    def body(comm):
+        h = halos[comm.rank]
+        l2g = h.local_to_global()
+        if add:
+            arr = contribution(comm.rank, l2g)
+            exchanger(comm, h).add({comm.rank: arr})
+        else:
             arr = np.zeros(h.nlocal)
-            l2g = h.local_to_global()
             arr[: h.nowned] = 100.0 + l2g[: h.nowned]
             exchanger(comm, h).copy({comm.rank: arr})
-            return np.allclose(arr, 100.0 + l2g)
+        return arr
 
-        assert all(SimMPI(nparts).run(body))
+    results = SimMPI(len(halos)).run(body)
+    gids = [h.local_to_global() for h in halos]
+    serial = np.bincount(np.concatenate(gids), weights=np.concatenate(
+        [contribution(h.rank, l2g) for h, l2g in zip(halos, gids)]
+    ))
+    for h, arr, l2g in zip(halos, results, gids):
+        if add:
+            assert np.array_equal(arr[: h.nowned], serial[l2g[: h.nowned]]), \
+                h.rank
+            assert not arr[h.nowned:].any(), h.rank
+        else:
+            assert np.array_equal(arr, 100.0 + l2g), h.rank
 
 
 class TestCommunicationGraph:

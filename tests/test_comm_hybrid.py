@@ -87,60 +87,41 @@ class TestPartitionOwners:
             partition_owners(2, 4)
 
 
+def assert_hybrid_copy(halos, nprocs: int) -> None:
+    """A copy over ``halos`` with the partitions spread over ``nprocs``
+    SimMPI ranks (fig. 7b) gives every ghost its owner's value."""
+    owner = partition_owners(len(halos), nprocs)
+    plans = {h.rank: h.plan for h in halos}
+
+    def body(comm):
+        mine = tuple(pid for pid, pr in owner.items() if pr == comm.rank)
+        proc = HybridProcess(
+            rank=comm.rank, part_ids=mine, plans=plans, proc_of=owner
+        )
+        arrays = {}
+        for pid in mine:
+            arrays[pid] = np.zeros(halos[pid].nlocal)
+            arrays[pid][: halos[pid].nowned] = 1000.0 + halos[pid].owned_global
+        proc.exchange_copy(comm, arrays)
+        return arrays
+
+    for arrays in SimMPI(nprocs).run(body):
+        for pid, arr in arrays.items():
+            assert np.array_equal(arr, 1000.0 + halos[pid].local_to_global())
+
+
 class TestHybridProcess:
     def test_hybrid_copy_matches_flat_exchange(self):
         """A 4-partition problem on 2 MPI processes x 2 threads must
         produce the same ghost values as 4 flat MPI ranks."""
         nvert, edges = grid_graph(8, 8)
-        part = strip_partition(nvert, 4)
-        halos = build_halos(nvert, edges, part)
-        owner = partition_owners(4, 2)
-        plans = {h.rank: h.plan for h in halos}
-
-        def body(comm):
-            mine = tuple(pid for pid, pr in owner.items() if pr == comm.rank)
-            proc = HybridProcess(
-                rank=comm.rank, part_ids=mine, plans=plans, proc_of=owner
-            )
-            arrays = {}
-            for pid in mine:
-                h = halos[pid]
-                arr = np.zeros(h.nlocal)
-                l2g = h.local_to_global()
-                arr[: h.nowned] = 1000.0 + l2g[: h.nowned]
-                arrays[pid] = arr
-            proc.exchange_copy(comm, arrays)
-            return {
-                pid: np.allclose(arrays[pid], 1000.0 + halos[pid].local_to_global())
-                for pid in mine
-            }
-
-        results = SimMPI(2).run(body)
-        for per_proc in results:
-            assert all(per_proc.values())
+        assert_hybrid_copy(
+            build_halos(nvert, edges, strip_partition(nvert, 4)), nprocs=2
+        )
 
     def test_hybrid_with_single_process(self):
         """All partitions in one process: pure OpenMP-style copies."""
         nvert, edges = grid_graph(6, 6)
-        part = strip_partition(nvert, 3)
-        halos = build_halos(nvert, edges, part)
-        owner = partition_owners(3, 1)
-        plans = {h.rank: h.plan for h in halos}
-
-        def body(comm):
-            proc = HybridProcess(
-                rank=0, part_ids=(0, 1, 2), plans=plans, proc_of=owner
-            )
-            arrays = {}
-            for pid in (0, 1, 2):
-                h = halos[pid]
-                arr = np.zeros(h.nlocal)
-                arr[: h.nowned] = 7.0 + h.owned_global
-                arrays[pid] = arr
-            proc.exchange_copy(comm, arrays)
-            return all(
-                np.allclose(arrays[pid], 7.0 + halos[pid].local_to_global())
-                for pid in (0, 1, 2)
-            )
-
-        assert SimMPI(1).run(body) == [True]
+        assert_hybrid_copy(
+            build_halos(nvert, edges, strip_partition(nvert, 3)), nprocs=1
+        )

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis.plancheck import check_plans
 from repro.comm import SimMPI, build_halos
 from repro.comm.hybrid import HybridProcess, PendingHybrid, partition_owners
 from repro.errors import ConfigurationError, ExchangeLifecycleError
@@ -27,7 +26,7 @@ from repro.solvers.nsu3d import context_from_dual
 from repro.solvers.nsu3d.multigrid import (
     COARSE_CFL_FRACTION as NSU3D_FRACTION,
 )
-from tests.test_comm_exchange import exchanger
+from tests.test_comm_exchange import assert_exchange_roundtrip, exchanger
 
 
 def grid_graph(nx, ny):
@@ -194,8 +193,9 @@ class TestDomainSet:
         halos = build_halos(nvert, edges, part, extra_ghosts=extra)
         l2g0 = halos[0].local_to_global()
         assert deep in l2g0[halos[0].nowned:]
-        # the widened plans must still satisfy every plancheck invariant
-        assert check_plans(halos) == []
+        # the widened plans must still satisfy the exchange property
+        assert_exchange_roundtrip(halos)
+        assert_exchange_roundtrip(halos, add=True)
 
     def test_extra_ghosts_length_validated(self):
         nvert, edges = grid_graph(4, 4)
