@@ -6,6 +6,8 @@ R011's point at the planted-bug matrix rows (``test_planted_bugs.py``)
 that show what running the bug does.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -643,3 +645,17 @@ class TestRunner:
         out = capsys.readouterr().out
         for rule_id in RULES:
             assert rule_id in out
+
+    def test_module_invocation_on_repo(self):
+        """python -m repro.analysis check, given the shipped package's
+        path, is clean."""
+        repo = Path(__file__).parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.analysis", "check", "src/repro"],
+            capture_output=True,
+            text=True,
+            cwd=repo,
+            env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "0 error(s)" in proc.stdout

@@ -3,12 +3,40 @@
 Any commit that adds a wall-clock call to a virtual-time module, a
 swallowed exception, a Python-level mesh loop, a dtype-implicit kernel
 allocation or another house-rule violation fails pytest, not just an
-optional side tool.  The run is the CLI itself, as CI would call it.
+optional side tool.  The overlap-window contract the retired ghostcheck
+proved statically is now the sanitizer's: its test id runs the two
+shipped overlap windows as planted-bug matrix control rows.
 """
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from repro.analysis import errors, format_report, lint_paths
+from tests.test_planted_bugs import row_test
+
+SRC = Path(__file__).parent.parent / "src" / "repro"
+
+
+@pytest.fixture(scope="module")
+def src_diags():
+    return lint_paths([SRC])
+
+
+def test_repo_source_passes_custom_lint(src_diags):
+    assert src_diags == [], "\n" + format_report(src_diags)
+
+
+def test_repo_source_passes_ghostcheck():
+    """Both shipped start_copy windows (NSU3D and Cart3D) run under
+    GhostSanitizer without a ghost race and match serial."""
+    row_test("control/overlap-nsu3d", "control/overlap-cart3d")(None)
+
+
+def test_no_error_severity_anywhere(src_diags):
+    assert errors(src_diags) == []
 
 
 def test_check_umbrella_command_is_clean():
