@@ -12,6 +12,13 @@ Two measurements per solver, written to ``results/runtime_cycle.*``:
   the posted-send / compute-interior / finish-boundary mode (paper
   fig. 7) should shave the exchange latency that the blocking mode
   serializes;
+* **wall time per exchange, per level** — a ``copy`` and an ``add``
+  of the level's plans on the ``sim`` world: the lockstep exchanger
+  (one gather over the stacked rows, ledger replayed from the plans)
+  against the per-rank oracle it is tested against, a
+  :class:`~repro.runtime.HybridExchanger` per rank sending real SimMPI
+  messages inside ``SimMPI.run`` (whole world's wall / exchanges, min
+  of ``EXCHANGE_ROUNDS`` rounds of ``EXCHANGE_CALLS``);
 * **real wall clock under ``backend="process"``** — the same cycles on
   a spawned worker pool at 1/2/4 workers.  Unlike the SimMPI columns
   this is true concurrency, so on a machine with >= 4 cores the 4-worker
@@ -30,6 +37,8 @@ from conftest import save_result
 
 from repro import api
 from repro.api import RuntimeConfig, SimMPI
+from repro.runtime import LockstepComm, make_exchanger
+from repro.runtime.domain import RowStack
 from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
 from repro.solvers.cart3d import Cart3DSolver
@@ -41,6 +50,8 @@ NPARTS = 4
 NCYCLES = 3
 PROCESS_WORKERS = (1, 2, 4)
 PROCESS_SOLVES = 15
+EXCHANGE_CALLS = 200
+EXCHANGE_ROUNDS = 5
 
 
 def _wall(fn) -> float:
@@ -69,6 +80,45 @@ def _measure(name, serial_cycle, make_parallel):
         par.run(world, NCYCLES, cfl=par_cfl(name))
         makespans[label] = world.max_clock()
     return rows, makespans
+
+
+def _exchange_us(par, nvar: int) -> list:
+    """Per level, µs per ``copy`` / ``add``: lockstep, then the
+    per-rank message oracle, on the level's own plans."""
+    out = []
+    for level in par.hierarchy.levels:
+        doms = dict(enumerate(level.domains))
+        plans = {p: dom.halo.plan for p, dom in doms.items()}
+        stack = RowStack(doms)
+        rows = np.ones((sum(stack.sizes), nvar))
+        x = LockstepComm(SimMPI(NPARTS), NPARTS).exchanger(plans, doms)
+        row = {}
+        for op in ("copy", "add"):
+            step = getattr(x, op)
+            best = np.inf
+            for _ in range(EXCHANGE_ROUNDS):
+                t0 = time.perf_counter()
+                for _ in range(EXCHANGE_CALLS):
+                    step(stack.split(rows))
+                best = min(best, time.perf_counter() - t0)
+            row[f"lockstep_{op}"] = best / EXCHANGE_CALLS * 1e6
+
+            def body(comm, op=op):
+                mine = {comm.rank: np.ones((doms[comm.rank].nlocal, nvar))}
+                step = getattr(make_exchanger("plan", comm, plans={
+                    comm.rank: plans[comm.rank],
+                }), op)
+                for _ in range(EXCHANGE_CALLS):
+                    step(mine)
+
+            best = np.inf
+            for _ in range(EXCHANGE_ROUNDS):
+                t0 = time.perf_counter()
+                SimMPI(NPARTS).run(body)
+                best = min(best, time.perf_counter() - t0)
+            row[f"messages_{op}"] = best / EXCHANGE_CALLS * 1e6
+        out.append(row)
+    return out
 
 
 def _measure_process(name, make_process):
@@ -126,6 +176,15 @@ def test_runtime_cycle_cost():
         lambda config: api.make_parallel_cart3d(c3, NPARTS, config=config),
     )
 
+    exchanges = {
+        "nsu3d": _exchange_us(
+            api.make_parallel_nsu3d(ns, NPARTS), len(ns.qinf)
+        ),
+        "cart3d": _exchange_us(
+            api.make_parallel_cart3d(c3, NPARTS), len(c3.qinf)
+        ),
+    }
+
     process = {}
     process["nsu3d"] = _measure_process(
         "nsu3d",
@@ -165,8 +224,24 @@ def test_runtime_cycle_cost():
             "process_wall_per_cycle": proc,
             "speedup": speedup,
             "nparts": NPARTS,
+            "exchange_us": exchanges[name],
         }
     data["cpu_count"] = os.cpu_count()
+    lines += [
+        "",
+        f"Per-exchange wall, us ({NPARTS} partitions on SimMPI({NPARTS}), "
+        f"min of {EXCHANGE_ROUNDS} x {EXCHANGE_CALLS})",
+        "",
+        f"{'solver':<8} {'level':>5} {'copy lockstep':>14} "
+        f"{'copy messages':>14} {'add lockstep':>13} {'add messages':>13}",
+    ]
+    for name, per_level in exchanges.items():
+        for level, row in enumerate(per_level):
+            lines.append(
+                f"{name:<8} {level:>5} {row['lockstep_copy']:>14.1f} "
+                f"{row['messages_copy']:>14.1f} {row['lockstep_add']:>13.1f} "
+                f"{row['messages_add']:>13.1f}"
+            )
     lines += [
         "",
         "wall columns: same kernel work, SimMPI ranks run sequentially "
@@ -175,7 +250,10 @@ def test_runtime_cycle_cost():
         "overlap hides exchange latency behind interior compute;",
         "proc columns: real wall clock on the spawned worker pool, median "
         f"of {PROCESS_SOLVES} solves (speedup = proc x1 / proc x4; "
-        f"cpu_count={os.cpu_count()}).",
+        f"cpu_count={os.cpu_count()});",
+        "exchange columns: lockstep = one gather over the stacked rows "
+        "plus the ledger replay; messages = a HybridExchanger per rank "
+        "inside SimMPI.run, the oracle it is tested against.",
     ]
     save_result("runtime_cycle", "\n".join(lines), data=data)
 

@@ -19,11 +19,15 @@ considers two programming models:
 
 The paper uses the master-thread strategy exclusively; both are modelled
 here.  :func:`hybrid_efficiency` is the analytic form used by the
-performance model; :class:`HybridProcess` executes the actual data
-movement for the SimMPI-hosted solvers.  It is the one in-process halo
-exchange: pure MPI is the layout in which every process owns one
-partition, so it has no intra-process copies and sends one message per
-neighbour and direction.
+performance model; :class:`HybridProcess` is the master-thread exchange
+of one process, sending real SimMPI messages from a rank program (pure
+MPI is the layout in which every process owns one partition, so it has
+no intra-process copies and sends one message per neighbour and
+direction).  A distributed solve does not run it: the lockstep
+exchanger (:class:`~repro.runtime.backends.LockstepExchanger`) holds
+every process's rows in one array, moves them by index and charges the
+messages :meth:`HybridProcess.schedule` lists; this class is the
+message-level oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -248,6 +252,18 @@ class HybridProcess:
                             arrays[dst][slots] = buf[lo:hi]
 
         return PendingHybrid(comm, tag, unpack)
+
+    def schedule(self, add: bool) -> tuple:
+        """``(sends, waits)`` of one direction as row counts, ``(q,
+        rows)`` per remote process: the messages :meth:`post` sends, in
+        posting order, and those it waits for, in wait order — for a
+        caller that charges the messages without moving them."""
+        sends, _local, recvs = self._routes[add]
+        return (
+            tuple((q, sum(len(slots) for _src, slots in chunks))
+                  for q, chunks in sends),
+            tuple((q, rows[-1][3] if rows else 0) for q, rows in recvs),
+        )
 
     @cached_property
     def _routes(self) -> tuple:

@@ -14,7 +14,12 @@ bench — needs no thread per rank: it posts each exchange on every
 endpoint before it finishes it on any, and reduces through
 :meth:`SimMPI.allreduce`.  Every receive then finds its message queued;
 one that does not is a :class:`~repro.errors.DeadlockError` raised on
-the spot.  No thread, gate or hand-off is involved.
+the spot.  No thread, gate or hand-off is involved.  A caller that
+holds every rank's rows in one memory (the lockstep halo exchange)
+need not send them at all: it moves the rows itself and charges the
+messages it stands for through :meth:`SimMPI.charge_sends` /
+:meth:`SimMPI.charge_receives`, which book clocks, stats and trace
+exactly as the sends and receives would.
 
 **Free-form rank programs: one baton, cooperative hand-off**
 (:meth:`SimMPI.run`).  Arbitrary blocking rank functions — the comm
@@ -415,27 +420,47 @@ class Comm:
         if not 0 <= dest < self.size:
             raise ConfigurationError(f"bad destination rank {dest}")
         nbytes = _payload_bytes(payload)
-        self.clock += MPI_CALL_OVERHEAD
-        self.stats.comm_seconds += MPI_CALL_OVERHEAD
-        eid = self._record(
-            "send",
-            peer=dest,
-            tag=tag,
-            nbytes=nbytes,
-            detail=type(payload).__qualname__,
+        send_clock, eid = self._book_send(
+            dest, tag, nbytes, type(payload).__qualname__
         )
         msg = _Message(
             src=self.rank,
             payload=_copy_payload(payload),
             nbytes=nbytes,
-            send_clock=self.clock,
+            send_clock=send_clock,
             irregular=irregular,
             trace_eid=eid,
         )
         self._world._deliver((dest, self.rank, tag), msg)
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += nbytes
         return Request()
+
+    def _book_send(self, dest: int, tag: int, nbytes: int,
+                   detail: str) -> tuple[float, int | None]:
+        """Charge one send — call overhead, stats, trace — and return
+        its ``(send_clock, eid)`` stamp."""
+        stats = self.stats
+        self.clock += MPI_CALL_OVERHEAD
+        stats.comm_seconds += MPI_CALL_OVERHEAD
+        eid = self._record(
+            "send", peer=dest, tag=tag, nbytes=nbytes, detail=detail
+        ) if self._world.trace_enabled else None
+        stats.messages_sent += 1
+        stats.bytes_sent += nbytes
+        return self.clock, eid
+
+    def _book_receive(self, source: int, tag: int, nbytes: int,
+                      arrival: float, eid: int | None) -> None:
+        """Charge one receive of a message arriving at ``arrival``: wait
+        for it, then the call overhead; stats, trace."""
+        stats = self.stats
+        before = self.clock
+        self.clock = max(before, arrival) + MPI_CALL_OVERHEAD
+        stats.comm_seconds += self.clock - before
+        stats.messages_received += 1
+        stats.bytes_received += nbytes
+        if self._world.trace_enabled:
+            self._record("recv", peer=source, tag=tag, nbytes=nbytes,
+                         matched=eid)
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive; returns the payload."""
@@ -453,19 +478,8 @@ class Comm:
             transit = world.transfer_time(
                 msg.src, self.rank, msg.nbytes, irregular=msg.irregular
             )
-            arrival = msg.send_clock + transit
-            before = self.clock
-            self.clock = max(self.clock, arrival) + MPI_CALL_OVERHEAD
-            self.stats.comm_seconds += self.clock - before
-            self.stats.messages_received += 1
-            self.stats.bytes_received += msg.nbytes
-            self._record(
-                "recv",
-                peer=source,
-                tag=tag,
-                nbytes=msg.nbytes,
-                matched=msg.trace_eid,
-            )
+            self._book_receive(source, tag, msg.nbytes,
+                               msg.send_clock + transit, msg.trace_eid)
             return msg.payload
 
         return Request(complete)
@@ -591,6 +605,9 @@ class SimMPI:
         self._fabric = fabric
         self.trace_enabled = trace
         self.trace: list[TraceEvent] = []
+        #: (src, dst, nbytes) -> transfer_time; the placement is fixed
+        #: for the world's lifetime, so the cache is too
+        self._transit: dict[tuple[int, int, int], float] = {}
         self._reset()
         if placement is not None:
             self._box_of = placement.box_of_rank()
@@ -694,6 +711,44 @@ class SimMPI:
         for comm, nbytes in zip(self.comms, sizes):
             comm._leave_collective(comm.clock, sync, nbytes)
         return _copy_result(fold(values, op))
+
+    def charge_sends(self, sends: list, tag: int, rowbytes: int) -> dict:
+        """Every rank's half of posting one exchange whose rows a
+        :meth:`lockstep` caller moves itself: ``sends[r]`` lists rank
+        ``r``'s ``(dest, rows)`` messages in posting order.  Each
+        endpoint is charged — clock, stats, trace (its receive posts,
+        then its sends) — as :meth:`Comm.irecv` and :meth:`Comm.isend`
+        charge it; no payload is copied or queued.  Returns the
+        ``{(src, dest): (send_clock, eid)}`` stamps
+        :meth:`charge_receives` consumes."""
+        stamps = {}
+        for comm, mine in zip(self.comms, sends):
+            if self.trace_enabled:
+                for dest, _rows in mine:
+                    comm._record("recv_post", peer=dest, tag=tag)
+            for dest, rows in mine:
+                stamps[comm.rank, dest] = comm._book_send(
+                    dest, tag, rows * rowbytes, "ndarray"
+                )
+        return stamps
+
+    def charge_receives(self, waits: list, tag: int, rowbytes: int,
+                        stamps: dict) -> None:
+        """Every rank's half of finishing the exchange
+        :meth:`charge_sends` posted: ``waits[r]`` lists rank ``r``'s
+        ``(source, rows)`` messages in wait order, each charged as
+        :meth:`Request.wait` on its :meth:`Comm.irecv` charges it."""
+        transit = self._transit
+        for comm, mine in zip(self.comms, waits):
+            rank = comm.rank
+            for src, rows in mine:
+                nbytes = rows * rowbytes
+                send_clock, eid = stamps[src, rank]
+                key = src, rank, nbytes
+                cost = transit.get(key)
+                if cost is None:
+                    cost = transit[key] = self.transfer_time(src, rank, nbytes)
+                comm._book_receive(src, tag, nbytes, send_clock + cost, eid)
 
     def run(self, target: Callable[..., Any], *args: Any, **kwargs: Any) -> list:
         """Execute ``target(comm, *args, **kwargs)`` on every rank.

@@ -69,6 +69,32 @@ def level_cache(doms: dict, key: str, build: Callable[[], Any]) -> Any:
     return cache[slot]
 
 
+class SplitRows(dict):
+    """``{pid: row-slice view}`` of one stacked array, as
+    :meth:`RowStack.split` hands it out.  :meth:`stacked` gives back the
+    array the views share — an exchanger stepping every partition at
+    once works on it directly — for as long as the dict holds exactly
+    those views; one with an entry replaced (an overlap window's guard
+    views, say) is a plain ``{pid: array}`` dict again."""
+
+    __slots__ = ("whole", "sizes", "_views")
+
+    def __init__(self, whole: np.ndarray, views: dict, sizes: tuple):
+        super().__init__(views)
+        self.whole = whole
+        #: each partition's row count, in key order
+        self.sizes = sizes
+        self._views = tuple(views.values())
+
+    def stacked(self) -> np.ndarray | None:
+        """The shared array, or ``None`` once an entry was replaced."""
+        if len(self) != len(self._views) or any(
+            a is not b for a, b in zip(self.values(), self._views)
+        ):
+            return None
+        return self.whole
+
+
 class RowStack:
     """The rows of the partitions in ``doms`` — every one of a lockstep
     world, a hybrid rank's own, a process worker's one — end to end, so
@@ -79,6 +105,7 @@ class RowStack:
 
     def __init__(self, doms: dict):
         sizes = [dom.nlocal for dom in doms.values()]
+        self.sizes = tuple(sizes)
         self.starts = [end - n for end, n in zip(accumulate(sizes), sizes)]
         self.spans = {p: slice(s, s + n)
                       for p, s, n in zip(doms, self.starts, sizes)}
@@ -103,9 +130,12 @@ class RowStack:
         window the sanitizer's guards make it a guarded one)."""
         return np.concatenate([arrays[p] for p in self.spans])
 
-    def split(self, array: np.ndarray) -> dict:
+    def split(self, array: np.ndarray) -> SplitRows:
         """Per-partition row-slice views — what the exchanger gets."""
-        return {p: array[span] for p, span in self.spans.items()}
+        return SplitRows(
+            array, {p: array[span] for p, span in self.spans.items()},
+            self.sizes,
+        )
 
 
 @dataclass

@@ -18,8 +18,9 @@ body.  A ``sim``/``hybrid`` solve calls it **once, on the calling
 thread, over the partitions of every rank** of the SimMPI world — the
 kernels' only blocking points sit inside the exchanger and
 ``allreduce``, and :class:`~repro.runtime.backends.LockstepExchanger`
-/ :class:`~repro.runtime.backends.LockstepComm` step those on every
-rank's endpoint in turn, so no rank needs a thread of its own; process
+(one gather over the stacked rows, every rank's ledger charged) /
+:class:`~repro.runtime.backends.LockstepComm` serve those for every
+rank at once, so no rank needs a thread of its own; process
 workers import it by name after spawn and run it over their partition.
 """
 
@@ -33,6 +34,7 @@ from ..kernels import incidence
 from ..telemetry.spans import get_tracer, span as _span
 from .backends import LockstepComm
 from .config import RuntimeConfig
+from .domain import RowStack, level_cache
 from .multigrid import fas_cycle
 
 
@@ -63,6 +65,11 @@ class SolverKernels:
     Kernels objects must be picklable (plain config state only): the
     process backend ships them to spawned workers.
     """
+
+
+def _row_stack(doms: dict) -> RowStack:
+    """The level's partitions end to end, built once per level."""
+    return level_cache(doms, "rows", lambda: RowStack(doms))
 
 
 class _DistributedOps:
@@ -109,22 +116,28 @@ class _DistributedOps:
 
     def _restrict_sum(self, level, values, tag):
         """Owner-complete sum of per-fine-row ``values`` over
-        agglomerates: local accumulate, then exchange-add (ghost coarse
-        rows ship to their owners and zero)."""
-        doms_c = self.doms[level + 1]
-        cl = self.cluster_local[level]
-        acc = {}
-        for p, dom in self.doms[level].items():
-            # a level has one map to the next coarser one: one slot
-            op = dom.cache.get("restrict")
-            if op is None:
-                op = dom.cache["restrict"] = incidence(
-                    doms_c[p].nlocal, (cl[p], 1.0)
-                )
-            nvar = values[p].shape[1]
-            a = np.zeros((doms_c[p].nlocal, nvar), dtype=np.float64)
-            self.kernels.engine.scatter_add(a, op, values[p][: dom.nowned])
-            acc[p] = a
+        agglomerates, every partition at once: one scatter of the
+        stacked owned fine rows into the stacked coarse rows, then
+        exchange-add (ghost coarse rows ship to their owners and zero).
+        Returns the coarse stack's per-partition views."""
+        doms_f, doms_c = self.doms[level], self.doms[level + 1]
+        coarse = _row_stack(doms_c)
+
+        def restriction():
+            # offsets keep partitions apart, and a row adds its fine
+            # rows in position order: the per-partition sums, bit for bit
+            cl = self.cluster_local[level]
+            return incidence(sum(coarse.sizes), (np.concatenate([
+                cl[p] + start for p, start in zip(doms_c, coarse.starts)
+            ]), 1.0))
+
+        op = level_cache(doms_f, "restrict", restriction)
+        owned = np.concatenate([
+            values[p][: dom.nowned] for p, dom in doms_f.items()
+        ])
+        acc = np.zeros((op.nrows,) + owned.shape[1:], dtype=np.float64)
+        self.kernels.engine.scatter_add(acc, op, owned)
+        acc = coarse.split(acc)
         self.X[level + 1].add(acc, tag=tag)
         return acc
 
@@ -136,12 +149,11 @@ class _DistributedOps:
             * kern.volumes(dom)[: dom.nowned, None]
             for p, dom in doms_f.items()
         }
-        # _restrict_sum slices to nowned again; already-owned-only is fine
         acc = self._restrict_sum(level, weighted, self.TAG_RESTRICT_ADD)
-        out = {}
-        for p, dom in doms_c.items():
-            qc = acc[p] / kern.volumes(dom)[:, None]
-            out[p] = kern.fix_restricted_state(dom, qc)
+        out = _row_stack(doms_c).split(np.concatenate([
+            kern.fix_restricted_state(dom, acc[p] / kern.volumes(dom)[:, None])
+            for p, dom in doms_c.items()
+        ]))
         # coarse ghosts must carry the restricted state before R_c runs
         self.X[level + 1].copy(out, tag=self.TAG_RESTRICT_COPY)
         return out
@@ -335,8 +347,9 @@ class DistributedSolveDriver:
         levels = self.hierarchy.levels
         exchangers = []
         for level in levels:
+            doms = dict(enumerate(level.domains))
             x = comm.exchanger(
-                {p: dom.halo.plan for p, dom in enumerate(level.domains)}
+                {p: dom.halo.plan for p, dom in doms.items()}, doms
             )
             x.charging = self.config.charge_compute
             x.sanitize = self.config.sanitize

@@ -28,10 +28,11 @@ Design rules:
 * **One thread, many ranks.**  A ``sim``/``hybrid`` distributed solve
   steps every rank of its world on the calling thread.  ``comm.*``
   spans still land on their own rank's track and virtual clock — the
-  exchangers re-bind the tracer to a rank while they step that rank's
-  half of an exchange — but a solver span (``*.parallel_cycle``,
-  ``nsu3d.residual``, ...) is opened once for the whole group and
-  lands on the lowest driven rank's track, on that rank's clock.
+  lockstep exchanger records one per rank and exchange with that
+  rank's stamps (:meth:`Tracer.record`) — but a solver span
+  (``*.parallel_cycle``, ``nsu3d.residual``, ...) is opened once for
+  the whole group and lands on the lowest driven rank's track, on that
+  rank's clock.
   Per-rank kernel attribution needs spans with both stamps (wall and
   virtual) and is not done here.
 
@@ -250,6 +251,23 @@ class Tracer:
         if not self.enabled:
             return NULL_SPAN
         return _LiveSpan(self, name, cat, args)
+
+    def record(self, name: str, t0: float, t1: float, *, rank: int,
+               cat: str = "phase", **args) -> None:
+        """Record a closed span with explicit stamps on ``rank``'s track,
+        under this thread's innermost open span — for a caller that steps
+        several ranks' clocks itself (the lockstep halo exchange)."""
+        if not self.enabled:
+            return
+        stack = self._stack()
+        with self._lock:
+            sid = self._next_sid
+            self._next_sid += 1
+            self.spans.append(Span(
+                sid=sid, parent=stack[-1] if stack else None, name=name,
+                cat=cat, t0=t0, t1=t1, rank=rank, thread=self.track()[1],
+                args=args,
+            ))
 
     def instant(self, name: str, cat: str = "mark", **args) -> None:
         """Record a zero-duration point event on this thread's track."""

@@ -317,14 +317,6 @@ class TestCallCounts:
             )
             calls = calls_in_a_cycle(lambda: par.solve(1, cfl=2.0))
             counts[nparts] = {name: calls[name][0] for name in self.KERNELS}
-            # the driver's transfer operators still scatter once per
-            # partition (runtime/driver.py, shared with NSU3D): not
-            # Cart3DKernels' calls
-            counts[nparts]["scatter_add"] -= sum(
-                n for (file, caller), n in calls["scatter_add"][1].items()
-                if file.endswith("runtime/driver.py")
-                and caller == "_restrict_sum"
-            )
         assert counts[1] == counts[2] == counts[4], counts
         assert all(n > 0 for n in counts[1].values())
 

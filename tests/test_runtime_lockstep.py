@@ -1,10 +1,12 @@
 """The lockstep in-process driver (``sim``/``hybrid`` backends).
 
 A decomposed solve steps every rank of its SimMPI world on the calling
-thread: exchanges are posted on every rank's endpoint, then finished on
-every rank.  These tests pin what that must not change — arrays, the
-virtual ledger and the trace are those of a rank program per rank — and
-what it newly guarantees: no threads, and failures raised on the spot.
+thread: an exchange moves every rank's rows by index over one stacked
+array and charges the messages a rank program would send.  These tests
+pin what that must not change — arrays, the virtual ledger and the
+trace are those of a rank program per rank, each sending real messages
+— and what it newly guarantees: no threads, no messages, and failures
+raised on the spot.
 """
 
 import dataclasses
@@ -18,11 +20,13 @@ from hypothesis import strategies as st
 from repro import telemetry
 from repro.comm import SimMPI, build_halos
 from repro.comm.hybrid import HybridProcess
-from repro.comm.simmpi import fold
+from repro.comm.simmpi import Comm, fold
 from repro.errors import DeadlockError, RankFailure
 from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
-from repro.runtime import LockstepComm, RuntimeConfig, make_exchanger
+from repro.runtime import (LevelSpec, LockstepComm, RuntimeConfig,
+                           backends, build_domain_set, make_exchanger)
+from repro.runtime.domain import RowStack
 from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
 from repro.solvers.nsu3d import NSU3DSolver, make_parallel_nsu3d
 from repro.solvers.nsu3d.parallel import NSU3DKernels
@@ -150,6 +154,18 @@ def assert_every_send_received(trace):
     assert sorted(e.matched for e in trace if e.op == "recv") == sends
 
 
+def rank_events(world):
+    """Every rank's trace in program order, a receive naming the send it
+    matched by (rank, seq): eids depend on the schedule, these do not."""
+    by_eid = {e.eid: e for e in world.trace}
+    return sorted(
+        (e.rank, e.seq, e.op, e.peer, e.tag, e.nbytes, e.clock.hex(),
+         e.detail, None if e.matched is None
+         else (by_eid[e.matched].rank, by_eid[e.matched].seq))
+        for e in world.trace
+    )
+
+
 class TestLockstepEqualsThreaded:
     """The same plans, driven by a rank program per rank inside
     ``SimMPI.run`` and by the lockstep exchanger, leave the same bits
@@ -172,31 +188,49 @@ class TestLockstepEqualsThreaded:
             {p: np.array([arrays[p].sum(), 1.0]) for p in pids}
         )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         nx=st.integers(3, 6), ny=st.integers(3, 6),
-        nparts=st.integers(2, 6), nvar=st.integers(1, 6),
+        nparts=st.integers(1, 6),
+        nvar=st.one_of(st.integers(1, 6), st.just(12)),
         op=st.sampled_from(["copy", "add", "start_finish"]),
         charging=st.booleans(), per_rank=st.integers(1, 3),
+        traced=st.booleans(), stacked=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     def test_arrays_clocks_and_stats_bit_equal(
-        self, nx, ny, nparts, nvar, op, charging, per_rank, seed
+        self, nx, ny, nparts, nvar, op, charging, per_rank, traced,
+        stacked, seed
     ):
+        """The lockstep side moves rows by index — over the stacked
+        array of ``RowStack.split`` views, or joined from plain arrays —
+        and replays the ledger; the rank programs send real messages.
+        Arrays, allreduce, clocks, stats and every rank's trace agree
+        bit for bit."""
         nvert, edges = grid_graph(nx, ny)
         rng = np.random.default_rng(seed)
         part = rng.permutation(np.arange(nvert) % nparts)
-        halos = build_halos(nvert, edges, part)
+        doms = dict(enumerate(build_domain_set(
+            LevelSpec(nvert, edges, lambda halo, part: None), part
+        ).domains))
+        halos = [dom.halo for dom in doms.values()]
         plans = {h.rank: h.plan for h in halos}
         fills = {p: rng.standard_normal((halos[p].nlocal, nvar))
                  for p in plans}
         nranks = -(-nparts // per_rank)
 
-        world = SimMPI(nranks)
+        world = SimMPI(nranks, trace=traced)
         group = LockstepComm(world, nparts)
-        arrays = {p: a.copy() for p, a in fills.items()}
-        total = self.program(group.exchanger(plans), group.allreduce,
-                             arrays, sorted(plans), op, charging)
+        if stacked:
+            x = group.exchanger(plans, doms)
+            arrays = RowStack(doms).split(
+                np.concatenate([fills[p] for p in doms])
+            )
+        else:
+            x = group.exchanger(plans)
+            arrays = {p: a.copy() for p, a in fills.items()}
+        total = self.program(x, group.allreduce, arrays, sorted(plans), op,
+                             charging)
         expected = oracle(halos, fills, add=op == "add")
         for p in plans:
             assert np.allclose(arrays[p], expected[p], rtol=1e-13,
@@ -220,15 +254,16 @@ class TestLockstepEqualsThreaded:
             )
             return mine, out
 
-        threaded = SimMPI(nranks)
+        threaded = SimMPI(nranks, trace=traced)
         for mine, out in threaded.run(body):
             assert np.array_equal(out, total)
             for p, arr in mine.items():
-                assert np.array_equal(arr, arrays[p])
-        assert ([c.clock for c in world.comms]
-                == [c.clock for c in threaded.comms])
+                assert arr.tobytes() == arrays[p].tobytes(), p
+        assert ([c.clock.hex() for c in world.comms]
+                == [c.clock.hex() for c in threaded.comms])
         assert ([c.stats for c in world.comms]
                 == [c.stats for c in threaded.comms])
+        assert rank_events(world) == rank_events(threaded)
 
     @pytest.mark.parametrize("nranks", [4, 2], ids=["sim", "hybrid"])
     def test_traced_solve_repeats_exactly_and_checks_clean(
@@ -279,3 +314,70 @@ class TestTelemetryUnderLockstep:
         solver = [s for s in tracer.spans if s.cat != "comm"]
         assert any(s.name == "nsu3d.parallel_cycle" for s in solver)
         assert {s.rank for s in solver} == {0}
+
+
+class TestWorldRowGather:
+    """What the world-row gather adds beyond matching the rank programs
+    (:class:`TestLockstepEqualsThreaded`): no message, one index build
+    per level, plan errors at index build, stale windows refused."""
+
+    def test_a_solve_sends_no_message(self, nsu3d_solver, cart3d_solver,
+                                      count_calls):
+        sends = count_calls(Comm, "isend")
+        recvs = count_calls(Comm, "irecv")
+        world = SimMPI(4)
+        make_parallel_nsu3d(nsu3d_solver, 4).run(world, 1, cfl=CFL_NSU3D)
+        overlapped = RuntimeConfig(overlap=True)
+        make_parallel_cart3d(cart3d_solver, 4, config=overlapped).solve(
+            1, cfl=CFL_CART3D
+        )
+        assert world.total_stats().messages_sent > 0
+        assert sends == [] and recvs == []
+
+    def test_index_arrays_are_built_once_per_level(self, nsu3d_solver,
+                                                   count_calls):
+        builds = count_calls(backends, "_WorldRows")
+        par = make_parallel_nsu3d(nsu3d_solver, 4)
+        for _ in range(3):
+            par.solve(1, cfl=CFL_NSU3D)
+        assert len(builds) == par.hierarchy.nlevels
+
+    def test_a_window_left_open_makes_the_next_finish_stale(self):
+        nvert, edges = grid_graph(4, 4)
+        halos = build_halos(nvert, edges, (np.arange(nvert) * 2) // nvert)
+        plans = {h.rank: h.plan for h in halos}
+        X = LockstepComm(SimMPI(2), 2).exchanger(plans)
+        arrays = {p: np.zeros((halos[p].nlocal, 2)) for p in plans}
+        X.start_copy(arrays, tag=4)  # dropped, never finished
+        X.copy(arrays, tag=3)  # another tag is unaffected
+        with pytest.raises(ValueError, match="stale"):
+            X.start_copy(arrays, tag=4).finish()
+
+    @pytest.mark.parametrize("corrupt, error, match", [
+        (lambda plans: plans[0].owned_slots.pop(1), DeadlockError,
+         "rank 1 deadlocked waiting for rank 0 tag 9: partition 1 holds "
+         "ghosts of partition 0"),
+        (lambda plans: plans[1].ghost_slots.pop(0), DeadlockError,
+         "rank 0 deadlocked waiting for rank 1 tag 9: partition 0 lists "
+         "owned rows for partition 1"),
+        (lambda plans: plans[0].owned_slots.update(
+            {1: plans[0].owned_slots[1][:-1]}), ValueError,
+         "partition 0 lists owned rows for partition 1 in 3 rows, "
+         "partition 1 mirrors 4"),
+        (lambda plans: plans[1].ghost_slots.update(
+            {0: plans[1].ghost_slots[0] + 100}), IndexError,
+         "partition 1 holds ghosts of partition 0 at a slot outside"),
+    ], ids=["ghosts-without-mirror", "owned-without-mirror",
+            "length-mismatch", "slot-range"])
+    def test_plan_errors_surface_at_index_build(self, corrupt, error, match):
+        nvert, edges = grid_graph(4, 4)
+        # reversed strips: partition 1 holds partition 0's rows as ghosts
+        halos = build_halos(nvert, edges,
+                            1 - (np.arange(nvert) * 2) // nvert)
+        plans = {h.rank: h.plan for h in halos}
+        assert list(plans[1].ghost_slots) == [0]
+        corrupt(plans)
+        X = LockstepComm(SimMPI(2), 2).exchanger(plans)
+        arrays = {p: np.zeros((halos[p].nlocal, 3)) for p in plans}
+        with pytest.raises(error, match=match):
+            X.add(arrays, tag=9)
