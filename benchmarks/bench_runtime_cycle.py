@@ -16,9 +16,9 @@ Two measurements per solver, written to ``results/runtime_cycle.*``:
   of the level's plans on the ``sim`` world: the lockstep exchanger
   (one gather over the stacked rows, ledger replayed from the plans)
   against the per-rank oracle it is tested against, a
-  :class:`~repro.runtime.HybridExchanger` per rank sending real SimMPI
-  messages inside ``SimMPI.run`` (whole world's wall / exchanges, min
-  of ``EXCHANGE_ROUNDS`` rounds of ``EXCHANGE_CALLS``);
+  ``make_exchanger("plan", ...)`` per rank sending real SimMPI messages
+  inside ``SimMPI.run`` (whole world's wall / exchanges, min of
+  ``EXCHANGE_ROUNDS`` rounds of ``EXCHANGE_CALLS``);
 * **real wall clock under ``backend="process"``** — the same cycles on
   a spawned worker pool at 1/2/4 workers.  Unlike the SimMPI columns
   this is true concurrency, so on a machine with >= 4 cores the 4-worker
@@ -252,7 +252,7 @@ def test_runtime_cycle_cost():
         f"of {PROCESS_SOLVES} solves (speedup = proc x1 / proc x4; "
         f"cpu_count={os.cpu_count()});",
         "exchange columns: lockstep = one gather over the stacked rows "
-        "plus the ledger replay; messages = a HybridExchanger per rank "
+        "plus the ledger replay; messages = a per-rank exchanger "
         "inside SimMPI.run, the oracle it is tested against.",
     ]
     save_result("runtime_cycle", "\n".join(lines), data=data)
