@@ -307,7 +307,7 @@ class _WorldRows:
             dst, src = [_NO_ROWS], [_NO_ROWS]
             for d in pids:
                 mine = getattr(plans[d], dst_side)
-                for s in sorted(mine, key=lambda s: (proc[s] != proc[d], s)):
+                for s in sorted(mine, key=lambda q: (proc[q] != proc[d], q)):
                     dst.append(start[d] + mine[s])
                     src.append(start[s] + getattr(plans[s], src_side)[d])
             return np.concatenate(dst), np.concatenate(src)

@@ -342,6 +342,22 @@ class TestWorldRowGather:
             par.solve(1, cfl=CFL_NSU3D)
         assert len(builds) == par.hierarchy.nlevels
 
+    def test_one_span_per_rank_and_exchange_and_none_untraced(
+        self, nsu3d_solver, count_calls
+    ):
+        records = count_calls(telemetry.Tracer, "record")
+        exchanges = count_calls(backends, "_LockstepPending")
+        par = make_parallel_nsu3d(nsu3d_solver, 4)
+        par.solve(1, cfl=CFL_NSU3D)
+        assert exchanges and records == []
+        with telemetry.capture() as tracer:
+            par.solve(1, cfl=CFL_NSU3D)
+        per_rank = [
+            sum(s.rank == rank for s in tracer.spans if s.cat == "comm")
+            for rank in range(4)
+        ]
+        assert per_rank == [len(exchanges) // 2] * 4
+
     def test_a_window_left_open_makes_the_next_finish_stale(self):
         nvert, edges = grid_graph(4, 4)
         halos = build_halos(nvert, edges, (np.arange(nvert) * 2) // nvert)
