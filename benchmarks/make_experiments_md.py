@@ -194,16 +194,22 @@ SECTIONS = [
      "The same multigrid cycles serially, on four SimMPI partitions "
      "(blocking and overlapped exchange) and on the spawned worker "
      "pool.  The in-process columns do identical kernel work on one "
-     "thread — the driver steps every rank in lockstep, posting each "
-     "exchange on all ranks before finishing it on any — so "
-     "parallel/serial is the stack's own overhead: 2.0x NSU3D / 3.5x "
-     "Cart3D in this run (2.0-2.4x / 3.5-4.0x over three), against "
-     "2.4x / 5.1x (1.9-2.7x / 3.5-5.2x) when every rank had a thread "
-     "and a blocked receive woke another one.  These are single "
-     "3-cycle shots on a shared host; the alternating-pair referee is "
-     "the perf harness (`BENCH_19.json`).  The virtual columns are "
-     "the simulated-Columbia ledger and did not move by a bit: who "
-     "executes a rank's sends and receives is not an input to it.  "
+     "thread — the driver steps every rank in lockstep, and each "
+     "exchange is one gather over the ranks' stacked rows with the "
+     "messages it stands for charged, not sent — so parallel/serial "
+     "is the stack's own overhead: 1.35x NSU3D / 1.45x Cart3D in "
+     "this run.  It read 2.4x / 5.1x when every rank had a thread and "
+     "a blocked receive woke another one, and 1.6x / 2.7x in the last "
+     "run whose lockstep exchange still traded SimMPI messages (PR "
+     "32's tree).  These are single 3-cycle shots on a shared host; the "
+     "alternating-pair referees are the perf harness's `BENCH_19.json` "
+     "and `BENCH_33.json`.  The exchange rows split out that last "
+     "step: per level, microseconds per copy and per add, the "
+     "world-row gather with its ledger replay against the per-rank "
+     "message exchange it is tested against (5-7x apart).  The "
+     "virtual columns are the simulated-Columbia ledger and did not "
+     "move by a bit: who executes a rank's sends and receives, or "
+     "whether they are sent at all, is not an input to it.  "
      "The proc columns are real concurrency on this container's two "
      "cores (one core per worker exists only at x1 and x2), each the "
      "median of 15 three-cycle solves on a warm pool.  Until PR 23 "
