@@ -200,8 +200,8 @@ SECTIONS = [
      "is the stack's own overhead: 1.35x NSU3D / 1.45x Cart3D in "
      "this run.  It read 2.4x / 5.1x when every rank had a thread and "
      "a blocked receive woke another one, and 1.6x / 2.7x in the last "
-     "run whose lockstep exchange still traded SimMPI messages (PR "
-     "32's tree).  These are single 3-cycle shots on a shared host; the "
+     "run whose lockstep exchange still traded SimMPI messages.  These "
+     "are single 3-cycle shots on a shared host; the "
      "alternating-pair referees are the perf harness's `BENCH_19.json` "
      "and `BENCH_33.json`.  The exchange rows split out that last "
      "step: per level, microseconds per copy and per add, the "
