@@ -38,7 +38,6 @@ from conftest import save_result
 from repro import api
 from repro.api import RuntimeConfig, SimMPI
 from repro.runtime import LockstepComm, make_exchanger
-from repro.runtime.domain import RowStack
 from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
 from repro.solvers.cart3d import Cart3DSolver
@@ -89,9 +88,8 @@ def _exchange_us(par, nvar: int) -> list:
     for level in par.hierarchy.levels:
         doms = dict(enumerate(level.domains))
         plans = {p: dom.halo.plan for p, dom in doms.items()}
-        stack = RowStack(doms)
-        rows = np.ones((sum(stack.sizes), nvar))
-        x = LockstepComm(SimMPI(NPARTS), NPARTS).exchanger(plans, doms)
+        rows = np.ones((sum(dom.nlocal for dom in doms.values()), nvar))
+        x = LockstepComm(SimMPI(NPARTS), NPARTS).exchanger(doms)
         row = {}
         for op in ("copy", "add"):
             step = getattr(x, op)
@@ -99,7 +97,7 @@ def _exchange_us(par, nvar: int) -> list:
             for _ in range(EXCHANGE_ROUNDS):
                 t0 = time.perf_counter()
                 for _ in range(EXCHANGE_CALLS):
-                    step(stack.split(rows))
+                    step(rows)
                 best = min(best, time.perf_counter() - t0)
             row[f"lockstep_{op}"] = best / EXCHANGE_CALLS * 1e6
 

@@ -115,8 +115,9 @@ API_REASONS: dict = {
                         "runtime's building block (test_runtime*.py)",
     "BACKENDS": "the names RuntimeConfig(backend=) accepts "
                 "(test_api_facade.py)",
-    "HybridExchanger": "return type of make_exchanger for the in-process "
-                       "backends: the facade names the types it hands out",
+    "HybridExchanger": "return type of make_exchanger, a rank program's "
+                       "message-path exchange: the facade names the types "
+                       "it hands out",
     "wing_mesh": "bump_channel's wing-like twin, the other NSU3D mesh "
                  "generator (test_unstructured_mesh.py)",
     "standard_study": "the paper's 6-D (aileron, elevator, rudder) x "

@@ -197,8 +197,9 @@ SECTIONS = [
      "thread — the driver steps every rank in lockstep, and each "
      "exchange is one gather over the ranks' stacked rows with the "
      "messages it stands for charged, not sent — so parallel/serial "
-     "is the stack's own overhead: 1.35x NSU3D / 1.45x Cart3D in "
-     "this run.  It read 2.4x / 5.1x when every rank had a thread and "
+     "is the stack's own overhead: 1.22x NSU3D / 1.39x Cart3D in "
+     "this run, where a level's state stays one stacked array from "
+     "pass to pass.  It read 2.4x / 5.1x when every rank had a thread and "
      "a blocked receive woke another one, and 1.6x / 2.7x in the last "
      "run whose lockstep exchange still traded SimMPI messages.  These "
      "are single 3-cycle shots on a shared host; the "
@@ -206,7 +207,7 @@ SECTIONS = [
      "and `BENCH_33.json`.  The exchange rows split out that last "
      "step: per level, microseconds per copy and per add, the "
      "world-row gather with its ledger replay against the per-rank "
-     "message exchange it is tested against (5-7x apart).  The "
+     "message exchange it is tested against (4-8x apart).  The "
      "virtual columns are the simulated-Columbia ledger and did not "
      "move by a bit: who executes a rank's sends and receives, or "
      "whether they are sent at all, is not an input to it.  "

@@ -153,7 +153,7 @@ from .telemetry import (
 #: The facade surface version: bumped when the blessed surface changes
 #: shape (new exports, removals, contract changes) — code against it
 #: with ``assert repro.api.__api_version__ >= "4"``-style checks.
-__api_version__ = "12.0"
+__api_version__ = "13.0"
 
 __all__ = [
     # solvers — unified surface

@@ -18,7 +18,6 @@ from .backends import (
     HybridExchanger,
     LockstepComm,
     LockstepExchanger,
-    PendingGroup,
     ProcessExchanger,
     make_exchanger,
 )
@@ -36,7 +35,7 @@ from .driver import DistributedSolveDriver, SolverKernels, run_rank_cycles
 from .multigrid import LevelOps, effective_cfl, fas_cycle
 from .partitioners import MetisLinePartitioner, Partitioner, SFCPartitioner
 from .process import ProcessComm, ProcessPool, SharedLayout, WorkerSpec
-from .sanitizer import GhostSanitizer, GuardedArray, SanitizedPendingGroup
+from .sanitizer import GhostSanitizer, GuardedArray, SanitizedPending
 
 __all__ = [
     "BACKENDS",
@@ -62,12 +61,11 @@ __all__ = [
     "LockstepExchanger",
     "ProcessExchanger",
     "make_exchanger",
-    "PendingGroup",
     "ProcessComm",
     "ProcessPool",
     "SharedLayout",
     "WorkerSpec",
     "GhostSanitizer",
     "GuardedArray",
-    "SanitizedPendingGroup",
+    "SanitizedPending",
 ]

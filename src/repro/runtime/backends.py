@@ -1,10 +1,12 @@
 """Pluggable comm backends for the distributed solve driver.
 
-Solver kernels operate on per-partition state dicts (``{pid: array}``)
-and talk to one small Exchanger surface — ``copy``, ``add``,
-``start_copy`` and ``charge`` — so the same kernel runs in-process or
-on real spawned worker processes (:class:`ProcessExchanger`,
-shared-memory halo buffers) without change.
+A level's distributed state is one stacked ``(nrows, nvar)`` array over
+the rows of a :class:`~repro.runtime.domain.RowStack`, and solver
+kernels talk to one small Exchanger surface over it — ``copy``,
+``add``, ``start_copy`` and ``charge`` — so the same kernel runs
+in-process (:class:`LockstepExchanger`) or on real spawned worker
+processes (:class:`ProcessExchanger`, shared-memory halo buffers)
+without change.
 
 A ``sim``/``hybrid`` solve holds every rank's rows in one stacked array
 on one thread, as a Columbia Altix box holds them in one shared memory,
@@ -19,31 +21,32 @@ a rank program per rank; :class:`LockstepComm` reduces the kernels'
 per-partition contributions the same way.  That rank program — a
 :class:`HybridExchanger` per rank over a
 :class:`~repro.comm.hybrid.HybridProcess` (one partition per rank is
-pure MPI), inside ``SimMPI.run`` — sends real SimMPI messages and is
-the oracle the lockstep exchanger is tested against.
+pure MPI), inside ``SimMPI.run`` — sends real SimMPI messages over
+``{pid: array}`` dicts; :func:`make_exchanger` builds it, and it is the
+oracle the lockstep exchanger is tested against.
 
 ``start_copy`` is the overlapped-exchange entry point (post sends,
-compute interior, finish boundary).  With one partition per rank the
-in-process window is real: ghost rows land at ``finish``.  With several
-the exchange is already internally overlapped — intra-process copies
-run while inter-process messages are in transit — so ``start_copy``
-completes eagerly and returns an already-finished pending
-(:attr:`~repro.comm.hybrid.HybridProcess.real_window`).  The process
+compute interior, finish boundary); inside the window kernels read the
+state through the returned pending's ``q``.  With one partition per
+rank the in-process window is real: ghost rows land at ``finish``.
+With several the exchange is already internally overlapped —
+intra-process copies run while inter-process messages are in transit —
+so ``start_copy`` completes eagerly and returns an already-landed
+pending (:class:`Landed`,
+:attr:`~repro.comm.hybrid.HybridProcess.real_window`).  The process
 backend's window is *real* concurrency: between publishing its rows and
 consuming its neighbours' every worker computes its interior on its own
 core, and it only ever waits for those neighbours (sequence words in
 the shared slab), never for the pool.
 
-Setting ``sanitize = True`` on an exchanger arms the
-:class:`~repro.runtime.sanitizer.GhostSanitizer` for every overlap
-window it opens: ghost slots are poisoned with a NaN canary and the
-protected arrays are swapped for read-trapping guard views until the
-matching ``finish()``.
+Setting ``sanitize = True`` on a lockstep or process exchanger arms the
+:class:`~repro.runtime.sanitizer.GhostSanitizer` for every real window:
+ghost rows carry a NaN canary, ``pending.q`` is a read-trapping guard
+view, and an exchange posted before the matching ``finish()`` raises.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import prod
 
 import numpy as np
@@ -53,62 +56,43 @@ from ..comm.simmpi import fold
 from ..errors import ConfigurationError, DeadlockError, ExchangeLifecycleError
 from ..kernels import incidence
 from ..telemetry.spans import get_tracer, span as _span
-from .domain import SplitRows, level_cache
+from .domain import level_cache, row_stack
 
 
-class PendingGroup:
-    """A batch of in-flight exchanges (one per rank).
+class Landed:
+    """The pending of a window whose copy landed at ``start_copy`` (the
+    eager case: several partitions per rank).  ``q`` is the state;
+    ``finish`` only closes the window, exactly once."""
 
-    Like the per-rank pendings it wraps, ``finish`` must run exactly
-    once; a second call raises
-    :class:`~repro.errors.ExchangeLifecycleError`.
-
-    If a member ``finish()`` fails, the group is **not** marked done:
-    members that already closed are skipped on a retry (their own
-    ``done`` flags record the progress), and the raised error carries
-    the failing member's rank (or partition) as a note.
-    """
-
-    def __init__(self, pendings: list):
-        self.pendings = pendings
-        self.done = False
+    def __init__(self, q):
+        self.q, self.done = q, False
 
     def finish(self) -> None:
         if self.done:
             raise ExchangeLifecycleError(
-                "PendingGroup.finish called twice; each overlap window "
-                "must be closed exactly once"
+                "overlap window finished twice; each overlap window must "
+                "be closed exactly once"
             )
-        for p in self.pendings:
-            if getattr(p, "done", False):
-                # closed by an earlier, partially failed finish()
-                continue
-            try:
-                p.finish()
-            except Exception as exc:
-                pid = getattr(getattr(p, "plan", None), "rank", None)
-                rank = getattr(p, "rank", None)
-                if pid is not None:
-                    exc.add_note(
-                        f"while finishing the exchange of partition {pid}"
-                    )
-                elif rank is not None:
-                    exc.add_note(
-                        f"while finishing the exchange of rank {rank}"
-                    )
-                raise
-        # only a fully closed group is done — a mid-loop failure leaves
-        # the group open so the remaining members can still be drained
         self.done = True
 
 
-def _guarded(x, arrays: dict, pending):
-    """``pending``, behind the GhostSanitizer when ``x.sanitize`` is set."""
+def _guarded(x, pending):
+    """``pending``, behind the GhostSanitizer when ``x.sanitize`` is
+    set; the open sanitized window is kept as ``x.sanitized``."""
     if not x.sanitize:
         return pending
     from .sanitizer import GhostSanitizer
 
-    return GhostSanitizer(x.plans).guard(arrays, pending)
+    x.sanitized = GhostSanitizer(x.rows).guard(pending)
+    return x.sanitized
+
+
+def _refuse_in_window(x, tag: int) -> None:
+    """Raise if a sanitized window of ``x`` is still open: nothing may
+    be posted before its ``finish``."""
+    window = x.sanitized
+    if window is not None and not window.done:
+        window.refuse(tag)
 
 
 def _bill(comm, pids, flops: dict) -> None:
@@ -120,22 +104,19 @@ def _bill(comm, pids, flops: dict) -> None:
 
 
 class HybridExchanger:
-    """The in-process backend: one :class:`HybridProcess` serving every
-    partition of this rank (paper fig. 7b master-thread model; pure MPI
-    is one partition per rank)."""
+    """A rank program's in-process exchange: one :class:`HybridProcess`
+    serving every partition of this rank over ``{pid: array}`` dicts
+    (paper fig. 7b master-thread model; pure MPI is one partition per
+    rank), sending real SimMPI messages — the oracle
+    :class:`LockstepExchanger` is held to."""
 
     def __init__(self, comm, process):
         self.comm = comm
         self.process = process
-        self.plans = process.plans
         self.pids = process.part_ids
         #: when True, ``charge`` bills compute time to the virtual
         #: clock so overlap benefits show in SimMPI makespans
         self.charging = False
-        #: when True, a real ``start_copy`` window arms the
-        #: GhostSanitizer: NaN canaries in the ghost slots plus
-        #: read-trapping guard views until the matching ``finish()``
-        self.sanitize = False
 
     def post(self, arrays: dict, tag: int,
              add: bool = False) -> PendingHybrid:
@@ -151,11 +132,9 @@ class HybridExchanger:
 
     def start_copy(self, arrays: dict, tag: int = 0):
         if self.process.real_window:
-            return _guarded(self, arrays, self.post(arrays, tag))
-        # already overlapped inside; a fresh group per call (not a
-        # shared sentinel) keeps the exactly-once ``finish`` enforceable
+            return self.post(arrays, tag)
         self.copy(arrays, tag)
-        return PendingGroup([])
+        return Landed(arrays)
 
     def charge(self, flops: dict) -> None:
         if self.charging:
@@ -208,12 +187,11 @@ class LockstepComm:
             [fold([parts[p] for p in pids], op) for pids in self.pids], op
         )
 
-    def exchanger(self, plans: dict,
-                  doms: dict | None = None) -> "LockstepExchanger":
-        """The rank-spanning exchanger over one level's ``{pid: plan}``;
-        with the level's ``{pid: domain}`` its index arrays live on the
-        level, shared by every solve on the hierarchy."""
-        return LockstepExchanger(self, plans, doms)
+    def exchanger(self, doms: dict) -> "LockstepExchanger":
+        """The rank-spanning exchanger over one level's ``{pid:
+        domain}``; its index arrays live on the level, shared by every
+        solve on the hierarchy."""
+        return LockstepExchanger(self, doms)
 
     def _open_window(self, tag: int) -> int:
         self._posted += 1
@@ -276,10 +254,10 @@ def _check_plans(plans: dict, sizes: dict, proc_of: dict, tag: int) -> None:
 
 
 class _WorldRows:
-    """One level's halo exchange as index arrays over *world rows*:
-    every partition of a lockstep world end to end in pid order,
-    ``sizes`` rows each — the paper's fig. 7b OpenMP copy phase when
-    every rank shares one memory.
+    """One level's halo exchange as index arrays over the rows of its
+    :class:`~repro.runtime.domain.RowStack`: every partition of a
+    lockstep world end to end in pid order — the paper's fig. 7b OpenMP
+    copy phase when every rank shares one memory.
 
     * a copy is ``rows[copy_dst] = rows[copy_src]``, owner rows into
       ghost rows;
@@ -293,19 +271,14 @@ class _WorldRows:
       (:meth:`~repro.comm.hybrid.HybridProcess.schedule`).
     """
 
-    def __init__(self, plans: dict, sizes: tuple, comm: LockstepComm,
-                 tag: int):
-        pids = tuple(sorted(plans))
+    def __init__(self, plans: dict, stack, comm: LockstepComm, tag: int):
         proc = comm.proc_of
-        _check_plans(plans, dict(zip(pids, sizes)), proc, tag)
-        starts = tuple(accumulate((0,) + sizes[:-1]))
-        start = dict(zip(pids, starts))
-        self.sizes = sizes
-        self.spans = tuple(slice(s, s + n) for s, n in zip(starts, sizes))
+        _check_plans(plans, dict(zip(stack.spans, stack.sizes)), proc, tag)
+        start = {p: span.start for p, span in stack.spans.items()}
 
         def rows(dst_side: str, src_side: str) -> tuple:
             dst, src = [_NO_ROWS], [_NO_ROWS]
-            for d in pids:
+            for d in plans:
                 mine = getattr(plans[d], dst_side)
                 for s in sorted(mine, key=lambda q: (proc[q] != proc[d], q)):
                     dst.append(start[d] + mine[s])
@@ -314,7 +287,7 @@ class _WorldRows:
 
         self.copy_dst, self.copy_src = rows("ghost_slots", "owned_slots")
         add_dst, self.add_src = rows("owned_slots", "ghost_slots")
-        self.add_op = incidence(sum(sizes), (add_dst, 1.0))
+        self.add_op = incidence(len(stack.ghost), (add_dst, 1.0))
         procs = [
             HybridProcess(rank=r, part_ids=mine, plans=plans, proc_of=proc)
             for r, mine in enumerate(comm.pids)
@@ -328,8 +301,7 @@ class _WorldRows:
 def _row_items(a: np.ndarray) -> np.ndarray:
     """``a`` as one opaque item per row, so a row gather or scatter
     moves the same bytes in one indexed pass instead of one per column
-    — for a plain C-contiguous array; anything else (a sanitizer guard
-    among them, whose traps a view would bypass) comes back as is."""
+    — for a plain C-contiguous array; anything else comes back as is."""
     if type(a) is not np.ndarray or not a.flags.c_contiguous or not len(a):
         return a
     flat = a.reshape(len(a), -1)
@@ -338,15 +310,13 @@ def _row_items(a: np.ndarray) -> np.ndarray:
 
 class LockstepExchanger:
     """Every rank's halo exchange of one level of a lockstep world, on
-    the one array the partitions' rows share.
+    the level's stacked state array.
 
-    The kernels hand it :meth:`~repro.runtime.domain.RowStack.split`
-    views of a stacked array, so a copy is one gather of owner rows into
-    ghost rows of that array and an add one gather, one zeroing and one
+    A copy is one gather of owner rows into ghost rows of that array and
+    an add one gather, one zeroing and one
     :class:`~repro.kernels.ScatterOperator` apply (:class:`_WorldRows`,
-    built from the plans once per level).  Any other ``{pid: array}``
-    dict is joined, exchanged and written back.  No message is sent:
-    the virtual ledger is charged by replaying the messages the per-rank
+    built from the plans once per level).  No message is sent: the
+    virtual ledger is charged by replaying the messages the per-rank
     :class:`HybridExchanger` would send
     (:meth:`~repro.comm.simmpi.SimMPI.charge_sends` /
     :meth:`~repro.comm.simmpi.SimMPI.charge_receives`), so clocks,
@@ -355,52 +325,39 @@ class LockstepExchanger:
     this one to.
     """
 
-    def __init__(self, comm: LockstepComm, plans: dict,
-                 doms: dict | None = None):
+    def __init__(self, comm: LockstepComm, doms: dict):
         self.comm = comm
-        self.plans = plans
-        self.pids = tuple(sorted(plans))
-        self._doms = doms
-        self._rows: _WorldRows | None = None
+        self.rows = row_stack(doms)
         self.charging = False
         self.sanitize = False
+        #: the last sanitized window opened (open until its finish)
+        self.sanitized = None
+        self._doms = doms
 
-    def _index(self, sizes: tuple, tag: int) -> _WorldRows:
-        rows = self._rows
-        if rows is None or rows.sizes != sizes:
-            def build():
-                return _WorldRows(self.plans, sizes, self.comm, tag)
+    def _world_rows(self, tag: int) -> _WorldRows:
+        def build():
+            plans = {p: dom.halo.plan for p, dom in self._doms.items()}
+            return _WorldRows(plans, self.rows, self.comm, tag)
 
-            key = "lockstep_rows", self.comm.world.nranks, sizes
-            rows = self._rows = (level_cache(self._doms, key, build)
-                                 if self._doms else build())
-        return rows
+        key = "lockstep_rows", self.comm.world.nranks
+        return level_cache(self._doms, key, build)
 
-    def _post(self, arrays: dict, tag: int, add: bool,
+    def _post(self, q: np.ndarray, tag: int, add: bool,
               window: bool = False) -> "_LockstepPending":
-        if isinstance(arrays, SplitRows) and tuple(arrays) == self.pids:
-            whole = arrays.stacked()
-            if (whole is not None and whole.flags.c_contiguous
-                    and whole.flags.writeable):
-                return _LockstepPending(self, whole, arrays.sizes, None,
-                                        tag, add, window)
-        parts = {p: arrays[p] for p in self.pids}
-        return _LockstepPending(
-            self, np.concatenate(list(parts.values())),
-            tuple(len(a) for a in parts.values()), parts, tag, add, window,
-        )
+        _refuse_in_window(self, tag)
+        return _LockstepPending(self, q, tag, add, window)
 
-    def copy(self, arrays: dict, tag: int = 0) -> None:
-        self._post(arrays, tag, False).finish()
+    def copy(self, q: np.ndarray, tag: int = 0) -> None:
+        self._post(q, tag, False).finish()
 
-    def add(self, arrays: dict, tag: int = 1) -> None:
-        self._post(arrays, tag, True).finish()
+    def add(self, q: np.ndarray, tag: int = 1) -> None:
+        self._post(q, tag, True).finish()
 
-    def start_copy(self, arrays: dict, tag: int = 0):
+    def start_copy(self, q: np.ndarray, tag: int = 0):
         if self.comm.eager:
-            self.copy(arrays, tag)
-            return PendingGroup([])
-        return _guarded(self, arrays, self._post(arrays, tag, False, True))
+            self.copy(q, tag)
+            return Landed(q)
+        return _guarded(self, self._post(q, tag, False, True))
 
     def charge(self, flops: dict) -> None:
         if self.charging:
@@ -409,30 +366,27 @@ class LockstepExchanger:
 
 
 class _LockstepPending:
-    """A posted lockstep exchange: sends charged and the shipped rows
-    gathered; ``finish`` (exactly once) charges the receives and lands
-    the rows.  ``parts``, when set, is the joined dict to land them in."""
+    """A posted lockstep exchange on the array ``q``: sends charged and
+    the shipped rows gathered; ``finish`` (exactly once) charges the
+    receives and lands the rows."""
 
-    def __init__(self, x: LockstepExchanger, whole: np.ndarray,
-                 sizes: tuple, parts: dict | None, tag: int, add: bool,
-                 window: bool):
-        self.x, self.whole, self.parts = x, whole, parts
+    def __init__(self, x: LockstepExchanger, q: np.ndarray, tag: int,
+                 add: bool, window: bool):
+        self.x, self.q = x, q
         self.tag, self.add, self.done = tag, add, False
-        self.rows = rows = x._index(sizes, tag)
+        self.rows = rows = x._world_rows(tag)
         comm = x.comm
         self.window = comm._open_window(tag) if window else None
-        self.rowbytes = whole.dtype.itemsize * prod(whole.shape[1:])
+        self.rowbytes = q.dtype.itemsize * prod(q.shape[1:])
         traced = get_tracer().enabled
         self.t0 = [c.clock for c in comm.comms] if traced else None
         self.stamps = comm.world.charge_sends(rows.ledger[add][0], tag,
                                               self.rowbytes)
-        items = _row_items(whole)
+        items = _row_items(q)
         if add:
             data = items[rows.add_src]
             items[rows.add_src] = np.zeros((), items.dtype)
-            self.data = data.view(whole.dtype).reshape(
-                (-1,) + whole.shape[1:]
-            )
+            self.data = data.view(q.dtype).reshape((-1,) + q.shape[1:])
         else:
             self.data = items[rows.copy_src]
         if traced and window:
@@ -452,24 +406,17 @@ class _LockstepPending:
                 "exchange must be completed exactly once"
             )
         self.done = True
-        comm, rows, parts = self.x.comm, self.rows, self.parts
+        comm, rows = self.x.comm, self.rows
         comm._receive(self.tag, self.window)
         traced = get_tracer().enabled
         if traced and (self.window or self.t0 is None):
             self.t0 = [c.clock for c in comm.comms]
         comm.world.charge_receives(rows.ledger[self.add][1], self.tag,
                                    self.rowbytes, self.stamps)
-        whole = self.whole
         if self.add:
-            rows.add_op.add_to(whole, self.data)
+            rows.add_op.add_to(self.q, self.data)
         else:
-            if parts is not None:
-                # land in the arrays as they are now, not as posted
-                whole = np.concatenate(list(parts.values()))
-            _row_items(whole)[rows.copy_dst] = self.data
-        if parts is not None:
-            for arr, span in zip(parts.values(), rows.spans):
-                arr[...] = whole[span]
+            _row_items(self.q)[rows.copy_dst] = self.data
         if traced:
             self._spans(
                 "comm.exchange_copy_finish" if self.window
@@ -485,27 +432,27 @@ POSTED, TAG, LENGTH, CONSUMED, HEADER = 0, 1, 2, 8, 16
 
 
 class _ProcessPending:
-    """The open half of a :class:`ProcessExchanger` exchange; it keeps
-    the sequence number it was posted under, so ``finish`` consumes the
-    blocks its own ``post`` is paired with whatever happened since."""
+    """The open half of a :class:`ProcessExchanger` exchange on the
+    array ``q``; it keeps the sequence number it was posted under, so
+    ``finish`` consumes the blocks its own ``post`` is paired with
+    whatever happened since."""
 
-    def __init__(self, exchanger: "ProcessExchanger", plan, arr: np.ndarray,
+    def __init__(self, exchanger: "ProcessExchanger", arr: np.ndarray,
                  tag: int, add: bool, seq: int):
         self.x = exchanger
-        self.plan = plan
-        self.arr = arr
+        self.q = arr
         self.tag, self.add, self.seq = tag, add, seq
         self.done = False
 
-    def finish(self) -> np.ndarray:
+    def finish(self) -> None:
+        x, plan, arr, seq = self.x, self.x.plan, self.q, self.seq
         if self.done:
             raise ExchangeLifecycleError(
-                f"exchange finish called twice (rank {self.plan.rank}, "
+                f"exchange finish called twice (rank {plan.rank}, "
                 f"tag {self.tag}); each overlap window must be closed "
                 f"exactly once"
             )
         self.done = True
-        x, plan, arr, seq = self.x, self.plan, self.arr, self.seq
         recv = plan.owned_slots if self.add else plan.ghost_slots
         name = "comm.exchange_add" if self.add else "comm.exchange_copy_finish"
         with _span(name, cat="comm", tag=self.tag, neighbors=plan.degree()):
@@ -533,21 +480,21 @@ class _ProcessPending:
                     arr[rows] = data
                 x.comm.store_seq(blk, CONSUMED, seq)
         x._open = None
-        return arr
 
 
 class ProcessExchanger:
     """Real multi-core backend: shared-memory halo exchange between
     spawned worker processes, synchronized neighbour to neighbour.
 
-    Each worker owns exactly one partition.  For every directed
-    neighbor pair the :class:`~repro.runtime.process.ProcessPool`
-    allocates a flat float64 block in one shared slab — ``HEADER``
-    words, then the payload; ``channels`` maps neighbor rank -> ``(out,
-    inbound)`` views of this worker's send and receive blocks.  The
-    exchanger numbers its exchanges (SPMD: both ends of a channel count
-    the same ones); each is two steps per neighbour ``q``, and each
-    step waits on ``q`` alone:
+    Each worker owns exactly one partition, the domain ``dom``, and its
+    state is that partition's rows.  For every directed neighbor pair
+    the :class:`~repro.runtime.process.ProcessPool` allocates a flat
+    float64 block in one shared slab — ``HEADER`` words, then the
+    payload; ``channels`` maps neighbor rank -> ``(out, inbound)`` views
+    of this worker's send and receive blocks.  The exchanger numbers its
+    exchanges (SPMD: both ends of a channel count the same ones); each
+    is two steps per neighbour ``q``, and each step waits on ``q``
+    alone:
 
     * **publish** (:meth:`post`) — wait until ``q`` has ``consumed``
       exchange ``seq - 1``, write the rows the plan says it needs, their
@@ -564,15 +511,16 @@ class ProcessExchanger:
     The memory ordering this leans on is stated at
     :meth:`~repro.runtime.process.ProcessComm.store_seq`/``await_seq``.
 
-    Floating-point parity with the in-process :class:`HybridExchanger`
-    at one partition per rank holds because ``add`` accumulates at
-    owners in the same sorted-neighbor order and the owner/ghost slot
-    orderings are the plan's own.
+    Floating-point parity with the in-process exchange at one partition
+    per rank holds because ``add`` accumulates at owners in the same
+    sorted-neighbor order and the owner/ghost slot orderings are the
+    plan's own.
     """
 
-    def __init__(self, comm, plans: dict, channels: dict, level: int = 0):
+    def __init__(self, comm, dom, channels: dict, level: int = 0):
         self.comm = comm
-        self.plans = plans
+        self.plan = dom.halo.plan
+        self.rows = row_stack({self.plan.rank: dom})
         #: neighbor rank -> (out block, inbound block): flat float64
         #: views of the pool's shared slab, header first
         self.channels = channels
@@ -582,12 +530,14 @@ class ProcessExchanger:
         #: accepted for symmetry; real wall clocks need no charging
         self.charging = False
         self.sanitize = False
+        #: the last sanitized window opened (open until its finish)
+        self.sanitized = None
 
-    def post(self, arrays: dict, tag: int, add: bool = False):
+    def post(self, arr: np.ndarray, tag: int, add: bool = False):
         """Publish half of a copy (or ``add``: ghost rows ship to their
         owners and zero); ``finish`` of the result is the consume half."""
-        (pid, arr), = arrays.items()
-        plan = self.plans[pid]
+        _refuse_in_window(self, tag)
+        plan = self.plan
         if self._open is not None:
             raise ExchangeLifecycleError(
                 f"rank {plan.rank}, level {self.level}: exchange with tag "
@@ -615,30 +565,31 @@ class ProcessExchanger:
                 self.comm.store_seq(blk, POSTED, seq)
                 if add:
                     arr[rows] = 0.0
-        self._open = _ProcessPending(self, plan, arr, tag, add, seq)
+        self._open = _ProcessPending(self, arr, tag, add, seq)
         return self._open
 
-    def copy(self, arrays: dict, tag: int = 0) -> None:
-        self.post(arrays, tag).finish()
+    def copy(self, q: np.ndarray, tag: int = 0) -> None:
+        self.post(q, tag).finish()
 
-    def add(self, arrays: dict, tag: int = 1) -> None:
-        self.post(arrays, tag, add=True).finish()
+    def add(self, q: np.ndarray, tag: int = 1) -> None:
+        self.post(q, tag, add=True).finish()
 
-    def start_copy(self, arrays: dict, tag: int = 0):
-        return _guarded(self, arrays, PendingGroup([self.post(arrays, tag)]))
+    def start_copy(self, q: np.ndarray, tag: int = 0):
+        return _guarded(self, self.post(q, tag))
 
     def charge(self, flops: dict) -> None:
         """No-op: the process backend's clock is the real one."""
 
 
 def make_exchanger(backend: str, comm, *, plans: dict | None = None,
-                   process=None, channels: dict | None = None,
-                   level: int = 0):
-    """An exchanger of ``backend`` for one rank, lifecycle flags off.
+                   process=None) -> HybridExchanger:
+    """A rank program's message-path exchanger, charging off.
 
-    ``"sim"``/``"plan"`` is the in-process exchange of a rank holding
-    the one partition of ``plans`` (pure MPI: partition id = rank);
-    ``"hybrid"`` takes a ready :class:`HybridProcess`.
+    ``"sim"``/``"plan"`` is the exchange of a rank holding the one
+    partition of ``plans`` (pure MPI: partition id = rank);
+    ``"hybrid"`` takes a ready :class:`HybridProcess`.  Distributed
+    solves use neither: they build a :class:`LockstepExchanger`
+    (:meth:`LockstepComm.exchanger`) or a :class:`ProcessExchanger`.
     """
     if backend in ("sim", "plan"):
         plans = plans or {}
@@ -648,9 +599,7 @@ def make_exchanger(backend: str, comm, *, plans: dict | None = None,
         ))
     if backend == "hybrid":
         return HybridExchanger(comm, process)
-    if backend == "process":
-        return ProcessExchanger(comm, plans or {}, channels or {}, level)
     raise ConfigurationError(
-        f"unknown exchanger backend {backend!r}; choose 'sim', "
-        "'hybrid' or 'process'"
+        f"unknown exchanger backend {backend!r}; choose 'sim', 'plan' "
+        "or 'hybrid'"
     )

@@ -14,6 +14,12 @@ lives where its first fine member lives), and the halo ghost sets are
 widened so every coarse agglomerate referenced by an owned fine point is
 locally resident — the invariant the distributed transfer operators in
 :mod:`repro.runtime.driver` rely on.
+
+:class:`RowStack` lays a level's partitions end to end.  The distributed
+state of a level is one C-contiguous ``(nrows, nvar)`` array over those
+rows — every partition of a lockstep world in pid order, or a process
+worker's one — and every kernel hook, transfer operator and exchanger
+takes and returns that array.
 """
 
 from __future__ import annotations
@@ -69,38 +75,13 @@ def level_cache(doms: dict, key: str, build: Callable[[], Any]) -> Any:
     return cache[slot]
 
 
-class SplitRows(dict):
-    """``{pid: row-slice view}`` of one stacked array, as
-    :meth:`RowStack.split` hands it out.  :meth:`stacked` gives back the
-    array the views share — an exchanger stepping every partition at
-    once works on it directly — for as long as the dict holds exactly
-    those views; one with an entry replaced (an overlap window's guard
-    views, say) is a plain ``{pid: array}`` dict again."""
-
-    __slots__ = ("whole", "sizes", "_views")
-
-    def __init__(self, whole: np.ndarray, views: dict, sizes: tuple):
-        super().__init__(views)
-        self.whole = whole
-        #: each partition's row count, in key order
-        self.sizes = sizes
-        self._views = tuple(views.values())
-
-    def stacked(self) -> np.ndarray | None:
-        """The shared array, or ``None`` once an entry was replaced."""
-        if len(self) != len(self._views) or any(
-            a is not b for a, b in zip(self.values(), self._views)
-        ):
-            return None
-        return self.whole
-
-
 class RowStack:
     """The rows of the partitions in ``doms`` — every one of a lockstep
-    world, a hybrid rank's own, a process worker's one — end to end, so
-    a pass runs each serial kernel once on all of them (paper section
-    III).  ``spans`` / ``owned_spans`` are each partition's rows / owned
-    rows, ``owned`` all owned rows, ``ghost`` masks the others.  Solvers
+    world, a process worker's one — end to end, so a pass runs each
+    serial kernel once on all of them (paper section III).  A level's
+    distributed state is one ``(nrows, nvar)`` array over these rows.
+    ``spans`` / ``owned_spans`` are each partition's rows / owned rows,
+    ``owned`` all owned rows, ``ghost`` masks the others.  Solvers
     subclass it to stack their payload (:meth:`concat`)."""
 
     def __init__(self, doms: dict):
@@ -125,17 +106,10 @@ class RowStack:
             for part, start in zip(parts, self.starts)
         ])
 
-    def join(self, arrays: dict) -> np.ndarray:
-        """The partitions' rows as one fresh array (inside an overlap
-        window the sanitizer's guards make it a guarded one)."""
-        return np.concatenate([arrays[p] for p in self.spans])
 
-    def split(self, array: np.ndarray) -> SplitRows:
-        """Per-partition row-slice views — what the exchanger gets."""
-        return SplitRows(
-            array, {p: array[span] for p, span in self.spans.items()},
-            self.sizes,
-        )
+def row_stack(doms: dict) -> RowStack:
+    """The level's :class:`RowStack`, built once per level."""
+    return level_cache(doms, "rows", lambda: RowStack(doms))
 
 
 @dataclass

@@ -10,12 +10,14 @@ the distributed FAS adapter over
 and the final owned-row gather.
 
 Solver physics enters through a *kernels* object (duck-typed; see
-:class:`SolverKernels`) whose methods all operate on per-partition
-dicts, so one partition per rank (pure MPI), many partitions per
-process (hybrid) and one spawned worker per partition (process) all
-run the same code: :func:`run_rank_cycles` is the shared, picklable
-body.  A ``sim``/``hybrid`` solve calls it **once, on the calling
-thread, over the partitions of every rank** of the SimMPI world — the
+:class:`SolverKernels`) whose methods all take and return one level's
+stacked state — one ``(nrows, nvar)`` array over the level's
+:class:`~repro.runtime.domain.RowStack` — so every partition of a
+lockstep world at once (pure MPI and hybrid alike) and one spawned
+worker per partition (process) all run the same code:
+:func:`run_rank_cycles` is the shared, picklable body.  A
+``sim``/``hybrid`` solve calls it **once, on the calling thread, over
+the partitions of every rank** of the SimMPI world — the
 kernels' only blocking points sit inside the exchanger and
 ``allreduce``, and :class:`~repro.runtime.backends.LockstepExchanger`
 (one gather over the stacked rows, every rank's ledger charged) /
@@ -34,28 +36,30 @@ from ..kernels import incidence
 from ..telemetry.spans import get_tracer, span as _span
 from .backends import LockstepComm
 from .config import RuntimeConfig
-from .domain import RowStack, level_cache
+from .domain import level_cache, row_stack
 from .multigrid import fas_cycle
 
 
 class SolverKernels:
     """Protocol for the solver-specific half of a distributed solve.
 
-    State is always a ``{pid: (nlocal, nvar) array}`` dict; ``X`` an
-    Exchanger (:mod:`repro.runtime.backends`); ``doms`` a ``{pid:
-    DistributedDomain}`` dict.  Required attributes: ``name``,
-    ``coarse_cfl_fraction``.  Kernels may also expose a ``layout``
+    ``doms`` is a level's ``{pid: DistributedDomain}`` dict, ``X`` its
+    Exchanger (:mod:`repro.runtime.backends`), and state ``q`` one
+    C-contiguous ``(nrows, nvar)`` array: the partitions' rows end to
+    end in ``doms`` order (:func:`~repro.runtime.domain.row_stack`).
+    Required attributes: ``name``, ``coarse_cfl_fraction``.  Kernels
+    may also expose a ``layout``
     (:class:`~repro.solvers.gas.VariableLayout`): when present, the
     runtime derives every state width from it — shared-slab carving,
     exchange block sizes — instead of assuming a fixed variable count.
     Required methods:
 
-    ``init_state(dom)``, ``volumes(dom)``,
-    ``fix_restricted_state(dom, q)``, ``mask_forcing(dom, f)``,
-    ``smooth(X, doms, qs, *, forcing, cfl, nsteps, overlap)``,
-    ``defect(X, doms, qs, forcing)`` (completed residual minus forcing,
-    ghost rows zeroed), ``apply_correction(comm, X, doms, qs, dqs)``,
-    ``residual_norm(comm, X, doms, qs)``.
+    ``init_state(doms)``, ``volumes(doms)``,
+    ``fix_restricted_state(doms, q)``, ``mask_forcing(doms, f)``,
+    ``smooth(X, doms, q, *, forcing, cfl, nsteps, overlap)``,
+    ``defect(X, doms, q, forcing)`` (completed residual minus forcing,
+    ghost rows zeroed), ``apply_correction(comm, X, doms, q, dq)``,
+    ``residual_norm(comm, X, doms, q)``.
 
     ``doms`` may span several ranks, so kernels never fold across
     partitions themselves: they hand ``comm.allreduce`` and
@@ -67,20 +71,15 @@ class SolverKernels:
     """
 
 
-def _row_stack(doms: dict) -> RowStack:
-    """The level's partitions end to end, built once per level."""
-    return level_cache(doms, "rows", lambda: RowStack(doms))
-
-
 class _DistributedOps:
     """Distributed :class:`~repro.runtime.multigrid.LevelOps` adapter.
 
     Implements the generic transfer algebra — volume-weighted state
     restriction, defect restriction, injection prolongation along the
-    first-fine-member agglomerate maps — with exchange-adds completing
-    the owner sums and exchange-copies refreshing coarse ghosts, while
-    deferring every physics decision (BC fixup, forcing masks,
-    correction guarding) to the kernels.
+    first-fine-member agglomerate maps — on the levels' stacked states,
+    with exchange-adds completing the owner sums and exchange-copies
+    refreshing coarse ghosts, while deferring every physics decision
+    (BC fixup, forcing masks, correction guarding) to the kernels.
     """
 
     #: tags for the transfer-operator exchanges (solver smoothers use
@@ -101,59 +100,60 @@ class _DistributedOps:
         self.coarse_cfl_fraction = kernels.coarse_cfl_fraction
         self.nlevels = len(doms)
 
-    def clone(self, qs):
-        return {p: a.copy() for p, a in qs.items()}
+    def clone(self, q):
+        return q.copy()
 
-    def smooth(self, level, qs, forcing, cfl, nsteps):
+    def smooth(self, level, q, forcing, cfl, nsteps):
         return self.kernels.smooth(
-            self.X[level], self.doms[level], qs, forcing=forcing, cfl=cfl,
+            self.X[level], self.doms[level], q, forcing=forcing, cfl=cfl,
             nsteps=nsteps, overlap=self.overlap,
         )
 
-    def defect(self, level, qs, forcing):
-        return self.kernels.defect(self.X[level], self.doms[level], qs,
+    def defect(self, level, q, forcing):
+        return self.kernels.defect(self.X[level], self.doms[level], q,
                                    forcing)
 
-    def _restrict_sum(self, level, values, tag):
-        """Owner-complete sum of per-fine-row ``values`` over
-        agglomerates, every partition at once: one scatter of the
-        stacked owned fine rows into the stacked coarse rows, then
-        exchange-add (ghost coarse rows ship to their owners and zero).
-        Returns the coarse stack's per-partition views."""
-        doms_f, doms_c = self.doms[level], self.doms[level + 1]
-        coarse = _row_stack(doms_c)
+    def _cluster(self, level) -> np.ndarray:
+        """Per owned row of the fine stack, in order, the coarse-stack
+        row of its agglomerate; built once per level."""
+        def build():
+            cl = self.cluster_local[level]
+            coarse = self.doms[level + 1]
+            return np.concatenate([
+                cl[p] + start
+                for p, start in zip(coarse, row_stack(coarse).starts)
+            ])
 
+        return level_cache(self.doms[level], "cluster", build)
+
+    def _restrict_sum(self, level, owned, tag):
+        """Owner-complete sum over agglomerates of ``owned`` (one value
+        per owned fine row, in stack order): one scatter into the coarse
+        stack, then exchange-add (ghost coarse rows ship to their owners
+        and zero)."""
         def restriction():
             # offsets keep partitions apart, and a row adds its fine
             # rows in position order: the per-partition sums, bit for bit
-            cl = self.cluster_local[level]
-            return incidence(sum(coarse.sizes), (np.concatenate([
-                cl[p] + start for p, start in zip(doms_c, coarse.starts)
-            ]), 1.0))
+            nrows = len(row_stack(self.doms[level + 1]).ghost)
+            return incidence(nrows, (self._cluster(level), 1.0))
 
-        op = level_cache(doms_f, "restrict", restriction)
-        owned = np.concatenate([
-            values[p][: dom.nowned] for p, dom in doms_f.items()
-        ])
+        op = level_cache(self.doms[level], "restrict", restriction)
         acc = np.zeros((op.nrows,) + owned.shape[1:], dtype=np.float64)
         self.kernels.engine.scatter_add(acc, op, owned)
-        acc = coarse.split(acc)
         self.X[level + 1].add(acc, tag=tag)
         return acc
 
-    def restrict_state(self, level, qs):
+    def restrict_state(self, level, q):
         kern = self.kernels
         doms_f, doms_c = self.doms[level], self.doms[level + 1]
-        weighted = {
-            p: qs[p][: dom.nowned]
-            * kern.volumes(dom)[: dom.nowned, None]
-            for p, dom in doms_f.items()
-        }
-        acc = self._restrict_sum(level, weighted, self.TAG_RESTRICT_ADD)
-        out = _row_stack(doms_c).split(np.concatenate([
-            kern.fix_restricted_state(dom, acc[p] / kern.volumes(dom)[:, None])
-            for p, dom in doms_c.items()
-        ]))
+        own = row_stack(doms_f).owned
+        acc = self._restrict_sum(
+            level, q[own] * kern.volumes(doms_f)[own, None],
+            self.TAG_RESTRICT_ADD,
+        )
+        out = kern.fix_restricted_state(
+            doms_c, acc / kern.volumes(doms_c)[:, None]
+        )
         # coarse ghosts must carry the restricted state before R_c runs
         self.X[level + 1].copy(out, tag=self.TAG_RESTRICT_COPY)
         return out
@@ -161,26 +161,22 @@ class _DistributedOps:
     def coarse_forcing(self, level, q_c0, defect):
         kern = self.kernels
         doms_c = self.doms[level + 1]
-        restricted = self._restrict_sum(level, defect, self.TAG_FORCING_ADD)
+        restricted = self._restrict_sum(
+            level, defect[row_stack(self.doms[level]).owned],
+            self.TAG_FORCING_ADD,
+        )
         rc = kern.defect(self.X[level + 1], doms_c, q_c0, None)
-        return {
-            p: kern.mask_forcing(dom, rc[p] - restricted[p])
-            for p, dom in doms_c.items()
-        }
+        return kern.mask_forcing(doms_c, rc - restricted)
 
-    def apply_correction(self, level, qs, q_c, q_c0):
+    def apply_correction(self, level, q, q_c, q_c0):
         # smoothers return ghost-fresh states and q_c0 was copy-refreshed
         # after restriction, so the coarse correction is already valid on
         # ghost agglomerates — no extra exchange needed here
-        cl = self.cluster_local[level]
-        dqs = {}
-        for p, dom in self.doms[level].items():
-            dqc = q_c[p] - q_c0[p]
-            d = np.zeros_like(qs[p])
-            d[: dom.nowned] = dqc[cl[p]]
-            dqs[p] = d
+        doms = self.doms[level]
+        dq = np.zeros_like(q)
+        dq[row_stack(doms).owned] = (q_c - q_c0)[self._cluster(level)]
         return self.kernels.apply_correction(
-            self.comm, self.X[level], self.doms[level], qs, dqs
+            self.comm, self.X[level], doms, q, dq
         )
 
 
@@ -200,8 +196,7 @@ def run_rank_cycles(comm, exchangers, doms, cluster_local, kernels, *,
     ...}`` dicts; returns ``(owned, history)`` where ``owned`` is a list
     of ``(owned_global_ids, owned_rows)`` pairs.
     """
-    pids = tuple(sorted(doms[0]))
-    qs = {p: kernels.init_state(doms[0][p]) for p in pids}
+    q = kernels.init_state(doms[0])
     history = []
     # solver spans land on ``comm``'s track and clock: a worker's own
     # (wall), or the lowest rank's (virtual) when one call drives every
@@ -213,16 +208,16 @@ def run_rank_cycles(comm, exchangers, doms, cluster_local, kernels, *,
                     comm, exchangers, doms, cluster_local, kernels,
                     overlap,
                 )
-                qs = fas_cycle(
-                    ops, qs, cycle=cycle, nu1=nu1, nu2=nu2,
+                q = fas_cycle(
+                    ops, q, cycle=cycle, nu1=nu1, nu2=nu2,
                     cfl=cfl, coarse_cfl=coarse_cfl,
                 )
                 history.append(kernels.residual_norm(
-                    comm, exchangers[0], doms[0], qs
+                    comm, exchangers[0], doms[0], q
                 ))
+    spans = row_stack(doms[0]).owned_spans
     owned = [
-        (doms[0][p].halo.owned_global, qs[p][: doms[0][p].nowned])
-        for p in pids
+        (dom.halo.owned_global, q[spans[p]]) for p, dom in doms[0].items()
     ]
     return owned, history
 
@@ -255,9 +250,9 @@ class DistributedSolveDriver:
 
     ``sanitize=True`` arms the
     :class:`~repro.runtime.sanitizer.GhostSanitizer` on every
-    exchanger: during each overlap window ghost slots carry a NaN
-    canary and the state arrays are swapped for read-trapping guard
-    views, so any kernel that touches ghost state before the matching
+    exchanger: during each overlap window ghost rows carry a NaN
+    canary and the pending's ``q`` is a read-trapping guard view, so
+    any kernel that touches ghost state before the matching
     ``finish()`` raises :class:`~repro.errors.GhostRaceError` instead
     of silently computing on stale data.
 
@@ -345,19 +340,14 @@ class DistributedSolveDriver:
             )
         comm = LockstepComm(world, self.nparts)
         levels = self.hierarchy.levels
-        exchangers = []
-        for level in levels:
-            doms = dict(enumerate(level.domains))
-            x = comm.exchanger(
-                {p: dom.halo.plan for p, dom in doms.items()}, doms
-            )
+        doms = [dict(enumerate(level.domains)) for level in levels]
+        exchangers = [comm.exchanger(level) for level in doms]
+        for x in exchangers:
             x.charging = self.config.charge_compute
             x.sanitize = self.config.sanitize
-            exchangers.append(x)
         try:
             owned, history = run_rank_cycles(
-                comm, exchangers,
-                [dict(enumerate(level.domains)) for level in levels],
+                comm, exchangers, doms,
                 self.hierarchy.cluster_local, self.kernels,
                 ncycles=ncycles, cfl=cfl, cycle=cycle, nu1=nu1, nu2=nu2,
                 coarse_cfl=coarse_cfl, overlap=self.config.overlap,

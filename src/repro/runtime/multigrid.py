@@ -14,7 +14,7 @@ stencils, wall-row masking, correction limiting — is factored into a
 coarse-CFL policy and the per-level telemetry spans.  The serial
 adapters live next to each solver (``solvers/*/multigrid.py``), the
 distributed one in :mod:`repro.runtime.driver` — all four paths execute
-this single function.
+this single function, on one state array per level.
 
 Coarse-CFL policy (the one documented rule, replacing ``None`` ->
 ``cfl`` in NSU3D vs a hard-coded ``1.5`` in Cart3D):
@@ -37,9 +37,9 @@ class LevelOps:
     """Protocol the cycle driver is parameterized over.
 
     Required attributes: ``name`` (span prefix), ``nlevels``,
-    ``coarse_cfl_fraction``.  Required methods (``q`` is an opaque state
-    — an ndarray for serial adapters, a per-partition dict for the
-    distributed one):
+    ``coarse_cfl_fraction``.  Required methods (``q`` is a state
+    ndarray — the level's rows for the serial adapters, the stacked rows
+    of the partitions for the distributed one):
 
     ``clone(q)``
         Independent copy of a state.

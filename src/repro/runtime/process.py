@@ -52,7 +52,7 @@ import numpy as np
 from ..comm.simmpi import fold
 from ..errors import ConfigurationError, RuntimeClosed, WorkerCrash
 from ..telemetry.spans import Tracer, get_tracer, set_tracer, span as _span
-from .backends import HEADER, make_exchanger
+from .backends import HEADER, ProcessExchanger
 from .domain import DistributedDomain, DomainHierarchy
 
 #: Doubles of per-rank scratch for one collective; kernels reduce tiny
@@ -275,10 +275,10 @@ def _worker_main(spec: WorkerSpec, layout: SharedLayout, raw: ctypes.Array,
         comm = ProcessComm(spec.rank, layout, buf, spec.timeout, epoch)
         exchangers = []
         for lev, doms in enumerate(spec.doms):
-            plan = doms[spec.rank].halo.plan
-            x = make_exchanger(
-                "process", comm, plans={spec.rank: plan},
-                channels=layout.channels(buf, lev, spec.rank, plan), level=lev,
+            dom = doms[spec.rank]
+            x = ProcessExchanger(
+                comm, dom, layout.channels(buf, lev, spec.rank, dom.halo.plan),
+                level=lev,
             )
             x.sanitize = spec.sanitize
             exchangers.append(x)

@@ -15,19 +15,20 @@ Cart3D-specific pieces:
   object is handed, end to end as one :class:`CartLevelPart` per level
   (a :class:`~repro.runtime.domain.RowStack`, like NSU3D's), plus its
   interior/ghost face halves, cached on the level,
-* :class:`Cart3DKernels` — the dict-of-partitions residual / 5-stage
-  Runge-Kutta hooks the
-  :class:`~repro.runtime.driver.DistributedSolveDriver` drives, and
+* :class:`Cart3DKernels` — the residual / 5-stage Runge-Kutta hooks
+  the :class:`~repro.runtime.driver.DistributedSolveDriver` drives on
+  a level's stacked state, and
 * :func:`make_parallel_cart3d`, which decomposes a serial solver:
   partition, domain hierarchy, kernels, driver.
 
 One master thread does the work for every partition of its rank (paper
-section III): a hook joins the partitions' states once and every pass
-runs the *serial* kernels once on the stacked level; the exchanger,
-``X.charge`` and the allreduce get per-partition row-slice views, so
-tags, message counts and the virtual ledger do not move.  Stacking
-moves no bit: fluxes are face-local, rows of different partitions never
-share a scatter row, and reductions still fold per partition.
+section III): the state of a level is one array over the stacked rows
+of the partitions, every pass runs the *serial* kernels once on it, and
+the exchanger takes that same array; ``X.charge`` and the allreduce get
+one contribution per partition, so tags, message counts and the virtual
+ledger do not move.  Stacking moves no bit: fluxes are face-local, rows
+of different partitions never share a scatter row, and reductions still
+fold per partition.
 
 Correctness contract (tested): per-rank results equal the serial solver
 on the same level hierarchy to floating-point-reassociation tolerance —
@@ -162,71 +163,62 @@ class Cart3DKernels:
 
     # -- driver hooks --------------------------------------------------------
 
-    def init_state(self, dom) -> np.ndarray:
-        return np.tile(self.qinf, (dom.nlocal, 1))
+    def init_state(self, doms) -> np.ndarray:
+        return np.tile(self.qinf, (sum(d.nlocal for d in doms.values()), 1))
 
-    def volumes(self, dom) -> np.ndarray:
-        return dom.ctx.vol
+    def volumes(self, doms) -> np.ndarray:
+        return _stack(doms).part.vol
 
-    def fix_restricted_state(self, dom, q: np.ndarray) -> np.ndarray:
+    def fix_restricted_state(self, doms, q: np.ndarray) -> np.ndarray:
         return q  # cut-cell BCs are flux-based; no strong state fixup
 
-    def mask_forcing(self, dom, f: np.ndarray) -> np.ndarray:
+    def mask_forcing(self, doms, f: np.ndarray) -> np.ndarray:
         return f
 
-    def defect(self, X, doms, qs, forcing=None) -> dict:
-        stack = _stack(doms)
+    def defect(self, X, doms, q, forcing=None) -> np.ndarray:
         with use_engine(self.engine):
-            return stack.split(self._completed_residual(
-                X, doms, stack.join(qs), qs,
-                None if forcing is None else stack.join(forcing), None,
-            ))
+            return self._completed_residual(X, doms, q, forcing, None)
 
-    def residual_norm(self, comm, X, doms, qs) -> float:
+    def residual_norm(self, comm, X, doms, q) -> float:
         """Global volume-scaled L2 density-residual norm (allreduce)."""
-        rs = self.defect(X, doms, qs)
+        stack = _stack(doms)
+        r = self.defect(X, doms, q)
         total = comm.allreduce({
             p: np.array([
-                np.sum((rs[p][: dom.nowned, 0]
-                        / dom.ctx.vol[: dom.nowned]) ** 2),
-                dom.nowned,
+                np.sum((r[own, 0] / stack.part.vol[own]) ** 2),
+                own.stop - own.start,
             ])
-            for p, dom in doms.items()
+            for p, own in stack.owned_spans.items()
         })
         return float(np.sqrt(total[0] / total[1]))
 
-    def apply_correction(self, comm, X, doms, qs, dqs) -> dict:
+    def apply_correction(self, comm, X, doms, q, dq) -> np.ndarray:
         """Serial guard, made global: fall back to a damped correction
         if prolongation produced an unphysical state, with the damping
         decision agreed across ranks."""
         stack = _stack(doms)
-        q, dq = stack.join(qs), stack.join(dqs)
         cand = q + dq
         scale = 1.0
         while not _physical(comm, stack, cand) and scale > 1e-3:
             scale *= 0.5
             cand = q + scale * dq
         if _physical(comm, stack, cand):
-            return stack.split(cand)
-        return qs
+            return cand
+        return q
 
-    def smooth(self, X, doms, qs, *, forcing=None, cfl: float = 2.0,
-               nsteps: int = 1, overlap: bool = False) -> dict:
+    def smooth(self, X, doms, q, *, forcing=None, cfl: float = 2.0,
+               nsteps: int = 1, overlap: bool = False) -> np.ndarray:
         """Domain-decomposed 5-stage RK with ghost refresh per stage,
         overlapped with the next stage's interior residual when
         ``overlap`` is set.  An unphysical stage is damped by the serial
         smoother's guard, with the decision agreed across ranks.  The
-        serial stage on the stacked level, plus its exchanges: what
-        ``X`` and the allreduce see are the partitions' row slices.
+        serial stage on the stacked level, plus its exchanges on the
+        stacked state.
         """
         stack = _stack(doms)
         engine = self.engine
         with use_engine(engine):
-            q = stack.join(qs)
-            qs = stack.split(q)
-            X.copy(qs, tag=22)
-            if forcing is not None:
-                forcing = stack.join(forcing)
+            X.copy(q, tag=22)
             pending = None
             for _ in range(nsteps):
                 if pending is not None:
@@ -238,7 +230,7 @@ class Cart3DKernels:
                 dtov = self._time_step(X, stack, q, cfl) / stack.part.vol
                 for alpha in RK_COEFFS:
                     r = self._completed_residual(
-                        X, doms, q, qs, forcing, pending
+                        X, doms, q, forcing, pending
                     )
                     pending = None
                     cand = engine.rk_update(q0, alpha * dtov, r)
@@ -260,26 +252,24 @@ class Cart3DKernels:
                                 "density/pressure"
                             )
                     q = cand
-                    qs = stack.split(q)
                     if overlap:
-                        pending = X.start_copy(qs, tag=23)
+                        pending = X.start_copy(q, tag=23)
                     else:
-                        X.copy(qs, tag=23)
+                        X.copy(q, tag=23)
             if pending is not None:
                 pending.finish()
-        return qs
+        return q
 
     # -- internals -----------------------------------------------------------
 
-    def _completed_residual(self, X, doms, q, qs, forcing, pending
+    def _completed_residual(self, X, doms, q, forcing, pending
                             ) -> np.ndarray:
         """Stacked residual of the stacked state ``q``, completed across
         ranks: local flux accumulation (split into interior/ghost faces
         when finishing an overlapped exchange), exchange-add to owners,
         ghost rows zeroed, the (stacked) forcing subtracted.  Inside the
-        window the state is read as ``stack.join(qs)`` — ``qs`` is what
-        ``pending`` was posted on, guarded when the sanitizer is armed —
-        and never as ``q``."""
+        window the state is read as ``pending.q`` — guarded when the
+        sanitizer is armed — and never as ``q``."""
         stack = _stack(doms)
         if pending is None:
             r = residual(stack.part, q, self.qinf, self.flux)
@@ -289,11 +279,11 @@ class Cart3DKernels:
             # in transit, then finish the exchange and add the
             # ghost-touching face contributions
             interior, ghost = _split_stack(doms)
-            r = residual(interior, stack.join(qs), self.qinf, self.flux)
+            r = residual(interior, pending.q, self.qinf, self.flux)
             X.charge(self._flops(doms))
             pending.finish()
             r = r + residual(ghost, q, self.qinf, self.flux)
-        X.add(stack.split(r), tag=1)
+        X.add(r, tag=1)
         r[stack.ghost] = 0.0
         if forcing is not None:
             r = r - forcing
@@ -302,7 +292,7 @@ class Cart3DKernels:
     def _time_step(self, X, stack, q, cfl) -> np.ndarray:
         """Local spectral-radius accumulation completed across ranks."""
         acc = spectral_radius(stack.part, q)[:, None]
-        X.add(stack.split(acc), tag=21)
+        X.add(acc, tag=21)
         return cfl * stack.part.vol / np.maximum(acc[:, 0], 1e-300)
 
     def _flops(self, doms) -> dict:

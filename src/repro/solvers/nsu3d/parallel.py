@@ -11,11 +11,11 @@ it that way).  This module contributes only what is NSU3D-specific:
   :class:`FlowContext` per level (a
   :class:`~repro.runtime.domain.RowStack`, like Cart3D's), cached on
   the level,
-* :class:`NSU3DKernels` — the dict-of-partitions residual/smoother/
-  transfer hooks the :class:`~repro.runtime.driver.DistributedSolveDriver`
-  drives (preconditioned-multistage line-implicit smoothing with the
-  implicit operator's edge contributions summed across ranks, fig. 6),
-  and
+* :class:`NSU3DKernels` — the residual/smoother/transfer hooks the
+  :class:`~repro.runtime.driver.DistributedSolveDriver` drives on a
+  level's stacked state (preconditioned-multistage line-implicit
+  smoothing with the implicit operator's edge contributions summed
+  across ranks, fig. 6), and
 * :func:`make_parallel_nsu3d`, which decomposes a serial solver:
   partition, domain hierarchy, kernels, driver.
 
@@ -33,21 +33,20 @@ partial-sum/complete/finalize pattern.
 One master thread does the work and the exchange for every partition
 of its rank (paper section III), so every pass runs the *serial* kernels
 (:func:`~.residual.residual`, :class:`~.linesolve.FrozenOperator`, the
-Green-Gauss sums) **once** on the stacked context: the partitions'
-states are joined into one array going in (``np.concatenate``), and
-what the exchanger, ``X.charge`` and the allreduce are handed coming out
-are per-partition row-slice views of the stacked result — same call
-sites, same tags, same message counts and virtual ledger as one call
-per partition.  Stacking moves no bit: rows of different partitions
-never share a scatter row (the offsets keep them apart and an
-``incidence`` operator adds a row's contributions in list order), and
-every other kernel is row-, edge- or line-local (batched LAPACK works
-per matrix, the ``einsum`` contractions never reduce across the batch
-axis).  Equal-length line batches merge across partitions — the
-paper's "sets of 64 lines of similar length" made fatter.  What stays
-per partition is what must: reductions (norms, the limiter's reference)
-fold per partition and then per rank so no sum is reassociated, and the
-exchange itself.
+Green-Gauss sums) **once** on the stacked context: the state of a level
+is one array over the partitions' rows end to end, the exchanger takes
+that same array, and ``X.charge`` and the allreduce get one
+contribution per partition — same call sites, same tags, same message
+counts and virtual ledger as one call per partition.  Stacking moves no
+bit: rows of different partitions never share a scatter row (the
+offsets keep them apart and an ``incidence`` operator adds a row's
+contributions in list order), and every other kernel is row-, edge- or
+line-local (batched LAPACK works per matrix, the ``einsum`` contractions
+never reduce across the batch axis).  Equal-length line batches merge
+across partitions — the paper's "sets of 64 lines of similar length"
+made fatter.  What stays per partition is what must: reductions (norms,
+the limiter's reference) fold per partition and then per rank so no sum
+is reassociated, and the messages the exchange charges.
 
 Correctness contract (tested): per-rank results equal the serial solver
 on the same mesh to floating-point-reassociation tolerance — full FAS
@@ -246,53 +245,47 @@ class NSU3DKernels:
 
     # -- driver hooks --------------------------------------------------------
 
-    def init_state(self, dom) -> np.ndarray:
-        return np.tile(self.qinf, (dom.nlocal, 1))
+    def init_state(self, doms) -> np.ndarray:
+        return np.tile(self.qinf, (sum(d.nlocal for d in doms.values()), 1))
 
-    def volumes(self, dom) -> np.ndarray:
-        return dom.ctx.volumes
+    def volumes(self, doms) -> np.ndarray:
+        return _stack(doms).ctx.volumes
 
-    def fix_restricted_state(self, dom, q: np.ndarray) -> np.ndarray:
+    def fix_restricted_state(self, doms, q: np.ndarray) -> np.ndarray:
         # the restricted base state must satisfy the coarse level's own
         # strong wall condition, or the correction q_c - q_c0 acquires a
         # spurious momentum component at every wall agglomerate
-        return apply_wall_bc(dom.ctx, q)
+        return apply_wall_bc(_stack(doms).ctx, q)
 
-    def mask_forcing(self, dom, f: np.ndarray) -> np.ndarray:
-        return mask_wall_rows(dom.ctx, f)
+    def mask_forcing(self, doms, f: np.ndarray) -> np.ndarray:
+        return mask_wall_rows(_stack(doms).ctx, f)
 
-    def defect(self, X, doms, qs, forcing=None) -> dict:
-        stack = _stack(doms)
+    def defect(self, X, doms, q, forcing=None) -> np.ndarray:
         with use_engine(self.engine):
-            return stack.split(self._completed_residual(
-                X, doms, qs,
-                None if forcing is None else stack.join(forcing), None,
-            ))
+            return self._completed_residual(X, doms, q, forcing, None)
 
-    def residual_norm(self, comm, X, doms, qs) -> float:
+    def residual_norm(self, comm, X, doms, q) -> float:
         """Global volume-scaled L2 continuity-residual norm (allreduce)."""
-        rs = self.defect(X, doms, qs)
+        stack = _stack(doms)
+        r = self.defect(X, doms, q)
         total = comm.allreduce({
             p: np.array([
-                np.sum((rs[p][: dom.nowned, 0]
-                        / dom.ctx.volumes[: dom.nowned]) ** 2),
-                dom.nowned,
+                np.sum((r[own, 0] / stack.ctx.volumes[own]) ** 2),
+                own.stop - own.start,
             ])
-            for p, dom in doms.items()
+            for p, own in stack.owned_spans.items()
         })
         return float(np.sqrt(total[0] / total[1]))
 
-    def apply_correction(self, comm: Any, X: Any, doms: dict, qs: dict,
-                         dqs: dict) -> dict:
-        stack = _stack(doms)
-        cand = apply_wall_bc(stack.ctx, limit_correction(
-            stack.join(qs), stack.join(dqs),
-            turb_ref=self._turbulence_reference(comm, doms, qs),
+    def apply_correction(self, comm: Any, X: Any, doms: dict,
+                         q: np.ndarray, dq: np.ndarray) -> np.ndarray:
+        cand = apply_wall_bc(_stack(doms).ctx, limit_correction(
+            q, dq, turb_ref=self._turbulence_reference(comm, doms, q),
         ))
-        return stack.split(apply_positivity_floors(cand))
+        return apply_positivity_floors(cand)
 
     def _turbulence_reference(
-        self, comm: Any, doms: dict, qs: dict
+        self, comm: Any, doms: dict, q: np.ndarray
     ) -> np.ndarray | None:
         """Global field maxima of the turbulence working variables.
 
@@ -305,13 +298,13 @@ class NSU3DKernels:
         if not turbulence:
             return None
         result: np.ndarray = comm.allreduce({
-            p: np.abs(qs[p][: dom.nowned, turbulence]).max(axis=0)
-            for p, dom in doms.items()
+            p: np.abs(q[own, turbulence]).max(axis=0)
+            for p, own in _stack(doms).owned_spans.items()
         }, op="max")
         return result
 
-    def smooth(self, X, doms, qs, *, forcing=None, cfl: float = 10.0,
-               nsteps: int = 1, overlap: bool = False) -> dict:
+    def smooth(self, X, doms, q, *, forcing=None, cfl: float = 10.0,
+               nsteps: int = 1, overlap: bool = False) -> np.ndarray:
         """Preconditioned-multistage implicit smoothing, decomposed.
 
         Each step freezes the implicit operator (exchanged diagonal +
@@ -319,57 +312,58 @@ class NSU3DKernels:
         three-stage recursion; ghost refresh per stage, overlapped with
         the next stage's interior residual when ``overlap`` is set.
         The serial smoother's step on the stacked context, plus its
-        exchanges: what ``X`` and the allreduce see are the partitions'
-        row slices of the stacked arrays.
+        exchanges on the stacked state.
         """
         stack = _stack(doms)
         ctx = stack.ctx
         with use_engine(self.engine):
-            qs = stack.split(apply_wall_bc(ctx, stack.join(qs)))
-            X.copy(qs, tag=13)
-            if forcing is not None:
-                forcing = stack.join(forcing)
+            q = apply_wall_bc(ctx, q)
+            X.copy(q, tag=13)
             pending = None
             for _ in range(nsteps):
                 if pending is not None:
                     pending.finish()
                     pending = None
-                q0 = stack.join(qs)
+                # no later write reaches the step's initial state: each
+                # stage's update is a fresh array
+                q0 = q
                 operator = self._operator(X, stack, q0, cfl)
                 # the limiter's growth floor references the step-initial
                 # state, identically on every rank (allreduce-max)
-                turb_ref = self._turbulence_reference(X.comm, doms, qs)
+                turb_ref = self._turbulence_reference(X.comm, doms, q0)
                 for alpha in STAGE_COEFFS:
                     r = self._completed_residual(
-                        X, doms, qs, forcing, pending
+                        X, doms, q, forcing, pending
                     )
                     pending = None
-                    qs = stack.split(stage_update(
+                    q = stage_update(
                         ctx, q0, -alpha * operator.solve(r), turb_ref
-                    ))
+                    )
                     if overlap:
-                        pending = X.start_copy(qs, tag=14)
+                        pending = X.start_copy(q, tag=14)
                     else:
-                        X.copy(qs, tag=14)
+                        X.copy(q, tag=14)
             if pending is not None:
                 pending.finish()
-        return qs
+        return q
 
     # -- internals -----------------------------------------------------------
 
-    def _completed_residual(self, X: Any, doms: dict, qs: dict,
+    def _completed_residual(self, X: Any, doms: dict, q: np.ndarray,
                             forcing: np.ndarray | None,
                             pending: Any) -> np.ndarray:
-        """Stacked residual completed across ranks: local evaluation
-        (split into interior/ghost parts when finishing an overlapped
-        exchange), exchange-add to owners, ghost rows zeroed, SA sources
-        added at owned rows from halo-completed gradients, strong wall
-        rows re-imposed, the (stacked) forcing subtracted."""
+        """Stacked residual of the stacked state ``q`` completed across
+        ranks: local evaluation (split into interior/ghost parts when
+        finishing an overlapped exchange), exchange-add to owners, ghost
+        rows zeroed, SA sources added at owned rows from halo-completed
+        gradients, strong wall rows re-imposed, the (stacked) forcing
+        subtracted.  Inside the window the state is read as
+        ``pending.q`` — guarded when the sanitizer is armed — and never
+        as ``q``."""
         stack = _stack(doms)
         terms = dict(turbulence=self.turbulence, viscous=self.viscous,
                      sa_sources=False)
         if pending is None:
-            q = stack.join(qs)
             r = residual(stack.ctx, q, self.qinf, **terms)
             X.charge(self._flops(doms))
         else:
@@ -377,15 +371,14 @@ class NSU3DKernels:
             # in transit, then finish the exchange and add the
             # ghost-touching edge contributions
             interior, ghost = _split_stack(doms)
-            r = residual(interior, stack.join(qs), self.qinf, **terms)
+            r = residual(interior, pending.q, self.qinf, **terms)
             X.charge(self._flops(doms))
             pending.finish()
-            q = stack.join(qs)
             r = r + residual(ghost, q, self.qinf, **terms)
         # the gradient pass reads ghost state, so it runs only after the
         # exchange above has finished (sanitizer-safe)
         sa = self._sa_fields(X, stack, q)
-        X.add(stack.split(r), tag=1)
+        X.add(r, tag=1)
         r[stack.ghost] = 0.0
         if sa is not None:
             # pointwise SA sources at owned rows (each vertex is owned
@@ -431,7 +424,7 @@ class NSU3DKernels:
             sums = green_gauss_sums(
                 ctx.dual, fields, ctx.gradient_scatters
             ).reshape(ctx.npoints, 3 * fields.shape[1])
-            X.add(stack.split(sums), tag=15)
+            X.add(sums, tag=15)
             grads = sums.reshape(ctx.npoints, 3, -1)
             grads = grads / ctx.volumes[:, None, None]
             return vorticity_magnitude(grads[:, :, :3]), grads[:, :, 3]
@@ -443,7 +436,7 @@ class NSU3DKernels:
         total = np.zeros(ctx.npoints, dtype=np.float64)
         self.engine.scatter_add(total, ctx.edge_scatter_unsigned, rate)
         accs = np.column_stack([total, ctx.edge_degree])
-        X.add(stack.split(accs), tag=16)
+        X.add(accs, tag=16)
         vort = accs[:, 0] / np.maximum(accs[:, 1], 1.0)
         return vort, np.zeros((ctx.npoints, 3), dtype=np.float64)
 
@@ -452,10 +445,7 @@ class NSU3DKernels:
         """The serial smoother's frozen operator on the stacked context,
         its spectral sums and diagonal blocks completed across ranks
         (each cross edge lives on exactly one rank)."""
-        return FrozenOperator(
-            stack.ctx, q, cfl,
-            owner_sum=lambda part, tag: X.add(stack.split(part), tag=tag),
-        )
+        return FrozenOperator(stack.ctx, q, cfl, owner_sum=X.add)
 
     def _flops(self, doms) -> dict:
         return {

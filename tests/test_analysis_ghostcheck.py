@@ -13,6 +13,8 @@ to the kernel's telemetry span, while the clean kernels run the parity
 matrix untouched (that half lives in ``test_runtime_parity.py``).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,11 +24,15 @@ from repro.errors import ExchangeLifecycleError, GhostRaceError, RankFailure
 from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
 from repro.runtime import (
+    GhostSanitizer,
     GuardedArray,
-    PendingGroup,
+    LevelSpec,
+    LockstepComm,
     RuntimeConfig,
+    build_domain_set,
     make_exchanger,
 )
+from repro.runtime.domain import RowStack
 from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
 from repro.solvers.nsu3d import NSU3DSolver, make_parallel_nsu3d
 from tests.test_planted_bugs import (RacyCart3DKernels, RacyNSU3DKernels,
@@ -141,22 +147,32 @@ class TestGhostSanitizerRuntime:
         assert np.isfinite(qg).all() and np.isfinite(hist).all()
 
 
-def armed(nrows, ghost_start, pid, seed=0):
-    """One partition's state as :meth:`GhostSanitizer.guard` arms it."""
-    raw = np.random.default_rng(seed).random((nrows, 3))
-    raw[ghost_start:] = np.nan
-    guard = raw.view(GuardedArray)
-    guard._ghost = np.arange(nrows) >= ghost_start
-    guard._partition = pid
-    guard._active = True
-    return guard
+def window_over(members, seed=0):
+    """An armed window over a stack of partitions, each ``(nlocal,
+    nowned, pid)``, as :meth:`GhostSanitizer.guard` arms it on the
+    posted pending; returns the sanitized pending."""
+    rows = RowStack({pid: SimpleNamespace(nlocal=nlocal, nowned=nowned)
+                     for nlocal, nowned, pid in members})
+    raw = np.random.default_rng(seed).random((len(rows.ghost), 3))
+    return GhostSanitizer(rows).guard(Posted(raw))
+
+
+class Posted:
+    """A backend pending on ``q`` that lands nothing."""
+
+    tag = 0
+
+    def __init__(self, q):
+        self.q, self.done = q, False
+
+    def finish(self):
+        self.done = True
 
 
 class TestMaskGuardedArray:
-    """The guard traps by ghost-row *mask*.  One partition's array is
-    the one-range case; the concatenation of several taken inside a
-    window — the stacked state — carries every member's range and names
-    the member whose ghost row was reached."""
+    """The guard traps by ghost-row *mask*: the stack's
+    :attr:`RowStack.ghost`, one range per partition, each naming the
+    partition whose ghost row was reached."""
 
     #: partitions 3, 5, 8 with 4+2, 3+3, 5+1 owned+ghost rows: stacked
     #: ghost rows are 4-5, 9-11 and 17
@@ -164,15 +180,19 @@ class TestMaskGuardedArray:
     GHOSTS = {4: 3, 5: 3, 9: 5, 10: 5, 11: 5, 17: 8}
 
     def stacked(self):
-        return np.concatenate([armed(*m) for m in self.MEMBERS])
+        return window_over(self.MEMBERS).q
 
-    def test_concatenated_guards_are_guarded(self):
-        q = self.stacked()
+    def test_the_stacked_state_is_guarded(self):
+        window = window_over(self.MEMBERS)
+        q, raw = window.q, window.inner.q
         assert isinstance(q, GuardedArray) and q._active
         assert np.flatnonzero(q._ghost).tolist() == sorted(self.GHOSTS)
-        assert np.isnan(np.asarray(q)[q._ghost]).all()
-        # not a view of any member: the members stay one-range guards
-        assert q.base is None or not isinstance(q.base, GuardedArray)
+        assert np.isnan(raw[q._ghost]).all()
+        assert np.isfinite(raw[~q._ghost]).all()
+        # a view of the posted array, whose buffer is read-only meanwhile
+        assert q.base is raw and not raw.flags.writeable
+        window.finish()
+        assert raw.flags.writeable and window.inner.done
 
     def test_integer_reads_on_either_side_of_each_range(self):
         q = self.stacked()
@@ -217,50 +237,102 @@ class TestMaskGuardedArray:
         inside a window and give plain arrays."""
         q = self.stacked()
         for out in (q[:, 0], q[:4], q * 2.0, np.sqrt(q), np.zeros_like(q),
-                    q[..., 1]):
+                    q[..., 1], np.concatenate([q, q]), np.vstack([q])):
             assert type(out) is np.ndarray
         assert np.isnan(q * 2.0)[q._ghost].all()
 
     def test_writes_trap(self):
         q = self.stacked()
+        for row, pid in ((0, 3), (7, 5), (-1, 8)):
+            with pytest.raises(GhostRaceError) as err:
+                q[row] = 1.0
+            assert err.value.partition == pid
         with pytest.raises(GhostRaceError):
-            q[0] = 1.0
+            q[:, 0] = 1.0
         with pytest.raises(GhostRaceError):
             np.add.at(q, [0], 1.0)
         with pytest.raises(GhostRaceError):
             np.multiply(q, 2.0, out=q)
 
     def test_mixed_and_inert_members(self):
-        plain = np.ones((2, 3))
-        q = np.concatenate([plain, armed(6, 4, 7)])
-        assert q._partition.tolist() == [-1, -1] + [7] * 6
+        """A partition without ghost rows is guarded but never trapped
+        on a read; a finished window's guard is inert."""
+        window = window_over([(2, 2, 0), (6, 4, 7)])
+        q = window.q
+        assert q._partition.tolist() == [0, 0] + [7] * 6
         with pytest.raises(GhostRaceError) as err:
             q[6]
         assert err.value.partition == 7
         assert np.array_equal(q[[0, 1, 5]], np.asarray(q)[[0, 1, 5]])
-        # guards disarmed by finish() stack to a plain array
-        done = armed(6, 4, 7)
-        done._active = False
-        assert type(np.concatenate([done, done])) is np.ndarray
-        # other axes and other functions do not propagate the guard
-        assert type(np.concatenate([armed(6, 4, 1)], axis=1)) is np.ndarray
-        assert type(np.vstack([armed(6, 4, 1)])) is np.ndarray
+        window.finish()
+        assert np.isnan(q[6]).all() and type(q[[6]]) is np.ndarray
+        q[0] = 1.0  # writes pass once the window is closed
 
     def test_one_range_guard_is_the_special_case(self):
-        q = armed(6, 4, 2)
+        """A one-partition stack (a process worker's state) is one ghost
+        range, every trap naming that partition."""
+        q = window_over([(6, 4, 2)]).q
         assert np.isfinite(q[[0, 3, -3]]).all()
         for index in (4, -1, [0, 5], np.arange(6) > 2):
             with pytest.raises(GhostRaceError) as err:
                 q[index]
             assert err.value.partition == 2
 
+    def test_canary_names_the_partition_that_lost_it(self):
+        window = window_over(self.MEMBERS)
+        window.inner.q.flags.writeable = True
+        window.inner.q[10] = 0.0  # past the guard: the raw buffer
+        with pytest.raises(GhostRaceError, match="canary") as err:
+            window.finish()
+        assert err.value.partition == 5
+
+
+def strips(nparts):
+    """A 6x6 grid graph cut into ``nparts`` strips: its level's
+    ``{pid: domain}`` and a stacked state to exchange."""
+    nvert = 36
+    vid = np.arange(nvert).reshape(6, 6)
+    edges = np.concatenate([
+        np.column_stack([vid[:-1].ravel(), vid[1:].ravel()]),
+        np.column_stack([vid[:, :-1].ravel(), vid[:, 1:].ravel()]),
+    ])
+    doms = dict(enumerate(build_domain_set(
+        LevelSpec(nvert, edges, lambda halo, part: None),
+        (np.arange(nvert) * nparts) // nvert,
+    ).domains))
+    q = np.random.default_rng(0).random(
+        (sum(dom.nlocal for dom in doms.values()), 2)
+    )
+    return doms, q
+
 
 class TestExchangeLifecycle:
     def test_pending_group_double_finish_raises(self):
-        group = PendingGroup([])
-        group.finish()
-        with pytest.raises(ExchangeLifecycleError):
-            group.finish()
+        """The already-landed pending of an eager window (several
+        partitions per rank) closes exactly once too."""
+        doms, q = strips(4)
+        pending = LockstepComm(SimMPI(2), 4).exchanger(doms).start_copy(q)
+        assert pending.q is q
+        pending.finish()
+        with pytest.raises(ExchangeLifecycleError, match="twice"):
+            pending.finish()
+
+    @pytest.mark.parametrize("post", ["copy", "add", "start_copy"])
+    def test_post_inside_a_sanitized_window_names_the_partition(self,
+                                                                post):
+        """Any exchange posted while a sanitized window is open — on the
+        protected array or another — raises, naming the first partition
+        whose ghost rows are in flight; after ``finish`` it runs."""
+        doms, q = strips(3)
+        X = LockstepComm(SimMPI(3), 3).exchanger(doms)
+        X.sanitize = True
+        pending = X.start_copy(q, tag=4)
+        for array in (q, q.copy()):
+            with pytest.raises(GhostRaceError, match="tag 4") as err:
+                getattr(X, post)(array, tag=5)
+            assert err.value.partition == 0
+        pending.finish()
+        getattr(X, post)(q, tag=5)
 
     def test_plan_pending_double_finish_raises(self):
         """The in-process pending of a one-partition rank."""

@@ -48,7 +48,7 @@ class TestFacade:
             repro.no_such_submodule
 
     def test_api_version_is_declared(self):
-        assert api.__api_version__ == "12.0"
+        assert api.__api_version__ == "13.0"
 
     def test_service_surface_exported(self):
         for name in (

@@ -1,16 +1,16 @@
 """One stacked level per rank: ``Cart3DKernels`` over the partitions it
 is handed.
 
-Every hook joins the partitions' states into one array, runs the
+Every hook takes the partitions' rows as one stacked array, runs the
 *serial* kernels once on the stacked level (``_Stack``: every
 partition's faces, walls and far faces end to end, cell indices offset
-to the stack's rows), and hands the exchanger per-partition row slices
-of the result.  Fluxes are face-local and rows of different partitions
-never share a scatter row, so that is a data-movement change only and
-everything here is exact: stacked against per-partition evaluation on
-generated levels, whole solves against hashes recorded before any
-stacking existed, call counts that do not grow with the partition
-count, and the stack cache's lifetime.
+to the stack's rows), and hands the exchanger that same array.  Fluxes
+are face-local and rows of different partitions never share a scatter
+row, so that is a data-movement change only and everything here is
+exact: stacked against per-partition evaluation on generated levels,
+whole solves against hashes recorded before any stacking existed, call
+counts that do not grow with the partition count, and the stack
+cache's lifetime.
 """
 
 import cProfile
@@ -66,28 +66,33 @@ class NoExchange:
     """An exchanger that ships nothing: every pass then returns each
     partition's local part, ghost rows as the caller left them."""
 
-    def __init__(self, pids):
-        self.pids = set(pids)
+    def __init__(self, doms):
+        self.pids = set(doms)
+        self.nrows = sum(dom.nlocal for dom in doms.values())
         self.comm = SumOnly()
 
     def charge(self, flops):
         assert set(flops) == self.pids
 
-    def add(self, arrays, tag):
-        assert set(arrays) == self.pids
+    def add(self, q, tag):
+        assert len(q) == self.nrows
 
-    def copy(self, arrays, tag):
-        assert set(arrays) == self.pids
+    def copy(self, q, tag):
+        assert len(q) == self.nrows
 
-    def start_copy(self, arrays, tag):
-        self.copy(arrays, tag)
-        return Window()
+    def start_copy(self, q, tag):
+        self.copy(q, tag)
+        return Window(q)
 
 
 class Window:
-    """A pending exchange that only records that it was finished."""
+    """A pending exchange on ``q`` that only records that it was
+    finished."""
 
     done = False
+
+    def __init__(self, q):
+        self.q = q
 
     def finish(self):
         assert not self.done
@@ -103,8 +108,15 @@ def perturbed_states(doms, qinf, seed):
     }
 
 
-def some(things, pids):
-    return None if things is None else {p: things[p] for p in pids}
+def some(doms, pids):
+    return {p: doms[p] for p in pids}
+
+
+def join(states, pids):
+    """The partitions ``pids``' rows of ``states``, stacked."""
+    if states is None:
+        return None
+    return np.concatenate([states[p] for p in pids])
 
 
 def alone(kern, part, q):
@@ -142,31 +154,25 @@ class TestBatchedEqualsPerPartition:
 
         def passes(pids):
             """Completed residual, time step, one RK step and the defect
-            over the partitions ``pids``, as per-partition rows."""
-            mine, states = some(doms, pids), some(qs, pids)
-            stack = _stack(mine)
-            pending = Window() if overlapped else None
-            r = kern._completed_residual(
-                NoExchange(pids), mine, stack.join(states), states,
-                None if forcing is None else stack.join(some(forcing, pids)),
-                pending,
-            )
+            over the partitions ``pids``, stacked."""
+            mine, q, f = some(doms, pids), join(qs, pids), join(forcing, pids)
+            pending = Window(q) if overlapped else None
+            r = kern._completed_residual(NoExchange(mine), mine, q, f,
+                                         pending)
             assert pending is None or pending.done
-            dt = kern._time_step(NoExchange(pids), stack, stack.join(states),
-                                 2.0)
+            dt = kern._time_step(NoExchange(mine), _stack(mine), q, 2.0)
             # unforced: with nothing exchanged, an owned cell whose
             # faces all live on another rank has no spectral radius
-            smoothed = kern.smooth(NoExchange(pids), mine, states, cfl=1.0,
+            smoothed = kern.smooth(NoExchange(mine), mine, q, cfl=1.0,
                                    overlap=overlapped)
-            return [stack.split(r), stack.split(dt), smoothed,
-                    kern.defect(NoExchange(pids), mine, states,
-                                some(forcing, pids))]
+            return [r, dt, smoothed,
+                    kern.defect(NoExchange(mine), mine, q, f)]
 
         together = passes(list(doms))
+        spans = _stack(doms).spans
         for p, dom in doms.items():
             for whole, part in zip(together, passes([p])):
-                assert list(whole) == list(doms)
-                assert np.array_equal(whole[p], part[p])
+                assert np.array_equal(whole[spans[p]], part)
             # and the residual is what the serial pieces give on that
             # slice (one pass over all faces; the overlapped split adds
             # the ghost faces' sum afterwards, which may reassociate)
@@ -175,10 +181,10 @@ class TestBatchedEqualsPerPartition:
             if forcing is not None:
                 ref = ref - forcing[p]
             if overlapped:
-                assert np.allclose(together[0][p], ref, rtol=1e-12,
+                assert np.allclose(together[0][spans[p]], ref, rtol=1e-12,
                                    atol=1e-14)
             else:
-                assert np.array_equal(together[0][p], ref)
+                assert np.array_equal(together[0][spans[p]], ref)
 
     def test_split_batches_cover_every_face_once(self):
         solver = small_solver("sphere", 3, "vanleer")
@@ -388,11 +394,11 @@ class TestBatchLifetime:
             kernels=par.kernels, overlap=True, sanitize=False, timeout=5.0,
         )
         fine = spec.doms[0]
-        qs = perturbed_states(fine, solver.qinf, 0)
+        q = perturbed_states(fine, solver.qinf, 0)[rank]
         if built:
             # what a worker's first cycle fills: its one-partition stack
             # and halves, operators built
-            spec.kernels.smooth(NoExchange(fine), fine, dict(qs), cfl=2.0,
+            spec.kernels.smooth(NoExchange(fine), fine, q, cfl=2.0,
                                 overlap=True)
         assert bool(fine[rank].cache) == built
         shipped = pickle.loads(pickle.dumps(spec))
@@ -407,9 +413,9 @@ class TestBatchLifetime:
         assert isinstance(shipped.kernels, Cart3DKernels)
         for overlapped in (False, True):
             a, b = (
-                kern.smooth(NoExchange(doms), doms, dict(qs), cfl=2.0,
+                kern.smooth(NoExchange(doms), doms, q, cfl=2.0,
                             overlap=overlapped)
                 for kern, doms in ((spec.kernels, fine),
                                    (shipped.kernels, twin))
             )
-            assert np.array_equal(a[rank], b[rank])
+            assert np.array_equal(a, b)

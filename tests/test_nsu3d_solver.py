@@ -8,10 +8,11 @@ from repro.mesh.unstructured import build_dual, bump_channel, extract_lines
 from repro.solvers.gas import freestream
 from repro.runtime import (
     LevelSpec,
+    LockstepComm,
     MetisLinePartitioner,
     build_domain_hierarchy,
-    make_exchanger,
 )
+from repro.runtime.domain import row_stack
 from repro.solvers.nsu3d import (
     NSU3DSolver,
     agglomerate,
@@ -468,23 +469,16 @@ class TestParallelNSU3D:
             nvert=small_ctx.npoints, edges=small_ctx.edges,
             payload=lambda h, p: _local_flow_context(small_ctx, h, p),
         )
-        domains = build_domain_hierarchy(
+        doms = dict(enumerate(build_domain_hierarchy(
             [spec], [], line_partition(small_ctx, 4)
-        ).levels[0].domains
-        kernels = NSU3DKernels(qinf)
-
-        def body(comm):
-            pid = comm.rank
-            dom = domains[pid]
-            X = make_exchanger("plan", comm, plans={pid: dom.halo.plan})
-            l2g = dom.halo.local_to_global()
-            r = kernels.defect(X, {pid: dom}, {pid: q[l2g].copy()})[pid]
-            return dom.halo.owned_global, r[: dom.nowned]
-
-        out = SimMPI(4).run(body)
+        ).levels[0].domains))
+        X = LockstepComm(SimMPI(4), 4).exchanger(doms)
+        r = NSU3DKernels(qinf).defect(X, doms, np.concatenate([
+            q[dom.halo.local_to_global()] for dom in doms.values()
+        ]))
         r_par = np.empty_like(r_serial)
-        for gids, r_own in out:
-            r_par[gids] = r_own
+        for p, own in row_stack(doms).owned_spans.items():
+            r_par[doms[p].halo.owned_global] = r[own]
         assert np.allclose(r_par, r_serial, atol=1e-13)
 
     def test_lines_never_split(self, small_ctx):

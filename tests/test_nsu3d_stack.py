@@ -1,12 +1,11 @@
 """One stacked context per level: ``NSU3DKernels`` over the partitions it
 is handed.
 
-Every pass joins the partitions' states into one array, runs the
+Every pass takes the partitions' rows as one stacked array, runs the
 *serial* kernel once on the stacked :class:`FlowContext`, and hands the
-exchanger per-partition row slices of the result.  Rows of different
-partitions never share a scatter row and every kernel is row-, edge- or
-line-local, so that is a data-movement change only and everything here
-is exact: stacked against one-partition-at-a-time evaluation on
+exchanger that same array.  Rows of different partitions never share a
+scatter row and every kernel is row-, edge- or line-local, so that is a
+data-movement change only and everything here is exact: stacked against one-partition-at-a-time evaluation on
 generated levels, call counts that no longer grow with the partition
 count, and the stack cache's lifetime.
 """
@@ -56,31 +55,36 @@ class NoExchange:
     """An exchanger that ships nothing: every pass then returns each
     partition's local part, ghost rows as the caller left them."""
 
-    def __init__(self, pids):
-        self.pids = set(pids)
+    def __init__(self, doms):
+        self.pids = set(doms)
+        self.nrows = sum(dom.nlocal for dom in doms.values())
         self.comm = FixedReference()
         self.tags = []
 
     def charge(self, flops):
         assert set(flops) == self.pids
 
-    def add(self, arrays, tag):
-        assert set(arrays) == self.pids
+    def add(self, q, tag):
+        assert len(q) == self.nrows
         self.tags.append(tag)
 
-    def copy(self, arrays, tag):
-        assert set(arrays) == self.pids
+    def copy(self, q, tag):
+        assert len(q) == self.nrows
         self.tags.append(tag)
 
-    def start_copy(self, arrays, tag):
-        self.copy(arrays, tag)
-        return Window()
+    def start_copy(self, q, tag):
+        self.copy(q, tag)
+        return Window(q)
 
 
 class Window:
-    """A pending exchange that only records that it was finished."""
+    """A pending exchange on ``q`` that only records that it was
+    finished."""
 
     done = False
+
+    def __init__(self, q):
+        self.q = q
 
     def finish(self):
         assert not self.done
@@ -96,8 +100,15 @@ def perturbed_states(doms, qinf, seed):
     }
 
 
-def some(things, pids):
-    return None if things is None else {p: things[p] for p in pids}
+def some(doms, pids):
+    return {p: doms[p] for p in pids}
+
+
+def join(states, pids):
+    """The partitions ``pids``' rows of ``states``, stacked."""
+    if states is None:
+        return None
+    return np.concatenate([states[p] for p in pids])
 
 
 class TestStackedEqualsPerPartition:
@@ -124,36 +135,27 @@ class TestStackedEqualsPerPartition:
 
         def passes(pids):
             """Residual, frozen operator and one smoothing step over
-            the partitions ``pids``, as per-partition rows."""
-            mine = some(doms, pids)
-            stack = _stack(mine)
-            pending = Window() if overlapped else None
-            r = kern._completed_residual(
-                NoExchange(pids), mine, some(qs, pids),
-                None if forcing is None else stack.join(some(forcing, pids)),
-                pending,
-            )
+            the partitions ``pids``, stacked."""
+            mine, q, f = some(doms, pids), join(qs, pids), join(forcing, pids)
+            pending = Window(q) if overlapped else None
+            r = kern._completed_residual(NoExchange(mine), mine, q, f,
+                                         pending)
             assert pending is None or pending.done
-            X = NoExchange(pids)
-            op = kern._operator(X, stack, stack.join(some(qs, pids)), 6.0)
+            X = NoExchange(mine)
+            op = kern._operator(X, _stack(mine), q, 6.0)
             assert X.tags == [11, 12]
-            X = NoExchange(pids)
-            smoothed = kern.smooth(
-                X, mine, some(qs, pids), forcing=some(forcing, pids),
-                cfl=6.0, overlap=overlapped,
-            )
+            X = NoExchange(mine)
+            smoothed = kern.smooth(X, mine, q, forcing=f, cfl=6.0,
+                                   overlap=overlapped)
             assert X.tags[0] == 13 and X.tags.count(14) == 3
-            return [stack.split(r), stack.split(op.dt),
-                    stack.split(op.solve(r)), smoothed,
-                    kern.defect(NoExchange(pids), mine, some(qs, pids),
-                                some(forcing, pids))]
+            return [r, op.dt, op.solve(r), smoothed,
+                    kern.defect(NoExchange(mine), mine, q, f)]
 
         together = passes(list(doms))
+        spans = _stack(doms).spans
         for p in doms:
-            alone = passes([p])
-            for whole, part in zip(together, alone):
-                assert list(whole) == list(doms)
-                assert np.array_equal(whole[p], part[p])
+            for whole, part in zip(together, passes([p])):
+                assert np.array_equal(whole[spans[p]], part)
 
     def test_the_stack_is_the_contexts_end_to_end(self):
         solver = small_solver(SHAPES[1], True)
@@ -304,11 +306,11 @@ class TestStackLifetime:
             kernels=par.kernels, overlap=True, sanitize=False, timeout=5.0,
         )
         fine = spec.doms[0]
-        qs = perturbed_states(fine, solver.qinf, 0)
+        q = perturbed_states(fine, solver.qinf, 0)[rank]
         if built:
             # what a worker's first cycle fills: its one-partition stack
             # and split, operators and line lookup built
-            spec.kernels.smooth(NoExchange(fine), fine, dict(qs), cfl=6.0,
+            spec.kernels.smooth(NoExchange(fine), fine, q, cfl=6.0,
                                 overlap=True)
         assert bool(fine[rank].cache) == built
         shipped = pickle.loads(pickle.dumps(spec))
@@ -320,9 +322,9 @@ class TestStackLifetime:
         assert isinstance(shipped.kernels, NSU3DKernels)
         for overlapped in (False, True):
             a, b = (
-                kern.smooth(NoExchange(doms), doms, dict(qs), cfl=6.0,
+                kern.smooth(NoExchange(doms), doms, q, cfl=6.0,
                             overlap=overlapped)
                 for kern, doms in ((spec.kernels, fine),
                                    (shipped.kernels, twin))
             )
-            assert np.array_equal(a[rank], b[rank])
+            assert np.array_equal(a, b)

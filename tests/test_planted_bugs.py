@@ -77,45 +77,45 @@ def row_test(*names: str):
 class RacyNSU3DKernels(NSU3DKernels):
     """Planted race: evaluates the residual of the *whole* stacked
     context (which gathers ghost rows) while the exchange is still in
-    flight, then finishes.  Unsanitized the run completes; sanitized it
-    dies naming the partition whose ghost row was read."""
+    flight, then finishes.  It reads the state as the shipped kernels
+    must inside a window, ``pending.q``.  Unsanitized the run completes;
+    sanitized it dies naming the partition whose ghost row was read."""
 
-    def _completed_residual(self, X, doms, qs, forcing, pending):
+    def _completed_residual(self, X, doms, q, forcing, pending):
         if pending is None:
-            return super()._completed_residual(X, doms, qs, forcing,
+            return super()._completed_residual(X, doms, q, forcing,
                                                pending)
         stack = _stack(doms)
-        r = residual(stack.ctx, stack.join(qs), self.qinf,  # noqa
+        r = residual(stack.ctx, pending.q, self.qinf,  # noqa
                      turbulence=False, viscous=self.viscous)
         pending.finish()
-        X.add(stack.split(r), tag=1)
+        X.add(r, tag=1)
         r[stack.ghost] = 0.0
         return r
 
 
 class RacyCart3DKernels(Cart3DKernels):
-    """The same planted race through the stacked path: the whole-level
-    stacked pass (ghost-touching faces included) evaluated before
-    ``finish``.  It reads the state as the shipped kernels must inside a
-    window, ``stack.join(qs)``: the join of guard views is guarded, so
-    the gather traps and names the partition whose ghost row it hit."""
+    """The same planted race through the Cart3D stacked pass: the
+    whole-level pass (ghost-touching faces included) evaluated on
+    ``pending.q`` before ``finish``; the gather traps and names the
+    partition whose ghost row it hit."""
 
-    def _completed_residual(self, X, doms, q, qs, forcing, pending):
+    def _completed_residual(self, X, doms, q, forcing, pending):
         if pending is None:
-            return super()._completed_residual(X, doms, q, qs, forcing,
+            return super()._completed_residual(X, doms, q, forcing,
                                                pending)
         stack = _cart3d_stack(doms)
-        r = cart3d_residual(stack.part, stack.join(qs),  # noqa
+        r = cart3d_residual(stack.part, pending.q,  # noqa
                             self.qinf, self.flux)
         pending.finish()
-        X.add(stack.split(r), tag=1)
+        X.add(r, tag=1)
         r[stack.ghost] = 0.0
         return r
 
 
 class _PlantedWindow:
     """The exchanger an NSU3D smoother sees, with its overlap window
-    opened by ``plant(X, arrays, tag)`` instead of ``X.start_copy``."""
+    opened by ``plant(X, q, tag)`` instead of ``X.start_copy``."""
 
     def __init__(self, X, plant):
         self._X, self._plant = X, plant
@@ -123,62 +123,58 @@ class _PlantedWindow:
     def __getattr__(self, name):
         return getattr(self._X, name)
 
-    def start_copy(self, arrays, tag=0):
-        return self._plant(self._X, arrays, tag)
+    def start_copy(self, q, tag=0):
+        return self._plant(self._X, q, tag)
 
 
 def planting(plant):
     """NSU3D kernels whose smoother opens every window through ``plant``."""
     class Planted(NSU3DKernels):
-        def smooth(self, X, doms, qs, **kwargs):
-            return super().smooth(_PlantedWindow(X, plant), doms, qs,
+        def smooth(self, X, doms, q, **kwargs):
+            return super().smooth(_PlantedWindow(X, plant), doms, q,
                                   **kwargs)
     return Planted
 
 
-def dropped_window(X, arrays, tag):
-    """R009's bare ``X.start_copy(qs)``: posted, and the pending that
+def dropped_window(X, q, tag):
+    """R009's bare ``X.start_copy(q)``: posted, and the pending that
     would finish it is dropped."""
-    X.start_copy(arrays, tag)
+    X.start_copy(q, tag)
 
 
-def rebound_window(X, arrays, tag):
+def rebound_window(X, q, tag):
     """``pending = start_copy(); pending = start_copy()``: the first
     window is never finished."""
-    X.start_copy(arrays, tag)
-    return X.start_copy(arrays, tag)
+    X.start_copy(q, tag)
+    return X.start_copy(q, tag)
 
 
-def add_in_window(X, arrays, tag):
-    """An add-reduction on the arrays whose copy is in flight."""
-    pending = X.start_copy(arrays, tag)
-    X.add(arrays, tag=2)
+def add_in_window(X, q, tag):
+    """An add-reduction on the array whose copy is in flight."""
+    pending = X.start_copy(q, tag)
+    X.add(q, tag=2)
     return pending
 
 
-def write_in_window(X, arrays, tag):
-    """Ghost rows written while their values are in transit."""
-    pending = X.start_copy(arrays, tag)
-    for pid, arr in arrays.items():
-        for slots in X.plans[pid].ghost_slots.values():
-            arr[slots] = 0.0
+def write_in_window(X, q, tag):
+    """Ghost rows written, through the window's state, while their
+    values are in transit."""
+    pending = X.start_copy(q, tag)
+    pending.q[X.rows.ghost] = 0.0
     return pending
 
 
-def finished_twice(X, arrays, tag):
+def finished_twice(X, q, tag):
     """A window closed here and again by the smoother."""
-    pending = X.start_copy(arrays, tag)
+    pending = X.start_copy(q, tag)
     pending.finish()
     return pending
 
 
-def owned_read_in_window(X, arrays, tag):
+def owned_read_in_window(X, q, tag):
     """Owned rows read inside the window: legal."""
-    pending = X.start_copy(arrays, tag)
-    for pid, arr in arrays.items():
-        ghosts = X.plans[pid].ghost_slots.values()
-        if ghosts:
-            float(arr[: min(s.min() for s in ghosts)].sum())
+    pending = X.start_copy(q, tag)
+    float(pending.q[X.rows.owned].sum())
     return pending
 
 
@@ -605,7 +601,7 @@ def _():
         arr = 1.0 + halos[comm.rank].local_to_global()
         X.add({comm.rank: arr})
         X.copy({comm.rank: arr})
-        return arr.tobytes(), X.charging, X.sanitize, comm.clock
+        return arr.tobytes(), X.charging, comm.clock
 
     assert SimMPI(4).run(body, True) == SimMPI(4).run(body, False)
 

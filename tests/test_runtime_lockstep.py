@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.comm import SimMPI, build_halos
+from repro.comm import SimMPI
 from repro.comm.hybrid import HybridProcess
 from repro.comm.simmpi import Comm, fold
 from repro.errors import DeadlockError, RankFailure
@@ -26,7 +26,7 @@ from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
 from repro.runtime import (LevelSpec, LockstepComm, RuntimeConfig,
                            backends, build_domain_set, make_exchanger)
-from repro.runtime.domain import RowStack
+from repro.runtime.domain import row_stack
 from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
 from repro.solvers.nsu3d import NSU3DSolver, make_parallel_nsu3d
 from repro.solvers.nsu3d.parallel import NSU3DKernels
@@ -42,6 +42,18 @@ def grid_graph(nx, ny):
         np.column_stack([vid[:, :-1].ravel(), vid[:, 1:].ravel()]),
     ])
     return nx * ny, edges.astype(np.int64)
+
+
+def level_domains(nvert, edges, part):
+    """One level's ``{pid: domain}`` over the partition vector ``part``."""
+    return dict(enumerate(build_domain_set(
+        LevelSpec(nvert, edges, lambda halo, part: None), part
+    ).domains))
+
+
+def zeros(doms, nvar):
+    """A stacked state of the level ``doms``, all zero."""
+    return np.zeros((sum(dom.nlocal for dom in doms.values()), nvar))
 
 
 def oracle(halos, fills, add):
@@ -81,19 +93,18 @@ def cart3d_solver():
 class TestFailurePaths:
     def test_missing_send_is_a_deadlock_raised_on_the_spot(self):
         nvert, edges = grid_graph(6, 6)
-        halos = build_halos(nvert, edges, (np.arange(nvert) * 2) // nvert)
-        plans = {h.rank: h.plan for h in halos}
+        doms = level_domains(nvert, edges, (np.arange(nvert) * 2) // nvert)
+        plans = {p: dom.halo.plan for p, dom in doms.items()}
         # rank 1 forgets rank 0: it sends it nothing and expects nothing,
         # while rank 0 still waits for rank 1's owner values
         del plans[1].owned_slots[0]
         assert plans[0].neighbors == [1] and plans[1].neighbors == []
-        X = LockstepComm(SimMPI(2), 2).exchanger(plans)
-        arrays = {p: np.zeros((halos[p].nlocal, 2)) for p in plans}
+        X = LockstepComm(SimMPI(2), 2).exchanger(doms)
         with pytest.raises(
             DeadlockError,
             match="rank 0 deadlocked waiting for rank 1 tag 7",
         ):
-            X.copy(arrays, tag=7)
+            X.copy(zeros(doms, 2), tag=7)
 
     def test_lone_collective_is_a_deadlock_too(self):
         comms = SimMPI(3).lockstep()
@@ -173,19 +184,21 @@ class TestLockstepEqualsThreaded:
     oracle says, whatever the ranks per process."""
 
     @staticmethod
-    def program(X, comm_allreduce, arrays, pids, op, charging):
+    def program(X, comm_allreduce, state, parts, op, charging):
+        """``state`` is what ``X`` exchanges, ``parts`` its rows per
+        partition."""
         X.charging = charging
-        X.charge({p: 1.0e6 * (p + 1) for p in pids})
+        X.charge({p: 1.0e6 * (p + 1) for p in parts})
         if op == "copy":
-            X.copy(arrays, tag=3)
+            X.copy(state, tag=3)
         elif op == "add":
-            X.add(arrays, tag=3)
+            X.add(state, tag=3)
         else:
-            pending = X.start_copy(arrays, tag=3)
-            X.charge({p: 2.0e6 * (7 - p) for p in pids})
+            pending = X.start_copy(state, tag=3)
+            X.charge({p: 2.0e6 * (7 - p) for p in parts})
             pending.finish()
         return comm_allreduce(
-            {p: np.array([arrays[p].sum(), 1.0]) for p in pids}
+            {p: np.array([rows.sum(), 1.0]) for p, rows in parts.items()}
         )
 
     @settings(max_examples=60, deadline=None)
@@ -195,24 +208,19 @@ class TestLockstepEqualsThreaded:
         nvar=st.one_of(st.integers(1, 6), st.just(12)),
         op=st.sampled_from(["copy", "add", "start_finish"]),
         charging=st.booleans(), per_rank=st.integers(1, 3),
-        traced=st.booleans(), stacked=st.booleans(),
-        seed=st.integers(0, 2**16),
+        traced=st.booleans(), seed=st.integers(0, 2**16),
     )
     def test_arrays_clocks_and_stats_bit_equal(
-        self, nx, ny, nparts, nvar, op, charging, per_rank, traced,
-        stacked, seed
+        self, nx, ny, nparts, nvar, op, charging, per_rank, traced, seed
     ):
-        """The lockstep side moves rows by index — over the stacked
-        array of ``RowStack.split`` views, or joined from plain arrays —
-        and replays the ledger; the rank programs send real messages.
-        Arrays, allreduce, clocks, stats and every rank's trace agree
-        bit for bit."""
+        """The lockstep side moves rows by index over the level's
+        stacked array and replays the ledger; the rank programs send
+        real messages.  Arrays, allreduce, clocks, stats and every
+        rank's trace agree bit for bit."""
         nvert, edges = grid_graph(nx, ny)
         rng = np.random.default_rng(seed)
-        part = rng.permutation(np.arange(nvert) % nparts)
-        doms = dict(enumerate(build_domain_set(
-            LevelSpec(nvert, edges, lambda halo, part: None), part
-        ).domains))
+        doms = level_domains(nvert, edges,
+                             rng.permutation(np.arange(nvert) % nparts))
         halos = [dom.halo for dom in doms.values()]
         plans = {h.rank: h.plan for h in halos}
         fills = {p: rng.standard_normal((halos[p].nlocal, nvar))
@@ -221,16 +229,10 @@ class TestLockstepEqualsThreaded:
 
         world = SimMPI(nranks, trace=traced)
         group = LockstepComm(world, nparts)
-        if stacked:
-            x = group.exchanger(plans, doms)
-            arrays = RowStack(doms).split(
-                np.concatenate([fills[p] for p in doms])
-            )
-        else:
-            x = group.exchanger(plans)
-            arrays = {p: a.copy() for p, a in fills.items()}
-        total = self.program(x, group.allreduce, arrays, sorted(plans), op,
-                             charging)
+        state = np.concatenate([fills[p] for p in doms])
+        arrays = {p: state[span] for p, span in row_stack(doms).spans.items()}
+        total = self.program(group.exchanger(doms), group.allreduce, state,
+                             arrays, op, charging)
         expected = oracle(halos, fills, add=op == "add")
         for p in plans:
             assert np.allclose(arrays[p], expected[p], rtol=1e-13,
@@ -250,7 +252,7 @@ class TestLockstepEqualsThreaded:
             out = self.program(
                 X, lambda parts: comm.allreduce(
                     fold([parts[p] for p in pids], "sum")
-                ), mine, pids, op, charging,
+                ), mine, mine, op, charging,
             )
             return mine, out
 
@@ -316,6 +318,28 @@ class TestTelemetryUnderLockstep:
         assert {s.rank for s in solver} == {0}
 
 
+class TestOneStackedArray:
+    def test_a_lockstep_cycle_joins_no_rows(self, nsu3d_solver,
+                                            cart3d_solver, count_calls):
+        """A level's state is one array from the first pass of a cycle
+        to the last: no pass, transfer or exchange joins partitions'
+        rows (``np.concatenate``) once the level caches exist."""
+        overlapped = RuntimeConfig(overlap=True)
+        solves = [
+            (make_parallel_nsu3d(nsu3d_solver, 4, config=overlapped),
+             CFL_NSU3D),
+            (make_parallel_cart3d(cart3d_solver, 4, config=overlapped),
+             CFL_CART3D),
+        ]
+        for par, cfl in solves:
+            par.solve(1, cfl=cfl)  # builds the level caches
+        joins = count_calls(np, "concatenate")
+        for par, cfl in solves:
+            _, hist = par.solve(2, cfl=cfl)
+            assert len(hist) == 2
+        assert joins == []
+
+
 class TestWorldRowGather:
     """What the world-row gather adds beyond matching the rank programs
     (:class:`TestLockstepEqualsThreaded`): no message, one index build
@@ -360,14 +384,13 @@ class TestWorldRowGather:
 
     def test_a_window_left_open_makes_the_next_finish_stale(self):
         nvert, edges = grid_graph(4, 4)
-        halos = build_halos(nvert, edges, (np.arange(nvert) * 2) // nvert)
-        plans = {h.rank: h.plan for h in halos}
-        X = LockstepComm(SimMPI(2), 2).exchanger(plans)
-        arrays = {p: np.zeros((halos[p].nlocal, 2)) for p in plans}
-        X.start_copy(arrays, tag=4)  # dropped, never finished
-        X.copy(arrays, tag=3)  # another tag is unaffected
+        doms = level_domains(nvert, edges, (np.arange(nvert) * 2) // nvert)
+        X = LockstepComm(SimMPI(2), 2).exchanger(doms)
+        q = zeros(doms, 2)
+        X.start_copy(q, tag=4)  # dropped, never finished
+        X.copy(q, tag=3)  # another tag is unaffected
         with pytest.raises(ValueError, match="stale"):
-            X.start_copy(arrays, tag=4).finish()
+            X.start_copy(q, tag=4).finish()
 
     @pytest.mark.parametrize("corrupt, error, match", [
         (lambda plans: plans[0].owned_slots.pop(1), DeadlockError,
@@ -388,12 +411,11 @@ class TestWorldRowGather:
     def test_plan_errors_surface_at_index_build(self, corrupt, error, match):
         nvert, edges = grid_graph(4, 4)
         # reversed strips: partition 1 holds partition 0's rows as ghosts
-        halos = build_halos(nvert, edges,
-                            1 - (np.arange(nvert) * 2) // nvert)
-        plans = {h.rank: h.plan for h in halos}
+        doms = level_domains(nvert, edges,
+                             1 - (np.arange(nvert) * 2) // nvert)
+        plans = {p: dom.halo.plan for p, dom in doms.items()}
         assert list(plans[1].ghost_slots) == [0]
         corrupt(plans)
-        X = LockstepComm(SimMPI(2), 2).exchanger(plans)
-        arrays = {p: np.zeros((halos[p].nlocal, 3)) for p in plans}
+        X = LockstepComm(SimMPI(2), 2).exchanger(doms)
         with pytest.raises(error, match=match):
-            X.add(arrays, tag=9)
+            X.add(zeros(doms, 3), tag=9)

@@ -17,7 +17,8 @@ import pytest
 
 from repro.comm import SimMPI
 from repro.mesh.cartesian import Sphere
-from repro.runtime import RuntimeConfig, make_exchanger
+from repro.runtime import LockstepComm, RuntimeConfig
+from repro.runtime.domain import row_stack
 from repro.mesh.unstructured import bump_channel
 from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
 from repro.solvers.cart3d import fas_cycle as cart3d_fas_cycle
@@ -225,24 +226,18 @@ class TestNSU3DTurbulentParity:
         ref = green_gauss(dual, fields)
 
         pn = make_parallel_nsu3d(nsu3d_turb_solver, 2)
-        doms = pn.hierarchy.levels[0].domains
-        sums = {}
-        for p, dom in enumerate(doms):
-            l2g = dom.halo.local_to_global()
-            sums[p] = green_gauss_sums(
-                dom.ctx.dual, fields[l2g]
+        doms = dict(enumerate(pn.hierarchy.levels[0].domains))
+        sums = np.concatenate([
+            green_gauss_sums(
+                dom.ctx.dual, fields[dom.halo.local_to_global()]
             ).reshape(dom.nlocal, -1)
-
-        def complete(comm):
-            X = make_exchanger(
-                "plan", comm, plans={comm.rank: doms[comm.rank].halo.plan}
-            )
-            X.add({comm.rank: sums[comm.rank]}, tag=15)
-
-        SimMPI(2).run(complete)
-        for p, dom in enumerate(doms):
+            for dom in doms.values()
+        ])
+        LockstepComm(SimMPI(2), 2).exchanger(doms).add(sums, tag=15)
+        spans = row_stack(doms).spans
+        for p, dom in doms.items():
             grads = (
-                sums[p].reshape(dom.nlocal, 3, -1)
+                sums[spans[p]].reshape(dom.nlocal, 3, -1)
                 / dom.ctx.volumes[:, None, None]
             )
             own = slice(0, dom.nowned)

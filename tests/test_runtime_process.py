@@ -5,9 +5,8 @@ covers everything around the numbers: the RuntimeConfig contract (the
 one spelling of every execution choice), the neighbour-only exchange
 protocol stepped on one thread over a plain NumPy slab, spawn/teardown
 robustness (worker death in every kind of wait → ``WorkerCrash``,
-double shutdown, pool respawn), picklability of the build recipe, the
-``PendingGroup`` partial-progress fix, and the telemetry spans workers
-ship home.
+double shutdown, pool respawn), picklability of the build recipe, and
+the telemetry spans workers ship home.
 """
 
 import multiprocessing
@@ -36,13 +35,14 @@ from repro.runtime import (
     DomainHierarchy,
     LevelSpec,
     LockstepComm,
-    PendingGroup,
     ProcessComm,
+    ProcessExchanger,
     RuntimeConfig,
     SharedLayout,
     build_domain_set,
     make_exchanger,
 )
+from repro.runtime.domain import row_stack
 from repro.runtime.backends import CONSUMED, POSTED
 from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
 from repro.solvers.nsu3d import NSU3DSolver, make_parallel_nsu3d
@@ -160,10 +160,9 @@ def slab_world(ni, nj, nparts, nvar, timeout=0.05, seed=0):
     layout = SharedLayout.build(DomainHierarchy([level], []), nvar)
     slab = np.zeros(layout.total)
     xs = [
-        make_exchanger(
-            "process", ProcessComm(p, layout, slab, timeout, 0.0),
-            plans={p: dom.halo.plan},
-            channels=layout.channels(slab, 0, p, dom.halo.plan),
+        ProcessExchanger(
+            ProcessComm(p, layout, slab, timeout, 0.0), dom,
+            layout.channels(slab, 0, p, dom.halo.plan),
         )
         for p, dom in enumerate(level.domains)
     ]
@@ -197,9 +196,9 @@ class TestProtocolOnOneThread:
     def test_bit_equal_to_plan_exchanger(self, ni, nj, nparts, nvar, ops,
                                          seed):
         doms, layout, slab, xs = slab_world(ni, nj, nparts, nvar, seed=seed)
-        reference = LockstepComm(SimMPI(nparts), nparts).exchanger(
-            {p: dom.halo.plan for p, dom in enumerate(doms)}
-        )
+        level = dict(enumerate(doms))
+        reference = LockstepComm(SimMPI(nparts), nparts).exchanger(level)
+        spans = row_stack(level).spans
         rng = np.random.default_rng(seed)
         before = sequence_words(layout, slab)
 
@@ -220,13 +219,13 @@ class TestProtocolOnOneThread:
                 p: rng.standard_normal((dom.nlocal,) + tail)
                 for p, dom in enumerate(doms)
             }
-            theirs = {p: a.copy() for p, a in mine.items()}
+            theirs = np.concatenate([mine[p] for p in level])
             if op == "window":
-                pendings = [x.start_copy({p: mine[p]}, tag=tag)
+                pendings = [x.start_copy(mine[p], tag=tag)
                             for p, x in enumerate(xs)]
                 reference.start_copy(theirs, tag=tag).finish()
             else:
-                pendings = [x.post({p: mine[p]}, tag, add=op == "add")
+                pendings = [x.post(mine[p], tag, add=op == "add")
                             for p, x in enumerate(xs)]
                 getattr(reference, op)(theirs, tag=tag)
             check_words()
@@ -234,7 +233,8 @@ class TestProtocolOnOneThread:
                 pending.finish()
                 check_words()
             for p in mine:
-                assert mine[p].tobytes() == theirs[p].tobytes(), (op, p)
+                assert mine[p].tobytes() == theirs[spans[p]].tobytes(), \
+                    (op, p)
         assert all(posted == consumed == len(ops)
                    for posted, consumed in before.values())
 
@@ -244,7 +244,7 @@ class TestProtocolOnOneThread:
         t0 = time.monotonic()
         with capture() as tracer:
             with pytest.raises(WorkerCrash, match="waited .* for rank 1"):
-                xs[0].copy({0: arr}, tag=3)
+                xs[0].copy(arr, tag=3)
         assert time.monotonic() - t0 < 2.0
         (wait,) = [s for s in tracer.spans if s.name == "comm.wait"]
         assert wait.args == {"level": 0, "peer": 1, "what": "posted",
@@ -254,7 +254,7 @@ class TestProtocolOnOneThread:
         doms, _layout, _slab, xs = slab_world(3, 3, 2, 2, timeout=0.05)
         arr = np.zeros((doms[0].nlocal, 2))
         with pytest.raises(WorkerCrash):
-            xs[0].copy({0: arr}, tag=3)
+            xs[0].copy(arr, tag=3)
         assert not get_tracer().spans
 
     def test_abort_word_ends_a_wait_at_once(self):
@@ -282,9 +282,9 @@ class TestProtocolOnOneThread:
     def test_second_open_window_is_refused(self):
         doms, _layout, _slab, xs = slab_world(3, 3, 2, 2)
         arr = np.zeros((doms[0].nlocal, 2))
-        xs[0].start_copy({0: arr}, tag=7)
-        for again in (lambda: xs[0].start_copy({0: arr}, tag=8),
-                      lambda: xs[0].add({0: arr}, tag=8)):
+        xs[0].start_copy(arr, tag=7)
+        for again in (lambda: xs[0].start_copy(arr, tag=8),
+                      lambda: xs[0].add(arr, tag=8)):
             with pytest.raises(ExchangeLifecycleError) as excinfo:
                 again()
             text = str(excinfo.value)
@@ -299,9 +299,9 @@ class TestProtocolOnOneThread:
         doms, _layout, _slab, xs = slab_world(3, 3, 2, 2)
         mine = np.zeros((doms[0].nlocal, 2))
         other = np.ones((doms[1].nlocal,) + theirs["tail"])
-        xs[1].post({1: other}, theirs["tag"])
+        xs[1].post(other, theirs["tag"])
         with pytest.raises(ExchangeLifecycleError) as excinfo:
-            xs[0].copy({0: mine}, tag=5)
+            xs[0].copy(mine, tag=5)
         text = str(excinfo.value)
         assert "rank 0 expected tag 5" in text and "from rank 1" in text
         assert "level 0" in text and f"posted tag {theirs['tag']}" in text
@@ -318,19 +318,18 @@ class DyingKernels(NSU3DKernels):
         vars(self).update(vars(real))
         self.victim, self.op, self.nth, self.calls = victim, op, nth, 0
 
-    def smooth(self, X, doms, qs, **kwargs):
+    def smooth(self, X, doms, q, **kwargs):
         self.calls += 1
         if self.calls == self.nth:
             if X.comm.rank == self.victim:
                 os._exit(17)
             if self.op == "allreduce":
-                X.comm.allreduce({p: np.ones(1) for p in qs})
+                X.comm.allreduce({p: np.ones(1) for p in doms})
             elif self.op == "window":
-                X.start_copy(dict(qs), tag=90).finish()
+                X.start_copy(q.copy(), tag=90).finish()
             else:
-                getattr(X, self.op)({p: q.copy() for p, q in qs.items()},
-                                    tag=90)
-        return super().smooth(X, doms, qs, **kwargs)
+                getattr(X, self.op)(q.copy(), tag=90)
+        return super().smooth(X, doms, q, **kwargs)
 
 
 class TestSpawnLifecycle:
@@ -437,43 +436,6 @@ class TestSpecPickling:
         dom2 = pickle.loads(pickle.dumps(fresh))
         assert dom2.nowned == dom.nowned
         assert np.array_equal(dom2.halo.owned_global, dom.halo.owned_global)
-
-
-class TestPendingGroupPartialProgress:
-    class _Ok:
-        def __init__(self):
-            self.done = False
-
-        def finish(self):
-            self.done = True
-
-    class _Boom:
-        class plan:
-            rank = 7
-
-        def __init__(self):
-            self.done = False
-            self.armed = True
-
-        def finish(self):
-            if self.armed:
-                raise RuntimeError("transient finish failure")
-            self.done = True
-
-    def test_partial_progress_is_kept_and_error_names_partition(self):
-        ok1, boom, ok2 = self._Ok(), self._Boom(), self._Ok()
-        group = PendingGroup([ok1, boom, ok2])
-        with pytest.raises(RuntimeError) as excinfo:
-            group.finish()
-        assert any("partition 7" in n
-                   for n in getattr(excinfo.value, "__notes__", []))
-        # progress before the failure is kept, the group stays open
-        assert ok1.done and not group.done and not ok2.done
-        boom.armed = False
-        group.finish()
-        assert group.done and ok2.done and boom.done
-        with pytest.raises(ExchangeLifecycleError):
-            group.finish()
 
 
 class TestWorkerTelemetry:
