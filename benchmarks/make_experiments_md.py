@@ -127,7 +127,10 @@ SECTIONS = [
     ("Section V — SFC partition surface-to-volume (real run)", "sfc_partition", ""),
     ("Section IV — mesh generation rate (real run, pure Python)", "mesh_rate",
      "The paper's 3-5M cells/min is compiled code on Itanium2; our rate "
-     "documents the interpreted-substrate gap rather than reproducing it."),
+     "documents the interpreted-substrate gap rather than reproducing it.  "
+     "The coarsening row is one whole-array `sfc_coarsen` pass over the "
+     "same mesh (best of five); the paper gives no rate for it, so it "
+     "stands beside the generation figure."),
     ("Ablation — W-cycle vs V-cycle (real Cart3D runs)", "ablation_cycles",
      "Section III: the W-cycle 'has been found to produce superior "
      "convergence rates and to be more robust'."),

@@ -7,7 +7,7 @@ coarsening (``coarsen``).
 """
 
 from .adapt import AdaptReport, adapt_to_geometry, mesh_for_configuration
-from .coarsen import coarsening_ratio, multigrid_hierarchy, sfc_coarsen
+from .coarsen import coarsening_ratio, sfc_coarsen
 from .cutcell import (
     CUT,
     FLUID,
@@ -79,5 +79,4 @@ __all__ = [
     "AdaptReport",
     "sfc_coarsen",
     "coarsening_ratio",
-    "multigrid_hierarchy",
 ]

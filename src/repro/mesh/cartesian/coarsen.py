@@ -13,6 +13,13 @@ sibling families is a run-length scan over packed parent keys — exactly
 one pass.  Incomplete families (or families whose coarsening would break
 2:1 grading against an already-finer neighbor) survive unchanged.
 
+Every step is whole-array: the grading filter builds the ``2*dim`` face
+neighbors of every cell of every candidate family at once and looks up
+their same-level and parent keys with one ``searchsorted`` into the
+sorted leaf keys; the coarse mesh is one row selection (the first cell
+of each collapsing family, every cell of the others) with a per-row
+level shift, and ``parent_of`` is the running count of selected rows.
+
 The paper reports coarsening ratios "in excess of 7" on typical 3-D
 examples; tests verify we match that on adapted meshes.
 """
@@ -26,9 +33,7 @@ import numpy as np
 from .octree import CartesianMesh, _pack
 
 
-def sfc_coarsen(
-    mesh: CartesianMesh, respect_grading: bool = True
-) -> tuple[CartesianMesh, np.ndarray]:
+def sfc_coarsen(mesh: CartesianMesh) -> tuple[CartesianMesh, np.ndarray]:
     """One multigrid coarsening of an SFC-ordered mesh.
 
     Returns ``(coarse_mesh, parent_of)`` where ``parent_of[f]`` is the
@@ -45,41 +50,28 @@ def sfc_coarsen(
     parent_key = np.where(level > 0, parent_key, -1 - np.arange(n))  # roots unique
 
     # run-length scan over consecutive equal parent keys
-    breaks = np.flatnonzero(np.diff(parent_key) != 0)
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks + 1, [n]])
-    lengths = ends - starts
+    starts = np.flatnonzero(np.diff(parent_key, prepend=parent_key[0] - 1))
+    lengths = np.diff(starts, append=n)
 
     collapse = (lengths == family) & (level[starts] > 0)
+    if collapse.any():
+        collapse = _filter_grading(mesh, starts, collapse)
 
-    if respect_grading and collapse.any():
-        collapse = _filter_grading(mesh, starts, ends, collapse)
-
-    parent_of = np.empty(n, dtype=np.int64)
-    coarse_level = []
-    coarse_ijk = []
-    cid = 0
-    for s, e, c in zip(starts, ends, collapse):
-        if c:
-            parent_of[s:e] = cid
-            coarse_level.append(level[s] - 1)
-            coarse_ijk.append(ijk[s] >> 1)
-            cid += 1
-        else:
-            for f in range(s, e):
-                parent_of[f] = cid
-                coarse_level.append(level[f])
-                coarse_ijk.append(ijk[f])
-                cid += 1
+    # a coarse cell per surviving fine cell and per collapsing family
+    collapsed = np.repeat(collapse, lengths)
+    new = ~collapsed
+    new[starts[collapse]] = True
+    parent_of = np.cumsum(new, dtype=np.int64) - 1
+    shift = collapsed[new].astype(np.int64)
     coarse = replace(
         mesh,
-        level=np.array(coarse_level, dtype=np.int64),
-        ijk=np.array(coarse_ijk, dtype=np.int64).reshape(cid, mesh.dim),
+        level=level[new] - shift,
+        ijk=ijk[new] >> shift[:, None],
     )
     return coarse, parent_of
 
 
-def _filter_grading(mesh, starts, ends, collapse):
+def _filter_grading(mesh, starts, collapse):
     """Reject collapses that would leave a >2:1 face-neighbor jump.
 
     A family at level L collapses to L-1.  In a 2:1-graded fine mesh its
@@ -90,39 +82,23 @@ def _filter_grading(mesh, starts, ends, collapse):
     same-level position and no leaf at its parent position — the region
     beyond the face must then be finer.
     """
-    level, ijk = mesh.level, mesh.ijk
-    leaves = set(_pack(level, ijk).tolist())
+    dim = mesh.dim
+    fam = np.flatnonzero(collapse)
+    cells = starts[fam][:, None] + np.arange(1 << dim)  # (F, 2**dim)
+    steps = np.concatenate([-np.eye(dim, dtype=np.int64),
+                            np.eye(dim, dtype=np.int64)])  # (2*dim, dim)
+    nbr = (mesh.ijk[cells][:, :, None, :] + steps).reshape(-1, dim)
+    lvl = np.repeat(mesh.level[starts[fam]], len(steps) << dim)
 
-    def is_finer_region(lvl: int, coords: np.ndarray) -> bool:
-        n_at = 1 << lvl
-        if (coords < 0).any() or (coords >= n_at).any():
-            return False  # domain boundary, no constraint
-        if int(_pack(np.array([lvl]), coords[None, :])[0]) in leaves:
-            return False
-        if lvl > 0 and int(
-            _pack(np.array([lvl - 1]), (coords >> 1)[None, :])[0]
-        ) in leaves:
-            return False
-        return True
+    inside = ((nbr >= 0) & (nbr < (np.int64(1) << lvl)[:, None])).all(axis=1)
+    leaves = np.sort(_pack(mesh.level, mesh.ijk))
+    keys = np.concatenate([_pack(lvl, nbr), _pack(lvl - 1, nbr >> 1)])
+    pos = np.minimum(np.searchsorted(leaves, keys), len(leaves) - 1)
+    same, up = (leaves[pos] == keys).reshape(2, -1)
+    finer = inside & ~same & ~up
 
     keep = collapse.copy()
-    for c in np.flatnonzero(collapse):
-        lvl = int(level[starts[c]])
-        blocked = False
-        for f in range(starts[c], ends[c]):
-            for axis in range(mesh.dim):
-                for sign in (-1, 1):
-                    nbr = ijk[f].copy()
-                    nbr[axis] += sign
-                    if is_finer_region(lvl, nbr):
-                        blocked = True
-                        break
-                if blocked:
-                    break
-            if blocked:
-                break
-        if blocked:
-            keep[c] = False
+    keep[fam[finer.reshape(len(fam), -1).any(axis=1)]] = False
     return keep
 
 
@@ -131,21 +107,3 @@ def coarsening_ratio(fine: CartesianMesh, coarse: CartesianMesh) -> float:
     if coarse.ncells == 0:
         raise ValueError("empty coarse mesh")
     return fine.ncells / coarse.ncells
-
-
-def multigrid_hierarchy(
-    mesh: CartesianMesh, nlevels: int, curve: str = "hilbert"
-) -> tuple[list, list]:
-    """Repeated SFC coarsening: returns ([meshes fine->coarse],
-    [parent_of maps]), stopping early if coarsening stalls."""
-    if nlevels < 1:
-        raise ValueError("nlevels must be >= 1")
-    meshes = [mesh]
-    maps = []
-    for _ in range(nlevels - 1):
-        coarse, parent_of = sfc_coarsen(meshes[-1])
-        if coarse.ncells >= meshes[-1].ncells:
-            break
-        meshes.append(coarse)
-        maps.append(parent_of)
-    return meshes, maps

@@ -20,7 +20,10 @@ Construction here is exact and fully vectorized per element family:
 
 Boundary element faces (those appearing exactly once) are apportioned to
 their vertices as corner quads and looked up against the mesh's named
-patches to produce per-(vertex, patch) boundary normals.
+patches to produce per-(vertex, patch) boundary normals.  Both lookups
+are one ``np.unique`` over the sorted, -1-padded vertex keys of every
+element face and patch face; the corner triangles are batched per face
+size and accumulated in face-first-seen, corner, triangle order.
 """
 
 from __future__ import annotations
@@ -77,10 +80,6 @@ class DualMesh:
         return np.unique(self.bvert[sel])
 
 
-def _face_nodes(face_row: np.ndarray) -> np.ndarray:
-    return face_row[face_row >= 0]
-
-
 def build_dual(mesh: HybridMesh) -> DualMesh:
     """Construct the median-dual metrics of a hybrid mesh."""
     pts = mesh.points
@@ -103,11 +102,10 @@ def build_dual(mesh: HybridMesh) -> DualMesh:
 
     face_vectors = np.zeros((nedges, 3))
     volumes = np.zeros(npts)
+    # element faces in visit order, -1-padded to 4 vertices
+    faces = [np.empty((0, 4), dtype=np.int64)]
 
     # interior dual triangles: per family, per face, per edge-of-face
-    boundary_tris: dict = {}  # sorted vertex tuple -> list of (corner data)
-    face_occurrence: dict = {}
-
     for name, conn in mesh.elements.items():
         if len(conn) == 0:
             continue
@@ -137,61 +135,10 @@ def build_dual(mesh: HybridMesh) -> DualMesh:
                 contrib = np.einsum("ij,ij->i", c, s) / 3.0
                 np.add.at(volumes, a, contrib)
                 np.add.at(volumes, b, -contrib)
-            # record face occurrences for boundary detection
-            gf = conn[:, fverts]
-            keys = [tuple(sorted(row)) for row in gf.tolist()]
-            for e_idx, key in enumerate(keys):
-                entry = face_occurrence.get(key)
-                if entry is None:
-                    face_occurrence[key] = (name, gf[e_idx].copy(), 1)
-                else:
-                    face_occurrence[key] = (entry[0], entry[1], entry[2] + 1)
+            faces.append(np.pad(conn[:, fverts], ((0, 0), (0, 4 - nf)),
+                                constant_values=-1))
 
-    # boundary faces: seen exactly once; apportion corner quads to vertices
-    patch_of_face = {}
-    for p_idx, patch in enumerate(mesh.patches):
-        for row in patch.faces:
-            patch_of_face[tuple(sorted(_face_nodes(row).tolist()))] = p_idx
-
-    b_rows = []  # (vertex, patch, Sx, Sy, Sz)
-    for key, (name, fv, count) in face_occurrence.items():
-        if count == 1:
-            p_idx = patch_of_face.get(key)
-            if p_idx is None:
-                raise ValueError(
-                    f"boundary face {key} not covered by any patch"
-                )
-            nf = len(fv)
-            xf = pts[fv]
-            fc = xf.mean(axis=0)
-            for k in range(nf):
-                v = fv[k]
-                em_next = 0.5 * (xf[k] + xf[(k + 1) % nf])
-                em_prev = 0.5 * (xf[(k - 1) % nf] + xf[k])
-                for tri in ((xf[k], em_next, fc), (xf[k], fc, em_prev)):
-                    s = 0.5 * np.cross(tri[1] - tri[0], tri[2] - tri[0])
-                    c = (tri[0] + tri[1] + tri[2]) / 3.0
-                    volumes[v] += float(c @ s) / 3.0
-                    b_rows.append((v, p_idx, s))
-        elif count > 2:
-            raise ValueError(f"face {key} shared by {count} elements")
-
-    # aggregate boundary rows per (vertex, patch)
-    if b_rows:
-        bv = np.array([r[0] for r in b_rows], dtype=np.int64)
-        bp = np.array([r[1] for r in b_rows], dtype=np.int64)
-        bs = np.array([r[2] for r in b_rows])
-        combo = bv * (len(mesh.patches) + 1) + bp
-        uniq, inv = np.unique(combo, return_inverse=True)
-        bnormal = np.zeros((len(uniq), 3))
-        np.add.at(bnormal, inv, bs)
-        bvert = uniq // (len(mesh.patches) + 1)
-        bpatch = uniq % (len(mesh.patches) + 1)
-    else:
-        bvert = np.empty(0, dtype=np.int64)
-        bpatch = np.empty(0, dtype=np.int64)
-        bnormal = np.empty((0, 3))
-
+    bvert, bpatch, bnormal = _boundary(mesh, np.concatenate(faces), volumes)
     dual = DualMesh(
         points=pts,
         edges=edges,
@@ -206,3 +153,78 @@ def build_dual(mesh: HybridMesh) -> DualMesh:
     if (dual.volumes <= 0).any():
         raise ValueError("non-positive dual volume — tangled mesh?")
     return dual
+
+
+def _boundary(mesh: HybridMesh, faces: np.ndarray, volumes: np.ndarray):
+    """Boundary areas per (vertex, patch) from every element face.
+
+    ``faces`` lists each element face as met, so a face seen once is a
+    boundary face, and its first sighting is the dict-insertion order the
+    corner contributions below follow.  Adds each corner's
+    divergence-theorem term to ``volumes`` (in place) and returns
+    ``(bvert, bpatch, bnormal)``.
+    """
+    npatch = len(mesh.patches)
+    # one key per face: its sorted vertex ids, padding (-1) first
+    keys = np.sort(faces, axis=1)
+    patch_rows = [np.sort(p.faces, axis=1) for p in mesh.patches]
+    patch_id = np.repeat(np.arange(npatch), [len(r) for r in patch_rows])
+    uniq, first, inv, count = np.unique(
+        np.concatenate([keys, *patch_rows]), axis=0,
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    inv = inv.reshape(-1)
+    nface = len(faces)
+    # a key repeated across patches belongs to the last of them
+    patch_of = np.full(len(uniq), -1, dtype=np.int64)
+    np.maximum.at(patch_of, inv[nface:], patch_id)
+    count -= np.bincount(inv[nface:], minlength=len(uniq))
+
+    seen = np.sort(first[first < nface])  # first sightings, in order
+    g = inv[seen]
+    bad = (count[g] > 2) | ((count[g] == 1) & (patch_of[g] < 0))
+    if bad.any():
+        u = g[np.argmax(bad)]
+        key = tuple(int(v) for v in uniq[u] if v >= 0)
+        if count[u] > 2:
+            raise ValueError(f"face {key} shared by {count[u]} elements")
+        raise ValueError(f"boundary face {key} not covered by any patch")
+    bface = seen[count[g] == 1]
+
+    # two corner triangles per (face, corner), rows in (face, corner,
+    # triangle) order: face f's 2*nf rows start at offset[f]
+    nverts = (faces[bface] >= 0).sum(axis=1)
+    offset = np.cumsum(2 * nverts) - 2 * nverts
+    nrows = int(2 * nverts.sum())
+    vert = np.empty(nrows, dtype=np.int64)
+    area = np.empty((nrows, 3))
+    term = np.empty(nrows)
+    for nf in np.unique(nverts):
+        sel = nverts == nf
+        fv = faces[bface[sel], :nf]
+        xf = mesh.points[fv]  # (F, nf, 3)
+        fc = np.broadcast_to(xf.mean(axis=1)[:, None, :], xf.shape)
+        em_next = 0.5 * (xf + np.roll(xf, -1, axis=1))
+        em_prev = 0.5 * (np.roll(xf, 1, axis=1) + xf)
+        # (F, nf, 2, 3, 3): triangles (x, em_next, fc) and (x, fc, em_prev)
+        tri = np.stack([np.stack([xf, em_next, fc], axis=2),
+                        np.stack([xf, fc, em_prev], axis=2)], axis=2)
+        s = 0.5 * np.cross(tri[..., 1, :] - tri[..., 0, :],
+                           tri[..., 2, :] - tri[..., 0, :])
+        c = (tri[..., 0, :] + tri[..., 1, :] + tri[..., 2, :]) / 3.0
+        rows = (offset[sel][:, None] + np.arange(2 * nf)).reshape(-1)
+        vert[rows] = np.repeat(fv, 2, axis=1).reshape(-1)
+        area[rows] = s.reshape(-1, 3)
+        c, s = c.reshape(-1, 1, 3), s.reshape(-1, 3, 1)
+        term[rows] = np.matmul(c, s).reshape(-1) / 3.0
+    np.add.at(volumes, vert, term)
+
+    # aggregate boundary rows per (vertex, patch)
+    patch = np.repeat(patch_of[inv[bface]], 2 * nverts)
+    combo = vert * (npatch + 1) + patch
+    uniq, inv = np.unique(combo, return_inverse=True)
+    bnormal = np.zeros((len(uniq), 3))
+    np.add.at(bnormal, inv, area)
+    return uniq // (npatch + 1), uniq % (npatch + 1), bnormal
+
+

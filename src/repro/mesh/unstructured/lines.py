@@ -13,7 +13,9 @@ length — the coefficient weight an implicit operator sees.  Edges are
 accepted strongest-first into paths under three constraints: at most two
 line edges per vertex (paths, not trees), no cycles, and a minimum
 anisotropy ratio (strongest/median coupling at the vertex) so isotropic
-regions stay line-free.
+regions stay line-free.  The medians come from one sort of every
+vertex's couplings, the two middle values averaged as ``np.median``
+does.
 
 For vector processors the line solver is "inherently scalar", so NSU3D
 sorts lines by length and groups them in batches of 64 of similar length
@@ -54,19 +56,19 @@ def extract_lines(
     n = dual.npoints
     edges = dual.edges
 
-    # median coupling per vertex
-    order = np.argsort(w)
-    med = np.zeros(n)
+    # median coupling per vertex: sort each vertex's couplings, then
+    # average the two middle ones (one and the same for an odd count),
+    # which is what np.median computes
     all_w = np.concatenate([w, w])
     all_v = np.concatenate([edges[:, 0], edges[:, 1]])
-    vorder = np.argsort(all_v, kind="stable")
-    sorted_v = all_v[vorder]
-    sorted_w = all_w[vorder]
-    starts = np.searchsorted(sorted_v, np.arange(n))
-    ends = np.searchsorted(sorted_v, np.arange(n) + 1)
-    for v in range(n):
-        if ends[v] > starts[v]:
-            med[v] = np.median(sorted_w[starts[v] : ends[v]])
+    sorted_w = all_w[np.lexsort((all_w, all_v))]
+    count = np.bincount(all_v, minlength=n)
+    starts = np.cumsum(count) - count
+    med = np.zeros(n)
+    has = count > 0
+    lo = sorted_w[(starts + (count - 1) // 2)[has]]
+    hi = sorted_w[(starts + count // 2)[has]]
+    med[has] = (lo + hi) / 2.0
 
     strong = w > anisotropy_threshold * np.maximum(med[edges[:, 0]],
                                                    med[edges[:, 1]])

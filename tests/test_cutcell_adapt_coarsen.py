@@ -11,7 +11,6 @@ from repro.mesh.cartesian import (
     classify_cells,
     coarsening_ratio,
     mesh_for_configuration,
-    multigrid_hierarchy,
     sfc_coarsen,
     shuttle_stack,
     wing_body,
@@ -167,13 +166,17 @@ class TestCoarsen:
 
     def test_coarse_mesh_respects_grading(self):
         mesh, _ = adapt_to_geometry(SPHERE, dim=2, base_level=3, max_level=6)
-        coarse, _ = sfc_coarsen(mesh, respect_grading=True)
+        coarse, _ = sfc_coarsen(mesh)
         assert not coarse._grading_violations().any()
 
     def test_hierarchy_like_figure_11(self):
         """Fig. 11: a sequence of coarser meshes from the same SFC."""
         mesh, _ = adapt_to_geometry(SPHERE, dim=2, base_level=4, max_level=6)
-        meshes, maps = multigrid_hierarchy(mesh, 4)
+        meshes, maps = [mesh], []
+        for _ in range(3):
+            coarse, parent = sfc_coarsen(meshes[-1])
+            meshes.append(coarse)
+            maps.append(parent)
         assert len(meshes) >= 3
         counts = [m.ncells for m in meshes]
         assert all(a > b for a, b in zip(counts, counts[1:]))
