@@ -159,10 +159,10 @@ def _boundary(mesh: HybridMesh, faces: np.ndarray, volumes: np.ndarray):
     """Boundary areas per (vertex, patch) from every element face.
 
     ``faces`` lists each element face as met, so a face seen once is a
-    boundary face, and its first sighting is the dict-insertion order the
-    corner contributions below follow.  Adds each corner's
-    divergence-theorem term to ``volumes`` (in place) and returns
-    ``(bvert, bpatch, bnormal)``.
+    boundary face; boundary faces are taken in first-sighting order,
+    which fixes the order their corner terms are summed in.  Adds each
+    corner's divergence-theorem term to ``volumes`` (in place) and
+    returns ``(bvert, bpatch, bnormal)``.
     """
     npatch = len(mesh.patches)
     # one key per face: its sorted vertex ids, padding (-1) first
@@ -226,5 +226,3 @@ def _boundary(mesh: HybridMesh, faces: np.ndarray, volumes: np.ndarray):
     bnormal = np.zeros((len(uniq), 3))
     np.add.at(bnormal, inv, area)
     return uniq // (npatch + 1), uniq % (npatch + 1), bnormal
-
-

@@ -24,6 +24,7 @@ from repro.mesh.cartesian import (
 )
 from repro.mesh.cartesian.octree import _pack
 from repro.mesh.unstructured import (
+    BoundaryPatch,
     DualMesh,
     HybridMesh,
     build_dual,
@@ -336,6 +337,16 @@ class TestDualEqualsLoop:
         dual, ref = build_dual(mesh), _ref_build_dual(mesh)
         for name in DUAL_FIELDS:
             assert_same(getattr(dual, name), getattr(ref, name))
+
+    def test_face_in_two_patches_goes_to_the_last(self):
+        mesh = bump_channel(ni=3, nj=2, nk=3)
+        mesh.patches.append(BoundaryPatch(
+            name="again", kind="farfield", faces=mesh.patches[0].faces[:1],
+        ))
+        dual, ref = build_dual(mesh), _ref_build_dual(mesh)
+        for name in DUAL_FIELDS:
+            assert_same(getattr(dual, name), getattr(ref, name))
+        assert len(mesh.patches) - 1 in dual.bpatch
 
     def test_uncovered_face_is_named(self):
         mesh = bump_channel(ni=3, nj=2, nk=3)
