@@ -3,9 +3,7 @@
 The lint pass reports problems as :class:`Diagnostic` records rather
 than raising or printing, so callers — tests, CI, ``python -m
 repro.analysis check`` — can filter, count, and format them uniformly.
-A diagnostic carries whichever location fields make sense for its
-origin: ``path``/``line`` for source findings, ``rank``/``peer``/``slot``
-for findings about a communication structure.
+A diagnostic's location, when it has one, is ``path``/``line``.
 """
 
 from __future__ import annotations
@@ -21,19 +19,13 @@ class Diagnostic:
     """One analyzer finding.
 
     ``rule`` is a stable machine-readable identifier (e.g. ``R006``,
-    ``lint/syntax-error``); ``message`` is the human explanation.
-    Optional location fields:
-
-    * ``path``/``line`` — source-code findings from the lint pass;
-    * ``rank``/``peer``/``slot`` — communication-structure findings.
+    ``lint/syntax-error``); ``message`` is the human explanation;
+    ``path``/``line`` locate a source-code finding.
     """
 
     rule: str
     severity: str
     message: str
-    rank: int | None = None
-    peer: int | None = None
-    slot: int | None = None
     path: str | None = None
     line: int | None = None
 
@@ -45,17 +37,10 @@ class Diagnostic:
 
     @property
     def location(self) -> str:
-        """Compact origin string, e.g. ``rank 3 -> 5`` or ``foo.py:12``."""
-        if self.path is not None:
-            return f"{self.path}:{self.line}" if self.line is not None else self.path
-        parts = []
-        if self.rank is not None:
-            parts.append(f"rank {self.rank}")
-        if self.peer is not None:
-            parts.append(f"-> {self.peer}")
-        if self.slot is not None:
-            parts.append(f"slot {self.slot}")
-        return " ".join(parts)
+        """Compact origin string, e.g. ``foo.py:12`` (empty if none)."""
+        if self.path is None:
+            return ""
+        return f"{self.path}:{self.line}" if self.line is not None else self.path
 
     def __str__(self) -> str:
         loc = self.location

@@ -56,7 +56,7 @@ class SolverKernels:
 
     ``init_state(doms)``, ``volumes(doms)``,
     ``fix_restricted_state(doms, q)``, ``mask_forcing(doms, f)``,
-    ``smooth(X, doms, q, *, forcing, cfl, nsteps, overlap)``,
+    ``smooth(X, doms, q, *, forcing, cfl, overlap)`` (one step),
     ``defect(X, doms, q, forcing)`` (completed residual minus forcing,
     ghost rows zeroed), ``apply_correction(comm, X, doms, q, dq)``,
     ``residual_norm(comm, X, doms, q)``.
@@ -103,10 +103,10 @@ class _DistributedOps:
     def clone(self, q):
         return q.copy()
 
-    def smooth(self, level, q, forcing, cfl, nsteps):
+    def smooth(self, level, q, forcing, cfl):
         return self.kernels.smooth(
             self.X[level], self.doms[level], q, forcing=forcing, cfl=cfl,
-            nsteps=nsteps, overlap=self.overlap,
+            overlap=self.overlap,
         )
 
     def defect(self, level, q, forcing):
@@ -182,8 +182,6 @@ class _DistributedOps:
 
 def run_rank_cycles(comm, exchangers, doms, cluster_local, kernels, *,
                     ncycles: int, cfl: float, cycle: str = "W",
-                    nu1: int = 1, nu2: int = 1,
-                    coarse_cfl: float | None = None,
                     overlap: bool = False):
     """A whole solve over the partitions in ``doms``: init state,
     iterate cycles, slice owned.
@@ -208,10 +206,7 @@ def run_rank_cycles(comm, exchangers, doms, cluster_local, kernels, *,
                     comm, exchangers, doms, cluster_local, kernels,
                     overlap,
                 )
-                q = fas_cycle(
-                    ops, q, cycle=cycle, nu1=nu1, nu2=nu2,
-                    cfl=cfl, coarse_cfl=coarse_cfl,
-                )
+                q = fas_cycle(ops, q, cycle=cycle, cfl=cfl)
                 history.append(kernels.residual_norm(
                     comm, exchangers[0], doms[0], q
                 ))
@@ -257,8 +252,8 @@ class DistributedSolveDriver:
     of silently computing on stale data.
 
     Every outer cycle is one full multigrid cycle; a one-level
-    hierarchy just smooths ``nu1 + nu2`` steps, matching the serial
-    solvers' ``run_cycle`` at ``mg_levels=1``.
+    hierarchy just smooths two steps (one pre, one post), matching the
+    serial solvers' ``run_cycle`` at ``mg_levels=1``.
     """
 
     def __init__(self, hierarchy, kernels, qinf, *,
@@ -312,23 +307,18 @@ class DistributedSolveDriver:
 
     # -- solves --------------------------------------------------------------
 
-    def solve(self, ncycles: int, *, cfl: float, cycle: str = "W",
-              nu1: int = 1, nu2: int = 1,
-              coarse_cfl: float | None = None):
+    def solve(self, ncycles: int, *, cfl: float, cycle: str = "W"):
         """Config-driven entry point: builds the right world for the
         selected backend; returns (global q, history)."""
         if self.config.backend == "process":
             return self._ensure_pool().run(
-                ncycles=ncycles, cfl=cfl, cycle=cycle, nu1=nu1, nu2=nu2,
-                coarse_cfl=coarse_cfl,
+                ncycles=ncycles, cfl=cfl, cycle=cycle,
             )
         return self.run(
-            SimMPI(self.config.nranks), ncycles, cfl=cfl, cycle=cycle, nu1=nu1,
-            nu2=nu2, coarse_cfl=coarse_cfl,
+            SimMPI(self.config.nranks), ncycles, cfl=cfl, cycle=cycle,
         )
 
-    def run(self, world, ncycles: int, *, cfl: float, cycle: str = "W",
-            nu1: int = 1, nu2: int = 1, coarse_cfl: float | None = None):
+    def run(self, world, ncycles: int, *, cfl: float, cycle: str = "W"):
         """Iterate ``ncycles`` full cycles on a caller-supplied SimMPI
         ``world``; returns (global q, history).  Any failure inside the
         cycles surfaces as :class:`~repro.errors.RankFailure` with the
@@ -349,8 +339,8 @@ class DistributedSolveDriver:
             owned, history = run_rank_cycles(
                 comm, exchangers, doms,
                 self.hierarchy.cluster_local, self.kernels,
-                ncycles=ncycles, cfl=cfl, cycle=cycle, nu1=nu1, nu2=nu2,
-                coarse_cfl=coarse_cfl, overlap=self.config.overlap,
+                ncycles=ncycles, cfl=cfl, cycle=cycle,
+                overlap=self.config.overlap,
             )
         except Exception as exc:
             # one execution stands for every rank; blame the lowest

@@ -16,15 +16,13 @@ adapters live next to each solver (``solvers/*/multigrid.py``), the
 distributed one in :mod:`repro.runtime.driver` — all four paths execute
 this single function, on one state array per level.
 
-Coarse-CFL policy (the one documented rule, replacing ``None`` ->
-``cfl`` in NSU3D vs a hard-coded ``1.5`` in Cart3D):
-
-* level 0 always runs at ``cfl``;
-* coarse levels run at ``coarse_cfl`` when the caller passes one;
-* otherwise they run at ``ops.coarse_cfl_fraction * cfl`` — NSU3D
-  declares fraction 1.0 (its agglomerated coarse operators tolerate the
-  fine CFL), Cart3D declares 0.75 (first-order coarse RK stability,
-  reproducing the historical 1.5 at the default ``cfl=2.0``).
+The cycle has one recipe: one pre- and one post-smoothing step per
+level visit, and one coarse-CFL rule — level 0 runs at ``cfl``, every
+coarser level at ``ops.coarse_cfl_fraction * cfl``.  Each solver
+declares its fraction once, as ``COARSE_CFL_FRACTION`` in its
+``multigrid`` module: NSU3D 1.0 (its agglomerated coarse operators
+tolerate the fine CFL), Cart3D 0.75 (first-order coarse RK stability;
+1.5 at the default ``cfl=2.0``).
 """
 
 from __future__ import annotations
@@ -43,8 +41,8 @@ class LevelOps:
 
     ``clone(q)``
         Independent copy of a state.
-    ``smooth(level, q, forcing, cfl, nsteps)``
-        ``nsteps`` smoothing steps of ``dq/dt = -(R(q) - forcing)``.
+    ``smooth(level, q, forcing, cfl)``
+        One smoothing step of ``dq/dt = -(R(q) - forcing)``.
     ``defect(level, q, forcing)``
         ``R(q) - forcing`` (the fine-level quantity restricted into the
         coarse forcing term).
@@ -60,15 +58,9 @@ class LevelOps:
     """
 
 
-def effective_cfl(
-    level: int, cfl: float, coarse_cfl: float | None, fraction: float
-) -> float:
-    """The unified coarse-CFL policy (see module docstring)."""
-    if level == 0:
-        return cfl
-    if coarse_cfl is not None:
-        return float(coarse_cfl)
-    return fraction * cfl
+def effective_cfl(level: int, cfl: float, fraction: float) -> float:
+    """The coarse-CFL rule (see module docstring)."""
+    return cfl if level == 0 else fraction * cfl
 
 
 def fas_cycle(
@@ -78,25 +70,21 @@ def fas_cycle(
     level: int = 0,
     forcing=None,
     cycle: str = "W",
-    nu1: int = 1,
-    nu2: int = 1,
     cfl: float,
-    coarse_cfl: float | None = None,
 ):
     """One FAS cycle from ``level`` down; returns the updated state."""
     if cycle not in ("V", "W"):
         raise ConfigurationError("cycle must be 'V' or 'W'")
     with _span(f"{ops.name}.mg_level", cat="solver", level=level):
         return _fas_level(
-            ops, q, level=level, forcing=forcing, cycle=cycle,
-            nu1=nu1, nu2=nu2, cfl=cfl, coarse_cfl=coarse_cfl,
+            ops, q, level=level, forcing=forcing, cycle=cycle, cfl=cfl,
         )
 
 
-def _fas_level(ops, q, *, level, forcing, cycle, nu1, nu2, cfl, coarse_cfl):
-    this_cfl = effective_cfl(level, cfl, coarse_cfl, ops.coarse_cfl_fraction)
+def _fas_level(ops, q, *, level, forcing, cycle, cfl):
+    this_cfl = effective_cfl(level, cfl, ops.coarse_cfl_fraction)
 
-    q = ops.smooth(level, q, forcing, this_cfl, nu1)
+    q = ops.smooth(level, q, forcing, this_cfl)
 
     if level + 1 < ops.nlevels:
         # the restricted base state first (it must satisfy the coarse
@@ -110,8 +98,8 @@ def _fas_level(ops, q, *, level, forcing, cycle, nu1, nu2, cfl, coarse_cfl):
         for _ in range(visits):
             q_c = fas_cycle(
                 ops, q_c, level=level + 1, forcing=f_c, cycle=cycle,
-                nu1=nu1, nu2=nu2, cfl=cfl, coarse_cfl=coarse_cfl,
+                cfl=cfl,
             )
         q = ops.apply_correction(level, q, q_c, q_c0)
 
-    return ops.smooth(level, q, forcing, this_cfl, nu2)
+    return ops.smooth(level, q, forcing, this_cfl)

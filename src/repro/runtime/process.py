@@ -424,9 +424,7 @@ class ProcessPool:
 
     # -- public surface ------------------------------------------------------
 
-    def run(self, *, ncycles: int, cfl: float, cycle: str = "W",
-            nu1: int = 1, nu2: int = 1,
-            coarse_cfl: float | None = None) -> tuple:
+    def run(self, *, ncycles: int, cfl: float, cycle: str = "W") -> tuple:
         """One solve on the warm pool; returns ``(q_global, history)``."""
         if self.closed:
             raise RuntimeClosed(
@@ -435,8 +433,8 @@ class ProcessPool:
             )
         master = get_tracer()
         params = {
-            "ncycles": ncycles, "cfl": cfl, "cycle": cycle, "nu1": nu1,
-            "nu2": nu2, "coarse_cfl": coarse_cfl, "trace": master.enabled,
+            "ncycles": ncycles, "cfl": cfl, "cycle": cycle,
+            "trace": master.enabled,
         }
         try:
             for conn in self._conns:

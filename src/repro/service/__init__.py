@@ -16,7 +16,7 @@ end over the same case-submission API:
   surface; every response carries ``source: exact|surrogate|solve`` and
   an interpolation error estimate.
 * :class:`SurrogateConfig` / :func:`interpolate` — the mid-fidelity
-  tier: linear/RBF interpolation over the wind-space axes with a
+  tier: linear interpolation over the wind-space axes with a
   leave-one-out error estimate.
 * :class:`AdmissionController` / :class:`TenantQuota` — bounded-queue
   fair-share scheduling of the solve tier; saturation sheds load with

@@ -41,7 +41,7 @@ class SyntheticRunner:
     """Analytic stand-in runner: smooth coefficients, optional delay.
 
     The coefficient surfaces are deliberately gentle polynomials/
-    trig in (Mach, alpha) so the surrogate tier's linear/RBF
+    trig in (Mach, alpha) so the surrogate tier's linear
     interpolation has realistic structure to fit — and its error
     estimates something meaningful to bound.
     """
@@ -196,7 +196,6 @@ def query(
     alpha: float,
     config: dict | None = None,
     solver: str = "synthetic",
-    method: str = "linear",
     echo=print,
 ) -> int:
     """Answer one point offline from a persisted store (no solves)."""
@@ -211,7 +210,7 @@ def query(
     if cached is not None:
         echo(json.dumps(exact_response(point, cached).to_json()))
         return 0
-    surrogate = SurrogateConfig(method=method)
+    surrogate = SurrogateConfig()
     neighbors = results.nearest(spec, k=surrogate.k)
     if not surrogate.eligible(neighbors):
         echo(json.dumps({
@@ -222,7 +221,7 @@ def query(
         }))
         return 1
     support = surrogate.within(neighbors)
-    coefficients, error = interpolate(point.wind, support, method)
+    coefficients, error = interpolate(point.wind, support)
     echo(json.dumps({
         "key": spec.key, "tenant": point.tenant, "source": "surrogate",
         "coefficients": coefficients, "error_estimate": error,
@@ -268,9 +267,6 @@ def main(argv=None) -> int:
         help="configuration-space parameter (repeatable)",
     )
     p_query.add_argument("--solver", default="synthetic")
-    p_query.add_argument(
-        "--method", default="linear", choices=("linear", "rbf")
-    )
     args = parser.parse_args(argv)
     if args.command == "serve":
         return serve(
@@ -282,7 +278,7 @@ def main(argv=None) -> int:
     return query(
         args.store, args.mach, args.alpha,
         config=_parse_config(args.config),
-        solver=args.solver, method=args.method,
+        solver=args.solver,
     )
 
 

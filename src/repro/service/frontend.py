@@ -205,9 +205,7 @@ class DatabaseService:
         neighbors = self.runtime.store.nearest(spec, k=self.surrogate.k)
         if self.surrogate.eligible(neighbors):
             support = self.surrogate.within(neighbors)
-            coefficients, error = interpolate(
-                query.wind, support, self.surrogate.method
-            )
+            coefficients, error = interpolate(query.wind, support)
             if (
                 self.surrogate.max_error is None
                 or error <= self.surrogate.max_error

@@ -9,23 +9,20 @@ interpolated from its neighbors at a small, *estimable* error — vastly
 cheaper than a solve and honest about its fidelity (every surrogate
 response is tagged ``source="surrogate"`` with the error estimate).
 
-Two interpolants over the normalized wind-space axes:
-
-* ``linear`` — least-squares affine fit when the neighbor set
-  determines one (>= ndim+1 points), else inverse-distance weighting.
-* ``rbf`` — :class:`scipy.interpolate.RBFInterpolator` (linear kernel),
-  exact at the neighbors, better curvature capture between them.
+One interpolant over the normalized wind-space axes, ``linear``: a
+least-squares affine fit when the neighbor set determines one (>=
+ndim+1 points), else inverse-distance weighting.
 
 The error estimate is leave-one-out cross-validation over the neighbor
 set: refit without each neighbor, predict it, take the worst miss over
-neighbors and coefficients.  For ``linear`` with every refit affine
-(``n - 1 >= ndim + 1``) no refit runs: one QR of the full design gives
-each miss in closed form, ``(y_i - ŷ_i) / (1 - h_ii)`` with ``h_ii``
-the leverage of neighbor ``i``.  That path is guarded — the design must
-have full rank and every leverage must satisfy ``h_ii < 1 - 1e-6``
-(a leverage near 1 means the refit without that neighbor is singular,
-and the formula divides by almost nothing) — and anything the guard
-rejects, like ``rbf`` and inverse-distance refits, runs the refit loop.
+neighbors and coefficients.  With every refit affine (``n - 1 >= ndim
++ 1``) no refit runs: one QR of the full design gives each miss in
+closed form, ``(y_i - ŷ_i) / (1 - h_ii)`` with ``h_ii`` the leverage of
+neighbor ``i``.  That path is guarded — the design must have full rank
+and every leverage must satisfy ``h_ii < 1 - 1e-6`` (a leverage near 1
+means the refit without that neighbor is singular, and the formula
+divides by almost nothing) — and anything the guard rejects, like
+inverse-distance refits, runs the refit loop.
 With too few points for LOO the spread of neighbor values stands in
 (conservative).  Eligibility is explicit:
 :meth:`SurrogateConfig.eligible` requires ``min_neighbors`` within
@@ -43,10 +40,6 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..solvers.interface import CaseResult
 
-#: Interpolation methods :func:`interpolate` accepts.
-METHODS = ("linear", "rbf")
-
-
 @dataclass(frozen=True)
 class SurrogateConfig:
     """Knobs of the surrogate tier.
@@ -56,18 +49,12 @@ class SurrogateConfig:
     would rather pay for a solve than serve a bad interpolation.
     """
 
-    method: str = "linear"
     k: int = 6
     min_neighbors: int = 3
     max_distance: float = 0.75
     max_error: float | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ConfigurationError(
-                f"unknown surrogate method {self.method!r}; "
-                f"known: {METHODS}"
-            )
         if self.min_neighbors < 2:
             raise ConfigurationError(
                 f"min_neighbors must be >= 2, got {self.min_neighbors}"
@@ -95,19 +82,14 @@ def _coordinates(wind: dict, axes: tuple[str, ...]) -> np.ndarray:
     )
 
 
-def _predict(coords: np.ndarray, values: np.ndarray, at: np.ndarray,
-             method: str) -> np.ndarray:
+def _predict(coords: np.ndarray, values: np.ndarray,
+             at: np.ndarray) -> np.ndarray:
     """Predict coefficient rows at one point from neighbor samples.
 
     ``coords`` is (n, ndim) neighbor positions, ``values`` (n, ncoef)
     their coefficients, ``at`` the (ndim,) query point.
     """
     n, ndim = coords.shape
-    if method == "rbf" and n >= 2:
-        from scipy.interpolate import RBFInterpolator
-
-        interp = RBFInterpolator(coords, values, kernel="linear")
-        return np.asarray(interp(at[None, :])[0], dtype=np.float64)
     if n >= ndim + 1:
         # affine least squares: c(w) = a + b . w
         design = np.hstack(
@@ -155,21 +137,20 @@ def _loo_closed_form(coords: np.ndarray,
     return float(np.abs(residual / (1.0 - leverage)[:, None]).max())
 
 
-def _loo_error(coords: np.ndarray, values: np.ndarray,
-               method: str) -> float:
+def _loo_error(coords: np.ndarray, values: np.ndarray) -> float:
     """Leave-one-out cross-validation error (worst miss, coefficient
     units); falls back to the neighbor-value spread when the set is too
     small to refit without a point.
 
-    An affine (``linear``) refit comes from :func:`_loo_closed_form`
-    when every refit is itself an affine fit (``n - 1 >= ndim + 1``) and
-    the set passes its guard; otherwise — ``rbf``, inverse-distance
-    refits, degenerate sets — each neighbor is refit away in turn."""
+    The misses come from :func:`_loo_closed_form` when every refit is
+    itself an affine fit (``n - 1 >= ndim + 1``) and the set passes its
+    guard; otherwise — inverse-distance refits, degenerate sets — each
+    neighbor is refit away in turn."""
     n, ndim = coords.shape
     if n < 3:
         spread = values.max(axis=0) - values.min(axis=0)
         return float(spread.max()) if spread.size else 0.0
-    if method == "linear" and n - 1 >= ndim + 1:
+    if n - 1 >= ndim + 1:
         worst = _loo_closed_form(coords, values)
         if worst is not None:
             return worst
@@ -177,9 +158,7 @@ def _loo_error(coords: np.ndarray, values: np.ndarray,
     mask = np.ones(n, dtype=bool)
     for i in range(n):
         mask[i] = False
-        predicted = _predict(
-            coords[mask], values[mask], coords[i], method
-        )
+        predicted = _predict(coords[mask], values[mask], coords[i])
         worst = max(worst, float(np.abs(predicted - values[i]).max()))
         mask[i] = True
     return worst
@@ -196,11 +175,13 @@ def interpolate(
     the query's wind axes (the point index guarantees that); the
     coefficient name set is the intersection across neighbors, so a
     mixed-provenance group never fabricates a coefficient only some
-    neighbors carry.
+    neighbors carry.  ``method`` names the interpolant; ``"linear"`` is
+    the only one.
     """
-    if method not in METHODS:
+    if method != "linear":
         raise ConfigurationError(
-            f"unknown surrogate method {method!r}; known: {METHODS}"
+            f"unknown surrogate method {method!r}; the surrogate is "
+            f"'linear'"
         )
     if not neighbors:
         raise ConfigurationError("cannot interpolate from zero neighbors")
@@ -234,13 +215,13 @@ def interpolate(
          for _, r in neighbors],
         dtype=np.float64,
     )
-    predicted = _predict(coords, values, at / scale, method)
+    predicted = _predict(coords, values, at / scale)
     if not np.all(np.isfinite(predicted)):
         raise ConfigurationError(
             "surrogate prediction is not finite; neighbor set is "
             "degenerate (collinear or duplicated wind points)"
         )
-    error = _loo_error(coords, values, method)
+    error = _loo_error(coords, values)
     if not math.isfinite(error):
         error = float(
             (values.max(axis=0) - values.min(axis=0)).max()

@@ -2,11 +2,14 @@
 
 Cart3D uses "the same multigrid cycling strategies as NSU3D" (paper
 section V, fig. 4) — and since this refactor they are literally the
-same code: the cycle recursion, FAS forcing and coarse-CFL policy live
-in :mod:`repro.runtime.multigrid`, and this module supplies only the
+same code: the cycle recursion, FAS forcing, one pre- and one
+post-smoothing step per visit and the coarse-CFL rule live in
+:mod:`repro.runtime.multigrid`, and this module supplies only the
 Cart3D-specific :class:`LevelOps`: the 5-stage RK smoother, the
 (optionally second-order fine-level) residual, the SFC-hierarchy
-transfer operators, and the physicality-guarded damped correction.
+transfer operators, the physicality-guarded damped correction, and
+:data:`COARSE_CFL_FRACTION`, which the distributed
+:class:`~.parallel.Cart3DKernels` read as well.
 
 Solution restriction is volume-weighted, residual restriction is a
 plain sum over children, prolongation is injection along the
@@ -22,9 +25,9 @@ from ..gas import check_physical
 from .residual import residual
 from .rk import rk_smooth
 
-#: Coarse levels run first order and need a reduced RK stability margin;
-#: 0.75 reproduces the historical hard-coded ``coarse_cfl=1.5`` at the
-#: default ``cfl=2.0`` — see the policy in :mod:`repro.runtime.multigrid`.
+#: Coarse levels run first order and need a reduced RK stability margin
+#: (1.5 at the default ``cfl=2.0``) — see the rule in
+#: :mod:`repro.runtime.multigrid`.
 COARSE_CFL_FRACTION = 0.75
 
 
@@ -55,11 +58,11 @@ class _SerialCart3DOps:
     def clone(self, q):
         return q.copy()
 
-    def smooth(self, level, q, forcing, cfl, nsteps):
+    def smooth(self, level, q, forcing, cfl):
         return rk_smooth(
             self.levels[level], q, self.qinf, forcing=forcing, cfl=cfl,
             flux=self.flux, order2=self._order2(level),
-            grad_setup=self._gs(level), nsteps=nsteps,
+            grad_setup=self._gs(level),
         )
 
     def defect(self, level, q, forcing):
@@ -99,27 +102,16 @@ def fas_cycle(
     transfers: list,
     q: np.ndarray,
     qinf: np.ndarray,
-    l: int = 0,
     forcing: np.ndarray | None = None,
     cycle: str = "W",
-    nu1: int = 1,
-    nu2: int = 1,
     cfl: float = 2.0,
-    coarse_cfl: float | None = None,
     flux: str = "vanleer",
     order2: bool = False,
     grad_setups: list | None = None,
 ) -> np.ndarray:
-    """One multigrid cycle starting at level ``l``; returns updated q.
-
-    ``coarse_cfl`` now defaults to ``None`` — the unified policy
-    (``COARSE_CFL_FRACTION * cfl``) reproduces the historical hard-coded
-    1.5 at the default ``cfl=2.0``; pass ``coarse_cfl=1.5`` explicitly
-    to pin the old constant at other fine-level CFLs.
-    """
+    """One multigrid cycle from the fine level down; returns updated q."""
     ops = _SerialCart3DOps(levels, transfers, qinf, flux, order2,
                            grad_setups)
     return _generic_fas_cycle(
-        ops, q, level=l, forcing=forcing, cycle=cycle, nu1=nu1, nu2=nu2,
-        cfl=cfl, coarse_cfl=coarse_cfl,
+        ops, q, forcing=forcing, cycle=cycle, cfl=cfl,
     )

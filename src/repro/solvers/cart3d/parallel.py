@@ -54,6 +54,7 @@ from ...runtime import (
 from ...runtime.domain import RowStack, level_cache
 from ..gas import pressure
 from .levels import Cart3DLevel, FaceOperators
+from .multigrid import COARSE_CFL_FRACTION
 from .residual import residual, spectral_radius
 from .rk import RK_COEFFS
 from .solver import FLOPS_PER_CELL_RESIDUAL, Cart3DSolver
@@ -149,10 +150,7 @@ class Cart3DKernels:
     """Cart3D's :class:`~repro.runtime.driver.SolverKernels`."""
 
     name = "cart3d"
-    #: coarse levels run first order and need the reduced RK stability
-    #: margin; 0.75 reproduces the historical coarse_cfl=1.5 at the
-    #: default cfl=2.0 — see the policy in :mod:`repro.runtime.multigrid`
-    coarse_cfl_fraction = 0.75
+    coarse_cfl_fraction = COARSE_CFL_FRACTION
 
     def __init__(self, qinf: np.ndarray, flux: str = "vanleer"):
         self.qinf = np.asarray(qinf, dtype=np.float64)
@@ -207,9 +205,9 @@ class Cart3DKernels:
         return q
 
     def smooth(self, X, doms, q, *, forcing=None, cfl: float = 2.0,
-               nsteps: int = 1, overlap: bool = False) -> np.ndarray:
-        """Domain-decomposed 5-stage RK with ghost refresh per stage,
-        overlapped with the next stage's interior residual when
+               overlap: bool = False) -> np.ndarray:
+        """One domain-decomposed 5-stage RK step with ghost refresh per
+        stage, overlapped with the next stage's interior residual when
         ``overlap`` is set.  An unphysical stage is damped by the serial
         smoother's guard, with the decision agreed across ranks.  The
         serial stage on the stacked level, plus its exchanges on the
@@ -220,42 +218,34 @@ class Cart3DKernels:
         with use_engine(engine):
             X.copy(q, tag=22)
             pending = None
-            for _ in range(nsteps):
-                if pending is not None:
-                    pending.finish()
-                    pending = None
-                # no later write reaches the step's initial state: each
-                # stage's candidate is a fresh array
-                q0 = q
-                dtov = self._time_step(X, stack, q, cfl) / stack.part.vol
-                for alpha in RK_COEFFS:
-                    r = self._completed_residual(
-                        X, doms, q, forcing, pending
-                    )
-                    pending = None
-                    cand = engine.rk_update(q0, alpha * dtov, r)
-                    if not _physical(X.comm, stack, cand):
-                        # halve the step until physical (rarely more
-                        # than once); the decision is collective so
-                        # all ranks damp identically
-                        scale = 0.5
-                        for _ in range(6):
-                            cand = engine.rk_update(
-                                q0, scale * alpha * dtov, r
-                            )
-                            if _physical(X.comm, stack, cand):
-                                break
-                            scale *= 0.5
-                        else:
-                            raise FloatingPointError(
-                                "RK stage unrecoverable: negative "
-                                "density/pressure"
-                            )
-                    q = cand
-                    if overlap:
-                        pending = X.start_copy(q, tag=23)
+            # no later write reaches the step's initial state: each
+            # stage's candidate is a fresh array
+            q0 = q
+            dtov = self._time_step(X, stack, q, cfl) / stack.part.vol
+            for alpha in RK_COEFFS:
+                r = self._completed_residual(X, doms, q, forcing, pending)
+                pending = None
+                cand = engine.rk_update(q0, alpha * dtov, r)
+                if not _physical(X.comm, stack, cand):
+                    # halve the step until physical (rarely more than
+                    # once); the decision is collective so all ranks
+                    # damp identically
+                    scale = 0.5
+                    for _ in range(6):
+                        cand = engine.rk_update(q0, scale * alpha * dtov, r)
+                        if _physical(X.comm, stack, cand):
+                            break
+                        scale *= 0.5
                     else:
-                        X.copy(q, tag=23)
+                        raise FloatingPointError(
+                            "RK stage unrecoverable: negative "
+                            "density/pressure"
+                        )
+                q = cand
+                if overlap:
+                    pending = X.start_copy(q, tag=23)
+                else:
+                    X.copy(q, tag=23)
             if pending is not None:
                 pending.finish()
         return q

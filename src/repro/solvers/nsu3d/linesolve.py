@@ -48,8 +48,12 @@ from .residual import apply_wall_bc, residual
 TAG_SPECTRAL_SUM = 11
 TAG_DIAGONAL = 12
 
+#: Largest relative change of density and total energy per correction
+#: (twice that, over a seeded floor, for the turbulence variables).
+MAX_CHANGE = 0.2
 
-def limit_correction(q, dq, max_change: float = 0.2, turb_ref=None):
+
+def limit_correction(q, dq, turb_ref=None):
     """Per-point scaling so density, total energy and the turbulence
     variables change boundedly per step — the standard guard against
     violent startup corrections from coarse levels.
@@ -68,7 +72,7 @@ def limit_correction(q, dq, max_change: float = 0.2, turb_ref=None):
     layout = variable_layout(q.shape[1])
     s = np.ones(len(q), dtype=np.float64)
     for var in layout.limited:
-        allowed = max_change * np.abs(q[:, var]) + 1e-300
+        allowed = MAX_CHANGE * np.abs(q[:, var]) + 1e-300
         s = np.minimum(s, allowed / np.maximum(np.abs(dq[:, var]), 1e-300))
     for j, var in enumerate(layout.turbulence):
         # allow bounded growth: a few times the current value, with a
@@ -79,7 +83,7 @@ def limit_correction(q, dq, max_change: float = 0.2, turb_ref=None):
             else np.abs(q[:, var]).max()
         )
         seed = 0.05 * ref + 1e-300
-        allowed = 2.0 * max_change * (np.abs(q[:, var]) + seed)
+        allowed = 2.0 * MAX_CHANGE * (np.abs(q[:, var]) + seed)
         s = np.minimum(s, allowed / np.maximum(np.abs(dq[:, var]), 1e-300))
     return q + np.minimum(s, 1.0)[:, None] * dq
 
@@ -170,7 +174,6 @@ def smooth(
     order2: bool = False,
     turbulence: bool = True,
     viscous: bool = True,
-    relax: float = 1.0,
 ) -> np.ndarray:
     """``nsteps`` preconditioned-multistage implicit smoothing steps.
 
@@ -195,7 +198,7 @@ def smooth(
             )
             if forcing is not None:
                 r = r - forcing
-            dq = -alpha * relax * operator.solve(r)
+            dq = -alpha * operator.solve(r)
             if not np.isfinite(dq).all():
                 raise FloatingPointError("implicit stage produced non-finite dq")
             q = stage_update(ctx, q0, dq)

@@ -1,11 +1,13 @@
 """Serial FAS adapter for the RANS solver (fig. 4).
 
-The cycle itself — V/W recursion, FAS forcing, the coarse-CFL policy,
-per-level telemetry spans — lives in :mod:`repro.runtime.multigrid`;
-this module supplies the NSU3D-specific :class:`LevelOps`: the
-line-implicit smoother, the (optionally turbulent/viscous) residual,
-volume-weighted agglomeration transfers with strong wall-row handling,
-and the limited/floored correction.
+The cycle itself — V/W recursion, FAS forcing, one pre- and one
+post-smoothing step per visit, the coarse-CFL rule, per-level telemetry
+spans — lives in :mod:`repro.runtime.multigrid`; this module supplies
+the NSU3D-specific :class:`LevelOps`: the line-implicit smoother, the
+(optionally turbulent/viscous) residual, volume-weighted agglomeration
+transfers with strong wall-row handling, the limited/floored
+correction, and :data:`COARSE_CFL_FRACTION`, which the distributed
+:class:`~.parallel.NSU3DKernels` read as well.
 
 "The multigrid W-cycle has been found to produce superior convergence
 rates and to be more robust, and is thus used exclusively in the NSU3D
@@ -24,8 +26,8 @@ from ..gas import apply_positivity_floors
 from .linesolve import limit_correction, smooth
 from .residual import apply_wall_bc, mask_wall_rows, residual
 
-#: Coarse levels tolerate the fine CFL (the historical ``coarse_cfl or
-#: cfl`` behavior) — see the policy in :mod:`repro.runtime.multigrid`.
+#: Coarse levels tolerate the fine CFL — see the rule in
+#: :mod:`repro.runtime.multigrid`.
 COARSE_CFL_FRACTION = 1.0
 
 
@@ -70,10 +72,10 @@ class _SerialNSU3DOps:
     def clone(self, q):
         return q.copy()
 
-    def smooth(self, level, q, forcing, cfl, nsteps):
+    def smooth(self, level, q, forcing, cfl):
         return smooth(
             self.contexts[level], q, self.qinf, forcing=forcing, cfl=cfl,
-            nsteps=nsteps, order2=self._order2(level),
+            order2=self._order2(level),
             turbulence=self.turbulence, viscous=self.viscous,
         )
 
@@ -119,20 +121,16 @@ def fas_cycle(
     maps: list,
     q: np.ndarray,
     qinf: np.ndarray,
-    l: int = 0,
     forcing: np.ndarray | None = None,
     cycle: str = "W",
-    nu1: int = 1,
-    nu2: int = 1,
     cfl: float = 10.0,
-    coarse_cfl: float | None = None,
     order2: bool = False,
     turbulence: bool = True,
     viscous: bool = True,
 ) -> np.ndarray:
-    """One FAS cycle from level ``l`` down; returns the updated state."""
+    """One FAS cycle from the fine level down; returns the updated
+    state."""
     ops = _SerialNSU3DOps(contexts, maps, qinf, order2, turbulence, viscous)
     return _generic_fas_cycle(
-        ops, q, level=l, forcing=forcing, cycle=cycle, nu1=nu1, nu2=nu2,
-        cfl=cfl, coarse_cfl=coarse_cfl,
+        ops, q, forcing=forcing, cycle=cycle, cfl=cfl,
     )

@@ -25,19 +25,20 @@ as data: the :class:`~repro.solvers.gas.VariableLayout` derived from
 ``qinf`` threads through the kernels into the runtime, so the same
 driver runs the 5-variable laminar/inviscid system and the 6-variable
 SA-RANS one.  The SA source terms are evaluated at owned rows from
-halo-completed Green-Gauss gradients — each rank's partial surface sums
-are exchange-added to their owners (every dual face lives on exactly
-one rank) before dividing by the control volumes, the residual's own
-partial-sum/complete/finalize pattern.
+halo-completed Green-Gauss gradients — the serial
+:func:`~.residual.sa_gradients` with ``X.add`` as its owner sum: each
+rank's partial surface sums are exchange-added to their owners (every
+dual face lives on exactly one rank) before dividing by the control
+volumes, the residual's own partial-sum/complete/finalize pattern.
 
 One master thread does the work and the exchange for every partition
 of its rank (paper section III), so every pass runs the *serial* kernels
-(:func:`~.residual.residual`, :class:`~.linesolve.FrozenOperator`, the
-Green-Gauss sums) **once** on the stacked context: the state of a level
-is one array over the partitions' rows end to end, the exchanger takes
-that same array, and ``X.charge`` and the allreduce get one
-contribution per partition — same call sites, same tags, same message
-counts and virtual ledger as one call per partition.  Stacking moves no
+(:func:`~.residual.flux_residual`, :class:`~.linesolve.FrozenOperator`,
+:func:`~.residual.sa_gradients`) **once** on the stacked context: the
+state of a level is one array over the partitions' rows end to end, the
+exchanger takes that same array, and ``X.charge`` and the allreduce get
+one contribution per partition — same call sites, same tags, same
+message counts and virtual ledger as one call per partition.  Stacking moves no
 bit: rows of different partitions never share a scatter row (the
 offsets keep them apart and an ``incidence`` operator adds a row's
 contributions in list order), and every other kernel is row-, edge- or
@@ -76,17 +77,20 @@ from ..gas import (
     variable_layout,
 )
 from .context import FlowContext
-from .gradients import GradientSurface, green_gauss_sums, vorticity_magnitude
+from .gradients import GradientSurface
 from .linesolve import (
     STAGE_COEFFS,
     FrozenOperator,
     limit_correction,
     stage_update,
 )
+from .multigrid import COARSE_CFL_FRACTION
 from .residual import (
     apply_wall_bc,
+    flux_residual,
     mask_wall_rows,
-    residual,
+    sa_gradients,
+    sa_source_column,
     sa_source_residual,
 )
 from .solver import FLOPS_PER_POINT_RESIDUAL, NSU3DSolver
@@ -196,9 +200,9 @@ def _split_stack(doms: dict) -> tuple:
     exchange: interior edges touch only owned vertices (computable
     while ghost updates are in transit); ghost edges carry everything
     else.  Boundary lists are owned-only and go with the interior part.
-    Valid because the split residual runs with ``sa_sources=False`` —
-    purely edge- and boundary-based terms; the pointwise SA sources are
-    added once from halo-completed gradients after the exchange
+    Valid because the split residual is :func:`~.residual.flux_residual`
+    — purely edge- and boundary-based terms; the pointwise SA sources
+    are added once from halo-completed gradients after the exchange
     finishes."""
 
     def build():
@@ -223,9 +227,7 @@ class NSU3DKernels:
     """NSU3D's :class:`~repro.runtime.driver.SolverKernels`."""
 
     name = "nsu3d"
-    #: coarse levels tolerate the fine CFL (historical ``coarse_cfl or
-    #: cfl`` behavior) — see the policy in :mod:`repro.runtime.multigrid`
-    coarse_cfl_fraction = 1.0
+    coarse_cfl_fraction = COARSE_CFL_FRACTION
 
     def __init__(self, qinf: np.ndarray, viscous: bool = True,
                  turbulence: bool | None = None):
@@ -304,11 +306,12 @@ class NSU3DKernels:
         return result
 
     def smooth(self, X, doms, q, *, forcing=None, cfl: float = 10.0,
-               nsteps: int = 1, overlap: bool = False) -> np.ndarray:
-        """Preconditioned-multistage implicit smoothing, decomposed.
+               overlap: bool = False) -> np.ndarray:
+        """One preconditioned-multistage implicit smoothing step,
+        decomposed.
 
-        Each step freezes the implicit operator (exchanged diagonal +
-        rank-local line blocks) at the step's initial state and runs the
+        The step freezes the implicit operator (exchanged diagonal +
+        rank-local line blocks) at its initial state and runs the
         three-stage recursion; ghost refresh per stage, overlapped with
         the next stage's interior residual when ``overlap`` is set.
         The serial smoother's step on the stacked context, plus its
@@ -320,29 +323,23 @@ class NSU3DKernels:
             q = apply_wall_bc(ctx, q)
             X.copy(q, tag=13)
             pending = None
-            for _ in range(nsteps):
-                if pending is not None:
-                    pending.finish()
-                    pending = None
-                # no later write reaches the step's initial state: each
-                # stage's update is a fresh array
-                q0 = q
-                operator = self._operator(X, stack, q0, cfl)
-                # the limiter's growth floor references the step-initial
-                # state, identically on every rank (allreduce-max)
-                turb_ref = self._turbulence_reference(X.comm, doms, q0)
-                for alpha in STAGE_COEFFS:
-                    r = self._completed_residual(
-                        X, doms, q, forcing, pending
-                    )
-                    pending = None
-                    q = stage_update(
-                        ctx, q0, -alpha * operator.solve(r), turb_ref
-                    )
-                    if overlap:
-                        pending = X.start_copy(q, tag=14)
-                    else:
-                        X.copy(q, tag=14)
+            # no later write reaches the step's initial state: each
+            # stage's update is a fresh array
+            q0 = q
+            operator = self._operator(X, stack, q0, cfl)
+            # the limiter's growth floor references the step-initial
+            # state, identically on every rank (allreduce-max)
+            turb_ref = self._turbulence_reference(X.comm, doms, q0)
+            for alpha in STAGE_COEFFS:
+                r = self._completed_residual(X, doms, q, forcing, pending)
+                pending = None
+                q = stage_update(
+                    ctx, q0, -alpha * operator.solve(r), turb_ref
+                )
+                if overlap:
+                    pending = X.start_copy(q, tag=14)
+                else:
+                    X.copy(q, tag=14)
             if pending is not None:
                 pending.finish()
         return q
@@ -361,84 +358,41 @@ class NSU3DKernels:
         ``pending.q`` — guarded when the sanitizer is armed — and never
         as ``q``."""
         stack = _stack(doms)
-        terms = dict(turbulence=self.turbulence, viscous=self.viscous,
-                     sa_sources=False)
+        ctx = stack.ctx
+        terms = dict(turbulence=self.turbulence, viscous=self.viscous)
         if pending is None:
-            r = residual(stack.ctx, q, self.qinf, **terms)
+            r = flux_residual(ctx, q, self.qinf, **terms)
             X.charge(self._flops(doms))
         else:
             # paper fig. 7: compute the interior while ghost values are
             # in transit, then finish the exchange and add the
             # ghost-touching edge contributions
             interior, ghost = _split_stack(doms)
-            r = residual(interior, pending.q, self.qinf, **terms)
+            r = flux_residual(interior, pending.q, self.qinf, **terms)
             X.charge(self._flops(doms))
             pending.finish()
-            r = r + residual(ghost, q, self.qinf, **terms)
-        # the gradient pass reads ghost state, so it runs only after the
-        # exchange above has finished (sanitizer-safe)
-        sa = self._sa_fields(X, stack, q)
+            r = r + flux_residual(ghost, q, self.qinf, **terms)
+        sa_var = sa_source_column(ctx, q.shape[1], self.turbulence,
+                                  self.viscous)
+        if sa_var is not None:
+            # the gradient pass reads ghost state, so it runs only after
+            # the exchange above has finished (sanitizer-safe); its sums
+            # are completed on their owners, ghost rows zeroed
+            prim = conservative_to_primitive(q)
+            sa = sa_gradients(ctx, prim, owner_sum=X.add)
         X.add(r, tag=1)
         r[stack.ghost] = 0.0
-        if sa is not None:
+        if sa_var is not None:
             # pointwise SA sources at owned rows (each vertex is owned
             # by exactly one rank — no double counting)
-            vort, grad_nu = sa
-            ctx, own = stack.ctx, stack.owned
-            sa_var = self.layout.turbulence[0]
-            prim = conservative_to_primitive(q[own])
-            r[own, sa_var] += sa_source_residual(
-                prim[:, 0], prim[:, sa_var], vort[own], grad_nu[own],
-                ctx.dist[own], ctx.mu_lam, ctx.volumes[own],
-            )
-        # remote edge contributions landed after residual()'s own
-        # masking; re-impose the strong wall rows
-        r = mask_wall_rows(stack.ctx, r)
+            own = stack.owned
+            r[own, sa_var] += sa_source_residual(ctx, prim, *sa, rows=own)
+        # remote edge contributions land on the owners' rows; impose
+        # the strong wall rows once they have
+        r = mask_wall_rows(ctx, r)
         if forcing is not None:
             r = r - forcing
         return r
-
-    def _sa_fields(self, X: Any, stack: _Stack, q: np.ndarray
-                   ) -> tuple | None:
-        """Halo-completed vorticity magnitude and SA-gradient fields
-        ``(vort, grad_nu)`` of the stacked state (or ``None`` when SA
-        sources are off).
-
-        Fine levels accumulate each rank's partial Green-Gauss surface
-        sums over its :class:`GradientSurface` and complete them with an
-        exchange-add before dividing by the control volumes; coarse
-        (agglomerated) levels complete the edge-difference vorticity
-        estimate the same way.  Ghost rows of the completed sums are
-        zeroed by the exchange — the sources are only evaluated at owned
-        rows."""
-        layout = self.layout
-        ctx = stack.ctx
-        if not (self.turbulence and layout.turbulence and self.viscous
-                and ctx.mu_lam > 0.0):
-            return None
-        prim = conservative_to_primitive(q)
-        if ctx.dual is not None:
-            fields = np.column_stack(
-                [prim[:, 1:4], prim[:, layout.turbulence[0]]]
-            )
-            sums = green_gauss_sums(
-                ctx.dual, fields, ctx.gradient_scatters
-            ).reshape(ctx.npoints, 3 * fields.shape[1])
-            X.add(sums, tag=15)
-            grads = sums.reshape(ctx.npoints, 3, -1)
-            grads = grads / ctx.volumes[:, None, None]
-            return vorticity_magnitude(grads[:, :, :3]), grads[:, :, 3]
-        vel = prim[:, 1:4]
-        rate = (
-            np.linalg.norm(vel[ctx.edges[:, 1]] - vel[ctx.edges[:, 0]],
-                           axis=1) / ctx.edge_lengths
-        )
-        total = np.zeros(ctx.npoints, dtype=np.float64)
-        self.engine.scatter_add(total, ctx.edge_scatter_unsigned, rate)
-        accs = np.column_stack([total, ctx.edge_degree])
-        X.add(accs, tag=16)
-        vort = accs[:, 0] / np.maximum(accs[:, 1], 1.0)
-        return vort, np.zeros((ctx.npoints, 3), dtype=np.float64)
 
     def _operator(self, X: Any, stack: _Stack, q: np.ndarray,
                   cfl: float) -> FrozenOperator:

@@ -32,7 +32,7 @@ from ..gas import (
     variable_layout,
 )
 from .context import FlowContext
-from .gradients import green_gauss, vorticity_magnitude
+from .gradients import green_gauss, green_gauss_sums, vorticity_magnitude
 from .turbulence import (
     cb2_term,
     diffusion_coefficient,
@@ -42,6 +42,12 @@ from .turbulence import (
 
 PRANDTL = 0.72
 PRANDTL_T = 0.9
+
+#: Exchange tags of the owner sums :func:`sa_gradients` completes on a
+#: decomposed level (fine-level Green-Gauss sums, coarse-level
+#: vorticity estimate).
+TAG_SA_GRADIENTS = 15
+TAG_SA_VORTICITY = 16
 
 
 def apply_wall_bc(ctx: FlowContext, q: np.ndarray) -> np.ndarray:
@@ -72,7 +78,6 @@ def mask_wall_rows(ctx: FlowContext, r: np.ndarray) -> np.ndarray:
     return r
 
 
-@traced("nsu3d.residual", cat="solver")
 def residual(
     ctx: FlowContext,
     q: np.ndarray,
@@ -80,16 +85,32 @@ def residual(
     order2: bool = False,
     turbulence: bool = True,
     viscous: bool = True,
-    sa_sources: bool = True,
 ) -> np.ndarray:
-    """Net-outflow residual (N, nvar).
+    """Net-outflow residual (N, nvar): :func:`flux_residual` plus the
+    pointwise SA sources, strong wall rows masked."""
+    r = flux_residual(ctx, q, qinf, order2, turbulence, viscous)
+    sa_var = sa_source_column(ctx, q.shape[1], turbulence, viscous)
+    if sa_var is not None:
+        prim = conservative_to_primitive(q)
+        r[:, sa_var] += sa_source_residual(ctx, prim,
+                                           *sa_gradients(ctx, prim))
+    return mask_wall_rows(ctx, r)
 
-    ``sa_sources=False`` skips the pointwise SA production/destruction
-    block (edge and boundary terms only): the distributed path evaluates
-    the sources separately at owned rows from halo-completed gradients
-    (:func:`sa_source_residual`), after the edge sums have been
-    exchange-added to their owners.
-    """
+
+@traced("nsu3d.residual", cat="solver")
+def flux_residual(
+    ctx: FlowContext,
+    q: np.ndarray,
+    qinf: np.ndarray,
+    order2: bool = False,
+    turbulence: bool = True,
+    viscous: bool = True,
+) -> np.ndarray:
+    """The edge and boundary terms of the residual (N, nvar), wall rows
+    not masked.  Every term is a sum over edges or boundary faces, so a
+    decomposed level evaluates it per partition and completes it with
+    an exchange-add; the pointwise SA sources follow, from completed
+    gradients (:func:`sa_gradients`, :func:`sa_source_residual`)."""
     nvar = q.shape[1]
     layout = variable_layout(nvar)
     turbulence = turbulence and bool(layout.turbulence)
@@ -179,44 +200,70 @@ def residual(
             fv[:, sa_var] = -dcoef * (nu_hat[b_idx] - nu_hat[a_idx])
         engine.scatter_add(r, ctx.edge_scatter, fv)
 
-        # -- SA sources --------------------------------------------------------
-        if turbulence and sa_sources:
-            if ctx.dual is not None:
-                grads = green_gauss(
-                    ctx.dual, np.column_stack([vel, nu_hat]),
-                    ctx.gradient_scatters,
-                )
-                vort = vorticity_magnitude(grads[:, :, :3])
-                grad_nu = grads[:, :, 3]
-            else:
-                # coarse levels: estimate vorticity from edge differences
-                vort = _edge_vorticity_estimate(ctx, vel)
-                grad_nu = np.zeros((ctx.npoints, 3), dtype=np.float64)
-            r[:, sa_var] += sa_source_residual(
-                rho, nu_hat, vort, grad_nu, ctx.dist, ctx.mu_lam,
-                ctx.volumes,
-            )
+    return r
 
-    return mask_wall_rows(ctx, r)
+
+def sa_source_column(ctx: FlowContext, nvar: int, turbulence: bool,
+                     viscous: bool) -> int | None:
+    """The SA working-variable column when the pointwise SA sources
+    apply (a turbulent layout, viscous terms on, ``mu > 0``), else
+    ``None``."""
+    layout = variable_layout(nvar)
+    if turbulence and layout.turbulence and viscous and ctx.mu_lam > 0.0:
+        return layout.turbulence[0]
+    return None
+
+
+def sa_gradients(ctx: FlowContext, prim: np.ndarray,
+                 owner_sum=None) -> tuple[np.ndarray, np.ndarray]:
+    """Vorticity magnitude and SA working-variable gradient ``(vort,
+    grad_nu)`` of the primitive state ``prim``.
+
+    Fine levels take Green-Gauss gradients over the dual; agglomerated
+    levels estimate the vorticity as the mean ``|dvel| / |dx|`` over
+    incident edges and set ``grad_nu`` to zero.  ``owner_sum(array,
+    tag)``, when given, completes the partial surface or edge sums
+    across the ranks of a decomposed level before they are divided —
+    the hook :class:`~.linesolve.FrozenOperator` takes."""
+    vel = prim[:, 1:4]
+    if ctx.dual is not None:
+        fields = np.column_stack(
+            [vel, prim[:, variable_layout(prim.shape[1]).turbulence[0]]]
+        )
+        sums = green_gauss_sums(ctx.dual, fields, ctx.gradient_scatters)
+        if owner_sum is not None:
+            owner_sum(sums.reshape(ctx.npoints, -1), TAG_SA_GRADIENTS)
+        grads = sums / ctx.volumes[:, None, None]
+        return vorticity_magnitude(grads[:, :, :3]), grads[:, :, 3]
+    a, b = ctx.edges[:, 0], ctx.edges[:, 1]
+    rate = np.linalg.norm(vel[b] - vel[a], axis=1) / ctx.edge_lengths
+    total = np.zeros(ctx.npoints, dtype=np.float64)
+    get_engine().scatter_add(total, ctx.edge_scatter_unsigned, rate)
+    accs = np.column_stack([total, ctx.edge_degree])
+    if owner_sum is not None:
+        owner_sum(accs, TAG_SA_VORTICITY)
+    vort = accs[:, 0] / np.maximum(accs[:, 1], 1.0)
+    return vort, np.zeros((ctx.npoints, 3), dtype=np.float64)
 
 
 def sa_source_residual(
-    rho: np.ndarray,
-    nu_hat: np.ndarray,
+    ctx: FlowContext,
+    prim: np.ndarray,
     vort: np.ndarray,
     grad_nu: np.ndarray,
-    dist: np.ndarray,
-    mu_lam: float,
-    volumes: np.ndarray,
+    rows: np.ndarray | slice = slice(None),
 ) -> np.ndarray:
-    """Pointwise SA source contribution to the working-variable row:
-    ``(destruction - production) * V`` with the cb2 gradient-squared
-    term folded into production.  Shared by the serial residual and the
-    distributed path (which feeds halo-completed ``vort``/``grad_nu``
-    and adds the result at owned rows only)."""
-    prod, dest = source_terms(rho, nu_hat, vort, dist, mu_lam)
-    prod = prod + cb2_term(grad_nu, rho)
-    return (dest - prod) * volumes
+    """Pointwise SA source contribution to the working-variable column
+    at ``rows``: ``(destruction - production) * V`` with the cb2
+    gradient-squared term folded into production.  A decomposed level
+    evaluates it at owned rows only, from completed ``vort`` /
+    ``grad_nu``."""
+    rho = prim[rows, 0]
+    nu_hat = prim[rows, variable_layout(prim.shape[1]).turbulence[0]]
+    prod, dest = source_terms(rho, nu_hat, vort[rows], ctx.dist[rows],
+                              ctx.mu_lam)
+    prod = prod + cb2_term(grad_nu[rows], rho)
+    return (dest - prod) * ctx.volumes[rows]
 
 
 def farfield_ghost(
@@ -247,17 +294,6 @@ def _limited(dq: np.ndarray, ref: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     num = (ref * ref + eps) * dq + (dq * dq + eps) * ref
     den = dq * dq + ref * ref + 2 * eps
     return np.where(dq * ref > 0, num / den, 0.0)
-
-
-def _edge_vorticity_estimate(ctx: FlowContext, vel: np.ndarray) -> np.ndarray:
-    """Crude vorticity magnitude for agglomerated levels: average
-    |dvel| / |dx| over incident edges."""
-    a = ctx.edges[:, 0]
-    b = ctx.edges[:, 1]
-    rate = np.linalg.norm(vel[b] - vel[a], axis=1) / ctx.edge_lengths
-    acc = np.zeros(ctx.npoints, dtype=np.float64)
-    get_engine().scatter_add(acc, ctx.edge_scatter_unsigned, rate)
-    return acc / np.maximum(ctx.edge_degree, 1.0)
 
 
 def residual_norm(ctx: FlowContext, q, qinf, **kw) -> float:

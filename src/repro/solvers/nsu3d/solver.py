@@ -23,7 +23,6 @@ from ..gas import NVAR_EULER, NVAR_RANS, freestream, pressure
 from ..interface import ConvergenceHistory
 from .agglomerate import build_hierarchy
 from .context import context_from_dual
-from .linesolve import smooth
 from .multigrid import fas_cycle
 from .residual import apply_wall_bc, residual_norm
 
@@ -31,6 +30,9 @@ from .residual import apply_wall_bc, residual_norm
 #: step, fed to the pfmon-style counters and the performance model.
 FLOPS_PER_POINT_RESIDUAL = 1800.0
 FLOPS_PER_POINT_IMPLICIT = 2600.0
+
+#: Per-cycle growth of the CFL from ``cfl_start`` up to ``cfl``.
+CFL_RAMP = 1.5
 
 
 class NSU3DSolver:
@@ -50,6 +52,9 @@ class NSU3DSolver:
         Multigrid levels including the fine grid (paper: 4/5/6).
     turbulence:
         Couple the SA equation (6 unknowns/point) or run laminar (5).
+    cfl, cfl_start:
+        The CFL starts at ``cfl_start`` and grows by :data:`CFL_RAMP`
+        per cycle up to ``cfl``.
     """
 
     def __init__(
@@ -65,9 +70,6 @@ class NSU3DSolver:
         order2: bool = False,
         cfl: float = 20.0,
         cfl_start: float = 1.0,
-        cfl_ramp: float = 1.5,
-        nu1: int = 1,
-        nu2: int = 1,
         use_lines: bool = True,
         counters: PerfCounters | None = None,
     ):
@@ -89,8 +91,6 @@ class NSU3DSolver:
         self.alpha_deg = alpha_deg
         self.cfl_max = cfl
         self.cfl = cfl_start
-        self.cfl_ramp = cfl_ramp
-        self.nu1, self.nu2 = nu1, nu2
         self.counters = counters if counters is not None else PerfCounters()
         self.engine = get_engine()
         self.q = apply_wall_bc(
@@ -114,18 +114,11 @@ class NSU3DSolver:
 
     def run_cycle(self, cycle: str = "W") -> float:
         with self.counters.region("mg_cycle"), use_engine(self.engine):
-            if self.mg_levels > 1:
-                self.q = fas_cycle(
-                    self.contexts, self.maps, self.q, self.qinf,
-                    cycle=cycle, nu1=self.nu1, nu2=self.nu2, cfl=self.cfl,
-                    order2=self.order2, turbulence=self.turbulence,
-                )
-            else:
-                self.q = smooth(
-                    self.contexts[0], self.q, self.qinf, cfl=self.cfl,
-                    nsteps=self.nu1 + self.nu2, order2=self.order2,
-                    turbulence=self.turbulence,
-                )
+            self.q = fas_cycle(
+                self.contexts, self.maps, self.q, self.qinf, cycle=cycle,
+                cfl=self.cfl, order2=self.order2,
+                turbulence=self.turbulence,
+            )
             work = sum(
                 c.npoints
                 * (FLOPS_PER_POINT_RESIDUAL + FLOPS_PER_POINT_IMPLICIT)
@@ -133,7 +126,7 @@ class NSU3DSolver:
                 for i, c in enumerate(self.contexts)
             )
             self.counters.add_flops(work)
-        self.cfl = min(self.cfl * self.cfl_ramp, self.cfl_max)
+        self.cfl = min(self.cfl * CFL_RAMP, self.cfl_max)
         r = self.residual_norm()
         self.history.residuals.append(r)
         self.history.forces.append(self.forces())

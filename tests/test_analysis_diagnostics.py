@@ -41,12 +41,12 @@ class TestMultiFileAggregation:
             D(rule="R003", path="src/repro/solvers/a.py", line=10),
             D(rule="ghost/read-in-window", path="src/repro/runtime/b.py",
               line=4),
-            D(rule="plan/length-mismatch", rank=2, peer=5, slot=1),
+            D(rule="plan/length-mismatch"),
         ]
         report = format_report(diags)
         assert "src/repro/solvers/a.py:10" in report
         assert "src/repro/runtime/b.py:4" in report
-        assert "rank 2 -> 5 slot 1" in report
+        assert "error: boom [plan/length-mismatch]" in report
         assert report.endswith("3 error(s), 0 warning(s)")
 
     def test_same_rule_across_files_sorted_by_location(self):

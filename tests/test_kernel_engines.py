@@ -36,7 +36,7 @@ from repro.runtime import DistributedDomain
 from repro.runtime.process import WorkerSpec
 from repro.solvers.fluxes import euler_flux
 from repro.solvers.gas import variable_layout
-from repro.solvers.nsu3d import residual as nsu3d_residual
+from repro.solvers.nsu3d.residual import flux_residual
 from repro.solvers.nsu3d.parallel import _stack
 
 ORACLE = dict(rtol=1e-12, atol=1e-12)
@@ -518,22 +518,20 @@ class TestFreestreamPreservation:
         assert len(solver.contexts) > 1
         for level, ctx in enumerate(solver.contexts):
             q = np.tile(qinf, (ctx.npoints, 1))
-            # sa_sources=False: the pointwise SA destruction term is
-            # (nu/d)^2 of the state, not a flux balance
-            r = nsu3d_residual(ctx, q, qinf, turbulence=turbulence,
-                               sa_sources=False)
+            # the flux terms only: the pointwise SA destruction term
+            # is (nu/d)^2 of the state, not a flux balance
+            r = flux_residual(ctx, q, qinf, turbulence=turbulence)
             inside = self.interior(ctx)
             assert inside.sum() > 0
             assert np.abs(r[inside]).max() <= 1e-13
 
             total = np.zeros_like(r)
             for dom in par.hierarchy.levels[level].domains:
-                part = nsu3d_residual(
+                part = flux_residual(
                     dom.ctx, np.tile(qinf, (dom.nlocal, 1)), qinf,
-                    turbulence=turbulence, sa_sources=False,
+                    turbulence=turbulence,
                 )
-                # rows a partition masked as its own wall rows are
-                # outside ``inside`` anyway
+                # wall rows are outside ``inside``
                 np.add.at(total, dom.halo.local_to_global(), part)
             assert np.abs(total[inside]).max() <= 1e-13
         par.close()
@@ -646,8 +644,8 @@ class TestOperatorLifetime:
         q = np.tile(solver.qinf, (fine.npoints, 1))
         q *= 1.0 + 0.01 * np.random.default_rng(0).random(q.shape)
         assert np.array_equal(
-            nsu3d_residual(twin, q, solver.qinf, sa_sources=False),
-            nsu3d_residual(fine, q, solver.qinf, sa_sources=False),
+            flux_residual(twin, q, solver.qinf),
+            flux_residual(fine, q, solver.qinf),
         )
         par.close()
 

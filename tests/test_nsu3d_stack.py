@@ -249,7 +249,8 @@ class TestCallCounts:
                                         "numpy_engine.py"),
                 "inv": named(calls, "inv", "_linalg.py"),
                 "add_to": named(calls, "add_to"),
-                "residual": named(calls, "residual", "nsu3d/residual.py"),
+                "flux_residual": named(calls, "flux_residual",
+                                       "nsu3d/residual.py"),
             }
             assert named(calls, "solve", "_linalg.py") == 0
         assert counts[2] == counts[4], counts

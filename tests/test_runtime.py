@@ -94,27 +94,25 @@ class TestPartitioners:
 
 class TestCoarseCflPolicy:
     def test_level_zero_always_fine_cfl(self):
-        assert effective_cfl(0, 8.0, 1.5, 0.75) == 8.0
-
-    def test_explicit_coarse_cfl_wins(self):
-        assert effective_cfl(1, 8.0, 1.5, 0.75) == 1.5
-        assert effective_cfl(2, 8.0, 3.0, 1.0) == 3.0
+        assert effective_cfl(0, 8.0, 0.75) == 8.0
 
     def test_fraction_fallback(self):
-        assert effective_cfl(1, 8.0, None, 0.75) == 6.0
-        assert effective_cfl(1, 8.0, None, 1.0) == 8.0
+        """Every coarse level runs at the solver's fraction of ``cfl``."""
+        assert effective_cfl(1, 8.0, 0.75) == 6.0
+        assert effective_cfl(2, 8.0, 0.75) == 6.0
+        assert effective_cfl(1, 8.0, 1.0) == 8.0
 
     def test_cart3d_fraction_reproduces_historical_default(self):
         """Satellite regression: Cart3D historically hard-coded
-        coarse_cfl=1.5 while running cfl=2.0; the unified policy must
+        coarse_cfl=1.5 while running cfl=2.0; the coarse-CFL rule must
         reproduce exactly that at the default fine CFL."""
         assert CART3D_FRACTION == 0.75
-        assert effective_cfl(1, 2.0, None, CART3D_FRACTION) == 1.5
+        assert effective_cfl(1, 2.0, CART3D_FRACTION) == 1.5
 
     def test_nsu3d_fraction_reproduces_historical_default(self):
-        """NSU3D historically defaulted coarse_cfl=None -> fine cfl."""
+        """NSU3D's coarse levels run at the fine cfl."""
         assert NSU3D_FRACTION == 1.0
-        assert effective_cfl(1, 10.0, None, NSU3D_FRACTION) == 10.0
+        assert effective_cfl(1, 10.0, NSU3D_FRACTION) == 10.0
 
     def test_bad_cycle_rejected_as_configuration_error(self):
         class Ops:

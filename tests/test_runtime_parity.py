@@ -153,7 +153,7 @@ class TestNSU3DMultigridParity:
 
     def test_single_level_hierarchy_runs_full_cycles(self):
         """A one-level hierarchy (``mg_levels=1``) matches the serial
-        ``fas_cycle``: ``nu1 + nu2`` smoothing steps per cycle."""
+        ``fas_cycle``: two smoothing steps per cycle."""
         mesh = bump_channel(ni=8, nj=4, nk=6, wall_spacing=5e-3, ratio=1.3,
                             bump_height=0.03)
         s = NSU3DSolver(mesh=mesh, mach=0.5, mg_levels=1, turbulence=False,
@@ -275,40 +275,30 @@ class TestCart3DMultigridParity:
         assert np.allclose(qg, ref, rtol=1e-10, atol=1e-13)
 
     def test_coarse_cfl_default_matches_historical_constant(
-        self, cart3d_solver
+        self, cart3d_solver, monkeypatch
     ):
-        """Satellite regression: the unified coarse-CFL policy
-        (0.75 * cfl) must reproduce the historically hard-coded 1.5
-        exactly at the default cfl=2.0 — bit-identical states."""
-        q_default = cart3d_serial(cart3d_solver, 3, "W")
-        q_pinned = np.tile(cart3d_solver.qinf,
-                           (cart3d_solver.levels[0].nflow, 1))
-        for _ in range(3):
-            q_pinned = cart3d_fas_cycle(
-                cart3d_solver.levels, cart3d_solver.transfers, q_pinned,
-                cart3d_solver.qinf, cycle="W", cfl=2.0, coarse_cfl=1.5,
-            )
-        assert np.array_equal(q_default, q_pinned)
+        """Satellite regression: the coarse-CFL rule (0.75 * cfl) runs
+        every coarse level at exactly the historically hard-coded 1.5
+        at the default cfl=2.0."""
+        from repro.solvers.cart3d import multigrid
 
-    def test_explicit_coarse_cfl_propagates_distributed(
-        self, cart3d_solver
-    ):
-        """An explicit coarse_cfl overrides the fraction on every rank."""
-        q_serial = np.tile(cart3d_solver.qinf,
-                           (cart3d_solver.levels[0].nflow, 1))
-        for _ in range(2):
-            q_serial = cart3d_fas_cycle(
-                cart3d_solver.levels, cart3d_solver.transfers, q_serial,
-                cart3d_solver.qinf, cycle="W", cfl=2.0, coarse_cfl=1.0,
-            )
-        pc = make_parallel_cart3d(cart3d_solver, 2)
-        qg, _ = pc.run(SimMPI(2), 2, cfl=2.0, cycle="W", coarse_cfl=1.0)
-        assert np.allclose(qg, q_serial, rtol=1e-10, atol=1e-13)
+        seen = []
+        smooth = multigrid._SerialCart3DOps.smooth
+
+        def spy(self, level, q, forcing, cfl):
+            seen.append((level, cfl))
+            return smooth(self, level, q, forcing, cfl)
+
+        monkeypatch.setattr(multigrid._SerialCart3DOps, "smooth", spy)
+        cart3d_serial(cart3d_solver, 1, "W")
+        assert {cfl for level, cfl in seen if level == 0} == {2.0}
+        assert {cfl for level, cfl in seen if level > 0} == {1.5}
 
     def test_single_level_hierarchy_runs_full_cycles(self):
-        """A one-level hierarchy runs the full cycle (``nu1 + nu2``
-        smoothing steps), exactly like the serial solver's ``run_cycle``
-        at ``mg_levels=1`` (regression for the database fill path)."""
+        """A one-level hierarchy runs the full cycle (one pre- and one
+        post-smoothing step), exactly like the serial solver's
+        ``run_cycle`` at ``mg_levels=1`` (regression for the database
+        fill path)."""
         sphere = Sphere(center=[0.5, 0.5, 0.5], radius=0.15)
         s = Cart3DSolver(sphere, dim=2, base_level=4, max_level=5,
                          mg_levels=1, mach=0.4)

@@ -525,26 +525,6 @@ class TestSurrogate:
         assert coefficients["cl"] == pytest.approx(1.2, abs=1.0e-9)
         assert error == pytest.approx(0.0, abs=1.0e-9)
 
-    def test_rbf_method(self):
-        runner = TrackingRunner()
-        with make_runtime(runner) as runtime:
-            service = DatabaseService(
-                runtime, surrogate=SurrogateConfig(method="rbf")
-            )
-            fill_grid(service)
-
-            async def drive():
-                return await service.query(
-                    PointQuery(mach=0.45, alpha=1.5)
-                )
-
-            response = asyncio.run(drive())
-        assert response.source == "surrogate"
-        exact = SyntheticRunner.coefficients(0.45, 1.5)
-        assert response.coefficients["cl"] == pytest.approx(
-            exact["cl"], abs=0.01
-        )
-
     def test_interpolate_validates_inputs(self):
         with pytest.raises(ConfigurationError):
             interpolate({"mach": 0.5}, [], "linear")
@@ -552,21 +532,17 @@ class TestSurrogate:
             interpolate({"mach": 0.5}, [(0.1, synth_result(0.4, 1.0))],
                         "cubic")
         with pytest.raises(ConfigurationError):
-            SurrogateConfig(method="spline")
-        with pytest.raises(ConfigurationError):
             SurrogateConfig(k=2, min_neighbors=3)
 
 
-def refit_loo(coords, values, method):
+def refit_loo(coords, values):
     """Oracle: leave-one-out by refitting without each neighbor in turn
     (``_loo_error`` for sets of three or more before the closed form)."""
     worst = 0.0
     mask = np.ones(coords.shape[0], dtype=bool)
     for i in range(coords.shape[0]):
         mask[i] = False
-        predicted = surrogate._predict(
-            coords[mask], values[mask], coords[i], method
-        )
+        predicted = surrogate._predict(coords[mask], values[mask], coords[i])
         worst = max(worst, float(np.abs(predicted - values[i]).max()))
         mask[i] = True
     return worst
@@ -602,18 +578,18 @@ class TestLeaveOneOut:
         # non-degenerate: well conditioned, no neighbor carrying its refit
         assume(np.linalg.cond(design) < 1.0e4)
         assume(leverages(coords).max() < 1.0 - 1.0e-3)
-        want = refit_loo(coords, values, "linear")
+        want = refit_loo(coords, values)
         assert surrogate._loo_closed_form(coords, values) is not None
         # relative to the miss, or to the samples where an affine
         # surface fits them exactly and both sides are round-off
-        assert surrogate._loo_error(coords, values, "linear") == (
+        assert surrogate._loo_error(coords, values) == (
             pytest.approx(want, rel=1.0e-9,
                           abs=1.0e-9 * np.abs(values).max())
         )
 
     @settings(max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(["collinear", "pinned", "few", "rbf"]),
+        kind=st.sampled_from(["collinear", "pinned", "few"]),
         n=st.integers(3, 7),
         start=st.tuples(SAMPLES, SAMPLES),
         step=st.tuples(SAMPLES, SAMPLES),
@@ -623,27 +599,20 @@ class TestLeaveOneOut:
     def test_degenerate_sets_take_the_refits(self, kind, n, start, step,
                                              values):
         """Collinear points, a neighbor whose removal leaves a collinear
-        set (leverage 1), too few points for affine refits and ``rbf``
-        all return the refit loop's value, bit for bit."""
+        set (leverage 1) and too few points for affine refits all return
+        the refit loop's value, bit for bit."""
         t = np.arange(n, dtype=np.float64)[:, None]
         coords = np.array(start) + t * np.array(step)
-        method = "linear"
         if kind == "pinned":
             assume(n >= 4)
             coords[-1] += np.array([-step[1], step[0]])
         elif kind == "few":
             coords = coords[:3]
-        elif kind == "rbf":
-            coords[-1] += np.array([-step[1], step[0]])
-            method = "rbf"
         assume(np.ptp(coords, axis=0).min() > 1.0e-3)
         assume(len(np.unique(coords, axis=0)) == len(coords))
         values = np.array(values[:len(coords)])
-        try:
-            want = refit_loo(coords, values, method)
-        except (np.linalg.LinAlgError, ValueError):
-            assume(False)    # rbf cannot fit a collinear set at all
-        got = surrogate._loo_error(coords, values, method)
+        want = refit_loo(coords, values)
+        got = surrogate._loo_error(coords, values)
         assert got.hex() == want.hex()
 
     def test_interpolation_fits_once(self, count_calls):
