@@ -277,7 +277,7 @@ class TestCart3DMultigridParity:
     def test_coarse_cfl_default_matches_historical_constant(
         self, cart3d_solver, monkeypatch
     ):
-        """Satellite regression: the coarse-CFL rule (0.75 * cfl) runs
+        """Regression: the coarse-CFL rule (0.75 * cfl) runs
         every coarse level at exactly the historically hard-coded 1.5
         at the default cfl=2.0."""
         from repro.solvers.cart3d import multigrid
