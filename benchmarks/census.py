@@ -122,7 +122,6 @@ API_REASONS: dict = {
                  "generator (test_unstructured_mesh.py)",
     "standard_study": "the paper's 6-D (aileron, elevator, rudder) x "
                       "(Mach, alpha, beta) study shape (test_database.py)",
-    "JobOutcome": "type of FillReport.outcomes and CaseHandle.outcome()",
     "SchedulePlan": "return type of schedule_fill, the Columbia makespan "
                     "planner (test_database.py::TestScheduler)",
     "ServiceCounters": "type of DatabaseService.counters "

@@ -48,7 +48,7 @@ These rules encode exactly those house invariants:
   cache and surrogate tiers answer while solves run on the worker
   pool; one blocking call in an ``async def`` parks the event loop and
   every tenant behind it.  Solves are submitted (``submit()``) and
-  awaited through the :class:`~repro.database.runtime.CaseHandle`
+  awaited through the :class:`~repro.database.handles.CaseHandle`
   asyncio bridge.  Synchronous helpers (``def``) in the package —
   including nested ones — are their own execution context and exempt.
 * **R014 hardcoded-state-width** — the literal ``5`` used as a state

@@ -31,7 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..database import ResultStore, StudyDefinition, build_job_tree
-from ..database.runtime import Cart3DCaseRunner, FillReport, FillRuntime
+from ..database.handles import FillReport
+from ..database.runner import Cart3DCaseRunner
+from ..database.runtime import FillRuntime
 from ..mesh.cartesian.geometry import Assembly
 from ..solvers.interface import CaseResult, CaseSpec
 

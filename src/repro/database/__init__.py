@@ -8,19 +8,13 @@ demand (the paper's virtual database)."""
 
 from ..errors import CaseExecutionError, CaseTimeout
 from .chaos import ChaosPolicy
-from .checkpoint import CampaignCheckpoint, CheckpointState
+from .checkpoint import CampaignCheckpoint, CheckpointState, FillEvent
+from .handles import CaseHandle, FillReport, JobOutcome
 from .jobs import FlowJob, GeometryJob, build_job_tree, meshing_amortization
 from .parameters import Axis, ParameterSpace, StudyDefinition, standard_study
 from .resultstore import ResultStore
-from .runtime import (
-    Cart3DCaseRunner,
-    CaseHandle,
-    FillEvent,
-    FillReport,
-    FillRuntime,
-    JobOutcome,
-    SharedGeometry,
-)
+from .runner import Cart3DCaseRunner
+from .runtime import FillRuntime, SharedGeometry
 from .scheduler import SchedulePlan, schedule_fill
 
 __all__ = [

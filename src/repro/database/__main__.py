@@ -11,10 +11,10 @@ so completed cases restore into the result store (zero recomputation)
 and only interrupted cases execute.  Point ``--store`` at the campaign's
 result store to also reuse results that were persisted there.
 
-The runner is rebuilt from the manifest's ``runner`` description; only
-``type: cart3d`` with a named geometry (``wing_body``, ``shuttle_stack``)
-is currently reconstructible — campaigns driven by ad-hoc callables must
-resume in-process via :meth:`repro.database.FillRuntime.resume`.
+The runner is rebuilt from the manifest's ``runner`` description by
+:func:`repro.database.runner.rebuild_runner`; campaigns driven by ad-hoc
+callables must resume in-process via
+:meth:`repro.database.FillRuntime.resume`.
 """
 
 from __future__ import annotations
@@ -24,17 +24,12 @@ import sys
 from pathlib import Path
 
 
-def _load_state(journal: str):
-    from .checkpoint import CampaignCheckpoint
-
-    return CampaignCheckpoint.load(Path(journal))
-
-
 def status(journal: str, echo=print) -> int:
     """Print the ledger of one campaign journal."""
     from ..perf.report import campaign_ledger_table
+    from .checkpoint import CampaignCheckpoint
 
-    state = _load_state(journal)
+    state = CampaignCheckpoint.load(Path(journal))
     echo(
         campaign_ledger_table(
             state.summary(), title=f"campaign journal: {Path(journal).name}"
@@ -46,73 +41,22 @@ def status(journal: str, echo=print) -> int:
     return 0
 
 
-def _rebuild_runner(manifest: dict):
-    """Reconstruct the campaign's runner from its manifest description."""
-    from ..errors import ConfigurationError
-    from ..runtime import RuntimeConfig
-    from .runtime import Cart3DCaseRunner
-
-    described = (manifest or {}).get("runner")
-    if not described or described.get("type") != "cart3d":
-        raise ConfigurationError(
-            "journal manifest does not describe a reconstructible runner; "
-            "resume this campaign in-process with FillRuntime.resume()"
-        )
-    geometry_name = described.get("geometry")
-    factories = _geometry_factories()
-    factory = factories.get(geometry_name)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown manifest geometry {geometry_name!r}; known: "
-            f"{sorted(factories)}"
-        )
-    settings = {
-        k: described[k]
-        for k in ("dim", "base_level", "max_level", "mg_levels", "cycles")
-        if k in described
-    }
-    # describe() journals the decomposition only when one was used; a
-    # resumed case must run (and key) exactly as the interrupted one did
-    execution = {
-        k: described[k]
-        for k in ("backend", "nranks", "overlap")
-        if k in described
-    }
-    return Cart3DCaseRunner(
-        factory(),
-        geometry_name=geometry_name,
-        tol_orders=described.get("tol_orders", 4.0),
-        converged_orders=described.get("converged_orders", 2.0),
-        config=RuntimeConfig(**execution),
-        **settings,
-    )
-
-
-def _geometry_factories() -> dict:
-    from ..mesh.cartesian import shuttle_stack, wing_body
-
-    return {"wing_body": wing_body, "shuttle_stack": shuttle_stack}
-
-
 def resume(journal: str, store: str | None = None, echo=print) -> int:
     """Resume a journaled campaign to completion."""
     from ..perf.report import fill_summary_table
     from .checkpoint import CampaignCheckpoint
     from .resultstore import ResultStore
+    from .runner import rebuild_runner
     from .runtime import FillRuntime
 
-    state = _load_state(journal)
-    manifest = state.manifest or {}
-    runner = _rebuild_runner(manifest)
-    store_path = store if store is not None else manifest.get("store")
-    result_store = (
-        ResultStore(store_path) if store_path else ResultStore()
-    )
+    state = CampaignCheckpoint.load(Path(journal))
+    rerun = state.rerun()
+    store_path = store if store is not None else rerun["store"]
     with FillRuntime(
-        runner,
-        nnodes=manifest.get("nnodes", 1),
-        cpus_per_case=manifest.get("cpus_per_case", 32),
-        store=result_store,
+        rebuild_runner(rerun["runner"]),
+        nnodes=rerun["nnodes"],
+        cpus_per_case=rerun["cpus_per_case"],
+        store=ResultStore(store_path) if store_path else ResultStore(),
         checkpoint=CampaignCheckpoint(Path(journal)),
     ) as runtime:
         report = runtime.resume(checkpoint=state)

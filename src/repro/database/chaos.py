@@ -26,15 +26,18 @@ draws a fresh fault pattern, which is how the chaos benchmark drives a
 crashed campaign to completion.
 
 The default is a no-op: ``FillRuntime(chaos=None)`` skips every hook,
-and a :class:`ChaosPolicy` with all rates zero injects nothing.
+and a :class:`ChaosPolicy` with all rates zero injects nothing.  What a
+drawn fault does inside an attempt is :meth:`ChaosPolicy.strike`'s job;
+the runtime only draws, journals and calls it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SolverDivergence, WorkerCrash
 
 #: Fault kinds an attempt can draw, in priority order (first match wins).
 ATTEMPT_FAULTS = ("crash", "hang", "diverge")
@@ -101,6 +104,25 @@ class ChaosPolicy:
         if _draw(self.seed, "diverge", key, attempt) < self.divergence_rate:
             return "diverge"
         return None
+
+    def strike(self, fault: str | None, key: str, attempt: int,
+               timeout_seconds: float | None) -> None:
+        """Act out one :meth:`attempt_fault` draw inside the attempt:
+        ``"crash"`` raises the campaign-fatal ``WorkerCrash``, ``"hang"``
+        sleeps past the cooperative timeout (:meth:`hang_seconds`), and
+        ``"diverge"`` raises a transient ``SolverDivergence``."""
+        if fault == "crash":
+            raise WorkerCrash(
+                f"chaos: worker crashed running case {key} "
+                f"(attempt {attempt})"
+            )
+        if fault == "hang":
+            time.sleep(self.hang_seconds(timeout_seconds))
+        if fault == "diverge":
+            raise SolverDivergence(
+                f"chaos: transient divergence in case {key} "
+                f"(attempt {attempt})"
+            )
 
     def solver_fault(self, key: str) -> bool:
         """Sticky per-key divergence drawn at the *solver* site.

@@ -4,7 +4,7 @@ The paper's database fills occupy Columbia nodes for days; related
 strong-scaling campaigns (Junqueira-Junior et al., arXiv:2003.08746)
 hinge on restartability.  A :class:`CampaignCheckpoint` makes our
 :class:`~repro.database.runtime.FillRuntime` campaigns durable the same
-way: every :class:`~repro.database.runtime.FillEvent` the runtime emits
+way: every :class:`FillEvent` the runtime's :class:`EventLog` emits
 is appended to a JSON-lines *journal*, completed cases carry their full
 :class:`~repro.solvers.interface.CaseResult` payload, and a one-line
 *manifest* records the campaign itself (every case spec, the solver
@@ -24,6 +24,10 @@ interior records would fabricate a different campaign.
 
 The journal is append-only and single-writer; :meth:`CampaignCheckpoint.
 record` is serialized by a lock because fill workers emit concurrently.
+This module is the journal format's only writer and only reader: the
+event record, the manifest (:func:`campaign_manifest`) and the service's
+``"query"`` payload (:func:`query_info`) are built here and decoded by
+:class:`CheckpointState`.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import json
 import threading
 import warnings
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import CheckpointCorrupt, ConfigurationError
@@ -43,6 +48,95 @@ JOURNAL_VERSION = 1
 
 #: Event kinds that end a case's life in the journal.
 TERMINAL_KINDS = ("done", "failed", "cancelled", "crash")
+
+
+@dataclass(frozen=True)
+class FillEvent:
+    """One entry of the structured progress stream.
+
+    ``t`` is the raw runtime-clock stamp; ``vt`` is the strictly
+    monotonic virtual timestamp the :class:`EventLog` assigns under its
+    lock, so a stream is replayable into the telemetry timeline model
+    (:func:`repro.telemetry.add_fill_events`) with a total order even
+    when two workers emit within the clock's resolution.  ``vt`` orders
+    one session's stream only: a resumed session's clock restarts.
+    """
+
+    seq: int
+    t: float  # seconds since the runtime's epoch
+    kind: str  # submit|cache_hit|geometry|start|retry|done|failed|cancelled|
+    #            cancel|chaos|crash|abort|fallback|resume|query
+    key: str  # case content key ("" for runtime-level events)
+    info: dict = field(default_factory=dict)
+    vt: float = 0.0  # strictly monotonic virtual timestamp
+
+
+class EventLog:
+    """Thread-safe, monotonically sequenced event stream."""
+
+    def __init__(self, clock, on_event=None):
+        self._lock = threading.Lock()
+        self._events: list[FillEvent] = []
+        self._clock = clock
+        self._on_event = on_event
+        self._vt = 0.0
+
+    def emit(self, kind: str, key: str = "", **info) -> FillEvent:
+        with self._lock:
+            t = self._clock()
+            self._vt = max(t, self._vt + 1e-9)
+            event = FillEvent(
+                seq=len(self._events), t=t, kind=kind,
+                key=key, info=info, vt=self._vt,
+            )
+            self._events.append(event)
+        if self._on_event is not None:
+            self._on_event(event)  # outside the lock: callbacks may re-emit
+        return event
+
+    @property
+    def next_seq(self) -> int:
+        with self._lock:
+            return len(self._events)
+
+    def since(self, seq: int) -> list[FillEvent]:
+        with self._lock:
+            return self._events[seq:]
+
+    def all(self) -> list[FillEvent]:
+        return self.since(0)
+
+
+def campaign_manifest(runtime, specs, solver: str, settings: dict) -> dict:
+    """Enough journal to rebuild ``runtime``'s campaign of ``specs`` in a
+    fresh process: the cases, their solver identity, the slot sizing,
+    the result-store path and the runner's own ``describe()``."""
+    describe = getattr(runtime.runner, "describe", None)
+    return {
+        "solver": solver,
+        "settings": dict(settings),
+        "nnodes": runtime.nnodes,
+        "cpus_per_case": runtime.cpus_per_case,
+        "worker_threads": runtime.workers,
+        "store": str(runtime.store.path) if runtime.store.path else None,
+        "runner": describe() if describe is not None else None,
+        "cases": [
+            {"config": spec.config_params, "wind": spec.wind_params}
+            for spec in specs
+        ],
+    }
+
+
+def query_info(spec: CaseSpec) -> dict:
+    """Payload of a service ``"query"`` event: the full spec, so the
+    journal alone rebuilds an accepted query (:meth:`CheckpointState.
+    queries`)."""
+    return {
+        "solver": spec.solver,
+        "config": spec.config_params,
+        "wind": spec.wind_params,
+        "settings": dict(spec.settings),
+    }
 
 
 class CampaignCheckpoint:
@@ -97,45 +191,29 @@ class CampaignCheckpoint:
         with self._lock:
             if self._has_manifest or self._dead:
                 return False
-            self._append(
-                {
-                    "record": "manifest",
-                    "version": JOURNAL_VERSION,
-                    "campaign": campaign,
-                }
-            )
+            self._append({"record": "manifest", "version": JOURNAL_VERSION,
+                          "campaign": campaign})
             self._has_manifest = True
             return True
 
-    def record(self, event, result: CaseResult | None = None) -> None:
+    def record(self, event: FillEvent,
+               result: CaseResult | None = None) -> None:
         """Append one fill event (and, for completions, its result)."""
         with self._lock:
             if self._dead:
                 return
-            self._append(
-                {
-                    "record": "event",
-                    "seq": event.seq,
-                    "t": event.t,
-                    "vt": event.vt,
-                    "kind": event.kind,
-                    "key": event.key,
-                    "info": dict(event.info),
-                }
-            )
+            self._append({
+                "record": "event", "seq": event.seq, "t": event.t,
+                "vt": event.vt, "kind": event.kind, "key": event.key,
+                "info": dict(event.info),
+            })
             if result is not None:
                 torn = (
                     self.chaos is not None
                     and self.chaos.truncate_journal(event.key)
                 )
-                self._append(
-                    {
-                        "record": "result",
-                        "key": result.spec.key,
-                        "result": result.to_json(),
-                    },
-                    truncate=torn,
-                )
+                self._append({"record": "result", "key": result.spec.key,
+                              "result": result.to_json()}, truncate=torn)
 
     @staticmethod
     def load(path: str | Path) -> "CheckpointState":
@@ -186,7 +264,7 @@ class CheckpointState:
 
     Classifies every case key the journal mentions by its *last* known
     state; the sets drive resume: ``completed`` cases restore straight
-    into the result store, everything else re-queues.
+    into the result store (:meth:`restore`), everything else re-queues.
     """
 
     def __init__(self, path: Path, manifest: dict | None,
@@ -196,10 +274,15 @@ class CheckpointState:
         self.events = events
         self.results = results
         last: dict[str, str] = {}
-        for ev in sorted(events, key=lambda e: e.get("vt", e.get("t", 0.0))):
+        # journal (append) order, not vt: every session's clock restarts
+        # near 0, so a resumed session's events would sort before the
+        # stale ones of the session it resumed; per key, append order
+        # is causal
+        for ev in events:
             # geometry events carry the geometry-instance key, not a
-            # case key: they must not register as in-flight cases
-            if ev["key"] and ev["kind"] != "geometry":
+            # case key: they must not register as in-flight cases; a
+            # cache hit changes no case's state
+            if ev["key"] and ev["kind"] not in ("geometry", "cache_hit"):
                 last[ev["key"]] = ev["kind"]
         self._last = last
 
@@ -232,12 +315,72 @@ class CheckpointState:
         failed, and completions with torn results."""
         return {k for k in self._last if k not in self.completed}
 
-    def case_specs(self) -> list[CaseSpec]:
-        """Every case of the campaign, rebuilt from the manifest."""
+    def restore(self, store) -> int:
+        """Put every completed case's journaled result into ``store``
+        (skipping those it already holds); returns how many it put."""
+        restored = 0
+        for key in self.completed:
+            if store.get(key) is None:
+                store.put(self.results[key])
+                restored += 1
+        return restored
+
+    def queries(self) -> dict[str, CaseSpec]:
+        """Every service query the journal accepted, by case key, rebuilt
+        from its ``"query"`` event (:func:`query_info`)."""
+        accepted: dict[str, CaseSpec] = {}
+        for event in self.events:
+            if event.get("kind") == "query":
+                info = event.get("info", {})
+                spec = CaseSpec(
+                    config=info.get("config", {}),
+                    wind=info.get("wind", {}),
+                    solver=info.get("solver", "cart3d"),
+                    settings=info.get("settings", {}),
+                )
+                accepted[spec.key] = spec
+        return accepted
+
+    def campaign(self, tree=None) -> tuple:
+        """``(tree, solver, settings)`` to re-run: the manifest's, with
+        ``tree`` (when given) in place of its job tree.  Without a
+        manifest ``tree`` is required and the runtime's defaults apply."""
+        if self.manifest is None:
+            if tree is None:
+                raise ConfigurationError(
+                    f"journal {self.path} has no manifest; pass the job "
+                    f"tree explicitly to resume"
+                )
+            return tree, None, None
+        return (
+            tree if tree is not None else self.job_tree(),
+            self.manifest.get("solver"),
+            self.manifest.get("settings"),
+        )
+
+    def rerun(self) -> dict:
+        """What the resume CLI rebuilds a campaign from: the runner's
+        ``describe()`` entry (``"runner"``, None when it could not
+        describe itself), the result-store path (``"store"``) and the
+        slot sizing (``"nnodes"``, ``"cpus_per_case"``)."""
+        manifest = self.manifest or {}
+        return {
+            "runner": manifest.get("runner"),
+            "store": manifest.get("store"),
+            "nnodes": manifest.get("nnodes", 1),
+            "cpus_per_case": manifest.get("cpus_per_case", 32),
+        }
+
+    def _cases(self) -> list:
         if self.manifest is None:
             raise CheckpointCorrupt(
                 self.path, 0, "journal has no campaign manifest"
             )
+        return self.manifest.get("cases", [])
+
+    def case_specs(self) -> list[CaseSpec]:
+        """Every case of the campaign, rebuilt from the manifest."""
+        cases = self._cases()
         solver = self.manifest.get("solver", "cart3d")
         settings = self.manifest.get("settings", {})
         return [
@@ -245,7 +388,7 @@ class CheckpointState:
                 config=case["config"], wind=case["wind"],
                 solver=solver, settings=settings,
             )
-            for case in self.manifest.get("cases", [])
+            for case in cases
         ]
 
     def job_tree(self) -> list[GeometryJob]:
@@ -254,11 +397,7 @@ class CheckpointState:
         """
         tree: list[GeometryJob] = []
         by_config: dict[tuple, GeometryJob] = {}
-        if self.manifest is None:
-            raise CheckpointCorrupt(
-                self.path, 0, "journal has no campaign manifest"
-            )
-        for case in self.manifest.get("cases", []):
+        for case in self._cases():
             config = dict(case["config"])
             key = tuple(sorted(config.items()))
             geo = by_config.get(key)

@@ -20,7 +20,7 @@ Design rules:
   ``except RuntimeError`` call sites keep working unchanged.
 * **Carry structure, not just strings.**  Errors keep their load-bearing
   attributes (case ``key``, ``attempts``, failing ``rank``, the partial
-  :class:`~repro.database.runtime.FillReport` of an aborted campaign) so
+  :class:`~repro.database.handles.FillReport` of an aborted campaign) so
   drivers can resume, degrade or report without re-parsing messages.
 
 The import paths are this module and :mod:`repro.api`.
@@ -60,7 +60,7 @@ class CaseTimeout(ReproError, RuntimeError):
 class CampaignAborted(ReproError, RuntimeError):
     """A fill campaign died mid-run (e.g. a worker crash).
 
-    Carries the partial :class:`~repro.database.runtime.FillReport`
+    Carries the partial :class:`~repro.database.handles.FillReport`
     (``report``) so drivers can account for the completed work and
     resume from the campaign's checkpoint journal.
     """

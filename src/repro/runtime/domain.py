@@ -4,9 +4,8 @@ A :class:`DistributedDomain` owns what both solvers' rank-local
 domains share: the :class:`~repro.comm.exchange.LocalHalo` lifecycle —
 local numbering with owned vertices first, the owned/ghost split, the
 matched exchange plan — plus an opaque solver payload carrying the
-rank-local physics (a ``FlowContext``, a local Cart3D level, ...).
-Attribute access falls through to the payload so existing call sites
-keep reading ``dom.vol`` or ``dom.ctx.edges`` unchanged.
+rank-local physics (a ``FlowContext``, a local Cart3D level, ...),
+reached as ``dom.ctx``.
 
 :func:`build_domain_hierarchy` stacks domains for multigrid: coarse
 partitions are *derived* from the fine partition (a coarse agglomerate
@@ -38,9 +37,7 @@ class DistributedDomain:
     """One rank's share of one level: halo + solver payload.
 
     ``halo`` carries the local numbering and exchange plan; ``ctx`` is
-    the solver-specific payload in that numbering.  Unknown attributes
-    delegate to the payload, so a domain can stand in wherever the
-    payload used to be passed.
+    the solver-specific payload in that numbering.
     """
 
     def __init__(self, halo, ctx: Any):
@@ -57,11 +54,6 @@ class DistributedDomain:
     @property
     def nlocal(self) -> int:
         return self.halo.nlocal
-
-    def __getattr__(self, name: str):
-        if name.startswith("_") or "ctx" not in self.__dict__:
-            raise AttributeError(name)
-        return getattr(self.ctx, name)
 
 
 def level_cache(doms: dict, key: str, build: Callable[[], Any]) -> Any:

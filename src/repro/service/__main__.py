@@ -21,7 +21,7 @@ The bundled :class:`SyntheticRunner` stands in for a real CFD runner:
 smooth analytic coefficients over (Mach, alpha), an optional per-case
 delay to emulate solver cost.  It makes the CLI (and the service tests
 and load bench) runnable anywhere in milliseconds; swap in
-:class:`~repro.database.runtime.Cart3DCaseRunner` for real solves.
+:class:`~repro.database.runner.Cart3DCaseRunner` for real solves.
 """
 
 from __future__ import annotations
@@ -163,9 +163,7 @@ def status(journal: str, echo=print) -> int:
     from ..database.checkpoint import CampaignCheckpoint
 
     state = CampaignCheckpoint.load(Path(journal))
-    accepted = {
-        e["key"] for e in state.events if e.get("kind") == "query"
-    }
+    accepted = set(state.queries())
     completed = state.completed
     echo(json.dumps({
         "journal": str(state.path),
@@ -200,7 +198,7 @@ def query(
 ) -> int:
     """Answer one point offline from a persisted store (no solves)."""
     from ..database.resultstore import ResultStore
-    from .query import PointQuery, exact_response
+    from .query import PointQuery, result_response
     from .surrogate import SurrogateConfig, interpolate
 
     point = PointQuery(mach=mach, alpha=alpha, config=config or {})
@@ -208,7 +206,7 @@ def query(
     results = ResultStore(store)
     cached = results.get(spec.key)
     if cached is not None:
-        echo(json.dumps(exact_response(point, cached).to_json()))
+        echo(json.dumps(result_response(point, cached).to_json()))
         return 0
     surrogate = SurrogateConfig()
     neighbors = results.nearest(spec, k=surrogate.k)

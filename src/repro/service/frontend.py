@@ -20,7 +20,7 @@ answers each from the cheapest sufficient tier —
 
 The event loop only ever touches tiers 1–3 and bookkeeping; solves run
 on the runtime's thread pool and are awaited through the
-:class:`~repro.database.runtime.CaseHandle` asyncio bridge, so a cache
+:class:`~repro.database.handles.CaseHandle` asyncio bridge, so a cache
 hit is never stuck behind an unrelated tenant's solve (house lint rule
 R012 enforces the no-blocking-calls invariant mechanically).
 
@@ -37,13 +37,13 @@ from dataclasses import asdict, dataclass, replace
 from typing import Mapping
 
 from .. import errors
-from ..database.checkpoint import CampaignCheckpoint
+from ..database.checkpoint import CampaignCheckpoint, query_info
 from ..database.runtime import FillRuntime
 from ..solvers.interface import CaseResult, CaseSpec
 from ..telemetry.spans import EpochClock, get_tracer
 from ..telemetry.stats import LatencyHistogram
 from .admission import AdmissionController, TenantQuota
-from .query import PointQuery, QueryResponse, exact_response
+from .query import PointQuery, QueryResponse, result_response
 from .surrogate import SurrogateConfig, interpolate
 
 
@@ -183,7 +183,7 @@ class DatabaseService:
         cached = self.runtime.store.get(spec.key)
         if cached is not None:
             self.counters.exact += 1
-            return exact_response(query, cached)
+            return result_response(query, cached)
         # tier 2: coalesce onto an identical in-flight solve (the
         # leader registered before awaiting admission, so joiners can
         # never race it into a second solve)
@@ -191,16 +191,7 @@ class DatabaseService:
         if inflight is not None:
             self.counters.coalesced += 1
             result = await asyncio.shield(inflight)
-            return QueryResponse(
-                key=spec.key,
-                tenant=query.tenant,
-                source="solve",
-                coefficients=dict(result.coefficients),
-                coalesced=True,
-                converged=result.converged,
-                degraded=result.degraded,
-                wind=query.wind,
-            )
+            return result_response(query, result, "solve", coalesced=True)
         # tier 3: surrogate interpolation from filled neighbors
         neighbors = self.runtime.store.nearest(spec, k=self.surrogate.k)
         if self.surrogate.eligible(neighbors):
@@ -248,12 +239,8 @@ class DatabaseService:
                 # event carries the full spec, so the journal alone can
                 # rebuild it
                 self.runtime.events.emit(
-                    "query", spec.key,
-                    tenant=query.tenant,
-                    solver=spec.solver,
-                    config=spec.config_params,
-                    wind=spec.wind_params,
-                    settings=self.settings,
+                    "query", spec.key, tenant=query.tenant,
+                    **query_info(spec),
                 )
                 handle = self.runtime.submit(spec)
                 outcome = await handle.wait(self.solve_timeout)
@@ -271,17 +258,8 @@ class DatabaseService:
                 self.admission.release(query.tenant)
         finally:
             self._inflight.pop(spec.key, None)
-        result = future.result()
         self.counters.solved += 1
-        return QueryResponse(
-            key=spec.key,
-            tenant=query.tenant,
-            source="solve",
-            coefficients=dict(result.coefficients),
-            converged=result.converged,
-            degraded=result.degraded,
-            wind=query.wind,
-        )
+        return result_response(query, future.result(), "solve")
 
     # -- restartability ------------------------------------------------------
 
@@ -302,30 +280,12 @@ class DatabaseService:
                 "runtime (FillRuntime(checkpoint=...))"
             )
         state = CampaignCheckpoint.load(checkpoint.path)
-        restored = 0
         with self.tracer.span(
             "service.recover", cat="service", path=str(state.path),
         ):
-            for key in state.completed:
-                if self.runtime.store.get(key) is None:
-                    self.runtime.store.put(state.results[key])
-                    restored += 1
-            pending: dict[str, CaseSpec] = {}
-            for event in state.events:
-                if event.get("kind") != "query":
-                    continue
-                if event.get("key") in state.completed:
-                    continue
-                info = event.get("info", {})
-                spec = CaseSpec(
-                    config=info.get("config", {}),
-                    wind=info.get("wind", {}),
-                    solver=info.get("solver", self.solver),
-                    settings=info.get("settings", {}),
-                )
-                pending[spec.key] = spec
+            restored = state.restore(self.runtime.store)
             resubmitted = []
-            for key, spec in sorted(pending.items()):
+            for key, spec in sorted(state.queries().items()):
                 if self.runtime.store.get(key) is not None:
                     continue
                 self.runtime.submit(spec)

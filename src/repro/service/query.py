@@ -102,16 +102,18 @@ class QueryResponse:
         }
 
 
-def exact_response(query: PointQuery, result: CaseResult,
-                   latency: float = 0.0) -> QueryResponse:
-    """Wrap a stored result as the zero-error exact answer."""
+def result_response(query: PointQuery, result: CaseResult,
+                    source: str = "exact",
+                    coalesced: bool = False) -> QueryResponse:
+    """Wrap a stored (``"exact"``) or just-solved (``"solve"``) result as
+    the zero-error answer to ``query``."""
     return QueryResponse(
         key=result.spec.key,
         tenant=query.tenant,
-        source="exact",
+        source=source,
         coefficients=dict(result.coefficients),
+        coalesced=coalesced,
         converged=result.converged,
         degraded=result.degraded,
-        latency_seconds=latency,
         wind=query.wind,
     )

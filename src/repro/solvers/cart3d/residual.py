@@ -16,6 +16,7 @@ import numpy as np
 from ...kernels import get_engine
 from ..fluxes import roe_flux, rusanov_flux, van_leer_flux, wall_flux
 from ..gas import GAMMA, pressure
+from ..limiters import van_albada
 from .levels import Cart3DLevel
 
 FLUX_FUNCTIONS = {
@@ -85,8 +86,8 @@ def residual(
         dqr = np.einsum("nd,ndk->nk", drr, grad[level.face_right])
         # van-Albada style scalar limiting against the face jump
         jump = qr - ql
-        dql = _limit(dql, 0.5 * jump)
-        dqr = _limit(dqr, -0.5 * jump)
+        dql = van_albada(dql, 0.5 * jump)
+        dqr = van_albada(dqr, -0.5 * jump)
         ql = ql + dql
         qr = qr + dqr
         # fall back to first order where reconstruction went unphysical
@@ -118,14 +119,6 @@ def add_boundary_fluxes(level, r: np.ndarray, q: np.ndarray,
             r, level.far_scatter,
             rusanov_flux(q[level.far_cell], qf, level.far_normals),
         )
-
-
-def _limit(dq: np.ndarray, ref: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Van Albada blend of the reconstruction against the face jump."""
-    num = (ref * ref + eps) * dq + (dq * dq + eps) * ref
-    den = dq * dq + ref * ref + 2 * eps
-    out = num / den
-    return np.where(dq * ref > 0, out, 0.0)
 
 
 def spectral_radius(level, q: np.ndarray) -> np.ndarray:

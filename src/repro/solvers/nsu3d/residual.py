@@ -31,6 +31,7 @@ from ..gas import (
     primitive_to_conservative,
     variable_layout,
 )
+from ..limiters import van_albada
 from .context import FlowContext
 from .gradients import green_gauss, green_gauss_sums, vorticity_magnitude
 from .turbulence import (
@@ -128,11 +129,11 @@ def flux_residual(
     if order2 and ctx.dual is not None:
         grad_prim = green_gauss(ctx.dual, prim, ctx.gradient_scatters)
         dl, dr = ctx.muscl_offsets
-        pl = prim[a_idx] + _limited(
+        pl = prim[a_idx] + van_albada(
             np.einsum("ed,edk->ek", dl, grad_prim[a_idx]),
             0.5 * (prim[b_idx] - prim[a_idx]),
         )
-        pr = prim[b_idx] + _limited(
+        pr = prim[b_idx] + van_albada(
             np.einsum("ed,edk->ek", dr, grad_prim[b_idx]),
             0.5 * (prim[a_idx] - prim[b_idx]),
         )
@@ -288,12 +289,6 @@ def farfield_ghost(
     ghost = ghost.copy()
     ghost[:, 4] = np.where(un > 0, prim_f[:, 4], prim_i[:, 4])
     return primitive_to_conservative(ghost)
-
-
-def _limited(dq: np.ndarray, ref: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    num = (ref * ref + eps) * dq + (dq * dq + eps) * ref
-    den = dq * dq + ref * ref + 2 * eps
-    return np.where(dq * ref > 0, num / den, 0.0)
 
 
 def residual_norm(ctx: FlowContext, q, qinf, **kw) -> float:

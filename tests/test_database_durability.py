@@ -461,6 +461,52 @@ class TestCrashResume:
         assert len(fill_db(report)) == 24
 
 
+class TestResumeTwice:
+    """A journal classifies each case by its last event in append order:
+    a resumed session's clock restarts near 0, so ordering by stamp let
+    the interrupted session's stale events outrank the resumed ``done``s
+    and a second resume re-ran every case the first one finished."""
+
+    def test_second_resume_executes_nothing(self, tmp_path):
+        journal = tmp_path / "campaign.jsonl"
+        with FillRuntime(
+            TrackingRunner(), cpus_per_case=512, durable=False,
+            chaos=ChaosPolicy(seed=3, crash_rate=0.15),
+            checkpoint=CampaignCheckpoint(journal),
+        ) as rt:
+            # a long first session: every stamp it journals is later
+            # than any the resumed session's fresh clock will write
+            rt._clock = lambda: 1.0e6
+            with pytest.raises(errors.CampaignAborted):
+                rt.run_tree(tree24())
+        second = TrackingRunner()
+        with FillRuntime(
+            second, durable=False, checkpoint=CampaignCheckpoint(journal),
+        ) as rt2:
+            first = rt2.resume()
+        assert first.ok() and first.executed == len(second.calls) > 0
+        state = CampaignCheckpoint.load(journal)
+        assert len(state.completed) == 24 and state.interrupted == set()
+
+        third = TrackingRunner()
+        with FillRuntime(third, durable=False) as rt3:
+            again = rt3.resume(checkpoint=journal)
+        assert again.ok() and again.restored == 24
+        assert again.executed == 0 and third.calls == []
+
+    def test_refill_keeps_the_journaled_completions(self, tmp_path):
+        """A re-fill's cache hits change no case's state."""
+        journal = tmp_path / "campaign.jsonl"
+        with FillRuntime(
+            TrackingRunner(), durable=False,
+            checkpoint=CampaignCheckpoint(journal),
+        ) as rt:
+            rt.run_tree(tree24())
+            assert rt.run_tree(tree24()).cache_hits == 24
+        state = CampaignCheckpoint.load(journal)
+        assert len(state.completed) == 24 and state.in_flight == set()
+
+
 class TestDegradationLadder:
     def _diverging_runner(self):
         def runner(spec, shared=None):
@@ -589,7 +635,7 @@ class TestResumeCLI:
         journaled, then resumed from disk — everything restores, nothing
         recomputes."""
         from repro.database.__main__ import main
-        from repro.database.runtime import Cart3DCaseRunner
+        from repro.database.runner import Cart3DCaseRunner
         from repro.mesh.cartesian import wing_body
 
         journal = tmp_path / "campaign.jsonl"
@@ -622,7 +668,7 @@ class TestResumeCLI:
         assert "executed" in out
 
     def test_manifest_records_runner_description(self, tmp_path):
-        from repro.database.runtime import Cart3DCaseRunner
+        from repro.database.runner import Cart3DCaseRunner
         from repro.mesh.cartesian import wing_body
 
         runner = Cart3DCaseRunner(
@@ -637,8 +683,7 @@ class TestResumeCLI:
         """A resumed case must run (and key) exactly as the interrupted
         one did: the rebuilt runner's settings equal the journaled ones,
         decomposition included."""
-        from repro.database.__main__ import _rebuild_runner
-        from repro.database.runtime import Cart3DCaseRunner
+        from repro.database.runner import Cart3DCaseRunner, rebuild_runner
         from repro.mesh.cartesian import wing_body
         from repro.runtime import RuntimeConfig
 
@@ -648,7 +693,7 @@ class TestResumeCLI:
         )
         # through JSON, as the journal stores it
         manifest = json.loads(json.dumps({"runner": runner.describe()}))
-        rebuilt = _rebuild_runner(manifest)
+        rebuilt = rebuild_runner(manifest["runner"])
         assert rebuilt.settings() == runner.settings()
         assert rebuilt.settings()["nranks"] == 2
         assert rebuilt.config == runner.config

@@ -8,10 +8,12 @@ it matches a serial loop exactly.
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import pickle
 import threading
+import weakref
 
 import pytest
 
@@ -249,6 +251,50 @@ class TestCaching:
         assert not a.hit and b.hit
         assert b.result().coefficients == a.result().coefficients
         assert ran == [spec(0).key]
+
+    def test_in_flight_twins_share_one_execution(self):
+        """A twin of a held in-flight case shares its future; once the
+        case finishes the runtime lets go of its handle, and the next
+        re-submission is a store hit.  The runner ran once."""
+        entered, release = threading.Event(), threading.Event()
+        ran = []
+
+        def runner(s, shared=None):
+            ran.append(s.key)
+            entered.set()
+            assert release.wait(timeout=30)
+            return ok_runner(s)
+
+        with FillRuntime(runner, durable=False) as rt:
+            primary = rt.submit(spec(0))
+            assert entered.wait(timeout=30)
+            twins = [rt.submit(spec(0)) for _ in range(3)]
+            release.set()
+            outcomes = {id(h.outcome()) for h in [primary, *twins]}
+            later = rt.submit(spec(0))
+            held = weakref.ref(primary)
+            del primary
+            gc.collect()
+            assert held() is None  # no second store beside the first
+        assert all(t.hit for t in twins) and len(outcomes) == 1
+        assert later.hit and later.outcome().state == "cached"
+        assert ran == [spec(0).key]
+
+    def test_failed_case_reruns_on_resubmit(self):
+        calls = []
+
+        def flaky(s, shared=None):
+            calls.append(s.key)
+            if len(calls) == 1:
+                raise OSError("node dropped the job")
+            return ok_runner(s)
+
+        with FillRuntime(flaky, max_attempts=1, durable=False) as rt:
+            assert rt.submit(spec(0)).outcome().state == "failed"
+            again = rt.submit(spec(0))
+            assert not again.hit
+            assert again.outcome().state == "done"
+        assert calls == [spec(0).key] * 2
 
     def test_second_run_all_cache_hits(self):
         tree = tiny_tree(nconfig=2, nwind=3)

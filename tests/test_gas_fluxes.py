@@ -26,7 +26,7 @@ from repro.solvers.gas import (
     primitive_to_conservative,
     sound_speed,
 )
-from repro.solvers.limiters import minmod, van_albada
+from repro.solvers.limiters import van_albada
 
 
 def random_states(n, nvar, seed=0):
@@ -510,11 +510,6 @@ class TestRoeSoundSpeedFloor:
 
 
 class TestLimiters:
-    def test_minmod_basics(self):
-        assert minmod(np.array([1.0]), np.array([2.0]))[0] == 1.0
-        assert minmod(np.array([-1.0]), np.array([2.0]))[0] == 0.0
-        assert minmod(np.array([-3.0]), np.array([-2.0]))[0] == -2.0
-
     def test_van_albada_smooth(self):
         out = van_albada(np.array([1.0]), np.array([1.0]))
         assert out[0] == pytest.approx(1.0, rel=1e-6)
@@ -527,6 +522,5 @@ class TestLimiters:
         b=st.floats(-10, 10, allow_nan=False),
     )
     def test_limiters_bounded(self, a, b):
-        for lim in (minmod, van_albada):
-            out = lim(np.array([a]), np.array([b]))[0]
-            assert abs(out) <= max(abs(a), abs(b)) + 1e-9
+        out = van_albada(np.array([a]), np.array([b]))[0]
+        assert abs(out) <= max(abs(a), abs(b)) + 1e-9

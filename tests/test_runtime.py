@@ -176,9 +176,9 @@ class TestDomainSet:
             part,
         )
         dom = dset.domains[0]
-        assert dom.marker == 17  # delegated to the payload
+        assert dom.ctx.marker == 17  # the payload is reached as dom.ctx
         with pytest.raises(AttributeError):
-            dom.not_there
+            dom.marker  # and only so: no fall-through to it
 
     def test_extra_ghosts_widen_halo(self):
         nvert, edges = grid_graph(6, 6)

@@ -8,10 +8,12 @@ journal, the CLI, and the telemetry hot-path instrumentation.
 """
 
 import asyncio
+import gc
 import hashlib
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.database.checkpoint import CampaignCheckpoint
 from repro.database.chaos import ChaosPolicy
+from repro.database.handles import CaseHandle
 from repro.database.resultstore import ResultStore
 from repro.database.runtime import FillRuntime
 from repro.errors import (
@@ -913,6 +916,47 @@ class TestRestart:
                 recovery = revived.recover()
                 assert recovery["restored"] == 0
                 assert len(recovery["resubmitted"]) == 1
+
+
+class TestRetention:
+    def test_misses_leave_no_handle_behind(self):
+        """Every true miss solves, and afterwards the store is the only
+        record of it: no ``CaseHandle`` outlives its case, and the
+        bytes each miss retains stay bounded."""
+        misses = 500
+
+        def queries(lo, hi):
+            return [PointQuery(mach=0.3 + 1e-4 * i, alpha=1.0)
+                    for i in range(lo, hi)]
+
+        async def drive(batch):
+            for query in batch:
+                await service.query(query)
+
+        with make_runtime(SyntheticRunner()) as runtime:
+            service = DatabaseService(
+                runtime, surrogate=SurrogateConfig(max_distance=0.0)
+            )
+            asyncio.run(drive(queries(0, 20)))  # warm every code path
+            batch = queries(20, 20 + misses)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.take_snapshot()
+                asyncio.run(drive(batch))
+                gc.collect()
+                after = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+            assert service.counters.solved == 20 + misses
+            keys = {service.spec_for(q).key for q in batch}
+            live = [o for o in gc.get_objects()
+                    if isinstance(o, CaseHandle) and o.key in keys]
+            assert live == []
+        retained = sum(
+            stat.size_diff for stat in after.compare_to(before, "filename")
+        )
+        assert retained / misses <= 4500
 
 
 class TestTelemetry:
