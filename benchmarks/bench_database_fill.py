@@ -15,7 +15,7 @@ import time
 
 from conftest import RESULTS_DIR, run_once, save_result
 
-from repro.telemetry import capture, metrics, write_trace
+from repro.telemetry import capture, merged_fill_timeline, metrics, write_trace
 
 from repro.api import (
     Axis,
@@ -85,12 +85,13 @@ def test_fill_campaign_through_runtime(benchmark):
             nnodes=1,
             cpus_per_case=64,
             backoff_seconds=0.0,
-            tracer=tracer,
             durable=False,  # in-session sweep; the chaos bench is durable
         ) as rt:
             first = rt.run_tree(tree)
             second = rt.run_tree(tree)
-            timeline = rt.timeline()
+        timeline = merged_fill_timeline(
+            first.events + second.events, tracer=tracer
+        )
         return first, second, timeline
 
     first, second, timeline = run_once(benchmark, run)

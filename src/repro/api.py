@@ -61,11 +61,9 @@ from .database import (
     JobOutcome,
     ParameterSpace,
     ResultStore,
-    SchedulePlan,
     StudyDefinition,
     build_job_tree,
     meshing_amortization,
-    schedule_fill,
     standard_study,
 )
 from .errors import (
@@ -92,7 +90,13 @@ from .mesh.cartesian import (
 )
 from .mesh.unstructured import HybridMesh, bump_channel, wing_mesh
 from .comm import SimMPI
-from .perf import fill_summary_table, format_comparison, format_series_table
+from .perf import (
+    SchedulePlan,
+    fill_summary_table,
+    format_comparison,
+    format_series_table,
+    schedule_fill,
+)
 from .runtime import (
     BACKENDS,
     DistributedDomain,

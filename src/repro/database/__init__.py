@@ -1,10 +1,10 @@
 """Cart3D-style automated parameter studies (paper section IV):
-config-space x wind-space definitions, hierarchical job control, node
-packing (the planner), the executing fill runtime, journal-backed
-checkpoint/resume with deterministic fault injection, and the
-aero-performance database itself — the content-keyed
-:class:`ResultStore` every campaign fills, whose missing cases re-run on
-demand (the paper's virtual database)."""
+config-space x wind-space definitions, hierarchical job control, the
+executing fill runtime, journal-backed checkpoint/resume with
+deterministic fault injection, and the aero-performance database
+itself — the content-keyed :class:`ResultStore` every campaign fills,
+whose missing cases re-run on demand (the paper's virtual database).
+The §IV makespan planner is :func:`repro.perf.schedule_fill`."""
 
 from ..errors import CaseExecutionError, CaseTimeout
 from .chaos import ChaosPolicy
@@ -15,7 +15,6 @@ from .parameters import Axis, ParameterSpace, StudyDefinition, standard_study
 from .resultstore import ResultStore
 from .runner import Cart3DCaseRunner
 from .runtime import FillRuntime, SharedGeometry
-from .scheduler import SchedulePlan, schedule_fill
 
 __all__ = [
     "Axis",
@@ -26,8 +25,6 @@ __all__ = [
     "GeometryJob",
     "build_job_tree",
     "meshing_amortization",
-    "SchedulePlan",
-    "schedule_fill",
     "ResultStore",
     "FillRuntime",
     "FillReport",

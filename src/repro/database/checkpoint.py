@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,39 +73,52 @@ class FillEvent:
 
 
 class EventLog:
-    """Thread-safe, monotonically sequenced event stream."""
+    """Thread-safe, monotonically sequenced event stream.
+
+    It stamps each event (``seq``, ``vt``) and passes it on; it keeps
+    none.  An event lives in the journal (via ``on_event``), in the list
+    of every :meth:`collect` open when it was emitted, or in the
+    caller's own subscriber — a long-running session does not grow with
+    its stream.
+    """
 
     def __init__(self, clock, on_event=None):
         self._lock = threading.Lock()
-        self._events: list[FillEvent] = []
         self._clock = clock
         self._on_event = on_event
+        self._seq = 0
         self._vt = 0.0
+        self._collectors: dict[int, list[FillEvent]] = {}
 
     def emit(self, kind: str, key: str = "", **info) -> FillEvent:
         with self._lock:
             t = self._clock()
             self._vt = max(t, self._vt + 1e-9)
             event = FillEvent(
-                seq=len(self._events), t=t, kind=kind,
+                seq=self._seq, t=t, kind=kind,
                 key=key, info=info, vt=self._vt,
             )
-            self._events.append(event)
+            self._seq += 1
+            # under the lock that assigns seq: every collected list is
+            # complete and in seq order
+            for events in self._collectors.values():
+                events.append(event)
         if self._on_event is not None:
             self._on_event(event)  # outside the lock: callbacks may re-emit
         return event
 
-    @property
-    def next_seq(self) -> int:
+    @contextmanager
+    def collect(self):
+        """Yield a list that receives every event emitted until the
+        block exits (one campaign's events, in ``seq`` order)."""
+        events: list[FillEvent] = []
         with self._lock:
-            return len(self._events)
-
-    def since(self, seq: int) -> list[FillEvent]:
-        with self._lock:
-            return self._events[seq:]
-
-    def all(self) -> list[FillEvent]:
-        return self.since(0)
+            self._collectors[id(events)] = events
+        try:
+            yield events
+        finally:
+            with self._lock:
+                del self._collectors[id(events)]
 
 
 def campaign_manifest(runtime, specs, solver: str, settings: dict) -> dict:

@@ -26,7 +26,9 @@ needs and the paper's job scripts provided operationally:
 * **cancellation** — :meth:`FillRuntime.cancel` stops queued jobs and
   aborts remaining retries at the next attempt boundary;
 * **a structured event stream** — every submit/start/retry/done/failed/
-  cache-hit is a :class:`~repro.database.checkpoint.FillEvent`;
+  cache-hit is a :class:`~repro.database.checkpoint.FillEvent`, kept
+  only by the journal, the ``FillReport`` of the ``run_tree`` campaign
+  that emitted it and the ``on_event`` subscriber;
   :func:`repro.perf.report.fill_summary_table` renders the per-run
   summaries side by side;
 * **durability** — with a :class:`~repro.database.checkpoint.
@@ -101,6 +103,11 @@ class SharedGeometry:
 class FillRuntime:
     """Bounded-concurrency executor for database-fill case submissions.
 
+    The worker threads bind the tracer that is global when the runtime
+    is built (``get_tracer()``: the one :func:`repro.telemetry.capture`
+    installs, else a disabled no-op) to slot identity and the runtime
+    clock, so every case attempt is a span on the campaign timeline.
+
     Parameters
     ----------
     runner:
@@ -128,12 +135,8 @@ class FillRuntime:
         Cooperative per-attempt budget (see module docstring).
     on_event:
         Optional callback invoked with every
-        :class:`~repro.database.checkpoint.FillEvent`.
-    tracer:
-        :class:`~repro.telemetry.Tracer` the worker threads bind (slot
-        identity + the runtime clock) so every case attempt is a span
-        and instrumented solver code lands on the campaign timeline.
-        Defaults to the process-global tracer — a no-op when disabled.
+        :class:`~repro.database.checkpoint.FillEvent`: the one live
+        view of the stream (the runtime keeps no event history).
     chaos:
         Optional :class:`~repro.database.chaos.ChaosPolicy` injecting
         deterministic faults into case attempts (None = no-op).
@@ -161,7 +164,6 @@ class FillRuntime:
         backoff_seconds: float = 0.01,
         timeout_seconds: float | None = None,
         on_event=None,
-        tracer=None,
         chaos=None,
         fallback=None,
         checkpoint: CampaignCheckpoint | None = None,
@@ -202,7 +204,7 @@ class FillRuntime:
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
         self.timeout_seconds = timeout_seconds
-        self.tracer = tracer if tracer is not None else get_tracer()
+        self.tracer = get_tracer()
         self.chaos = chaos
         self.fallback = fallback
         self.checkpoint = checkpoint
@@ -318,39 +320,45 @@ class FillRuntime:
         if settings is None:
             settings_fn = getattr(self.runner, "settings", None)
             settings = settings_fn() if settings_fn is not None else {}
-        seq0 = self.events.next_seq
         builds0 = self._geometry_builds
         t0 = self._now()
-        jobs = []
-        for geo_job in tree:
-            shared = None
-            if prepare is not None:
-                shared = SharedGeometry(geo_job, prepare, self._on_geometry)
-            for flow_job in geo_job.flow_jobs:
-                spec = CaseSpec.from_flow_job(
-                    flow_job, solver=solver, **settings
-                )
-                jobs.append((spec, shared))
-        if self.checkpoint is not None:
-            # manifest first: a campaign that dies on its very first
-            # case still leaves a journal that can rebuild the job tree
-            self.checkpoint.write_manifest(campaign_manifest(
-                self, [spec for spec, _ in jobs], solver, settings
-            ))
-        handles = [self.submit(spec, shared=shared) for spec, shared in jobs]
-        for handle in handles:
-            handle.outcome()
-        report = FillReport.tally(
-            handles, self.events.since(seq0),
-            slots=self.slots, workers=self.workers,
-            meshes_built=self._geometry_builds - builds0,
-            wall_seconds=self._now() - t0,
-        )
-        if self._aborted.is_set():
-            reason = self._abort_reason or "worker crash"
-            self.events.emit("abort", reason=reason)
-            report.events = self.events.since(seq0)
-            raise errors.CampaignAborted(reason, report=report)
+        # the report's events are this campaign's own: collected until
+        # the block exits, after the abort event of a crashed campaign
+        with self.events.collect() as events:
+            jobs = []
+            for geo_job in tree:
+                shared = None
+                if prepare is not None:
+                    shared = SharedGeometry(
+                        geo_job, prepare, self._on_geometry
+                    )
+                for flow_job in geo_job.flow_jobs:
+                    spec = CaseSpec.from_flow_job(
+                        flow_job, solver=solver, **settings
+                    )
+                    jobs.append((spec, shared))
+            journal = self.checkpoint
+            if journal is not None and not journal.has_manifest:
+                # manifest first: a campaign that dies on its very first
+                # case still leaves a journal that can rebuild the job tree
+                journal.write_manifest(campaign_manifest(
+                    self, [spec for spec, _ in jobs], solver, settings
+                ))
+            handles = [
+                self.submit(spec, shared=shared) for spec, shared in jobs
+            ]
+            for handle in handles:
+                handle.outcome()
+            report = FillReport.tally(
+                handles, events,
+                slots=self.slots, workers=self.workers,
+                meshes_built=self._geometry_builds - builds0,
+                wall_seconds=self._now() - t0,
+            )
+            if self._aborted.is_set():
+                reason = self._abort_reason or "worker crash"
+                self.events.emit("abort", reason=reason)
+                raise errors.CampaignAborted(reason, report=report)
         return report
 
     def resume(self, tree=None, *, checkpoint=None) -> FillReport:
@@ -395,28 +403,6 @@ class FillRuntime:
             raise
         report.restored = restored
         return report
-
-    # -- telemetry -----------------------------------------------------------
-
-    def timeline(self, worlds=(), counters=None):
-        """The campaign as one merged telemetry timeline.
-
-        Replays the runtime's event stream (scheduler and
-        per-slot attempt tracks), everything the bound tracer recorded
-        (per-case solver phase spans on the runtime clock), optional
-        per-case SimMPI worlds (``(label, trace, offset)`` triples with
-        ``offset`` the case start on the runtime clock) and optional
-        :class:`~repro.machine.counters.PerfCounters` totals.  Feed the
-        result to :func:`repro.telemetry.write_trace` for Perfetto.
-        """
-        from ..telemetry.collect import merged_fill_timeline
-
-        return merged_fill_timeline(
-            self.events.all(),
-            tracer=self.tracer if self.tracer.enabled else None,
-            worlds=worlds,
-            counters=counters,
-        )
 
     # -- execution -----------------------------------------------------------
 

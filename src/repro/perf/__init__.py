@@ -1,7 +1,8 @@
 """Performance model: paper-scale virtual scalability runs.
 
 Work models calibrated to the paper's measured anchors, fabric/comm cost
-composition, and the sweep drivers that regenerate figures 14-22.
+composition, the sweep drivers that regenerate figures 14-22, and the
+section IV database-fill makespan planner (:func:`schedule_fill`).
 """
 
 from .commmodel import (
@@ -28,11 +29,13 @@ from .scaling import (
     NSU3D_POINTS_72M,
     CycleBreakdown,
     ScalingSeries,
+    SchedulePlan,
     cycle_time,
     infiniband_mpi_feasible,
     nsu3d_box_count,
     project_run_time,
     scaling_series,
+    schedule_fill,
 )
 from .workmodel import (
     CART3D_WORK,
@@ -64,6 +67,8 @@ __all__ = [
     "nsu3d_box_count",
     "infiniband_mpi_feasible",
     "project_run_time",
+    "SchedulePlan",
+    "schedule_fill",
     "format_series_table",
     "format_comparison",
     "convergence_table",

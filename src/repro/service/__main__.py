@@ -198,8 +198,8 @@ def query(
 ) -> int:
     """Answer one point offline from a persisted store (no solves)."""
     from ..database.resultstore import ResultStore
-    from .query import PointQuery, result_response
-    from .surrogate import SurrogateConfig, interpolate
+    from .query import PointQuery, result_response, surrogate_response
+    from .surrogate import SurrogateConfig
 
     point = PointQuery(mach=mach, alpha=alpha, config=config or {})
     spec = point.spec(solver=solver)
@@ -208,23 +208,16 @@ def query(
     if cached is not None:
         echo(json.dumps(result_response(point, cached).to_json()))
         return 0
-    surrogate = SurrogateConfig()
-    neighbors = results.nearest(spec, k=surrogate.k)
-    if not surrogate.eligible(neighbors):
+    response = surrogate_response(point, spec, results, SurrogateConfig())
+    if response is None:
         echo(json.dumps({
             "error": "miss",
-            "message": f"case {spec.key} is not stored and only "
-                       f"{len(neighbors)} neighbor(s) exist; run serve "
-                       f"to solve it",
+            "message": f"case {spec.key} is not stored and too few "
+                       f"stored neighbors lie close enough to "
+                       f"interpolate; run serve to solve it",
         }))
         return 1
-    support = surrogate.within(neighbors)
-    coefficients, error = interpolate(point.wind, support)
-    echo(json.dumps({
-        "key": spec.key, "tenant": point.tenant, "source": "surrogate",
-        "coefficients": coefficients, "error_estimate": error,
-        "neighbors": len(support), "wind": point.wind,
-    }))
+    echo(json.dumps(response.to_json()))
     return 0
 
 

@@ -54,6 +54,10 @@ class TenantQuota:
             )
 
 
+#: The envelope of a tenant with no entry in ``quotas``.
+_DEFAULT_QUOTA = TenantQuota()
+
+
 class _Waiter:
     """One parked acquire: an asyncio future plus its sort identity."""
 
@@ -88,7 +92,6 @@ class AdmissionController:
         *,
         max_queue: int = 32,
         quotas: dict[str, TenantQuota] | None = None,
-        default_quota: TenantQuota = TenantQuota(),
     ):
         if capacity < 1:
             raise ConfigurationError(
@@ -101,7 +104,6 @@ class AdmissionController:
         self.capacity = capacity
         self.max_queue = max_queue
         self._quotas = dict(quotas) if quotas else {}
-        self._default_quota = default_quota
         self._inflight: dict[str, int] = {}
         self._waiting: list[_Waiter] = []
         self._seq = 0
@@ -109,7 +111,7 @@ class AdmissionController:
         self.shed = 0
 
     def quota(self, tenant: str) -> TenantQuota:
-        return self._quotas.get(tenant, self._default_quota)
+        return self._quotas.get(tenant, _DEFAULT_QUOTA)
 
     def inflight(self, tenant: str) -> int:
         return self._inflight.get(tenant, 0)

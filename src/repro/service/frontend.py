@@ -43,14 +43,22 @@ from ..solvers.interface import CaseResult, CaseSpec
 from ..telemetry.spans import EpochClock, get_tracer
 from ..telemetry.stats import LatencyHistogram
 from .admission import AdmissionController, TenantQuota
-from .query import PointQuery, QueryResponse, result_response
-from .surrogate import SurrogateConfig, interpolate
+from .query import (
+    PointQuery,
+    QueryResponse,
+    result_response,
+    surrogate_response,
+)
+from .surrogate import SurrogateConfig
 
 
 @dataclass
 class ServiceCounters:
     """Hot-path counters; ``queries == exact + surrogate + coalesced +
-    solved + shed + failed`` once the service drains."""
+    solved + shed + failed`` once the service drains.  Each query counts
+    once, by how it ended: a caller coalesced onto a solve that fails
+    counts as failed, not as coalesced, and a cancelled query counts as
+    failed."""
 
     queries: int = 0
     exact: int = 0
@@ -95,13 +103,13 @@ class DatabaseService:
         :class:`~repro.service.surrogate.SurrogateConfig` of the
         interpolation tier.  ``max_distance=0.0`` disables it (no
         neighbor is ever close enough).
-    quotas, max_queue, default_quota:
+    quotas, max_queue:
         Admission-control shape; capacity is always the runtime's slot
         count, so admitted solves never queue inside the worker pool.
-    solve_timeout:
-        Optional per-query ceiling (seconds) on waiting for the solve
-        tier; expiry raises :class:`~repro.errors.CaseTimeout` (the
-        case keeps running and a later identical query hits the cache).
+
+    Query spans go to the tracer that is global when the service is
+    built (``get_tracer()``; :func:`repro.telemetry.capture` installs
+    an enabled one).
     """
 
     def __init__(
@@ -113,9 +121,6 @@ class DatabaseService:
         surrogate: SurrogateConfig | None = None,
         quotas: dict[str, TenantQuota] | None = None,
         max_queue: int = 32,
-        default_quota: TenantQuota = TenantQuota(),
-        solve_timeout: float | None = None,
-        tracer=None,
     ):
         self.runtime = runtime
         self.solver = (
@@ -134,10 +139,8 @@ class DatabaseService:
             runtime.slots,
             max_queue=max_queue,
             quotas=quotas,
-            default_quota=default_quota,
         )
-        self.solve_timeout = solve_timeout
-        self.tracer = tracer if tracer is not None else get_tracer()
+        self.tracer = get_tracer()
         self.counters = ServiceCounters()
         self.latency = LatencyHistogram()
         self._clock = EpochClock()
@@ -153,11 +156,9 @@ class DatabaseService:
         """Answer one point query from the cheapest sufficient tier.
 
         Raises :class:`~repro.errors.ServiceOverloaded` when the query
-        reached the solve tier and was shed (including callers coalesced
-        onto a solve that was then shed), and
-        :class:`~repro.errors.CaseExecutionError` /
-        :class:`~repro.errors.CaseTimeout` when the solve itself failed
-        or outlived ``solve_timeout``.
+        reached the solve tier and was shed, and
+        :class:`~repro.errors.CaseExecutionError` when the solve itself
+        failed (callers coalesced onto it raise the same error).
         """
         t0 = self._clock()
         self.counters.queries += 1
@@ -169,8 +170,9 @@ class DatabaseService:
             try:
                 response = await self._answer(query, spec)
             except errors.ServiceOverloaded:
+                self.counters.shed += 1
                 raise
-            except Exception:
+            except (Exception, asyncio.CancelledError):
                 self.counters.failed += 1
                 raise
             finally:
@@ -189,28 +191,18 @@ class DatabaseService:
         # never race it into a second solve)
         inflight = self._inflight.get(spec.key)
         if inflight is not None:
-            self.counters.coalesced += 1
+            # counted once the leader's solve succeeds: a failed or
+            # shed one is counted by query() instead
             result = await asyncio.shield(inflight)
+            self.counters.coalesced += 1
             return result_response(query, result, "solve", coalesced=True)
         # tier 3: surrogate interpolation from filled neighbors
-        neighbors = self.runtime.store.nearest(spec, k=self.surrogate.k)
-        if self.surrogate.eligible(neighbors):
-            support = self.surrogate.within(neighbors)
-            coefficients, error = interpolate(query.wind, support)
-            if (
-                self.surrogate.max_error is None
-                or error <= self.surrogate.max_error
-            ):
-                self.counters.surrogate += 1
-                return QueryResponse(
-                    key=spec.key,
-                    tenant=query.tenant,
-                    source="surrogate",
-                    coefficients=coefficients,
-                    error_estimate=error,
-                    neighbors=len(support),
-                    wind=query.wind,
-                )
+        response = surrogate_response(
+            query, spec, self.runtime.store, self.surrogate
+        )
+        if response is not None:
+            self.counters.surrogate += 1
+            return response
         # tier 4: a real solve
         return await self._solve(query, spec)
 
@@ -226,12 +218,7 @@ class DatabaseService:
         )
         self._inflight[spec.key] = future
         try:
-            try:
-                await self.admission.acquire(query.tenant)
-            except errors.ServiceOverloaded as exc:
-                self.counters.shed += 1
-                future.set_exception(exc)  # joiners shed with the leader
-                raise
+            await self.admission.acquire(query.tenant)
             try:
                 # journal intent *before* submission: a kill between the
                 # two leaves a "query" event with no terminal event, so
@@ -243,19 +230,21 @@ class DatabaseService:
                     **query_info(spec),
                 )
                 handle = self.runtime.submit(spec)
-                outcome = await handle.wait(self.solve_timeout)
+                outcome = await handle.wait()
                 if outcome.result is None:
                     raise errors.CaseExecutionError(
                         spec.key, outcome.attempts,
                         outcome.error or outcome.state,
                     )
                 future.set_result(outcome.result)
-            except BaseException as exc:
-                if not future.done():
-                    future.set_exception(exc)
-                raise
             finally:
                 self.admission.release(query.tenant)
+        except BaseException as exc:
+            # joiners end as the leader did: its solve error, or its
+            # cancellation (also while it was parked for admission)
+            if not future.done():
+                future.set_exception(exc)
+            raise
         finally:
             self._inflight.pop(spec.key, None)
         self.counters.solved += 1

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..solvers.interface import CaseResult, CaseSpec
+from .surrogate import SurrogateConfig, interpolate
 
 #: The blessed response sources, in increasing order of cost.
 SOURCES = ("exact", "surrogate", "solve")
@@ -115,5 +116,28 @@ def result_response(query: PointQuery, result: CaseResult,
         coalesced=coalesced,
         converged=result.converged,
         degraded=result.degraded,
+        wind=query.wind,
+    )
+
+
+def surrogate_response(query: PointQuery, spec: CaseSpec, store,
+                       config: SurrogateConfig) -> QueryResponse | None:
+    """The surrogate tier's answer to ``query`` from ``store``'s filled
+    neighbors of ``spec``, or None when ``config`` finds too few of them
+    close enough or rates the interpolation worse than ``max_error``."""
+    neighbors = store.nearest(spec, k=config.k)
+    if not config.eligible(neighbors):
+        return None
+    support = config.within(neighbors)
+    coefficients, error = interpolate(query.wind, support)
+    if config.max_error is not None and error > config.max_error:
+        return None
+    return QueryResponse(
+        key=spec.key,
+        tenant=query.tenant,
+        source="surrogate",
+        coefficients=coefficients,
+        error_estimate=error,
+        neighbors=len(support),
         wind=query.wind,
     )

@@ -50,9 +50,11 @@ def selfcheck(out_path=None, echo=print) -> int:
     from ..comm.simmpi import SimMPI
     from ..database.runtime import FillRuntime
     from ..solvers.interface import CaseResult, CaseSpec
+    from .collect import merged_fill_timeline
     from .export import load_trace, metrics, write_trace
     from .spans import capture, get_tracer, span
 
+    events: list = []
     worlds: list = []
     lock = threading.Lock()
 
@@ -82,8 +84,8 @@ def selfcheck(out_path=None, echo=print) -> int:
 
     with capture() as tracer:
         with FillRuntime(
-            runner, cpus_per_case=128, max_attempts=1, tracer=tracer,
-            durable=False,
+            runner, cpus_per_case=128, max_attempts=1,
+            on_event=events.append, durable=False,
         ) as runtime:
             handles = [
                 runtime.submit(
@@ -93,7 +95,7 @@ def selfcheck(out_path=None, echo=print) -> int:
             ]
             for handle in handles:
                 handle.outcome()
-        timeline = runtime.timeline(worlds=worlds)
+        timeline = merged_fill_timeline(events, tracer=tracer, worlds=worlds)
 
     if out_path is None:
         out_path = Path(tempfile.mkdtemp(prefix="repro-telemetry-")) / (

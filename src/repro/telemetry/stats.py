@@ -15,54 +15,37 @@ from __future__ import annotations
 
 import math
 
-#: Default bucket range: 1 microsecond .. ~1000 seconds.
-_DEFAULT_LO = 1.0e-6
-_DEFAULT_HI = 1.0e3
+#: Bucket range in seconds: 1 microsecond .. 1000 seconds.  Samples
+#: below it land in the first bucket, above it in the last; exact
+#: ``min``/``max``/``sum`` are tracked regardless.
+_LO = 1.0e-6
+_HI = 1.0e3
+#: Geometric buckets per factor of 10 (~26% relative error per bucket).
+_PER_DECADE = 10
+_NBUCKETS = math.ceil(math.log10(_HI / _LO) * _PER_DECADE) + 1
 
 
 class LatencyHistogram:
-    """Fixed-memory latency distribution with percentile estimates.
+    """Fixed-memory latency distribution with percentile estimates."""
 
-    Parameters
-    ----------
-    lo, hi:
-        Bucket range in seconds.  Samples below ``lo`` land in the first
-        bucket, above ``hi`` in the last; exact ``min``/``max``/``sum``
-        are tracked regardless.
-    buckets_per_decade:
-        Resolution: how many geometric buckets each factor of 10 is
-        split into (default 10, i.e. ~26% relative error per bucket).
-    """
-
-    def __init__(self, lo: float = _DEFAULT_LO, hi: float = _DEFAULT_HI,
-                 buckets_per_decade: int = 10):
-        if not (0.0 < lo < hi):
-            raise ValueError(f"need 0 < lo < hi, got lo={lo} hi={hi}")
-        if buckets_per_decade < 1:
-            raise ValueError(
-                f"buckets_per_decade must be >= 1, got {buckets_per_decade}"
-            )
-        self._lo = lo
-        self._per_decade = buckets_per_decade
-        decades = math.log10(hi / lo)
-        self._nbuckets = max(1, math.ceil(decades * buckets_per_decade)) + 1
-        self._counts = [0] * self._nbuckets
+    def __init__(self):
+        self._counts = [0] * _NBUCKETS
         self.count = 0
         self.total = 0.0
         self.min = math.inf
         self.max = 0.0
 
     def _bucket(self, seconds: float) -> int:
-        if seconds <= self._lo:
+        if seconds <= _LO:
             return 0
-        index = int(math.log10(seconds / self._lo) * self._per_decade) + 1
-        return min(index, self._nbuckets - 1)
+        index = int(math.log10(seconds / _LO) * _PER_DECADE) + 1
+        return min(index, _NBUCKETS - 1)
 
     def _edge(self, index: int) -> float:
         """Upper edge of bucket ``index`` (the percentile estimate)."""
         if index <= 0:
-            return self._lo
-        return self._lo * 10.0 ** (index / self._per_decade)
+            return _LO
+        return _LO * 10.0 ** (index / _PER_DECADE)
 
     def record(self, seconds: float) -> None:
         """Add one latency sample (negative samples clamp to zero)."""

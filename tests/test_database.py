@@ -15,9 +15,9 @@ from repro.database import (
     StudyDefinition,
     build_job_tree,
     meshing_amortization,
-    schedule_fill,
     standard_study,
 )
+from repro.perf import schedule_fill
 from repro.solvers import CaseResult, CaseSpec
 
 

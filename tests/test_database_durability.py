@@ -727,9 +727,11 @@ class TestTelemetryCrashSpans:
             checkpoint=CampaignCheckpoint(journal),
         ) as rt:
             rt.run_tree(tree24())
-        with FillRuntime(TrackingRunner(), durable=False) as rt2:
+        events = []
+        with FillRuntime(
+            TrackingRunner(), durable=False, on_event=events.append
+        ) as rt2:
             rt2.resume(checkpoint=journal)
-            events = rt2.events.all()
         timeline = add_fill_events(Timeline(), events)
         instants = [
             e for e in timeline.events

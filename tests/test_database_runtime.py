@@ -25,10 +25,10 @@ from repro.database import (
     ResultStore,
     StudyDefinition,
     build_job_tree,
-    schedule_fill,
 )
 from repro.errors import CaseExecutionError
 from repro.machine import CPUS_PER_NODE, node_slots
+from repro.perf import schedule_fill
 from repro.service import PointQuery
 from repro.solvers import CaseResult, CaseSpec
 
@@ -166,8 +166,9 @@ class TestRetryAndFailure:
         def broken(s, shared=None):
             raise OSError("boom")
 
+        seen = []
         with FillRuntime(broken, max_attempts=2, backoff_seconds=0.0,
-                         durable=False) as rt:
+                         durable=False, on_event=seen.append) as rt:
             handle = rt.submit(spec(0))
             out = handle.outcome()
             assert out.state == "failed"
@@ -175,7 +176,7 @@ class TestRetryAndFailure:
             assert "boom" in out.error
             with pytest.raises(CaseExecutionError):
                 handle.result()
-            kinds = [e.kind for e in rt.events.all()]
+            kinds = [e.kind for e in seen]
         assert kinds.count("retry") == 1
         assert kinds.count("failed") == 1
 
@@ -459,9 +460,12 @@ class TestEventStream:
         assert kinds.count("submit") == 2
         assert kinds.count("start") == 2
         assert kinds.count("done") == 2
-        assert [e.kind for e in seen] == [e.kind for e in rt.events.all()]
-        seqs = [e.seq for e in rt.events.all()]
-        assert seqs == sorted(seqs) == list(range(len(seqs)))
+        # the live stream arrives in seq order, and the report holds
+        # exactly that stream
+        assert [e.kind for e in seen] == [e.kind for e in report.events]
+        assert seen == report.events
+        seqs = [e.seq for e in report.events]
+        assert seqs == list(range(len(seqs)))
 
     def test_summary_feeds_the_report_table(self):
         from repro.perf import fill_summary_table

@@ -20,12 +20,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.database.checkpoint import CampaignCheckpoint
+from repro.database.checkpoint import CampaignCheckpoint, FillEvent
 from repro.database.chaos import ChaosPolicy
 from repro.database.handles import CaseHandle
 from repro.database.resultstore import ResultStore
 from repro.database.runtime import FillRuntime
 from repro.errors import (
+    CaseExecutionError,
     CaseTimeout,
     ConfigurationError,
     ServiceOverloaded,
@@ -72,6 +73,14 @@ class GatedRunner(TrackingRunner):
         return super().__call__(spec, shared)
 
 
+class FailingGatedRunner(GatedRunner):
+    """Gated runner whose every case fails once the test releases it."""
+
+    def __call__(self, spec, shared=None):
+        super().__call__(spec, shared)
+        raise RuntimeError("injected solve failure")
+
+
 def make_runtime(runner, *, slots_cpus=128, checkpoint=None,
                  store=None, **kwargs):
     return FillRuntime(
@@ -82,6 +91,13 @@ def make_runtime(runner, *, slots_cpus=128, checkpoint=None,
         durable=False if (store is None and checkpoint is None) else None,
         checkpoint=checkpoint,
         **kwargs,
+    )
+
+
+def assert_partitioned(counters):
+    assert counters.queries == (
+        counters.exact + counters.surrogate + counters.coalesced
+        + counters.solved + counters.shed + counters.failed
     )
 
 
@@ -425,6 +441,7 @@ class TestCoalescing:
         assert {r.source for r in responses} == {"solve"}
         assert service.counters.coalesced == 7
         assert service.counters.solved == 1
+        assert_partitioned(service.counters)
 
     def test_sequential_identical_queries_hit_the_store(self):
         runner = TrackingRunner()
@@ -918,11 +935,113 @@ class TestRestart:
                 assert len(recovery["resubmitted"]) == 1
 
 
+def run_released(service, runner, queries, cancel=()):
+    """Start every query, cancel the tasks at the indices ``cancel``,
+    then open ``runner``'s gate: ``call_soon`` runs after each task's
+    first step, when the leader awaits its solve (or its admission) and
+    every identical query is parked on it."""
+
+    async def drive():
+        tasks = [asyncio.create_task(service.query(q)) for q in queries]
+        loop = asyncio.get_running_loop()
+        for i in cancel:
+            loop.call_soon(tasks[i].cancel)
+        loop.call_soon(runner.gate.set)
+        return await asyncio.gather(*tasks, return_exceptions=True)
+
+    return asyncio.run(drive())
+
+
+class TestCounterInvariant:
+    """Each query counts once, by how it ended: a caller coalesced onto
+    a solve counts as coalesced only when that solve succeeds
+    (``TestCoalescing`` holds the success case), and a cancelled query
+    counts as failed."""
+
+    QUERY = PointQuery(mach=0.5, alpha=2.0)
+
+    def test_coalesced_solve_fails(self):
+        runner = FailingGatedRunner()
+        with make_runtime(runner, max_attempts=1) as runtime:
+            service = DatabaseService(
+                runtime, surrogate=SurrogateConfig(max_distance=0.0)
+            )
+            answers = run_released(service, runner, [self.QUERY] * 3)
+        assert all(isinstance(a, CaseExecutionError) for a in answers)
+        assert len(runner.calls) == 1
+        counters = service.counters
+        assert (counters.queries, counters.failed) == (3, 3)
+        assert counters.coalesced == 0
+        assert_partitioned(counters)
+
+    def test_each_shed_leader_counts_once(self):
+        """Capacity 1, no queue: while one solve holds the slot, every
+        identical query behind it is shed as its own leader (admission
+        sheds before the leader yields, so none can coalesce), and each
+        counts once."""
+        runner = GatedRunner()
+        with make_runtime(runner, slots_cpus=512) as runtime:
+            service = DatabaseService(
+                runtime, max_queue=0,
+                surrogate=SurrogateConfig(max_distance=0.0),
+            )
+            busy = PointQuery(mach=0.6, alpha=1.0)
+            answers = run_released(
+                service, runner, [busy] + [self.QUERY] * 3
+            )
+        assert answers[0].source == "solve"
+        assert all(isinstance(a, ServiceOverloaded) for a in answers[1:])
+        counters = service.counters
+        assert (counters.solved, counters.shed) == (1, 3)
+        assert_partitioned(counters)
+
+    def test_coalesced_joiner_is_cancelled(self):
+        runner = GatedRunner()
+        with make_runtime(runner) as runtime:
+            service = DatabaseService(
+                runtime, surrogate=SurrogateConfig(max_distance=0.0)
+            )
+            answers = run_released(
+                service, runner, [self.QUERY] * 3, cancel=[1]
+            )
+        assert isinstance(answers[1], asyncio.CancelledError)
+        assert answers[2].coalesced
+        counters = service.counters
+        assert (counters.solved, counters.coalesced, counters.failed) == (
+            1, 1, 1
+        )
+        assert_partitioned(counters)
+
+    def test_leader_cancelled_while_parked_for_admission(self):
+        """The leader waits for the one slot a busy solve holds, its
+        joiners wait on it, and it is cancelled: the joiners end with it
+        instead of waiting on a solve that never starts."""
+        runner = GatedRunner()
+        with make_runtime(runner, slots_cpus=512) as runtime:
+            service = DatabaseService(
+                runtime, surrogate=SurrogateConfig(max_distance=0.0)
+            )
+            busy = PointQuery(mach=0.6, alpha=1.0)
+            answers = run_released(
+                service, runner, [busy] + [self.QUERY] * 3, cancel=[1]
+            )
+        assert answers[0].source == "solve"
+        assert all(
+            isinstance(a, asyncio.CancelledError) for a in answers[1:]
+        )
+        assert len(runner.calls) == 1
+        counters = service.counters
+        assert (counters.solved, counters.failed) == (1, 3)
+        assert_partitioned(counters)
+        assert service.admission.busy == 0
+
+
 class TestRetention:
     def test_misses_leave_no_handle_behind(self):
         """Every true miss solves, and afterwards the store is the only
-        record of it: no ``CaseHandle`` outlives its case, and the
-        bytes each miss retains stay bounded."""
+        record of it: no ``CaseHandle`` or ``FillEvent`` outlives its
+        case (the runtime keeps no event history), and each miss
+        retains at most 1 KB."""
         misses = 500
 
         def queries(lo, hi):
@@ -951,12 +1070,13 @@ class TestRetention:
             assert service.counters.solved == 20 + misses
             keys = {service.spec_for(q).key for q in batch}
             live = [o for o in gc.get_objects()
-                    if isinstance(o, CaseHandle) and o.key in keys]
+                    if isinstance(o, (CaseHandle, FillEvent))
+                    and o.key in keys]
             assert live == []
         retained = sum(
             stat.size_diff for stat in after.compare_to(before, "filename")
         )
-        assert retained / misses <= 4500
+        assert retained / misses <= 1024
 
 
 class TestTelemetry:
@@ -964,7 +1084,7 @@ class TestTelemetry:
         runner = TrackingRunner()
         with capture() as tracer:
             with make_runtime(runner) as runtime:
-                service = DatabaseService(runtime, tracer=tracer)
+                service = DatabaseService(runtime)
 
                 async def drive():
                     await service.query(PointQuery(mach=0.5, alpha=1.0))
@@ -991,10 +1111,7 @@ class TestTelemetry:
 
             asyncio.run(drive())
         counters = service.counters
-        assert counters.queries == (
-            counters.exact + counters.surrogate + counters.coalesced
-            + counters.solved + counters.shed + counters.failed
-        )
+        assert_partitioned(counters)
         status = service.status()
         assert status["counters"]["hit_rate"] == pytest.approx(
             counters.hit_rate

@@ -32,6 +32,7 @@ from repro.telemetry import (
     chrome_trace,
     get_tracer,
     load_trace,
+    merged_fill_timeline,
     metrics,
     set_tracer,
     span,
@@ -261,17 +262,19 @@ class TestAdapters:
         assert tracer.finished()[0].cat == "perf"
 
 
-def run_fill(ncases=8, tracer=None, runner=None):
-    """A small fill campaign; returns (runtime, outcomes)."""
+def run_fill(ncases=8, runner=None):
+    """A small fill campaign; returns (its events in seq order,
+    outcomes)."""
 
     def default_runner(spec, shared):
         with span("solver.residual", cat="solver"):
             pass
         return CaseResult(spec=spec, coefficients={"cl": 1.0})
 
+    seen = []
     runtime = FillRuntime(
         runner or default_runner, cpus_per_case=128, max_attempts=1,
-        tracer=tracer, durable=False,
+        on_event=seen.append, durable=False,
     )
     with runtime:
         handles = [
@@ -279,13 +282,12 @@ def run_fill(ncases=8, tracer=None, runner=None):
             for i in range(ncases)
         ]
         outcomes = [h.outcome() for h in handles]
-    return runtime, outcomes
+    return sorted(seen, key=lambda e: e.seq), outcomes
 
 
 class TestFillEventStream:
     def test_vt_strictly_monotonic_across_workers(self):
-        runtime, outcomes = run_fill(ncases=8)
-        events = runtime.events.all()
+        events, outcomes = run_fill(ncases=8)
         assert len(events) > 16
         vts = [e.vt for e in events]
         assert all(b > a for a, b in zip(vts, vts[1:]))
@@ -293,8 +295,8 @@ class TestFillEventStream:
         assert all(e.vt >= e.t for e in events)
 
     def test_add_fill_events_builds_scheduler_and_slot_spans(self):
-        runtime, outcomes = run_fill(ncases=4)
-        tl = add_fill_events(Timeline(), runtime.events.all())
+        events, outcomes = run_fill(ncases=4)
+        tl = add_fill_events(Timeline(), events)
         scheduler = [e for e in tl.spans() if e.tid == "scheduler"]
         assert len(scheduler) == 4
         assert all(e.cat == "scheduler" for e in scheduler)
@@ -412,10 +414,10 @@ class TestAcceptance:
             return CaseResult(spec=spec, coefficients={"cl": 1.0})
 
         with capture() as tracer:
-            runtime, outcomes = run_fill(
-                ncases=8, tracer=tracer, runner=runner
+            events, outcomes = run_fill(ncases=8, runner=runner)
+            timeline = merged_fill_timeline(
+                events, tracer=tracer, worlds=worlds
             )
-            timeline = runtime.timeline(worlds=worlds)
         assert all(o.state == "done" for o in outcomes)
 
         path = write_trace(timeline, tmp_path / "campaign.json")
