@@ -229,7 +229,34 @@ SECTIONS = [
      "means the second core pays for the synchronisation and no more; "
      "x4 is four workers on two cores and still halves (0.040-0.056 / "
      "0.069-0.085 s).  The alternating-pair referee for the same "
-     "change on the harness mesh is `BENCH_23.json`."),
+     "change on the harness mesh is `BENCH_23.json`.\n\n"
+     "Starting the workers is a cost of its own.  A spawned worker "
+     "imports 0.43-0.55 s of modules before it can build (`python -X "
+     "importtime` of `repro.runtime.process`, `repro.runtime.driver` "
+     "and `repro.solvers.nsu3d.parallel`, three runs): "
+     "`scipy.sparse` is 0.21-0.27 s of it, 0.07-0.09 s of that "
+     "`numpy.f2py`, which scipy's vendored `array_api_compat` pulls "
+     "in, and numpy itself 0.10-0.12 s.  scipy.sparse backs the "
+     "scatter operators, so the imports stay; instead workers are "
+     "spawned once per rank count and parked when their pool closes, "
+     "and the next pool of that size has them rebuild from its spec: "
+     "8-13 ms for the `nsu3d_proc2` pair against 0.7-2.1 s spawned.  "
+     "The spawn got faster too: a worker's spec used to travel in "
+     "its spawn arguments, so each `Process.start()` blocked 0.8-0.9 "
+     "s until that child had imported enough to unpickle it, and the "
+     "two workers imported one after the other; the spec now follows "
+     "on the pipe and they import side by side.  A `forkserver` was "
+     "measured and rejected.  The perf harness's `reap()` waits up "
+     "to 10 s for every child still alive, and the server exits only "
+     "after the interpreter does: one `nsu3d_proc2` run went from "
+     "8.4 to 16.5 s and the server outlived it.  On Python 3.11 the "
+     "server also ignores the parent's runtime `sys.path`, which is "
+     "how `run.py` finds `repro`, and silently drops a preload "
+     "`ImportError`, so the preload did nothing until `PYTHONPATH` "
+     "was forced.  Parked workers are ordinary spawn-context "
+     "children: `multiprocessing.active_children()` lists them, so "
+     "`reap()` kills them at once, and they are daemonic, so "
+     "`multiprocessing`'s exit handler stops them."),
     ("Section V — kernel engines, roofline (real solver runs)",
      "kernel_engines",
      "The paper's single-CPU evidence is pfmon-measured FLOP rates "

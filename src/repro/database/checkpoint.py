@@ -76,16 +76,19 @@ class EventLog:
     """Thread-safe, monotonically sequenced event stream.
 
     It stamps each event (``seq``, ``vt``) and passes it on; it keeps
-    none.  An event lives in the journal (via ``on_event``), in the list
+    none.  An event lives in the journal (via ``journal``), in the list
     of every :meth:`collect` open when it was emitted, or in the
-    caller's own subscriber — a long-running session does not grow with
-    its stream.
+    caller's own subscriber (``on_event``) — a long-running session does
+    not grow with its stream.  ``journal`` runs under the lock that
+    assigns ``seq``, so journal lines land in ``seq`` order; it must
+    neither block nor emit.  ``on_event`` runs outside it.
     """
 
-    def __init__(self, clock, on_event=None):
+    def __init__(self, clock, on_event=None, *, journal=None):
         self._lock = threading.Lock()
         self._clock = clock
         self._on_event = on_event
+        self._journal = journal
         self._seq = 0
         self._vt = 0.0
         self._collectors: dict[int, list[FillEvent]] = {}
@@ -99,10 +102,12 @@ class EventLog:
                 key=key, info=info, vt=self._vt,
             )
             self._seq += 1
-            # under the lock that assigns seq: every collected list is
-            # complete and in seq order
+            # under the lock that assigns seq: every collected list and
+            # the journal are complete and in seq order
             for events in self._collectors.values():
                 events.append(event)
+            if self._journal is not None:
+                self._journal(event)
         if self._on_event is not None:
             self._on_event(event)  # outside the lock: callbacks may re-emit
         return event

@@ -33,7 +33,7 @@ needs and the paper's job scripts provided operationally:
   summaries side by side;
 * **durability** — with a :class:`~repro.database.checkpoint.
   CampaignCheckpoint` attached, every event (and every completed case's
-  result) is journaled; a campaign killed mid-run — including by a
+  result) is journaled, in ``seq`` order; a campaign killed mid-run — including by a
   :class:`~repro.database.chaos.ChaosPolicy`-injected worker crash —
   resumes via :meth:`FillRuntime.resume` with zero recomputation of
   completed cases and a coefficient-identical database;
@@ -210,7 +210,8 @@ class FillRuntime:
         self.checkpoint = checkpoint
         self._user_on_event = on_event
         self._clock = EpochClock()
-        self.events = EventLog(self._now, self._dispatch_event)
+        self.events = EventLog(self._now, self._dispatch_event,
+                               journal=self._journal_event)
         cap = getattr(runner, "max_inflight", None)
         self.workers = min(self.slots, cap or self.slots)
         self._pool = ThreadPoolExecutor(
@@ -234,14 +235,18 @@ class FillRuntime:
     def _now(self) -> float:
         return self._clock()
 
-    def _dispatch_event(self, event: FillEvent) -> None:
-        """Fan one event out: journal first (durability), then the user
-        callback — a crash after journaling loses nothing."""
+    def _journal_event(self, event: FillEvent) -> None:
+        """Journal one event (a completion with its result) under the
+        event log's ``seq`` lock, before any subscriber sees it — a
+        crash after journaling loses nothing."""
         if self.checkpoint is not None:
             done = event.kind == "done"
             self.checkpoint.record(
                 event, result=self.store.get(event.key) if done else None
             )
+
+    def _dispatch_event(self, event: FillEvent) -> None:
+        """The live subscriber, outside the ``seq`` lock."""
         if self._user_on_event is not None:
             self._user_on_event(event)
 

@@ -34,7 +34,13 @@ from .domain import (
 from .driver import DistributedSolveDriver, SolverKernels, run_rank_cycles
 from .multigrid import LevelOps, effective_cfl, fas_cycle
 from .partitioners import MetisLinePartitioner, Partitioner, SFCPartitioner
-from .process import ProcessComm, ProcessPool, SharedLayout, WorkerSpec
+from .process import (
+    ProcessComm,
+    ProcessPool,
+    SharedLayout,
+    WorkerSpec,
+    shutdown_parked,
+)
 from .sanitizer import GhostSanitizer, GuardedArray, SanitizedPending
 
 __all__ = [
@@ -65,6 +71,7 @@ __all__ = [
     "ProcessPool",
     "SharedLayout",
     "WorkerSpec",
+    "shutdown_parked",
     "GhostSanitizer",
     "GuardedArray",
     "SanitizedPending",

@@ -231,10 +231,11 @@ class DistributedSolveDriver:
       when you want to read its virtual clocks, message ledger or trace
       afterwards;
     * ``process`` solves run on a pool of spawned workers
-      (:class:`~repro.runtime.process.ProcessPool`) launched lazily on
+      (:class:`~repro.runtime.process.ProcessPool`) started lazily on
       first use and reused for the driver's lifetime — call
-      :meth:`close` (or use the driver as a context manager) to tear
-      the workers down.
+      :meth:`close` (or use the driver as a context manager) to release
+      the workers, which stay parked for the next driver with as many
+      ranks.
 
     ``overlap=True`` switches the smoothers' per-stage ghost refresh to
     the posted-send / compute-interior / finish-boundary pattern (paper
@@ -277,8 +278,8 @@ class DistributedSolveDriver:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Tear down the worker pool (no-op for the in-process
-        backends; safe to call twice)."""
+        """Release the worker pool, parking its workers (no-op for the
+        in-process backends; safe to call twice)."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.close()
@@ -290,8 +291,8 @@ class DistributedSolveDriver:
         self.close()
 
     def _ensure_pool(self):
-        """The live worker pool, spawning one on first use.  Workers
-        capture ``overlap``/``sanitize`` at spawn."""
+        """The live worker pool, started on first use.  Workers
+        capture ``overlap``/``sanitize`` when they build."""
         if self._pool is None or self._pool.closed:
             from .process import ProcessPool
 

@@ -23,10 +23,14 @@ gather — adapted to the Exchanger protocol:
   slab, each written by one named peer; nobody waits on the pool.
   ``allreduce`` combines rows in rank order, SimMPI's ``fold`` order,
   so the parity gate holds bit-for-bit across backends.
-* :class:`ProcessPool` owns the lifecycle: spawn + ready handshake,
-  ``run`` round-trips over pipes, prompt failure detection (a dead or
-  silent worker raises :class:`~repro.errors.WorkerCrash` and sets the
-  abort word so the survivors unwind too), idempotent ``close``.
+* :class:`ProcessPool` owns the lifecycle: build + ready handshake,
+  ``run`` round-trips over pipes, prompt failure detection (one wait
+  over every pipe and process sentinel: a dead or silent worker raises
+  :class:`~repro.errors.WorkerCrash` and sets the abort word so the
+  survivors unwind too), idempotent ``close``.  Workers are spawned
+  once per rank count: a healthy pool's ``close`` parks them, and the
+  next pool with as many ranks sends each a ``build`` message instead
+  of spawning (:func:`shutdown_parked` stops the parked ones).
 
 Workers run their solves under a private enabled
 :class:`~repro.telemetry.spans.Tracer` whenever the master's tracer is
@@ -38,14 +42,16 @@ waited for whom) included.
 
 from __future__ import annotations
 
-import ctypes
+import gc
+import mmap
 import multiprocessing as mp
 import os
+import threading
 import time
 import traceback
 from dataclasses import dataclass
-from multiprocessing.connection import Connection
-from multiprocessing.sharedctypes import RawArray
+from multiprocessing.connection import Connection, wait
+from multiprocessing.reduction import recv_handle, send_handle
 
 import numpy as np
 
@@ -150,7 +156,7 @@ class SharedLayout:
 class WorkerSpec:
     """Everything one worker needs to rebuild its share of the solve.
 
-    Must pickle cleanly for ``spawn``: domains carry only their halo
+    Must pickle cleanly for the pipe: domains carry only their halo
     and payload (scratch caches are dropped on the master), kernels are
     plain config + coefficient state.
     """
@@ -259,35 +265,57 @@ class ProcessComm:
         return np.array(fold(list(rows), op)).reshape(arr.shape)
 
 
-def _worker_main(spec: WorkerSpec, layout: SharedLayout, raw: ctypes.Array,
-                 conn: Connection, epoch: float) -> None:
-    """Worker process entry point: build from spec, then serve commands.
+def _worker_main(rank: int, conn: Connection) -> None:
+    """Worker process entry point: serve builds and runs until shutdown.
 
-    Pipe protocol (worker side): send ``("ready", rank)`` once built;
-    then loop on ``("run", params)`` -> ``("done", rank, history,
-    spans, instants)`` until ``("shutdown",)``.  Any failure sends
-    ``("error", rank, traceback)`` and exits.
+    Pipe protocol (worker side): ``("build", spec, layout, epoch)``,
+    followed on the pipe by the pool's slab as a file descriptor,
+    rebuilds this rank's share of a solve over that slab and answers
+    ``("ready", rank)``; ``("run", params)`` -> ``("done", rank,
+    history, spans, instants)``; ``("shutdown",)`` ends the loop.  A
+    worker serves one pool's build after another: parked between pools
+    it sits in ``conn.recv()``.  Any failure sends ``("error", rank,
+    traceback)`` and exits.
     """
     from .driver import run_rank_cycles
 
+    # what the imports built lives as long as the worker: the collector
+    # need not scan it again, so a rebuild's collection takes a
+    # millisecond, not tens
+    gc.collect()
+    gc.freeze()
     try:
-        buf = np.frombuffer(raw, dtype=np.float64)
-        comm = ProcessComm(spec.rank, layout, buf, spec.timeout, epoch)
-        exchangers = []
-        for lev, doms in enumerate(spec.doms):
-            dom = doms[spec.rank]
-            x = ProcessExchanger(
-                comm, dom, layout.channels(buf, lev, spec.rank, dom.halo.plan),
-                level=lev,
-            )
-            x.sanitize = spec.sanitize
-            exchangers.append(x)
-        gather = layout.gather_view(buf)
-        conn.send(("ready", spec.rank))
         while True:
             msg = conn.recv()
             if msg[0] == "shutdown":
                 break
+            if msg[0] == "build":
+                _tag, spec, layout, epoch = msg
+                # the last pool's share (and its slab mapping) goes
+                # before this one is built
+                buf = comm = exchangers = gather = None
+                fd = recv_handle(conn)
+                try:
+                    buf = np.frombuffer(mmap.mmap(fd, 0), dtype=np.float64)
+                finally:
+                    os.close(fd)
+                comm = ProcessComm(rank, layout, buf, spec.timeout, epoch)
+                exchangers = []
+                for lev, doms in enumerate(spec.doms):
+                    dom = doms[rank]
+                    x = ProcessExchanger(
+                        comm, dom, layout.channels(buf, lev, rank,
+                                                   dom.halo.plan),
+                        level=lev,
+                    )
+                    x.sanitize = spec.sanitize
+                    exchangers.append(x)
+                gather = layout.gather_view(buf)
+                # a fresh and a reused worker start cycling on the same
+                # heap: no garbage of an earlier share left to collect
+                gc.collect()
+                conn.send(("ready", rank))
+                continue
             params = dict(msg[1])
             trace = params.pop("trace", False)
             tracer = set_tracer(Tracer(enabled=bool(trace)))
@@ -298,7 +326,7 @@ def _worker_main(spec: WorkerSpec, layout: SharedLayout, raw: ctypes.Array,
             for gids, rows in owned:
                 gather[gids] = rows
             conn.send((
-                "done", spec.rank, history,
+                "done", rank, history,
                 list(tracer.spans), list(tracer.instants),
             ))
     except (BrokenPipeError, EOFError):
@@ -307,59 +335,146 @@ def _worker_main(spec: WorkerSpec, layout: SharedLayout, raw: ctypes.Array,
         # last handler in the process: the failure is not swallowed, it
         # crosses the pipe and resurfaces as WorkerCrash on the master
         try:
-            conn.send(("error", spec.rank, traceback.format_exc()))
+            conn.send(("error", rank, traceback.format_exc()))
         except OSError:
             pass
     finally:
         conn.close()
 
 
-class ProcessPool:
-    """One spawned worker per partition, alive until :meth:`close`.
+@dataclass
+class _Workers:
+    """One spawned worker per rank, serving one pool after another."""
 
-    Spawn cost is paid once per pool — successive :meth:`run` calls
-    reuse the warm workers (and their built domains), which is what
-    makes the wall-clock benchmark honest about steady-state cycling.
+    procs: list
+    conns: list
+
+    @classmethod
+    def spawn(cls, nranks: int) -> "_Workers":
+        ctx = mp.get_context("spawn")
+        group = cls([], [])
+        try:
+            for rank in range(nranks):
+                parent, child = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_worker_main, args=(rank, child),
+                    name=f"repro-worker-{rank}", daemon=True,
+                )
+                proc.start()
+                child.close()
+                group.procs.append(proc)
+                group.conns.append(parent)
+        except BaseException:
+            group.kill()
+            raise
+        return group
+
+    def alive(self) -> bool:
+        return all(proc.is_alive() for proc in self.procs)
+
+    def stop(self, timeout: float) -> None:
+        """Graceful shutdown: ask, wait, then insist."""
+        for conn in self.conns:
+            try:
+                conn.send(("shutdown",))
+            except (BrokenPipeError, OSError):
+                pass  # already gone; join/terminate below still runs
+        for proc in self.procs:
+            proc.join(timeout=min(timeout, 10.0))
+        self.kill()
+
+    def kill(self) -> None:
+        """Terminate whatever still runs, reap it, close the pipes."""
+        for proc in self.procs:
+            if proc.is_alive():
+                proc.terminate()
+        for proc in self.procs:
+            proc.join(timeout=5.0)
+        for conn in self.conns:
+            conn.close()
+
+
+#: Parked worker groups, one per rank count: the workers of a closed,
+#: healthy pool, idle until the next pool of that many ranks takes them.
+_PARKED: dict = {}
+_PARKED_LOCK = threading.Lock()
+
+
+def _take_parked(nranks: int) -> _Workers | None:
+    """The parked group of ``nranks`` workers, if every one is alive; a
+    group with a dead member is stopped."""
+    with _PARKED_LOCK:
+        group = _PARKED.pop(nranks, None)
+    if group is None or group.alive():
+        return group
+    group.stop(timeout=5.0)
+    return None
+
+
+def _park(nranks: int, group: _Workers) -> None:
+    with _PARKED_LOCK:
+        displaced = _PARKED.get(nranks)
+        _PARKED[nranks] = group
+    if displaced is not None:
+        displaced.stop(timeout=5.0)
+
+
+def shutdown_parked() -> None:
+    """Stop every parked worker group.  Parked workers are daemonic, so
+    interpreter exit does this too; call it to free them sooner."""
+    with _PARKED_LOCK:
+        groups = list(_PARKED.values())
+        _PARKED.clear()
+    for group in groups:
+        group.stop(timeout=5.0)
+
+
+class ProcessPool:
+    """One worker process per partition, alive until :meth:`close`.
+
+    Successive :meth:`run` calls reuse the warm workers (and their
+    built domains), which is what makes the wall-clock benchmark honest
+    about steady-state cycling.  Workers are spawned once per rank
+    count per interpreter: :meth:`close` on a healthy pool *parks* its
+    workers, and the next pool with as many ranks takes them and has
+    each rebuild its share from the new spec over the new pool's slab
+    — the nengo_mpi lifecycle (spawn once, wake per run, kill at the
+    end).
     """
 
     def __init__(self, hierarchy: DomainHierarchy, kernels: object, *,
                  nvar: int, overlap: bool = False, sanitize: bool = False,
                  timeout: float = 120.0) -> None:
-        ctx = mp.get_context("spawn")
         self.nranks = hierarchy.nparts
         self.timeout = float(timeout)
         self.layout = SharedLayout.build(hierarchy, nvar)
-        self._raw = RawArray(ctypes.c_double, self.layout.total)
-        self._buf = np.frombuffer(self._raw, dtype=np.float64)
         self._epoch = time.monotonic()
-        self._procs: list = []
-        self._conns: list = []
         self.closed = False
+        specs = [
+            self._make_spec(hierarchy, kernels, rank, overlap, sanitize)
+            for rank in range(self.nranks)
+        ]
+        # the pool's own slab, zero-filled: an anonymous shared file
+        # (Linux memfd) each worker maps through the descriptor its
+        # pipe carries
+        fd = os.memfd_create("repro-slab")
         try:
-            for rank in range(self.nranks):
-                parent, child = ctx.Pipe()
-                spec = self._make_spec(hierarchy, kernels, rank, overlap,
-                                       sanitize)
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(spec, self.layout, self._raw, child, self._epoch),
-                    name=f"repro-worker-{rank}",
-                    daemon=True,
-                )
-                proc.start()
-                child.close()
-                self._procs.append(proc)
-                self._conns.append(parent)
-            for rank in range(self.nranks):
-                msg = self._recv(rank)
-                if msg != ("ready", rank):
-                    raise WorkerCrash(
-                        f"worker {rank} sent {msg!r} instead of the "
-                        "ready handshake"
-                    )
-        except BaseException:
-            self._fail()
-            raise
+            os.ftruncate(fd, 8 * self.layout.total)
+            self._buf = np.frombuffer(mmap.mmap(fd, 0), dtype=np.float64)
+            self._workers = (_take_parked(self.nranks)
+                             or _Workers.spawn(self.nranks))
+            self._procs, self._conns = self._workers.procs, self._workers.conns
+            try:
+                self._send([
+                    ("build", spec, self.layout, self._epoch)
+                    for spec in specs
+                ], fd=fd)
+                self._replies("ready")
+            except BaseException:
+                self._fail()
+                raise
+        finally:
+            os.close(fd)
 
     def _make_spec(self, hierarchy: DomainHierarchy, kernels: object,
                    rank: int, overlap: bool,
@@ -383,44 +498,80 @@ class ProcessPool:
             sanitize=sanitize, timeout=self.timeout,
         )
 
-    # -- failure handling ----------------------------------------------------
+    # -- messaging and failure handling --------------------------------------
 
-    def _recv(self, rank: int) -> tuple:
-        """One worker's next message, or :class:`WorkerCrash` if it is
-        dead or silent past the timeout."""
-        conn, proc = self._conns[rank], self._procs[rank]
-        deadline = time.monotonic() + self.timeout
-        while True:
+    def _send(self, messages: list, fd: int | None = None) -> None:
+        """One message per worker, in rank order, each followed by the
+        descriptor ``fd`` when one is given."""
+        for rank, (conn, msg) in enumerate(zip(self._conns, messages)):
             try:
-                if conn.poll(0.1):
-                    return conn.recv()
-            except (EOFError, OSError):
+                conn.send(msg)
+                if fd is not None:
+                    send_handle(conn, fd, self._procs[rank].pid)
+            except OSError:  # BrokenPipeError included
+                raise WorkerCrash(self._gone(rank, "closed its pipe")) from None
+
+    def _gone(self, rank: int, what: str) -> str:
+        proc = self._procs[rank]
+        proc.join(timeout=1.0)  # an exited worker's code, once reaped
+        return f"worker {rank} {what} (exit code {proc.exitcode})"
+
+    def _replies(self, tag: str) -> list:
+        """One ``tag`` reply per worker, in rank order.
+
+        One wait covers every pending pipe and every worker's process
+        sentinel, so a worker's error or death surfaces as
+        :class:`WorkerCrash`, naming its rank, the moment it happens —
+        not after the slowest rank — and silence past ``timeout`` does
+        too.
+        """
+        rank_of = {}
+        for rank, (conn, proc) in enumerate(zip(self._conns, self._procs)):
+            rank_of[conn] = rank_of[proc.sentinel] = rank
+        replies: list = [None] * self.nranks
+        pending = set(range(self.nranks))
+        deadline = time.monotonic() + self.timeout
+        while pending:
+            ready = wait(
+                [self._conns[r] for r in pending]
+                + [self._procs[r].sentinel for r in pending],
+                timeout=max(deadline - time.monotonic(), 0.0),
+            )
+            if not ready:
                 raise WorkerCrash(
-                    f"worker {rank} closed its pipe unexpectedly "
-                    f"(exit code {proc.exitcode})"
-                ) from None
-            if not proc.is_alive() and not conn.poll(0):
-                raise WorkerCrash(
-                    f"worker {rank} died (exit code {proc.exitcode})"
+                    f"workers {sorted(pending)} sent nothing for "
+                    f"{self.timeout:.0f}s"
                 )
-            if time.monotonic() > deadline:
-                raise WorkerCrash(
-                    f"worker {rank} sent nothing for {self.timeout:.0f}s"
-                )
+            for rank in sorted({rank_of[obj] for obj in ready} & pending):
+                conn = self._conns[rank]
+                # a worker that replied and then exited has both ready;
+                # a pipe at EOF polls ready and then fails to read
+                if not conn.poll(0):
+                    raise WorkerCrash(self._gone(rank, "died"))
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    raise WorkerCrash(self._gone(
+                        rank, "closed its pipe unexpectedly")) from None
+                if msg[0] == "error":
+                    raise WorkerCrash(f"worker {rank} raised:\n{msg[2]}")
+                if msg[0] != tag:
+                    raise WorkerCrash(
+                        f"worker {rank} sent {msg!r} instead of {tag!r}"
+                    )
+                replies[rank] = msg
+                pending.discard(rank)
+                deadline = time.monotonic() + self.timeout
+        return replies
 
     def _fail(self) -> None:
         """Hard teardown after a fault: set the abort word so live
-        workers leave their waits, then terminate everything."""
+        workers leave their waits, then terminate everything.  A failed
+        pool's workers are never parked."""
         self.closed = True
         *_scratch, abort = self.layout.coll_views(self._buf)
         abort[0] = 1.0
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-        for conn in self._conns:
-            conn.close()
+        self._workers.kill()
 
     # -- public surface ------------------------------------------------------
 
@@ -428,7 +579,7 @@ class ProcessPool:
         """One solve on the warm pool; returns ``(q_global, history)``."""
         if self.closed:
             raise RuntimeClosed(
-                "ProcessPool is closed; the driver spawns a fresh pool "
+                "ProcessPool is closed; the driver starts a fresh pool "
                 "on the next solve"
             )
         master = get_tracer()
@@ -437,77 +588,25 @@ class ProcessPool:
             "trace": master.enabled,
         }
         try:
-            for conn in self._conns:
-                try:
-                    conn.send(("run", params))
-                except (BrokenPipeError, OSError):
-                    raise WorkerCrash(
-                        "a worker's pipe is gone; the pool is broken"
-                    ) from None
-            histories = self._collect(master)
+            self._send([("run", params)] * self.nranks)
+            replies = self._replies("done")
         except BaseException:
             if not self.closed:
                 self._fail()
             raise
-        return self.layout.gather_view(self._buf).copy(), histories[0]
-
-    def _collect(self, master: Tracer) -> dict:
-        """Drain one reply per worker, polling round-robin so an error
-        from any rank surfaces promptly (not after the slowest)."""
-        histories: dict = {}
-        pending = set(range(self.nranks))
-        deadline = time.monotonic() + self.timeout
-        while pending:
-            progressed = False
-            for rank in sorted(pending):
-                conn, proc = self._conns[rank], self._procs[rank]
-                try:
-                    # a pipe at EOF polls ready and then fails to read
-                    msg = conn.recv() if conn.poll(0.05) else None
-                except (EOFError, OSError):
-                    raise WorkerCrash(
-                        f"worker {rank} closed its pipe unexpectedly "
-                        f"(exit code {proc.exitcode})"
-                    ) from None
-                if msg is not None:
-                    if msg[0] == "error":
-                        raise WorkerCrash(
-                            f"worker {rank} raised:\n{msg[2]}"
-                        )
-                    _tag, _rank, history, spans, instants = msg
-                    histories[rank] = history
-                    if spans or instants:
-                        master.absorb(spans, instants)
-                    pending.discard(rank)
-                    progressed = True
-                    deadline = time.monotonic() + self.timeout
-                elif not proc.is_alive() and not conn.poll(0):
-                    raise WorkerCrash(
-                        f"worker {rank} died mid-solve "
-                        f"(exit code {proc.exitcode})"
-                    )
-            if not progressed and time.monotonic() > deadline:
-                raise WorkerCrash(
-                    f"workers {sorted(pending)} sent nothing for "
-                    f"{self.timeout:.0f}s"
-                )
-        return histories
+        for _tag, _rank, _history, spans, instants in replies:
+            if spans or instants:
+                master.absorb(spans, instants)
+        return self.layout.gather_view(self._buf).copy(), replies[0][2]
 
     def close(self) -> None:
-        """Graceful, idempotent shutdown: ask, wait, then insist."""
+        """Idempotent.  Parks the workers for the next pool of
+        ``nranks`` ranks, or stops them if one has died (a failed pool
+        is closed already, by :meth:`_fail`)."""
         if self.closed:
             return
         self.closed = True
-        for conn in self._conns:
-            try:
-                conn.send(("shutdown",))
-            except (BrokenPipeError, OSError):
-                pass  # already gone; join/terminate below still runs
-        for proc in self._procs:
-            proc.join(timeout=min(self.timeout, 10.0))
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-        for conn in self._conns:
-            conn.close()
+        if self._workers.alive():
+            _park(self.nranks, self._workers)
+        else:
+            self._workers.stop(self.timeout)

@@ -97,12 +97,12 @@ def selfcheck(out_path=None, echo=print) -> int:
                 handle.outcome()
         timeline = merged_fill_timeline(events, tracer=tracer, worlds=worlds)
 
-    if out_path is None:
-        out_path = Path(tempfile.mkdtemp(prefix="repro-telemetry-")) / (
-            "selfcheck-trace.json"
-        )
-    path = write_trace(timeline, out_path)
-    loaded = load_trace(path)
+    # without --out the round trip goes through a file nobody keeps
+    with tempfile.TemporaryDirectory(prefix="repro-telemetry-") as tmp:
+        path = write_trace(
+            timeline, out_path or Path(tmp) / "selfcheck-trace.json")
+        loaded = load_trace(path)
+    where = path if out_path else "not kept (pass --out to keep it)"
 
     scheduler_spans = [e for e in loaded.spans() if e.cat == "scheduler"]
     attempt_spans = [e for e in loaded.spans() if e.cat == "fill"]
@@ -129,7 +129,7 @@ def selfcheck(out_path=None, echo=print) -> int:
     for label, passed in checks:
         echo(f"  [{'ok' if passed else 'FAIL'}] {label}")
         ok = ok and passed
-    echo(f"trace: {path}")
+    echo(f"trace: {where}")
     echo("telemetry selfcheck: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 

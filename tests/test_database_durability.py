@@ -326,6 +326,56 @@ class TestCheckpointJournal:
     def test_terminal_kinds_cover_crash(self):
         assert "crash" in TERMINAL_KINDS
 
+    def test_journal_lines_follow_seq(self, tmp_path):
+        journal, _, _ = self._run_campaign(tmp_path)
+        seqs = [e["seq"] for e in CampaignCheckpoint.load(journal).events]
+        assert seqs == sorted(seqs)
+
+    def test_held_journal_append_keeps_seq_order(self, tmp_path):
+        """Two threads emit at once, and the first one's journal append
+        is held until the second has either journaled its own event or
+        is waiting for the ``seq`` lock: the journal stays in ``seq``
+        order either way."""
+        held, proceed = threading.Event(), threading.Event()
+
+        class HeldJournal(CampaignCheckpoint):
+            def record(self, event, result=None):
+                if event.key == "first":
+                    held.set()
+                    assert proceed.wait(timeout=30)
+                super().record(event, result)
+                proceed.set()
+
+        class ContendedLock:
+            """The event log's lock, reporting a thread that waits."""
+
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def __enter__(self):
+                if not self._lock.acquire(blocking=False):
+                    proceed.set()
+                    self._lock.acquire()
+
+            def __exit__(self, *exc):
+                self._lock.release()
+
+        journal = tmp_path / "campaign.jsonl"
+        rt = FillRuntime(TrackingRunner(), durable=False,
+                         checkpoint=HeldJournal(journal))
+        rt.events._lock = ContendedLock()
+        with rt:
+            first = threading.Thread(
+                target=rt.events.emit, args=("submit", "first"))
+            first.start()
+            assert held.wait(timeout=30)
+            rt.events.emit("submit", "second")
+            first.join(timeout=30)
+            assert not first.is_alive()
+        events = CampaignCheckpoint.load(journal).events
+        assert [(e["seq"], e["key"]) for e in events] == [
+            (0, "first"), (1, "second")]
+
 
 class TestKillResume:
     """Satellite: 24-case fill, cancel after N events, resume, zero

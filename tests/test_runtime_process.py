@@ -5,14 +5,19 @@ covers everything around the numbers: the RuntimeConfig contract (the
 one spelling of every execution choice), the neighbour-only exchange
 protocol stepped on one thread over a plain NumPy slab, spawn/teardown
 robustness (worker death in every kind of wait → ``WorkerCrash``,
-double shutdown, pool respawn), picklability of the build recipe, and
-the telemetry spans workers ship home.
+double shutdown, pool respawn), warm workers (a closed pool parks its
+workers, the next pool of that size rebuilds them), picklability of
+the build recipe, and the telemetry spans workers ship home.
 """
 
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +46,9 @@ from repro.runtime import (
     SharedLayout,
     build_domain_set,
     make_exchanger,
+    shutdown_parked,
 )
+from repro.runtime import process
 from repro.runtime.domain import row_stack
 from repro.runtime.backends import CONSUMED, POSTED
 from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
@@ -67,6 +74,27 @@ def cart3d_solver():
 
 
 PROCESS = RuntimeConfig(backend="process")
+
+
+def is_parked(pool) -> bool:
+    """Whether ``pool``'s workers are the parked group of their size."""
+    group = process._PARKED.get(pool.nranks)
+    return group is not None and group.procs is pool._procs
+
+
+@pytest.fixture
+def process_starts(monkeypatch):
+    """Every process started while the test runs, in start order."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(proc):
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        counted)
+    return started
 
 
 class TestRuntimeConfig:
@@ -342,13 +370,18 @@ class TestSpawnLifecycle:
             pn.kernels = DyingKernels(real, victim=1, op=op)
             pool = pn._ensure_pool()
             t0 = time.monotonic()
-            with pytest.raises(WorkerCrash):
+            # the crash names the dead rank and how it ended
+            with pytest.raises(WorkerCrash, match=r"worker 1 .*exit code 17"):
                 pn.solve(2, cfl=8.0)
             assert time.monotonic() - t0 < config.worker_timeout
-            # nobody is left spinning, nothing for run.py's reap() to kill
+            # nobody is left spinning: the crashed pool's workers are
+            # dead and never parked, and once the parked set is shut
+            # down there is nothing for run.py's reap() to kill
             assert pool.closed
             assert all(not p.is_alive() for p in pool._procs)
             assert pool._procs[1].exitcode == 17
+            assert not is_parked(pool)
+            shutdown_parked()
             assert multiprocessing.active_children() == []
             pn.kernels = real
             qg, hist = pn.solve(1, cfl=8.0)
@@ -366,6 +399,8 @@ class TestSpawnLifecycle:
             assert pool.closed
         finally:
             pn.close()
+        assert not is_parked(pool)
+        assert all(not p.is_alive() for p in pool._procs)
 
     def test_pool_respawns_after_crash(self, nsu3d_solver):
         pn = make_parallel_nsu3d(nsu3d_solver, 2, config=PROCESS)
@@ -389,7 +424,16 @@ class TestSpawnLifecycle:
         pn.close()
         pool.close()  # and directly on the already-closed pool
         assert pool.closed
+        # a closed pool's workers are parked: alive, and idle (they
+        # have sent nothing since their last reply)
+        assert is_parked(pool)
+        assert all(p.is_alive() for p in pool._procs)
+        assert not any(conn.poll(0) for conn in pool._conns)
+        # shutting the parked set down (twice is fine) leaves no process
+        shutdown_parked()
+        shutdown_parked()
         assert all(not p.is_alive() for p in pool._procs)
+        assert multiprocessing.active_children() == []
 
     def test_closed_pool_refuses_to_run(self, nsu3d_solver):
         pn = make_parallel_nsu3d(nsu3d_solver, 2, config=PROCESS)
@@ -409,6 +453,125 @@ class TestSpawnLifecycle:
         with pytest.raises(ConfigurationError, match="solve"):
             pn.run(SimMPI(2), 1, cfl=8.0)
         pn.close()
+
+
+class TestWarmWorkers:
+    """Workers are spawned once per rank count: a closed pool parks
+    them and the next pool with as many ranks rebuilds them from its
+    spec, with numbers bit-equal to freshly spawned workers."""
+
+    @pytest.mark.parametrize("first", ["nsu3d", "cart3d"])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_reused_workers_equal_fresh_ones(self, nsu3d_solver,
+                                             cart3d_solver, first, overlap,
+                                             process_starts):
+        config = RuntimeConfig(backend="process", overlap=overlap,
+                               sanitize=overlap)
+        makers = {
+            "nsu3d": (make_parallel_nsu3d, nsu3d_solver, 8.0),
+            "cart3d": (make_parallel_cart3d, cart3d_solver, 2.0),
+        }
+        second = "cart3d" if first == "nsu3d" else "nsu3d"
+
+        def solve(name):
+            make, solver, cfl = makers[name]
+            with make(solver, 2, config=config) as par:
+                return par.solve(2, cfl=cfl, cycle="W")
+
+        shutdown_parked()
+        fresh = solve(first)
+        assert len(process_starts) == 2
+        # the group serves the other solver, then the first one again
+        solve(second)
+        reused = solve(first)
+        assert len(process_starts) == 2
+        assert reused[0].tobytes() == fresh[0].tobytes()
+        assert [float(r).hex() for r in reused[1]] == [
+            float(r).hex() for r in fresh[1]]
+
+    def test_second_driver_starts_no_process(self, nsu3d_solver,
+                                             process_starts):
+        with make_parallel_nsu3d(nsu3d_solver, 2, config=PROCESS) as pn:
+            pn.solve(1, cfl=8.0)
+            first = pn._pool
+        started = len(process_starts)
+        with make_parallel_nsu3d(nsu3d_solver, 2, config=PROCESS) as pn:
+            qg, hist = pn.solve(1, cfl=8.0)
+            assert pn._pool._procs is first._procs
+        assert len(process_starts) == started
+        assert np.isfinite(qg).all() and np.isfinite(hist).all()
+
+    def test_worker_killed_while_parked(self, nsu3d_solver, process_starts):
+        with make_parallel_nsu3d(nsu3d_solver, 2, config=PROCESS) as pn:
+            pn.solve(1, cfl=8.0)
+            pool = pn._pool
+        assert is_parked(pool)
+        pool._procs[0].kill()
+        pool._procs[0].join(timeout=10.0)
+        started = len(process_starts)
+        with make_parallel_nsu3d(nsu3d_solver, 2, config=PROCESS) as pn:
+            qg, hist = pn.solve(1, cfl=8.0)
+        # seen at reuse: the broken group is stopped, a fresh one spawned
+        assert len(process_starts) == started + 2
+        assert all(not p.is_alive() for p in pool._procs)
+        assert np.isfinite(qg).all() and np.isfinite(hist).all()
+
+    def test_pools_closing_together_park_one_group(self, nsu3d_solver,
+                                                   process_starts):
+        """Four threads hold a 1-rank pool each, then close them at
+        once: one group stays parked and every displaced one is stopped,
+        so no worker is left alive outside the parked set."""
+        shutdown_parked()
+        together = threading.Barrier(4, timeout=60)
+
+        def drive():
+            with make_parallel_nsu3d(nsu3d_solver, 1, config=PROCESS) as pn:
+                pn._ensure_pool()
+                together.wait()
+                return pn.solve(1, cfl=8.0)[0]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                solves = [pool.submit(drive) for _ in range(4)]
+                results = [f.result(timeout=120) for f in solves]
+        finally:
+            sys.setswitchinterval(old)
+        assert all(np.isfinite(qg).all() for qg in results)
+        assert len(process_starts) == 4
+        parked = process._PARKED[1].procs
+        assert [p for p in process_starts if p.is_alive()] == parked
+
+    def test_exiting_interpreter_leaves_no_worker(self):
+        """A child interpreter that solves, closes (parking its
+        workers) and exits takes every worker with it."""
+        repo = Path(__file__).parent.parent
+        script = (
+            "from repro.mesh.unstructured import bump_channel\n"
+            "from repro.runtime import RuntimeConfig\n"
+            "from repro.solvers.nsu3d import NSU3DSolver, "
+            "make_parallel_nsu3d\n"
+            "mesh = bump_channel(ni=6, nj=3, nk=4, wall_spacing=5e-3, "
+            "ratio=1.3, bump_height=0.03)\n"
+            "solver = NSU3DSolver(mesh=mesh, mach=0.5, mg_levels=1, "
+            "turbulence=False, cfl=8.0)\n"
+            "config = RuntimeConfig(backend='process')\n"
+            "with make_parallel_nsu3d(solver, 2, config=config) as pn:\n"
+            "    pn.solve(1, cfl=8.0)\n"
+            "    print(*(p.pid for p in pn._pool._procs))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            cwd=repo, timeout=120,
+            env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestSpecPickling:

@@ -8,6 +8,7 @@ from the test suite keeps the whole pipeline on the tier-1 bar.
 """
 
 import json
+import tempfile
 
 from repro.telemetry.__main__ import main, report, selfcheck
 
@@ -20,6 +21,19 @@ def test_selfcheck_passes_and_writes_trace(tmp_path, capsys):
     assert "FAIL" not in stdout
     doc = json.loads(out.read_text())
     assert doc["traceEvents"]
+
+
+def test_selfcheck_without_out_leaves_nothing(tmp_path, monkeypatch,
+                                             capsys):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setenv("TMPDIR", str(scratch))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    assert main(["selfcheck"]) == 0
+    stdout = capsys.readouterr().out
+    assert "telemetry selfcheck: PASS" in stdout
+    assert "trace: not kept" in stdout
+    assert list(scratch.iterdir()) == []
 
 
 def test_report_renders_phase_table_for_selfcheck_trace(tmp_path):
