@@ -256,7 +256,48 @@ SECTIONS = [
      "was forced.  Parked workers are ordinary spawn-context "
      "children: `multiprocessing.active_children()` lists them, so "
      "`reap()` kills them at once, and they are daemonic, so "
-     "`multiprocessing`'s exit handler stops them."),
+     "`multiprocessing`'s exit handler stops them.\n\n"
+     "**Owned rows only.**  A stacked NSU3D level inverts the point "
+     "blocks of the rows its partitions own; its ghost rows keep the "
+     "state of the last copy until the next one.  On the harness mesh "
+     "(`bump_channel(20, 8, 14)`, 3 levels, SA; stacked levels of 3 388 "
+     "/ 1 930 / 610 rows for 2 835 / 1 350 / 336 owned, so ghost rows "
+     "are 16 / 30 / 45 %) a `sim`x4 cycle handed `block_factor` 13 682 "
+     "rows at partition seed 0 and 13 548 at seed 1; it now hands it "
+     "9 160, serial's number (`thomas_factor`: 3 254 on every side).  "
+     "In a profiled cycle `np.linalg.inv` (the Thomas factors' "
+     "inverses included) took 45.8 ms against serial's 28.8 ms, on "
+     "blocks nothing read: after the owner sums a ghost row's edge "
+     "part is zero, and its `V/dt` is ~1e-300 (the time step of a "
+     "zero spectral sum).  The other per-row passes were timed on the "
+     "stacked levels (microseconds per call, levels 0 / 1 / 2, min of "
+     "5 x 300) and run whole: `limit_correction` 120 / 92 / 46 over "
+     "every row against 185 / 147 / 102 once per owned span; the SA "
+     "source, owned-only at the parent through a row gather, 384 / 235 / 90, "
+     "against 289 / 190 / 92 over every row and 503 / 333 / 219 per "
+     "span, so it now runs over every row before the ghost rows are "
+     "zeroed.  Cart3D's harness levels (8 768 / 3 544 / 1 640 rows, "
+     "ghost 8 / 13 / 18 %) say the same: `_physical` 93 / 51 / 55 whole "
+     "against 119 / 88 / 96 per span, `rk_update` 121 / 40 / 17 against "
+     "138 / 52 / 32.  A partition's rows are owned first, then ghost, "
+     "so a level's owned rows are one span per partition, and at these "
+     "sizes a call per span or a gather costs more than the ghost rows "
+     "it skips.  The ghost zeroing itself went the other way: through "
+     "the row mask it took 30 / 20 / 8 (Cart3D 37 / 26 / 10), one slice "
+     "per partition's ghost span takes 2-6, and that is what both "
+     "solvers now write.  What is left of the tax, split by wall time "
+     "(seed 0; two runs, each the median of 8 alternating 2-cycle "
+     "solves against fresh serial ones): a `sim`x4 cycle of 343 / 315 "
+     "ms against serial's 319 / 296 ms, of which exchanges (posts and "
+     "finishes) are 17.3 / 15.9 ms, the ledger replay (`charge_sends` / "
+     "`charge_receives`) 6.2 / 5.5 ms of those, and allreduces 1.4 / "
+     "1.3 ms: the exchanges are most of what remains.  On the perf "
+     "harness (alternating parent/change pairs, seeds 0-9) "
+     "`nsu3d_dist4` `overhead_ratio` read 1.174 -> 1.132 in the median "
+     "with the point factors alone (lower in 10 of 10 pairs; parent "
+     "quartile spread 0.064) and 1.159 -> 1.130 with the SA source and "
+     "ghost zeroing as well (8 of 10; spread 0.031): on this shared "
+     "host the gain is about the size of the parent's own spread."),
     ("Section V — kernel engines, roofline (real solver runs)",
      "kernel_engines",
      "The paper's single-CPU evidence is pfmon-measured FLOP rates "

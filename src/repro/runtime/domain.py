@@ -72,9 +72,11 @@ class RowStack:
     world, a process worker's one — end to end, so a pass runs each
     serial kernel once on all of them (paper section III).  A level's
     distributed state is one ``(nrows, nvar)`` array over these rows.
-    ``spans`` / ``owned_spans`` are each partition's rows / owned rows,
-    ``owned`` all owned rows, ``ghost`` masks the others.  Solvers
-    subclass it to stack their payload (:meth:`concat`)."""
+    ``spans`` / ``owned_spans`` / ``ghost_spans`` are each partition's
+    rows / owned rows / ghost rows (owned first: a partition's ghost
+    rows follow its owned ones), ``owned`` all owned rows, ``ghost``
+    masks the others.  Solvers subclass it to stack their payload
+    (:meth:`concat`)."""
 
     def __init__(self, doms: dict):
         sizes = [dom.nlocal for dom in doms.values()]
@@ -84,6 +86,8 @@ class RowStack:
                       for p, s, n in zip(doms, self.starts, sizes)}
         self.owned_spans = {p: slice(s, s + dom.nowned)
                             for (p, dom), s in zip(doms.items(), self.starts)}
+        self.ghost_spans = {p: slice(self.owned_spans[p].stop, span.stop)
+                            for p, span in self.spans.items()}
         self.ghost = np.ones(sum(sizes), dtype=bool)
         for span in self.owned_spans.values():
             self.ghost[span] = False

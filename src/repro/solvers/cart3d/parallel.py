@@ -274,7 +274,8 @@ class Cart3DKernels:
             pending.finish()
             r = r + residual(ghost, q, self.qinf, self.flux)
         X.add(r, tag=1)
-        r[stack.ghost] = 0.0
+        for rows in stack.ghost_spans.values():
+            r[rows] = 0.0
         if forcing is not None:
             r = r - forcing
         return r

@@ -23,7 +23,9 @@ right-hand-side sweeps.  The line batches and the line -> edge lookup
 are geometry and live on the context
 (:attr:`FlowContext.line_structure`).  The distributed smoother
 (:mod:`.parallel`) builds the same operator on the stacked context of
-its partitions and only adds the two owner sums.
+its partitions, adds the two owner sums and inverts the point blocks of
+owned rows only: a ghost row's correction stays zero, and its state
+waits for the exchange copy that ends the stage.
 """
 
 from __future__ import annotations
@@ -118,10 +120,16 @@ class FrozenOperator:
     exchange-add over the caller's partitions); it sees the spectral
     sum and the edge part of the diagonal.  Lines are never split by
     the partitioner (fig. 6b), so their couplings need no completion.
+
+    ``points``, when given, are the off-line rows whose blocks are
+    inverted (by default every row no line covers).  A decomposed level
+    passes its owned ones: :meth:`solve` leaves the other rows of its
+    result zero, and nothing reads them before the next exchange copy
+    overwrites the ghost rows they update.
     """
 
     def __init__(self, ctx: FlowContext, q: np.ndarray, cfl: float,
-                 use_lines: bool = True, owner_sum=None):
+                 use_lines: bool = True, owner_sum=None, points=None):
         engine = get_engine()
         radii = edge_radii(ctx, q)
         total = spectral_sum(ctx, radii)[:, None]
@@ -144,11 +152,13 @@ class FrozenOperator:
                 (batch, engine.thomas_factor(lo, diag[batch], up))
                 for batch, lo, up in zip(lines.batches, lower, upper)
             ]
+        if points is not None:
+            self._rest = points
         self._points = engine.block_factor(diag[self._rest])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``P^-1 rhs``: line solves on the lines, point solves off."""
-        dq = np.empty_like(rhs)
+        dq = np.zeros_like(rhs)
         for batch, factor in self._lines:
             dq[batch] = factor.solve(rhs[batch])
         dq[self._rest] = self._points.solve(rhs[self._rest])

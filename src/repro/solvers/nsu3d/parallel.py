@@ -32,9 +32,10 @@ dual face lives on exactly one rank) before dividing by the control
 volumes, the residual's own partial-sum/complete/finalize pattern.
 
 One master thread does the work and the exchange for every partition
-of its rank (paper section III), so every pass runs the *serial* kernels
+of its rank (paper section III), so each pass runs its *serial* kernel
 (:func:`~.residual.flux_residual`, :class:`~.linesolve.FrozenOperator`,
-:func:`~.residual.sa_gradients`) **once** on the stacked context: the
+:func:`~.residual.sa_gradients`) **once** on the stacked context — on
+the rows it owns where a pass solves for rows (below): the
 state of a level is one array over the partitions' rows end to end, the
 exchanger takes that same array, and ``X.charge`` and the allreduce get
 one contribution per partition — same call sites, same tags, same
@@ -49,6 +50,20 @@ made fatter.  What stays per partition is what must: reductions (norms,
 the limiter's reference) fold per partition and then per rank so no sum
 is reassociated, and the messages the exchange charges.
 
+Ghost rows are read, not solved for: as in the paper's NSU3D, a
+partition does its point and line work on the vertices it owns, and
+ghost values arrive by the exchange (fig. 7).  The frozen operator
+inverts the point blocks of owned rows only (:attr:`_Stack.points`),
+so a stage leaves each ghost row at the state of the last copy until
+the copy that ends the stage overwrites it.  The other per-row passes
+(correction limiting, wall rows, floors, the local time step, the SA
+source) run over the whole stacked array and leave the ghost rows to
+the next copy or to the residual's ghost zeroing: on these level sizes
+one pass over every row costs less than a pass per partition's owned
+span or an owned-row gather (EXPERIMENTS.md, "Owned rows only").  Edge
+loops and the gradients keep reading ghost state, which the copy keeps
+fresh.
+
 Correctness contract (tested): per-rank results equal the serial solver
 on the same mesh to floating-point-reassociation tolerance — full FAS
 cycles, overlap on or off — and equal a one-partition-at-a-time
@@ -58,6 +73,7 @@ evaluation exactly (``tests/test_nsu3d_stack.py``).
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -189,6 +205,14 @@ class _Stack(RowStack):
                    for line in c.lines],
             dual=dual,
         )
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The owned rows no implicit line covers: the point blocks a
+        smoothing step inverts.  Lines are never split (fig. 6b), so
+        every line row is owned already."""
+        rest = self.ctx.line_structure.rest
+        return rest[~self.ghost[rest]]
 
 
 def _stack(doms: dict) -> _Stack:
@@ -351,9 +375,9 @@ class NSU3DKernels:
                             pending: Any) -> np.ndarray:
         """Stacked residual of the stacked state ``q`` completed across
         ranks: local evaluation (split into interior/ghost parts when
-        finishing an overlapped exchange), exchange-add to owners, ghost
-        rows zeroed, SA sources added at owned rows from halo-completed
-        gradients, strong wall rows re-imposed, the (stacked) forcing
+        finishing an overlapped exchange), exchange-add to owners, SA
+        sources added from halo-completed gradients, ghost rows zeroed,
+        strong wall rows re-imposed, the (stacked) forcing
         subtracted.  Inside the window the state is read as
         ``pending.q`` — guarded when the sanitizer is armed — and never
         as ``q``."""
@@ -381,12 +405,14 @@ class NSU3DKernels:
             prim = conservative_to_primitive(q)
             sa = sa_gradients(ctx, prim, owner_sum=X.add)
         X.add(r, tag=1)
-        r[stack.ghost] = 0.0
         if sa_var is not None:
-            # pointwise SA sources at owned rows (each vertex is owned
-            # by exactly one rank — no double counting)
-            own = stack.owned
-            r[own, sa_var] += sa_source_residual(ctx, prim, *sa, rows=own)
+            # pointwise SA sources, kept at owned rows by the zeroing
+            # below (each vertex is owned by exactly one rank — no
+            # double counting); a pass over every row costs less than
+            # gathering the owned ones
+            r[:, sa_var] += sa_source_residual(ctx, prim, *sa)
+        for rows in stack.ghost_spans.values():
+            r[rows] = 0.0
         # remote edge contributions land on the owners' rows; impose
         # the strong wall rows once they have
         r = mask_wall_rows(ctx, r)
@@ -398,8 +424,10 @@ class NSU3DKernels:
                   cfl: float) -> FrozenOperator:
         """The serial smoother's frozen operator on the stacked context,
         its spectral sums and diagonal blocks completed across ranks
-        (each cross edge lives on exactly one rank)."""
-        return FrozenOperator(stack.ctx, q, cfl, owner_sum=X.add)
+        (each cross edge lives on exactly one rank), its point blocks
+        inverted at owned rows only."""
+        return FrozenOperator(stack.ctx, q, cfl, owner_sum=X.add,
+                              points=stack.points)
 
     def _flops(self, doms) -> dict:
         return {

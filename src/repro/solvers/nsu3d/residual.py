@@ -252,19 +252,16 @@ def sa_source_residual(
     prim: np.ndarray,
     vort: np.ndarray,
     grad_nu: np.ndarray,
-    rows: np.ndarray | slice = slice(None),
 ) -> np.ndarray:
-    """Pointwise SA source contribution to the working-variable column
-    at ``rows``: ``(destruction - production) * V`` with the cb2
-    gradient-squared term folded into production.  A decomposed level
-    evaluates it at owned rows only, from completed ``vort`` /
-    ``grad_nu``."""
-    rho = prim[rows, 0]
-    nu_hat = prim[rows, variable_layout(prim.shape[1]).turbulence[0]]
-    prod, dest = source_terms(rho, nu_hat, vort[rows], ctx.dist[rows],
-                              ctx.mu_lam)
-    prod = prod + cb2_term(grad_nu[rows], rho)
-    return (dest - prod) * ctx.volumes[rows]
+    """Pointwise SA source contribution to the working-variable column:
+    ``(destruction - production) * V`` with the cb2 gradient-squared
+    term folded into production.  A decomposed level takes it from
+    completed ``vort`` / ``grad_nu`` and keeps it at owned rows."""
+    rho = prim[:, 0]
+    nu_hat = prim[:, variable_layout(prim.shape[1]).turbulence[0]]
+    prod, dest = source_terms(rho, nu_hat, vort, ctx.dist, ctx.mu_lam)
+    prod = prod + cb2_term(grad_nu, rho)
+    return (dest - prod) * ctx.volumes
 
 
 def farfield_ghost(

@@ -2,16 +2,18 @@
 planted in running code, and the check that catches it now.
 
 A row is one failure fixture of the retired checkers (``ghostcheck``,
-``plancheck``, ``tracecheck``, lint R001/R002/R005/R009/R011) or of a
-surviving lint rule, rewritten as a runnable kernel, plan or rank
-program, and the column that must fire on it: ``lint Rnnn``,
-``sanitizer`` (``GhostRaceError`` under ``sanitize=True``), ``runtime``
-(the run raises), ``parity`` (distributed misses serial beyond 1e-10),
-``property`` (:func:`assert_exchange_roundtrip` fails on the plan),
-``inert`` (no result changes, bit for bit: no bug to see) or
-``control`` (nothing planted, nothing may fire).  DESIGN.md §6 carries
-the same table; :func:`test_design_matrix_lists_every_row` keeps the two
-in step.
+``plancheck``, ``tracecheck``, lint R001/R002/R005/R009/R011), of a
+surviving lint rule or of the owned-row skip, rewritten as a runnable
+kernel, plan or rank program, and the column that must fire on it:
+``lint Rnnn``, ``sanitizer`` (``GhostRaceError`` under
+``sanitize=True``), ``runtime`` (the run raises), ``parity``
+(distributed misses serial beyond 1e-10), ``property``
+(:func:`assert_exchange_roundtrip` fails on the plan), ``poison`` (with
+every ghost row an owned-only pass skips set to NaN as it returns, a
+NaN reaches an owned row), ``inert`` (no result changes, bit for bit:
+no bug to see) or ``control`` (nothing planted, nothing may fire).
+DESIGN.md §6 carries the same table;
+:func:`test_design_matrix_lists_every_row` keeps the two in step.
 """
 
 import copy
@@ -43,6 +45,7 @@ from repro.solvers.nsu3d.residual import residual
 from tests.test_comm_exchange import (assert_exchange_roundtrip, grid_graph,
                                       strip_partition)
 from tests.test_comm_hybrid import assert_hybrid_copy
+from tests.test_owned_rows import PoisonedNSU3DKernels
 
 DESIGN = Path(__file__).parent.parent / "DESIGN.md"
 
@@ -178,6 +181,46 @@ def owned_read_in_window(X, q, tag):
     return pending
 
 
+class _LateCopy:
+    """The exchanger a planted smoother sees: a stage's copy (tag 14)
+    lands only at the next exchange-add, after the next stage's edge
+    loop has read the ghost rows it was to refresh."""
+
+    def __init__(self, X):
+        self._X, self._late = X, None
+
+    def __getattr__(self, name):
+        return getattr(self._X, name)
+
+    def copy(self, q, tag=0):
+        if tag == 14:
+            self._late = q, tag
+        else:
+            self._X.copy(q, tag)
+
+    def land(self):
+        if self._late is not None:
+            self._X.copy(*self._late)
+            self._late = None
+
+    def add(self, q, tag=1):
+        self.land()
+        self._X.add(q, tag)
+
+
+def late_copy(kernels):
+    """``kernels`` whose blocking smoother reads each stage's ghost
+    rows before the copy that refreshes them: stale, or NaN under
+    poison."""
+    class Planted(kernels):
+        def smooth(self, X, doms, q, **kwargs):
+            late = _LateCopy(X)
+            q = super().smooth(late, doms, q, **kwargs)
+            late.land()
+            return q
+    return Planted
+
+
 # -- the solves the kernels run in ---------------------------------------------
 
 CFL_NSU3D = 8.0
@@ -219,6 +262,16 @@ def run_nsu3d(kernels, sanitize=False):
     )
     par.kernels = kernels(solver.qinf, viscous=True)
     q, _ = par.run(SimMPI(4), 2, cfl=CFL_NSU3D, cycle="W")
+    return q
+
+
+def run_blocking(kernels):
+    """Four partitions on ``SimMPI(4)``, 2 W-cycles, blocking exchange."""
+    solver, _ = nsu3d()
+    par = make_parallel_nsu3d(solver, 4)
+    par.kernels = kernels(solver.qinf, viscous=True)
+    with np.errstate(all="ignore"):
+        q, _ = par.run(SimMPI(4), 2, cfl=CFL_NSU3D, cycle="W")
     return q
 
 
@@ -297,6 +350,13 @@ def _():
         exc = raises(ExchangeLifecycleError, run_nsu3d,
                      planting(finished_twice), sanitize)
         assert "twice" in str(exc)
+
+
+@row("ghost/read-skipped-row", "poison, parity")
+def _():
+    assert np.isnan(run_blocking(late_copy(PoisonedNSU3DKernels))).any()
+    assert np.abs(run_blocking(late_copy(NSU3DKernels))
+                  - nsu3d()[1]).max() > 1e-4  # 1.5e-3
 
 
 @row("control/owned-read-in-window", "control")
