@@ -13,12 +13,9 @@ Two measurements per solver, written to ``results/runtime_cycle.*``:
   fig. 7) should shave the exchange latency that the blocking mode
   serializes;
 * **wall time per exchange, per level** — a ``copy`` and an ``add``
-  of the level's plans on the ``sim`` world: the lockstep exchanger
-  (one gather over the stacked rows, ledger replayed from the plans)
-  against the per-rank oracle it is tested against, a
-  ``make_exchanger("plan", ...)`` per rank sending real SimMPI messages
-  inside ``SimMPI.run`` (whole world's wall / exchanges, min of
-  ``EXCHANGE_ROUNDS`` rounds of ``EXCHANGE_CALLS``);
+  of the level's plans on the ``sim`` world by the lockstep exchanger
+  (one gather over the stacked rows, ledger replayed from the plans;
+  min of ``EXCHANGE_ROUNDS`` rounds of ``EXCHANGE_CALLS``);
 * **real wall clock under ``backend="process"``** — the same cycles on
   a spawned worker pool at 1/2/4 workers.  Unlike the SimMPI columns
   this is true concurrency, so on a machine with >= 4 cores the 4-worker
@@ -37,7 +34,7 @@ from conftest import save_result
 
 from repro import api
 from repro.api import RuntimeConfig, SimMPI
-from repro.runtime import LockstepComm, make_exchanger
+from repro.runtime import LockstepComm
 from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
 from repro.solvers.cart3d import Cart3DSolver
@@ -82,12 +79,11 @@ def _measure(name, serial_cycle, make_parallel):
 
 
 def _exchange_us(par, nvar: int) -> list:
-    """Per level, µs per ``copy`` / ``add``: lockstep, then the
-    per-rank message oracle, on the level's own plans."""
+    """Per level, µs per lockstep ``copy`` / ``add`` on the level's
+    own plans."""
     out = []
     for level in par.hierarchy.levels:
         doms = dict(enumerate(level.domains))
-        plans = {p: dom.halo.plan for p, dom in doms.items()}
         rows = np.ones((sum(dom.nlocal for dom in doms.values()), nvar))
         x = LockstepComm(SimMPI(NPARTS), NPARTS).exchanger(doms)
         row = {}
@@ -100,21 +96,6 @@ def _exchange_us(par, nvar: int) -> list:
                     step(rows)
                 best = min(best, time.perf_counter() - t0)
             row[f"lockstep_{op}"] = best / EXCHANGE_CALLS * 1e6
-
-            def body(comm, op=op):
-                mine = {comm.rank: np.ones((doms[comm.rank].nlocal, nvar))}
-                step = getattr(make_exchanger("plan", comm, plans={
-                    comm.rank: plans[comm.rank],
-                }), op)
-                for _ in range(EXCHANGE_CALLS):
-                    step(mine)
-
-            best = np.inf
-            for _ in range(EXCHANGE_ROUNDS):
-                t0 = time.perf_counter()
-                SimMPI(NPARTS).run(body)
-                best = min(best, time.perf_counter() - t0)
-            row[f"messages_{op}"] = best / EXCHANGE_CALLS * 1e6
         out.append(row)
     return out
 
@@ -231,14 +212,13 @@ def test_runtime_cycle_cost():
         f"min of {EXCHANGE_ROUNDS} x {EXCHANGE_CALLS})",
         "",
         f"{'solver':<8} {'level':>5} {'copy lockstep':>14} "
-        f"{'copy messages':>14} {'add lockstep':>13} {'add messages':>13}",
+        f"{'add lockstep':>13}",
     ]
     for name, per_level in exchanges.items():
         for level, row in enumerate(per_level):
             lines.append(
                 f"{name:<8} {level:>5} {row['lockstep_copy']:>14.1f} "
-                f"{row['messages_copy']:>14.1f} {row['lockstep_add']:>13.1f} "
-                f"{row['messages_add']:>13.1f}"
+                f"{row['lockstep_add']:>13.1f}"
             )
     lines += [
         "",
@@ -249,9 +229,8 @@ def test_runtime_cycle_cost():
         "proc columns: real wall clock on the spawned worker pool, median "
         f"of {PROCESS_SOLVES} solves (speedup = proc x1 / proc x4; "
         f"cpu_count={os.cpu_count()});",
-        "exchange columns: lockstep = one gather over the stacked rows "
-        "plus the ledger replay; messages = a per-rank exchanger "
-        "inside SimMPI.run, the oracle it is tested against.",
+        "exchange columns: one gather over the stacked rows plus the "
+        "ledger replay.",
     ]
     save_result("runtime_cycle", "\n".join(lines), data=data)
 

@@ -72,8 +72,8 @@ REASONS: dict = {
         "protocol stub: the body of a typing.Protocol member never runs; "
         "NumpyEngine implements it (tests/test_kernel_engines.py)",
         *(f"kernels/engine.py:KernelEngine.{name}" for name in (
-            "scatter_add", "euler_jacobian", "edge_jacobians", "block_solve",
-            "block_factor", "thomas_factor", "thomas", "rk_update")),
+            "scatter_add", "euler_jacobian", "edge_jacobians",
+            "block_factor", "thomas_factor", "rk_update")),
         "kernels/engine.py:BlockFactor.solve",
     ),
     **_reasons(
@@ -115,9 +115,6 @@ API_REASONS: dict = {
                         "runtime's building block (test_runtime*.py)",
     "BACKENDS": "the names RuntimeConfig(backend=) accepts "
                 "(test_api_facade.py)",
-    "HybridExchanger": "return type of make_exchanger, a rank program's "
-                       "message-path exchange: the facade names the types "
-                       "it hands out",
     "wing_mesh": "bump_channel's wing-like twin, the other NSU3D mesh "
                  "generator (test_unstructured_mesh.py)",
     "standard_study": "the paper's 6-D (aileron, elevator, rudder) x "

@@ -200,7 +200,7 @@ SECTIONS = [
      "thread — the driver steps every rank in lockstep, and each "
      "exchange is one gather over the ranks' stacked rows with the "
      "messages it stands for charged, not sent — so parallel/serial "
-     "is the stack's own overhead: 1.22x NSU3D / 1.39x Cart3D in "
+     "is the stack's own overhead: 1.02x NSU3D / 1.40x Cart3D in "
      "this run, where a level's state stays one stacked array from "
      "pass to pass.  It read 2.4x / 5.1x when every rank had a thread and "
      "a blocked receive woke another one, and 1.6x / 2.7x in the last "
@@ -208,9 +208,12 @@ SECTIONS = [
      "are single 3-cycle shots on a shared host; the "
      "alternating-pair referees are the perf harness's `BENCH_19.json` "
      "and `BENCH_33.json`.  The exchange rows split out that last "
-     "step: per level, microseconds per copy and per add, the "
-     "world-row gather with its ledger replay against the per-rank "
-     "message exchange it is tested against (4-8x apart).  The "
+     "step: per level, microseconds per copy and per add of the "
+     "world-row gather with its ledger replay.  The per-rank message "
+     "exchange it is tested against ran 145-250 us per exchange "
+     "against the gather's 30-43 us on the harness mesh when the "
+     "gather replaced it; that column went with the message path, "
+     "which now lives only in the tests.  The "
      "virtual columns are the simulated-Columbia ledger and did not "
      "move by a bit: who executes a rank's sends and receives, or "
      "whether they are sent at all, is not an input to it.  "

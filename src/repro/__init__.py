@@ -11,12 +11,10 @@ The package contains:
 
 ``repro.comm``
     *SimMPI*, an in-process message-passing runtime.  It executes real
-    domain-decomposed SPMD solver code rank by rank — the distributed
-    solvers step every rank in lockstep on the calling thread, free-form
-    blocking rank programs get one Python thread per rank, one running
-    at a time under a cooperative baton — while charging a virtual-time
-    ledger using the machine model, and implements the paper's hybrid
-    MPI/OpenMP communication strategies.
+    domain-decomposed SPMD solver code rank by rank — its caller steps
+    every rank in lockstep on one thread, posting before it waits —
+    while charging a virtual-time ledger using the machine model, and
+    implements the paper's hybrid MPI/OpenMP communication strategies.
 
 ``repro.mesh``
     Unstructured hybrid meshes with boundary-layer stretching (NSU3D side)

@@ -104,7 +104,6 @@ from .runtime import (
     DomainHierarchy,
     DomainSet,
     GhostSanitizer,
-    HybridExchanger,
     LevelSpec,
     MetisLinePartitioner,
     Partitioner,
@@ -114,7 +113,6 @@ from .runtime import (
     SFCPartitioner,
     build_domain_hierarchy,
     build_domain_set,
-    make_exchanger,
 )
 from .solvers import (
     CaseResult,
@@ -157,7 +155,7 @@ from .telemetry import (
 #: The facade surface version: bumped when the blessed surface changes
 #: shape (new exports, removals, contract changes) — code against it
 #: with ``assert repro.api.__api_version__ >= "4"``-style checks.
-__api_version__ = "13.0"
+__api_version__ = "14.0"
 
 __all__ = [
     # solvers — unified surface
@@ -184,10 +182,8 @@ __all__ = [
     "DistributedSolveDriver",
     "BACKENDS",
     "RuntimeConfig",
-    "HybridExchanger",
     "ProcessExchanger",
     "ProcessPool",
-    "make_exchanger",
     "GhostSanitizer",
     "make_parallel_nsu3d",
     "make_parallel_cart3d",

@@ -19,29 +19,23 @@ considers two programming models:
 
 The paper uses the master-thread strategy exclusively; both are modelled
 here.  :func:`hybrid_efficiency` is the analytic form used by the
-performance model; :class:`HybridProcess` is the master-thread exchange
-of one process, sending real SimMPI messages from a rank program (pure
-MPI is the layout in which every process owns one partition, so it has
-no intra-process copies and sends one message per neighbour and
-direction).  A distributed solve does not run it: the lockstep
+performance model; :class:`HybridProcess` is the master-thread routing
+of one process (pure MPI is the layout in which every process owns one
+partition, so it has no intra-process copies and sends one message per
+neighbour and direction).  No solve sends those messages: the lockstep
 exchanger (:class:`~repro.runtime.backends.LockstepExchanger`) holds
 every process's rows in one array, moves them by index and charges the
-messages :meth:`HybridProcess.schedule` lists; this class is the
-message-level oracle it is tested against.
+messages :meth:`HybridProcess.schedule` lists.  The exchange that does
+send them, over these routes, is the message-level oracle the tests
+hold the lockstep exchanger to.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from ..errors import ConfigurationError, ExchangeLifecycleError
-from ..telemetry.spans import get_tracer, span as _span
-from .exchange import ExchangePlan
+from ..errors import ConfigurationError
 
 #: Seconds per byte for thread-side buffer packing/unpacking (memcpy-rate
 #: calibration constant: ~2 GB/s effective touch rate).
@@ -120,56 +114,18 @@ def hybrid_efficiency(
     return 1.0 / (1.0 + exposed)
 
 
-_UNBOUND = nullcontext()
-
-#: What a process sends a neighbour it ships no rows to: every
-#: neighbour pair trades one message per direction, so both sides can
-#: post and wait blindly.
-_NOTHING = np.empty(0)
-
-
-def _on_rank(comm):
-    """Tracer binding for one rank's half of an exchange: its ``comm.*``
-    spans land on that rank's track and clock, whoever steps it."""
-    tracer = get_tracer()
-    if not tracer.enabled:
-        return _UNBOUND
-    return tracer.bind(rank=comm.rank, clock=lambda: comm.clock)
-
-
-class PendingHybrid:
-    """The wait-and-unpack half of a :class:`HybridProcess` exchange
-    whose pack, send and intra-process phases have run.  ``finish`` runs
-    exactly once, on the posting rank's tracer track; ``rank`` names
-    that rank when a batch of pendings fails to finish."""
-
-    def __init__(self, comm, tag: int, unpack: Callable[[], None]):
-        self.comm, self.rank, self.tag = comm, comm.rank, tag
-        self._unpack = unpack
-        self.done = False
-
-    def finish(self) -> None:
-        if self.done:
-            raise ExchangeLifecycleError(
-                f"exchange finish called twice (rank {self.rank}, tag "
-                f"{self.tag}); each exchange must be completed exactly once"
-            )
-        self.done = True
-        with _on_rank(self.comm):
-            self._unpack()
-
-
 @dataclass
 class HybridProcess:
     """One MPI process owning one or several thread partitions (fig. 7b).
 
-    ``plans`` maps a *global partition id* to its :class:`ExchangePlan`
-    over global partition ids; ``proc_of`` maps global partition ids to
-    MPI process ranks.  Intra-process neighbors are served by direct
-    copies; inter-process traffic is aggregated into one buffer per
-    remote process, sent by the master (the calling thread).  Pure MPI
-    is the layout where every process owns one partition: no copies,
-    one message per neighbour and direction.
+    ``plans`` maps a *global partition id* to its
+    :class:`~repro.comm.exchange.ExchangePlan` over global partition
+    ids; ``proc_of`` maps global partition ids to MPI process ranks.
+    Intra-process neighbors are served by direct copies; inter-process
+    traffic is aggregated into one buffer per remote process, sent by
+    the master (the calling thread).  Pure MPI is the layout where
+    every process owns one partition: no copies, one message per
+    neighbour and direction.
     """
 
     rank: int
@@ -187,77 +143,13 @@ class HybridProcess:
         of a world agrees."""
         return len(set(self.proc_of.values())) == len(self.proc_of)
 
-    def exchange_copy(self, comm, arrays: dict, tag: int = 0) -> None:
-        """Owner->ghost update of per-partition arrays: ``arrays`` maps
-        partition id -> local array (owned+ghost layout of its plan)."""
-        self.post(comm, arrays, tag).finish()
-
-    def exchange_add(self, comm, arrays: dict, tag: int = 1) -> None:
-        """Ghost->owner accumulation: every partition ships its
-        ghost-slot accumulations to the partition owning those vertices,
-        where they are **added**; shipped ghost slots are zeroed."""
-        self.post(comm, arrays, tag, add=True).finish()
-
-    def post(self, comm, arrays: dict, tag: int,
-             add: bool = False) -> PendingHybrid:
-        """Pack, send and intra-process half of an exchange; the
-        returned pending's ``finish`` waits and unpacks — remote adds
-        always after the intra-process ones, so an owner row sums in one
-        order.  Buffer layout is canonical — sorted by (destination
-        partition, source partition) — so the receiver unpacks
-        positionally.
-        """
-        sends, local, recvs = self._routes[add]
-        # finish lands in the arrays posted now, whatever the caller's
-        # dict holds by then
-        arrays = dict(arrays)
-        with _on_rank(comm):
-            with _span("comm.exchange.pack", cat="comm", tag=tag,
-                       remote_procs=len(sends)):
-                reqs = {q: comm.irecv(q, tag) for q, _chunks in sends}
-                # master thread: one buffer per remote process
-                for q, chunks in sends:
-                    bufs = []
-                    for src, slots in chunks:
-                        bufs.append(np.ascontiguousarray(arrays[src][slots]))
-                        if add:
-                            arrays[src][slots] = 0.0
-                    if len(bufs) == 1:
-                        buf = bufs[0]
-                    else:  # several chunks, or nothing to ship
-                        buf = np.concatenate(bufs) if bufs else _NOTHING
-                    comm.isend(buf, q, tag)
-            # OpenMP phase, overlapped with MPI transit
-            with _span("comm.exchange.copy", cat="comm", tag=tag):
-                for pid, ghost, nbr, owned in local:
-                    if add:
-                        arrays[nbr][owned] += arrays[pid][ghost]
-                        arrays[pid][ghost] = 0.0
-                    else:
-                        arrays[pid][ghost] = arrays[nbr][owned]
-
-        # master waits, threads unpack (same canonical order as the sender)
-        def unpack() -> None:
-            with _span("comm.exchange.unpack", cat="comm", tag=tag):
-                for q, rows in recvs:
-                    buf = reqs[q].wait()
-                    for dst, slots, lo, hi in rows:
-                        # a slot never repeats within one (dst, src) list
-                        # (build_halos gives every ghost one owner and one
-                        # slot, a tier-1 property), so a plain indexed add
-                        # is exact
-                        if add:
-                            arrays[dst][slots] += buf[lo:hi]
-                        else:
-                            arrays[dst][slots] = buf[lo:hi]
-
-        return PendingHybrid(comm, tag, unpack)
-
     def schedule(self, add: bool) -> tuple:
         """``(sends, waits)`` of one direction as row counts, ``(q,
-        rows)`` per remote process: the messages :meth:`post` sends, in
-        posting order, and those it waits for, in wait order — for a
-        caller that charges the messages without moving them."""
+        rows)`` per remote process: the messages the master thread
+        sends, in posting order — every neighbour process gets one,
+        empty when no row crosses — and those it waits for, in wait
+        order; for a caller that charges the messages without moving
+        them."""
         sends, _local, recvs = self._routes[add]
         return (
             tuple((q, sum(len(slots) for _src, slots in chunks))

@@ -7,9 +7,11 @@ InfiniBand latency/bandwidth degradation for this irregular pattern.  The
 paper speculates that exactly this effect is what hurts the multigrid
 *inter-grid* transfers on InfiniBand (section VI, discussion of fig. 19).
 
-This module reimplements that benchmark on SimMPI, plus helpers for
-reasoning about communication graphs (the paper quotes a maximum degree
-of 18 for intra-level exchanges vs 19 for inter-grid transfers).
+This module reimplements that benchmark on SimMPI — one lockstep run in
+which every rank posts its receive and its send, then every rank waits
+— plus helpers for reasoning about communication graphs (the paper
+quotes a maximum degree of 18 for intra-level exchanges vs 19 for
+inter-grid transfers).
 """
 
 from __future__ import annotations
@@ -57,23 +59,22 @@ def _ring_time(world: SimMPI, succ: np.ndarray, nbytes: int,
     pred = np.empty_like(succ)
     pred[succ] = np.arange(len(succ))
 
-    def body(comm):
-        payload = np.zeros(max(1, nbytes // 8))
-        req = comm.irecv(int(pred[comm.rank]), tag=7)
+    payload = np.zeros(max(1, nbytes // 8))
+    reqs = []
+    for comm in world.lockstep():
+        reqs.append(comm.irecv(int(pred[comm.rank]), tag=7))
         comm.isend(payload, int(succ[comm.rank]), tag=7, irregular=irregular)
+    for req in reqs:
         req.wait()
-        return comm.clock
-
-    world.run(body)
     return world.max_clock()
 
 
 def random_ring_slowdown(world_factory, nbytes: int = 65536, seed: int = 0):
     """Ratio random-ring / natural-ring time for a fresh world per run.
 
-    ``world_factory`` builds a SimMPI world (worlds are single-use after
-    ``run``).  On InfiniBand-spanning placements this ratio is large; on
-    NUMAlink it stays modest — the fabric asymmetry behind fig. 16(b).
+    ``world_factory`` builds the SimMPI world each ring runs on.  On
+    InfiniBand-spanning placements this ratio is large; on NUMAlink it
+    stays modest — the fabric asymmetry behind fig. 16(b).
     """
     natural = natural_ring_time(world_factory(), nbytes)
     random_ = random_ring_time(world_factory(), nbytes, seed=seed)

@@ -3,60 +3,26 @@
 The paper's solvers are SPMD MPI programs.  We cannot run 2016 MPI ranks
 on real hardware here, so SimMPI provides the same programming model
 inside one Python process: a :class:`Comm` endpoint per rank offering
-blocking/non-blocking point-to-point operations and the collectives the
-solvers need.  There are two ways to drive the endpoints, and they
-charge the same ledger.
+blocking/non-blocking point-to-point operations, and the world's
+:meth:`SimMPI.allreduce`, the collective the solvers need.
 
-**Lockstep: the caller steps every rank** (:meth:`SimMPI.lockstep`).
-A program that is SPMD by construction — the distributed solve driver,
-hence every ``sim``/``hybrid`` solve, ``FillRuntime`` worker and figure
-bench — needs no thread per rank: it posts each exchange on every
+**The caller steps every rank** (:meth:`SimMPI.lockstep`).  A program
+that is SPMD by construction — the distributed solve driver, hence
+every ``sim``/``hybrid`` solve, ``FillRuntime`` worker and figure
+bench, the Random Ring benchmark and ``python -m repro.telemetry``'s
+ping-pong — needs no thread per rank: it posts each exchange on every
 endpoint before it finishes it on any, and reduces through
-:meth:`SimMPI.allreduce`.  Every receive then finds its message queued;
-one that does not is a :class:`~repro.errors.DeadlockError` raised on
-the spot.  No thread, gate or hand-off is involved.  A caller that
-holds every rank's rows in one memory (the lockstep halo exchange)
-need not send them at all: it moves the rows itself and charges the
-messages it stands for through :meth:`SimMPI.charge_sends` /
-:meth:`SimMPI.charge_receives`, which book clocks, stats and trace
+:meth:`SimMPI.allreduce`, which takes one contribution per rank.  Every
+receive then finds its message queued; one that does not is a
+:class:`~repro.errors.DeadlockError` raised on the spot, naming the
+rank, the peer and the tag.  Nothing ever blocks, so nothing here takes
+a lock or starts a thread; the real concurrency of the paper's machine
+is the ``process`` backend's job (:mod:`repro.runtime.process`).  A
+caller that holds every rank's rows in one memory (the lockstep halo
+exchange) need not send them at all: it moves the rows itself and
+charges the messages it stands for through :meth:`SimMPI.charge_sends`
+/ :meth:`SimMPI.charge_receives`, which book clocks, stats and trace
 exactly as the sends and receives would.
-
-**Free-form rank programs: one baton, cooperative hand-off**
-(:meth:`SimMPI.run`).  Arbitrary blocking rank functions — the comm
-tests and patterns, ``python -m repro.telemetry``,
-the perf harness's exchange probe — are executed once per rank.  Each
-rank has its own thread so rank bodies stay plain blocking code, but
-the threads never run concurrently: exactly one rank holds the *baton*
-and executes; every other rank sleeps on a private gate and wants
-nothing from the interpreter.  The holder gives the baton up at the
-only two places a rank can block —
-
-* a receive (``recv`` / ``Request.wait``) whose mailbox is empty, and
-* a collective that not every rank has entered yet —
-
-by marking itself parked, opening the gate of the next *ready* rank (the
-lowest rank after it, cyclically) and sleeping on its own gate.  A
-parked rank becomes ready again when the thing it waits for happens:
-``isend`` readies the rank parked on that (source, tag), and the last
-rank to enter a collective combines the deposited values in rank order
-and readies all the others.  Rank 0 starts with the baton; a rank that
-returns passes it on the same way.  The schedule is therefore a
-deterministic function of the program — trace ``eid`` order included —
-and the real concurrency of the paper's machine is the ``process``
-backend's job (:mod:`repro.runtime.process`), not this module's.
-
-Because only the baton holder touches world state, mailboxes are plain
-deques and nothing in here takes a lock.  The flip side is the one rule
-for rank bodies: **block on nothing but** ``comm``.  A rank that waits
-on a lock, queue or event that another rank would have to release never
-yields the baton, and the world stops.
-
-Deadlock detection is exact and immediate: when the holder parks (or
-returns) and no rank is ready while some are unfinished, nothing can
-ever ready them, so every parked rank raises
-:class:`~repro.errors.DeadlockError` naming what it waited for.  When a
-rank raises, every parked rank is readied and unwinds; :meth:`SimMPI.run`
-re-raises the *first* failure as :class:`~repro.errors.RankFailure`.
 
 Two things distinguish SimMPI from a toy queue wrapper:
 
@@ -67,9 +33,9 @@ Two things distinguish SimMPI from a toy queue wrapper:
   bandwidth, cross-box contention, irregular-pattern penalties), taking
   the job's :class:`~repro.machine.placement.JobPlacement` into account.
   Collectives synchronize clocks.  A clock is a function of the stamps
-  on the messages a rank consumed and of its own charges — never of when
-  the scheduler happened to run it — so the ledger is independent of the
-  schedule, and it is what lets small SimMPI runs calibrate the
+  on the messages a rank consumed and of its own charges — never of the
+  order the caller stepped the ranks in — so the ledger is independent
+  of the schedule, and it is what lets small SimMPI runs calibrate the
   paper-scale performance model.
 
 * **Accounting.**  Per-rank message/byte/flop counters
@@ -84,7 +50,6 @@ collector turns it into timeline events.
 from __future__ import annotations
 
 import pickle
-import threading
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -92,7 +57,7 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import ConfigurationError, DeadlockError, RankFailure
+from ..errors import ConfigurationError, DeadlockError
 from ..machine.interconnect import NUMALINK4, FabricModel, message_time
 from ..machine.placement import JobPlacement
 
@@ -102,12 +67,6 @@ MPI_CALL_OVERHEAD = 0.5e-6
 
 #: A mailbox address: (destination rank, source rank, tag).
 _MailKey = tuple[int, int, int]
-
-#: What a rank parked inside an incomplete collective waits on; no
-#: mailbox has this address, so no ``isend`` can ready it by accident.
-_COLLECTIVE: _MailKey = (-1, -1, -1)
-
-_READY, _RUNNING, _PARKED, _DONE = range(4)
 
 #: Appended to a :class:`DeadlockError` raised in a traced world.
 _TRACE_HINT = " (trace recorded: world.trace holds every event up to the hang)"
@@ -160,10 +119,10 @@ class CommStats:
 class TraceEvent:
     """One entry in a SimMPI structured trace (``SimMPI(..., trace=True)``).
 
-    ``eid`` is a world-global id assigned in recording order — which,
-    under the baton scheduler, is the same on every run of the same
-    program; ``seq`` is the per-rank program order.  ``matched`` links a
-    completed ``recv`` to the ``eid`` of the send it consumed.
+    ``eid`` is a world-global id assigned in recording order — the
+    order the caller stepped the ranks in, the same on every run of the
+    same program; ``seq`` is the per-rank program order.  ``matched``
+    links a completed ``recv`` to the ``eid`` of the send it consumed.
     """
 
     eid: int
@@ -193,7 +152,8 @@ class Request:
 
     Sends are buffered, so an ``isend`` request is born complete (no
     ``complete`` callback).  An ``irecv`` request completes in
-    ``wait()``, the only call here that may give up the baton.
+    ``wait()``, which raises :class:`~repro.errors.DeadlockError` when
+    its message has not been sent.
     """
 
     def __init__(self, complete: Callable[[], Any] | None = None):
@@ -206,154 +166,6 @@ class Request:
             self._result = self._complete()
             self._done = True
         return self._result
-
-
-class _Abort(BaseException):
-    """Unwinds a rank that another rank's failure left with nothing to
-    wait for.  Internal: never leaves :meth:`SimMPI.run`."""
-
-
-class _Baton:
-    """The cooperative scheduler: which rank runs, who is parked on what.
-
-    Every method is called by the baton holder (the launching thread
-    counts as the holder until it opens rank 0's gate), so the state
-    needs no lock.  A gate is a lock held shut while its rank runs or
-    sleeps; sleeping is ``acquire()``, waking is another rank's
-    ``release()``, and each gate is touched by exactly those two.
-    """
-
-    def __init__(self, nranks: int, hint: str, state: int = _READY):
-        self.nranks = nranks
-        self.hint = hint
-        #: ``_DONE`` under :meth:`SimMPI.lockstep`, where no rank has a
-        #: thread: a caller that parks finds nobody ready and nobody
-        #: else parked, which :meth:`_hand_off` knows for a deadlock
-        self.state = [state] * nranks
-        self.waiting: list[_MailKey | None] = [None] * nranks
-        #: first failure of the run: (rank, exception)
-        self.failure: tuple[int, BaseException] | None = None
-        self.deadlocked = False
-        self.gates = [threading.Lock() for _ in range(nranks)]
-        for gate in self.gates:
-            gate.acquire()
-
-    def take(self, rank: int) -> None:
-        """Sleep until handed the baton; raise if the world died meanwhile."""
-        self.gates[rank].acquire()
-        self.state[rank] = _RUNNING
-        key, self.waiting[rank] = self.waiting[rank], None
-        if self.deadlocked and key is not None:
-            if key == _COLLECTIVE:
-                what = "in a collective that not every rank entered"
-            else:
-                what = f"waiting for rank {key[1]} tag {key[2]}"
-            raise DeadlockError(f"rank {rank} deadlocked {what}{self.hint}")
-        if self.failure is not None:
-            raise _Abort
-
-    def park(self, rank: int, key: _MailKey) -> None:
-        """Give up the baton until :meth:`ready` is called for ``key``."""
-        if self.failure is not None:
-            raise _Abort  # whoever would have readied us may be gone
-        self.state[rank] = _PARKED
-        self.waiting[rank] = key
-        self._hand_off(rank)
-        self.take(rank)
-
-    def ready(self, rank: int) -> None:
-        """What ``rank`` is parked on has happened; it may run again."""
-        self.waiting[rank] = None
-        self.state[rank] = _READY
-
-    def fail(self, rank: int, exc: BaseException) -> None:
-        """Record a rank's exception and release every parked rank (they
-        wake into :meth:`take`, which aborts them)."""
-        if self.failure is None:
-            self.failure = (rank, exc)
-        for r in range(self.nranks):
-            if self.state[r] == _PARKED:
-                self.state[r] = _READY
-
-    def retire(self, rank: int) -> None:
-        """``rank``'s body has returned or unwound; pass the baton on."""
-        self.state[rank] = _DONE
-        self._hand_off(rank)
-
-    def _hand_off(self, rank: int) -> None:
-        """Open the gate of the next ready rank after ``rank``, cyclically.
-
-        If none is ready but some are parked, nothing can ever ready
-        them — only a running rank sends or enters a collective — so
-        that is a deadlock, exactly: wake them all, one after another,
-        to raise it.
-        """
-        nxt = self._next(rank, _READY)
-        if nxt is None:
-            nxt = self._next(rank, _PARKED)
-            if nxt is None:
-                return  # every rank is done
-            self.deadlocked = True
-            for r in range(self.nranks):
-                if self.state[r] == _PARKED:
-                    self.state[r] = _READY
-        self.gates[nxt].release()
-
-    def _next(self, rank: int, state: int) -> int | None:
-        """First rank in ``state`` after ``rank`` (itself last)."""
-        for step in range(1, self.nranks + 1):
-            r = (rank + step) % self.nranks
-            if self.state[r] == state:
-                return r
-        return None
-
-
-class _CollectiveContext:
-    """Shared state for one communicator's collectives."""
-
-    def __init__(self, nranks: int):
-        self.nranks = nranks
-        self.slots: list = [None] * nranks
-        self.kinds: list = [None] * nranks
-        self.arrived = 0
-        self.result: Any = None
-
-    def round(
-        self,
-        baton: _Baton,
-        rank: int,
-        value: Any,
-        combine: Callable[[list], Any],
-        kind: str,
-    ) -> Any:
-        """Deposit ``value``; the last rank to arrive combines the slots
-        (rank order, whatever the arrival order) and readies the rest.
-
-        Every rank must enter the same collective: a round whose ranks
-        entered different kinds (a ``barrier`` against an ``allreduce``)
-        raises :class:`DeadlockError` on the last to arrive, whose
-        combine would otherwise fold mismatched payloads.
-
-        One ``result`` field is enough: the next round cannot complete,
-        and overwrite it, before every rank has woken from this one,
-        read it and entered again.
-        """
-        self.slots[rank] = value
-        self.kinds[rank] = kind
-        self.arrived += 1
-        if self.arrived < self.nranks:
-            baton.park(rank, _COLLECTIVE)
-            return self.result
-        self.arrived = 0
-        if len(set(self.kinds)) > 1:
-            raise DeadlockError("divergent collective: " + ", ".join(
-                f"rank {r} entered {k}" for r, k in enumerate(self.kinds)
-            ))
-        self.result = combine(self.slots)
-        for r in range(self.nranks):
-            if r != rank:
-                baton.ready(r)
-        return self.result
 
 
 class Comm:
@@ -486,23 +298,6 @@ class Comm:
 
     # -- collectives ----------------------------------------------------------
 
-    def _collective(
-        self,
-        value: Any,
-        combine: Callable[[list], Any],
-        nbytes: float,
-        kind: str = "collective",
-    ) -> Any:
-        before = self.clock
-        self._record("collective", nbytes=nbytes, detail=kind)
-        world = self._world
-        result, sync = world._collectives.round(
-            world._baton, self.rank, (value, before), _make_sync(combine),
-            kind,
-        )
-        self._leave_collective(before, sync, nbytes)
-        return result
-
     def _leave_collective(self, before: float, sync: float,
                           nbytes: float) -> None:
         """Charge a collective entered at ``before`` whose last rank
@@ -510,31 +305,6 @@ class Comm:
         self.clock = sync + self._world.collective_time(nbytes)
         self.stats.collectives += 1
         self.stats.comm_seconds += self.clock - before
-
-    def barrier(self) -> None:
-        self._collective(None, lambda vals: None, nbytes=8, kind="barrier")
-
-    def allreduce(self, value: Any, op: str = "sum") -> Any:
-        """Reduce scalars or same-shape arrays across ranks; all get it."""
-
-        def combine(vals: list) -> Any:
-            return fold(vals, op)
-
-        nbytes = _payload_bytes(value)
-        return _copy_result(
-            self._collective(value, combine, nbytes, kind=f"allreduce:{op}")
-        )
-
-
-def _make_sync(combine: Callable[[list], Any]) -> Callable[[list], Any]:
-    """Wrap a payload combiner so it also returns the max clock."""
-
-    def wrapped(slots: list) -> tuple[Any, float]:
-        values = [v for v, _clk in slots]
-        clocks = [clk for _v, clk in slots]
-        return combine(values), max(clocks)
-
-    return wrapped
 
 
 def fold(vals: list, op: str) -> Any:
@@ -608,7 +378,7 @@ class SimMPI:
         #: (src, dst, nbytes) -> transfer_time; the placement is fixed
         #: for the world's lifetime, so the cache is too
         self._transit: dict[tuple[int, int, int], float] = {}
-        self._reset()
+        self.lockstep()
         if placement is not None:
             self._box_of = placement.box_of_rank()
             self._nboxes = placement.nboxes
@@ -623,19 +393,6 @@ class SimMPI:
             self.cpu = CPU_ITANIUM2_1600
 
     # -- plumbing -------------------------------------------------------------
-    #
-    # Everything below is called by the baton holder only.
-
-    def _reset(self, state: int = _READY) -> list[Comm]:
-        """Fresh endpoints, scheduler, mailboxes and collective state
-        for one run; every rank starts in ``state``."""
-        self.comms = [Comm(self, r) for r in range(self.nranks)]
-        self._baton = _Baton(
-            self.nranks, _TRACE_HINT if self.trace_enabled else "", state
-        )
-        self._mailboxes: dict[_MailKey, deque[_Message]] = {}
-        self._collectives = _CollectiveContext(self.nranks)
-        return self.comms
 
     def _append_event(self, **fields: Any) -> int:
         """Record one trace event; returns its world-global eid."""
@@ -644,20 +401,22 @@ class SimMPI:
         return eid
 
     def _deliver(self, key: _MailKey, msg: _Message) -> None:
-        """Queue ``msg`` and ready the destination if it is parked on it."""
+        """Queue ``msg`` for its receiver."""
         box = self._mailboxes.get(key)
         if box is None:
             box = self._mailboxes[key] = deque()
         box.append(msg)
-        if self._baton.waiting[key[0]] == key:
-            self._baton.ready(key[0])
 
     def _collect(self, key: _MailKey) -> _Message:
-        """Next message for ``key``, parking the caller until one exists."""
+        """Next message for ``key``; none queued is a deadlock: every
+        rank posts before any finishes, so nothing will send it."""
         box = self._mailboxes.get(key)
         if not box:
-            self._baton.park(key[0], key)
-            box = self._mailboxes[key]
+            hint = _TRACE_HINT if self.trace_enabled else ""
+            raise DeadlockError(
+                f"rank {key[0]} deadlocked waiting for rank {key[1]} "
+                f"tag {key[2]}{hint}"
+            )
         return box.popleft()
 
     # -- cost model -----------------------------------------------------------
@@ -690,19 +449,20 @@ class SimMPI:
     # -- execution -------------------------------------------------------------
 
     def lockstep(self) -> list[Comm]:
-        """Start a run whose every rank the *caller* steps, on its own
-        thread (module docstring); returns the fresh endpoints in rank
-        order.  Nothing can park — there is nobody to hand the baton to
-        — so a receive on an empty mailbox, or a collective entered on
-        one endpoint alone, raises :class:`DeadlockError` on the spot.
-        """
-        return self._reset(_DONE)
+        """Start a run whose every rank the caller steps (module
+        docstring): fresh endpoints in rank order, empty mailboxes.  A
+        receive on an empty mailbox raises :class:`DeadlockError` on
+        the spot, and the world is reusable after it through the next
+        call."""
+        self.comms = [Comm(self, r) for r in range(self.nranks)]
+        self._mailboxes: dict[_MailKey, deque[_Message]] = {}
+        return self.comms
 
     def allreduce(self, values: list, op: str = "sum") -> Any:
-        """Every rank's :meth:`Comm.allreduce` as one call from a
-        :meth:`lockstep` caller: ``values[r]`` is rank ``r``'s
-        contribution, folded in rank order.  Each endpoint is charged
-        exactly as if it had entered the collective itself."""
+        """Reduce scalars or same-shape arrays across every rank of a
+        :meth:`lockstep` run: ``values[r]`` is rank ``r``'s
+        contribution, folded in rank order.  Each endpoint is charged a
+        tree collective that starts when the last rank arrives."""
         kind = f"allreduce:{op}"
         sizes = [_payload_bytes(v) for v in values]
         for comm, nbytes in zip(self.comms, sizes):
@@ -749,46 +509,6 @@ class SimMPI:
                 if cost is None:
                     cost = transit[key] = self.transfer_time(src, rank, nbytes)
                 comm._book_receive(src, tag, nbytes, send_clock + cost, eid)
-
-    def run(self, target: Callable[..., Any], *args: Any, **kwargs: Any) -> list:
-        """Execute ``target(comm, *args, **kwargs)`` on every rank.
-
-        Returns the per-rank return values in rank order.  An exception
-        in any rank unwinds the others and re-raises on the caller as
-        :class:`RankFailure` for the first rank that failed (a 1-rank
-        world runs inline, so its exception arrives unwrapped).
-        """
-        comms = self._reset()
-        baton = self._baton
-        if self.nranks == 1:
-            return [target(comms[0], *args, **kwargs)]
-
-        results: list = [None] * self.nranks
-
-        def entry(rank: int) -> None:
-            try:
-                baton.take(rank)
-                results[rank] = target(comms[rank], *args, **kwargs)
-            except _Abort:
-                pass
-            except BaseException as exc:  # noqa: BLE001 - must cross threads
-                baton.fail(rank, exc)
-            finally:
-                baton.retire(rank)
-
-        threads = [
-            threading.Thread(target=entry, args=(r,), name=f"simmpi-rank-{r}")
-            for r in range(self.nranks)
-        ]
-        for t in threads:
-            t.start()
-        baton.gates[0].release()
-        for t in threads:
-            t.join()
-        if baton.failure is not None:
-            rank, exc = baton.failure
-            raise RankFailure(rank, exc) from exc
-        return results
 
     # -- post-run inspection ----------------------------------------------------
 

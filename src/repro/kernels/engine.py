@@ -3,13 +3,11 @@
 :class:`KernelEngine` is the runtime-checkable protocol of the hot
 primitives the solvers dispatch through — ``scatter_add``,
 ``euler_jacobian`` and ``edge_jacobians`` (Euler Jacobian blocks, single
-and per-edge-pair), ``block_solve`` and ``block_factor`` (dense block
-solves, one-shot and frozen), ``thomas`` (grouped block-tridiagonal
-solves) and ``rk_update`` — plus ``thomas_factor``, which is to
-``thomas`` what ``block_factor`` is to ``block_solve``: it eliminates
-one group of lines once and returns an object whose ``solve(rhs)`` only
-runs the right-hand-side sweeps, so a smoothing step that applies one
-frozen operator in three stages factors it once.
+and per-edge-pair), ``block_factor`` (point-implicit diagonals),
+``thomas_factor`` (one group of block-tridiagonal lines) and
+``rk_update``.  Both factors are frozen: each returns an object whose
+``solve(rhs)`` only runs the right-hand-side work, so a smoothing step
+that applies one frozen operator in three stages factors it once.
 
 There is one implementation, :class:`~repro.kernels.numpy_engine.
 NumpyEngine`.  The protocol stays because it is the seam a fake
@@ -23,8 +21,8 @@ adapters) activate their ``engine`` around each cycle with
 :func:`use_engine`.  With nothing activated :func:`get_engine` returns
 the one engine instance.  The active engine rides a
 :class:`contextvars.ContextVar`, which makes the selection
-thread-local-by-default (fill workers and free-form SimMPI rank threads
-inherit a copy of the context) and safe to nest.
+thread-local-by-default (fill workers inherit a copy of the context)
+and safe to nest.
 """
 
 from __future__ import annotations
@@ -56,10 +54,9 @@ class KernelEngine(Protocol):
     else is pure.  Its ``idx`` is either an index array (``out[idx] +=
     contrib``, repeats accumulating) or a prebuilt
     :class:`~repro.kernels.scatter.ScatterOperator` for index sets that
-    never change.  ``thomas`` takes a list of ``(lower, diag, upper,
-    rhs)`` block-tridiagonal groups — one per line-length class — and
-    returns their solutions in order; ``thomas_factor`` takes one
-    group's matrix and returns its reusable factorization.
+    never change.  ``thomas_factor`` takes the matrix of one
+    block-tridiagonal group — the lines of one length class — and
+    returns its reusable factorization.
     """
 
     def scatter_add(
@@ -77,17 +74,11 @@ class KernelEngine(Protocol):
         self, qa: np.ndarray, qb: np.ndarray, normal: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]: ...
 
-    def block_solve(
-        self, diag: np.ndarray, rhs: np.ndarray
-    ) -> np.ndarray: ...
-
     def block_factor(self, diag: np.ndarray) -> BlockFactor: ...
 
     def thomas_factor(
         self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
     ) -> BlockFactor: ...
-
-    def thomas(self, systems: list) -> list: ...
 
     def rk_update(
         self, q0: np.ndarray, scale: np.ndarray, r: np.ndarray

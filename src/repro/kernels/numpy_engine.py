@@ -6,10 +6,9 @@ prebuilt :class:`~repro.kernels.scatter.ScatterOperator` performs the
 same additions in the same order) and the row-filled analytic Euler
 Jacobian — plus :class:`PrefactoredDiagonal` (point blocks inverted once
 per smoothing step) and :class:`ThomasFactor` (one group of
-block-tridiagonal lines eliminated once; ``thomas`` is its one-shot
-``factor -> solve``).  ``tests/test_kernel_engines.py`` keeps the
-recursion ``ThomasFactor`` replaced (one ``np.linalg.solve`` per station
-per stage) and a dense tridiagonal solve as its oracles.
+block-tridiagonal lines eliminated once).  ``tests/test_kernel_engines.py``
+keeps the recursion ``ThomasFactor`` replaced (one ``np.linalg.solve``
+per station per stage) and a dense tridiagonal solve as its oracles.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ class ThomasFactor:
     eliminated diagonal ``D'_i``, ``D'_i^-1 lower_{i-1}`` and ``c'_i =
     D'_i^-1 upper_i``; :meth:`solve` is then one batched mat-vec and the
     two station sweeps per right-hand side.  This is the one Thomas
-    recursion: ``thomas`` and ``thomas_factor`` both end here.
+    recursion: ``thomas_factor`` ends here.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray,
@@ -118,12 +117,7 @@ class ThomasFactor:
 
 
 class NumpyEngine:
-    """The :class:`~repro.kernels.engine.KernelEngine`.
-
-    ``block_solve`` and ``thomas`` have no caller in the solvers; they
-    stay because a timing probe wraps every primitive by name and warns
-    on a missing one.
-    """
+    """The :class:`~repro.kernels.engine.KernelEngine`."""
 
     def scatter_add(
         self,
@@ -147,21 +141,12 @@ class NumpyEngine:
         # two independent calls, exactly the historical evaluation order
         return euler_jacobian(qa, normal), euler_jacobian(qb, normal)
 
-    def block_solve(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(diag, rhs[:, :, None])[:, :, 0]
-
     def block_factor(self, diag: np.ndarray) -> PrefactoredDiagonal:
         return PrefactoredDiagonal(diag)
 
     def thomas_factor(self, lower: np.ndarray, diag: np.ndarray,
                       upper: np.ndarray) -> ThomasFactor:
         return ThomasFactor(lower, diag, upper)
-
-    def thomas(self, systems: list) -> list:
-        return [
-            ThomasFactor(lower, diag, upper).solve(rhs)
-            for lower, diag, upper, rhs in systems
-        ]
 
     def rk_update(
         self, q0: np.ndarray, scale: np.ndarray, r: np.ndarray

@@ -14,13 +14,7 @@ kernels into a driver; lint rule R008 keeps all distributed execution
 behind this package.
 """
 
-from .backends import (
-    HybridExchanger,
-    LockstepComm,
-    LockstepExchanger,
-    ProcessExchanger,
-    make_exchanger,
-)
+from .backends import LockstepComm, LockstepExchanger, ProcessExchanger
 from .config import BACKENDS, RuntimeConfig
 from .domain import (
     DistributedDomain,
@@ -62,11 +56,9 @@ __all__ = [
     "DistributedSolveDriver",
     "SolverKernels",
     "run_rank_cycles",
-    "HybridExchanger",
     "LockstepComm",
     "LockstepExchanger",
     "ProcessExchanger",
-    "make_exchanger",
     "ProcessComm",
     "ProcessPool",
     "SharedLayout",

@@ -16,14 +16,13 @@ rows into ghost rows and an add as one gather, one zeroing and one
 scatter-operator apply, by index arrays built from the plans once per
 level.  No message moves.  The virtual ledger is charged by replaying
 the messages the master-thread exchange would send — per rank, one per
-remote process and direction — so clocks, stats and trace are those of
-a rank program per rank; :class:`LockstepComm` reduces the kernels'
-per-partition contributions the same way.  That rank program — a
-:class:`HybridExchanger` per rank over a
-:class:`~repro.comm.hybrid.HybridProcess` (one partition per rank is
-pure MPI), inside ``SimMPI.run`` — sends real SimMPI messages over
-``{pid: array}`` dicts; :func:`make_exchanger` builds it, and it is the
-oracle the lockstep exchanger is tested against.
+remote process and direction, as
+:meth:`~repro.comm.hybrid.HybridProcess.schedule` lists them (one
+partition per rank is pure MPI) — so clocks, stats and trace are those
+of a rank program per rank; :class:`LockstepComm` reduces the kernels'
+per-partition contributions the same way.  The exchange that sends
+those messages over ``{pid: array}`` dicts lives in the tests, as the
+oracle this one is held to.
 
 ``start_copy`` is the overlapped-exchange entry point (post sends,
 compute interior, finish boundary); inside the window kernels read the
@@ -51,7 +50,7 @@ from math import prod
 
 import numpy as np
 
-from ..comm.hybrid import HybridProcess, PendingHybrid, partition_owners
+from ..comm.hybrid import HybridProcess, partition_owners
 from ..comm.simmpi import fold
 from ..errors import ConfigurationError, DeadlockError, ExchangeLifecycleError
 from ..kernels import incidence
@@ -103,44 +102,6 @@ def _bill(comm, pids, flops: dict) -> None:
         comm.compute(flops=total)
 
 
-class HybridExchanger:
-    """A rank program's in-process exchange: one :class:`HybridProcess`
-    serving every partition of this rank over ``{pid: array}`` dicts
-    (paper fig. 7b master-thread model; pure MPI is one partition per
-    rank), sending real SimMPI messages — the oracle
-    :class:`LockstepExchanger` is held to."""
-
-    def __init__(self, comm, process):
-        self.comm = comm
-        self.process = process
-        self.pids = process.part_ids
-        #: when True, ``charge`` bills compute time to the virtual
-        #: clock so overlap benefits show in SimMPI makespans
-        self.charging = False
-
-    def post(self, arrays: dict, tag: int,
-             add: bool = False) -> PendingHybrid:
-        """Pack, send and intra-process half of a copy (or ``add``);
-        ``finish`` of the result waits and unpacks."""
-        return self.process.post(self.comm, arrays, tag, add)
-
-    def copy(self, arrays: dict, tag: int = 0) -> None:
-        self.post(arrays, tag).finish()
-
-    def add(self, arrays: dict, tag: int = 1) -> None:
-        self.post(arrays, tag, add=True).finish()
-
-    def start_copy(self, arrays: dict, tag: int = 0):
-        if self.process.real_window:
-            return self.post(arrays, tag)
-        self.copy(arrays, tag)
-        return Landed(arrays)
-
-    def charge(self, flops: dict) -> None:
-        if self.charging:
-            _bill(self.comm, self.pids, flops)
-
-
 class LockstepComm:
     """The kernels' comm surface over *every* rank of a SimMPI world
     driven in lockstep (:meth:`~repro.comm.simmpi.SimMPI.lockstep`,
@@ -167,8 +128,9 @@ class LockstepComm:
             tuple(p for p in range(nparts) if self.proc_of[p] == rank)
             for rank in range(world.nranks)
         ]
-        #: several partitions per rank: the message path completes
-        #: ``start_copy`` eagerly (``HybridProcess.real_window``)
+        #: several partitions per rank: the master-thread exchange
+        #: completes ``start_copy`` eagerly
+        #: (``HybridProcess.real_window``)
         self.eager = world.nranks < nparts
         self.comms = world.lockstep()
         #: tag -> ids of the posted, unfinished windows, oldest first
@@ -263,7 +225,7 @@ class _WorldRows:
       ghost rows;
     * an add gathers the shipped ghost rows ``add_src``, zeroes them and
       sums them into their owners' rows with ``add_op``.  Every owner
-      row takes its sources in :meth:`HybridProcess.post`'s landing
+      row takes its sources in the master-thread exchange's landing
       order — its own process's partitions first, then remote ones, each
       ascending — so it sums bit for bit as the message path does;
     * ``ledger[add]`` is, per rank, the ``(sends, waits)`` row counts of
@@ -316,13 +278,13 @@ class LockstepExchanger:
     an add one gather, one zeroing and one
     :class:`~repro.kernels.ScatterOperator` apply (:class:`_WorldRows`,
     built from the plans once per level).  No message is sent: the
-    virtual ledger is charged by replaying the messages the per-rank
-    :class:`HybridExchanger` would send
+    virtual ledger is charged by replaying the messages each rank's
+    master-thread exchange would send
     (:meth:`~repro.comm.simmpi.SimMPI.charge_sends` /
     :meth:`~repro.comm.simmpi.SimMPI.charge_receives`), so clocks,
     stats, trace and arrays come out as a rank program per rank would
-    leave them — that per-message path is the oracle the tests hold
-    this one to.
+    leave them — the message-level exchange in the tests is the oracle
+    they hold this one to.
     """
 
     def __init__(self, comm: LockstepComm, doms: dict):
@@ -579,27 +541,3 @@ class ProcessExchanger:
 
     def charge(self, flops: dict) -> None:
         """No-op: the process backend's clock is the real one."""
-
-
-def make_exchanger(backend: str, comm, *, plans: dict | None = None,
-                   process=None) -> HybridExchanger:
-    """A rank program's message-path exchanger, charging off.
-
-    ``"sim"``/``"plan"`` is the exchange of a rank holding the one
-    partition of ``plans`` (pure MPI: partition id = rank);
-    ``"hybrid"`` takes a ready :class:`HybridProcess`.  Distributed
-    solves use neither: they build a :class:`LockstepExchanger`
-    (:meth:`LockstepComm.exchanger`) or a :class:`ProcessExchanger`.
-    """
-    if backend in ("sim", "plan"):
-        plans = plans or {}
-        return HybridExchanger(comm, HybridProcess(
-            rank=comm.rank, part_ids=tuple(sorted(plans)), plans=plans,
-            proc_of=partition_owners(comm.size, comm.size),
-        ))
-    if backend == "hybrid":
-        return HybridExchanger(comm, process)
-    raise ConfigurationError(
-        f"unknown exchanger backend {backend!r}; choose 'sim', 'plan' "
-        "or 'hybrid'"
-    )

@@ -17,10 +17,12 @@ lockstep world at once (pure MPI and hybrid alike) and one spawned
 worker per partition (process) all run the same code:
 :func:`run_rank_cycles` is the shared, picklable body.  A
 ``sim``/``hybrid`` solve calls it **once, on the calling thread, over
-the partitions of every rank** of the SimMPI world — the
-kernels' only blocking points sit inside the exchanger and
-``allreduce``, and :class:`~repro.runtime.backends.LockstepExchanger`
-(one gather over the stacked rows, every rank's ledger charged) /
+the partitions of every rank** of the SimMPI world, stepped in lockstep
+(:meth:`~repro.comm.simmpi.SimMPI.lockstep`, the one way a SimMPI world
+is driven) — the kernels' only synchronisation points sit inside the
+exchanger and ``allreduce``, and
+:class:`~repro.runtime.backends.LockstepExchanger` (one gather over the
+stacked rows, every rank's ledger charged) /
 :class:`~repro.runtime.backends.LockstepComm` serve those for every
 rank at once, so no rank needs a thread of its own; process
 workers import it by name after spawn and run it over their partition.

@@ -7,7 +7,7 @@ written by :func:`repro.telemetry.write_trace` as a
 ``selfcheck`` is the end-to-end smoke wired into tier-1: it runs a
 small :class:`~repro.database.runtime.FillRuntime` fill of eight toy
 cases — each case recording solver-phase spans and running a traced
-two-rank SimMPI exchange — merges everything onto the runtime's
+two-rank SimMPI ping-pong — merges everything onto the runtime's
 virtual clock, exports the Perfetto JSON, loads it back, and verifies
 the acceptance shape (scheduler spans, per-case attempt spans, solver
 phase spans, and comm events on one shared clock).
@@ -58,15 +58,15 @@ def selfcheck(out_path=None, echo=print) -> int:
     worlds: list = []
     lock = threading.Lock()
 
-    def pingpong(comm):
-        comm.compute(flops=5.0e5)
-        if comm.rank == 0:
-            comm.send(b"\0" * 256, 1, tag=7)
-            comm.recv(1, tag=8)
-        else:
-            comm.recv(0, tag=7)
-            comm.send(b"\0" * 256, 0, tag=8)
-        comm.barrier()
+    def pingpong(world):
+        zero, one = world.lockstep()
+        for comm in (zero, one):
+            comm.compute(flops=5.0e5)
+        zero.send(b"\0" * 256, 1, tag=7)
+        one.recv(0, tag=7)
+        one.send(b"\0" * 256, 0, tag=8)
+        zero.recv(1, tag=8)
+        world.allreduce([0, 0])
 
     def runner(spec: CaseSpec, shared) -> CaseResult:
         # stand-in solver phases: the real runners get these spans from
@@ -77,7 +77,7 @@ def selfcheck(out_path=None, echo=print) -> int:
             pass
         offset = get_tracer().now()  # case start on the runtime clock
         world = SimMPI(2, trace=True)
-        world.run(pingpong)
+        pingpong(world)
         with lock:
             worlds.append((spec.key[:8], world.trace, offset))
         return CaseResult(spec=spec, coefficients={"cl": 0.1, "cd": 0.01})

@@ -23,8 +23,8 @@ Design rules:
   deliberately outside the R006 lint segments.
 * **Thread identity is track identity.**  Every span lands on a
   ``(rank, thread)`` track; :meth:`Tracer.bind` pins both (plus the
-  clock) thread-locally, which is how SimMPI rank threads and fill
-  worker slots each get their own timeline row.
+  clock) thread-locally, which is how fill worker slots each get
+  their own timeline row.
 * **One thread, many ranks.**  A ``sim``/``hybrid`` distributed solve
   steps every rank of its world on the calling thread.  ``comm.*``
   spans still land on their own rank's track and virtual clock — the

@@ -30,11 +30,11 @@ from repro.runtime import (
     LockstepComm,
     RuntimeConfig,
     build_domain_set,
-    make_exchanger,
 )
 from repro.runtime.domain import RowStack
 from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
 from repro.solvers.nsu3d import NSU3DSolver, make_parallel_nsu3d
+from tests.message_exchange import MessageExchanger
 from tests.test_planted_bugs import (RacyCart3DKernels, RacyNSU3DKernels,
                                      row_test)
 
@@ -335,24 +335,17 @@ class TestExchangeLifecycle:
         getattr(X, post)(q, tag=5)
 
     def test_plan_pending_double_finish_raises(self):
-        """The in-process pending of a one-partition rank."""
+        """The message-path pending of a one-partition rank."""
         nvert = 16
         edges = np.array(
             [(i, i + 1) for i in range(nvert - 1)], dtype=np.int64
         )
         part = (np.arange(nvert) * 2) // nvert
         halos = build_halos(nvert, edges, part)
-
-        def body(comm):
-            h = halos[comm.rank]
-            arr = np.zeros((h.nlocal, 1))
-            X = make_exchanger("plan", comm, plans={comm.rank: h.plan})
-            pending = X.start_copy({comm.rank: arr}, tag=3)
-            pending.finish()
-            try:
+        X = MessageExchanger(SimMPI(2), {h.rank: h.plan for h in halos})
+        posted = X.start_copy({h.rank: np.zeros((h.nlocal, 1))
+                               for h in halos}, tag=3)
+        posted.finish()
+        for pending in posted.pendings:
+            with pytest.raises(ExchangeLifecycleError, match="twice"):
                 pending.finish()
-            except ExchangeLifecycleError as exc:
-                return "raised" if "twice" in str(exc) else "wrong-msg"
-            return "no-raise"
-
-        assert SimMPI(2).run(body) == ["raised", "raised"]

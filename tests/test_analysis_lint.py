@@ -1,9 +1,9 @@
 """Tests for the repo-specific AST lint pass.
 
 Retired rules keep their test ids: R001's fixtures now fire R006 and
-R002's fire R007, the rules they merged into; R005's, R009's and
-R011's point at the planted-bug matrix rows (``test_planted_bugs.py``)
-that show what running the bug does.
+R002's fire R007, the rules they merged into; R005's and R009's point
+at the planted-bug matrix rows (``test_planted_bugs.py``) that show
+what running the bug does.
 """
 
 import subprocess
@@ -285,7 +285,7 @@ class TestDistributedMachineryRule:
 
     def test_runtime_and_physics_imports_pass(self):
         src = (
-            "from ...runtime import DistributedSolveDriver, make_exchanger\n"
+            "from ...runtime import DistributedSolveDriver, LockstepComm\n"
             "from ...telemetry.spans import span\n"
             "from ..gas import apply_positivity_floors\n"
             "from .residual import residual\n"

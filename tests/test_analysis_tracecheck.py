@@ -1,39 +1,34 @@
-"""SimMPI tracing and the failures of free-form rank programs.
+"""SimMPI tracing and the virtual-time orders of lockstep programs.
 
-The trace analyzer is gone: a receive that cannot match, a tag
-mismatch, a skipped or divergent collective all raise
-:class:`~repro.errors.DeadlockError` naming the stuck rank, and the one
-shared buffer the runtime has — a hybrid process's partitions — is
-checked by the exchange property.  Each of the analyzer's fixtures is a
-row of the planted-bug matrix (``tests/test_planted_bugs.py``); the
-classes below keep their test ids, as pointers to those rows or as the
-SimMPI property the fixture's clean half stood for.
+The trace analyzer is gone: a receive that cannot match or a tag
+mismatch raises :class:`~repro.errors.DeadlockError` naming the stuck
+rank, and the one shared buffer the runtime has — a hybrid process's
+partitions — is checked by the exchange property.  Each of the
+analyzer's fixtures is a row of the planted-bug matrix
+(``tests/test_planted_bugs.py``, run by ``test_planted_bug_is_caught``);
+the tests below are the SimMPI properties its clean fixtures stood for.
 """
 
 import numpy as np
 import pytest
 
 from repro.comm import SimMPI
-from tests.test_planted_bugs import row_test
 
 
 class TestTracing:
     def test_trace_off_by_default(self):
         world = SimMPI(2)
-        world.run(lambda comm: comm.allreduce(1))
+        world.allreduce([1, 1])
         assert world.trace == []
 
     def test_trace_records_all_op_kinds(self):
-        def body(comm):
-            comm.compute(seconds=0.5)
-            if comm.rank == 0:
-                comm.send(np.zeros(4), dest=1)
-            else:
-                comm.recv(source=0)
-            comm.barrier()
-
         world = SimMPI(2, trace=True)
-        world.run(body)
+        zero, one = world.lockstep()
+        for comm in (zero, one):
+            comm.compute(seconds=0.5)
+        zero.send(np.zeros(4), dest=1)
+        one.recv(source=0)
+        world.allreduce([0, 0])
         ops = {e.op for e in world.trace}
         assert ops == {"compute", "send", "recv_post", "recv", "collective"}
         send = next(e for e in world.trace if e.op == "send")
@@ -42,83 +37,53 @@ class TestTracing:
         assert send.nbytes == 32
 
     def test_clean_run_has_no_findings(self):
-        def body(comm):
+        world = SimMPI(2, trace=True)
+        comms = world.lockstep()
+        reqs = []
+        for comm in comms:
             other = 1 - comm.rank
-            req = comm.irecv(other)
+            reqs.append(comm.irecv(other))
             comm.isend(np.full(3, float(comm.rank)), other)
-            got = req.wait()
-            return float(got[0]), comm.allreduce(comm.rank)
-
-        assert SimMPI(2, trace=True).run(body) == [(1.0, 1), (0.0, 1)]
+        got = [float(req.wait()[0]) for req in reqs]
+        assert got == [1.0, 0.0]
+        assert world.allreduce([0, 1]) == 1
+        sends = [e.eid for e in world.trace if e.op == "send"]
+        assert sorted(e.matched for e in world.trace if e.op == "recv") \
+            == sends
 
 
 class TestDeadlockDetection:
-    test_deadlocked_recv_names_stuck_ranks = row_test("trace/recv-without-send")
-    test_mutual_deadlock_names_both_ranks = row_test("trace/mutual-recv")
-    test_tag_mismatch_explained = row_test("trace/tag-mismatch")
-
     def test_deadlock_error_mentions_trace(self):
-        def body(comm):
-            if comm.rank == 0:
-                comm.recv(source=1)
-
-        world = SimMPI(2, trace=True)
+        zero, _one = SimMPI(2, trace=True).lockstep()
         with pytest.raises(RuntimeError, match="trace recorded"):
-            world.run(body)
-
-    test_unreceived_send_is_warning = row_test("trace/unreceived-message")
-
-
-class TestCollectiveDivergence:
-    test_divergent_kinds_detected = row_test("trace/collective-divergence")
-    test_missing_participant_detected = row_test("trace/collective-incomplete")
+            zero.recv(source=1)
 
 
 class TestHappensBefore:
     """Virtual time respects the orders the trace analyzer derived."""
 
     def test_message_orders_events(self):
-        def body(comm):
-            if comm.rank == 0:
-                comm.compute(seconds=1.0)
-                comm.send(1, dest=1)
-                return comm.clock
-            comm.recv(source=0)
-            return comm.clock
-
-        sent, received = SimMPI(2).run(body)
-        assert received > sent >= 1.0
-
-    test_unordered_writes_race = row_test("trace/race")
+        zero, one = SimMPI(2).lockstep()
+        zero.compute(seconds=1.0)
+        zero.send(1, dest=1)
+        one.recv(source=0)
+        assert one.clock > zero.clock >= 1.0
 
     def test_concurrent_reads_do_not_race(self):
         """Ranks share no buffer: a message carries a copy, so the
         sender may reuse its array as soon as ``send`` returns."""
-        def body(comm):
-            if comm.rank == 0:
-                buf = np.arange(3.0)
-                comm.send(buf, dest=1)
-                buf[:] = -1.0
-                return buf
-            return comm.recv(source=0)
-
-        sender, receiver = SimMPI(2).run(body)
-        assert (sender == -1.0).all()
-        assert receiver.tolist() == [0.0, 1.0, 2.0]
+        zero, one = SimMPI(2).lockstep()
+        buf = np.arange(3.0)
+        zero.send(buf, dest=1)
+        buf[:] = -1.0
+        assert one.recv(source=0).tolist() == [0.0, 1.0, 2.0]
+        assert (buf == -1.0).all()
 
     def test_collective_orders_across_ranks(self):
-        def body(comm):
+        world = SimMPI(3)
+        comms = world.lockstep()
+        for comm in comms:
             comm.compute(seconds=float(comm.rank + 1))
-            before = comm.clock
-            comm.barrier()
-            return before, comm.clock
-
-        clocks = SimMPI(3).run(body)
-        latest = max(before for before, _after in clocks)
-        assert all(after > latest for _before, after in clocks)
-
-
-class TestHybridRaces:
-    test_clean_hybrid_exchange_no_races = row_test("control/hybrid-copy")
-    test_clean_path_world_no_races = row_test("control/hybrid-copy")
-    test_overlapping_ghost_slots_race_in_copy_phase = row_test("trace/race")
+        latest = max(comm.clock for comm in comms)
+        world.allreduce([0, 0, 0])
+        assert all(comm.clock > latest for comm in comms)

@@ -48,7 +48,7 @@ class TestFacade:
             repro.no_such_submodule
 
     def test_api_version_is_declared(self):
-        assert api.__api_version__ == "13.0"
+        assert api.__api_version__ == "14.0"
 
     def test_service_surface_exported(self):
         for name in (
@@ -65,15 +65,16 @@ class TestFacade:
 
     def test_backend_selection_surface_exported(self):
         for name in (
-            "RuntimeConfig", "BACKENDS", "make_exchanger",
-            "ProcessExchanger", "ProcessPool", "make_parallel_nsu3d",
-            "make_parallel_cart3d",
+            "RuntimeConfig", "BACKENDS", "ProcessExchanger",
+            "ProcessPool", "make_parallel_nsu3d", "make_parallel_cart3d",
         ):
             assert name in api.__all__
             assert getattr(api, name) is not None
         assert api.BACKENDS == ("sim", "hybrid", "process")
-        # one in-process exchange: pure MPI is one partition per rank
-        for name in ("PlanExchanger", "PendingExchange"):
+        # one in-process exchange, the lockstep one: pure MPI is one
+        # partition per rank, and no exchanger sends messages
+        for name in ("PlanExchanger", "PendingExchange", "HybridExchanger",
+                     "make_exchanger"):
             assert name not in api.__all__
             assert not hasattr(api, name)
 
@@ -81,7 +82,7 @@ class TestFacade:
         """There is one kernel engine, so there is nothing to select."""
         from repro import kernels
 
-        assert len(api.__all__) == 107
+        assert len(api.__all__) == 105
         for name in ("KernelConfig", "ENGINES", "make_engine"):
             assert name not in api.__all__
             assert not hasattr(api, name)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.comm import SimMPI, build_halos, communication_graph, max_degree
 from repro.comm.exchange import ExchangePlan
-from repro.runtime import make_exchanger
+from tests.message_exchange import MessageExchanger
 
 
 def grid_graph(nx, ny):
@@ -110,35 +110,34 @@ class TestPlanNeighbors:
         assert plan.neighbors == [0]
 
 
-def exchanger(comm, halo):
-    """The in-process exchange of a rank holding one partition."""
-    return make_exchanger("plan", comm, plans={comm.rank: halo.plan})
+def exchanger(halos):
+    """The message-path exchange of ``halos``, one SimMPI rank per
+    partition, on a fresh lockstep world."""
+    return MessageExchanger(SimMPI(len(halos)),
+                            {h.rank: h.plan for h in halos})
 
 
 class TestExchanges:
     def run_world(self, nvert, edges, part, mode):
-        """Run a halo exchange and return the global array as seen by owners."""
+        """Run a halo exchange; return each partition's array and its
+        local-to-global map."""
         halos = build_halos(nvert, edges, part)
-        nparts = len(halos)
-
-        def body(comm):
-            h = halos[comm.rank]
-            arr = np.zeros(h.nlocal)
-            l2g = h.local_to_global()
+        arrays = {}
+        for h in halos:
+            arrays[h.rank] = arr = np.zeros(h.nlocal)
             if mode == "copy":
-                arr[: h.nowned] = l2g[: h.nowned].astype(float) + 1.0
-                exchanger(comm, h).copy({comm.rank: arr})
-                # ghosts must now hold their owners' values
-                return arr, l2g
-            # add: every local slot (owned + ghost) carries one unit;
-            # after the add owners hold their full global degree count
-            arr[:] = 1.0
-            # only ghost slots contribute remotely; owned slots keep theirs
-            exchanger(comm, h).add({comm.rank: arr})
-            return arr, l2g
-
-        world = SimMPI(nparts)
-        return world.run(body), halos
+                arr[: h.nowned] = h.owned_global.astype(float) + 1.0
+            else:
+                # add: every local slot (owned + ghost) carries one
+                # unit; after the add owners hold their full global
+                # degree count
+                arr[:] = 1.0
+        X = exchanger(halos)
+        if mode == "copy":
+            X.copy(arrays)  # ghosts must now hold their owners' values
+        else:
+            X.add(arrays)  # only ghost slots contribute remotely
+        return [(arrays[h.rank], h.local_to_global()) for h in halos], halos
 
     def test_exchange_copy_fills_ghosts(self):
         nvert, edges = grid_graph(6, 6)
@@ -170,18 +169,15 @@ class TestExchanges:
         nvert, edges = grid_graph(5, 5)
         part = strip_partition(nvert, 2)
         halos = build_halos(nvert, edges, part)
-
-        def body(comm):
-            h = halos[comm.rank]
-            arr = np.zeros((h.nlocal, 3))
-            l2g = h.local_to_global()
-            arr[: h.nowned] = l2g[: h.nowned, None] * np.array([1.0, 2.0, 3.0])
-            exchanger(comm, h).copy({comm.rank: arr})
-            return arr, l2g
-
-        results = SimMPI(2).run(body)
-        for arr, l2g in results:
-            assert np.allclose(arr, l2g[:, None] * np.array([1.0, 2.0, 3.0]))
+        scale = np.array([1.0, 2.0, 3.0])
+        arrays = {}
+        for h in halos:
+            arrays[h.rank] = np.zeros((h.nlocal, 3))
+            arrays[h.rank][: h.nowned] = h.owned_global[:, None] * scale
+        exchanger(halos).copy(arrays)
+        for h in halos:
+            assert np.allclose(arrays[h.rank],
+                               h.local_to_global()[:, None] * scale)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -223,30 +219,30 @@ def assert_exchange_roundtrip(halos, add: bool = False) -> None:
     Contributions are small integers, distinct per (partition, vertex),
     so the sums are exact and a misrouted row cannot cancel out.  A plan
     set that breaks the property fails here with an ``AssertionError``
-    or with the exchange's own error (a :class:`RankFailure` around a
-    ``DeadlockError``, a shape or index error).
+    or with the exchange's own error (a ``DeadlockError``, a shape or
+    index error).
     """
     def contribution(rank, gids):
         return (rank + 1.0) + 16.0 * gids
 
-    def body(comm):
-        h = halos[comm.rank]
-        l2g = h.local_to_global()
-        if add:
-            arr = contribution(comm.rank, l2g)
-            exchanger(comm, h).add({comm.rank: arr})
-        else:
-            arr = np.zeros(h.nlocal)
-            arr[: h.nowned] = 100.0 + l2g[: h.nowned]
-            exchanger(comm, h).copy({comm.rank: arr})
-        return arr
-
-    results = SimMPI(len(halos)).run(body)
     gids = [h.local_to_global() for h in halos]
+    arrays = {}
+    for h, l2g in zip(halos, gids):
+        if add:
+            arrays[h.rank] = contribution(h.rank, l2g)
+        else:
+            arrays[h.rank] = np.zeros(h.nlocal)
+            arrays[h.rank][: h.nowned] = 100.0 + l2g[: h.nowned]
+    X = exchanger(halos)
+    if add:
+        X.add(arrays)
+    else:
+        X.copy(arrays)
     serial = np.bincount(np.concatenate(gids), weights=np.concatenate(
         [contribution(h.rank, l2g) for h, l2g in zip(halos, gids)]
     ))
-    for h, arr, l2g in zip(halos, results, gids):
+    for h, l2g in zip(halos, gids):
+        arr = arrays[h.rank]
         if add:
             assert np.array_equal(arr[: h.nowned], serial[l2g[: h.nowned]]), \
                 h.rank

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.comm import (
-    HybridProcess,
     SimMPI,
     build_halos,
     hybrid_efficiency,
@@ -12,6 +11,7 @@ from repro.comm import (
     partition_owners,
     thread_parallel_time,
 )
+from tests.message_exchange import MessageExchanger
 from tests.test_comm_exchange import grid_graph, strip_partition
 
 
@@ -90,24 +90,15 @@ class TestPartitionOwners:
 def assert_hybrid_copy(halos, nprocs: int) -> None:
     """A copy over ``halos`` with the partitions spread over ``nprocs``
     SimMPI ranks (fig. 7b) gives every ghost its owner's value."""
-    owner = partition_owners(len(halos), nprocs)
-    plans = {h.rank: h.plan for h in halos}
-
-    def body(comm):
-        mine = tuple(pid for pid, pr in owner.items() if pr == comm.rank)
-        proc = HybridProcess(
-            rank=comm.rank, part_ids=mine, plans=plans, proc_of=owner
-        )
-        arrays = {}
-        for pid in mine:
-            arrays[pid] = np.zeros(halos[pid].nlocal)
-            arrays[pid][: halos[pid].nowned] = 1000.0 + halos[pid].owned_global
-        proc.exchange_copy(comm, arrays)
-        return arrays
-
-    for arrays in SimMPI(nprocs).run(body):
-        for pid, arr in arrays.items():
-            assert np.array_equal(arr, 1000.0 + halos[pid].local_to_global())
+    arrays = {}
+    for h in halos:
+        arrays[h.rank] = np.zeros(h.nlocal)
+        arrays[h.rank][: h.nowned] = 1000.0 + h.owned_global
+    MessageExchanger(SimMPI(nprocs), {h.rank: h.plan for h in halos}).copy(
+        arrays
+    )
+    for h in halos:
+        assert np.array_equal(arrays[h.rank], 1000.0 + h.local_to_global())
 
 
 class TestHybridProcess:

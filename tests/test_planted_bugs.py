@@ -4,7 +4,8 @@ planted in running code, and the check that catches it now.
 A row is one failure fixture of the retired checkers (``ghostcheck``,
 ``plancheck``, ``tracecheck``, lint R001/R002/R005/R009/R011), of a
 surviving lint rule or of the owned-row skip, rewritten as a runnable
-kernel, plan or rank program, and the column that must fire on it:
+kernel, plan or lockstep rank program, and the column that must fire
+on it:
 ``lint Rnnn``, ``sanitizer`` (``GhostRaceError`` under
 ``sanitize=True``), ``runtime`` (the run raises), ``parity``
 (distributed misses serial beyond 1e-10), ``property``
@@ -12,7 +13,8 @@ kernel, plan or rank program, and the column that must fire on it:
 every ghost row an owned-only pass skips set to NaN as it returns, a
 NaN reaches an owned row), ``inert`` (no result changes, bit for bit:
 no bug to see) or ``control`` (nothing planted, nothing may fire).
-DESIGN.md §6 carries the same table;
+DESIGN.md §6 carries the same table, and names the deleted code path
+of each row retired because no program can write its bug any more;
 :func:`test_design_matrix_lists_every_row` keeps the two in step.
 """
 
@@ -26,13 +28,13 @@ import pytest
 
 from repro import api
 from repro.analysis import lint_source
-from repro.comm import HybridProcess, SimMPI, build_halos, partition_owners
+from repro.comm import SimMPI, build_halos
 from repro.comm.exchange import ExchangePlan
 from repro.errors import (DeadlockError, ExchangeLifecycleError,
                           GhostRaceError, RankFailure)
 from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
-from repro.runtime import HybridExchanger, RuntimeConfig, make_exchanger
+from repro.runtime import RuntimeConfig
 from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
 from repro.solvers.cart3d import fas_cycle as cart3d_fas_cycle
 from repro.solvers.cart3d.parallel import Cart3DKernels
@@ -42,6 +44,7 @@ from repro.solvers.nsu3d import NSU3DSolver, make_parallel_nsu3d
 from repro.solvers.nsu3d import fas_cycle as nsu3d_fas_cycle
 from repro.solvers.nsu3d.parallel import NSU3DKernels, _stack
 from repro.solvers.nsu3d.residual import residual
+from tests.message_exchange import MessageExchanger
 from tests.test_comm_exchange import (assert_exchange_roundtrip, grid_graph,
                                       strip_partition)
 from tests.test_comm_hybrid import assert_hybrid_copy
@@ -386,7 +389,8 @@ def seed_halos(nparts=8):
 
 
 def property_fails(halos) -> None:
-    with pytest.raises((AssertionError, RankFailure)):
+    with pytest.raises((AssertionError, DeadlockError, ValueError,
+                        IndexError)):
         assert_exchange_roundtrip(halos)
 
 
@@ -446,16 +450,15 @@ def _():
 
 
 def exchange_plans(plans) -> None:
-    """One copy over hand-built plans, one rank per plan."""
-    def body(comm):
-        plan = plans[comm.rank]
+    """One message-path copy over hand-built plans, one rank per plan:
+    every rank posts, then every rank finishes."""
+    arrays = {}
+    for plan in plans:
         slots = [*plan.ghost_slots.values(), *plan.owned_slots.values()]
-        arr = np.zeros(1 + max((int(s.max()) for s in slots), default=0))
-        make_exchanger("plan", comm, plans={comm.rank: plan}).copy(
-            {comm.rank: arr}
+        arrays[plan.rank] = np.zeros(
+            1 + max((int(s.max()) for s in slots), default=0)
         )
-
-    SimMPI(len(plans)).run(body)
+    MessageExchanger(SimMPI(len(plans)), dict(enumerate(plans))).copy(arrays)
 
 
 @row("plan/circular-wait", "runtime")
@@ -508,62 +511,41 @@ def _():
 # -- tracecheck's rows: rank programs ------------------------------------------
 
 
-def deadlock(body, nranks=2) -> str:
-    return str(raises(DeadlockError, SimMPI(nranks).run, body))
+def deadlock(wait, *args) -> str:
+    """What ``wait(*args)`` raises: a receive with nothing to take."""
+    return str(raises(DeadlockError, wait, *args))
 
 
 @row("trace/recv-without-send", "runtime")
 def _():
-    def body(comm):
-        if comm.rank == 0:
-            comm.recv(source=1)
-    assert "rank 0 deadlocked waiting for rank 1" in deadlock(body)
+    zero, _one = SimMPI(2).lockstep()
+    assert ("rank 0 deadlocked waiting for rank 1"
+            in deadlock(zero.recv, 1))
 
 
 @row("trace/mutual-recv", "runtime")
 def _():
-    def body(comm):
-        comm.recv(source=1 - comm.rank)
-    assert "deadlocked waiting for rank" in deadlock(body)
+    reqs = [comm.irecv(source=1 - comm.rank) for comm in SimMPI(2).lockstep()]
+    assert "deadlocked waiting for rank" in deadlock(reqs[0].wait)
 
 
 @row("trace/tag-mismatch", "runtime")
 def _():
-    def body(comm):
-        if comm.rank == 0:
-            comm.recv(source=1, tag=0)
-        else:
-            comm.send(np.zeros(4), dest=0, tag=7)
-    assert "rank 0 deadlocked waiting for rank 1 tag 0" in deadlock(body)
-
-
-@row("trace/collective-divergence", "runtime")
-def _():
-    def body(comm):
-        if comm.rank == 0:
-            comm.barrier()
-        else:
-            comm.allreduce(1.0)
-    message = deadlock(body)
-    assert "rank 0 entered barrier" in message
-    assert "rank 1 entered allreduce:sum" in message
-
-
-@row("trace/collective-incomplete", "runtime")
-def _():
-    def body(comm):
-        if comm.rank != 2:
-            comm.barrier()
-    assert "collective that not every rank entered" in deadlock(body, 3)
+    zero, one = SimMPI(2).lockstep()
+    one.send(np.zeros(4), dest=0, tag=7)
+    assert ("rank 0 deadlocked waiting for rank 1 tag 0"
+            in deadlock(zero.recv, 1, 0))
 
 
 @row("trace/unreceived-message", "inert")
 def _():
-    def body(comm, stray):
-        if stray and comm.rank == 0:
-            comm.send(np.zeros(2), dest=1)
-        return comm.allreduce(comm.rank + 1.0)
-    assert SimMPI(2).run(body, True) == SimMPI(2).run(body, False)
+    def run(stray):
+        world = SimMPI(2)
+        zero, _one = world.lockstep()
+        if stray:
+            zero.send(np.zeros(2), dest=1)
+        return world.allreduce([1.0, 2.0])
+    assert run(True) == run(False)
 
 
 def path_world():
@@ -647,25 +629,6 @@ def _():
     assert direct.q.tobytes() == facade.q.tobytes()
 
 
-@row("lint/R011-exchanger-outside-runtime", "inert")
-def _():
-    halos = seed_halos(4)
-    plans = {h.rank: h.plan for h in halos}
-    proc_of = partition_owners(4, 4)
-
-    def body(comm, direct):
-        process = HybridProcess(rank=comm.rank, part_ids=(comm.rank,),
-                                plans=plans, proc_of=proc_of)
-        X = (HybridExchanger(comm, process) if direct
-             else make_exchanger("hybrid", comm, process=process))
-        arr = 1.0 + halos[comm.rank].local_to_global()
-        X.add({comm.rank: arr})
-        X.copy({comm.rank: arr})
-        return arr.tobytes(), X.charging, comm.clock
-
-    assert SimMPI(4).run(body, True) == SimMPI(4).run(body, False)
-
-
 # -- the tests -----------------------------------------------------------------
 
 
@@ -677,6 +640,11 @@ def test_planted_bug_is_caught(name):
 #: DESIGN.md rows no program can plant (see the matrix's notes)
 NOT_RUNNABLE = {"trace/unordered-writes"}
 
+#: DESIGN.md rows whose bug only deleted code could write; the table
+#: names the deleted path
+RETIRED = {"trace/collective-divergence", "trace/collective-incomplete",
+           "lint/R011-exchanger-outside-runtime"}
+
 
 def test_design_matrix_lists_every_row():
     """The table in DESIGN.md and :data:`ROWS` name the same rows, with
@@ -684,6 +652,8 @@ def test_design_matrix_lists_every_row():
     text = DESIGN.read_text()
     table = dict(re.findall(r"^\| `([\w/-]+)` \|.*\| \*\*(.+?)\*\* \|$",
                             text, flags=re.M))
-    assert set(table) == set(ROWS) | NOT_RUNNABLE
+    assert set(table) == set(ROWS) | NOT_RUNNABLE | RETIRED
     for name, (column, _check) in ROWS.items():
         assert table[name] == column, name
+    for name in RETIRED:
+        assert table[name] == "retired", name

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.comm import SimMPI, build_halos
-from repro.comm.hybrid import HybridProcess, PendingHybrid, partition_owners
 from repro.errors import ConfigurationError, ExchangeLifecycleError
 from repro.mesh.unstructured import build_dual, bump_channel, extract_lines
 from repro.runtime import (
     DistributedSolveDriver,
     LevelSpec,
+    LockstepComm,
     MetisLinePartitioner,
     Partitioner,
     SFCPartitioner,
@@ -26,6 +26,8 @@ from repro.solvers.nsu3d import context_from_dual
 from repro.solvers.nsu3d.multigrid import (
     COARSE_CFL_FRACTION as NSU3D_FRACTION,
 )
+from repro.runtime.backends import Landed
+from tests.message_exchange import MessageExchanger
 from tests.test_comm_exchange import assert_exchange_roundtrip, exchanger
 
 
@@ -251,117 +253,92 @@ class TestDomainHierarchy:
             )
 
 
+def lockstep_level(nvert, edges, part):
+    """One rank per partition of ``part``: the world, the level's
+    ``{pid: domain}`` and its lockstep exchanger."""
+    doms = dict(enumerate(build_domain_set(
+        LevelSpec(nvert, edges, lambda halo, part: None), part
+    ).domains))
+    world = SimMPI(len(doms))
+    return world, doms, LockstepComm(world, len(doms)).exchanger(doms)
+
+
 class TestInProcessPending:
     def test_start_finish_equals_exchange_copy(self):
         nvert, edges = grid_graph(6, 6)
         part = strip_partition(nvert, 3)
-        halos = build_halos(nvert, edges, part)
         base = np.arange(nvert, dtype=np.float64)
 
         def run(overlapped):
-            def body(comm):
-                h = halos[comm.rank]
-                arr = np.zeros((h.nlocal, 2))
-                arr[: h.nowned] = base[h.owned_global][:, None]
-                x = exchanger(comm, h)
-                if overlapped:
-                    pending = x.start_copy({comm.rank: arr}, tag=5)
-                    # one partition per rank: the window is real
-                    assert isinstance(pending, PendingHybrid)
-                    pending.finish()
-                    with pytest.raises(ExchangeLifecycleError):
-                        pending.finish()  # each window closes exactly once
-                else:
-                    x.copy({comm.rank: arr}, tag=5)
-                return arr
+            world, doms, x = lockstep_level(nvert, edges, part)
+            q = np.zeros((sum(dom.nlocal for dom in doms.values()), 2))
+            for p, dom in doms.items():
+                q[x.rows.owned_spans[p]] = base[dom.halo.owned_global][:, None]
+            if overlapped:
+                pending = x.start_copy(q, tag=5)
+                # one partition per rank: the window is real
+                assert not isinstance(pending, Landed)
+                pending.finish()
+                with pytest.raises(ExchangeLifecycleError):
+                    pending.finish()  # each window closes exactly once
+            else:
+                x.copy(q, tag=5)
+            return q, [c.clock for c in world.comms]
 
-            return SimMPI(3).run(body)
-
-        for a, b in zip(run(True), run(False)):
-            assert np.array_equal(a, b)
+        (a, clocks_a), (b, clocks_b) = run(True), run(False)
+        assert np.array_equal(a, b)
+        assert clocks_a == clocks_b
 
     def test_ghosts_match_owner_values(self):
         nvert, edges = grid_graph(5, 5)
         part = strip_partition(nvert, 2)
-        halos = build_halos(nvert, edges, part)
-
-        def body(comm):
-            h = halos[comm.rank]
-            arr = np.zeros((h.nlocal, 1))
-            arr[: h.nowned, 0] = h.owned_global
-            exchanger(comm, h).start_copy({comm.rank: arr}).finish()
-            l2g = h.local_to_global()
-            assert np.array_equal(arr[h.nowned:, 0], l2g[h.nowned:])
-            return True
-
-        assert all(SimMPI(2).run(body))
+        _world, doms, x = lockstep_level(nvert, edges, part)
+        q = np.zeros((sum(dom.nlocal for dom in doms.values()), 1))
+        for p, dom in doms.items():
+            q[x.rows.owned_spans[p], 0] = dom.halo.owned_global
+        x.start_copy(q).finish()
+        for p, dom in doms.items():
+            assert np.array_equal(q[x.rows.spans[p], 0],
+                                  dom.halo.local_to_global())
 
 
 class TestHybridExchangeAdd:
+    """The message-path oracle agrees with itself across layouts: an
+    add over fewer processes (intra-process copies) sums as one rank
+    per partition does."""
+
     def _halos(self):
         nvert, edges = grid_graph(6, 6)
         part = strip_partition(nvert, 4)
-        return nvert, edges, part, build_halos(nvert, edges, part)
+        return build_halos(nvert, edges, part)
 
-    def _reference(self, nvert, edges, part, halos, seed=0):
+    def _reference(self, halos, seed=0):
         """Pure-MPI exchange_add result, one rank per partition."""
         rng = np.random.default_rng(seed)
-        fills = [rng.standard_normal((h.nlocal, 3)) for h in halos]
-
-        def body(comm):
-            arr = fills[comm.rank].copy()
-            exchanger(comm, halos[comm.rank]).add({comm.rank: arr}, tag=9)
-            return arr
-
-        return fills, SimMPI(4).run(body)
+        fills = {h.rank: rng.standard_normal((h.nlocal, 3)) for h in halos}
+        arrays = {p: fill.copy() for p, fill in fills.items()}
+        exchanger(halos).add(arrays, tag=9)
+        return fills, arrays
 
     def test_matches_plan_exchange_on_fewer_procs(self):
-        nvert, edges, part, halos = self._halos()
-        fills, expected = self._reference(nvert, edges, part, halos)
+        halos = self._halos()
+        fills, expected = self._reference(halos)
+        plans = {h.rank: h.plan for h in halos}
         for nprocs in (1, 2):
-            proc_of = partition_owners(4, nprocs)
-
-            def body(comm):
-                pids = [p for p in range(4) if proc_of[p] == comm.rank]
-                proc = HybridProcess(
-                    rank=comm.rank, part_ids=tuple(pids),
-                    plans={p: halos[p].plan for p in range(4)},
-                    proc_of=proc_of,
-                )
-                arrays = {p: fills[p].copy() for p in pids}
-                proc.exchange_add(comm, arrays, tag=9)
-                return arrays
-
-            results = SimMPI(nprocs).run(body)
-            merged = {}
-            for chunk in results:
-                merged.update(chunk)
+            arrays = {p: fill.copy() for p, fill in fills.items()}
+            MessageExchanger(SimMPI(nprocs), plans).add(arrays, tag=9)
             for p in range(4):
-                assert np.allclose(merged[p], expected[p],
+                assert np.allclose(arrays[p], expected[p],
                                    rtol=1e-13, atol=1e-13), (nprocs, p)
 
     def test_ghost_rows_zeroed_after_add(self):
-        nvert, edges, part, halos = self._halos()
-        proc_of = partition_owners(4, 2)
-
-        def body(comm):
-            pids = [p for p in range(4) if proc_of[p] == comm.rank]
-            proc = HybridProcess(
-                rank=comm.rank, part_ids=tuple(pids),
-                plans={p: halos[p].plan for p in range(4)},
-                proc_of=proc_of,
-            )
-            arrays = {p: np.ones((halos[p].nlocal, 2)) for p in pids}
-            proc.exchange_add(comm, arrays, tag=3)
-            return all(
-                np.array_equal(
-                    arrays[p][halos[p].nowned:],
-                    np.zeros_like(arrays[p][halos[p].nowned:]),
-                )
-                for p in pids
-            )
-
-        assert all(SimMPI(2).run(body))
+        halos = self._halos()
+        arrays = {h.rank: np.ones((h.nlocal, 2)) for h in halos}
+        MessageExchanger(SimMPI(2), {h.rank: h.plan for h in halos}).add(
+            arrays, tag=3
+        )
+        for h in halos:
+            assert not arrays[h.rank][h.nowned:].any(), h.rank
 
 
 class TestDriverValidation:
@@ -391,16 +368,11 @@ class TestDriverValidation:
     def test_exchanger_charges_only_when_enabled(self):
         nvert, edges = grid_graph(4, 4)
         part = strip_partition(nvert, 2)
-        halos = build_halos(nvert, edges, part)
-
-        def body(comm):
-            x = exchanger(comm, halos[comm.rank])
-            before = comm.clock
-            # charging defaults to off: a no-op
-            x.charge({comm.rank: 1e9})
-            assert comm.clock == before
-            x.charging = True
-            x.charge({comm.rank: 1e9})
-            return comm.clock > before
-
-        assert all(SimMPI(2).run(body))
+        world, _doms, x = lockstep_level(nvert, edges, part)
+        before = [c.clock for c in world.comms]
+        # charging defaults to off: a no-op
+        x.charge({0: 1e9, 1: 1e9})
+        assert [c.clock for c in world.comms] == before
+        x.charging = True
+        x.charge({0: 1e9, 1: 1e9})
+        assert all(c.clock > t for c, t in zip(world.comms, before))

@@ -19,17 +19,17 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.comm import SimMPI
-from repro.comm.hybrid import HybridProcess
 from repro.comm.simmpi import Comm, fold
 from repro.errors import DeadlockError, RankFailure
 from repro.mesh.cartesian import Sphere
 from repro.mesh.unstructured import bump_channel
 from repro.runtime import (LevelSpec, LockstepComm, RuntimeConfig,
-                           backends, build_domain_set, make_exchanger)
+                           backends, build_domain_set)
 from repro.runtime.domain import row_stack
 from repro.solvers.cart3d import Cart3DSolver, make_parallel_cart3d
 from repro.solvers.nsu3d import NSU3DSolver, make_parallel_nsu3d
 from repro.solvers.nsu3d.parallel import NSU3DKernels
+from tests.message_exchange import MessageExchanger
 
 CFL_NSU3D = 8.0
 CFL_CART3D = 2.0
@@ -106,11 +106,6 @@ class TestFailurePaths:
         ):
             X.copy(zeros(doms, 2), tag=7)
 
-    def test_lone_collective_is_a_deadlock_too(self):
-        comms = SimMPI(3).lockstep()
-        with pytest.raises(DeadlockError, match="collective"):
-            comms[1].allreduce(1.0)
-
     def test_kernel_failure_is_a_rank_failure_and_world_is_reusable(
         self, nsu3d_solver
     ):
@@ -177,11 +172,13 @@ def rank_events(world):
     )
 
 
-class TestLockstepEqualsThreaded:
-    """The same plans, driven by a rank program per rank inside
-    ``SimMPI.run`` and by the lockstep exchanger, leave the same bits
-    everywhere an observer can look — and the arrays the global-id
-    oracle says, whatever the ranks per process."""
+class TestLockstepEqualsMessages:
+    """The same plans, driven by the message-path oracle
+    (:class:`~tests.message_exchange.MessageExchanger`: every rank
+    posts real SimMPI messages, then every rank finishes them) and by
+    the lockstep exchanger, leave the same bits everywhere an observer
+    can look — and the arrays the global-id oracle says, whatever the
+    ranks per process."""
 
     @staticmethod
     def program(X, comm_allreduce, state, parts, op, charging):
@@ -214,9 +211,9 @@ class TestLockstepEqualsThreaded:
         self, nx, ny, nparts, nvar, op, charging, per_rank, traced, seed
     ):
         """The lockstep side moves rows by index over the level's
-        stacked array and replays the ledger; the rank programs send
-        real messages.  Arrays, allreduce, clocks, stats and every
-        rank's trace agree bit for bit."""
+        stacked array and replays the ledger; the oracle sends real
+        messages.  Arrays, allreduce, clocks, stats and every rank's
+        trace agree bit for bit."""
         nvert, edges = grid_graph(nx, ny)
         rng = np.random.default_rng(seed)
         doms = level_domains(nvert, edges,
@@ -238,34 +235,23 @@ class TestLockstepEqualsThreaded:
             assert np.allclose(arrays[p], expected[p], rtol=1e-13,
                                atol=1e-13)
 
-        def body(comm):
-            pids = group.pids[comm.rank]
-            if nranks == nparts:
-                X = make_exchanger("plan", comm,
-                                   plans={p: plans[p] for p in pids})
-            else:
-                X = make_exchanger("hybrid", comm, process=HybridProcess(
-                    rank=comm.rank, part_ids=pids, plans=plans,
-                    proc_of=group.proc_of,
-                ))
-            mine = {p: fills[p].copy() for p in pids}
-            out = self.program(
-                X, lambda parts: comm.allreduce(
-                    fold([parts[p] for p in pids], "sum")
-                ), mine, mine, op, charging,
-            )
-            return mine, out
-
-        threaded = SimMPI(nranks, trace=traced)
-        for mine, out in threaded.run(body):
-            assert np.array_equal(out, total)
-            for p, arr in mine.items():
-                assert arr.tobytes() == arrays[p].tobytes(), p
+        messages = SimMPI(nranks, trace=traced)
+        X = MessageExchanger(messages, plans)
+        mine = {p: fills[p].copy() for p in plans}
+        out = self.program(
+            X, lambda parts: messages.allreduce([
+                fold([parts[p] for p in proc.part_ids], "sum")
+                for proc in X.procs
+            ]), mine, mine, op, charging,
+        )
+        assert np.array_equal(out, total)
+        for p, arr in mine.items():
+            assert arr.tobytes() == arrays[p].tobytes(), p
         assert ([c.clock.hex() for c in world.comms]
-                == [c.clock.hex() for c in threaded.comms])
+                == [c.clock.hex() for c in messages.comms])
         assert ([c.stats for c in world.comms]
-                == [c.stats for c in threaded.comms])
-        assert rank_events(world) == rank_events(threaded)
+                == [c.stats for c in messages.comms])
+        assert rank_events(world) == rank_events(messages)
 
     @pytest.mark.parametrize("nranks", [4, 2], ids=["sim", "hybrid"])
     def test_traced_solve_repeats_exactly_and_checks_clean(
@@ -341,8 +327,8 @@ class TestOneStackedArray:
 
 
 class TestWorldRowGather:
-    """What the world-row gather adds beyond matching the rank programs
-    (:class:`TestLockstepEqualsThreaded`): no message, one index build
+    """What the world-row gather adds beyond matching the message path
+    (:class:`TestLockstepEqualsMessages`): no message, one index build
     per level, plan errors at index build, stale windows refused."""
 
     def test_a_solve_sends_no_message(self, nsu3d_solver, cart3d_solver,

@@ -45,7 +45,6 @@ from repro.runtime import (
     RuntimeConfig,
     SharedLayout,
     build_domain_set,
-    make_exchanger,
     shutdown_parked,
 )
 from repro.runtime import process
@@ -126,10 +125,6 @@ class TestRuntimeConfig:
             RuntimeConfig(backend="process", nranks=2).resolve(4)
         with pytest.raises(ConfigurationError, match="one rank per"):
             RuntimeConfig(backend="sim", nranks=2).resolve(4)
-
-    def test_make_exchanger_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError, match="unknown exchanger"):
-            make_exchanger("openmp", None)
 
     def test_config_and_legacy_keywords_conflict(self, cart3d_solver):
         """``config=`` is the only spelling: a bare execution keyword is

@@ -221,15 +221,12 @@ class TestAdapters:
         assert (e.pid, e.tid) == ("workers", "rank2/slot3")
 
     def test_add_simmpi_trace_maps_compute_and_messages(self):
-        def pingpong(comm):
-            comm.compute(seconds=0.25)
-            if comm.rank == 0:
-                comm.send(b"\0" * 128, 1, tag=5)
-            else:
-                comm.recv(0, tag=5)
-
         world = SimMPI(2, trace=True)
-        world.run(pingpong)
+        zero, one = world.lockstep()
+        for comm in (zero, one):
+            comm.compute(seconds=0.25)
+        zero.send(b"\0" * 128, 1, tag=5)
+        one.recv(0, tag=5)
         tl = add_simmpi_trace(Timeline(), world.trace, offset=100.0)
         computes = [e for e in tl.spans() if e.cat == "compute"]
         assert len(computes) == 2
@@ -400,15 +397,11 @@ class TestAcceptance:
                 pass
             offset = get_tracer().now()
             world = SimMPI(2, trace=True)
-
-            def pingpong(comm):
+            zero, one = world.lockstep()
+            for comm in (zero, one):
                 comm.compute(flops=1.0e5)
-                if comm.rank == 0:
-                    comm.send(b"\0" * 64, 1, tag=3)
-                else:
-                    comm.recv(0, tag=3)
-
-            world.run(pingpong)
+            zero.send(b"\0" * 64, 1, tag=3)
+            one.recv(0, tag=3)
             with lock:
                 worlds.append((spec.key[:8], world.trace, offset))
             return CaseResult(spec=spec, coefficients={"cl": 1.0})
